@@ -154,15 +154,16 @@ def factor(
     ``faults`` (a :class:`~repro.faults.FaultPlan`, plan dict, or JSON
     path) arms deterministic fault injection; ``fault_seed`` overrides
     the plan's seed, so one plan file replays many chaos variants.
-    ``timeout_s`` sets the per-run watchdog window on every blocking
-    receive (the spelled-out alias of the implementations' ``timeout``
-    option).  Remaining keyword options (``v``/``nb``, ``timeout``,
+    ``timeout_s`` is the run's wall budget (the spelled-out alias of
+    the implementations' ``timeout`` option): deadlocks are reported
+    the moment they occur, so it only bounds a run that keeps
+    computing.  Remaining keyword options (``v``/``nb``, ``timeout``,
     ``m_max``) pass through to the implementation.
     """
     info = get_algorithm(name)
     if machine is not None:
         # Resolve eagerly so a bad preset name or JSON path fails
-        # before any rank threads are spawned.
+        # before any rank is started.
         from repro.models.machines import resolve_machine
 
         opts["machine"] = resolve_machine(machine)

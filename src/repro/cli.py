@@ -477,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--fault-seed", type=int, default=None,
                    help="override the plan's seed (replay variants)")
     f.add_argument("--timeout", type=float, default=None,
-                   help="per-run watchdog window in seconds")
+                   help="wall budget of the run in seconds")
     f.add_argument("--list-machines", action="store_true",
                    help="list the machine presets and their "
                         "alpha/beta/gamma parameters")

@@ -29,12 +29,13 @@ crash       the sending rank raises :class:`RankCrashed`, which
             :class:`~repro.smpi.runtime.RankFailure`
 ==========  ==========================================================
 
-**Determinism.**  The runtime's ranks are real threads, so any decision
-routed through a shared sequential RNG would depend on the OS
-schedule.  Instead, every probabilistic choice is a pure hash of
+**Determinism.**  A decision routed through a shared sequential RNG
+would depend on the order in which ranks reach the seam, so the fault
+log would change with the runtime's scheduling rule.  Instead, every
+probabilistic choice is a pure hash of
 ``(plan seed, rule index, src, dst, tag, channel sequence number)``,
 where the channel sequence number counts the sender's messages to that
-destination — program order on the sending thread, independent of
+destination — program order on the sending rank, independent of
 interleaving.  Match counters (``after`` / ``max_fires``) are likewise
 kept per ``(rule, src, dst)`` channel.  Replaying the same plan over
 the same schedule therefore fires the same faults on the same
@@ -307,9 +308,10 @@ class Delivery:
 class FaultInjector:
     """Per-run instantiation of a :class:`FaultPlan`.
 
-    Thread-safe; all decisions are pure hashes (see module docstring),
-    so the injector's observable behaviour — which messages fire which
-    rules — is independent of thread interleaving.
+    Thread-safe (it is also driven directly, outside ``run_spmd``); all
+    decisions are pure hashes (see module docstring), so the injector's
+    observable behaviour — which messages fire which rules — is
+    independent of the order in which ranks send.
     """
 
     def __init__(self, plan: FaultPlan, nranks: int) -> None:

@@ -15,7 +15,7 @@ Layout on disk::
 Entries record the task, parameters, result payload, and timing so the
 cache doubles as a flat experiment log (``python -m repro sweep
 --show-cache`` summarises it).  Only successful results are stored:
-failed or skipped points are re-attempted on the next run, which is
+failed points are re-attempted on the next run, which is
 what makes a re-run of a partially failed sweep a *resume*.
 
 Writes are atomic (tempfile + ``os.replace``) so a sweep interrupted

@@ -27,11 +27,6 @@ its sweeps are ``qr-strong``, ``qr-weak`` and ``qr-lower-bound-gap``.
 to zero-argument factories producing the default instance of each
 experiment; the factories also take parameters so the harness functions
 in :mod:`repro.harness.experiments` can build reduced-scale variants.
-
-The ``measured`` task accepts ``backend="mpi"`` for points meant to run
-under a real MPI launch; inside the pool (or without mpi4py installed,
-as in CI) such points raise :class:`SkipPoint` and are reported as
-skipped rather than failed.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from repro.harness.sweep import SkipPoint, SweepSpec, task
+from repro.harness.sweep import SweepSpec, task
 
 # --------------------------------------------------------------------------
 # tasks
@@ -54,7 +49,6 @@ def measured_task(
     seed: int = 0,
     v: int | None = None,
     nb: int | None = None,
-    backend: str = "sim",
     machine: str | None = None,
 ) -> dict:
     """Factor an N x N matrix with ``impl`` on ``p`` simulated ranks.
@@ -64,18 +58,7 @@ def measured_task(
     it hash exactly as before, so existing sweep caches stay valid.
     """
     from repro.harness.runner import run_experiment
-    from repro.smpi.mpi_backend import have_mpi4py
 
-    if backend == "mpi":
-        if not have_mpi4py():
-            raise SkipPoint(
-                "mpi4py not installed; real-MPI point skipped"
-            )
-        raise SkipPoint(
-            "real-MPI points run under mpiexec, not the sweep pool"
-        )
-    if backend != "sim":
-        raise ValueError(f"unknown backend {backend!r}")
     rec = run_experiment(
         impl, n, p, seed=seed, v=v, nb=nb, machine=machine
     )
@@ -311,9 +294,8 @@ def chaos_task(
     except (SmpiError, FactorVerificationError) as exc:
         # The injector dies with the run, so the log is unreachable
         # here; the exception's first line stands in for it.  (Only
-        # the first line: the blocked-rank census below it is a
-        # diagnostic snapshot taken while watchdogs race, not part of
-        # the deterministic outcome.)
+        # the first line: it names the first failed rank and what it
+        # was blocked on; the census below it would bloat the row.)
         row["outcome"] = CHAOS_DETECTED
         row["detail"] = f"{type(exc).__name__}: {exc}".splitlines()[0]
         return row
@@ -374,13 +356,12 @@ def table2_measured_spec(
     points: Sequence[tuple[int, int]] = TABLE2_MEASURED_POINTS,
     impls: Sequence[str] = DEFAULT_IMPLS,
     seed: int = 0,
-    backend: str = "sim",
 ) -> SweepSpec:
     return SweepSpec(
         name="table2",
         task="measured",
         axes={**_np_axis(points), "impl": list(impls)},
-        fixed={"seed": seed, "backend": backend},
+        fixed={"seed": seed},
         derive=_split_np,
         description=(
             "Table 2, measured: simulator runs vs analytic models "
@@ -744,30 +725,10 @@ def chaos_qr_spec(
     )
 
 
-def table2_mpi_spec() -> SweepSpec:
-    """The Table 2 grid addressed to the real-MPI backend.
-
-    Enumerable everywhere; its points skip unless executed under an
-    mpiexec launch with mpi4py present — the CI smoke run exercises
-    exactly that skip path.
-    """
-    import dataclasses
-
-    return dataclasses.replace(
-        table2_measured_spec(backend="mpi"),
-        name="table2-mpi",
-        description=(
-            "Table 2 grid addressed to the real-MPI backend (points "
-            "skip without an mpiexec launch)"
-        ),
-    )
-
-
 #: Public sweep names: ``python -m repro sweep --run <name>``.
 SPECS = {
     "table2": table2_measured_spec,
     "table2-models": table2_models_spec,
-    "table2-mpi": table2_mpi_spec,
     "fig6a": fig6a_measured_spec,
     "fig6a-model": fig6a_model_spec,
     "fig6b": fig6b_measured_spec,

@@ -17,10 +17,6 @@ receives the resolved point parameters as keyword arguments and returns
 a JSON-serialisable payload (dict, or list of dicts).  Registration by
 name is what lets a worker process find the task again: the pool ships
 ``(task_name, params)`` pairs, never closures.
-
-A task may raise :class:`SkipPoint` to mark a point unrunnable in the
-current environment (the real-MPI backend without mpi4py, say); skipped
-points are reported but neither cached nor treated as failures.
 """
 
 from __future__ import annotations
@@ -44,10 +40,6 @@ from repro.harness.cache import SweepCache, canonical_json, point_key
 
 _TASKS: dict[str, Callable[..., Any]] = {}
 _TASK_SCHEMA: dict[str, int] = {}
-
-
-class SkipPoint(Exception):
-    """Raised by a task to mark a point unrunnable in this environment."""
 
 
 class SweepError(RuntimeError):
@@ -194,7 +186,6 @@ class SweepSpec:
 
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
-STATUS_SKIPPED = "skipped"
 
 
 @dataclass(frozen=True)
@@ -246,10 +237,6 @@ class SweepResult:
     def n_failed(self) -> int:
         return sum(r.status == STATUS_ERROR for r in self.results)
 
-    @property
-    def n_skipped(self) -> int:
-        return sum(r.status == STATUS_SKIPPED for r in self.results)
-
     def failures(self) -> list[PointResult]:
         return [r for r in self.results if r.status == STATUS_ERROR]
 
@@ -279,7 +266,7 @@ class SweepResult:
         return (
             f"{self.spec_name}: {self.n_points} points — "
             f"{self.n_computed} computed, {self.n_cached} cached, "
-            f"{self.n_skipped} skipped, {self.n_failed} failed "
+            f"{self.n_failed} failed "
             f"in {self.elapsed_s:.2f}s"
         )
 
@@ -290,18 +277,11 @@ class SweepResult:
 
 
 def _execute_point(point: SweepPoint) -> PointResult:
-    """Run one point, capturing failure/skip (runs in workers)."""
+    """Run one point, capturing failure (runs in workers)."""
     fn = get_task(point.task)
     start = time.perf_counter()
     try:
         payload = fn(**dict(point.params))
-    except SkipPoint as exc:
-        return PointResult(
-            point=point,
-            status=STATUS_SKIPPED,
-            error=str(exc),
-            elapsed_s=time.perf_counter() - start,
-        )
     except Exception as exc:
         return PointResult(
             point=point,
@@ -350,8 +330,8 @@ def _execute_point_bounded(
 
     The point runs on a daemon thread; on timeout the result is a
     synthetic ``TimeoutError`` failure and the thread is abandoned (it
-    cannot be preempted mid-factorization, but the smpi watchdog bounds
-    how long it lingers)."""
+    cannot be preempted mid-factorization; it lingers until the run
+    finishes or spends its own ``run_spmd`` wall budget)."""
     if timeout_s is None:
         return _execute_point_with_retry(point, retries)
     box: dict[str, PointResult] = {}
@@ -390,7 +370,7 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     # fork (where available) inherits the task registry, so tasks
     # registered by the calling module — not just the built-ins — work
     # in workers.  But forking a process that already has live helper
-    # threads (the thread-based smpi runtime, an asyncio executor) can
+    # threads (an abandoned smpi rank, an asyncio executor) can
     # deadlock the child on locks held mid-operation, and Python 3.12+
     # deprecates exactly that; in that case prefer forkserver, then
     # spawn, and rely on :func:`_worker_init` to restore non-builtin
@@ -461,7 +441,7 @@ def run_sweep(
     completed points are returned as hits and only successful results
     are stored, so re-running a sweep whose last run partially failed
     *resumes* it: hits for the completed points, fresh execution for
-    the failed/skipped/missing ones.  ``force`` bypasses cache reads
+    the failed/missing ones.  ``force`` bypasses cache reads
     (results are still written).  ``max_points`` truncates the grid
     after enumeration — the CI smoke path.
 

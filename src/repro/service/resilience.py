@@ -29,8 +29,8 @@ from typing import Callable
 
 from repro.smpi.runtime import DeadlockError, RankFailure
 
-#: Exception types that plausibly succeed on retry: watchdog timeouts
-#: from lost/late messages, aggregated rank failures (which is how
+#: Exception types that plausibly succeed on retry: deadlocks from
+#: lost messages, aggregated rank failures (which is how
 #: injected crashes and deadlocks surface from ``run_spmd``), and
 #: executor/transport plumbing errors.
 TRANSIENT_ERRORS: tuple[type[BaseException], ...] = (

@@ -19,8 +19,7 @@ def run_factor_job(params: dict) -> dict:
 
 
 def run_factor_batch(params_list: list[dict]) -> list[dict]:
-    """One batched launch: same-shape problems factored back to back
-    in a single executor dispatch (the grid setup cost — layout
-    resolution, runtime spin-up — is paid once per launch rather than
-    once per request on the process executor)."""
+    """One batched launch: the problems run back to back, each exactly
+    as :func:`run_factor_job` would run it, so only the executor
+    hand-off is shared — nothing of a factorization's own set-up is."""
     return [run_factor_job(params) for params in params_list]

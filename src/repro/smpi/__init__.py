@@ -1,9 +1,10 @@
 """Simulated MPI substrate (``smpi``).
 
-A deterministic, thread-based SPMD runtime that stands in for the MPI
+A deterministic SPMD runtime that stands in for the MPI
 one-sided/collective machinery the paper's C++ implementation uses on
-Piz Daint.  Every rank runs the same Python function on its own thread
-against a :class:`~repro.smpi.runtime.Comm` handle; all point-to-point
+Piz Daint.  Every rank runs the same Python function against a
+:class:`~repro.smpi.runtime.Comm` handle, one rank at a time, each
+until it blocks; all point-to-point
 traffic is recorded in a per-rank :class:`~repro.smpi.volume.VolumeLedger`,
 mirroring the Score-P byte counters used in the paper's evaluation.
 

@@ -1,8 +1,8 @@
-"""Thread-based SPMD runtime.
+"""Run-to-block SPMD runtime.
 
-Every rank of a simulated job runs the same Python function on its own
-thread, communicating exclusively through :class:`Comm`.  The design
-mirrors mpi4py's split between generic-object and buffer traffic:
+Every rank of a simulated job runs the same Python function,
+communicating exclusively through :class:`Comm`.  The design mirrors
+mpi4py's split between generic-object and buffer traffic:
 
 * ``send``/``recv`` move arbitrary Python payloads (numpy arrays are the
   common case and are copied on send, so rank-local mutation semantics
@@ -12,8 +12,15 @@ mirrors mpi4py's split between generic-object and buffer traffic:
 
 ``send`` is buffered-asynchronous (it deposits the message into the
 destination's mailbox and returns); ``recv`` blocks until a matching
-message arrives.  A watchdog timeout converts lost-message hangs into
-:class:`DeadlockError` instead of a frozen test suite.
+message arrives.
+
+Each rank has a thread of its own, so rank programs are ordinary
+blocking code, but only the rank holding the run's baton executes (see
+:class:`_Scheduler`): it keeps the baton until it blocks or returns,
+and the next rank is taken from a FIFO queue.  The interleaving is
+therefore a function of the program, not of the OS, and a lost message
+is not inferred from a timeout: the moment no rank can run while some
+are blocked, each blocked rank raises :class:`DeadlockError`.
 
 Communicator metadata operations (``split``, ``dup``, ``barrier``) are
 implemented through an in-process rendezvous board rather than messages;
@@ -26,7 +33,7 @@ from __future__ import annotations
 import copy
 import pickle
 import threading
-import time
+from collections import deque
 from collections.abc import Callable, Sequence
 from typing import Any
 
@@ -45,7 +52,8 @@ class SmpiError(RuntimeError):
 
 
 class DeadlockError(SmpiError):
-    """A rank waited longer than the watchdog timeout for a message."""
+    """A rank is blocked on something no rank is left to provide, or
+    the run outlived its wall budget."""
 
 
 class RankFailure(SmpiError):
@@ -114,7 +122,9 @@ def _copy_payload(obj: Any) -> Any:
 
 
 class _Message:
-    __slots__ = ("context", "source", "tag", "data", "nbytes", "send_id")
+    __slots__ = (
+        "context", "source", "tag", "data", "nbytes", "send_id", "arrival",
+    )
 
     def __init__(
         self,
@@ -134,210 +144,137 @@ class _Message:
         # event trace is recording; lets the receive side log exactly
         # which send it matched (robust under ANY_SOURCE).
         self.send_id = send_id
+        # Run-wide delivery stamp: a wildcard receive takes the
+        # earliest arrival among the channels it matches.
+        self.arrival = 0
 
 
-class _Mailbox:
-    """Per-world-rank inbox with (context, source, tag) matching."""
+class _Scheduler:
+    """State shared by every rank of one SPMD run, and the baton.
 
-    def __init__(self) -> None:
-        self._pending: list[_Message] = []
-        self._cond = threading.Condition()
+    Exactly one rank executes at a time.  The rank holding the baton
+    runs until it *blocks* — a receive nothing in its mailbox matches,
+    a rendezvous (``split``/``dup``/``barrier``) not everyone has
+    reached — or returns; only there is the baton handed on, to the
+    head of the FIFO ``runnable`` queue.  A send never yields: it
+    files the message and, if the destination is blocked on a receive
+    it matches, queues the destination.  Everything below is therefore
+    touched by one thread at a time and needs no lock.  The only
+    synchronisation is one gate per rank and one for ``run_spmd``'s
+    caller: a lock its owner sleeps on until it is handed the baton.
 
-    def deliver(self, msg: _Message) -> None:
-        with self._cond:
-            self._pending.append(msg)
-            self._cond.notify_all()
-
-    def _match(self, context: int, source: int, tag: int) -> _Message | None:
-        for i, msg in enumerate(self._pending):
-            if msg.context != context:
-                continue
-            if source != ANY_SOURCE and msg.source != source:
-                continue
-            if tag != ANY_TAG and msg.tag != tag:
-                continue
-            return self._pending.pop(i)
-        return None
-
-    def take(
-        self,
-        context: int,
-        source: int,
-        tag: int,
-        deadline: float | None,
-        timeout: float,
-        diag: Callable[[], str] | None = None,
-    ) -> _Message:
-        """Blocking matched receive.
-
-        ``deadline`` is the *run-wide* watchdog instant (monotonic
-        clock), shared by every blocking wait of the run: by the time
-        the first one fires, everything that could make progress has,
-        so all stuck ranks fail together with a consistent census
-        instead of cascading one watchdog window per dependency level.
-        An already-deliverable message is still returned after the
-        deadline — only actual waiting is bounded.
-        """
-        with self._cond:
-            while True:
-                msg = self._match(context, source, tag)
-                if msg is not None:
-                    return msg
-                remaining = (
-                    threading.TIMEOUT_MAX if deadline is None
-                    else deadline - time.monotonic()
-                )
-                if remaining <= 0:
-                    break
-                self._cond.wait(timeout=min(remaining, 5.0))
-        # Build the diagnostic *outside* the mailbox condition: the
-        # run-wide deadline wakes every stuck rank at once, and a census
-        # taken while holding this lock would cross-acquire the other
-        # rank's held lock (ABBA) — the watchdog's own diagnostic must
-        # not deadlock the watchdog.
-        message = (
-            f"recv(source={source}, tag={tag}, "
-            f"context={context}) timed out: run watchdog "
-            f"({timeout:.0f}s) expired"
-        )
-        if diag is not None:
-            message += "\n" + diag()
-        raise DeadlockError(message)
-
-
-class _Rendezvous:
-    """Shared board for zero-volume collective metadata (split/barrier)."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._slots: dict[Any, dict[str, Any]] = {}
-
-    def exchange(
-        self,
-        key: Any,
-        rank: int,
-        value: Any,
-        expected: int,
-        deadline: float | None,
-        timeout: float,
-        diag: Callable[[], str] | None = None,
-    ) -> dict[int, Any]:
-        """Deposit ``value`` under ``key`` and wait until ``expected``
-        participants arrived; return the full contribution map.
-
-        ``deadline`` is the run-wide watchdog instant, shared with
-        :meth:`_Mailbox.take` (see there for why it is absolute).
-        """
-        arrived = 0
-        with self._cond:
-            slot = self._slots.setdefault(key, {"contrib": {}, "done": 0})
-            slot["contrib"][rank] = value
-            if len(slot["contrib"]) == expected:
-                self._cond.notify_all()
-            timed_out = False
-            while len(slot["contrib"]) < expected:
-                remaining = (
-                    threading.TIMEOUT_MAX if deadline is None
-                    else deadline - time.monotonic()
-                )
-                if remaining <= 0:
-                    timed_out = True
-                    arrived = len(slot["contrib"])
-                    break
-                self._cond.wait(timeout=min(remaining, 5.0))
-            if not timed_out:
-                contrib = dict(slot["contrib"])
-                slot["done"] += 1
-                if slot["done"] == expected:
-                    # Last one out cleans up so the key can be reused.
-                    del self._slots[key]
-                return contrib
-        # Diagnose outside the condition — census acquires mailbox
-        # locks held by other timed-out ranks (see _Mailbox.take).
-        message = (
-            f"rendezvous {key!r} stuck at "
-            f"{arrived}/{expected} after "
-            f"the run watchdog ({timeout:.0f}s)"
-        )
-        if diag is not None:
-            message += "\n" + diag()
-        raise DeadlockError(message)
-
-
-class _Context:
-    """State shared by every rank of one SPMD run."""
+    No runnable rank while some rank is blocked *is* a deadlock — no
+    event is left that could unblock anyone — so it is reported on the
+    spot: every blocked rank is queued, in rank order, to raise a
+    :class:`DeadlockError` carrying the same census.
+    """
 
     def __init__(
-        self,
-        nranks: int,
-        timeout: float,
-        trace: Any = None,
-        faults: Any = None,
+        self, nranks: int, trace: Any = None, faults: Any = None
     ) -> None:
-        self.nranks = nranks
-        self.timeout = timeout
-        #: Absolute run-wide watchdog instant (None = no watchdog).
-        #: One shared deadline means cascaded stalls surface together.
-        self.deadline = (
-            None if timeout <= 0 else time.monotonic() + timeout
-        )
-        self.mailboxes = [_Mailbox() for _ in range(nranks)]
         self.ledger = VolumeLedger(nranks)
-        self.rendezvous = _Rendezvous()
         #: repro.smpi.timing.EventTrace when the run predicts time
         self.trace = trace
         #: repro.faults.FaultInjector for chaos runs (None = clean run)
         self.faults = faults
-        #: world rank -> (source, tag, context) it is blocked awaiting;
-        #: each rank writes only its own entry (GIL-atomic dict ops)
-        self.waiting: dict[int, tuple[int, int, int]] = {}
+        #: per world rank: (context, source, tag) -> FIFO of messages
+        self.mail: list[dict[tuple[int, int, int], deque[_Message]]] = [
+            {} for _ in range(nranks)
+        ]
+        self._arrivals = 0
+        #: rendezvous key -> contributions by group rank, arrival order
+        self.slots: dict[Any, dict[int, Any]] = {}
+        #: world rank -> (context, source, tag) its blocked receive wants
+        self.receiving: dict[int, tuple[int, int, int]] = {}
+        #: world rank -> (key, group size) of the rendezvous it waits in
+        self.meeting: dict[int, tuple[Any, int]] = {}
+        self.runnable: deque[int] = deque(range(nranks))
+        #: the baton holder (None before the start and after the end)
+        self.running: int | None = None
+        #: world rank -> text of the DeadlockError it raises on waking
+        self.doomed: dict[int, str] = {}
+        #: why the run was cut short, once the caller's budget is spent
+        self.expired: str | None = None
+        self.gates = [threading.Lock() for _ in range(nranks)]
+        self.done = threading.Lock()
+        for gate in (*self.gates, self.done):
+            gate.acquire()
         self._next_context = 1  # 0 is COMM_WORLD
-        self._ctx_lock = threading.Lock()
 
     def allocate_contexts(self, count: int) -> int:
         """Reserve ``count`` consecutive context ids; return the first."""
-        with self._ctx_lock:
-            first = self._next_context
-            self._next_context += count
-            return first
+        first = self._next_context
+        self._next_context += count
+        return first
 
-    def census(self) -> str:
-        """Blocked-rank diagnostic for :class:`DeadlockError`: what each
-        stuck rank is awaiting, and what is sitting undelivered in every
-        mailbox — usually enough to see *which* message went missing."""
+    # ------------------------------------------------------------------
+    # the baton
+    # ------------------------------------------------------------------
+    def hand_on(self) -> None:
+        """Pass the baton to the next runnable rank, or to the caller
+        when every rank has returned.  Called by the holder as it
+        blocks or returns (and once by the caller, to start rank 0)."""
+        if (self.receiving or self.meeting) and (
+            self.expired or not self.runnable
+        ):
+            self._doom_blocked()
+        if self.runnable:
+            self.running = self.runnable.popleft()
+            self.gates[self.running].release()
+        else:
+            self.running = None
+            self.done.release()
+
+    def _block(self, rank: int) -> None:
+        """Give up the baton until ``rank`` is runnable again."""
+        self.hand_on()
+        self.gates[rank].acquire()
+        reason = self.doomed.pop(rank, None)
+        if reason is not None:
+            raise DeadlockError(reason)
+
+    def _doom_blocked(self) -> None:
+        """Queue every blocked rank to raise a :class:`DeadlockError`:
+        its own coordinates, then the census all of them share."""
+        why = self.expired or "no rank is left to run"
+        heads: dict[int, str] = {}
         lines = ["blocked ranks:"]
-        waiting = dict(self.waiting)
-        for rank in sorted(waiting):
-            source, tag, context = waiting[rank]
-            src = "ANY" if source == ANY_SOURCE else source
-            tg = "ANY" if tag == ANY_TAG else tag
-            lines.append(
-                f"  rank {rank}: awaiting (source={src}, tag={tg}, "
-                f"context={context})"
-            )
-        if len(lines) == 1:
-            lines.append("  (none recorded)")
-        lines.append("mailbox census:")
-        pending_any = False
-        for rank, mb in enumerate(self.mailboxes):
-            # Bounded acquire: census runs on the watchdog path, where
-            # several timed-out ranks may diagnose concurrently.  No
-            # caller holds a mailbox condition while in census (see
-            # _Mailbox.take), but a busy mailbox must degrade to a
-            # "(busy)" line rather than block the diagnostic forever.
-            if not mb._cond.acquire(timeout=1.0):
-                pending_any = True
-                lines.append(f"  rank {rank}: (mailbox busy; skipped)")
-                continue
-            try:
-                pending = sorted(
-                    (m.source, m.tag, m.context) for m in mb._pending
+        for rank in sorted(self.receiving.keys() | self.meeting.keys()):
+            if rank in self.receiving:
+                context, source, tag = self.receiving[rank]
+                src = "ANY" if source == ANY_SOURCE else source
+                tg = "ANY" if tag == ANY_TAG else tag
+                coords = f"(source={src}, tag={tg}, context={context})"
+                heads[rank] = f"recv{coords} unmatched"
+                lines.append(f"  rank {rank}: awaiting {coords}")
+            else:
+                key, expected = self.meeting[rank]
+                heads[rank] = (
+                    f"rendezvous {key!r} stuck at "
+                    f"{len(self.slots[key])}/{expected}"
                 )
-            finally:
-                mb._cond.release()
+                lines.append(f"  rank {rank}: in {heads[rank]}")
+        census = "\n".join(lines + self._mailbox_census())
+        for rank, head in heads.items():
+            self.doomed[rank] = f"{head}: {why}\n{census}"
+            self.runnable.append(rank)
+        # Every contributor of every open slot was blocked in it.
+        self.receiving.clear()
+        self.meeting.clear()
+        self.slots.clear()
+
+    def _mailbox_census(self) -> list[str]:
+        """What sits undelivered in every mailbox — next to what the
+        blocked ranks await, usually enough to see *which* message
+        went missing."""
+        lines = ["mailbox census:"]
+        for rank, box in enumerate(self.mail):
+            pending = sorted(
+                (source, tag, context)
+                for (context, source, tag), queue in box.items()
+                for _ in queue
+            )
             if pending:
-                pending_any = True
                 shown = ", ".join(
                     f"(source={s}, tag={t}, context={c})"
                     for s, t, c in pending[:8]
@@ -350,9 +287,80 @@ class _Context:
                     f"  rank {rank}: {len(pending)} undelivered: "
                     f"{shown}{extra}"
                 )
-        if not pending_any:
+        if len(lines) == 1:
             lines.append("  (all mailboxes empty)")
-        return "\n".join(lines)
+        return lines
+
+    # ------------------------------------------------------------------
+    # the three blocking points' state
+    # ------------------------------------------------------------------
+    def deliver(self, dest: int, msg: _Message) -> None:
+        """File ``msg`` in world rank ``dest``'s mailbox."""
+        self._arrivals += 1
+        msg.arrival = self._arrivals
+        key = (msg.context, msg.source, msg.tag)
+        box = self.mail[dest]
+        queue = box.get(key)
+        if queue is None:
+            queue = box[key] = deque()
+        queue.append(msg)
+        wanted = self.receiving.get(dest)
+        if wanted is not None and _matches(wanted, key):
+            del self.receiving[dest]
+            self.runnable.append(dest)
+
+    def take(
+        self, rank: int, context: int, source: int, tag: int
+    ) -> _Message:
+        """Matched receive for world rank ``rank``: FIFO per channel;
+        a wildcard takes the earliest arrival among its channels."""
+        wanted = (context, source, tag)
+        box = self.mail[rank]
+        while True:
+            key = wanted
+            if source == ANY_SOURCE or tag == ANY_TAG:
+                key = min(
+                    (k for k in box if _matches(wanted, k)),
+                    key=lambda k: box[k][0].arrival,
+                    default=None,
+                )
+            queue = box.get(key)
+            if queue is not None:
+                msg = queue.popleft()
+                if not queue:
+                    del box[key]
+                return msg
+            self.receiving[rank] = wanted
+            self._block(rank)
+
+    def exchange(self, comm: "Comm", key: Any, value: Any) -> dict[int, Any]:
+        """Deposit ``value`` under ``key`` and return every member's
+        contribution once all of ``comm``'s group have arrived."""
+        contrib = self.slots.setdefault(key, {})
+        contrib[comm._rank] = value
+        if len(contrib) < len(comm._group):
+            self.meeting[comm._world_rank] = (key, len(comm._group))
+            self._block(comm._world_rank)
+        else:
+            del self.slots[key]
+            for rank in contrib:
+                if rank != comm._rank:
+                    peer = comm._group[rank]
+                    del self.meeting[peer]
+                    self.runnable.append(peer)
+        return contrib
+
+
+def _matches(
+    wanted: tuple[int, int, int], key: tuple[int, int, int]
+) -> bool:
+    """Whether a receive for ``wanted`` = (context, source, tag), with
+    wildcards, accepts a message filed under ``key``."""
+    return (
+        wanted[0] == key[0]
+        and wanted[1] in (ANY_SOURCE, key[1])
+        and wanted[2] in (ANY_TAG, key[2])
+    )
 
 
 class _PhaseScope:
@@ -369,13 +377,13 @@ class _PhaseScope:
         self._name = name
 
     def __enter__(self) -> "Comm":
-        self._comm._ctx.ledger.push_phase(
+        self._comm._sched.ledger.push_phase(
             self._comm._world_rank, self._name
         )
         return self._comm
 
     def __exit__(self, *exc: Any) -> None:
-        self._comm._ctx.ledger.pop_phase(self._comm._world_rank)
+        self._comm._sched.ledger.pop_phase(self._comm._world_rank)
 
 
 class Comm:
@@ -389,12 +397,12 @@ class Comm:
 
     def __init__(
         self,
-        ctx: _Context,
+        sched: _Scheduler,
         context_id: int,
         group: Sequence[int],
         world_rank: int,
     ) -> None:
-        self._ctx = ctx
+        self._sched = sched
         self._context_id = context_id
         self._group = tuple(group)
         self._world_rank = world_rank
@@ -425,7 +433,7 @@ class Comm:
 
     @property
     def ledger(self) -> VolumeLedger:
-        return self._ctx.ledger
+        return self._sched.ledger
 
     def phase(self, name: str | None) -> _PhaseScope:
         """Context manager attributing sent bytes to a named phase."""
@@ -451,8 +459,8 @@ class Comm:
         dst_world = self._group[dest]
         nbytes = payload_nbytes(data)
         payload = _copy_payload(data)
-        phase = self._ctx.ledger.current_phase(self._world_rank)
-        injector = self._ctx.faults
+        phase = self._sched.ledger.current_phase(self._world_rank)
+        injector = self._sched.faults
         if injector is None:
             deliveries = (
                 (payload, nbytes, self._context_id, self._rank, tag, 0.0),
@@ -466,13 +474,12 @@ class Comm:
                     self._rank, tag, phase, payload, nbytes,
                 )
             )
-        trace = self._ctx.trace
-        mailbox = self._ctx.mailboxes[dst_world]
+        trace = self._sched.trace
         for d_payload, d_nbytes, d_context, d_source, d_tag, d_delay in (
             deliveries
         ):
             msg = _Message(d_context, d_source, d_tag, d_payload, d_nbytes)
-            self._ctx.ledger.record_send(self._world_rank, d_nbytes)
+            self._sched.ledger.record_send(self._world_rank, d_nbytes)
             if trace is not None:
                 msg.send_id = trace.record_send(
                     self._world_rank,
@@ -481,7 +488,7 @@ class Comm:
                     phase,
                     delay_s=d_delay,
                 )
-            mailbox.deliver(msg)
+            self._sched.deliver(dst_world, msg)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Blocking receive; returns the payload."""
@@ -497,23 +504,16 @@ class Comm:
                 f"source {source} out of range for communicator of size "
                 f"{self.size}"
             )
-        self._ctx.waiting[self._world_rank] = (
-            source, tag, self._context_id
+        msg = self._sched.take(
+            self._world_rank, self._context_id, source, tag
         )
-        try:
-            msg = self._ctx.mailboxes[self._world_rank].take(
-                self._context_id, source, tag, self._ctx.deadline,
-                self._ctx.timeout, diag=self._ctx.census,
-            )
-        finally:
-            self._ctx.waiting.pop(self._world_rank, None)
-        self._ctx.ledger.record_recv(self._world_rank, msg.nbytes)
-        trace = self._ctx.trace
+        self._sched.ledger.record_recv(self._world_rank, msg.nbytes)
+        trace = self._sched.trace
         if trace is not None and msg.send_id is not None:
             trace.record_recv(
                 self._world_rank,
                 msg.send_id,
-                self._ctx.ledger.current_phase(self._world_rank),
+                self._sched.ledger.current_phase(self._world_rank),
             )
         return msg.data, msg.source, msg.tag
 
@@ -569,13 +569,13 @@ class Comm:
         op and per-comm counter), so the replay can align the whole
         group's clocks; metadata ops stay zero-volume in the ledger.
         """
-        trace = self._ctx.trace
+        trace = self._sched.trace
         if trace is not None:
             trace.record_sync(
                 self._world_rank,
                 key,
                 self.size,
-                self._ctx.ledger.current_phase(self._world_rank),
+                self._sched.ledger.current_phase(self._world_rank),
             )
 
     def compute(self, flops: float) -> None:
@@ -588,27 +588,19 @@ class Comm:
         """
         if flops < 0:
             raise ValueError(f"negative flop count: {flops}")
-        trace = self._ctx.trace
+        trace = self._sched.trace
         if trace is not None:
             trace.record_compute(
                 self._world_rank,
                 flops,
-                self._ctx.ledger.current_phase(self._world_rank),
+                self._sched.ledger.current_phase(self._world_rank),
             )
 
     def barrier(self) -> None:
         """Synchronize all ranks of this communicator (zero data volume)."""
         key = self._meta_key("barrier")
         self._trace_sync(key)
-        self._ctx.rendezvous.exchange(
-            key,
-            self._rank,
-            None,
-            self.size,
-            self._ctx.deadline,
-            self._ctx.timeout,
-            diag=self._ctx.census,
-        )
+        self._sched.exchange(self, key, None)
 
     def split(
         self, color: int | None, key: int | None = None
@@ -621,15 +613,7 @@ class Comm:
             key = self._rank
         meta_key = self._meta_key("split")
         self._trace_sync(meta_key)
-        contrib = self._ctx.rendezvous.exchange(
-            meta_key,
-            self._rank,
-            (color, key),
-            self.size,
-            self._ctx.deadline,
-            self._ctx.timeout,
-            diag=self._ctx.census,
-        )
+        contrib = self._sched.exchange(self, meta_key, (color, key))
         colors = sorted(
             {c for c, _ in contrib.values() if c is not None}
         )
@@ -648,7 +632,7 @@ class Comm:
         )
         group = tuple(self._group[r] for _, r in members)
         return Comm(
-            self._ctx, first_ctx + color_index, group, self._world_rank
+            self._sched, first_ctx + color_index, group, self._world_rank
         )
 
     def _shared_context_base(self, count: int) -> int:
@@ -658,17 +642,13 @@ class Comm:
         self._trace_sync(key)
         value = None
         if self._rank == 0:
-            value = self._ctx.allocate_contexts(count)
-        contrib = self._ctx.rendezvous.exchange(
-            key, self._rank, value, self.size, self._ctx.deadline,
-            self._ctx.timeout, diag=self._ctx.census,
-        )
-        return contrib[0]
+            value = self._sched.allocate_contexts(count)
+        return self._sched.exchange(self, key, value)[0]
 
     def dup(self) -> "Comm":
         """Duplicate the communicator with a fresh context."""
         base = self._shared_context_base(1)
-        return Comm(self._ctx, base, self._group, self._world_rank)
+        return Comm(self._sched, base, self._group, self._world_rank)
 
     # ------------------------------------------------------------------
     # data collectives — implemented in collectives.py, re-exported as
@@ -735,18 +715,20 @@ def run_spmd(
     machine: Any = None,
     faults: Any = None,
 ) -> tuple[list[Any], VolumeReport]:
-    """Run ``fn(comm, *args)`` on ``nranks`` threads.
+    """Run ``fn(comm, *args)`` on ``nranks`` ranks, one at a time.
 
     Returns ``(results, volume_report)`` where ``results[r]`` is rank r's
     return value.  If any rank raises, a :class:`RankFailure` carrying
-    every failure is raised after all threads have stopped.
+    every failure, sorted by rank, is raised after all ranks have
+    stopped.  A lost message needs no timeout to surface: the blocked
+    ranks raise :class:`DeadlockError` with a census as soon as no rank
+    can run (see :class:`_Scheduler`).
 
-    ``timeout`` is the per-run watchdog window (seconds): one absolute
-    deadline shared by every blocking receive and rendezvous.  A lost
-    message surfaces as a :class:`DeadlockError` with a blocked-rank
-    census instead of a frozen suite, and because the deadline is
-    run-wide, every stuck rank fails at the *same* instant — a
-    dependency chain of stalls costs one window, not one per level.
+    ``timeout`` is the run's wall budget in seconds (``<= 0``: none).
+    It bounds what deadlock detection cannot — a rank that computes
+    without ever blocking: when it is spent the call raises a
+    :class:`RankFailure` whose :class:`DeadlockError` names the rank
+    still running, and every other rank raises at its next turn.
 
     ``machine`` (a :class:`~repro.models.machines.Machine`, preset name
     or spec path) switches on the discrete-event clock: the run records
@@ -777,23 +759,19 @@ def run_spmd(
         plan = resolve_faults(faults)
         if plan is not None and plan.rules:
             injector = FaultInjector(plan, nranks)
-    ctx = _Context(nranks, timeout, trace=trace, faults=injector)
+    sched = _Scheduler(nranks, trace=trace, faults=injector)
     results: list[Any] = [None] * nranks
     failures: list[tuple[int, BaseException]] = []
-    failures_lock = threading.Lock()
 
     def _worker(rank: int) -> None:
-        comm = Comm(ctx, 0, tuple(range(nranks)), rank)
+        comm = Comm(sched, 0, tuple(range(nranks)), rank)
+        sched.gates[rank].acquire()
         try:
             results[rank] = fn(comm, *args)
         except BaseException as exc:  # noqa: BLE001 - reported to caller
-            with failures_lock:
-                failures.append((rank, exc))
-            # Wake everyone so peers blocked on this rank fail fast via
-            # their own timeouts rather than hanging for the full window.
-            for mb in ctx.mailboxes:
-                with mb._cond:
-                    mb._cond.notify_all()
+            failures.append((rank, exc))
+        finally:
+            sched.hand_on()
 
     threads = [
         threading.Thread(
@@ -803,6 +781,21 @@ def run_spmd(
     ]
     for t in threads:
         t.start()
+    sched.hand_on()
+    budget = min(timeout, threading.TIMEOUT_MAX) if timeout > 0 else -1
+    if not sched.done.acquire(timeout=budget):
+        # The one place the wall budget is enforced.  Ranks blocked now
+        # or later raise at their next turn; the running one cannot be
+        # interrupted, so it is reported here and its thread left behind.
+        sched.expired = f"the run's wall budget ({timeout:g}s) is spent"
+        running = sched.running
+        if running is not None:
+            stuck = DeadlockError(
+                f"rank {running} still running: {sched.expired}"
+            )
+            raise RankFailure(sorted(
+                [*failures, (running, stuck)], key=lambda f: f[0]
+            ))
     for t in threads:
         t.join()
     if injector is not None:
@@ -810,7 +803,7 @@ def run_spmd(
     if failures:
         failures.sort(key=lambda f: f[0])
         raise RankFailure(failures)
-    report = ctx.ledger.snapshot()
+    report = sched.ledger.snapshot()
     if trace is not None or injector is not None:
         import dataclasses
 

@@ -1,18 +1,18 @@
 """Discrete-event α-β clock for the simulated runtime.
 
 The volume ledger answers *how many bytes*; this module answers *how
-long*.  It works in two stages, because the runtime's ranks are real
-threads whose interleaving is nondeterministic:
+long*.  It works in two stages, so that predicted time is a function
+of the program and the machine, not of the order the host ran ranks in:
 
 1. **Trace.** While a run executes, each rank appends its communication
    events — sends, receives, compute blocks, rendezvous syncs — to its
    own :class:`EventTrace` lane (rank-private, so no locking and no
-   cross-thread ordering is recorded).  Each send gets a rank-local
+   cross-rank ordering is recorded).  Each send gets a rank-local
    sequence number; the matching receive records the same
    ``(sender, seq)`` id, so the pairing is exact even under
    ``ANY_SOURCE`` matching.
 
-2. **Replay.** After the threads join, :func:`simulate` replays the
+2. **Replay.** After the run, :func:`simulate` replays the
    trace on a deterministic event loop: a min-heap of ``(clock, rank)``
    processes one event per step, ties broken by rank id.  Sends place
    transfers on the machine's :class:`~repro.smpi.network.LinkGraph`
@@ -20,8 +20,8 @@ threads whose interleaving is nondeterministic:
    receives block until the matched transfer's arrival, compute blocks
    advance the local clock by flops/γ, and syncs align every
    participant to the latest arrival.  Identical schedule + identical
-   machine ⇒ identical predicted times, bit for bit, regardless of how
-   the OS scheduled the recording threads.
+   machine ⇒ identical predicted times, bit for bit, regardless of the
+   order in which the ranks recorded.
 
 Cost model per event (machine parameters α, β, γ):
 
@@ -61,9 +61,9 @@ _SEND, _RECV, _COMPUTE, _SYNC = "send", "recv", "compute", "sync"
 
 
 class EventTrace:
-    """Per-rank event log recorded during a threaded SPMD run.
+    """Per-rank event log recorded during an SPMD run.
 
-    Every method is called by the owning rank's thread only and touches
+    Every method is called on behalf of the owning rank only and touches
     only that rank's lane, so recording needs no synchronization and
     adds no cross-rank ordering of its own — ordering is reconstructed
     from clocks at replay time.

@@ -10,7 +10,6 @@ can break a run down by algorithm step, as Lemma 10 does analytically.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -106,31 +105,28 @@ class VolumeReport:
 
 
 class VolumeLedger:
-    """Thread-safe per-rank byte counters.
+    """Per-rank byte counters for one SPMD run.
 
-    A single ledger is shared by all ranks of one SPMD run.  Sends are
-    counted at the sender (this matches Score-P's "bytes sent" metric the
-    paper aggregates); receives are tracked as a cross-check — in a closed
-    system total sent must equal total received, and the test suite
-    asserts this invariant.
+    Every lane is rank-private — counters, scope stack and per-phase
+    totals are indexed by rank and written only on behalf of that
+    rank — so the ledger needs no lock however its writers are
+    threaded; :meth:`snapshot` merges the lanes once, in rank order.
+    Sends are counted at the sender (this matches Score-P's "bytes
+    sent" metric the paper aggregates); receives are tracked as a
+    cross-check — in a closed system total sent must equal total
+    received, and the test suite asserts this invariant.
     """
 
     def __init__(self, nranks: int) -> None:
         if nranks <= 0:
             raise ValueError(f"nranks must be positive, got {nranks}")
         self.nranks = nranks
-        self._sent = [0] * nranks
-        self._recv = [0] * nranks
-        self._msgs = [0] * nranks
-        self._phase_bytes: dict[str, int] = {}
-        self._phase_msgs: dict[str, int] = {}
-        # Per-rank scope stack (rank-private: only the owning thread
-        # touches its own stack, so no lock is needed here).  ``None``
-        # entries suspend attribution for their scope.
+        # ``None`` entries of a scope stack suspend attribution for
+        # their scope.
         self._phase_stack: list[list[str | None]] = [
             [] for _ in range(nranks)
         ]
-        self._lock = threading.Lock()
+        self.reset()
 
     def push_phase(self, rank: int, phase: str | None) -> None:
         """Enter a phase scope on this rank (``None`` = unattributed)."""
@@ -167,19 +163,16 @@ class VolumeLedger:
     def record_send(self, rank: int, nbytes: int) -> None:
         if nbytes < 0:
             raise ValueError(f"negative message size: {nbytes}")
-        with self._lock:
-            self._sent[rank] += nbytes
-            self._msgs[rank] += 1
-            phase = self.current_phase(rank)
-            if phase is not None:
-                self._phase_bytes[phase] = (
-                    self._phase_bytes.get(phase, 0) + nbytes
-                )
-                self._phase_msgs[phase] = self._phase_msgs.get(phase, 0) + 1
+        self._sent[rank] += nbytes
+        self._msgs[rank] += 1
+        phase = self.current_phase(rank)
+        if phase is not None:
+            totals = self._phases[rank].setdefault(phase, [0, 0])
+            totals[0] += nbytes
+            totals[1] += 1
 
     def record_recv(self, rank: int, nbytes: int) -> None:
-        with self._lock:
-            self._recv[rank] += nbytes
+        self._recv[rank] += nbytes
 
     def sent(self, rank: int) -> int:
         return self._sent[rank]
@@ -188,20 +181,27 @@ class VolumeLedger:
         return self._recv[rank]
 
     def snapshot(self) -> VolumeReport:
-        with self._lock:
-            return VolumeReport(
-                nranks=self.nranks,
-                sent_bytes=tuple(self._sent),
-                recv_bytes=tuple(self._recv),
-                messages=tuple(self._msgs),
-                phase_bytes=dict(self._phase_bytes),
-                phase_messages=dict(self._phase_msgs),
-            )
+        phase_bytes: dict[str, int] = {}
+        phase_msgs: dict[str, int] = {}
+        for lane in self._phases:
+            for phase, (nbytes, msgs) in lane.items():
+                phase_bytes[phase] = phase_bytes.get(phase, 0) + nbytes
+                phase_msgs[phase] = phase_msgs.get(phase, 0) + msgs
+        return VolumeReport(
+            nranks=self.nranks,
+            sent_bytes=tuple(self._sent),
+            recv_bytes=tuple(self._recv),
+            messages=tuple(self._msgs),
+            phase_bytes=phase_bytes,
+            phase_messages=phase_msgs,
+        )
 
     def reset(self) -> None:
-        with self._lock:
-            self._sent = [0] * self.nranks
-            self._recv = [0] * self.nranks
-            self._msgs = [0] * self.nranks
-            self._phase_bytes.clear()
-            self._phase_msgs.clear()
+        """Zero every counter; phase scopes stay as they are."""
+        self._sent = [0] * self.nranks
+        self._recv = [0] * self.nranks
+        self._msgs = [0] * self.nranks
+        #: per rank: phase path -> [bytes sent, messages sent]
+        self._phases: list[dict[str, list[int]]] = [
+            {} for _ in range(self.nranks)
+        ]

@@ -122,7 +122,7 @@ class TestDestructiveClasses:
                 faults=plan, timeout_s=1.0,
             )
         # the crashed rank carries the typed error; its peers show up
-        # as watchdog deadlocks waiting on the corpse
+        # as deadlocks waiting on the corpse
         kinds = {type(exc) for _, exc in ei.value.failures}
         assert RankCrashed in kinds
 

@@ -12,7 +12,6 @@ from repro.harness.specs import (
     table2_measured_spec,
 )
 from repro.harness.sweep import (
-    SkipPoint,
     SweepError,
     SweepPoint,
     SweepSpec,
@@ -23,7 +22,6 @@ from repro.harness.sweep import (
     task,
     unregister_task,
 )
-from repro.smpi.mpi_backend import have_mpi4py
 
 CALL_LOG: list[dict] = []
 
@@ -387,36 +385,6 @@ class TestParallelExecution:
         resumed = run_sweep(spec, workers=3, cache=cache)
         assert resumed.n_cached == 2
         assert resumed.n_computed == 0 and resumed.n_failed == 2
-
-
-class TestMpiSkipPath:
-    @pytest.mark.skipif(
-        have_mpi4py(), reason="CI path: mpi4py must be absent"
-    )
-    def test_mpi_backend_points_skip_without_mpi4py(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        res = run_sweep(
-            named_spec("table2-mpi"), max_points=3, cache=cache
-        )
-        assert res.n_skipped == 3
-        assert res.n_failed == 0 and res.n_ok == 0
-        assert res.rows() == []  # skips are not failures
-        # skipped points are never cached — they rerun when possible
-        assert cache.stats()["entries"] == 0
-
-    def test_skip_point_is_not_an_error(self, scratch_task):
-        @task("_skipper")
-        def skipper(x: int) -> dict:
-            raise SkipPoint("not here")
-
-        try:
-            res = run_sweep(
-                SweepSpec(name="s", task="_skipper", axes={"x": [1]})
-            )
-            assert res.results[0].status == "skipped"
-            assert res.results[0].error == "not here"
-        finally:
-            unregister_task("_skipper")
 
 
 class TestSpecsMatchRunner:

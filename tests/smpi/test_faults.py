@@ -379,7 +379,7 @@ class TestRuntimeIntegration:
 
     def test_crash_aggregates_by_rank_order(self):
         # the RankFailure list is sorted by rank no matter which
-        # thread died first
+        # rank died first
         plan = FaultPlan(
             rules=(FaultRule(action="crash", rank=2),), seed=0
         )
@@ -468,15 +468,22 @@ class TestRuntimeIntegration:
         # byte accounting is identical — delays are modeled, not real
         assert faulty.sent_bytes == clean.sent_bytes
 
-    def test_watchdog_window_is_configurable_per_run(self):
+    def test_lost_message_raises_at_once_whatever_the_budget(self):
         import time
 
+        plan = FaultPlan(rules=(FaultRule(action="drop", tag=0),))
+
         def fn(comm):
-            if comm.rank == 0:
+            if comm.rank == 1:
+                comm.send(1.0, dest=0, tag=0)
+            else:
                 comm.recv(source=1, tag=0)
 
         start = time.monotonic()
-        with pytest.raises(RankFailure):
-            run_spmd(2, fn, timeout=0.3)
-        elapsed = time.monotonic() - start
-        assert 0.2 < elapsed < 2.0
+        with pytest.raises(RankFailure) as ei:
+            run_spmd(2, fn, faults=plan, timeout=300)
+        assert time.monotonic() - start < 1.0
+        (rank, exc), = ei.value.failures
+        assert rank == 0 and isinstance(exc, DeadlockError)
+        assert str(exc).startswith("recv(source=1, tag=0, context=0)")
+        assert "rank 0: awaiting (source=1, tag=0, context=0)" in str(exc)

@@ -22,7 +22,7 @@ from repro.smpi import DeadlockError, RankFailure, run_spmd
 class TestTagMismatchDeadlock:
     def test_tag_mismatch_raises_deadlock_error(self):
         """Rank 1 waits on tag 8 while rank 0 sent tag 7: a classic
-        mismatch bug.  The watchdog must convert it into a typed error
+        mismatch bug.  The runtime must convert it into a typed error
         on every stuck rank."""
 
         def fn(comm):

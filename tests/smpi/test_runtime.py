@@ -1,6 +1,8 @@
-"""Unit tests for the thread-based SPMD runtime (point-to-point layer)."""
+"""Unit tests for the run-to-block SPMD runtime (point-to-point layer)."""
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -203,34 +205,71 @@ class TestPointToPoint:
         assert isinstance(exc_info.value.failures[0][1], DeadlockError)
 
     def test_all_ranks_blocked_census_does_not_deadlock(self):
-        # Regression: every rank hits the shared run-wide deadline at
-        # the same instant, and each builds the mailbox census for its
-        # DeadlockError.  Taking the census while still holding the
-        # caller's own mailbox condition cross-acquired other timed-out
-        # ranks' held locks (ABBA) and hung run_spmd forever.  Run in a
-        # helper thread so a regression fails the test instead of
-        # freezing the suite.
+        # A ring of receives nobody feeds: the last rank to block finds
+        # nothing runnable, and every rank is failed then and there
+        # with its own coordinates on top of one shared census.
         def fn(comm):
             comm.recv(source=(comm.rank + 1) % comm.size, tag=9)
 
-        outcome = {}
-
-        def run():
-            try:
-                run_spmd(12, fn, timeout=0.3)
-            except BaseException as exc:  # noqa: BLE001
-                outcome["exc"] = exc
-
-        t = threading.Thread(target=run, daemon=True)
-        t.start()
-        t.join(timeout=30.0)
-        assert not t.is_alive(), "run_spmd hung in the watchdog path"
-        exc = outcome["exc"]
-        assert isinstance(exc, RankFailure)
-        assert len(exc.failures) == 12
-        for _, rank_exc in exc.failures:
+        with pytest.raises(RankFailure) as exc_info:
+            run_spmd(12, fn, timeout=300)
+        failures = exc_info.value.failures
+        assert [rank for rank, _ in failures] == list(range(12))
+        censuses = set()
+        for rank, rank_exc in failures:
             assert isinstance(rank_exc, DeadlockError)
-            assert "blocked ranks:" in str(rank_exc)
+            head, _, census = str(rank_exc).partition("\n")
+            assert head.startswith(
+                f"recv(source={(rank + 1) % 12}, tag=9, context=0)"
+            )
+            censuses.add(census)
+        (census,) = censuses
+        assert census.startswith("blocked ranks:")
+        assert "rank 11: awaiting (source=0, tag=9, context=0)" in census
+        assert "(all mailboxes empty)" in census
+
+    def test_stuck_rendezvous_is_a_deadlock_too(self):
+        def fn(comm):
+            if comm.rank:
+                comm.barrier()
+
+        with pytest.raises(RankFailure) as exc_info:
+            run_spmd(3, fn, timeout=300)
+        assert [rank for rank, _ in exc_info.value.failures] == [1, 2]
+        text = str(exc_info.value.failures[0][1])
+        assert text.startswith("rendezvous (0, 'barrier', 1) stuck at 2/3")
+        assert "rank 2: in rendezvous (0, 'barrier', 1)" in text
+
+    def test_rank_that_never_blocks_is_bounded_by_the_budget(self):
+        # Deadlock detection cannot see a rank that just keeps
+        # running; the wall budget can.  The caller gets its answer
+        # when the budget is spent, and the rank blocked on the
+        # straggler is failed when the straggler finally lets go.
+        unwound = threading.Event()
+        seen = []
+
+        def fn(comm):
+            if comm.rank == 1:
+                time.sleep(0.5)
+                return
+            try:
+                comm.recv(source=1, tag=3)
+            except DeadlockError as exc:
+                seen.append(str(exc))
+                unwound.set()
+                raise
+
+        start = time.monotonic()
+        with pytest.raises(RankFailure) as exc_info:
+            run_spmd(2, fn, timeout=0.1)
+        assert time.monotonic() - start < 0.4
+        ((rank, exc),) = exc_info.value.failures
+        assert rank == 1 and isinstance(exc, DeadlockError)
+        assert "rank 1 still running" in str(exc)
+        assert "wall budget (0.1s)" in str(exc)
+        assert unwound.wait(5.0)
+        assert seen[0].startswith("recv(source=1, tag=3, context=0)")
+        assert "wall budget (0.1s)" in seen[0]
 
 
 class TestVolumeAccounting:
@@ -290,6 +329,43 @@ class TestVolumeAccounting:
         # Nested scopes report exclusive totals under their full path:
         # the inner send is *not* double-counted into "outer".
         assert report.phase_bytes == {"outer": 8, "outer/inner": 8}
+
+
+class TestLedgerLanes:
+    def test_rank_private_lanes_need_no_lock(self):
+        # One writer per rank, two ranks hammered from two threads with
+        # a switch interval short enough to interleave them constantly:
+        # a counter shared between the lanes would lose updates.
+        from repro.smpi.volume import VolumeLedger
+
+        calls = 20_000
+        ledger = VolumeLedger(2)
+
+        def hammer(rank):
+            ledger.push_phase(rank, "p")
+            for _ in range(calls):
+                ledger.record_send(rank, 8)
+                ledger.record_recv(rank, 8)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(rank,))
+                for rank in (0, 1)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        report = ledger.snapshot()
+        assert report.sent_bytes == report.recv_bytes == (8 * calls,) * 2
+        assert report.messages == (calls, calls)
+        assert report.phase_bytes == {"p": 16 * calls}
+        assert report.phase_messages == {"p": 2 * calls}
 
 
 class TestPayloadNbytes:
@@ -422,9 +498,121 @@ class TestPhaseMessageCounts:
         assert ledger.snapshot().phase_messages == {}
 
 
+def _fanin_program(comm):
+    """Wildcard fan-in, then a split and a collective, with phases."""
+    if comm.rank:
+        with comm.phase("fanin"):
+            for tag in (comm.rank, 100 + comm.rank):
+                comm.send(np.full(comm.rank, 1.0), dest=0, tag=tag)
+        order = None
+    else:
+        order = [
+            comm.recv_status(source=ANY_SOURCE, tag=ANY_TAG)[1:]
+            for _ in range(2 * (comm.size - 1))
+        ]
+    half = comm.split(comm.rank % 2)
+    with comm.phase("reduce"):
+        return order, half.allreduce(float(comm.rank))
+
+
+def _failing_program(comm):
+    """Rank 2 dies; the others end up blocked on it in three ways."""
+    if comm.rank == 2:
+        raise ValueError("boom on 2")
+    if comm.rank == 0:
+        comm.recv(source=2, tag=5)
+    elif comm.rank == 1:
+        comm.send(1.0, dest=0, tag=6)
+        comm.recv(source=ANY_SOURCE)
+    else:
+        comm.barrier()
+
+
 class TestDeterminism:
-    """The thread runtime must be fully deterministic: same inputs,
-    same schedule, bit-identical outputs and ledgers across runs."""
+    """The runtime must be fully deterministic: same inputs, same
+    schedule, bit-identical outputs and ledgers across runs."""
+
+    def test_twenty_runs_are_identical(self):
+        runs = [repr(run_spmd(6, _fanin_program)) for _ in range(20)]
+        assert len(set(runs)) == 1
+        results, report = run_spmd(6, _fanin_program)
+        # run-to-block order: rank r sends both messages before r + 1
+        # gets the baton, and the wildcard takes the earliest arrival
+        assert results[0][0] == [
+            (r, tag) for r in range(1, 6) for tag in (r, 100 + r)
+        ]
+        assert [total for _, total in results] == [6.0, 9.0] * 3
+        assert list(report.phase_bytes) == ["reduce", "fanin"]
+
+    def test_twenty_failing_runs_are_identical(self):
+        outcomes = set()
+        for _ in range(20):
+            with pytest.raises(RankFailure) as exc_info:
+                run_spmd(5, _failing_program, timeout=300)
+            outcomes.add(
+                (
+                    str(exc_info.value),
+                    tuple(
+                        (rank, type(exc).__name__, str(exc))
+                        for rank, exc in exc_info.value.failures
+                    ),
+                )
+            )
+        ((text, failures),) = outcomes
+        assert [rank for rank, _, _ in failures] == [0, 1, 2, 3, 4]
+        assert [name for _, name, _ in failures] == [
+            "DeadlockError", "DeadlockError", "ValueError",
+            "DeadlockError", "DeadlockError",
+        ]
+        assert "rank 0: 1 undelivered: (source=1, tag=6, context=0)" in text
+
+    def test_two_concurrent_runs_reproduce_their_pinned_ledgers(self):
+        # The service's thread-executor shape: two callers inside
+        # run_spmd at once.  One scheduler per run and nothing shared,
+        # so each reproduces the ledger pinned for it run alone.
+        from repro.algorithms import factor
+        from tests.algorithms.ledger_pins import (
+            _input_matrix,
+            load_pins,
+            point_key,
+        )
+
+        points = (("conflux", 24, 2, 2, 4), ("confqr", 24, 2, 2, 4))
+        pins = load_pins()
+        volumes = {point: [] for point in points}
+        start = threading.Barrier(len(points))
+
+        def caller(point):
+            impl, n, g, c, v = point
+            a = _input_matrix(impl, n)
+            start.wait(timeout=10.0)
+            for _ in range(3):
+                res = factor(impl, a, g * g * c, grid=(g, g, c), v=v)
+                volumes[point].append(res.volume)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=caller, args=(point,))
+                for point in points
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120.0)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for point in points:
+            pin = pins[point_key(*point)]
+            assert len(volumes[point]) == 3
+            for vol in volumes[point]:
+                assert list(vol.sent_bytes) == pin["sent_bytes"]
+                assert list(vol.recv_bytes) == pin["recv_bytes"]
+                assert list(vol.messages) == pin["messages"]
+                assert vol.phase_bytes == pin["phase_bytes"]
+                assert vol.phase_messages == pin["phase_messages"]
 
     def test_conflux_runs_are_bit_identical(self):
         import numpy as np

@@ -190,18 +190,6 @@ class TestSweepCommand:
         assert rc == 0
         assert "removed 1 entries" in capsys.readouterr().out
 
-    def test_mpi_sweep_skips_cleanly(self, capsys, tmp_path):
-        from repro.smpi.mpi_backend import have_mpi4py
-
-        if have_mpi4py():  # pragma: no cover - CI has no mpi4py
-            pytest.skip("mpi4py present; skip path not reachable")
-        rc = main(["sweep", "--run", "table2-mpi", "--max-points", "2",
-                   "--workers", "1", "--cache-dir", str(tmp_path),
-                   "--verbose"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "2 skipped" in out
-
     def test_unknown_sweep_name(self, capsys):
         rc = main(["sweep", "--run", "not-a-sweep"])
         assert rc == 2
