@@ -123,7 +123,7 @@ class _CandmcRank(_ConfluxRank):
 
     # -- swaps + panel exchange + full-width fetch + chunked update ----
     def trailing_op(self, ctx: StepContext, panel) -> None:
-        gd, sched = self.grid, self.sched
+        sched = self.sched
         g, v, n = self.g, self.v, self.n
         t, q, lt, w = ctx.t, ctx.q, ctx.lt, ctx.w
         pivot_pos, a00, panel_true, mine = panel
@@ -162,13 +162,10 @@ class _CandmcRank(_ConfluxRank):
             post_of_pre[mine] if panel_true is not None else None
         )
         recv_plan_a10 = sched.scatter_rows(
-            t,
             phase="scatter_a10",
             tag=sched.tag(_TAG_A10_SCATTER, t),
             row_pool=nonpivot_pos,
-            holder=lambda r: gd.rank_of(
-                int(content_from[r]) % g, q, lt
-            ),
+            holders=sched.rank_at[content_from[nonpivot_pos] % g, q, lt],
             values=panel_true,
             value_rows=value_rows_post,
         )
@@ -219,17 +216,15 @@ class _CandmcRank(_ConfluxRank):
         # -- full-width panel fetch + chunked Schur update ---------------
         chunk = sched.sender_chunks(w)[self.layer]
         a10_piece, piece_rows = sched.fetch_rows_piece(
-            t,
             phase="panel_a10",
             tag=sched.tag(_TAG_A10_PANEL, t),
             pool=nonpivot_pos,
             vals_1d=a10_vals,
             my_1d_rows=a10_rows,
             chunk=chunk,
-            need_rows_of=lambda rows, i, j: rows[(rows % g) == i],
+            need=lambda rows, i, j: rows % g == i,
         )
         a01_piece, piece_cols = sched.fetch_cols_piece(
-            t,
             phase="panel_a01",
             tag=sched.tag(_TAG_A01_PANEL, t),
             pool=all_trailing,

@@ -133,7 +133,7 @@ class _CholeskyRank(Rank25D):
 
     # -- phases 4-7: scatter L21, trsm, panel fetches, syrk update -----
     def trailing_op(self, ctx: StepContext, panel) -> None:
-        gd, sched = self.grid, self.sched
+        sched = self.sched
         g = self.g
         t, q, lt, k1, w = ctx.t, ctx.q, ctx.lt, ctx.k1, ctx.w
         l00, panel_true, mine = panel
@@ -142,11 +142,10 @@ class _CholeskyRank(Rank25D):
         # 4. scatter the below-diagonal panel rows to the 1D layout
         my_l21_rows = sched.assign_1d(below_rows, self.grid_rank)
         received = sched.scatter_rows(
-            t,
             phase="scatter_l21",
             tag=sched.tag(_TAG_L21, t),
             row_pool=below_rows,
-            holder=lambda r: gd.rank_of(r % g, q, lt),
+            holders=sched.rank_at[below_rows % g, q, lt],
             values=panel_true,
             value_rows=mine if panel_true is not None else None,
         )
@@ -165,27 +164,23 @@ class _CholeskyRank(Rank25D):
         # 6. panel fetches for the symmetric rank-v update
         chunk = sched.my_chunk(w)
         rows_piece, need_rows = sched.fetch_rows_piece(
-            t,
             phase="panel_rows",
             tag=sched.tag(_TAG_ROWS, t),
             pool=below_rows,
             vals_1d=l21,
             my_1d_rows=my_l21_rows,
             chunk=chunk,
-            need_rows_of=lambda rows, i, j: rows[(rows % g) == i],
+            need=lambda rows, i, j: rows % g == i,
         )
         v = self.v
         cols_piece, need_cols = sched.fetch_rows_piece(
-            t,
             phase="panel_cols",
             tag=sched.tag(_TAG_COLS, t),
             pool=below_rows,
             vals_1d=l21,
             my_1d_rows=my_l21_rows,
             chunk=chunk,
-            need_rows_of=lambda rows, i, j: rows[
-                ((rows // v) % g) == j
-            ],
+            need=lambda rows, i, j: (rows // v) % g == j,
         )
 
         # 7. local symmetric update of this layer's partials

@@ -161,23 +161,21 @@ class _ConfluxRank(Rank25D):
 
     # -- steps 4-11: scatter, trsm, panel fetches, Schur update --------
     def trailing_op(self, ctx: StepContext, panel) -> None:
-        gd, sched = self.grid, self.sched
+        sched = self.sched
         g, v, n = self.g, self.v, self.n
         t, q, lt, w = ctx.t, ctx.q, ctx.lt, ctx.w
         pivot_ids, a00, panel_true, my_active_rows, active_rows = panel
-        pivot_set = set(pivot_ids.tolist())
-        nonpivot_rows = np.array(
-            [r for r in active_rows if r not in pivot_set], dtype=int
-        )
+        # a membership mask, not an index write: a pivot id corrupted
+        # in flight must stay a wire-level fault, not an IndexError here
+        nonpivot_rows = active_rows[~np.isin(active_rows, pivot_ids)]
 
         # -- step 4: scatter A10 (non-pivot panel rows) to 1D layout ----
         a10_rows = sched.assign_1d(nonpivot_rows, self.grid_rank)
         recv_plan_a10 = sched.scatter_rows(
-            t,
             phase="scatter_a10",
             tag=sched.tag(_TAG_A10_SCATTER, t),
             row_pool=nonpivot_rows,
-            holder=lambda r: gd.rank_of(r % g, q, lt),
+            holders=sched.rank_at[nonpivot_rows % g, q, lt],
             values=panel_true,
             value_rows=my_active_rows
             if panel_true is not None
@@ -228,17 +226,15 @@ class _ConfluxRank(Rank25D):
         # -- steps 8 + 10: fetch 2.5D panel pieces ----------------------
         chunk = sched.sender_chunks(w)[self.layer]
         a10_piece, piece_rows = sched.fetch_rows_piece(
-            t,
             phase="panel_a10",
             tag=sched.tag(_TAG_A10_PANEL, t),
             pool=nonpivot_rows,
             vals_1d=a10_vals,
             my_1d_rows=a10_rows,
             chunk=chunk,
-            need_rows_of=lambda rows, i, j: rows[(rows % g) == i],
+            need=lambda rows, i, j: rows % g == i,
         )
         a01_piece, piece_cols = sched.fetch_cols_piece(
-            t,
             phase="panel_a01",
             tag=sched.tag(_TAG_A01_PANEL, t),
             pool=all_trailing,

@@ -110,6 +110,8 @@ class Schedule25D:
         self.pi, self.pj, self.layer = gd.row, gd.col, gd.layer
         self.p_active = g * g * c
         self.grid_rank = gd.grid_comm.rank
+        #: ``rank_at[i, j, l] == grid.rank_of(i, j, l)``, for index arrays
+        self.rank_at = np.arange(self.p_active).reshape(g, g, c)
 
     # ------------------------------------------------------------------
     # step geometry: owner rotation + tag namespace
@@ -139,11 +141,19 @@ class Schedule25D:
     # ------------------------------------------------------------------
     # layer chunking
     # ------------------------------------------------------------------
-    def sender_chunks(self, width: int) -> list[np.ndarray]:
-        """Per-layer column/row chunks a panel sender ships to layer l."""
+    def chunk_bounds(self, width: int) -> list[tuple[int, int]]:
+        """Half-open ``(lo, hi)`` range of the panel a sender ships to
+        each layer; the split gives the first ``width % c`` layers one
+        extra element, so late layers of a narrow panel get ``lo == hi``."""
         if self.chunking == "replicate":
-            return [np.arange(width) for _ in range(self.c)]
-        return np.array_split(np.arange(width), self.c)
+            return [(0, width)] * self.c
+        size, extra = divmod(width, self.c)
+        edges = [k * size + min(k, extra) for k in range(self.c + 1)]
+        return list(zip(edges, edges[1:]))
+
+    def sender_chunks(self, width: int) -> list[np.ndarray]:
+        """:meth:`chunk_bounds` as per-layer index arrays."""
+        return [np.arange(lo, hi) for lo, hi in self.chunk_bounds(width)]
 
     def my_chunk(self, width: int) -> np.ndarray:
         """The slice of the panel THIS rank's layer applies in the
@@ -267,11 +277,10 @@ class Schedule25D:
     # ------------------------------------------------------------------
     def scatter_rows(
         self,
-        t: int,
         phase: str,
         tag: int,
         row_pool: np.ndarray,
-        holder,
+        holders: np.ndarray,
         values: np.ndarray | None,
         value_rows: np.ndarray | None,
     ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -279,43 +288,41 @@ class Schedule25D:
         rows.  Returns {source_grid_rank: (row_ids, values)} for this
         rank's incoming pieces (self-deliveries included).
 
-        Wire messages carry *values only*: both sides derive the row ids
-        from the shared deterministic assignment (pool position -> 1D
-        owner) and the ``holder`` map, so no index metadata inflates the
-        measured volume — matching the paper's data-bytes accounting.
+        ``holders[k]`` is the grid rank holding the true values of
+        ``row_pool[k]``.  Wire messages carry *values only*: both sides
+        derive the row ids from the shared deterministic assignment
+        (pool position -> 1D owner) and the ``holders`` map, so no index
+        metadata inflates the measured volume — matching the paper's
+        data-bytes accounting.
         """
-        comm, gd = self.comm, self.grid
+        gd, me = self.grid, self.grid_rank
         received: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        owners = np.arange(len(row_pool)) % self.p_active
 
         # sender side: I hold true values for value_rows (panel ranks on
-        # layer lt only).
+        # layer lt only); one message per destination, rows in pool order.
         if values is not None and value_rows is not None:
-            lookup = {int(r): i for i, r in enumerate(value_rows)}
-            me = self.grid_rank
-            by_dest: dict[int, list[int]] = {}
-            for pos, r in enumerate(row_pool):
-                if int(r) in lookup and holder(int(r)) == me:
-                    by_dest.setdefault(int(owners[pos]), []).append(int(r))
-            with comm.phase(phase):
-                for dest, rows in sorted(by_dest.items()):
-                    vals = values[[lookup[r] for r in rows], :]
+            index_of = np.full(self.n, -1)
+            index_of[value_rows] = np.arange(len(value_rows))
+            at = index_of[row_pool]  # row of ``values`` per pool row
+            mine = np.flatnonzero((holders == me) & (at >= 0))
+            order, groups = _group_by(mine % self.p_active)
+            mine = mine[order]
+            ids, packed = row_pool[mine], values[at[mine]]
+            with self.comm.phase(phase):
+                for dest, lo, hi in groups:
                     if dest == me:
-                        received[me] = (np.array(rows), vals)
+                        received[me] = (ids[lo:hi], packed[lo:hi])
                     else:
-                        gd.grid_comm.send(vals, dest, tag)
+                        gd.grid_comm.send(packed[lo:hi], dest, tag)
 
         # receiver side: my assigned rows, grouped by source holder in
         # pool order (the exact order the sender packed them in).
-        mine_mask = owners == self.grid_rank
-        by_src: dict[int, list[int]] = {}
-        for r in row_pool[mine_mask]:
-            by_src.setdefault(holder(int(r)), []).append(int(r))
-        for src in sorted(by_src):
-            if src == self.grid_rank:
-                continue  # already self-delivered
-            vals = gd.grid_comm.recv(src, tag)
-            received[src] = (np.array(by_src[src]), vals)
+        my_rows = self.assign_1d(row_pool, me)
+        order, groups = _group_by(self.assign_1d(holders, me))
+        for src, lo, hi in groups:
+            if src != me:  # else already self-delivered
+                vals = gd.grid_comm.recv(src, tag)
+                received[src] = (my_rows[order[lo:hi]], vals)
         return received
 
     def assemble_rows(
@@ -325,12 +332,18 @@ class Schedule25D:
         w: int,
     ) -> np.ndarray:
         out = np.zeros((len(wanted_rows), w))
-        pos = {int(r): i for i, r in enumerate(wanted_rows)}
+        pos = np.full(self.n, -1)
+        pos[wanted_rows] = np.arange(len(wanted_rows))
         filled = 0
         for ids, vals in received.values():
-            for i, r in enumerate(ids):
-                out[pos[int(r)], :] = vals[i, :]
-                filled += 1
+            where = pos[ids]
+            if np.shape(vals) != (len(ids), w) or (where < 0).any():
+                raise RuntimeError(
+                    f"row scatter piece {np.shape(vals)} does not match "
+                    f"the plan's {len(ids)} wanted rows x {w}"
+                )
+            out[where] = vals
+            filled += len(ids)
         if filled != len(wanted_rows):
             raise RuntimeError(
                 f"row scatter incomplete: {filled}/{len(wanted_rows)} rows"
@@ -357,64 +370,55 @@ class Schedule25D:
         pool order restricted to (destination 1D share) x (sender's grid
         column tiles).
         """
-        comm, gd = self.comm, self.grid
-        g, c, v = self.g, self.c, self.v
-        lt = t % c
-        w = len(pivot_ids)
-        all_trailing = np.arange((t + 1) * v, self.n)
-        owners = np.arange(len(all_trailing)) % self.p_active
-        tile_col = (all_trailing // v) % g  # grid column of each col
-
-        out = np.zeros((w, len(my_assigned_cols)))
+        gd, me = self.grid, self.grid_rank
+        g, v = self.g, self.v
+        lt = t % self.c
+        out = np.zeros((len(pivot_ids), len(my_assigned_cols)))
 
         # sender side: on layer lt with pivot rows and trailing cols.
+        # pivot_true's rows are my_pivot_rows in pivot order, so one
+        # column gather grouped by destination packs every message.
+        self_piece = None
         if pivot_true is not None and len(my_pivot_rows):
-            # rows I hold, in pivot order (pivot_true rows are ordered by
-            # my_pivot_rows = pivot_ids filtered to my grid row).
-            mine_cols_mask = tile_col == self.pj
-            with comm.phase(phase):
-                for dest in range(self.p_active):
-                    sel = mine_cols_mask & (owners == dest)
-                    if not sel.any():
-                        continue
-                    cols = all_trailing[sel]
-                    # map local col ids to positions within my_trail_cols
-                    trail_pos = np.searchsorted(my_trail_cols, cols)
-                    vals = pivot_true[:, trail_pos]
-                    if dest == self.grid_rank:
-                        self._pivot_cols_self = (cols, vals)
+            all_trailing = np.arange((t + 1) * v, self.n)
+            mine = np.flatnonzero((all_trailing // v) % g == self.pj)
+            order, groups = _group_by(mine % self.p_active)
+            packed = pivot_true[
+                :, np.searchsorted(my_trail_cols, all_trailing[mine[order]])
+            ]
+            with self.comm.phase(phase):
+                for dest, lo, hi in groups:
+                    if dest == me:
+                        self_piece = packed[:, lo:hi]
                     else:
-                        gd.grid_comm.send(vals, dest, tag)
+                        gd.grid_comm.send(packed[:, lo:hi], dest, tag)
 
-        # receiver side.
+        # receiver side: one piece per (grid column owning some of my
+        # assigned cols) x (grid row holding at least one pivot row).
         if len(my_assigned_cols) == 0:
-            self.__dict__.pop("_pivot_cols_self", None)
             return out
-        col_pos = {int(cc): i for i, cc in enumerate(my_assigned_cols)}
-        pivot_order_pos = {int(r): i for i, r in enumerate(pivot_ids)}
-        # grid rows that own at least one pivot row
-        rows_by_gridrow: dict[int, list[int]] = {}
-        for r in pivot_ids:
-            rows_by_gridrow.setdefault(int(r) % g, []).append(int(r))
-        # my assigned cols grouped by owning grid column
+        row_grid = pivot_ids % g
+        row_groups = [
+            (i, np.flatnonzero(row_grid == i)[:, None])
+            for i in np.unique(row_grid).tolist()
+        ]
         my_tiles = (my_assigned_cols // v) % g
         for pj in range(g):
-            cols_from = my_assigned_cols[my_tiles == pj]
-            if len(cols_from) == 0:
+            col_pos = np.flatnonzero(my_tiles == pj)
+            if col_pos.size == 0:
                 continue
-            for i, rows in sorted(rows_by_gridrow.items()):
+            for i, row_pos in row_groups:
                 src = gd.rank_of(i, pj, lt)
-                if src == self.grid_rank:
-                    cols, vals = self._pivot_cols_self
-                else:
-                    vals = gd.grid_comm.recv(src, tag)
-                    cols = cols_from
-                for ri, r in enumerate(rows):
-                    for ci, cc in enumerate(cols):
-                        out[pivot_order_pos[r], col_pos[int(cc)]] = vals[
-                            ri, ci
-                        ]
-        self.__dict__.pop("_pivot_cols_self", None)
+                vals = (
+                    self_piece if src == me else gd.grid_comm.recv(src, tag)
+                )
+                if np.shape(vals) != (len(row_pos), len(col_pos)):
+                    raise RuntimeError(
+                        f"pivot column piece {np.shape(vals)} from rank "
+                        f"{src} does not match the plan's "
+                        f"{(len(row_pos), len(col_pos))}"
+                    )
+                out[row_pos, col_pos] = vals
         return out
 
     # ------------------------------------------------------------------
@@ -422,72 +426,25 @@ class Schedule25D:
     # ------------------------------------------------------------------
     def fetch_rows_piece(
         self,
-        t: int,
         phase: str,
         tag: int,
         pool: np.ndarray,
         vals_1d: np.ndarray,
         my_1d_rows: np.ndarray,
         chunk: np.ndarray,
-        need_rows_of,
+        need,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Redistribute a row panel from the 1D layout to the 2.5D
-        layout: destination (i, j, l) receives ``need_rows_of(rows, i,
-        j)`` x chunk_l.  Values-only messages; ids derived from the
-        shared assignment."""
-        comm, gd = self.comm, self.grid
-        g, c = self.g, self.c
-        with comm.phase(phase):
-            if len(my_1d_rows):
-                sender_chunks = self.sender_chunks(vals_1d.shape[1])
-                for i in range(g):
-                    for j in range(g):
-                        dest_rows = need_rows_of(my_1d_rows, i, j)
-                        if len(dest_rows) == 0:
-                            continue
-                        mask = np.isin(my_1d_rows, dest_rows)
-                        for l in range(c):
-                            lchunk = sender_chunks[l]
-                            if len(lchunk) == 0:
-                                continue
-                            dest = gd.rank_of(i, j, l)
-                            vals = vals_1d[np.ix_(mask, lchunk)]
-                            if dest == self.grid_rank:
-                                self._rows_piece_self = vals
-                            else:
-                                gd.grid_comm.send(vals, dest, tag)
-        my_need = need_rows_of(pool, self.pi, self.pj)
-        if len(my_need) == 0 or len(chunk) == 0:
-            self.__dict__.pop("_rows_piece_self", None)
-            return np.zeros((0, len(chunk))), my_need
-        out = np.zeros((len(my_need), len(chunk)))
-        pos = {int(r): i for i, r in enumerate(my_need)}
-        # rows grouped by their 1D owner, in the owner's packing order
-        # (assign_1d order filtered to this rank's needs).
-        got = 0
-        for src in range(self.p_active):
-            src_rows = need_rows_of(
-                self.assign_1d(pool, src), self.pi, self.pj
-            )
-            if len(src_rows) == 0:
-                continue
-            if src == self.grid_rank:
-                vals = self._rows_piece_self
-            else:
-                vals = gd.grid_comm.recv(src, tag)
-            for i, r in enumerate(src_rows):
-                out[pos[int(r)], :] = vals[i, :]
-                got += 1
-        self.__dict__.pop("_rows_piece_self", None)
-        if got != len(my_need):
-            raise RuntimeError(
-                f"row panel fetch incomplete: {got}/{len(my_need)}"
-            )
-        return out, my_need
+        layout: destination (i, j, l) receives (the rows where the
+        boolean mask ``need(rows, i, j)`` holds) x chunk_l, grid rows
+        outermost in the send order.  Values-only messages; ids derived
+        from the shared assignment."""
+        return self._fetch_piece(
+            0, phase, tag, pool, vals_1d, my_1d_rows, chunk, need
+        )
 
     def fetch_cols_piece(
         self,
-        t: int,
         phase: str,
         tag: int,
         pool: np.ndarray,
@@ -496,52 +453,91 @@ class Schedule25D:
         chunk: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Column analogue of :meth:`fetch_rows_piece`: every rank needs
-        chunk_l x (trailing cols in its tiles).  Values-only messages."""
-        comm, gd = self.comm, self.grid
-        g, c, v = self.g, self.c, self.v
-        with comm.phase(phase):
-            if len(my_1d_cols):
-                sender_chunks = self.sender_chunks(vals_1d.shape[0])
-                for j in range(g):
-                    mask = ((my_1d_cols // v) % g) == j
-                    if not mask.any():
+        chunk_l x (trailing cols in its tiles), grid columns outermost
+        in the send order.  Values-only messages."""
+        g, v = self.g, self.v
+        return self._fetch_piece(
+            1, phase, tag, pool, vals_1d, my_1d_cols, chunk,
+            lambda cols, i, j: (cols // v) % g == j,
+        )
+
+    def _fetch_piece(
+        self, axis, phase, tag, pool, vals_1d, my_ids, chunk, need
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Both fetches: ids run along ``axis`` of ``vals_1d`` and of the
+        returned piece, the layer chunks along the other axis.  The send
+        order is part of the wire: the grid coordinate matching ``axis``
+        is outermost, the layer innermost."""
+        gd, me = self.grid, self.grid_rank
+        kind = ("row", "column")[axis]
+        dests = [(a, b) for a in range(self.g) for b in range(self.g)]
+        if axis:
+            dests = [(i, j) for j, i in dests]
+        self_piece = None
+        with self.comm.phase(phase):
+            if len(my_ids):
+                rank_at = self.rank_at.tolist()
+                bounds = self.chunk_bounds(vals_1d.shape[1 - axis])
+                layers = [
+                    (lyr, lo, hi)
+                    for lyr, (lo, hi) in enumerate(bounds)
+                    if lo < hi
+                ]
+                for i, j in dests:
+                    mine = need(my_ids, i, j).nonzero()[0]
+                    if mine.size == 0:
                         continue
-                    for i in range(g):
-                        for l in range(c):
-                            lchunk = sender_chunks[l]
-                            if len(lchunk) == 0:
-                                continue
-                            dest = gd.rank_of(i, j, l)
-                            vals = vals_1d[np.ix_(lchunk, mask)]
-                            if dest == self.grid_rank:
-                                self._cols_piece_self = vals
-                            else:
-                                gd.grid_comm.send(vals, dest, tag)
-        my_need = pool[((pool // v) % g) == self.pj]
+                    block = vals_1d.take(mine, axis=axis)
+                    for lyr, lo, hi in layers:
+                        vals = block[lo:hi] if axis else block[:, lo:hi]
+                        dest = rank_at[i][j][lyr]
+                        if dest == me:
+                            self_piece = vals
+                        else:
+                            gd.grid_comm.send(vals, dest, tag)
+        need_pos = np.flatnonzero(need(pool, self.pi, self.pj))
+        my_need = pool[need_pos]
         if len(my_need) == 0 or len(chunk) == 0:
-            self.__dict__.pop("_cols_piece_self", None)
-            return np.zeros((len(chunk), 0)), my_need
-        out = np.zeros((len(chunk), len(my_need)))
-        pos = {int(cc): i for i, cc in enumerate(my_need)}
+            empty = (len(chunk), 0) if axis else (0, len(chunk))
+            return np.zeros(empty), my_need
+        out = np.zeros(
+            (len(chunk), len(my_need)) if axis else (len(my_need), len(chunk))
+        )
+        # my ids grouped by their 1D owner, in the owner's packing order
+        # (assign_1d order filtered to this rank's needs).
+        order, groups = _group_by(need_pos % self.p_active)
         got = 0
-        for src in range(self.p_active):
-            src_cols = self.assign_1d(pool, src)
-            src_cols = src_cols[((src_cols // v) % g) == self.pj]
-            if len(src_cols) == 0:
-                continue
-            if src == self.grid_rank:
-                vals = self._cols_piece_self
+        for src, lo, hi in groups:
+            vals = self_piece if src == me else gd.grid_comm.recv(src, tag)
+            shape = (len(chunk), hi - lo) if axis else (hi - lo, len(chunk))
+            if np.shape(vals) != shape:
+                raise RuntimeError(
+                    f"{kind} panel piece {np.shape(vals)} from rank {src} "
+                    f"does not match the plan's {shape}"
+                )
+            if axis:
+                out[:, order[lo:hi]] = vals
             else:
-                vals = gd.grid_comm.recv(src, tag)
-            for i, cc in enumerate(src_cols):
-                out[:, pos[int(cc)]] = vals[:, i]
-                got += 1
-        self.__dict__.pop("_cols_piece_self", None)
+                out[order[lo:hi]] = vals
+            got += hi - lo
         if got != len(my_need):
             raise RuntimeError(
-                f"column panel fetch incomplete: {got}/{len(my_need)}"
+                f"{kind} panel fetch incomplete: {got}/{len(my_need)}"
             )
         return out, my_need
+
+
+def _group_by(keys: np.ndarray):
+    """Stable grouping of positions by non-negative integer key:
+    ``order[lo:hi]`` are the positions holding ``key``, in their
+    original order, for each ``(key, lo, hi)`` in ascending key order."""
+    order = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys)
+    present = np.flatnonzero(counts)
+    ends = np.cumsum(counts)[present]
+    return order, list(
+        zip(present.tolist(), (ends - counts[present]).tolist(), ends.tolist())
+    )
 
 
 class Rank25D:

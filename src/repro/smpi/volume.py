@@ -121,24 +121,28 @@ class VolumeLedger:
         if nranks <= 0:
             raise ValueError(f"nranks must be positive, got {nranks}")
         self.nranks = nranks
-        # ``None`` entries of a scope stack suspend attribution for
-        # their scope.
-        self._phase_stack: list[list[str | None]] = [
+        # Per rank, one entry per open scope: the ``"/"``-joined path
+        # sends inside it are attributed to.  A ``None`` entry suspends
+        # attribution for its scope.
+        self._phase_paths: list[list[str | None]] = [
             [] for _ in range(nranks)
         ]
         self.reset()
 
     def push_phase(self, rank: int, phase: str | None) -> None:
         """Enter a phase scope on this rank (``None`` = unattributed)."""
-        self._phase_stack[rank].append(phase)
+        paths = self._phase_paths[rank]
+        if phase is not None and paths and paths[-1] is not None:
+            phase = f"{paths[-1]}/{phase}"
+        paths.append(phase)
 
     def pop_phase(self, rank: int) -> None:
-        self._phase_stack[rank].pop()
+        self._phase_paths[rank].pop()
 
     def set_phase(self, rank: int, phase: str | None) -> None:
         """Replace the rank's whole scope stack (legacy single-level
         API); prefer :meth:`push_phase`/:meth:`pop_phase`."""
-        self._phase_stack[rank][:] = [] if phase is None else [phase]
+        self._phase_paths[rank][:] = [] if phase is None else [phase]
 
     def current_phase(self, rank: int) -> str | None:
         """Attribution label for the rank's current scope.
@@ -147,18 +151,11 @@ class VolumeLedger:
         which makes per-phase totals *exclusive* by construction: a
         byte lands under exactly one path key, so summing phase_bytes
         never double counts.  A ``None`` scope suspends attribution;
-        the path restarts after the innermost ``None``.
+        the path restarts after the innermost ``None``.  The path is
+        built once, when the scope is entered.
         """
-        stack = self._phase_stack[rank]
-        if not stack or stack[-1] is None:
-            return None
-        path: list[str] = []
-        for name in stack:
-            if name is None:
-                path.clear()
-            else:
-                path.append(name)
-        return "/".join(path) if path else None
+        paths = self._phase_paths[rank]
+        return paths[-1] if paths else None
 
     def record_send(self, rank: int, nbytes: int) -> None:
         if nbytes < 0:

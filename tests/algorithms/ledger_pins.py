@@ -18,7 +18,6 @@ change is being made, never to paper over a port bug) with::
 from __future__ import annotations
 
 import json
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -47,15 +46,14 @@ def point_key(impl: str, n: int, g: int, c: int, v: int) -> str:
 
 
 class _TagCensus:
-    """Thread-safe tag -> send count histogram, patched over Comm."""
+    """Tag -> send count histogram, patched over Comm (one rank runs
+    at a time, so the read-modify-write needs no lock)."""
 
     def __init__(self) -> None:
         self.counts: dict[int, int] = {}
-        self._lock = threading.Lock()
 
     def record(self, tag: int) -> None:
-        with self._lock:
-            self.counts[tag] = self.counts.get(tag, 0) + 1
+        self.counts[tag] = self.counts.get(tag, 0) + 1
 
 
 def _input_matrix(impl: str, n: int) -> np.ndarray:

@@ -1,0 +1,455 @@
+"""Schedule25D's five redistribution plans against an element-wise oracle.
+
+The plans (``scatter_rows``, ``assemble_rows``, ``scatter_pivot_cols``,
+``fetch_rows_piece``, ``fetch_cols_piece``) derive their packing as
+index arrays.  ``_LoopPlans`` below is the per-destination-mask,
+per-element-loop formulation they replaced, kept here as the
+reference: on every grid point both must leave every rank with the
+same arrays *and* the same send/receive sequence — the simulated clock
+and the fault stream hash on per-rank message order, so order is part
+of the contract, not an implementation detail.
+
+The committed ledger/clock pins stop at g = 2, v = 4, ``n % v == 0``;
+the grid here adds g in {1, 3, 4}, c in {1, 3, 4}, ragged and
+narrower-than-c last panels (empty layer chunks), inactive ranks,
+full-width replication and row pools with holes (row masking).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.algorithms.schedule25d import Schedule25D
+from repro.smpi import run_spmd
+
+
+# ----------------------------------------------------------------------
+# the oracle: the element-wise loops, verbatim in behaviour
+# ----------------------------------------------------------------------
+class _LoopPlans:
+    """Reference plans: one mask per destination, one element per
+    assignment.  Same wire as :class:`Schedule25D`, by construction of
+    the original port (pinned by ``test_ledger_regression``)."""
+
+    def __init__(self, sched: Schedule25D) -> None:
+        self.s = sched
+
+    def scatter_rows(self, phase, tag, row_pool, holders, values, value_rows):
+        s = self.s
+        comm, gd, me = s.comm, s.grid, s.grid_rank
+        holder = {int(r): int(h) for r, h in zip(row_pool, holders)}
+        received = {}
+        owners = np.arange(len(row_pool)) % s.p_active
+        if values is not None and value_rows is not None:
+            lookup = {int(r): i for i, r in enumerate(value_rows)}
+            by_dest: dict[int, list[int]] = {}
+            for pos, r in enumerate(row_pool):
+                if int(r) in lookup and holder[int(r)] == me:
+                    by_dest.setdefault(int(owners[pos]), []).append(int(r))
+            with comm.phase(phase):
+                for dest, rows in sorted(by_dest.items()):
+                    vals = values[[lookup[r] for r in rows], :]
+                    if dest == me:
+                        received[me] = (np.array(rows), vals)
+                    else:
+                        gd.grid_comm.send(vals, dest, tag)
+        by_src: dict[int, list[int]] = {}
+        for r in row_pool[owners == me]:
+            by_src.setdefault(holder[int(r)], []).append(int(r))
+        for src in sorted(by_src):
+            if src == me:
+                continue
+            vals = gd.grid_comm.recv(src, tag)
+            received[src] = (np.array(by_src[src]), vals)
+        return received
+
+    def assemble_rows(self, received, wanted_rows, w):
+        out = np.zeros((len(wanted_rows), w))
+        pos = {int(r): i for i, r in enumerate(wanted_rows)}
+        filled = 0
+        for ids, vals in received.values():
+            for i, r in enumerate(ids):
+                out[pos[int(r)], :] = vals[i, :]
+                filled += 1
+        assert filled == len(wanted_rows)
+        return out
+
+    def scatter_pivot_cols(
+        self, t, phase, tag, pivot_ids, pivot_true,
+        my_pivot_rows, my_trail_cols, my_assigned_cols,
+    ):
+        s = self.s
+        comm, gd, me = s.comm, s.grid, s.grid_rank
+        g, v = s.g, s.v
+        lt = t % s.c
+        all_trailing = np.arange((t + 1) * v, s.n)
+        owners = np.arange(len(all_trailing)) % s.p_active
+        tile_col = (all_trailing // v) % g
+        out = np.zeros((len(pivot_ids), len(my_assigned_cols)))
+        self_piece = None
+        if pivot_true is not None and len(my_pivot_rows):
+            with comm.phase(phase):
+                for dest in range(s.p_active):
+                    sel = (tile_col == s.pj) & (owners == dest)
+                    if not sel.any():
+                        continue
+                    cols = all_trailing[sel]
+                    vals = pivot_true[
+                        :, np.searchsorted(my_trail_cols, cols)
+                    ]
+                    if dest == me:
+                        self_piece = (cols, vals)
+                    else:
+                        gd.grid_comm.send(vals, dest, tag)
+        if len(my_assigned_cols) == 0:
+            return out
+        col_pos = {int(cc): i for i, cc in enumerate(my_assigned_cols)}
+        pivot_order_pos = {int(r): i for i, r in enumerate(pivot_ids)}
+        rows_by_gridrow: dict[int, list[int]] = {}
+        for r in pivot_ids:
+            rows_by_gridrow.setdefault(int(r) % g, []).append(int(r))
+        my_tiles = (my_assigned_cols // v) % g
+        for pj in range(g):
+            cols_from = my_assigned_cols[my_tiles == pj]
+            if len(cols_from) == 0:
+                continue
+            for i, rows in sorted(rows_by_gridrow.items()):
+                src = gd.rank_of(i, pj, lt)
+                if src == me:
+                    cols, vals = self_piece
+                else:
+                    vals = gd.grid_comm.recv(src, tag)
+                    cols = cols_from
+                for ri, r in enumerate(rows):
+                    for ci, cc in enumerate(cols):
+                        out[pivot_order_pos[r], col_pos[int(cc)]] = vals[
+                            ri, ci
+                        ]
+        return out
+
+    def fetch_rows_piece(
+        self, phase, tag, pool, vals_1d, my_1d_rows, chunk, need
+    ):
+        s = self.s
+        comm, gd, me = s.comm, s.grid, s.grid_rank
+        self_piece = None
+        with comm.phase(phase):
+            if len(my_1d_rows):
+                sender_chunks = s.sender_chunks(vals_1d.shape[1])
+                for i in range(s.g):
+                    for j in range(s.g):
+                        dest_rows = my_1d_rows[need(my_1d_rows, i, j)]
+                        if len(dest_rows) == 0:
+                            continue
+                        mask = np.isin(my_1d_rows, dest_rows)
+                        for lyr in range(s.c):
+                            lchunk = sender_chunks[lyr]
+                            if len(lchunk) == 0:
+                                continue
+                            dest = gd.rank_of(i, j, lyr)
+                            vals = vals_1d[np.ix_(mask, lchunk)]
+                            if dest == me:
+                                self_piece = vals
+                            else:
+                                gd.grid_comm.send(vals, dest, tag)
+        my_need = pool[need(pool, s.pi, s.pj)]
+        if len(my_need) == 0 or len(chunk) == 0:
+            return np.zeros((0, len(chunk))), my_need
+        out = np.zeros((len(my_need), len(chunk)))
+        pos = {int(r): i for i, r in enumerate(my_need)}
+        got = 0
+        for src in range(s.p_active):
+            src_rows = s.assign_1d(pool, src)
+            src_rows = src_rows[need(src_rows, s.pi, s.pj)]
+            if len(src_rows) == 0:
+                continue
+            if src == me:
+                vals = self_piece
+            else:
+                vals = gd.grid_comm.recv(src, tag)
+            for i, r in enumerate(src_rows):
+                out[pos[int(r)], :] = vals[i, :]
+                got += 1
+        assert got == len(my_need)
+        return out, my_need
+
+    def fetch_cols_piece(self, phase, tag, pool, vals_1d, my_1d_cols, chunk):
+        s = self.s
+        comm, gd, me = s.comm, s.grid, s.grid_rank
+        g, v = s.g, s.v
+        self_piece = None
+        with comm.phase(phase):
+            if len(my_1d_cols):
+                sender_chunks = s.sender_chunks(vals_1d.shape[0])
+                for j in range(g):
+                    mask = ((my_1d_cols // v) % g) == j
+                    if not mask.any():
+                        continue
+                    for i in range(g):
+                        for lyr in range(s.c):
+                            lchunk = sender_chunks[lyr]
+                            if len(lchunk) == 0:
+                                continue
+                            dest = gd.rank_of(i, j, lyr)
+                            vals = vals_1d[np.ix_(lchunk, mask)]
+                            if dest == me:
+                                self_piece = vals
+                            else:
+                                gd.grid_comm.send(vals, dest, tag)
+        my_need = pool[((pool // v) % g) == s.pj]
+        if len(my_need) == 0 or len(chunk) == 0:
+            return np.zeros((len(chunk), 0)), my_need
+        out = np.zeros((len(chunk), len(my_need)))
+        pos = {int(cc): i for i, cc in enumerate(my_need)}
+        got = 0
+        for src in range(s.p_active):
+            src_cols = s.assign_1d(pool, src)
+            src_cols = src_cols[((src_cols // v) % g) == s.pj]
+            if len(src_cols) == 0:
+                continue
+            if src == me:
+                vals = self_piece
+            else:
+                vals = gd.grid_comm.recv(src, tag)
+            for i, cc in enumerate(src_cols):
+                out[:, pos[int(cc)]] = vals[:, i]
+                got += 1
+        assert got == len(my_need)
+        return out, my_need
+
+
+# ----------------------------------------------------------------------
+# the driver: a COnfLUX-shaped step loop over synthetic values
+# ----------------------------------------------------------------------
+class _Tap:
+    """Records what crosses ``grid_comm`` point to point."""
+
+    def __init__(self, comm) -> None:
+        self._comm = comm
+        self.sends: list[tuple] = []
+        self.recvs: list[tuple] = []
+
+    def send(self, data, dest, tag=0):
+        self.sends.append((dest, tag, data.shape))
+        self._comm.send(data, dest, tag)
+
+    def recv(self, source, tag):
+        self.recvs.append((source, tag))
+        return self._comm.recv(source, tag)
+
+    def __getattr__(self, name):
+        return getattr(self._comm, name)
+
+
+def _val(rows, cols):
+    """The 'true value' of matrix element (row, col)."""
+    return rows[:, None] * 1000.0 + cols[None, :]
+
+
+def _drive(comm, n, g, c, v, chunking, reference):
+    """Run every step's five plans the way COnfLUX calls them (plus the
+    Cholesky-style tile-predicate row fetch); returns this rank's
+    outputs, wire log and whether the schedule object kept its keys."""
+    sched = Schedule25D(comm, n, g, c, v, chunking=chunking)
+    if not sched.active:
+        return None
+    sched.init_cyclic_layout()
+    tap = _Tap(sched.grid.grid_comm)
+    sched.grid.grid_comm = tap
+    plans = _LoopPlans(sched) if reference else sched
+    keys = set(vars(sched))
+    me, pi, pj = sched.grid_rank, sched.pi, sched.pj
+    rng = np.random.default_rng(7)  # the same pivot choice on every rank
+    pivoted = np.zeros(n, dtype=bool)
+    outs = []
+    for t in range(sched.steps):
+        ctx = sched.step_context(t)
+        q, lt, w = ctx.q, ctx.lt, ctx.w
+        active = np.flatnonzero(~pivoted)
+        pivot_ids = rng.choice(active, size=w, replace=False)
+        pivoted[pivot_ids] = True
+        pool = np.flatnonzero(~pivoted)  # holes: row masking
+
+        on_panel = pj == q and sched.layer == lt
+        my_active = active[active % g == pi]
+        received = plans.scatter_rows(
+            "scatter_rows", sched.tag(1, t), pool,
+            sched.rank_at[pool % g, q, lt],
+            _val(my_active, ctx.panel_cols) if on_panel else None,
+            my_active if on_panel else None,
+        )
+        rows_1d = sched.assign_1d(pool, me)
+        c_rows = plans.assemble_rows(received, rows_1d, w)
+        assert np.array_equal(c_rows, _val(rows_1d, ctx.panel_cols))
+
+        trail_cols = sched.my_cols[sched.trailing_local_cols(t)]
+        my_pivots = pivot_ids[pivot_ids % g == pi]
+        holds = sched.layer == lt and len(my_pivots) and len(trail_cols)
+        all_trailing = np.arange((t + 1) * v, n)
+        cols_1d = sched.assign_1d(all_trailing, me)
+        a01 = plans.scatter_pivot_cols(
+            t, "scatter_cols", sched.tag(2, t), pivot_ids,
+            _val(my_pivots, trail_cols) if holds else None,
+            my_pivots, trail_cols, cols_1d,
+        )
+        assert np.array_equal(a01, _val(pivot_ids, cols_1d))
+
+        chunk = sched.sender_chunks(w)[sched.layer]
+        shipped = ctx.panel_cols[chunk]
+        by_row = plans.fetch_rows_piece(
+            "fetch_rows", sched.tag(3, t), pool, c_rows, rows_1d, chunk,
+            lambda rows, i, j: rows % g == i,
+        )
+        by_col = plans.fetch_cols_piece(
+            "fetch_cols", sched.tag(4, t), all_trailing, a01, cols_1d, chunk
+        )
+        by_tile = plans.fetch_rows_piece(
+            "fetch_tiles", sched.tag(5, t), pool, c_rows, rows_1d, chunk,
+            lambda rows, i, j: (rows // v) % g == j,
+        )
+        for piece, ids in (by_row, by_tile):
+            if piece.size:
+                assert np.array_equal(piece, _val(ids, shipped))
+        if by_col[0].size:
+            # values are (pivot row, column): chunk entries pick pivots
+            assert np.array_equal(
+                by_col[0], _val(pivot_ids[chunk], by_col[1])
+            )
+        outs.append((received, c_rows, a01, by_row, by_col, by_tile))
+    return outs, tap.sends, tap.recvs, set(vars(sched)) == keys
+
+
+def _same(a, b) -> bool:
+    """Deep equality over the nested tuples/dicts/arrays ``_drive``
+    returns; arrays must agree in shape and value."""
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and np.array_equal(a, b)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+#: (n, g, c, v, chunking, nranks)
+GRID = [
+    (150, 4, 4, 12, "split", 64),  # the benchmark's own (4, 4, 4) grid
+    (37, 3, 3, 5, "split", 27),  # n % v = 2: last panel w < c
+    (30, 4, 1, 3, "split", 18),  # inactive ranks
+    (31, 2, 2, 4, "split", 8),  # n % v = 3
+    (26, 3, 4, 6, "replicate", 40),  # full-width chunks, inactive ranks
+    (21, 1, 3, 4, "split", 3),  # one grid cell, w = 1 < c at the end
+    (22, 3, 1, 4, "replicate", 9),
+    (20, 1, 1, 4, "split", 1),
+]
+
+
+@pytest.mark.parametrize("n,g,c,v,chunking,nranks", GRID)
+def test_plans_match_the_elementwise_oracle(n, g, c, v, chunking, nranks):
+    new, _ = run_spmd(nranks, _drive, n, g, c, v, chunking, False)
+    ref, _ = run_spmd(nranks, _drive, n, g, c, v, chunking, True)
+    assert sum(r is not None for r in new) == g * g * c
+    for rank, (got, want) in enumerate(zip(new, ref)):
+        if want is None:
+            assert got is None
+            continue
+        outs, sends, recvs, keys_kept = got
+        ref_outs, ref_sends, ref_recvs, _ = want
+        assert sends == ref_sends, f"rank {rank}: send order"
+        assert recvs == ref_recvs, f"rank {rank}: receive order"
+        assert keys_kept, f"rank {rank}: plan state left on the schedule"
+        for t, (step, ref_step) in enumerate(zip(outs, ref_outs)):
+            assert _same(step, ref_step), f"rank {rank} step {t}"
+
+
+def test_chunk_bounds_are_the_array_split():
+    sched = Schedule25D.__new__(Schedule25D)
+    for c in (1, 3, 4):
+        for width in range(0, 11):
+            sched.c, sched.chunking = c, "split"
+            split = np.array_split(np.arange(width), c)
+            assert [
+                (int(ch[0]), int(ch[-1]) + 1) if len(ch) else None
+                for ch in split
+            ] == [
+                (lo, hi) if lo < hi else None
+                for lo, hi in sched.chunk_bounds(width)
+            ]
+            assert _same(sched.sender_chunks(width), split)
+            sched.chunking = "replicate"
+            assert sched.chunk_bounds(width) == [(0, width)] * c
+
+
+# ----------------------------------------------------------------------
+# a piece that disagrees with the plan raises; nothing stays behind
+# ----------------------------------------------------------------------
+class _ShortTap(_Tap):
+    """Delivers only the first row/column of every received piece — a
+    shape NumPy would happily broadcast into a wider slot."""
+
+    def __init__(self, comm, axis) -> None:
+        super().__init__(comm)
+        self.axis = axis
+
+    def recv(self, source, tag):
+        vals = super().recv(source, tag)
+        return vals[:1] if self.axis == 0 else vals[:, :1]
+
+
+def _drive_short_piece(comm, plan):
+    n, g, c, v = 32, 2, 1, 4
+    sched = Schedule25D(comm, n, g, c, v)
+    sched.init_cyclic_layout()
+    me = sched.grid_rank
+    if me == 0:
+        axis = 0 if plan in ("rows", "scatter_rows") else 1
+        sched.grid.grid_comm = _ShortTap(sched.grid.grid_comm, axis)
+    keys = set(vars(sched))
+    pool = np.arange(n)
+    mine = sched.assign_1d(pool, me)
+    chunk = np.arange(v)
+    cols = np.arange(v)
+    error = None
+    try:
+        if plan == "rows":
+            sched.fetch_rows_piece(
+                "p", 1, pool, _val(mine, cols), mine, chunk,
+                lambda rows, i, j: rows % g == i,
+            )
+        elif plan == "cols":
+            sched.fetch_cols_piece(
+                "p", 1, pool, _val(cols, mine), mine, chunk
+            )
+        elif plan == "scatter_rows":
+            holds = sched.pj == 1
+            my_rows = pool[pool % g == sched.pi]
+            received = sched.scatter_rows(
+                "p", 1, pool, sched.rank_at[pool % g, 1, 0],
+                _val(my_rows, cols) if holds else None,
+                my_rows if holds else None,
+            )
+            sched.assemble_rows(received, mine, v)
+        else:
+            pivot_ids = np.array([5, 2, 7, 4])
+            my_pivots = pivot_ids[pivot_ids % g == sched.pi]
+            trail = sched.my_cols[sched.trailing_local_cols(0)]
+            sched.scatter_pivot_cols(
+                0, "p", 1, pivot_ids, _val(my_pivots, trail),
+                my_pivots, trail, sched.assign_1d(np.arange(v, n), me),
+            )
+    except RuntimeError as exc:
+        error = str(exc)
+    return error, set(vars(sched)) == keys
+
+
+@pytest.mark.parametrize(
+    "plan", ["rows", "cols", "scatter_rows", "scatter_pivot_cols"]
+)
+def test_a_piece_of_the_wrong_shape_raises(plan):
+    results, _ = run_spmd(4, _drive_short_piece, plan)
+    error, keys_kept = results[0]
+    assert error is not None and "does not match the plan" in error
+    assert keys_kept, "a plan that raised mid-receive left state behind"
+    for error, keys_kept in results[1:]:
+        assert error is None and keys_kept
