@@ -11,7 +11,7 @@ latency (N/v pivoting rounds — the tournament's whole point).
 import numpy as np
 import pytest
 
-from repro.algorithms import conflux_lu
+from repro.algorithms import factor
 from repro.harness import format_table, run_sweep
 from repro.harness.specs import block_size_spec
 
@@ -56,7 +56,7 @@ def test_v_below_c_is_rejected(benchmark):
 
     def attempt():
         try:
-            conflux_lu(a, 16, grid=(2, 2, 4), v=2)
+            factor("conflux", a, 16, grid=(2, 2, 4), v=2)
             return False
         except ValueError:
             return True

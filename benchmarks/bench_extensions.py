@@ -12,7 +12,7 @@
 import numpy as np
 import pytest
 
-from repro.algorithms import cholesky25d_lu, conflux_lu, mmm25d
+from repro.algorithms import factor, mmm25d
 from repro.harness import format_table
 from repro.theory.bounds import (
     cholesky_io_lower_bound,
@@ -35,8 +35,8 @@ def test_cholesky_vs_lu_volume(benchmark, show):
         rows = []
         for n in (64, 128, 192):
             a = _spd(n, seed=n)
-            chol = cholesky25d_lu(a, p, grid=(g, g, c), v=v)
-            lu = conflux_lu(a, p, grid=(g, g, c), v=v)
+            chol = factor("cholesky25d", a, p, grid=(g, g, c), v=v)
+            lu = factor("conflux", a, p, grid=(g, g, c), v=v)
             rows.append(
                 {
                     "n": n,
@@ -73,7 +73,7 @@ def test_cholesky_above_its_bound(benchmark, show):
     p = g * g * c
 
     def run():
-        return cholesky25d_lu(_spd(n, seed=1), p, grid=(g, g, c), v=v)
+        return factor("cholesky25d", _spd(n, seed=1), p, grid=(g, g, c), v=v)
 
     res = benchmark.pedantic(run, rounds=1, iterations=1)
     m = c * n * n / p

@@ -60,12 +60,12 @@ def test_caqr_grid_choice_beats_2d_baseline(benchmark, show):
     moves ~40% fewer bytes than the 2D Householder baseline using all
     16: leading terms N^2 (Gc + 2G)/2 = 4 N^2 vs N^2 (Pc + 2Pr)/2 =
     6 N^2."""
-    from repro.algorithms import caqr25d_qr, qr2d_householder
+    from repro.algorithms import factor
 
     def run():
         a = np.random.default_rng(7).standard_normal((64, 64))
-        caqr = caqr25d_qr(a, 16, grid=(2, 2, 2), v=4)
-        qr2d = qr2d_householder(a, 16, grid=(4, 4), nb=4)
+        caqr = factor("caqr25d", a, 16, grid=(2, 2, 2), v=4)
+        qr2d = factor("qr2d", a, 16, grid=(4, 4), nb=4)
         return caqr, qr2d
 
     caqr, qr2d = benchmark.pedantic(run, rounds=1, iterations=1)

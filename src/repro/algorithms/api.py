@@ -1,35 +1,44 @@
-"""Capability-aware algorithm registry and the uniform ``factor()``
-entry point.
+"""Capability-aware algorithm registry and ``factor()``, the one host
+driver of the family.
 
-Every implementation registers an :class:`AlgorithmInfo` declaring what
-it is (``kind``: ``lu`` / ``qr`` / ``chol`` / ``mmm``), which grid
-family it runs on (``25d`` = the [G, G, c] :class:`Schedule25D` family,
-``2d`` = the block-cyclic baselines), which floating dtypes it accepts,
-and how its blocking parameter is spelled (``v`` or ``nb``).  Callers
-use one signature for the whole family::
+A family member is data.  :func:`register_algorithm` records what it is
+(``kind``: ``lu`` / ``qr`` / ``chol`` / ``mmm``), which grid family it
+runs on (``25d`` = the [G, G, c] :class:`Schedule25D` family, ``2d`` =
+the block-cyclic baselines), which floating dtypes it accepts, how its
+blocking parameter is spelled (``v`` or ``nb``) — and the three things
+that actually differ between members: the rank program every rank runs,
+the assembler that turns the per-rank results into global factors, and
+the default block with its floor.  Everything else is shared::
 
     from repro.algorithms import factor
     res = factor("conflux", a, grid=(2, 2, 2), v=4)
 
-``factor`` derives the rank count from the grid when ``nranks`` is
-omitted, validates the input dtype against the declared capabilities,
-and rejects non-factorization kinds (``mmm25d`` computes a product and
-keeps its own signature).
-
-The historical per-algorithm entry points (``conflux_lu``,
-``caqr25d_qr``, ...) remain importable as :func:`deprecated_alias`
-shims that warn once per process and delegate here bit-identically.
+``factor`` validates the input against the declared capabilities,
+resolves the grid and the block (:func:`resolve_params`), runs the rank
+program under ``run_spmd``, assembles, verifies per kind and builds the
+:class:`FactorResult`.  ``mmm25d`` computes a product, keeps its own
+signature and shares only the grid resolver.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro.algorithms.base import IMPLEMENTATIONS, FactorResult
+from repro.algorithms.base import (
+    RESIDUAL_TOL,
+    FactorResult,
+    FactorVerificationError,
+    validate_input_matrix,
+    verify_cholesky_factor,
+    verify_factors,
+    verify_qr_factors,
+)
+from repro.algorithms.gridopt import choose_grid_2d, optimize_grid_25d
+from repro.smpi import run_spmd
 
 KINDS = ("lu", "qr", "chol", "mmm")
 GRID_FAMILIES = ("25d", "2d")
@@ -37,15 +46,29 @@ GRID_FAMILIES = ("25d", "2d")
 
 @dataclass(frozen=True)
 class AlgorithmInfo:
-    """Declared capabilities of one registered implementation."""
+    """One registered implementation: declared capabilities plus what
+    the host driver needs to run it.
+
+    ``program`` is the SPMD rank function ``(comm, a, d0, d1, block)``
+    (``Rank25D.main`` of a subclass, or a 2D rank function) and
+    ``assemble(n, grid, block, results)`` turns its per-rank results
+    into ``(lower, upper, perm)``; both are ``None`` for ``mmm``.
+    ``block_at_least_layers`` is the Section 7.2 floor ``v >= c``, which
+    also lifts ``default_block``.
+    """
 
     name: str
     kind: str
     grid_family: str
     description: str
-    func: Callable
     dtypes: tuple[str, ...] = ("float64", "float32")
     block_param: str = "v"
+    program: Callable | None = None
+    assemble: Callable | None = None
+    default_block: int = 1
+    block_at_least_layers: bool = False
+    prefer_tall_grid: bool = False
+    symmetric_input: bool = False
 
     def describe(self) -> str:
         return (
@@ -55,47 +78,23 @@ class AlgorithmInfo:
         )
 
 
-#: name -> AlgorithmInfo, filled by the @register_algorithm decorations
-#: at package import time.
+#: name -> AlgorithmInfo, filled by the register_algorithm calls at
+#: package import time.
 REGISTRY: dict[str, AlgorithmInfo] = {}
 
 
-def register_algorithm(
-    name: str,
-    *,
-    kind: str,
-    grid_family: str,
-    description: str,
-    dtypes: tuple[str, ...] = ("float64", "float32"),
-    block_param: str = "v",
-):
-    """Register an implementation with its capability metadata.
-
-    Also fills the legacy name -> function map
-    (:data:`repro.algorithms.base.IMPLEMENTATIONS`) so existing
-    ``factor_by_name`` callers keep working unchanged.
-    """
-    if kind not in KINDS:
-        raise ValueError(f"kind {kind!r} not in {KINDS}")
-    if grid_family not in GRID_FAMILIES:
+def register_algorithm(name: str, **fields) -> AlgorithmInfo:
+    """Register an implementation; ``fields`` are the
+    :class:`AlgorithmInfo` attributes."""
+    info = AlgorithmInfo(name=name, **fields)
+    if info.kind not in KINDS:
+        raise ValueError(f"kind {info.kind!r} not in {KINDS}")
+    if info.grid_family not in GRID_FAMILIES:
         raise ValueError(
-            f"grid_family {grid_family!r} not in {GRID_FAMILIES}"
+            f"grid_family {info.grid_family!r} not in {GRID_FAMILIES}"
         )
-
-    def deco(fn):
-        REGISTRY[name] = AlgorithmInfo(
-            name=name,
-            kind=kind,
-            grid_family=grid_family,
-            description=description,
-            func=fn,
-            dtypes=tuple(dtypes),
-            block_param=block_param,
-        )
-        IMPLEMENTATIONS[name] = fn
-        return fn
-
-    return deco
+    REGISTRY[name] = info
+    return info
 
 
 def get_algorithm(name: str) -> AlgorithmInfo:
@@ -129,6 +128,110 @@ def _check_dtype(info: AlgorithmInfo, a) -> None:
         )
 
 
+def resolve_grid(
+    name: str,
+    n: int,
+    nranks: int | None = None,
+    grid: tuple[int, ...] | None = None,
+) -> tuple[int, tuple[int, ...]]:
+    """The ``(nranks, grid)`` the named algorithm runs an N x N problem
+    on.
+
+    Without ``grid`` the 2.5D family gets the Processor-Grid-Optimized
+    [G, G, c] for ``nranks`` (possibly disabling ranks) and the 2D
+    family the nearly-square Pr x Pc its library builds; without
+    ``nranks`` the communicator is exactly the grid.
+    """
+    info = get_algorithm(name)
+    is_25d = info.grid_family == "25d"
+    if grid is None:
+        if nranks is None:
+            raise ValueError(f"factor({name!r}, ...) needs nranks= or grid=")
+        if is_25d:
+            choice = optimize_grid_25d(nranks, n)
+            grid = (choice.grid_rows, choice.grid_rows, choice.layers)
+        else:
+            grid = choose_grid_2d(nranks, prefer_tall=info.prefer_tall_grid)
+    else:
+        grid = tuple(grid)
+        arity = 3 if is_25d else 2
+        if len(grid) != arity:
+            raise ValueError(
+                f"{name}: a {info.grid_family} grid has {arity} "
+                f"dimensions, got {grid}"
+            )
+        if is_25d and grid[0] != grid[1]:
+            raise ValueError(
+                f"{name}: grid must be square in rows/cols, got {grid}"
+            )
+    needed = math.prod(grid)
+    if nranks is None:
+        nranks = needed
+    elif needed > nranks:
+        raise ValueError(
+            f"{name}: grid {grid} needs {needed} ranks, have {nranks}"
+        )
+    return nranks, grid
+
+
+def resolve_params(
+    name: str,
+    n: int,
+    nranks: int | None = None,
+    grid: tuple[int, ...] | None = None,
+    block: int | None = None,
+) -> tuple[int, tuple[int, ...], int]:
+    """The ``(nranks, grid, block)`` that ``factor(name, ...)`` runs an
+    N x N problem on: :func:`resolve_grid`, then the member's default
+    block, its floor, and ``block = n`` on a 2.5D grid when the matrix
+    is narrower than one panel."""
+    info = get_algorithm(name)
+    nranks, grid = resolve_grid(name, n, nranks, grid)
+    is_25d = info.grid_family == "25d"
+    layers = grid[2] if is_25d else 1
+    floor = layers if info.block_at_least_layers else 1
+    if block is None:
+        block = max(info.default_block, floor)
+    if block < floor:
+        raise ValueError(
+            f"{name}: {info.block_param}={block} must be >= {floor}"
+        )
+    if is_25d and n < block:
+        block = n
+    return nranks, grid, block
+
+
+def verify_assembled(
+    info: AlgorithmInfo,
+    a: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    perm: np.ndarray,
+) -> tuple[float, dict]:
+    """Per-kind acceptance of assembled factors: ``(residual, meta)``.
+
+    LU checks the structural invariants only — the residual is reported,
+    not bounded, so a run under fault injection can still be classified
+    as silent corruption by its caller.  QR and Cholesky bound the
+    residual (and Q's orthogonality defect) at 1e-10.
+    """
+    if info.kind == "lu":
+        return verify_factors(a, lower, upper, perm), {}
+    if info.kind == "chol":
+        return verify_cholesky_factor(a, lower), {}
+    residual, orthogonality = verify_qr_factors(a, lower, upper)
+    for invariant, what, value in (
+        ("residual", "||A - QR||/||A||", residual),
+        ("orthogonality", "||Q^T Q - I||", orthogonality),
+    ):
+        if value > RESIDUAL_TOL:
+            raise FactorVerificationError(
+                invariant,
+                f"{info.name} {what} = {value:.2e} > {RESIDUAL_TOL:.0e}",
+            )
+    return residual, {"orthogonality": orthogonality}
+
+
 def factor(
     name: str,
     a: np.ndarray,
@@ -146,19 +249,26 @@ def factor(
 
     ``nranks`` may be omitted when ``grid`` is given — it defaults to
     the grid's rank count ([G, G, c] product for the 2.5D family,
-    Pr x Pc for the 2D baselines).  ``machine`` (a preset name, a JSON
-    path, or a :class:`~repro.models.machines.Machine`) turns on the
+    Pr x Pc for the 2D baselines); ``grid`` may be omitted when
+    ``nranks`` is given (see :func:`resolve_grid`).  ``machine`` (a
+    preset name, a JSON path, or a
+    :class:`~repro.models.machines.Machine`) turns on the
     discrete-event clock: the result's ``volume.timing`` then carries
     predicted per-rank seconds under that machine's α-β-γ parameters.
 
     ``faults`` (a :class:`~repro.faults.FaultPlan`, plan dict, or JSON
     path) arms deterministic fault injection; ``fault_seed`` overrides
     the plan's seed, so one plan file replays many chaos variants.
-    ``timeout_s`` is the run's wall budget (the spelled-out alias of
-    the implementations' ``timeout`` option): deadlocks are reported
-    the moment they occur, so it only bounds a run that keeps
-    computing.  Remaining keyword options (``v``/``nb``, ``timeout``,
-    ``m_max``) pass through to the implementation.
+    ``timeout_s`` (or its short spelling ``timeout``) is the run's wall
+    budget: deadlocks are reported the moment they occur, so it only
+    bounds a run that keeps computing.  The one remaining keyword is
+    the member's blocking parameter, ``v`` or ``nb``.
+
+    For ``lu`` the result holds L, U and the row order of P A = L U;
+    for ``qr``, ``lower`` is the explicit Q, ``upper`` is R and
+    ``meta["orthogonality"]`` is ``||Q^T Q - I||_F``; for ``chol``,
+    ``lower`` is L and ``upper`` its transpose.  ``perm`` is the
+    identity for the pivot-free kinds.
     """
     info = get_algorithm(name)
     if machine is not None:
@@ -166,19 +276,19 @@ def factor(
         # before any rank is started.
         from repro.models.machines import resolve_machine
 
-        opts["machine"] = resolve_machine(machine)
+        machine = resolve_machine(machine)
     if timeout_s is not None:
         if "timeout" in opts:
             raise ValueError("pass timeout_s= or timeout=, not both")
         opts["timeout"] = float(timeout_s)
+    timeout = opts.pop("timeout", 600.0)
     if faults is not None:
         # Same eager-resolution rationale as machine specs.
         from repro.faults import resolve_faults
 
-        plan = resolve_faults(faults)
+        faults = resolve_faults(faults)
         if fault_seed is not None:
-            plan = plan.with_seed(fault_seed)
-        opts["faults"] = plan
+            faults = faults.with_seed(fault_seed)
     elif fault_seed is not None:
         raise ValueError("fault_seed= given without faults=")
     if info.kind == "mmm":
@@ -186,58 +296,37 @@ def factor(
             f"{name} computes a matrix product, not a factorization; "
             f"call repro.algorithms.{name}() directly"
         )
+    block = opts.pop(info.block_param, None)
+    if opts:
+        raise TypeError(
+            f"{name}: unexpected keyword argument(s) "
+            f"{', '.join(sorted(opts))}; accepted: "
+            f"{info.block_param}, timeout"
+        )
     _check_dtype(info, a)
-    if nranks is None:
-        if grid is None:
-            raise ValueError(
-                f"factor({name!r}, ...) needs nranks= or grid="
-            )
-        expected = 3 if info.grid_family == "25d" else 2
-        if len(grid) != expected:
-            raise ValueError(
-                f"{name} uses a {info.grid_family} grid: expected "
-                f"{expected} dimensions, got {grid}"
-            )
-        nranks = int(np.prod(grid))
-    if grid is not None:
-        opts["grid"] = tuple(grid)
-    return info.func(a, nranks, **opts)
-
-
-# ----------------------------------------------------------------------
-# deprecation shims for the historical per-algorithm entry points
-# ----------------------------------------------------------------------
-_warned_shims: set[str] = set()
-
-
-def _reset_shim_warnings() -> None:
-    """Testing hook: make every shim warn again on next call."""
-    _warned_shims.clear()
-
-
-def deprecated_alias(old_name: str, new_name: str) -> Callable:
-    """Build a thin shim for a historical entry point.
-
-    The shim warns with :class:`DeprecationWarning` exactly once per
-    process (per alias) and delegates to :func:`factor` with identical
-    arguments — results are bit-identical by construction.
-    """
-
-    def shim(a, nranks=None, grid=None, **kwargs):
-        if old_name not in _warned_shims:
-            _warned_shims.add(old_name)
-            warnings.warn(
-                f"{old_name}() is deprecated; use "
-                f"repro.algorithms.factor({new_name!r}, ...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return factor(new_name, a, nranks, grid=grid, **kwargs)
-
-    shim.__name__ = old_name
-    shim.__qualname__ = old_name
-    shim.__doc__ = (
-        f"Deprecated alias for ``factor({new_name!r}, ...)``; warns "
-        f"once per process with DeprecationWarning."
+    a = validate_input_matrix(a)
+    n = a.shape[0]
+    if info.symmetric_input and not np.allclose(a, a.T, atol=1e-10):
+        raise ValueError(f"{name} requires a symmetric matrix")
+    nranks, grid, block = resolve_params(name, n, nranks, grid, block)
+    # A [G, G, c] grid travels as (G, c), a Pr x Pc grid as it is.
+    results, report = run_spmd(
+        nranks, info.program, a, grid[0], grid[-1], block,
+        timeout=timeout, machine=machine, faults=faults,
     )
-    return shim
+    lower, upper, perm = info.assemble(n, grid, block, results)
+    residual, meta = verify_assembled(info, a, lower, upper, perm)
+    meta["active_ranks"] = math.prod(grid)
+    return FactorResult(
+        name=name,
+        n=n,
+        nranks=nranks,
+        grid=grid,
+        block=block,
+        lower=lower,
+        upper=upper,
+        perm=perm,
+        volume=report,
+        residual=residual,
+        meta=meta,
+    )

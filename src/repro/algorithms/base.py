@@ -13,6 +13,10 @@ from repro.smpi.volume import VolumeReport
 #: built by masking, so violations indicate assembly bugs, not roundoff.
 _STRUCTURE_ATOL = 1e-12
 
+#: Ceiling on the residual (and Q's orthogonality defect) of the kinds
+#: whose run is accepted numerically: QR and Cholesky.
+RESIDUAL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class FactorResult:
@@ -211,33 +215,23 @@ def verify_qr_factors(
     return residual, orthogonality
 
 
+def verify_cholesky_factor(a: np.ndarray, lower: np.ndarray) -> float:
+    """Residual ``||A - L L^T|| / ||A||`` of an assembled Cholesky
+    factor; raises :class:`FactorVerificationError` naming ``residual``
+    when it exceeds :data:`RESIDUAL_TOL`."""
+    residual = float(
+        np.linalg.norm(a - lower @ lower.T) / np.linalg.norm(a)
+    )
+    if residual > RESIDUAL_TOL:
+        raise FactorVerificationError(
+            "residual",
+            f"||A - L L^T||/||A|| = {residual:.2e} > {RESIDUAL_TOL:.0e}",
+        )
+    return residual
+
+
 def validate_input_matrix(a: np.ndarray) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     return arr
-
-
-# Filled by repro.algorithms.__init__ imports at module import time; the
-# registry maps implementation names to their factor functions.
-IMPLEMENTATIONS: dict[str, object] = {}
-
-
-def register(name: str):
-    def deco(fn):
-        IMPLEMENTATIONS[name] = fn
-        return fn
-
-    return deco
-
-
-def factor_by_name(name: str, a: np.ndarray, nranks: int, **kw) -> FactorResult:
-    """Dispatch to a registered implementation by name."""
-    try:
-        fn = IMPLEMENTATIONS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown implementation {name!r}; available: "
-            f"{sorted(IMPLEMENTATIONS)}"
-        ) from None
-    return fn(a, nranks, **kw)

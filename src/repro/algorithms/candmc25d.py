@@ -31,12 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.api import deprecated_alias, register_algorithm
-from repro.algorithms.base import (
-    FactorResult,
-    validate_input_matrix,
-    verify_factors,
-)
+from repro.algorithms.api import register_algorithm
 from repro.algorithms.conflux import (
     _assemble,
     _ConfluxRank,
@@ -46,7 +41,6 @@ from repro.algorithms.conflux import (
     _TAG_A10_PANEL,
     _TAG_A01_PANEL,
 )
-from repro.algorithms.gridopt import optimize_grid_25d
 from repro.algorithms.schedule25d import StepContext
 from repro.kernels.linalg import (
     permutation_from_pivots,
@@ -55,7 +49,6 @@ from repro.kernels.linalg import (
 )
 from repro.kernels.lu_seq import lu_partial_pivot, split_lu
 from repro.kernels.tournament import PivotCandidates, local_candidates
-from repro.smpi import run_spmd
 
 _TAG_SWAP = 5
 
@@ -273,71 +266,14 @@ class _CandmcRank(_ConfluxRank):
         self.aloc[lrow, trail_local] = theirs
 
 
-def _candmc_rank_fn(comm, a, g, c, v):
-    return _CandmcRank(comm, a, g, c, v).run()
-
-
-@register_algorithm(
+register_algorithm(
     "candmc25d",
     kind="lu",
     grid_family="25d",
     description="CANDMC-like 2.5D LU: row swapping + full-width panel "
     "replication (~5x COnfLUX's leading term)",
+    program=_CandmcRank.main,
+    assemble=_assemble,
+    default_block=2,
+    block_at_least_layers=True,
 )
-def _factor_candmc25d(
-    a: np.ndarray,
-    nranks: int,
-    grid: tuple[int, int, int] | None = None,
-    v: int | None = None,
-    m_max: float | None = None,
-    timeout: float = 600.0,
-    machine=None,
-    faults=None,
-) -> FactorResult:
-    """Factor ``a`` with the CANDMC-like 2.5D schedule (row swapping +
-    full-width panel replication)."""
-    a = validate_input_matrix(a)
-    n = a.shape[0]
-    if grid is None:
-        choice = optimize_grid_25d(nranks, n, m_max=m_max)
-        g, c = choice.grid_rows, choice.layers
-    else:
-        g, gg, c = grid
-        if g != gg:
-            raise ValueError(f"grid must be square in rows/cols, got {grid}")
-        if g * g * c > nranks:
-            raise ValueError(
-                f"grid {grid} needs {g * g * c} ranks, have {nranks}"
-            )
-    if v is None:
-        # Volume-optimal blocking: v = c (the bcast_a00 term grows
-        # linearly in v); the paper's v = a*c tunes a for hardware
-        # efficiency, which the simulator does not model.
-        v = max(c, 2)
-    if v < c:
-        raise ValueError(f"v={v} must be >= c={c}")
-    if n < v:
-        v = n
-    results, report = run_spmd(
-        nranks, _candmc_rank_fn, a, g, c, v,
-        timeout=timeout, machine=machine, faults=faults,
-    )
-    lower, upper, perm = _assemble(n, v, results)
-    residual = verify_factors(a, lower, upper, perm)
-    return FactorResult(
-        name="candmc25d",
-        n=n,
-        nranks=nranks,
-        grid=(g, g, c),
-        block=v,
-        lower=lower,
-        upper=upper,
-        perm=perm,
-        volume=report,
-        residual=residual,
-        meta={"active_ranks": g * g * c},
-    )
-
-
-#: Deprecated alias — use ``factor("candmc25d", ...)``.
-candmc25d_lu = deprecated_alias("candmc25d_lu", "candmc25d")

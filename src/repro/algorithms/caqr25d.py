@@ -45,14 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.api import deprecated_alias, register_algorithm
-from repro.algorithms.base import (
-    FactorResult,
-    FactorVerificationError,
-    validate_input_matrix,
-    verify_qr_factors,
-)
-from repro.algorithms.gridopt import optimize_grid_25d
+from repro.algorithms.api import register_algorithm
 from repro.algorithms.schedule25d import Rank25D, StepContext
 from repro.kernels.tsqr import (
     MergeNode,
@@ -62,11 +55,56 @@ from repro.kernels.tsqr import (
     merge_plan,
 )
 from repro.layouts.block_cyclic import BlockCyclic1D
-from repro.smpi import run_spmd
 
 _TAG_TREE_R = 1
 _TAG_TOP = 2
 _TAG_TOP_BACK = 3
+
+
+def tsqr_leaf_and_merge(
+    rank: Rank25D,
+    ctx: StepContext,
+    rt: int,
+    plan,
+    act_loc: np.ndarray,
+    on_pane: bool,
+):
+    """Steps 1-2 of a TSQR panel, shared with COnfQR.
+
+    Local Householder QR of this rank's active panel rows, then the R
+    factors merged up the binary tree ``plan`` along ``col_comm`` (root
+    = grid row ``rt``) under phase ``tsqr_tree``.  Returns ``(leaf,
+    my_nodes, r_mine)``: the leaf reflectors ``(V, tau)`` or ``None``,
+    the merge reflectors this rank computed keyed by plan order, and
+    the R it still holds — the panel's final R on the root, ``None``
+    on a rank that sent its R up.  Ranks off the pane do nothing.
+    """
+    leaf, r_mine = None, None
+    my_nodes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    if not on_pane:
+        return leaf, my_nodes, r_mine
+    g, col_comm = rank.g, rank.grid.col_comm
+    if len(act_loc):
+        panel_lcols = rank.col_g2l[np.arange(ctx.k0, ctx.k1)]
+        lv, ltau, r_mine = householder_qr(
+            rank.aloc[np.ix_(act_loc, panel_lcols)]
+        )
+        leaf = (lv, ltau)
+    tag = rank.sched.tag(_TAG_TREE_R, ctx.t)
+    with rank.comm.phase("tsqr_tree"):
+        for order, step in enumerate(plan):
+            a_row = (rt + step.a) % g
+            b_row = (rt + step.b) % g
+            if rank.pi == b_row:
+                col_comm.send(r_mine, a_row, tag)
+                r_mine = None
+            elif rank.pi == a_row:
+                theirs = col_comm.recv(b_row, tag)
+                nv, ntau, r_mine = householder_qr(
+                    np.vstack([r_mine, theirs])
+                )
+                my_nodes[order] = (nv, ntau)
+    return leaf, my_nodes, r_mine
 
 
 class _CaqrRank(Rank25D):
@@ -95,8 +133,7 @@ class _CaqrRank(Rank25D):
 
     # -- steps 1-3: leaf QR, tree merge, pane broadcast ----------------
     def panel_op(self, ctx: StepContext):
-        comm, gd, sched = self.comm, self.grid, self.sched
-        g = self.g
+        sched, g = self.sched, self.g
         t, k0, k1, w = ctx.t, ctx.k0, ctx.k1, ctx.w
         rt = int(sched.rowmap.owner(k0))
         slot_t = int(sched.colmap.owner(k0))
@@ -114,39 +151,14 @@ class _CaqrRank(Rank25D):
         start = int(np.searchsorted(self.my_rows, k0))
         act_loc = np.arange(start, len(self.my_rows))
 
-        # 1. local Householder QR of my panel rows (panel pane only)
-        leaf = None
-        r_mine = None
-        if on_panel and len(act_loc):
+        # 1-2. leaf QR, then R merges up the tree (panel pane only)
+        leaf, my_nodes, r_mine = tsqr_leaf_and_merge(
+            self, ctx, rt, plan, act_loc, on_panel
+        )
+        if on_panel and self.pi == rt:
+            # Final R of the panel: the diagonal block rows.
             panel_lcols = self.col_g2l[np.arange(k0, k1)]
-            panel = self.aloc[np.ix_(act_loc, panel_lcols)]
-            lv, ltau, r_mine = householder_qr(panel)
-            leaf = (lv, ltau)
-
-        # 2. merge R factors up the binary tree (within the panel pane)
-        my_nodes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        if on_panel:
-            with comm.phase("tsqr_tree"):
-                for order, step in enumerate(plan):
-                    a_row = (rt + step.a) % g
-                    b_row = (rt + step.b) % g
-                    if self.pi == b_row:
-                        gd.col_comm.send(
-                            r_mine, a_row, sched.tag(_TAG_TREE_R, t)
-                        )
-                        r_mine = None
-                    elif self.pi == a_row:
-                        theirs = gd.col_comm.recv(
-                            b_row, sched.tag(_TAG_TREE_R, t)
-                        )
-                        stacked = np.vstack([r_mine, theirs])
-                        nv, ntau, r_mine = householder_qr(stacked)
-                        my_nodes[order] = (nv, ntau)
-            if self.pi == rt:
-                # Final R of the panel: the diagonal block rows.
-                panel_lcols = self.col_g2l[np.arange(k0, k1)]
-                rows = act_loc[:w]
-                self.aloc[np.ix_(rows, panel_lcols)] = r_mine
+            self.aloc[np.ix_(act_loc[:w], panel_lcols)] = r_mine
 
         # 3. fan the pane's reflectors out to the sibling panes
         pkg = (leaf, my_nodes) if on_panel else None
@@ -217,10 +229,6 @@ class _CaqrRank(Rank25D):
                     )
 
 
-def _caqr_rank_fn(comm, a, g, c, v):
-    return _CaqrRank(comm, a, g, c, v).run()
-
-
 def _assemble_r(n: int, results: list[dict]) -> np.ndarray:
     combined = np.zeros((n, n))
     seen = False
@@ -288,82 +296,23 @@ def _assemble_q(
     return q
 
 
-@register_algorithm(
+def _assemble(
+    n: int, grid: tuple[int, int, int], v: int, results: list[dict]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Explicit Q and R in the LU container: ``lower`` is Q, ``upper``
+    is R, ``perm`` the identity (QR needs no pivoting)."""
+    upper = _assemble_r(n, results)
+    return _assemble_q(n, grid[0], v, results), upper, np.arange(n)
+
+
+register_algorithm(
     "caqr25d",
     kind="qr",
     grid_family="25d",
     description="2.5D CAQR: TSQR panel trees on block-cyclic panes "
     "(the journal extension's QR workload)",
+    program=_CaqrRank.main,
+    assemble=_assemble,
+    # max(2, min(8, n)) once the resolver caps the block at n
+    default_block=8,
 )
-def _factor_caqr25d(
-    a: np.ndarray,
-    nranks: int,
-    grid: tuple[int, int, int] | None = None,
-    v: int | None = None,
-    timeout: float = 600.0,
-    machine=None,
-    faults=None,
-) -> FactorResult:
-    """2.5D CAQR of a square matrix; returns explicit Q and R.
-
-    The FactorResult reuses the LU container: ``lower`` is Q (n x n
-    orthogonal), ``upper`` is R, ``perm`` is the identity (QR needs no
-    pivoting), ``residual`` is ``||A - Q R||_F / ||A||_F`` and
-    ``meta["orthogonality"]`` is ``||Q^T Q - I||_F``.
-    """
-    a = validate_input_matrix(a)
-    n = a.shape[0]
-    if grid is None:
-        choice = optimize_grid_25d(nranks, n)
-        g, c = choice.grid_rows, choice.layers
-    else:
-        g, gg, c = grid
-        if g != gg:
-            raise ValueError(f"grid must be square in rows/cols, got {grid}")
-        if g * g * c > nranks:
-            raise ValueError(
-                f"grid {grid} needs {g * g * c} ranks, have {nranks}"
-            )
-    if v is None:
-        v = max(2, min(8, n))
-    if v < 1:
-        raise ValueError(f"v must be >= 1, got {v}")
-    if n < v:
-        v = n
-    results, report = run_spmd(
-        nranks, _caqr_rank_fn, a, g, c, v,
-        timeout=timeout, machine=machine, faults=faults,
-    )
-    upper = _assemble_r(n, results)
-    q = _assemble_q(n, g, v, results)
-    residual, orthogonality = verify_qr_factors(a, q, upper)
-    if residual > 1e-10:
-        raise FactorVerificationError(
-            "residual",
-            f"caqr25d ||A - QR||/||A|| = {residual:.2e} > 1e-10",
-        )
-    if orthogonality > 1e-10:
-        raise FactorVerificationError(
-            "orthogonality",
-            f"caqr25d ||Q^T Q - I|| = {orthogonality:.2e} > 1e-10",
-        )
-    return FactorResult(
-        name="caqr25d",
-        n=n,
-        nranks=nranks,
-        grid=(g, g, c),
-        block=v,
-        lower=q,
-        upper=upper,
-        perm=np.arange(n),
-        volume=report,
-        residual=residual,
-        meta={
-            "orthogonality": orthogonality,
-            "active_ranks": g * g * c,
-        },
-    )
-
-
-#: Deprecated alias — use ``factor("caqr25d", ...)``.
-caqr25d_qr = deprecated_alias("caqr25d_qr", "caqr25d")

@@ -35,11 +35,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cholesky as dense_cholesky, solve_triangular
 
-from repro.algorithms.api import deprecated_alias, register_algorithm
-from repro.algorithms.base import FactorResult, validate_input_matrix
-from repro.algorithms.gridopt import optimize_grid_25d
+from repro.algorithms.api import register_algorithm
 from repro.algorithms.schedule25d import Rank25D, StepContext
-from repro.smpi import run_spmd
 
 _TAG_DIAG = 1
 _TAG_L21 = 2
@@ -190,11 +187,11 @@ class _CholeskyRank(Rank25D):
             self.aloc[np.ix_(rloc, cloc)] -= rows_piece @ cols_piece.T
 
 
-def _cholesky_rank_fn(comm, a, g, c, v):
-    return _CholeskyRank(comm, a, g, c, v).run()
-
-
-def _assemble_cholesky(n: int, v: int, results: list[dict]) -> np.ndarray:
+def _assemble(
+    n: int, grid: tuple[int, int, int], v: int, results: list[dict]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """L from the per-rank pieces, in the LU container: ``upper`` is
+    L^T and ``perm`` the identity (no pivoting)."""
     l00_blocks = None
     for r in results:
         if r.get("active") and r.get("l00_blocks"):
@@ -214,78 +211,18 @@ def _assemble_cholesky(n: int, v: int, results: list[dict]) -> np.ndarray:
             k0 = t * v
             w = vals.shape[1]
             lower[np.ix_(rows, np.arange(k0, k0 + w))] = vals
-    return lower
+    return lower, lower.T.copy(), np.arange(n)
 
 
-@register_algorithm(
+register_algorithm(
     "cholesky25d",
     kind="chol",
     grid_family="25d",
     description="COnfLUX-style 2.5D Cholesky (pivot-free Algorithm 1 "
     "data-movement core)",
+    program=_CholeskyRank.main,
+    assemble=_assemble,
+    default_block=2,
+    block_at_least_layers=True,
+    symmetric_input=True,
 )
-def _factor_cholesky25d(
-    a: np.ndarray,
-    nranks: int,
-    grid: tuple[int, int, int] | None = None,
-    v: int | None = None,
-    timeout: float = 600.0,
-    machine=None,
-    faults=None,
-) -> FactorResult:
-    """2.5D Cholesky of an SPD matrix; returns L with A = L L^T.
-
-    The FactorResult reuses the LU container: ``lower`` is L, ``upper``
-    is L^T, ``perm`` is the identity (no pivoting), and ``residual`` is
-    ``||A - L L^T||_F / ||A||_F``.
-    """
-    a = validate_input_matrix(a)
-    if not np.allclose(a, a.T, atol=1e-10):
-        raise ValueError("Cholesky requires a symmetric matrix")
-    n = a.shape[0]
-    if grid is None:
-        choice = optimize_grid_25d(nranks, n)
-        g, c = choice.grid_rows, choice.layers
-    else:
-        g, gg, c = grid
-        if g != gg:
-            raise ValueError(f"grid must be square in rows/cols, got {grid}")
-        if g * g * c > nranks:
-            raise ValueError(
-                f"grid {grid} needs {g * g * c} ranks, have {nranks}"
-            )
-    if v is None:
-        v = max(c, 2)
-    if v < c:
-        raise ValueError(f"v={v} must be >= c={c}")
-    if n < v:
-        v = n
-    results, report = run_spmd(
-        nranks, _cholesky_rank_fn, a, g, c, v,
-        timeout=timeout, machine=machine, faults=faults,
-    )
-    lower = _assemble_cholesky(n, v, results)
-    residual = float(
-        np.linalg.norm(a - lower @ lower.T) / np.linalg.norm(a)
-    )
-    if residual > 1e-10:
-        raise RuntimeError(
-            f"cholesky25d residual {residual:.2e} — factorization broken"
-        )
-    return FactorResult(
-        name="cholesky25d",
-        n=n,
-        nranks=nranks,
-        grid=(g, g, c),
-        block=v,
-        lower=lower,
-        upper=lower.T.copy(),
-        perm=np.arange(n),
-        volume=report,
-        residual=residual,
-        meta={"active_ranks": g * g * c},
-    )
-
-
-#: Deprecated alias — use ``factor("cholesky25d", ...)``.
-cholesky25d_lu = deprecated_alias("cholesky25d_lu", "cholesky25d")

@@ -44,13 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.api import deprecated_alias, register_algorithm
-from repro.algorithms.base import (
-    FactorResult,
-    validate_input_matrix,
-    verify_factors,
-)
-from repro.algorithms.gridopt import optimize_grid_25d
+from repro.algorithms.api import register_algorithm
 from repro.algorithms.schedule25d import Rank25D, StepContext
 from repro.kernels.linalg import (
     permutation_from_pivots,
@@ -63,7 +57,6 @@ from repro.kernels.tournament import (
     local_candidates,
     merge_candidates,
 )
-from repro.smpi import run_spmd
 
 _TAG_A10_SCATTER = 1
 _TAG_A01_SCATTER = 2
@@ -258,12 +251,8 @@ class _ConfluxRank(Rank25D):
         self.pivoted[pivot_ids] = True
 
 
-def _conflux_rank_fn(comm, a, g, c, v):
-    return _ConfluxRank(comm, a, g, c, v).run()
-
-
 def _assemble(
-    n: int, v: int, results: list[dict]
+    n: int, grid: tuple[int, int, int], v: int, results: list[dict]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assemble global L, U and the permutation from per-rank pieces."""
     a00_blocks = None
@@ -305,73 +294,17 @@ def _assemble(
     return lower, upper, perm
 
 
-@register_algorithm(
+register_algorithm(
     "conflux",
     kind="lu",
     grid_family="25d",
     description="COnfLUX: 2.5D row-masking tournament-pivoted LU "
     "(paper Algorithm 1)",
+    program=_ConfluxRank.main,
+    assemble=_assemble,
+    # Volume-optimal blocking v = max(c, 2): the bcast_a00 term grows
+    # linearly in v; the paper's v = a*c tunes a for hardware
+    # efficiency, which the simulator does not model.
+    default_block=2,
+    block_at_least_layers=True,
 )
-def _factor_conflux(
-    a: np.ndarray,
-    nranks: int,
-    grid: tuple[int, int, int] | None = None,
-    v: int | None = None,
-    m_max: float | None = None,
-    timeout: float = 600.0,
-    machine=None,
-    faults=None,
-) -> FactorResult:
-    """Factor ``a`` with COnfLUX on ``nranks`` simulated ranks.
-
-    ``grid`` fixes (G, G, c) explicitly; otherwise the Processor Grid
-    Optimizer picks the best feasible grid (possibly disabling ranks).
-    ``v`` is the blocking parameter (default: max(c, N // (4 G)) rounded
-    to a multiple of c, at least c).
-    """
-    a = validate_input_matrix(a)
-    n = a.shape[0]
-    if grid is None:
-        choice = optimize_grid_25d(nranks, n, m_max=m_max)
-        g, c = choice.grid_rows, choice.layers
-    else:
-        g, gg, c = grid
-        if g != gg:
-            raise ValueError(f"grid must be square in rows/cols, got {grid}")
-        if g * g * c > nranks:
-            raise ValueError(
-                f"grid {grid} needs {g * g * c} ranks, have {nranks}"
-            )
-    if v is None:
-        # Volume-optimal blocking: v = c (the bcast_a00 term grows
-        # linearly in v); the paper's v = a*c tunes a for hardware
-        # efficiency, which the simulator does not model.
-        v = max(c, 2)
-    if v < c:
-        raise ValueError(f"v={v} must be >= c={c} (Section 7.2)")
-    if n < v:
-        v = n
-
-    results, report = run_spmd(
-        nranks, _conflux_rank_fn, a, g, c, v,
-        timeout=timeout, machine=machine, faults=faults,
-    )
-    lower, upper, perm = _assemble(n, v, results)
-    residual = verify_factors(a, lower, upper, perm)
-    return FactorResult(
-        name="conflux",
-        n=n,
-        nranks=nranks,
-        grid=(g, g, c),
-        block=v,
-        lower=lower,
-        upper=upper,
-        perm=perm,
-        volume=report,
-        residual=residual,
-        meta={"active_ranks": g * g * c},
-    )
-
-
-#: Deprecated alias — use ``factor("conflux", ...)``.
-conflux_lu = deprecated_alias("conflux_lu", "conflux")

@@ -61,24 +61,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.api import register_algorithm
-from repro.algorithms.base import (
-    FactorResult,
-    FactorVerificationError,
-    validate_input_matrix,
-    verify_qr_factors,
-)
-from repro.algorithms.gridopt import optimize_grid_25d
+from repro.algorithms.caqr25d import tsqr_leaf_and_merge
 from repro.algorithms.schedule25d import Rank25D, StepContext
 from repro.kernels.tsqr import (
     apply_q,
-    householder_qr,
     merge_plan,
     reconstruct_wy_top,
     wy_below_rows,
 )
-from repro.smpi import run_spmd
 
-_TAG_TREE_R = 1
+# tag 1 is the R merge of tsqr_leaf_and_merge
 _TAG_QTOP = 2
 _TAG_QTOP_BACK = 3
 _TAG_BANK = 4
@@ -135,31 +127,9 @@ class _ConfqrRank(Rank25D):
         plan = merge_plan(tree_counts, w)
 
         # 1. leaf QR + R merges up the binary tree (pane column only).
-        r_mine = None
-        leaf = None
-        if on_pane and len(act_loc):
-            panel_lcols = self.col_g2l[np.arange(k0, k1)]
-            panel = self.aloc[np.ix_(act_loc, panel_lcols)]
-            lv, ltau, r_mine = householder_qr(panel)
-            leaf = (lv, ltau)
-        my_nodes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        if on_pane:
-            with comm.phase("tsqr_tree"):
-                for order, step in enumerate(plan):
-                    a_row = (rt + step.a) % g
-                    b_row = (rt + step.b) % g
-                    if self.pi == b_row:
-                        gd.col_comm.send(
-                            r_mine, a_row, sched.tag(_TAG_TREE_R, t)
-                        )
-                        r_mine = None
-                    elif self.pi == a_row:
-                        theirs = gd.col_comm.recv(
-                            b_row, sched.tag(_TAG_TREE_R, t)
-                        )
-                        stacked = np.vstack([r_mine, theirs])
-                        nv, ntau, r_mine = householder_qr(stacked)
-                        my_nodes[order] = (nv, ntau)
+        leaf, my_nodes, r_mine = tsqr_leaf_and_merge(
+            self, ctx, rt, plan, act_loc, on_pane
+        )
 
         # 2. replay the tree on the w-column identity: Q1 rows land on
         #    their owners (reverse schedule order, then the local leaf).
@@ -361,11 +331,7 @@ class _ConfqrRank(Rank25D):
         return self.finalize()
 
 
-def _confqr_rank_fn(comm, a, g, c, v):
-    return _ConfqrRank(comm, a, g, c, v).run()
-
-
-def _assemble(n: int, results: list[dict], key: str) -> np.ndarray:
+def _gather(n: int, results: list[dict], key: str) -> np.ndarray:
     combined = np.zeros((n, n))
     seen = False
     for res in results:
@@ -378,80 +344,24 @@ def _assemble(n: int, results: list[dict], key: str) -> np.ndarray:
     return combined
 
 
-@register_algorithm(
+def _assemble(
+    n: int, grid: tuple[int, int, int], v: int, results: list[dict]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Same result contract as ``caqr25d`` (``lower`` is Q, ``upper``
+    is R, identity ``perm``), but Q arrives assembled by the rank
+    program: the host only gathers the compute layer's blocks."""
+    upper = np.triu(_gather(n, results, "aloc"))
+    return _gather(n, results, "qloc"), upper, np.arange(n)
+
+
+register_algorithm(
     "confqr",
     kind="qr",
     grid_family="25d",
     description="COnfQR 2.5D QR: compact-WY trailing updates from "
     "Householder reconstruction, 1/c-chunked reflector bank, "
     "distributed explicit-Q assembly",
+    program=_ConfqrRank.main,
+    assemble=_assemble,
+    default_block=8,
 )
-def _factor_confqr(
-    a: np.ndarray,
-    nranks: int,
-    grid: tuple[int, int, int] | None = None,
-    v: int | None = None,
-    timeout: float = 600.0,
-    machine=None,
-    faults=None,
-) -> FactorResult:
-    """COnfQR of a square matrix; returns explicit Q and R.
-
-    Result contract matches ``caqr25d``: ``lower`` is Q (assembled
-    *distributed* by the rank program, not replayed host-side),
-    ``upper`` is R, ``perm`` the identity; ``residual`` is
-    ``||A - Q R||_F / ||A||_F`` and ``meta["orthogonality"]`` is
-    ``||Q^T Q - I||_F``.
-    """
-    a = validate_input_matrix(a)
-    n = a.shape[0]
-    if grid is None:
-        choice = optimize_grid_25d(nranks, n)
-        g, c = choice.grid_rows, choice.layers
-    else:
-        g, gg, c = grid
-        if g != gg:
-            raise ValueError(f"grid must be square in rows/cols, got {grid}")
-        if g * g * c > nranks:
-            raise ValueError(
-                f"grid {grid} needs {g * g * c} ranks, have {nranks}"
-            )
-    if v is None:
-        v = max(2, min(8, n))
-    if v < 1:
-        raise ValueError(f"v must be >= 1, got {v}")
-    if n < v:
-        v = n
-    results, report = run_spmd(
-        nranks, _confqr_rank_fn, a, g, c, v,
-        timeout=timeout, machine=machine, faults=faults,
-    )
-    upper = np.triu(_assemble(n, results, "aloc"))
-    q = _assemble(n, results, "qloc")
-    residual, orthogonality = verify_qr_factors(a, q, upper)
-    if residual > 1e-10:
-        raise FactorVerificationError(
-            "residual",
-            f"confqr ||A - QR||/||A|| = {residual:.2e} > 1e-10",
-        )
-    if orthogonality > 1e-10:
-        raise FactorVerificationError(
-            "orthogonality",
-            f"confqr ||Q^T Q - I|| = {orthogonality:.2e} > 1e-10",
-        )
-    return FactorResult(
-        name="confqr",
-        n=n,
-        nranks=nranks,
-        grid=(g, g, c),
-        block=v,
-        lower=q,
-        upper=upper,
-        perm=np.arange(n),
-        volume=report,
-        residual=residual,
-        meta={
-            "orthogonality": orthogonality,
-            "active_ranks": g * g * c,
-        },
-    )

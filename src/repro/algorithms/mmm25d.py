@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.api import register_algorithm
-from repro.algorithms.gridopt import optimize_grid_25d
+from repro.algorithms.api import register_algorithm, resolve_grid
 from repro.smpi import ProcessGrid3D, run_spmd
 from repro.smpi.volume import VolumeReport
 
@@ -87,7 +86,7 @@ def _mmm_rank_fn(comm, a: np.ndarray, b: np.ndarray, g: int, c: int):
     return {"active": True}
 
 
-@register_algorithm(
+register_algorithm(
     "mmm25d",
     kind="mmm",
     grid_family="25d",
@@ -95,6 +94,8 @@ def _mmm_rank_fn(comm, a: np.ndarray, b: np.ndarray, g: int, c: int):
     "(product, not a factorization — own signature)",
     block_param="none",
 )
+
+
 def mmm25d(
     a: np.ndarray,
     b: np.ndarray,
@@ -118,17 +119,8 @@ def mmm25d(
             f"{b.shape}"
         )
     n = a.shape[0]
-    if grid is None:
-        choice = optimize_grid_25d(nranks, n)
-        g, c = choice.grid_rows, choice.layers
-    else:
-        g, gg, c = grid
-        if g != gg:
-            raise ValueError(f"grid must be square in rows/cols, got {grid}")
-        if g * g * c > nranks:
-            raise ValueError(
-                f"grid {grid} needs {g * g * c} ranks, have {nranks}"
-            )
+    nranks, grid = resolve_grid("mmm25d", n, nranks, grid)
+    g, _, c = grid
     if c > g:
         raise ValueError(
             f"replication c={c} cannot exceed G={g} (each layer needs "
@@ -143,7 +135,7 @@ def mmm25d(
         if r.get("active") and "c_block" in r:
             (lo_r, hi_r), (lo_c, hi_c) = r["rows"], r["cols"]
             out[lo_r:hi_r, lo_c:hi_c] = r["c_block"]
-    return out, report, (g, g, c)
+    return out, report, grid
 
 
 def mmm25d_model_bytes(n: int, g: int, c: int) -> float:

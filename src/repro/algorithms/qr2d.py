@@ -31,17 +31,10 @@ import math
 
 import numpy as np
 
-from repro.algorithms.api import deprecated_alias, register_algorithm
-from repro.algorithms.base import (
-    FactorResult,
-    FactorVerificationError,
-    validate_input_matrix,
-    verify_qr_factors,
-)
-from repro.algorithms.gridopt import choose_grid_2d
+from repro.algorithms.api import register_algorithm
 from repro.kernels.tsqr import thin_q
 from repro.layouts.block_cyclic import BlockCyclic1D
-from repro.smpi import ProcessGrid2D, run_spmd
+from repro.smpi import ProcessGrid2D
 
 
 def _rank_fn(comm, a: np.ndarray, prows: int, pcols: int, nb: int) -> dict:
@@ -165,8 +158,11 @@ def _rank_fn(comm, a: np.ndarray, prows: int, pcols: int, nb: int) -> dict:
 
 
 def _assemble_qr2d(
-    n: int, results: list[dict], pcols: int, nb: int
-) -> tuple[np.ndarray, np.ndarray]:
+    n: int, grid: tuple[int, int], nb: int, results: list[dict]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Same result contract as ``caqr25d``: ``lower`` is the explicit
+    Q, ``upper`` is R, ``perm`` the identity."""
+    pcols = grid[1]
     combined = np.zeros((n, n))
     taus_by_col: dict[int, np.ndarray] = {}
     for res in results:
@@ -193,76 +189,17 @@ def _assemble_qr2d(
     upper = np.triu(combined)
     v = np.tril(combined, -1)
     np.fill_diagonal(v, 1.0)
-    return thin_q(v, tau_full), upper
+    return thin_q(v, tau_full), upper, np.arange(n)
 
 
-@register_algorithm(
+register_algorithm(
     "qr2d",
     kind="qr",
     grid_family="2d",
     description="ScaLAPACK-style 2D block-cyclic Householder QR "
     "(pdgeqrf's schedule)",
     block_param="nb",
+    program=_rank_fn,
+    assemble=_assemble_qr2d,
+    default_block=16,
 )
-def _factor_qr2d(
-    a: np.ndarray,
-    nranks: int,
-    grid: tuple[int, int] | None = None,
-    nb: int = 16,
-    timeout: float = 600.0,
-    machine=None,
-    faults=None,
-) -> FactorResult:
-    """ScaLAPACK-style 2D Householder QR; returns explicit Q and R.
-
-    Same result contract as :func:`~repro.algorithms.caqr25d.caqr25d_qr`:
-    ``lower`` is Q, ``upper`` is R, identity ``perm``, and
-    ``meta["orthogonality"]`` carries ``||Q^T Q - I||_F``.
-    """
-    a = validate_input_matrix(a)
-    n = a.shape[0]
-    if nb < 1:
-        raise ValueError(f"nb must be >= 1, got {nb}")
-    if grid is None:
-        grid = choose_grid_2d(nranks)
-    prows, pcols = grid
-    if prows * pcols > nranks:
-        raise ValueError(
-            f"grid {grid} needs {prows * pcols} ranks, have {nranks}"
-        )
-    results, report = run_spmd(
-        nranks, _rank_fn, a, prows, pcols, nb,
-        timeout=timeout, machine=machine, faults=faults,
-    )
-    q, upper = _assemble_qr2d(n, results, pcols, nb)
-    residual, orthogonality = verify_qr_factors(a, q, upper)
-    if residual > 1e-10:
-        raise FactorVerificationError(
-            "residual",
-            f"qr2d ||A - QR||/||A|| = {residual:.2e} > 1e-10",
-        )
-    if orthogonality > 1e-10:
-        raise FactorVerificationError(
-            "orthogonality",
-            f"qr2d ||Q^T Q - I|| = {orthogonality:.2e} > 1e-10",
-        )
-    return FactorResult(
-        name="qr2d",
-        n=n,
-        nranks=nranks,
-        grid=(prows, pcols),
-        block=nb,
-        lower=q,
-        upper=upper,
-        perm=np.arange(n),
-        volume=report,
-        residual=residual,
-        meta={
-            "orthogonality": orthogonality,
-            "active_ranks": prows * pcols,
-        },
-    )
-
-
-#: Deprecated alias — use ``factor("qr2d", ...)``.
-qr2d_householder = deprecated_alias("qr2d_householder", "qr2d")

@@ -21,16 +21,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.api import deprecated_alias, register_algorithm
-from repro.algorithms.base import (
-    FactorResult,
-    validate_input_matrix,
-    verify_factors,
-)
-from repro.algorithms.gridopt import choose_grid_2d
+from repro.algorithms.api import register_algorithm
 from repro.kernels.linalg import permutation_from_pivots, trsm_lower_unit
+from repro.kernels.lu_seq import split_lu
 from repro.layouts.block_cyclic import BlockCyclic1D
-from repro.smpi import ProcessGrid2D, run_spmd
+from repro.smpi import ProcessGrid2D
 from repro.smpi.collectives import maxloc
 
 
@@ -211,8 +206,8 @@ def _swap_row_segment(
 
 
 def _assemble_2d(
-    n: int, results: list[dict]
-) -> tuple[np.ndarray, np.ndarray]:
+    n: int, grid: tuple[int, int], nb: int, results: list[dict]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     combined = np.zeros((n, n))
     piv = None
     for r in results:
@@ -222,81 +217,19 @@ def _assemble_2d(
         piv = r["piv"]
     if piv is None:
         raise RuntimeError("no active ranks returned results")
-    return combined, piv
-
-
-def _run_2d(
-    name: str,
-    a: np.ndarray,
-    nranks: int,
-    grid: tuple[int, int] | None,
-    nb: int,
-    prefer_tall: bool,
-    timeout: float,
-    machine=None,
-    faults=None,
-) -> FactorResult:
-    a = validate_input_matrix(a)
-    n = a.shape[0]
-    if nb < 1:
-        raise ValueError(f"nb must be >= 1, got {nb}")
-    if grid is None:
-        grid = choose_grid_2d(nranks, prefer_tall=prefer_tall)
-    prows, pcols = grid
-    if prows * pcols > nranks:
-        raise ValueError(
-            f"grid {grid} needs {prows * pcols} ranks, have {nranks}"
-        )
-    results, report = run_spmd(
-        nranks, _rank_fn, a, prows, pcols, nb,
-        timeout=timeout, machine=machine, faults=faults,
-    )
-    combined, piv = _assemble_2d(n, results)
-    from repro.kernels.lu_seq import split_lu
-
     lower, upper = split_lu(combined)
-    perm = permutation_from_pivots(piv, n)
-    residual = verify_factors(a, lower, upper, perm)
-    return FactorResult(
-        name=name,
-        n=n,
-        nranks=nranks,
-        grid=(prows, pcols),
-        block=nb,
-        lower=lower,
-        upper=upper,
-        perm=perm,
-        volume=report,
-        residual=residual,
-        meta={"active_ranks": prows * pcols},
-    )
+    return lower, upper, permutation_from_pivots(piv, n)
 
 
-@register_algorithm(
+# User-tunable block size (Table 2: "user param. required: yes").
+register_algorithm(
     "scalapack2d",
     kind="lu",
     grid_family="2d",
     description="LibSci/ScaLAPACK-like 2D block-cyclic GEPP with "
     "physical row swaps",
     block_param="nb",
+    program=_rank_fn,
+    assemble=_assemble_2d,
+    default_block=32,
 )
-def _factor_scalapack2d(
-    a: np.ndarray,
-    nranks: int,
-    grid: tuple[int, int] | None = None,
-    nb: int = 32,
-    timeout: float = 600.0,
-    machine=None,
-    faults=None,
-) -> FactorResult:
-    """LibSci/ScaLAPACK-like LU: 2D block-cyclic, partial pivoting with
-    physical row swaps, user-tunable block size (Table 2: "user param.
-    required: yes")."""
-    return _run_2d(
-        "scalapack2d", a, nranks, grid, nb, False, timeout, machine,
-        faults,
-    )
-
-
-#: Deprecated alias — use ``factor("scalapack2d", ...)``.
-scalapack2d_lu = deprecated_alias("scalapack2d_lu", "scalapack2d")

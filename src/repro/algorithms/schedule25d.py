@@ -613,3 +613,8 @@ class Rank25D:
             self.trailing_op(ctx, panel)
             self.comm.compute(self.step_flops(ctx))
         return self.finalize()
+
+    @classmethod
+    def main(cls, comm, a: np.ndarray, g: int, c: int, v: int) -> dict:
+        """The rank function ``run_spmd`` starts on every rank."""
+        return cls(comm, a, g, c, v).run()

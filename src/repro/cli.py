@@ -458,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     f = sub.add_parser("factor", help="run a distributed factorization")
-    f.add_argument("--algo", "--impl", dest="algo", default="conflux",
+    f.add_argument("--algo", default="conflux",
                    metavar="NAME",
                    help="registered algorithm name (see --list)")
     f.add_argument("--list", action="store_true",
@@ -578,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     lg.add_argument("--seed-pool", type=int, default=8,
                     help="distinct matrices per size (smaller pool = "
                          "more cache hits)")
-    lg.add_argument("--algo", "--impl", dest="algo", default="conflux",
+    lg.add_argument("--algo", default="conflux",
                     help="registered algorithm to request")
     lg.add_argument("--p", type=int, default=4,
                     help="ranks per request")

@@ -1,6 +1,7 @@
 """Single-experiment runner: one implementation at one (N, P).
 
-Grid and blocking choices mirror the paper's experimental setup:
+Grid and blocking choices mirror the paper's experimental setup and are
+``factor()``'s own defaults (:func:`repro.algorithms.api.resolve_params`):
 
 * 2.5D implementations get the Processor-Grid-Optimized [G, G, c] for
   the offered P (max replication the model likes), with v a small
@@ -19,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.algorithms import factor
-from repro.algorithms.gridopt import choose_grid_2d, optimize_grid_25d
+from repro.algorithms import factor, get_algorithm
 from repro.models.costmodels import (
     candmc_sim_total_bytes,
     caqr25d_total_bytes,
@@ -108,31 +108,6 @@ class ExperimentRecord:
         }
 
 
-def pick_params(
-    impl: str, n: int, p: int, v: int | None = None, nb: int | None = None
-) -> dict:
-    """Grid/blocking parameters for an implementation at (N, P)."""
-    if impl in ("conflux", "candmc25d"):
-        choice = optimize_grid_25d(p, n)
-        g, c = choice.grid_rows, choice.layers
-        if v is None:
-            v = max(c, 2)
-        return {"grid": (g, g, c), "v": v}
-    if impl in ("caqr25d", "confqr"):
-        choice = optimize_grid_25d(p, n)
-        g, c = choice.grid_rows, choice.layers
-        if v is None:
-            v = max(2, min(8, n))
-        return {"grid": (g, g, c), "v": v}
-    if impl == "scalapack2d":
-        return {"grid": choose_grid_2d(p), "nb": nb or 32}
-    if impl == "slate2d":
-        return {"grid": choose_grid_2d(p, prefer_tall=True), "nb": nb or 16}
-    if impl == "qr2d":
-        return {"grid": choose_grid_2d(p), "nb": nb or 16}
-    raise KeyError(f"unknown implementation {impl!r}")
-
-
 def model_for(impl: str, n: int, p: int, params: dict) -> float:
     """The analytic model matching a measured configuration."""
     if impl == "conflux":
@@ -182,8 +157,9 @@ def run_experiment(
     """
     if a is None:
         a = np.random.default_rng(seed).standard_normal((n, n))
-    params = pick_params(impl, n, p, v=v, nb=nb)
-    result = factor(impl, a, p, machine=machine, **params)
+    block_param = get_algorithm(impl).block_param
+    block = v if block_param == "v" else nb
+    result = factor(impl, a, p, machine=machine, **{block_param: block})
     if result.residual > 1e-10:
         raise RuntimeError(
             f"{impl} produced residual {result.residual:.2e} at "
@@ -197,7 +173,9 @@ def run_experiment(
         grid=result.grid,
         block=result.block,
         measured_bytes=result.volume.total_bytes,
-        modeled_bytes=model_for(impl, n, p, params),
+        modeled_bytes=model_for(
+            impl, n, p, {"grid": result.grid, block_param: result.block}
+        ),
         residual=result.residual,
         phase_bytes=dict(result.volume.phase_bytes),
         machine=timing.machine if timing else None,

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
+from repro.harness.runner import IMPLEMENTATION_NAMES, QR_IMPLEMENTATION_NAMES
 from repro.harness.sweep import SweepSpec, task
 
 # --------------------------------------------------------------------------
@@ -324,10 +325,6 @@ def chaos_task(
 # spec factories
 # --------------------------------------------------------------------------
 
-#: Implementations measured in Table 2 (import-cycle-free copy check in
-#: tests keeps this aligned with runner.IMPLEMENTATION_NAMES).
-DEFAULT_IMPLS = ("scalapack2d", "slate2d", "candmc25d", "conflux")
-
 #: Reduced-scale stand-ins for the paper's Table 2 (N, P) cells — the
 #: simulator-scale substitution DESIGN.md documents.
 TABLE2_MEASURED_POINTS = ((128, 16), (256, 16))
@@ -354,7 +351,7 @@ def _split_np(params: dict) -> dict:
 
 def table2_measured_spec(
     points: Sequence[tuple[int, int]] = TABLE2_MEASURED_POINTS,
-    impls: Sequence[str] = DEFAULT_IMPLS,
+    impls: Sequence[str] = IMPLEMENTATION_NAMES,
     seed: int = 0,
 ) -> SweepSpec:
     return SweepSpec(
@@ -372,7 +369,7 @@ def table2_measured_spec(
 
 def table2_models_spec(
     points: Sequence[tuple[int, int]] = TABLE2_PAPER_POINTS,
-    impls: Sequence[str] = DEFAULT_IMPLS,
+    impls: Sequence[str] = IMPLEMENTATION_NAMES,
 ) -> SweepSpec:
     return SweepSpec(
         name="table2-models",
@@ -389,7 +386,7 @@ def table2_models_spec(
 def fig6a_measured_spec(
     n: int = 256,
     p_values: Sequence[int] = (4, 8, 16, 32, 64),
-    impls: Sequence[str] = DEFAULT_IMPLS,
+    impls: Sequence[str] = IMPLEMENTATION_NAMES,
     seed: int = 0,
 ) -> SweepSpec:
     return SweepSpec(
@@ -407,7 +404,7 @@ def fig6a_measured_spec(
 def fig6a_model_spec(
     n: int = 16384,
     p_values: Sequence[int] = (16, 64, 256, 1024, 4096, 16384),
-    impls: Sequence[str] = DEFAULT_IMPLS,
+    impls: Sequence[str] = IMPLEMENTATION_NAMES,
 ) -> SweepSpec:
     return SweepSpec(
         name="fig6a-model",
@@ -430,7 +427,7 @@ def _weak_scaling_measured_n(p: int, n0: int) -> int:
 def fig6b_measured_spec(
     n0: int = 64,
     p_values: Sequence[int] = (4, 8, 27, 64),
-    impls: Sequence[str] = DEFAULT_IMPLS,
+    impls: Sequence[str] = IMPLEMENTATION_NAMES,
     seed: int = 0,
 ) -> SweepSpec:
     def derive(params: dict) -> dict:
@@ -453,7 +450,7 @@ def fig6b_measured_spec(
 def fig6b_model_spec(
     n0: int = 3200,
     p_values: Sequence[int] = (8, 64, 512, 4096, 32768),
-    impls: Sequence[str] = DEFAULT_IMPLS,
+    impls: Sequence[str] = IMPLEMENTATION_NAMES,
 ) -> SweepSpec:
     def derive(params: dict) -> dict:
         from repro.models.prediction import weak_scaling_n
@@ -527,16 +524,10 @@ def block_size_spec(
     )
 
 
-#: The QR family measured through the shared ``measured`` task
-#: (import-cycle-free copy check in tests keeps this aligned with
-#: runner.QR_IMPLEMENTATION_NAMES, like DEFAULT_IMPLS above).
-QR_IMPLS = ("qr2d", "caqr25d", "confqr")
-
-
 def qr_strong_scaling_spec(
     n: int = 96,
     p_values: Sequence[int] = (4, 8, 16),
-    impls: Sequence[str] = QR_IMPLS,
+    impls: Sequence[str] = QR_IMPLEMENTATION_NAMES,
     seed: int = 0,
 ) -> SweepSpec:
     return SweepSpec(
@@ -554,7 +545,7 @@ def qr_strong_scaling_spec(
 def qr_weak_scaling_spec(
     n0: int = 32,
     p_values: Sequence[int] = (4, 8, 27),
-    impls: Sequence[str] = QR_IMPLS,
+    impls: Sequence[str] = QR_IMPLEMENTATION_NAMES,
     seed: int = 0,
 ) -> SweepSpec:
     def derive(params: dict) -> dict:
@@ -623,7 +614,7 @@ TIME_MACHINES = ("daint-xc50", "summit")
 
 def table2_time_spec(
     points: Sequence[tuple[int, int]] = TABLE2_MEASURED_POINTS,
-    impls: Sequence[str] = DEFAULT_IMPLS,
+    impls: Sequence[str] = IMPLEMENTATION_NAMES,
     machines: Sequence[str] = TIME_MACHINES,
     seed: int = 0,
 ) -> SweepSpec:
@@ -647,7 +638,7 @@ def table2_time_spec(
 def qr_strong_time_spec(
     n: int = 96,
     p_values: Sequence[int] = (4, 8, 16),
-    impls: Sequence[str] = QR_IMPLS,
+    impls: Sequence[str] = QR_IMPLEMENTATION_NAMES,
     machines: Sequence[str] = TIME_MACHINES,
     seed: int = 0,
 ) -> SweepSpec:

@@ -34,7 +34,6 @@ from repro.models.costmodels import (
     candmc_model,
     scalapack2d_model,
     slate_model,
-    model_by_name,
     MODEL_NAMES,
 )
 from repro.models.machines import (
@@ -78,7 +77,6 @@ __all__ = [
     "list_models",
     "load_machine",
     "machine_by_name",
-    "model_by_name",
     "predict",
     "reduction_vs_second_best",
     "register_model",

@@ -202,47 +202,6 @@ conflux_model = CostModel("conflux", conflux_total_bytes)
 
 MODEL_NAMES = ("scalapack2d", "slate2d", "candmc25d", "conflux")
 
-_REGISTRY = {
-    "scalapack2d": scalapack2d_model,
-    "slate2d": slate_model,
-    "candmc25d": candmc_model,
-    "conflux": conflux_model,
-}
-
-
-_warned_model_shims: set[str] = set()
-
-
-def _reset_model_shim_warnings() -> None:
-    """Testing hook: make :func:`model_by_name` warn again on next call."""
-    _warned_model_shims.clear()
-
-
-def model_by_name(name: str) -> CostModel:
-    """Deprecated lookup — use ``repro.models.predict(name, ...)`` or
-    ``repro.models.get_model(name)``.
-
-    Warns with :class:`DeprecationWarning` once per process and returns
-    the very same :class:`CostModel` objects as before, so downstream
-    numbers are bit-identical.
-    """
-    import warnings
-
-    if "model_by_name" not in _warned_model_shims:
-        _warned_model_shims.add("model_by_name")
-        warnings.warn(
-            "model_by_name() is deprecated; use repro.models.predict() "
-            "or repro.models.get_model()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown model {name!r}; choose from {MODEL_NAMES}"
-        ) from None
-
 
 # ---------------------------------------------------------------------------
 # Exact model of the candmc25d *simulated* schedule (for prediction-%

@@ -66,7 +66,7 @@ def _input_matrix(impl: str, n: int) -> np.ndarray:
 
 def collect_ledger(impl: str, n: int, g: int, c: int, v: int) -> dict:
     """Run one pinned point and return its JSON-clean wire ledger."""
-    from repro.algorithms import factor_by_name
+    from repro.algorithms import factor
     from repro.smpi import runtime
 
     census = _TagCensus()
@@ -86,7 +86,7 @@ def collect_ledger(impl: str, n: int, g: int, c: int, v: int) -> dict:
     runtime.Comm.send = send
     runtime.Comm.sendrecv = sendrecv
     try:
-        res = factor_by_name(
+        res = factor(
             impl, _input_matrix(impl, n), g * g * c, grid=(g, g, c), v=v
         )
     finally:

@@ -16,12 +16,12 @@ ill-conditioned (geometric singular values), Kahan
 import numpy as np
 import pytest
 
-from repro.algorithms import IMPLEMENTATIONS, factor_by_name
+from repro.algorithms import REGISTRY, factor
 from repro.algorithms.base import check_factors
 
 #: Every registered *factorization* (mmm25d is a product, not a
 #: factorization — it returns no FactorResult to differentiate).
-ALGOS = tuple(sorted(set(IMPLEMENTATIONS) - {"mmm25d"}))
+ALGOS = tuple(sorted(set(REGISTRY) - {"mmm25d"}))
 LU_ALGOS = ("conflux", "scalapack2d", "slate2d", "candmc25d")
 QR_ALGOS = ("caqr25d", "confqr", "qr2d")
 
@@ -47,8 +47,8 @@ def _factor(impl: str, a: np.ndarray, grid3: tuple[int, int, int]):
     nranks = g * g * c
     if impl in ("conflux", "candmc25d", "cholesky25d", "caqr25d",
                 "confqr"):
-        return factor_by_name(impl, a, nranks, grid=(g, g, c), v=4)
-    return factor_by_name(impl, a, nranks, grid=(g, g * c), nb=4)
+        return factor(impl, a, nranks, grid=(g, g, c), v=4)
+    return factor(impl, a, nranks, grid=(g, g * c), nb=4)
 
 
 def _check_against_numpy(impl: str, a64: np.ndarray, res) -> None:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import cholesky25d_lu, mmm25d, mmm25d_model_bytes
+from repro.algorithms import factor, mmm25d, mmm25d_model_bytes
 from repro.theory.bounds import mmm_parallel_lower_bound
 
 
@@ -28,12 +28,12 @@ class TestCholesky25D:
         ],
     )
     def test_residual_machine_precision(self, g, c, v, n):
-        res = cholesky25d_lu(_spd(n, seed=g + c), g * g * c,
-                             grid=(g, g, c), v=v)
+        res = factor("cholesky25d", _spd(n, seed=g + c), g * g * c,
+                     grid=(g, g, c), v=v)
         assert res.residual < 1e-12
 
     def test_factor_is_lower_triangular(self):
-        res = cholesky25d_lu(_spd(16, seed=3), 4, grid=(2, 2, 1), v=4)
+        res = factor("cholesky25d", _spd(16, seed=3), 4, grid=(2, 2, 1), v=4)
         assert np.allclose(np.triu(res.lower, 1), 0.0)
         assert np.all(np.diag(res.lower) > 0)
 
@@ -41,41 +41,42 @@ class TestCholesky25D:
         from scipy.linalg import cholesky
 
         a = _spd(24, seed=4)
-        res = cholesky25d_lu(a, 4, grid=(2, 2, 1), v=4)
+        res = factor("cholesky25d", a, 4, grid=(2, 2, 1), v=4)
         np.testing.assert_allclose(
             res.lower, cholesky(a, lower=True), atol=1e-10
         )
 
     def test_identity_permutation(self):
-        res = cholesky25d_lu(_spd(16, seed=5), 8, grid=(2, 2, 2), v=4)
+        res = factor("cholesky25d", _spd(16, seed=5), 8, grid=(2, 2, 2), v=4)
         np.testing.assert_array_equal(res.perm, np.arange(16))
 
     def test_nonsymmetric_rejected(self):
         a = np.random.default_rng(6).standard_normal((8, 8))
         with pytest.raises(ValueError, match="symmetric"):
-            cholesky25d_lu(a, 4, grid=(2, 2, 1), v=4)
+            factor("cholesky25d", a, 4, grid=(2, 2, 1), v=4)
 
     def test_cheaper_than_lu_on_same_grid(self):
         """Half the flops should buy less traffic than LU, too."""
-        from repro.algorithms import conflux_lu
 
         a = _spd(64, seed=7)
-        chol = cholesky25d_lu(a, 8, grid=(2, 2, 2), v=4)
-        lu = conflux_lu(a, 8, grid=(2, 2, 2), v=4)
+        chol = factor("cholesky25d", a, 8, grid=(2, 2, 2), v=4)
+        lu = factor("conflux", a, 8, grid=(2, 2, 2), v=4)
         assert chol.volume.total_bytes < lu.volume.total_bytes
 
     def test_single_rank_zero_volume(self):
-        res = cholesky25d_lu(_spd(12, seed=8), 1, grid=(1, 1, 1), v=4)
+        res = factor("cholesky25d", _spd(12, seed=8), 1, grid=(1, 1, 1), v=4)
         assert res.volume.total_bytes == 0
 
     def test_auto_grid(self):
-        res = cholesky25d_lu(_spd(32, seed=9), 4)
+        res = factor("cholesky25d", _spd(32, seed=9), 4)
         assert res.residual < 1e-12
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     def test_random_spd_matrices(self, seed):
-        res = cholesky25d_lu(_spd(24, seed=seed), 8, grid=(2, 2, 2), v=4)
+        res = factor(
+            "cholesky25d", _spd(24, seed=seed), 8, grid=(2, 2, 2), v=4
+        )
         assert res.residual < 1e-11
 
 

@@ -15,29 +15,35 @@ from repro.harness.experiments import (
     summit_prediction,
     table2_measured_rows,
 )
-from repro.harness.runner import model_for, pick_params
+from repro.algorithms.api import resolve_params
+from repro.harness.runner import model_for
 
 
 class TestPickParams:
+    """The grid and block an experiment runs on are ``factor()``'s own
+    defaults: the resolver is the only place they are written down."""
+
     def test_conflux_gets_3d_grid(self):
-        params = pick_params("conflux", 256, 16)
-        g, gg, c = params["grid"]
+        nranks, (g, gg, c), v = resolve_params("conflux", 256, 16)
+        assert nranks == 16
         assert g == gg
         assert g * g * c <= 16
-        assert params["v"] >= c
+        assert v == max(c, 2)
 
     def test_2d_impls_get_2d_grid(self):
-        params = pick_params("scalapack2d", 256, 12)
-        assert params["grid"] == (3, 4)
-        params = pick_params("slate2d", 256, 12)
-        assert params["grid"] == (4, 3)
+        assert resolve_params("scalapack2d", 256, 12)[1:] == ((3, 4), 32)
+        assert resolve_params("slate2d", 256, 12)[1:] == ((4, 3), 16)
 
     def test_slate_default_block_16(self):
-        assert pick_params("slate2d", 128, 4)["nb"] == 16
+        assert resolve_params("slate2d", 128, 4)[2] == 16
+
+    def test_explicit_block_wins(self):
+        assert resolve_params("conflux", 256, 16, block=12)[2] == 12
+        assert resolve_params("qr2d", 256, 16, block=8)[2] == 8
 
     def test_unknown_impl(self):
         with pytest.raises(KeyError):
-            pick_params("magma", 128, 4)
+            resolve_params("magma", 128, 4)
 
 
 class TestRunExperiment:
@@ -156,11 +162,11 @@ class TestQrHarness:
         row = qr_lower_bound_gap_task(48, 8, seed=0)
         assert 1.0 < row["gap"] <= 4.0
 
-    def test_qr_pick_params(self):
-        from repro.harness.runner import pick_params
-
-        params = pick_params("caqr25d", 256, 16)
-        g, gg, c = params["grid"]
-        assert g == gg and g * g * c <= 16
-        assert params["v"] >= 2
-        assert pick_params("qr2d", 256, 16)["nb"] == 16
+    def test_qr_resolved_params(self):
+        for name in ("caqr25d", "confqr"):
+            _, (g, gg, c), v = resolve_params(name, 256, 16)
+            assert g == gg and g * g * c <= 16
+            assert v == 8
+            # max(2, min(8, n)), then a block never wider than the matrix
+            assert resolve_params(name, 5, 16)[2] == 5
+        assert resolve_params("qr2d", 256, 16)[1:] == ((4, 4), 16)

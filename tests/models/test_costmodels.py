@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.models import get_model
 from repro.models.costmodels import (
     MODEL_NAMES,
     candmc_sim_total_bytes,
@@ -14,7 +15,7 @@ from repro.models.costmodels import (
     conflux_step_breakdown,
     conflux_total_bytes,
     derive_c_from_memory,
-    model_by_name,
+    scalapack2d_model,
     scalapack2d_total_bytes,
     slate_total_bytes,
 )
@@ -161,14 +162,15 @@ class TestCandmcSimModel:
 class TestRegistry:
     def test_all_names_resolve(self):
         for name in MODEL_NAMES:
-            assert model_by_name(name).name == name
+            assert get_model(name).name == name
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
-            model_by_name("mkl")
+            get_model("mkl")
 
     def test_per_rank_and_gb_helpers(self):
-        m = model_by_name("scalapack2d")
+        m = scalapack2d_model
+        assert m.total_bytes is get_model("scalapack2d").total_bytes
         assert m.per_rank_bytes(100, 4, 1.0) == pytest.approx(
             m.total_bytes(100, 4, 1.0) / 4
         )

@@ -1,6 +1,4 @@
-"""The registry-driven ``predict()`` API and its deprecation shim."""
-
-import warnings
+"""The registry-driven ``predict()`` API."""
 
 import pytest
 
@@ -8,10 +6,8 @@ from repro.models import (
     MODEL_NAMES,
     get_model,
     list_models,
-    model_by_name,
     predict,
 )
-from repro.models import costmodels
 from repro.models.api import MODEL_KINDS, MODEL_REGISTRY, register_model
 from repro.models.costmodels import QR_MODEL_NAMES
 from repro.models.prediction import (
@@ -129,30 +125,3 @@ class TestPredict:
     def test_invalid_n_rejected(self):
         with pytest.raises(ValueError):
             predict("conflux", 0, 16)
-
-
-class TestDeprecationShim:
-    def test_warns_once_and_is_bit_identical(self):
-        costmodels._reset_model_shim_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = model_by_name("conflux")
-        dep = [
-            w for w in caught if w.category is DeprecationWarning
-        ]
-        assert len(dep) == 1
-        assert "predict" in str(dep[0].message)
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            second = model_by_name("conflux")
-        assert not [
-            w for w in caught if w.category is DeprecationWarning
-        ]
-        # Same object as the registry's: outputs bit-identical.
-        assert first is second
-        assert first.total_bytes is get_model("conflux").total_bytes
-
-    def test_unknown_name_still_keyerror(self):
-        with pytest.raises(KeyError, match="unknown model"):
-            model_by_name("mkl")

@@ -95,13 +95,8 @@ def test_registry_entries_are_well_formed():
         assert info.kind in KINDS
         assert info.grid_family in GRID_FAMILIES
         assert info.dtypes
-        assert callable(info.func)
         assert info.description
-
-
-def test_every_registered_name_reaches_factor_by_name():
-    """api.register_algorithm also fills the legacy dispatch map."""
-    from repro.algorithms.base import IMPLEMENTATIONS
-
-    for name, info in REGISTRY.items():
-        assert IMPLEMENTATIONS[name] is info.func
+        if info.kind != "mmm":
+            assert callable(info.program)
+            assert callable(info.assemble)
+            assert info.default_block >= 1

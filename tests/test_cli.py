@@ -22,7 +22,7 @@ class TestFactorCommand:
 
     def test_scalapack_with_block(self, capsys):
         rc = main(
-            ["factor", "--impl", "scalapack2d", "--n", "32", "--p", "4",
+            ["factor", "--algo", "scalapack2d", "--n", "32", "--p", "4",
              "--nb", "8"]
         )
         out = capsys.readouterr().out
@@ -31,7 +31,7 @@ class TestFactorCommand:
 
     def test_cholesky_builds_spd_input(self, capsys):
         rc = main(
-            ["factor", "--impl", "cholesky25d", "--n", "32", "--p", "4"]
+            ["factor", "--algo", "cholesky25d", "--n", "32", "--p", "4"]
         )
         out = capsys.readouterr().out
         assert rc == 0
@@ -44,7 +44,7 @@ class TestFactorCommand:
 
     def test_caqr_reports_orthogonality(self, capsys):
         rc = main(
-            ["factor", "--impl", "caqr25d", "--n", "32", "--p", "4",
+            ["factor", "--algo", "caqr25d", "--n", "32", "--p", "4",
              "--v", "4"]
         )
         out = capsys.readouterr().out
@@ -54,7 +54,7 @@ class TestFactorCommand:
 
     def test_qr2d_verbose_phases(self, capsys):
         rc = main(
-            ["factor", "--impl", "qr2d", "--n", "32", "--p", "4",
+            ["factor", "--algo", "qr2d", "--n", "32", "--p", "4",
              "--nb", "8", "--verbose"]
         )
         out = capsys.readouterr().out
@@ -64,7 +64,7 @@ class TestFactorCommand:
 
     def test_unknown_impl_rejected(self):
         with pytest.raises(SystemExit):
-            main(["factor", "--impl", "mkl"])
+            main(["factor", "--algo", "mkl"])
 
     def test_algo_flag_is_canonical(self, capsys):
         rc = main(["factor", "--algo", "slate2d", "--n", "32",
