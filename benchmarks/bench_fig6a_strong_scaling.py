@@ -8,30 +8,34 @@ model ordering matches Figure 6a (COnfLUX lowest across the sweep).
 
 import pytest
 
-from repro.harness import fig6a_strong_scaling, format_series
+from repro.harness import format_series, run_sweep
+from repro.harness.specs import fig6a_measured_spec, fig6a_model_spec
 
 MEASURED_N = 192
 MEASURED_P = (4, 16, 64)
 
 
 def test_fig6a_measured_and_model(benchmark, show, sweep_cache):
-    data = benchmark.pedantic(
-        fig6a_strong_scaling,
-        kwargs={
-            "n": MEASURED_N,
-            "p_values": MEASURED_P,
-            "model_p_values": (16, 64, 256, 1024, 4096, 16384),
-            "cache": sweep_cache,
-        },
-        rounds=1,
-        iterations=1,
+    def run():
+        measured = run_sweep(
+            fig6a_measured_spec(n=MEASURED_N, p_values=MEASURED_P),
+            cache=sweep_cache,
+        )
+        model = run_sweep(
+            fig6a_model_spec(p_values=(16, 64, 256, 1024, 4096, 16384)),
+            cache=sweep_cache,
+        )
+        return measured.rows(), model.rows()
+
+    measured_rows, model_rows = benchmark.pedantic(
+        run, rounds=1, iterations=1
     )
     show(format_series(
-        data["measured"], "p", "per_rank_bytes",
+        measured_rows, "p", "per_rank_bytes",
         title=f"Figure 6a (measured, N={MEASURED_N}): bytes/rank vs P",
     ))
     show(format_series(
-        data["model"], "p", "per_rank_bytes",
+        model_rows, "p", "per_rank_bytes",
         title="Figure 6a (model, N=16384): bytes/rank vs P",
     ))
 
@@ -40,7 +44,7 @@ def test_fig6a_measured_and_model(benchmark, show, sweep_cache):
     # endpoints are compared; the paper's N = 16,384 curves are
     # monotone)
     series: dict[str, list[tuple[int, float]]] = {}
-    for row in data["measured"]:
+    for row in measured_rows:
         series.setdefault(row["impl"], []).append(
             (row["p"], row["per_rank_bytes"])
         )
@@ -56,7 +60,7 @@ def test_fig6a_measured_and_model(benchmark, show, sweep_cache):
     # (b) model ordering at the paper's scale: conflux lowest for all
     # P >= 64, never more than 1% off best at the P = 16 tie point
     model: dict[int, dict[str, float]] = {}
-    for row in data["model"]:
+    for row in model_rows:
         model.setdefault(row["p"], {})[row["impl"]] = row["per_rank_bytes"]
     for p, vols in model.items():
         best = min(vols.values())

@@ -8,32 +8,36 @@ N0 = 3200.
 
 import pytest
 
-from repro.harness import fig6b_weak_scaling, format_series
+from repro.harness import format_series, run_sweep
+from repro.harness.specs import fig6b_measured_spec, fig6b_model_spec
 
 
 def test_fig6b_weak_scaling(benchmark, show, sweep_cache):
-    data = benchmark.pedantic(
-        fig6b_weak_scaling,
-        kwargs={
-            "n0": 48,
-            "p_values": (4, 8, 27),
-            "model_p_values": (8, 64, 512, 4096, 32768),
-            "cache": sweep_cache,
-        },
-        rounds=1,
-        iterations=1,
+    def run():
+        measured = run_sweep(
+            fig6b_measured_spec(n0=48, p_values=(4, 8, 27)),
+            cache=sweep_cache,
+        )
+        model = run_sweep(
+            fig6b_model_spec(p_values=(8, 64, 512, 4096, 32768)),
+            cache=sweep_cache,
+        )
+        return measured.rows(), model.rows()
+
+    measured_rows, model_rows = benchmark.pedantic(
+        run, rounds=1, iterations=1
     )
     show(format_series(
-        data["measured"], "p", "per_rank_bytes",
+        measured_rows, "p", "per_rank_bytes",
         title="Figure 6b (measured, N0=48): bytes/rank vs P",
     ))
     show(format_series(
-        data["model"], "p", "per_rank_bytes",
+        model_rows, "p", "per_rank_bytes",
         title="Figure 6b (model, N0=3200): bytes/rank vs P",
     ))
 
     model: dict[str, dict[int, float]] = {}
-    for row in data["model"]:
+    for row in model_rows:
         model.setdefault(row["impl"], {})[row["p"]] = row["per_rank_bytes"]
 
     # 2.5D flatness: conflux per-node volume varies by < 2.2x over a
@@ -56,9 +60,9 @@ def test_fig6b_crossover_2d_loses_at_scale(benchmark, show):
     2.5D implementations — Figure 6b's right-hand side."""
 
     def run():
-        return fig6b_weak_scaling(
-            measured=False, model_p_values=(8, 512, 32768)
-        )["model"]
+        return run_sweep(
+            fig6b_model_spec(p_values=(8, 512, 32768))
+        ).rows()
 
     rows = benchmark(run)
     at_big_p = {

@@ -8,21 +8,21 @@ motivates "asymptotic optimality is not enough".
 
 import pytest
 
-from repro.harness import format_table
-from repro.harness.experiments import (
-    fig7_reduction_grid,
-    summit_prediction,
-)
+from repro.harness import format_table, run_sweep
+from repro.harness.specs import fig7_spec
 from repro.models.prediction import (
     algorithmic_memory,
     choose_c_max_replication,
     crossover_p_candmc_vs_2d,
     reduction_vs_second_best,
+    summit_prediction,
 )
 
 
 def test_fig7_reduction_heatmap(benchmark, show, sweep_cache):
-    rows = benchmark(lambda: fig7_reduction_grid(cache=sweep_cache))
+    rows = benchmark(
+        lambda: run_sweep(fig7_spec(), cache=sweep_cache).rows()
+    )
     show(format_table(
         rows,
         [

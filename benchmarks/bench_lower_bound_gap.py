@@ -13,15 +13,17 @@ Two checks:
 
 import pytest
 
-from repro.harness import format_table, lower_bound_gap
-from repro.harness.experiments import model_gap_at_scale
+from repro.harness import format_table, run_sweep
+from repro.harness.specs import lower_bound_gap_spec
+from repro.models.prediction import model_gap_at_scale
 
 
 def test_measured_gap_above_bound(benchmark, show, sweep_cache):
     rows = benchmark.pedantic(
-        lower_bound_gap,
-        kwargs={"n_values": (64, 128, 256), "p": 16,
-                "cache": sweep_cache},
+        lambda: run_sweep(
+            lower_bound_gap_spec(n_values=(64, 128, 256), p=16),
+            cache=sweep_cache,
+        ).rows(),
         rounds=1,
         iterations=1,
     )

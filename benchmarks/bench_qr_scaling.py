@@ -17,18 +17,20 @@ Three checks:
 import numpy as np
 import pytest
 
-from repro.harness import (
-    format_table,
-    qr_confqr_gap,
-    qr_lower_bound_gap,
-    qr_strong_scaling,
+from repro.harness import format_table, run_sweep
+from repro.harness.specs import (
+    qr_confqr_gap_spec,
+    qr_lower_bound_gap_spec,
+    qr_strong_scaling_spec,
 )
 
 
 def test_qr_strong_scaling_prediction(benchmark, show, sweep_cache):
     rows = benchmark.pedantic(
-        qr_strong_scaling,
-        kwargs={"n": 96, "p_values": (4, 8, 16), "cache": sweep_cache},
+        lambda: run_sweep(
+            qr_strong_scaling_spec(n=96, p_values=(4, 8, 16)),
+            cache=sweep_cache,
+        ).rows(),
         rounds=1,
         iterations=1,
     )
@@ -79,9 +81,10 @@ def test_caqr_grid_choice_beats_2d_baseline(benchmark, show):
 
 def test_qr_gap_within_constant_of_bound(benchmark, show, sweep_cache):
     rows = benchmark.pedantic(
-        qr_lower_bound_gap,
-        kwargs={"n_values": (48, 64, 96), "p": 16,
-                "cache": sweep_cache},
+        lambda: run_sweep(
+            qr_lower_bound_gap_spec(n_values=(48, 64, 96), p=16),
+            cache=sweep_cache,
+        ).rows(),
         rounds=1,
         iterations=1,
     )
@@ -111,9 +114,12 @@ def test_confqr_optimum_moves_past_c2(benchmark, show, sweep_cache):
     the exact per-step model (<= 5% is the acceptance bar; the model
     is exact by construction)."""
     rows = benchmark.pedantic(
-        qr_confqr_gap,
-        kwargs={"gc_points": ((8, 1), (4, 4), (2, 16)), "n": 48,
-                "v": 4, "cache": sweep_cache},
+        lambda: run_sweep(
+            qr_confqr_gap_spec(
+                gc_points=((8, 1), (4, 4), (2, 16)), n=48, v=4
+            ),
+            cache=sweep_cache,
+        ).rows(),
         rounds=1,
         iterations=1,
     )

@@ -7,16 +7,17 @@ bytes its schedule prescribes, so prediction % plays the same role
 simulated runs land in the same band).
 """
 
-from repro.harness import format_table
-from repro.harness.experiments import table2_measured_rows
+from repro.harness import format_table, run_sweep
+from repro.harness.specs import table2_measured_spec
 
 POINTS = ((128, 16), (256, 64))
 
 
 def test_table2_measured_prediction(benchmark, show, sweep_cache):
     rows = benchmark.pedantic(
-        table2_measured_rows,
-        kwargs={"points": POINTS, "cache": sweep_cache},
+        lambda: run_sweep(
+            table2_measured_spec(points=POINTS), cache=sweep_cache
+        ).rows(),
         rounds=1,
         iterations=1,
     )
@@ -50,10 +51,12 @@ def test_conflux_measured_beats_2d_at_p64(benchmark, show, sweep_cache):
     the simulated equivalent shows the same marginal win."""
 
     def run():
-        return table2_measured_rows(
-            points=((256, 64),), impls=("conflux", "scalapack2d"),
+        return run_sweep(
+            table2_measured_spec(
+                points=((256, 64),), impls=("conflux", "scalapack2d")
+            ),
             cache=sweep_cache,
-        )
+        ).rows()
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     vols = {r["impl"]: r["measured_bytes"] for r in rows}

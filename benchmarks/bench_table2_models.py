@@ -9,11 +9,21 @@ discrepancy is recorded in EXPERIMENTS.md.)
 
 import pytest
 
-from repro.harness import format_table, table2_model_rows
+from repro.harness import format_table, run_sweep
+from repro.harness.specs import table2_models_spec
+from repro.models.prediction import TABLE2_PAPER_GB
+
+
+def table2_model_rows() -> list[dict]:
+    return run_sweep(table2_models_spec()).rows()
 
 
 def test_table2_model_regression(benchmark, show):
     rows = benchmark(table2_model_rows)
+    for row in rows:
+        row["paper_measured_gb"], row["paper_modeled_gb"] = (
+            TABLE2_PAPER_GB[(row["n"], row["p"])][row["impl"]]
+        )
     show(format_table(
         rows,
         [

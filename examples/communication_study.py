@@ -10,7 +10,8 @@ Usage:  python examples/communication_study.py [N]
 
 import sys
 
-from repro.harness import fig6a_strong_scaling, format_series
+from repro.harness import format_series, run_sweep
+from repro.harness.specs import fig6a_measured_spec, fig6a_model_spec
 
 
 def main() -> None:
@@ -18,25 +19,25 @@ def main() -> None:
 
     print(f"Measured per-rank communication volume, N = {n} "
           f"(simulated ranks):\n")
-    data = fig6a_strong_scaling(
-        n=n, p_values=(4, 8, 16, 32), measured=True,
-        model_p_values=(64, 256, 1024, 4096, 16384),
-    )
+    measured = run_sweep(fig6a_measured_spec(n=n, p_values=(4, 8, 16, 32)))
     print(format_series(
-        data["measured"], "p", "per_rank_bytes",
+        measured.rows(), "p", "per_rank_bytes",
         title="measured (bytes/rank vs P)",
     ))
 
     print("\nModel curves at the paper's N = 16,384 "
           "(bytes/rank vs P, Table 2 models):\n")
+    model_rows = run_sweep(
+        fig6a_model_spec(p_values=(64, 256, 1024, 4096, 16384))
+    ).rows()
     print(format_series(
-        data["model"], "p", "per_rank_bytes",
+        model_rows, "p", "per_rank_bytes",
         title="modeled (bytes/rank vs P)",
     ))
 
     # The qualitative claims of Figure 6a, checked on the spot.
     by_impl = {}
-    for row in data["model"]:
+    for row in model_rows:
         by_impl.setdefault(row["impl"], []).append(
             (row["p"], row["per_rank_bytes"])
         )

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Plan an LU factorization run on a real machine (paper Section 9).
 
-Given a machine preset (Piz Daint / Summit), a matrix size and a rank
-count, this planner:
+Given a machine (a preset name such as piz_daint / summit / daint-xc50,
+or a Machine JSON path — what ``python -m repro plan --machine`` takes),
+a matrix size and a rank count, this planner:
 
 1. runs Processor Grid Optimization to pick [G, G, c] (possibly
    disabling ranks — the paper's remedy for awkward rank counts),
@@ -10,23 +11,23 @@ count, this planner:
 3. reports the expected reduction vs the second-best choice —
    the Figure 7 quantity.
 
-Usage:  python examples/exascale_planner.py [piz_daint|summit] [N] [P]
+Usage:  python examples/exascale_planner.py [MACHINE] [N] [P]
 """
 
 import sys
 
 from repro.algorithms.gridopt import optimize_grid_25d
-from repro.models.machines import PIZ_DAINT, SUMMIT
+from repro.models.machines import SUMMIT, resolve_machine
 from repro.models.prediction import (
     reduction_vs_second_best,
     sweep_models,
 )
 
-MACHINES = {"piz_daint": PIZ_DAINT, "summit": SUMMIT}
-
 
 def main() -> None:
-    machine = MACHINES[sys.argv[1]] if len(sys.argv) > 1 else PIZ_DAINT
+    machine = resolve_machine(
+        sys.argv[1] if len(sys.argv) > 1 else "piz_daint"
+    )
     n = int(sys.argv[2]) if len(sys.argv) > 2 else 16384
     p = int(sys.argv[3]) if len(sys.argv) > 3 else min(
         1024, machine.total_ranks

@@ -37,6 +37,18 @@ def _print_machines() -> None:
               f"{m.gamma_flops:>9.2e} {m.topology}")
 
 
+def _machine_or_exit(spec: str):
+    """``--machine`` for every verb that takes one: a preset name
+    (``machine_by_name``'s spelling rules) or a Machine JSON path."""
+    from repro.models.machines import resolve_machine
+
+    try:
+        return resolve_machine(spec)
+    except (KeyError, ValueError, OSError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _cmd_factor(args: argparse.Namespace) -> int:
     from repro.algorithms import factor, get_algorithm, list_algorithms
 
@@ -75,13 +87,7 @@ def _cmd_factor(args: argparse.Namespace) -> int:
     if args.nb is not None:
         kwargs["nb"] = args.nb
     if args.machine is not None:
-        try:
-            from repro.models.machines import resolve_machine
-
-            kwargs["machine"] = resolve_machine(args.machine)
-        except (KeyError, ValueError, OSError) as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            raise SystemExit(2)
+        kwargs["machine"] = _machine_or_exit(args.machine)
     if args.timeout is not None:
         kwargs["timeout_s"] = args.timeout
     if args.faults is not None:
@@ -160,18 +166,12 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.algorithms.gridopt import optimize_grid_25d
-    from repro.models.machines import LAPTOP_SIM, PIZ_DAINT, SUMMIT
     from repro.models.prediction import (
         reduction_vs_second_best,
         sweep_models,
     )
 
-    machines = {
-        "piz_daint": PIZ_DAINT,
-        "summit": SUMMIT,
-        "laptop": LAPTOP_SIM,
-    }
-    machine = machines[args.machine]
+    machine = _machine_or_exit(args.machine)
     p = args.p or machine.total_ranks
     choice = optimize_grid_25d(
         p, args.n, m_max=machine.memory_per_rank_elements
@@ -437,9 +437,12 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
                              "rejection (default 16)")
     parser.add_argument("--timeout", type=float, default=60.0,
                         help="per-request timeout in seconds")
-    parser.add_argument("--policy", default="fifo",
-                        choices=["fifo", "least-loaded", "batch"],
-                        help="dispatch policy (default fifo)")
+    # No choices= here: ServiceConfig checks the name against
+    # DISPATCH_POLICIES, and importing the service to build a parser
+    # would triple the start-up of every other verb.
+    parser.add_argument("--policy", default="fifo", metavar="NAME",
+                        help="dispatch policy registered in "
+                             "repro.service.dispatch (default fifo)")
     parser.add_argument("--executor", default="thread",
                         choices=["thread", "process"],
                         help="worker executor (default thread)")
@@ -495,7 +498,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="plan a run on a machine preset")
     p.add_argument("--machine", default="piz_daint",
-                   choices=["piz_daint", "summit", "laptop"])
+                   metavar="PRESET|PATH",
+                   help="machine preset name or Machine JSON path, as "
+                        "for 'factor' (see 'factor --list-machines'; "
+                        "the simulator scale is 'laptop-sim')")
     p.add_argument("--n", type=int, default=16384)
     p.add_argument("--p", type=int, default=None)
     p.set_defaults(fn=_cmd_plan)

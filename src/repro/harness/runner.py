@@ -21,20 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.algorithms import factor, get_algorithm
-from repro.models.costmodels import (
-    candmc_sim_total_bytes,
-    caqr25d_total_bytes,
-    conflux_total_bytes,
-    confqr_total_bytes,
-    qr2d_total_bytes,
-    scalapack2d_total_bytes,
-    slate_total_bytes,
-)
-
-IMPLEMENTATION_NAMES = ("scalapack2d", "slate2d", "candmc25d", "conflux")
-
-#: The QR family (kept separate: Table 2 is an LU artifact).
-QR_IMPLEMENTATION_NAMES = ("qr2d", "caqr25d", "confqr")
+from repro.models.api import get_model
 
 
 @dataclass(frozen=True)
@@ -109,34 +96,12 @@ class ExperimentRecord:
 
 
 def model_for(impl: str, n: int, p: int, params: dict) -> float:
-    """The analytic model matching a measured configuration."""
-    if impl == "conflux":
-        g, _, c = params["grid"]
-        return conflux_total_bytes(n, g * g * c, c=c, v=params["v"],
-                                   grid_rows=g)
-    if impl == "candmc25d":
-        g, _, c = params["grid"]
-        return candmc_sim_total_bytes(n, g * g * c, c=c, v=params["v"],
-                                      grid_rows=g)
-    if impl == "caqr25d":
-        g, _, c = params["grid"]
-        return caqr25d_total_bytes(n, g * g * c, c=c, v=params["v"],
-                                   grid_rows=g)
-    if impl == "confqr":
-        g, _, c = params["grid"]
-        return confqr_total_bytes(n, g * g * c, c=c, v=params["v"],
-                                  grid_rows=g)
-    if impl == "scalapack2d":
-        pr, pc = params["grid"]
-        return scalapack2d_total_bytes(n, pr * pc)
-    if impl == "slate2d":
-        pr, pc = params["grid"]
-        return slate_total_bytes(n, pr * pc)
-    if impl == "qr2d":
-        pr, pc = params["grid"]
-        return qr2d_total_bytes(n, pr * pc, nb=params["nb"],
-                                grid=(pr, pc))
-    raise KeyError(f"unknown implementation {impl!r}")
+    """The analytic model matching a measured configuration: ``params``
+    holds the run's ``grid`` and its block under the algorithm's own
+    keyword (``v`` / ``nb``)."""
+    model = get_model(impl)
+    block = params[get_algorithm(impl).block_param]
+    return model.as_run(n, params["grid"], block)
 
 
 def run_experiment(
@@ -155,6 +120,7 @@ def run_experiment(
     discrete-event clock; the record then carries predicted seconds
     alongside the byte ledger.
     """
+    get_model(impl)  # a member without a model fails here, not after the run
     if a is None:
         a = np.random.default_rng(seed).standard_normal((n, n))
     block_param = get_algorithm(impl).block_param

@@ -16,26 +16,40 @@ task               one point computes
 ``lower_bound_gap``  measured COnfLUX volume vs the Section 6 bound
 ``block_size``     a COnfLUX run at one blocking parameter v (ablation)
 ``qr_lower_bound_gap``  measured 2.5D CAQR volume vs the QR I/O bound
+``qr_confqr_gap``  COnfQR and 2.5D CAQR at one explicit [G, G, c] grid:
+                   measured vs exact model, factor-only slice, bound gap
 ``chaos``          one factorization under a canned fault-injection
                    plan, its outcome classified against ground truth
 =================  =======================================================
 
-The QR family (``qr2d``, ``caqr25d``) rides the same ``measured`` task;
-its sweeps are ``qr-strong``, ``qr-weak`` and ``qr-lower-bound-gap``.
+The QR family (``qr2d``, ``caqr25d``, ``confqr``) rides the same
+``measured`` task: ``qr-strong`` and ``qr-weak`` sweep all three
+members, ``qr-strong-time`` adds the clock; ``qr-lower-bound-gap`` and
+``qr-confqr-gap`` have tasks of their own.
 
 ``SPECS`` maps the public sweep names (``python -m repro sweep --list``)
 to zero-argument factories producing the default instance of each
-experiment; the factories also take parameters so the harness functions
-in :mod:`repro.harness.experiments` can build reduced-scale variants.
+experiment; the factories also take parameters, so benchmarks, examples
+and tests build reduced-scale variants of the same spec and run them
+with :func:`~repro.harness.sweep.run_sweep`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
-from repro.harness.runner import IMPLEMENTATION_NAMES, QR_IMPLEMENTATION_NAMES
 from repro.harness.sweep import SweepSpec, task
+from repro.models.costmodels import MODEL_NAMES, QR_MODEL_NAMES
+from repro.models.prediction import (
+    TABLE2_PAPER_GB,
+    algorithmic_memory,
+    reduction_vs_second_best,
+    sweep_models,
+    weak_scaling_n,
+)
 
 # --------------------------------------------------------------------------
 # tasks
@@ -71,8 +85,6 @@ def model_task(
     impl: str, n: int, p: int, leading_only: bool = False
 ) -> dict:
     """One implementation's Table 2 model at (N, P)."""
-    from repro.models.prediction import sweep_models
-
     vol = sweep_models(n, p, leading_only=leading_only)[impl]
     return {
         "impl": impl,
@@ -87,8 +99,6 @@ def model_task(
 @task("reduction")
 def reduction_task(n: int, p: int, leading_only: bool = True) -> dict:
     """Figure 7: reduction of the best model vs the second best."""
-    from repro.models.prediction import reduction_vs_second_best
-
     point = reduction_vs_second_best(n, p, leading_only=leading_only)
     best_vol = min(point.volumes.values())
     return {
@@ -101,19 +111,22 @@ def reduction_task(n: int, p: int, leading_only: bool = True) -> dict:
     }
 
 
-@task("lower_bound_gap")
-def lower_bound_gap_task(n: int, p: int, seed: int = 0) -> dict:
-    """Section 6: measured COnfLUX volume over the parallel bound."""
+def _bound_gap_row(
+    impl: str,
+    bound_per_rank: Callable[[int, float, int], float],
+    n: int,
+    p: int,
+    seed: int,
+) -> dict:
+    """Measured volume of ``impl`` over ``bound_per_rank(N, M, P)``
+    summed over the active ranks of the grid the run chose."""
     from repro.harness.runner import run_experiment
-    from repro.models.prediction import algorithmic_memory
-    from repro.theory.bounds import lu_parallel_lower_bound_leading
 
-    rec = run_experiment("conflux", n, p, seed=seed)
+    rec = run_experiment(impl, n, p, seed=seed)
     g, _, c = rec.grid
-    m = algorithmic_memory(n, g * g * c, c)
-    bound_total = (
-        lu_parallel_lower_bound_leading(n, m, g * g * c) * (g * g * c)
-    )
+    active = g * g * c
+    m = algorithmic_memory(n, active, c)
+    bound_total = bound_per_rank(n, m, active) * active
     return {
         "n": n,
         "p": p,
@@ -122,28 +135,24 @@ def lower_bound_gap_task(n: int, p: int, seed: int = 0) -> dict:
         "bound_elements": bound_total,
         "gap": (rec.measured_bytes / 8) / bound_total,
     }
+
+
+@task("lower_bound_gap")
+def lower_bound_gap_task(n: int, p: int, seed: int = 0) -> dict:
+    """Section 6: measured COnfLUX volume over the parallel bound."""
+    from repro.theory.bounds import lu_parallel_lower_bound_leading
+
+    return _bound_gap_row(
+        "conflux", lu_parallel_lower_bound_leading, n, p, seed
+    )
 
 
 @task("qr_lower_bound_gap")
 def qr_lower_bound_gap_task(n: int, p: int, seed: int = 0) -> dict:
     """Measured 2.5D CAQR volume over the parallel QR I/O bound."""
-    from repro.harness.runner import run_experiment
-    from repro.models.prediction import algorithmic_memory
     from repro.theory.bounds import qr_parallel_lower_bound
 
-    rec = run_experiment("caqr25d", n, p, seed=seed)
-    g, _, c = rec.grid
-    active = g * g * c
-    m = algorithmic_memory(n, active, c)
-    bound_total = qr_parallel_lower_bound(n, m, active) * active
-    return {
-        "n": n,
-        "p": p,
-        "grid": list(rec.grid),
-        "measured_elements": rec.measured_bytes / 8,
-        "bound_elements": bound_total,
-        "gap": (rec.measured_bytes / 8) / bound_total,
-    }
+    return _bound_gap_row("caqr25d", qr_parallel_lower_bound, n, p, seed)
 
 
 @task("qr_confqr_gap")
@@ -166,7 +175,6 @@ def qr_confqr_gap_task(
         caqr25d_total_bytes,
         confqr_total_bytes,
     )
-    from repro.models.prediction import algorithmic_memory
     from repro.theory.bounds import qr_parallel_lower_bound
 
     p = g * g * c
@@ -330,12 +338,7 @@ def chaos_task(
 TABLE2_MEASURED_POINTS = ((128, 16), (256, 16))
 
 #: The paper's exact Table 2 cells (model evaluation).
-TABLE2_PAPER_POINTS = (
-    (4096, 64),
-    (4096, 1024),
-    (16384, 64),
-    (16384, 1024),
-)
+TABLE2_PAPER_POINTS = tuple(TABLE2_PAPER_GB)
 
 
 def _np_axis(points: Sequence[tuple[int, int]]) -> dict:
@@ -349,9 +352,23 @@ def _split_np(params: dict) -> dict:
     return params
 
 
+def _variant(
+    base: SweepSpec,
+    name: str,
+    description: str,
+    **more_axes: Sequence,
+) -> SweepSpec:
+    """``base``'s grid under another public name, optionally spanned
+    over further axes (appended, so ``base``'s order is kept)."""
+    axes = {**base.axes, **{k: list(v) for k, v in more_axes.items()}}
+    return dataclasses.replace(
+        base, name=name, axes=axes, description=description
+    )
+
+
 def table2_measured_spec(
     points: Sequence[tuple[int, int]] = TABLE2_MEASURED_POINTS,
-    impls: Sequence[str] = IMPLEMENTATION_NAMES,
+    impls: Sequence[str] = MODEL_NAMES,
     seed: int = 0,
 ) -> SweepSpec:
     return SweepSpec(
@@ -369,7 +386,7 @@ def table2_measured_spec(
 
 def table2_models_spec(
     points: Sequence[tuple[int, int]] = TABLE2_PAPER_POINTS,
-    impls: Sequence[str] = IMPLEMENTATION_NAMES,
+    impls: Sequence[str] = MODEL_NAMES,
 ) -> SweepSpec:
     return SweepSpec(
         name="table2-models",
@@ -386,7 +403,7 @@ def table2_models_spec(
 def fig6a_measured_spec(
     n: int = 256,
     p_values: Sequence[int] = (4, 8, 16, 32, 64),
-    impls: Sequence[str] = IMPLEMENTATION_NAMES,
+    impls: Sequence[str] = MODEL_NAMES,
     seed: int = 0,
 ) -> SweepSpec:
     return SweepSpec(
@@ -404,7 +421,7 @@ def fig6a_measured_spec(
 def fig6a_model_spec(
     n: int = 16384,
     p_values: Sequence[int] = (16, 64, 256, 1024, 4096, 16384),
-    impls: Sequence[str] = IMPLEMENTATION_NAMES,
+    impls: Sequence[str] = MODEL_NAMES,
 ) -> SweepSpec:
     return SweepSpec(
         name="fig6a-model",
@@ -418,8 +435,6 @@ def fig6a_model_spec(
 
 
 def _weak_scaling_measured_n(p: int, n0: int) -> int:
-    from repro.models.prediction import weak_scaling_n
-
     n = max(weak_scaling_n(p, n0), 16)
     return int(math.ceil(n / 8) * 8)  # keep blocks tidy
 
@@ -427,7 +442,7 @@ def _weak_scaling_measured_n(p: int, n0: int) -> int:
 def fig6b_measured_spec(
     n0: int = 64,
     p_values: Sequence[int] = (4, 8, 27, 64),
-    impls: Sequence[str] = IMPLEMENTATION_NAMES,
+    impls: Sequence[str] = MODEL_NAMES,
     seed: int = 0,
 ) -> SweepSpec:
     def derive(params: dict) -> dict:
@@ -450,11 +465,9 @@ def fig6b_measured_spec(
 def fig6b_model_spec(
     n0: int = 3200,
     p_values: Sequence[int] = (8, 64, 512, 4096, 32768),
-    impls: Sequence[str] = IMPLEMENTATION_NAMES,
+    impls: Sequence[str] = MODEL_NAMES,
 ) -> SweepSpec:
     def derive(params: dict) -> dict:
-        from repro.models.prediction import weak_scaling_n
-
         params["n"] = weak_scaling_n(params["p"], n0)
         return params
 
@@ -527,41 +540,30 @@ def block_size_spec(
 def qr_strong_scaling_spec(
     n: int = 96,
     p_values: Sequence[int] = (4, 8, 16),
-    impls: Sequence[str] = QR_IMPLEMENTATION_NAMES,
+    impls: Sequence[str] = QR_MODEL_NAMES,
     seed: int = 0,
 ) -> SweepSpec:
-    return SweepSpec(
-        name="qr-strong",
-        task="measured",
-        axes={"p": list(p_values), "impl": list(impls)},
-        fixed={"n": n, "seed": seed},
-        description=(
-            "QR strong scaling: per-rank volume vs P at fixed N "
-            "(2D Householder vs 2.5D CAQR)"
-        ),
+    return _variant(
+        fig6a_measured_spec(n=n, p_values=p_values, impls=impls, seed=seed),
+        "qr-strong",
+        "QR strong scaling: per-rank volume vs P at fixed N "
+        "(2D Householder vs 2.5D CAQR)",
     )
 
 
 def qr_weak_scaling_spec(
     n0: int = 32,
     p_values: Sequence[int] = (4, 8, 27),
-    impls: Sequence[str] = QR_IMPLEMENTATION_NAMES,
+    impls: Sequence[str] = QR_MODEL_NAMES,
     seed: int = 0,
 ) -> SweepSpec:
-    def derive(params: dict) -> dict:
-        params["n"] = _weak_scaling_measured_n(params["p"], n0)
-        return params
-
-    return SweepSpec(
-        name="qr-weak",
-        task="measured",
-        axes={"p": list(p_values), "impl": list(impls)},
-        fixed={"seed": seed},
-        derive=derive,
-        description=(
-            f"QR weak scaling: N = N0 P^(1/3) (N0 = {n0}), 2D "
-            "Householder vs 2.5D CAQR"
+    return _variant(
+        fig6b_measured_spec(
+            n0=n0, p_values=p_values, impls=impls, seed=seed
         ),
+        "qr-weak",
+        f"QR weak scaling: N = N0 P^(1/3) (N0 = {n0}), 2D "
+        "Householder vs 2.5D CAQR",
     )
 
 
@@ -614,52 +616,43 @@ TIME_MACHINES = ("daint-xc50", "summit")
 
 def table2_time_spec(
     points: Sequence[tuple[int, int]] = TABLE2_MEASURED_POINTS,
-    impls: Sequence[str] = IMPLEMENTATION_NAMES,
+    impls: Sequence[str] = MODEL_NAMES,
     machines: Sequence[str] = TIME_MACHINES,
     seed: int = 0,
 ) -> SweepSpec:
-    return SweepSpec(
-        name="table2-time",
-        task="measured",
-        axes={
-            **_np_axis(points),
-            "impl": list(impls),
-            "machine": list(machines),
-        },
-        fixed={"seed": seed},
-        derive=_split_np,
-        description=(
-            "Table 2 grid under the discrete-event clock: predicted "
-            "seconds (per rank, per phase) on each machine preset"
-        ),
+    return _variant(
+        table2_measured_spec(points=points, impls=impls, seed=seed),
+        "table2-time",
+        "Table 2 grid under the discrete-event clock: predicted "
+        "seconds (per rank, per phase) on each machine preset",
+        machine=machines,
     )
 
 
 def qr_strong_time_spec(
     n: int = 96,
     p_values: Sequence[int] = (4, 8, 16),
-    impls: Sequence[str] = QR_IMPLEMENTATION_NAMES,
+    impls: Sequence[str] = QR_MODEL_NAMES,
     machines: Sequence[str] = TIME_MACHINES,
     seed: int = 0,
 ) -> SweepSpec:
-    return SweepSpec(
-        name="qr-strong-time",
-        task="measured",
-        axes={
-            "p": list(p_values),
-            "impl": list(impls),
-            "machine": list(machines),
-        },
-        fixed={"n": n, "seed": seed},
-        description=(
-            "QR strong scaling under the discrete-event clock: "
-            "predicted seconds vs P on each machine preset"
+    return _variant(
+        qr_strong_scaling_spec(
+            n=n, p_values=p_values, impls=impls, seed=seed
         ),
+        "qr-strong-time",
+        "QR strong scaling under the discrete-event clock: "
+        "predicted seconds vs P on each machine preset",
+        machine=machines,
     )
 
 
-def chaos_lu_spec(
-    n: int = 64,
+def _chaos_spec(
+    name: str,
+    impl: str,
+    label: str,
+    *,
+    n: int,
     p: int = 8,
     fault_classes: Sequence[str] = CHAOS_FAULT_CLASSES,
     fault_seeds: Sequence[int] = (0, 1, 2),
@@ -667,53 +660,32 @@ def chaos_lu_spec(
     timeout_s: float = 2.0,
 ) -> SweepSpec:
     return SweepSpec(
-        name="chaos-lu",
+        name=name,
         task="chaos",
         axes={
             "fault_class": list(fault_classes),
             "fault_seed": list(fault_seeds),
         },
         fixed={
-            "impl": "conflux",
+            "impl": impl,
             "n": n,
             "p": p,
             "seed": seed,
             "timeout_s": timeout_s,
         },
         description=(
-            "Chaos grid: COnfLUX under each canned fault class x "
+            f"Chaos grid: {label} under each canned fault class x "
             "seed; outcomes classified against ground truth"
         ),
     )
 
 
-def chaos_qr_spec(
-    n: int = 48,
-    p: int = 8,
-    fault_classes: Sequence[str] = CHAOS_FAULT_CLASSES,
-    fault_seeds: Sequence[int] = (0, 1, 2),
-    seed: int = 0,
-    timeout_s: float = 2.0,
-) -> SweepSpec:
-    return SweepSpec(
-        name="chaos-qr",
-        task="chaos",
-        axes={
-            "fault_class": list(fault_classes),
-            "fault_seed": list(fault_seeds),
-        },
-        fixed={
-            "impl": "caqr25d",
-            "n": n,
-            "p": p,
-            "seed": seed,
-            "timeout_s": timeout_s,
-        },
-        description=(
-            "Chaos grid: 2.5D CAQR under each canned fault class x "
-            "seed; outcomes classified against ground truth"
-        ),
-    )
+chaos_lu_spec = functools.partial(
+    _chaos_spec, "chaos-lu", "conflux", "COnfLUX", n=64
+)
+chaos_qr_spec = functools.partial(
+    _chaos_spec, "chaos-qr", "caqr25d", "2.5D CAQR", n=48
+)
 
 
 #: Public sweep names: ``python -m repro sweep --run <name>``.

@@ -27,15 +27,7 @@ from repro.models.api import (
     predict,
     register_model,
 )
-from repro.models.costmodels import (
-    CostModel,
-    conflux_model,
-    conflux_step_breakdown,
-    candmc_model,
-    scalapack2d_model,
-    slate_model,
-    MODEL_NAMES,
-)
+from repro.models.costmodels import MODEL_NAMES, conflux_step_breakdown
 from repro.models.machines import (
     DAINT_XC50,
     IDEAL,
@@ -56,7 +48,6 @@ from repro.models.prediction import (
 )
 
 __all__ = [
-    "CostModel",
     "DAINT_XC50",
     "IDEAL",
     "LAPTOP_SIM",
@@ -68,9 +59,7 @@ __all__ = [
     "PIZ_DAINT",
     "Prediction",
     "SUMMIT",
-    "candmc_model",
     "choose_c_max_replication",
-    "conflux_model",
     "conflux_step_breakdown",
     "get_model",
     "list_machines",
@@ -81,7 +70,5 @@ __all__ = [
     "reduction_vs_second_best",
     "register_model",
     "resolve_machine",
-    "scalapack2d_model",
-    "slate_model",
     "sweep_models",
 ]

@@ -4,8 +4,10 @@ The algorithms package dispatches *runs* through one uniform entry
 point; this module does the same for the *analytic* side.  Every cost
 model registers a :class:`ModelInfo` declaring what it predicts
 (``kind``: ``lu`` / ``qr``), which grid family its closed form assumes,
-and the total-bytes callable.  Callers use one signature for the whole
-family::
+the total-bytes callable, and the *as-run* form of the same member —
+the model on the grid and block one executed run used, which is what
+the harness pairs with a measured volume.  Callers use one signature
+for the whole family::
 
     from repro.models import predict
     pred = predict("conflux", n=16384, p=1024, machine="daint-xc50")
@@ -20,12 +22,13 @@ discrete-event clock's :class:`~repro.smpi.timing.TimingReport`.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.models.costmodels import (
-    caqr25d_total_bytes,
+    candmc_sim_total_bytes,
     candmc_total_bytes,
+    caqr25d_total_bytes,
     conflux_total_bytes,
     confqr_total_bytes,
     qr2d_total_bytes,
@@ -46,13 +49,22 @@ _KIND_FLOPS = {
 
 @dataclass(frozen=True)
 class ModelInfo:
-    """Declared capabilities of one registered cost model."""
+    """Declared capabilities of one registered cost model.
+
+    ``total_bytes(n, p, m, **opts)`` is the Table 2 closed form;
+    ``block_param`` names the keyword it takes a block size under
+    (``None``: the form has no blocking term).  ``as_run(n, grid,
+    block)`` is the same member evaluated on the grid and block an
+    executed run used — Table 2's "modeled" beside a "measured".
+    """
 
     name: str
     kind: str
     grid_family: str
     description: str
     total_bytes: Callable[..., float]
+    as_run: Callable[[int, Sequence[int], int], float]
+    block_param: str | None = None
     memory_sensitive: bool = True
 
     def describe(self) -> str:
@@ -72,9 +84,11 @@ def register_model(
     name: str,
     total_bytes: Callable[..., float],
     *,
+    as_run: Callable[[int, Sequence[int], int], float],
     kind: str,
     grid_family: str,
     description: str,
+    block_param: str | None = None,
     memory_sensitive: bool = True,
 ) -> ModelInfo:
     """Register a cost model with its capability metadata."""
@@ -86,6 +100,8 @@ def register_model(
         grid_family=grid_family,
         description=description,
         total_bytes=total_bytes,
+        as_run=as_run,
+        block_param=block_param,
         memory_sensitive=memory_sensitive,
     )
     MODEL_REGISTRY[name] = info
@@ -108,9 +124,35 @@ def list_models(kind: str | None = None) -> tuple[ModelInfo, ...]:
     return tuple(infos)
 
 
+def on_25d_grid(
+    step_sums: Callable[..., float],
+) -> Callable[[int, Sequence[int], int], float]:
+    """As-run form of a 2.5D per-step model: its sums on the
+    [G, G, c] grid and block v the run used."""
+
+    def as_run(n: int, grid: Sequence[int], block: int) -> float:
+        g, _, c = grid
+        return step_sums(n, g * g * c, c=c, v=block, grid_rows=g)
+
+    return as_run
+
+
+def _lu2d_as_run(n: int, grid: Sequence[int], block: int) -> float:
+    # The 2D LU closed form knows neither the blocking nor the grid's
+    # aspect ratio — only P = Pr * Pc.
+    pr, pc = grid
+    return scalapack2d_total_bytes(n, pr * pc)
+
+
+def _qr2d_as_run(n: int, grid: Sequence[int], block: int) -> float:
+    pr, pc = grid
+    return qr2d_total_bytes(n, pr * pc, nb=block, grid=(pr, pc))
+
+
 register_model(
     "scalapack2d",
     scalapack2d_total_bytes,
+    as_run=_lu2d_as_run,
     kind="lu",
     grid_family="2d",
     description="2D block-cyclic GEPP: N^2 sqrt(P) + N^2 (Table 2)",
@@ -119,14 +161,18 @@ register_model(
 register_model(
     "slate2d",
     slate_total_bytes,
+    as_run=_lu2d_as_run,
     kind="lu",
     grid_family="2d",
     description="SLATE 2D LU — coincides with the ScaLAPACK model",
     memory_sensitive=False,
 )
+# Table 2's CANDMC row is the authors' published closed form; a run of
+# the candmc25d *simulation* is paired with that schedule's exact sums.
 register_model(
     "candmc25d",
     candmc_total_bytes,
+    as_run=on_25d_grid(candmc_sim_total_bytes),
     kind="lu",
     grid_family="25d",
     description="CANDMC 2.5D LU: authors' 5 N^3 / (P sqrt(M)) per rank",
@@ -134,30 +180,38 @@ register_model(
 register_model(
     "conflux",
     conflux_total_bytes,
+    as_run=on_25d_grid(conflux_total_bytes),
     kind="lu",
     grid_family="25d",
+    block_param="v",
     description="COnfLUX exact per-step sums (Lemma 10)",
 )
 register_model(
     "qr2d",
     qr2d_total_bytes,
+    as_run=_qr2d_as_run,
     kind="qr",
     grid_family="2d",
+    block_param="nb",
     description="2D Householder QR: ~ N^2 (Pc + 2 Pr) / 2 elements",
     memory_sensitive=False,
 )
 register_model(
     "caqr25d",
     caqr25d_total_bytes,
+    as_run=on_25d_grid(caqr25d_total_bytes),
     kind="qr",
     grid_family="25d",
+    block_param="v",
     description="2.5D CAQR per-step model (TSQR trees on panes)",
 )
 register_model(
     "confqr",
     confqr_total_bytes,
+    as_run=on_25d_grid(confqr_total_bytes),
     kind="qr",
     grid_family="25d",
+    block_param="v",
     description=(
         "COnfQR exact per-step model (compact-WY on the compute "
         "layer, 1/c reflector banks) — volume ~ 4 G N^2, G = sqrt(P/c)"

@@ -19,24 +19,8 @@ Score-P aggregates.  Per-node values (Figure 6's y-axis) divide by P.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
 
 ELEMENT_SIZE = 8  # double precision, as in the paper's models
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """A named communication model Q(N, P, M) in bytes (total)."""
-
-    name: str
-    total_bytes: Callable[..., float]
-
-    def per_rank_bytes(self, n: int, p: int, m: float, **kw) -> float:
-        return self.total_bytes(n, p, m, **kw) / p
-
-    def total_gb(self, n: int, p: int, m: float, **kw) -> float:
-        return self.total_bytes(n, p, m, **kw) / 1e9
 
 
 def _check_args(n: int, p: int, m: float) -> None:
@@ -191,15 +175,7 @@ def conflux_leading_total_bytes(
     return n**2 * (math.sqrt(p / c) + c) * element_size
 
 
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-scalapack2d_model = CostModel("scalapack2d", scalapack2d_total_bytes)
-slate_model = CostModel("slate2d", slate_total_bytes)
-candmc_model = CostModel("candmc25d", candmc_total_bytes)
-conflux_model = CostModel("conflux", conflux_total_bytes)
-
+#: The four LU implementations of Table 2, in the paper's row order.
 MODEL_NAMES = ("scalapack2d", "slate2d", "candmc25d", "conflux")
 
 

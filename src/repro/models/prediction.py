@@ -11,14 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.models.api import get_model
+from repro.models.api import MODEL_REGISTRY, ModelInfo, get_model
 from repro.models.costmodels import (
+    ELEMENT_SIZE,
     MODEL_NAMES,
     QR_MODEL_NAMES,
-    caqr25d_total_bytes,
-    confqr_total_bytes,
-    qr2d_total_bytes,
+    conflux_leading_total_bytes,
+    conflux_total_bytes,
 )
+from repro.models.machines import SUMMIT
 
 
 def choose_c_max_replication(
@@ -45,6 +46,12 @@ def algorithmic_memory(n: int, p: int, c: int) -> float:
     return max(c * n**2 / p, 1.0)
 
 
+def _block_opts(info: ModelInfo, **blocks: int | None) -> dict:
+    """Of the offered block sizes, the one ``info``'s closed form takes
+    (under its registered keyword), if it takes any."""
+    return {k: b for k, b in blocks.items() if k == info.block_param}
+
+
 def sweep_models(
     n: int,
     p: int,
@@ -64,11 +71,6 @@ def sweep_models(
         c = choose_c_max_replication(p, n)
         m = algorithmic_memory(n, p, c)
     if leading_only:
-        from repro.models.costmodels import (
-            ELEMENT_SIZE,
-            conflux_leading_total_bytes,
-        )
-
         two_d = n**2 * math.sqrt(p) * ELEMENT_SIZE
         candmc = 5.0 * n**3 / math.sqrt(m) * ELEMENT_SIZE
         table = {
@@ -81,10 +83,7 @@ def sweep_models(
     out: dict[str, float] = {}
     for name in names:
         model = get_model(name)
-        if name == "conflux":
-            out[name] = model.total_bytes(n, p, m, v=v)
-        else:
-            out[name] = model.total_bytes(n, p, m)
+        out[name] = model.total_bytes(n, p, m, **_block_opts(model, v=v))
     return out
 
 
@@ -113,16 +112,14 @@ def sweep_qr_models(
         m = algorithmic_memory(n, p, c)
     table: dict[str, float] = {}
     for name in names:
-        if name == "caqr25d":
-            table[name] = caqr25d_total_bytes(n, p, m=m, v=v)
-        elif name == "confqr":
-            table[name] = confqr_total_bytes(n, p, m=m, v=v)
-        elif name == "qr2d":
-            table[name] = qr2d_total_bytes(n, p, m, nb=nb)
-        else:
+        model = MODEL_REGISTRY.get(name)
+        if model is None or model.kind != "qr":
             raise KeyError(
                 f"unknown QR model {name!r}; choose from {QR_MODEL_NAMES}"
             )
+        table[name] = model.total_bytes(
+            n, p, m, **_block_opts(model, v=v, nb=nb)
+        )
     return table
 
 
@@ -178,6 +175,78 @@ def reduction_vs_second_best(
         reduction=volumes[second] / volumes[best],
         volumes=volumes,
     )
+
+
+#: Paper-reported Table 2 values (GB) for regression comparison:
+#: {(N, P): {impl: (measured, modeled)}}.
+TABLE2_PAPER_GB = {
+    (4096, 64): {
+        "scalapack2d": (1.17, 1.21),
+        "slate2d": (1.18, 1.21),
+        "candmc25d": (2.5, 4.9),
+        "conflux": (1.11, 1.08),
+    },
+    (4096, 1024): {
+        "scalapack2d": (4.45, 4.43),
+        "slate2d": (4.35, 4.43),
+        "candmc25d": (9.3, 12.13),
+        "conflux": (3.13, 3.07),
+    },
+    (16384, 64): {
+        "scalapack2d": (18.79, 19.33),
+        "slate2d": (18.84, 19.33),
+        "candmc25d": (39.8, 78.74),
+        "conflux": (17.61, 17.19),
+    },
+    (16384, 1024): {
+        "scalapack2d": (70.91, 70.87),
+        "slate2d": (71.1, 70.87),
+        "candmc25d": (144.0, 194.09),
+        "conflux": (45.42, 44.77),
+    },
+}
+
+
+def summit_prediction(n: int = 16384) -> dict:
+    """The "2.1x less on a full-scale Summit run" claim (Section 9).
+
+    Reported with both model flavours: the paper's figures use leading
+    factors only (ratio ~2.0); the exact per-step model gives ~1.8
+    because COnfLUX's reduce terms are not negligible at maximum
+    replication (EXPERIMENTS.md discusses this nuance).
+    """
+    p = SUMMIT.total_ranks
+    exact = reduction_vs_second_best(n, p)
+    leading = reduction_vs_second_best(n, p, leading_only=True)
+    return {
+        "machine": SUMMIT.name,
+        "n": n,
+        "p": p,
+        "best": exact.best,
+        "second_best": exact.second_best,
+        "reduction_exact": exact.reduction,
+        "reduction_leading": leading.reduction,
+    }
+
+
+def model_gap_at_scale(
+    n: int = 65536, p: int = 4096, c: int = 2
+) -> float:
+    """Gap of the exact COnfLUX model over the lower bound at large N.
+
+    Tends to 1.5 — the paper's "only a factor of 1/3 over" — in the
+    regime c << P^(1/3), where the panel-exchange term dominates.  At
+    maximum replication c = P^(1/3) the reduce terms equal the panel
+    term and the gap approaches 3 (a reproduction finding recorded in
+    EXPERIMENTS.md; the paper's O(N^2/P) notation treats c as a
+    constant).
+    """
+    from repro.theory.bounds import lu_parallel_lower_bound_leading
+
+    m = algorithmic_memory(n, p, c)
+    model = conflux_total_bytes(n, p, c=c, v=c)
+    bound = lu_parallel_lower_bound_leading(n, m, p) * p * ELEMENT_SIZE
+    return model / bound
 
 
 def weak_scaling_n(p: int, n0: int = 3200) -> int:

@@ -31,17 +31,13 @@ class ServiceConfig:
         the underlying job still completes and populates the cache (it
         cannot be interrupted mid-factorization).
     policy:
-        Dispatch policy name — ``fifo``, ``least-loaded`` or ``batch``
-        (see :mod:`repro.service.dispatch`).
+        Dispatch policy name — ``fifo`` or ``least-loaded`` (see
+        :mod:`repro.service.dispatch`).
     executor:
         ``thread`` (default: cheap startup, fine for the simulated
         runtime which releases the GIL in numpy kernels) or
         ``process`` (one interpreter per worker, start method chosen
         by the fork-safe :func:`repro.harness.sweep._pool_context`).
-    batch_window_s / batch_max_size / batch_n_max:
-        The ``batch`` policy's knobs: how long to hold a group open
-        for stragglers, the launch size cap, and the largest N still
-        considered "small" enough to batch.
     max_retries / retry_backoff_s / retry_jitter / retry_max_backoff_s:
         Worker-side retry of *transient* failures (deadlocks, rank
         failures — see :func:`repro.service.resilience.is_transient`):
@@ -61,9 +57,6 @@ class ServiceConfig:
     request_timeout_s: float = 60.0
     policy: str = "fifo"
     executor: str = "thread"
-    batch_window_s: float = 0.01
-    batch_max_size: int = 8
-    batch_n_max: int = 128
     max_retries: int = 0
     retry_backoff_s: float = 0.02
     retry_jitter: float = 0.1
@@ -97,14 +90,6 @@ class ServiceConfig:
             raise ValueError(
                 f"unknown executor {self.executor!r}; available: "
                 f"{EXECUTORS}"
-            )
-        if self.batch_window_s < 0:
-            raise ValueError(
-                f"batch_window_s must be >= 0, got {self.batch_window_s}"
-            )
-        if self.batch_max_size < 1:
-            raise ValueError(
-                f"batch_max_size must be >= 1, got {self.batch_max_size}"
             )
         # RetryPolicy / CircuitBreaker validate their own parameter
         # ranges; build them here so a bad config fails at construction.
@@ -143,9 +128,6 @@ class ServiceConfig:
             "request_timeout_s": self.request_timeout_s,
             "policy": self.policy,
             "executor": self.executor,
-            "batch_window_s": self.batch_window_s,
-            "batch_max_size": self.batch_max_size,
-            "batch_n_max": self.batch_n_max,
             "max_retries": self.max_retries,
             "retry_backoff_s": self.retry_backoff_s,
             "retry_jitter": self.retry_jitter,

@@ -1,23 +1,16 @@
 """Pluggable dispatch policies: how admitted jobs reach workers.
 
 A policy receives admitted :class:`~repro.service.jobs.Job` envelopes
-via :meth:`put` and hands each worker *units* of work via :meth:`get` —
-a unit is a list of jobs executed in one executor dispatch.  Three
-policies ship:
+via :meth:`put` and hands each worker its next job via :meth:`get`.
+Two policies ship:
 
 ``fifo``
-    One shared queue, strict arrival order, singleton units.  The
-    baseline every queueing result is stated against.
+    One shared queue, strict arrival order.  The baseline every
+    queueing result is stated against.
 ``least-loaded``
     Per-worker queues; each job is routed to the worker with the
     fewest outstanding jobs (queued + in flight).  Avoids head-of-line
     blocking behind one slow job when service times are skewed.
-``batch``
-    Size-aware batching: small problems (``n <= batch_n_max``) that
-    share a shape key (same algorithm / N / P / blocking / machine,
-    any seed) are held for up to ``batch_window_s`` and launched as
-    one unit of at most ``batch_max_size`` jobs — one grid launch
-    amortized over the group.  Larger problems pass straight through.
 
 ``depth()`` reports jobs admitted but not yet handed to a worker; the
 server's admission control bounds it by ``config.queue_depth``.
@@ -26,12 +19,8 @@ server's admission control bounds it by ``config.queue_depth``.
 from __future__ import annotations
 
 import asyncio
-from typing import TYPE_CHECKING
 
 from repro.service.jobs import Job
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.service.config import ServiceConfig
 
 #: Sentinel a worker receives when the service is shutting down.
 SHUTDOWN = None
@@ -42,9 +31,8 @@ class DispatchPolicy:
 
     name = "base"
 
-    def __init__(self, nworkers: int, config: ServiceConfig) -> None:
+    def __init__(self, nworkers: int) -> None:
         self.nworkers = nworkers
-        self.config = config
         self._pending = 0
         self._inflight = [0] * nworkers
 
@@ -52,16 +40,16 @@ class DispatchPolicy:
         """Jobs admitted but not yet running (the admission bound)."""
         return self._pending
 
-    def task_started(self, worker_id: int, njobs: int) -> None:
-        self._inflight[worker_id] += njobs
+    def task_started(self, worker_id: int) -> None:
+        self._inflight[worker_id] += 1
 
-    def task_done(self, worker_id: int, njobs: int) -> None:
-        self._inflight[worker_id] -= njobs
+    def task_done(self, worker_id: int) -> None:
+        self._inflight[worker_id] -= 1
 
     async def put(self, job: Job) -> None:
         raise NotImplementedError
 
-    async def get(self, worker_id: int) -> list[Job] | None:
+    async def get(self, worker_id: int) -> Job | None:
         raise NotImplementedError
 
     async def shutdown(self) -> None:
@@ -74,19 +62,19 @@ class FifoPolicy(DispatchPolicy):
 
     name = "fifo"
 
-    def __init__(self, nworkers: int, config: ServiceConfig) -> None:
-        super().__init__(nworkers, config)
+    def __init__(self, nworkers: int) -> None:
+        super().__init__(nworkers)
         self._queue: asyncio.Queue = asyncio.Queue()
 
     async def put(self, job: Job) -> None:
         self._pending += 1
-        self._queue.put_nowait([job])
+        self._queue.put_nowait(job)
 
-    async def get(self, worker_id: int) -> list[Job] | None:
-        unit = await self._queue.get()
-        if unit is not SHUTDOWN:
-            self._pending -= len(unit)
-        return unit
+    async def get(self, worker_id: int) -> Job | None:
+        job = await self._queue.get()
+        if job is not SHUTDOWN:
+            self._pending -= 1
+        return job
 
     async def shutdown(self) -> None:
         for _ in range(self.nworkers):
@@ -98,8 +86,8 @@ class LeastLoadedPolicy(DispatchPolicy):
 
     name = "least-loaded"
 
-    def __init__(self, nworkers: int, config: ServiceConfig) -> None:
-        super().__init__(nworkers, config)
+    def __init__(self, nworkers: int) -> None:
+        super().__init__(nworkers)
         self._queues = [asyncio.Queue() for _ in range(nworkers)]
 
     def load(self, worker_id: int) -> int:
@@ -110,85 +98,27 @@ class LeastLoadedPolicy(DispatchPolicy):
 
     async def put(self, job: Job) -> None:
         self._pending += 1
-        self._queues[self.pick_worker()].put_nowait([job])
+        self._queues[self.pick_worker()].put_nowait(job)
 
-    async def get(self, worker_id: int) -> list[Job] | None:
-        unit = await self._queues[worker_id].get()
-        if unit is not SHUTDOWN:
-            self._pending -= len(unit)
-        return unit
+    async def get(self, worker_id: int) -> Job | None:
+        job = await self._queues[worker_id].get()
+        if job is not SHUTDOWN:
+            self._pending -= 1
+        return job
 
     async def shutdown(self) -> None:
         for queue in self._queues:
             queue.put_nowait(SHUTDOWN)
 
 
-class BatchPolicy(DispatchPolicy):
-    """Size-aware batching of small same-shape problems.
-
-    Staged groups are keyed by :meth:`FactorRequest.shape_key` (seed
-    excluded).  A group flushes when it reaches ``batch_max_size`` or
-    when its ``batch_window_s`` timer fires, whichever is first, so a
-    lone request is delayed by at most the window.
-    """
-
-    name = "batch"
-
-    def __init__(self, nworkers: int, config: ServiceConfig) -> None:
-        super().__init__(nworkers, config)
-        self._queue: asyncio.Queue = asyncio.Queue()
-        self._staged: dict[tuple, list[Job]] = {}
-        self._timers: dict[tuple, asyncio.TimerHandle] = {}
-
-    def _flush(self, shape: tuple) -> None:
-        timer = self._timers.pop(shape, None)
-        if timer is not None:
-            timer.cancel()
-        group = self._staged.pop(shape, [])
-        if group:
-            self._queue.put_nowait(group)
-
-    async def put(self, job: Job) -> None:
-        self._pending += 1
-        if (
-            job.request.n > self.config.batch_n_max
-            or self.config.batch_max_size <= 1
-        ):
-            self._queue.put_nowait([job])
-            return
-        shape = job.request.shape_key()
-        group = self._staged.setdefault(shape, [])
-        group.append(job)
-        if len(group) >= self.config.batch_max_size:
-            self._flush(shape)
-        elif shape not in self._timers:
-            loop = asyncio.get_running_loop()
-            self._timers[shape] = loop.call_later(
-                self.config.batch_window_s, self._flush, shape
-            )
-
-    async def get(self, worker_id: int) -> list[Job] | None:
-        unit = await self._queue.get()
-        if unit is not SHUTDOWN:
-            self._pending -= len(unit)
-        return unit
-
-    async def shutdown(self) -> None:
-        for shape in list(self._staged):
-            self._flush(shape)
-        for _ in range(self.nworkers):
-            self._queue.put_nowait(SHUTDOWN)
-
-
 #: Public policy registry: ``ServiceConfig.policy`` names one of these.
 DISPATCH_POLICIES: dict[str, type[DispatchPolicy]] = {
     FifoPolicy.name: FifoPolicy,
     LeastLoadedPolicy.name: LeastLoadedPolicy,
-    BatchPolicy.name: BatchPolicy,
 }
 
 
-def make_policy(name: str, nworkers: int, config: ServiceConfig) -> DispatchPolicy:
+def make_policy(name: str, nworkers: int) -> DispatchPolicy:
     try:
         cls = DISPATCH_POLICIES[name]
     except KeyError:
@@ -196,4 +126,4 @@ def make_policy(name: str, nworkers: int, config: ServiceConfig) -> DispatchPoli
             f"unknown dispatch policy {name!r}; available: "
             f"{sorted(DISPATCH_POLICIES)}"
         ) from None
-    return cls(nworkers, config)
+    return cls(nworkers)

@@ -88,7 +88,8 @@ class FactorRequest:
 
     def shape_key(self) -> tuple:
         """Everything but the seed: requests sharing a shape key solve
-        same-shape problems and can be batched into one launch."""
+        same-shape problems (the service-time EMA and the circuit
+        breaker are keyed on it)."""
         return (self.impl, self.n, self.p, self.v, self.nb, self.machine)
 
     @classmethod

@@ -15,8 +15,8 @@ with a bounded job queue.  A submitted request flows::
                                            write failure never kills a
                                            response)
 
-Workers are asyncio tasks that pull work units from the dispatch
-policy and run them on a concurrent executor (threads by default, a
+Workers are asyncio tasks that pull jobs from the dispatch policy and
+run them on a concurrent executor (threads by default, a
 fork-safe process pool on request) — the event loop stays free for
 admission and the TCP front-end while factorizations run.
 
@@ -50,7 +50,7 @@ from repro.service.jobs import (
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.resilience import CircuitBreaker, is_transient
-from repro.service.worker import run_factor_batch, run_factor_job
+from repro.service.worker import run_factor_job
 
 #: Fallback estimate of one job's service time before any completes.
 _INITIAL_SERVICE_ESTIMATE_S = 0.05
@@ -66,9 +66,8 @@ _EMA_SHAPE_CAP = 512
 class FactorService:
     """Asyncio job queue in front of ``factor()``.
 
-    ``job_runner`` / ``batch_runner`` default to the real executor
-    functions; tests inject stubs to control service times without
-    monkeypatching.
+    ``job_runner`` defaults to the real executor function; tests
+    inject a stub to control service times without monkeypatching.
     """
 
     def __init__(
@@ -76,18 +75,15 @@ class FactorService:
         config: ServiceConfig | None = None,
         cache: SweepCache | None = None,
         job_runner: Callable[[dict], dict] | None = None,
-        batch_runner: Callable[[list[dict]], list[dict]] | None = None,
     ) -> None:
         self.config = config or ServiceConfig()
         self.cache = cache
         self.metrics = ServiceMetrics()
         self._job_runner = job_runner or run_factor_job
-        self._batch_runner = batch_runner or run_factor_batch
-        #: jobs that reached a worker / executor dispatches made —
-        #: the cache-hit contract ("a repeat matrix never reaches a
-        #: worker") is asserted against these.
+        #: jobs that reached a worker — the cache-hit contract ("a
+        #: repeat matrix never reaches a worker") is asserted against
+        #: this.
         self.worker_executions = 0
-        self.worker_launches = 0
         self.cache_write_failures = 0
         self.worker_retries = 0
         self.breaker_rejections = 0
@@ -122,7 +118,7 @@ class FactorService:
             raise RuntimeError("service already started")
         loop = asyncio.get_running_loop()
         self._policy = make_policy(
-            self.config.policy, self.config.workers, self.config
+            self.config.policy, self.config.workers
         )
         if self.config.executor == "process":
             # _pool_context falls back to spawn/forkserver when helper
@@ -318,39 +314,21 @@ class FactorService:
     async def _worker_loop(self, worker_id: int) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            unit = await self._policy.get(worker_id)
-            if unit is SHUTDOWN:
+            job = await self._policy.get(worker_id)
+            if job is SHUTDOWN:
                 return
-            self.worker_launches += 1
-            self.worker_executions += len(unit)
-            self._policy.task_started(worker_id, len(unit))
-            params = [job.request.params() for job in unit]
-            # Batch units group same-shape jobs, so one shape key
-            # stands for the whole unit.
-            shape = unit[0].request.shape_key()
+            self.worker_executions += 1
+            self._policy.task_started(worker_id)
+            params = job.request.params()
+            shape = job.request.shape_key()
             start = time.perf_counter()
             attempt = 0
             try:
                 while True:
                     try:
-                        if len(unit) == 1:
-                            rows = [
-                                await loop.run_in_executor(
-                                    self._executor,
-                                    self._job_runner,
-                                    params[0],
-                                )
-                            ]
-                        else:
-                            rows = await loop.run_in_executor(
-                                self._executor, self._batch_runner,
-                                params,
-                            )
-                        if len(rows) != len(unit):
-                            raise RuntimeError(
-                                f"batch runner returned {len(rows)} "
-                                f"rows for {len(unit)} jobs"
-                            )
+                        row = await loop.run_in_executor(
+                            self._executor, self._job_runner, params
+                        )
                     except Exception as exc:
                         if (
                             attempt < self._retry_policy.max_retries
@@ -372,20 +350,18 @@ class FactorService:
                             )
                         if self._breaker is not None:
                             self._breaker.record_failure(shape)
-                        for job in unit:
-                            self._resolve(job, STATUS_ERROR, message)
+                        self._resolve(job, STATUS_ERROR, message)
                         break
                     else:
                         elapsed = time.perf_counter() - start
-                        per_job = elapsed / len(unit)
                         self._ema_service_s = (
                             (1 - _EMA_ALPHA) * self._ema_service_s
-                            + _EMA_ALPHA * per_job
+                            + _EMA_ALPHA * elapsed
                         )
-                        prior = self._ema_by_shape.pop(shape, per_job)
+                        prior = self._ema_by_shape.pop(shape, elapsed)
                         self._ema_by_shape[shape] = (
                             (1 - _EMA_ALPHA) * prior
-                            + _EMA_ALPHA * per_job
+                            + _EMA_ALPHA * elapsed
                         )
                         while len(self._ema_by_shape) > _EMA_SHAPE_CAP:
                             self._ema_by_shape.pop(
@@ -393,12 +369,11 @@ class FactorService:
                             )
                         if self._breaker is not None:
                             self._breaker.record_success(shape)
-                        for job, row in zip(unit, rows):
-                            self._cache_put(job, row, per_job)
-                            self._resolve(job, STATUS_OK, row)
+                        self._cache_put(job, row, elapsed)
+                        self._resolve(job, STATUS_OK, row)
                         break
             finally:
-                self._policy.task_done(worker_id, len(unit))
+                self._policy.task_done(worker_id)
 
     def _cache_put(self, job: Job, row: dict, elapsed_s: float) -> None:
         # Guarded exactly like the sweep engine's finish(): a cache
@@ -425,7 +400,6 @@ class FactorService:
     def metrics_snapshot(self, wall_s: float | None = None) -> dict:
         doc = self.metrics.snapshot(wall_s)
         doc["worker_executions"] = self.worker_executions
-        doc["worker_launches"] = self.worker_launches
         doc["cache_write_failures"] = self.cache_write_failures
         doc["worker_retries"] = self.worker_retries
         doc["breaker_rejections"] = self.breaker_rejections

@@ -1,6 +1,6 @@
-"""Executor-side job runners.
+"""Executor-side job runner.
 
-Top-level functions (picklable by import path) so the same code runs
+A top-level function (picklable by import path) so the same code runs
 under the thread executor and under a spawn/forkserver process pool.
 A job is executed by the registered ``measured`` sweep task — the
 service computes *exactly* what a sweep point computes, which is what
@@ -17,9 +17,3 @@ def run_factor_job(params: dict) -> dict:
     """One request: resolve and run the ``measured`` task."""
     return get_task(SERVICE_TASK)(**params)
 
-
-def run_factor_batch(params_list: list[dict]) -> list[dict]:
-    """One batched launch: the problems run back to back, each exactly
-    as :func:`run_factor_job` would run it, so only the executor
-    hand-off is shared — nothing of a factorization's own set-up is."""
-    return [run_factor_job(params) for params in params_list]

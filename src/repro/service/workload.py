@@ -222,14 +222,10 @@ async def run_workload_async(
     spec: WorkloadSpec,
     cache: SweepCache | None = None,
     job_runner=None,
-    batch_runner=None,
 ) -> LoadReport:
     sampler = RequestSampler(spec)
     requests = sampler.request_stream()
-    service = FactorService(
-        config, cache=cache, job_runner=job_runner,
-        batch_runner=batch_runner,
-    )
+    service = FactorService(config, cache=cache, job_runner=job_runner)
     async with service:
         start = time.perf_counter()
         if spec.mode == "closed":
@@ -255,7 +251,6 @@ def run_workload(
     spec: WorkloadSpec,
     cache: SweepCache | None = None,
     job_runner=None,
-    batch_runner=None,
 ) -> LoadReport:
     """Synchronous entry point: generate the stream, serve it, report.
 
@@ -263,7 +258,6 @@ def run_workload(
     """
     return asyncio.run(
         run_workload_async(
-            config, spec, cache=cache, job_runner=job_runner,
-            batch_runner=batch_runner,
+            config, spec, cache=cache, job_runner=job_runner
         )
     )

@@ -41,14 +41,20 @@ class TestExamples:
         sys.argv = ["communication_study.py", "64"]
         try:
             # shrink the measured sweep by calling the module pieces
-            from repro.harness import fig6a_strong_scaling, format_series
-
-            data = fig6a_strong_scaling(
-                n=64, p_values=(4,), measured=True,
-                model_p_values=(64, 1024),
+            from repro.harness import format_series, run_sweep
+            from repro.harness.specs import (
+                fig6a_measured_spec,
+                fig6a_model_spec,
             )
-            assert data["measured"] and data["model"]
-            text = format_series(data["model"], "p", "per_rank_bytes")
+
+            measured = run_sweep(
+                fig6a_measured_spec(n=64, p_values=(4,))
+            ).rows()
+            model = run_sweep(
+                fig6a_model_spec(p_values=(64, 1024))
+            ).rows()
+            assert measured and model
+            text = format_series(model, "p", "per_rank_bytes")
             assert "conflux" in text
         finally:
             sys.argv = old

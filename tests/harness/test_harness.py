@@ -1,22 +1,28 @@
-"""Tests for the experiment harness (runner, experiments, reporting)."""
+"""Tests for the experiment harness (runner, named specs, reporting)."""
 
 import pytest
 
+from repro.algorithms.api import resolve_params
 from repro.harness import (
     format_series,
     format_table,
-    lower_bound_gap,
     run_experiment,
-    table2_model_rows,
+    run_sweep,
 )
-from repro.harness.experiments import (
-    fig7_reduction_grid,
+from repro.harness import runner
+from repro.harness.runner import model_for
+from repro.harness.specs import (
+    fig7_spec,
+    lower_bound_gap_spec,
+    table2_measured_spec,
+    table2_models_spec,
+)
+from repro.models.costmodels import MODEL_NAMES, QR_MODEL_NAMES
+from repro.models.prediction import (
+    TABLE2_PAPER_GB,
     model_gap_at_scale,
     summit_prediction,
-    table2_measured_rows,
 )
-from repro.algorithms.api import resolve_params
-from repro.harness.runner import model_for
 
 
 class TestPickParams:
@@ -69,26 +75,49 @@ class TestRunExperiment:
         with pytest.raises(KeyError):
             model_for("magma", 128, 4, {})
 
+    def test_member_without_model_fails_before_the_run(self, monkeypatch):
+        """cholesky25d is a registered algorithm with no cost model:
+        the lookup comes first, so nothing is factored for a record
+        that could never be completed."""
+
+        def never(*args, **kwargs):
+            raise AssertionError("factor() entered without a model")
+
+        monkeypatch.setattr(runner, "factor", never)
+        with pytest.raises(KeyError, match="unknown model") as exc:
+            run_experiment("cholesky25d", 64, 8)
+        # the message names every algorithm that does have a model
+        for name in MODEL_NAMES + QR_MODEL_NAMES:
+            assert name in str(exc.value)
+        assert "mmm25d" not in str(exc.value)
+
 
 class TestExperiments:
     def test_table2_model_rows_match_paper(self):
-        rows = table2_model_rows()
+        rows = run_sweep(table2_models_spec()).rows()
         assert len(rows) == 16  # 4 points x 4 implementations
         for row in rows:
             if row["impl"] in ("scalapack2d", "slate2d", "conflux"):
+                _, paper_modeled_gb = TABLE2_PAPER_GB[
+                    (row["n"], row["p"])
+                ][row["impl"]]
                 assert row["model_gb"] == pytest.approx(
-                    row["paper_modeled_gb"], rel=0.02
+                    paper_modeled_gb, rel=0.02
                 )
 
     def test_table2_measured_rows_small(self):
-        rows = table2_measured_rows(points=((64, 4),), seed=3)
+        rows = run_sweep(
+            table2_measured_spec(points=((64, 4),), seed=3)
+        ).rows()
         assert len(rows) == 4
         for row in rows:
             assert row["residual"] < 1e-11
             assert 50 < row["prediction_pct"] < 160
 
     def test_fig7_grid_shape(self):
-        rows = fig7_reduction_grid(n_values=(4096,), p_values=(64, 1024))
+        rows = run_sweep(
+            fig7_spec(n_values=(4096,), p_values=(64, 1024))
+        ).rows()
         assert len(rows) == 2
         assert all(r["reduction"] >= 1.0 for r in rows)
         # At P = 64 the leading models tie (COnfLUX within 0.1% of the
@@ -102,7 +131,9 @@ class TestExperiments:
         assert pred["reduction_leading"] == pytest.approx(2.1, abs=0.15)
 
     def test_lower_bound_gap_sane(self):
-        rows = lower_bound_gap(n_values=(64,), p=4, seed=4)
+        rows = run_sweep(
+            lower_bound_gap_spec(n_values=(64,), p=4, seed=4)
+        ).rows()
         assert rows[0]["gap"] > 1.0  # a real schedule can't beat the bound
 
     def test_model_gap_tends_to_three_halves(self):

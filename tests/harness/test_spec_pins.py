@@ -1,0 +1,63 @@
+"""Pinned sweep identities: cached rows stay valid across refactors.
+
+``tests/data/spec_point_keys.json`` holds, for every named sweep, the
+ordered ``cache_key()`` of each point ``named_spec(name).points()``
+enumerates, plus ``runner.model_for`` at every pinned-ledger
+configuration that has a model.  A change that moves either has
+invalidated every sweep cache in the field (or changed what a
+``measured`` row's ``modeled_bytes`` means); regenerate only when that
+is the point of the change::
+
+    python -m tests.harness.test_spec_pins
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+from tests.algorithms.ledger_pins import PINNED_POINTS, point_key
+
+PIN_PATH = (
+    Path(__file__).resolve().parents[1] / "data" / "spec_point_keys.json"
+)
+
+
+def collect_pins() -> dict:
+    from repro.harness.runner import model_for
+    from repro.harness.specs import SPECS, named_spec
+    from repro.models.api import MODEL_REGISTRY
+
+    return {
+        "spec_point_keys": {
+            name: [pt.cache_key() for pt in named_spec(name).points()]
+            for name in sorted(SPECS)
+        },
+        "model_for": {
+            point_key(impl, n, g, c, v): model_for(
+                impl, n, g * g * c, {"grid": (g, g, c), "v": v}
+            )
+            for impl, n, g, c, v in PINNED_POINTS
+            if impl in MODEL_REGISTRY
+        },
+    }
+
+
+def test_named_specs_enumerate_pinned_cache_keys():
+    pinned = json.loads(PIN_PATH.read_text())["spec_point_keys"]
+    current = collect_pins()["spec_point_keys"]
+    assert sorted(current) == sorted(pinned)
+    for name, keys in pinned.items():
+        assert current[name] == keys, f"sweep {name!r} moved its points"
+
+
+def test_model_for_matches_pins_at_ledger_configurations():
+    pinned = json.loads(PIN_PATH.read_text())["model_for"]
+    assert collect_pins()["model_for"] == pinned
+
+
+if __name__ == "__main__":
+    PIN_PATH.write_text(
+        json.dumps(collect_pins(), indent=1, sort_keys=True) + "\n"
+    )
+    print(f"wrote {PIN_PATH}")

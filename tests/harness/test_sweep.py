@@ -388,12 +388,6 @@ class TestParallelExecution:
 
 
 class TestSpecsMatchRunner:
-    def test_qr_impls_track_runner_and_models(self):
-        from repro.harness.runner import QR_IMPLEMENTATION_NAMES
-        from repro.models.costmodels import QR_MODEL_NAMES
-
-        assert QR_IMPLEMENTATION_NAMES == QR_MODEL_NAMES
-
     def test_block_size_spec_rows_match_direct_run(self):
         res = run_sweep(block_size_spec(v_values=(4,)))
         row = res.rows()[0]

@@ -15,7 +15,6 @@ from repro.models.costmodels import (
     conflux_step_breakdown,
     conflux_total_bytes,
     derive_c_from_memory,
-    scalapack2d_model,
     scalapack2d_total_bytes,
     slate_total_bytes,
 )
@@ -167,16 +166,6 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             get_model("mkl")
-
-    def test_per_rank_and_gb_helpers(self):
-        m = scalapack2d_model
-        assert m.total_bytes is get_model("scalapack2d").total_bytes
-        assert m.per_rank_bytes(100, 4, 1.0) == pytest.approx(
-            m.total_bytes(100, 4, 1.0) / 4
-        )
-        assert m.total_gb(100, 4, 1.0) == pytest.approx(
-            m.total_bytes(100, 4, 1.0) / 1e9
-        )
 
 
 class TestModelShapeProperties:

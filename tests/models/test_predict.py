@@ -38,6 +38,8 @@ class TestRegistry:
             assert info.kind in MODEL_KINDS
             assert info.grid_family in ("25d", "2d")
             assert callable(info.total_bytes)
+            assert callable(info.as_run)
+            assert info.block_param in (None, "v", "nb")
             assert info.description
             assert name in info.describe()
 
@@ -46,6 +48,7 @@ class TestRegistry:
             register_model(
                 "bogus",
                 lambda n, p, m: 0.0,
+                as_run=lambda n, grid, block: 0.0,
                 kind="fft",
                 grid_family="2d",
                 description="x",

@@ -36,13 +36,13 @@ class TestLoadgen:
     def test_policy_and_seed_flags_flow_through(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         rc = main([
-            "loadgen", "--requests", "10", "--policy", "batch",
+            "loadgen", "--requests", "10", "--policy", "least-loaded",
             "--seed", "5", "--sizes", "24", "--seed-pool", "2",
             "--json", str(path),
         ])
         assert rc == 0
         doc = json.loads(path.read_text())
-        assert doc["service"]["policy"] == "batch"
+        assert doc["service"]["policy"] == "least-loaded"
         assert doc["workload"]["seed"] == 5
 
     def test_cache_dir_makes_a_second_run_all_hits(self, capsys, tmp_path):
@@ -61,3 +61,9 @@ class TestLoadgen:
     def test_unknown_mode_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             main(["loadgen", "--mode", "burst"])
+
+    def test_unknown_policy_names_the_registered_ones(self, capsys):
+        assert main(["loadgen", "--policy", "batch"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown policy 'batch'" in err
+        assert "fifo" in err and "least-loaded" in err

@@ -1,4 +1,4 @@
-"""Dispatch policy semantics: ordering, balance, batching."""
+"""Dispatch policy semantics: ordering, balance."""
 
 import asyncio
 
@@ -7,7 +7,6 @@ import pytest
 from repro.service.config import ServiceConfig
 from repro.service.dispatch import (
     DISPATCH_POLICIES,
-    BatchPolicy,
     FifoPolicy,
     LeastLoadedPolicy,
     make_policy,
@@ -31,11 +30,11 @@ def run(coro):
 
 class TestRegistry:
     def test_policies_registered(self):
-        assert set(DISPATCH_POLICIES) == {"fifo", "least-loaded", "batch"}
+        assert set(DISPATCH_POLICIES) == {"fifo", "least-loaded"}
 
     def test_make_policy_unknown_name(self):
         with pytest.raises(KeyError, match="unknown dispatch policy"):
-            make_policy("round-robin", 2, ServiceConfig())
+            make_policy("round-robin", 2)
 
     def test_config_rejects_unknown_policy(self):
         with pytest.raises(ValueError, match="unknown policy"):
@@ -45,14 +44,14 @@ class TestRegistry:
 class TestFifo:
     def test_strict_arrival_order(self):
         async def go():
-            policy = FifoPolicy(2, ServiceConfig())
+            policy = FifoPolicy(2)
             jobs = [_job(seed=i) for i in range(5)]
             for job in jobs:
                 await policy.put(job)
             assert policy.depth() == 5
             seen = []
             for _ in jobs:
-                (job,) = await policy.get(0)
+                job = await policy.get(0)
                 seen.append(job.request.seed)
             assert seen == [0, 1, 2, 3, 4]
             assert policy.depth() == 0
@@ -61,7 +60,7 @@ class TestFifo:
 
     def test_shutdown_delivers_one_sentinel_per_worker(self):
         async def go():
-            policy = FifoPolicy(3, ServiceConfig())
+            policy = FifoPolicy(3)
             await policy.shutdown()
             assert [await policy.get(i) for i in range(3)] == [
                 None, None, None,
@@ -73,7 +72,7 @@ class TestFifo:
 class TestLeastLoaded:
     def test_spreads_jobs_across_idle_workers(self):
         async def go():
-            policy = LeastLoadedPolicy(2, ServiceConfig())
+            policy = LeastLoadedPolicy(2)
             for i in range(4):
                 await policy.put(_job(seed=i))
             # alternating routing: both workers hold two jobs
@@ -84,80 +83,15 @@ class TestLeastLoaded:
 
     def test_avoids_busy_worker(self):
         async def go():
-            policy = LeastLoadedPolicy(2, ServiceConfig())
-            # worker 0 is busy with a two-job unit: both new jobs must
-            # route to the idle worker 1
-            policy.task_started(0, 2)
-            for i in range(2):
-                await policy.put(_job(seed=i))
+            policy = LeastLoadedPolicy(2)
+            # worker 0 has a job in flight: the next job must route to
+            # the idle worker 1, and only then is the load level again
+            policy.task_started(0)
+            await policy.put(_job(seed=0))
             assert policy._queues[0].qsize() == 0
-            assert policy._queues[1].qsize() == 2
-            policy.task_done(0, 2)
-
-        run(go())
-
-
-class TestBatch:
-    def _config(self, **kw):
-        defaults = dict(
-            policy="batch", batch_window_s=0.01, batch_max_size=3,
-            batch_n_max=64,
-        )
-        defaults.update(kw)
-        return ServiceConfig(**defaults)
-
-    def test_full_group_flushes_immediately(self):
-        async def go():
-            policy = BatchPolicy(1, self._config())
-            for seed in range(3):
-                await policy.put(_job(n=32, seed=seed))
-            unit = await policy.get(0)
-            assert [j.request.seed for j in unit] == [0, 1, 2]
-
-        run(go())
-
-    def test_window_flushes_partial_group(self):
-        async def go():
-            policy = BatchPolicy(1, self._config(batch_window_s=0.01))
-            await policy.put(_job(n=32, seed=0))
-            assert policy.depth() == 1
-            unit = await asyncio.wait_for(policy.get(0), timeout=1.0)
-            assert len(unit) == 1
-
-        run(go())
-
-    def test_different_shapes_never_share_a_unit(self):
-        async def go():
-            policy = BatchPolicy(1, self._config())
-            await policy.put(_job(n=32, seed=0))
-            await policy.put(_job(n=48, seed=0))
-            units = [
-                await asyncio.wait_for(policy.get(0), timeout=1.0)
-                for _ in range(2)
-            ]
-            for unit in units:
-                assert len(unit) == 1
-                assert len({j.request.shape_key() for j in unit}) == 1
-
-        run(go())
-
-    def test_large_problems_pass_straight_through(self):
-        async def go():
-            policy = BatchPolicy(1, self._config(batch_n_max=64))
-            await policy.put(_job(n=128, seed=0))
-            # no window wait: the unit is already queued
-            unit = await asyncio.wait_for(policy.get(0), timeout=0.05)
-            assert len(unit) == 1 and unit[0].request.n == 128
-
-        run(go())
-
-    def test_shutdown_flushes_staged_jobs(self):
-        async def go():
-            policy = BatchPolicy(1, self._config())
-            await policy.put(_job(n=32, seed=0))
-            await policy.shutdown()
-            unit = await policy.get(0)
-            assert len(unit) == 1
-            assert await policy.get(0) is None
+            assert policy._queues[1].qsize() == 1
+            await policy.put(_job(seed=1))
+            assert policy._queues[0].qsize() == 1
+            policy.task_done(0)
 
         run(go())

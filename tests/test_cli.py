@@ -129,6 +129,30 @@ class TestPlanCommand:
         assert rc == 0
         assert "P=4,608" in out
 
+    def test_machine_resolves_like_factor(self, capsys, tmp_path):
+        """``plan --machine`` takes what ``factor --machine`` takes:
+        any registry preset under either spelling, or a JSON spec."""
+        for spelling in ("daint-xc50", "daint_xc50"):
+            assert main(["plan", "--machine", spelling, "--n", "4096",
+                         "--p", "64"]) == 0
+            assert "daint-xc50: N=4,096, P=64" in capsys.readouterr().out
+        assert main(["plan", "--machine", "laptop-sim", "--n", "256"]) == 0
+        assert "laptop-sim: N=256, P=64" in capsys.readouterr().out
+        spec = tmp_path / "box.json"
+        spec.write_text(
+            '{"name": "box", "total_ranks": 16, '
+            '"memory_per_rank_bytes": 1073741824}'
+        )
+        assert main(["plan", "--machine", str(spec), "--n", "512"]) == 0
+        assert "box: N=512, P=16" in capsys.readouterr().out
+
+    def test_unknown_machine_lists_presets(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--machine", "laptop"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown machine 'laptop'" in err and "laptop-sim" in err
+
 
 class TestModelsCommand:
     def test_exact_models(self, capsys):
