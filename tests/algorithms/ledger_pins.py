@@ -38,6 +38,17 @@ PINNED_POINTS = (
     ("caqr25d", 16, 2, 1, 4),
     ("confqr", 24, 2, 2, 4),
     ("confqr", 16, 2, 1, 4),
+    # beyond G = 2 / c = 2, with ragged N: caqr25d, cholesky25d and the
+    # G >= 3 trees sit on no BENCHMARK.json workload, so these pins are
+    # what guards them
+    ("conflux", 30, 3, 2, 4),
+    ("candmc25d", 30, 3, 2, 4),
+    ("candmc25d", 27, 2, 3, 3),
+    ("cholesky25d", 30, 3, 2, 4),
+    ("caqr25d", 30, 3, 2, 4),
+    ("caqr25d", 26, 2, 3, 4),
+    ("confqr", 30, 3, 2, 4),
+    ("confqr", 21, 4, 1, 3),
 )
 
 

@@ -53,7 +53,10 @@ def test_named_specs_enumerate_pinned_cache_keys():
 
 def test_model_for_matches_pins_at_ledger_configurations():
     pinned = json.loads(PIN_PATH.read_text())["model_for"]
-    assert collect_pins()["model_for"] == pinned
+    current = collect_pins()["model_for"]
+    # ledger points newer than the snapshot join it at its next
+    # regeneration; adding a ledger pin must not touch this file
+    assert {key: current[key] for key in pinned} == pinned
 
 
 if __name__ == "__main__":
