@@ -8,7 +8,8 @@ The public entry point is the capability-aware registry in
 
 * :mod:`repro.algorithms.schedule25d` — the shared [G, G, c] grid
   choreography (layouts, panel-owner rotation, layer chunking, tag
-  namespaces, reduction/scatter/fetch plans) every 2.5D member runs on.
+  namespaces, reduction/scatter/fetch/TSQR-tree plans) every 2.5D
+  member runs on.
 * :mod:`repro.algorithms.conflux` — COnfLUX (paper Algorithm 1): the
   2.5D, row-masking, tournament-pivoting near-communication-optimal LU.
 * :mod:`repro.algorithms.scalapack2d` — the LibSci/ScaLAPACK baseline:
@@ -31,6 +32,8 @@ Extensions beyond the paper's evaluation (its stated future work):
 * :mod:`repro.algorithms.caqr25d` — 2.5D CAQR: TSQR panel
   factorizations on the [G, G, c] grid (Demmel et al.'s
   communication-avoiding QR, the journal extension's QR workload).
+* :mod:`repro.algorithms.confqr` — COnfQR: compact-WY updates on the
+  compute layer, the other layers a 1/c-chunked reflector bank.
 * :mod:`repro.algorithms.qr2d` — the ScaLAPACK-style 2D block-cyclic
   Householder QR baseline (pdgeqrf's schedule).
 

@@ -259,10 +259,10 @@ def factor(
     ``faults`` (a :class:`~repro.faults.FaultPlan`, plan dict, or JSON
     path) arms deterministic fault injection; ``fault_seed`` overrides
     the plan's seed, so one plan file replays many chaos variants.
-    ``timeout_s`` (or its short spelling ``timeout``) is the run's wall
-    budget: deadlocks are reported the moment they occur, so it only
-    bounds a run that keeps computing.  The one remaining keyword is
-    the member's blocking parameter, ``v`` or ``nb``.
+    ``timeout_s`` is the run's wall budget: deadlocks are reported the
+    moment they occur, so it only bounds a run that keeps computing.
+    The one remaining keyword is the member's blocking parameter, ``v``
+    or ``nb``.
 
     For ``lu`` the result holds L, U and the row order of P A = L U;
     for ``qr``, ``lower`` is the explicit Q, ``upper`` is R and
@@ -277,11 +277,7 @@ def factor(
         from repro.models.machines import resolve_machine
 
         machine = resolve_machine(machine)
-    if timeout_s is not None:
-        if "timeout" in opts:
-            raise ValueError("pass timeout_s= or timeout=, not both")
-        opts["timeout"] = float(timeout_s)
-    timeout = opts.pop("timeout", 600.0)
+    timeout = 600.0 if timeout_s is None else float(timeout_s)
     if faults is not None:
         # Same eager-resolution rationale as machine specs.
         from repro.faults import resolve_faults
@@ -301,7 +297,7 @@ def factor(
         raise TypeError(
             f"{name}: unexpected keyword argument(s) "
             f"{', '.join(sorted(opts))}; accepted: "
-            f"{info.block_param}, timeout"
+            f"{info.block_param}, timeout_s"
         )
     _check_dtype(info, a)
     a = validate_input_matrix(a)

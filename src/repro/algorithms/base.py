@@ -20,7 +20,9 @@ RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class FactorResult:
-    """Outcome of one distributed LU factorization run.
+    """Outcome of one distributed factorization run, in the LU
+    container: QR puts the explicit Q in ``lower`` and R in ``upper``,
+    Cholesky L and its transpose, both with the identity ``perm``.
 
     Attributes
     ----------
@@ -34,13 +36,14 @@ class FactorResult:
     block:
         Panel width (v for the 2.5D algorithms, nb for the 2D ones).
     lower, upper:
-        Assembled global factors (L unit-lower, U upper) of P A.
+        Assembled global factors (for LU: L unit-lower, U upper, of P A).
     perm:
         Row order: ``P A == A[perm]``.
     volume:
         Per-rank communication ledger snapshot.
     residual:
-        ``||P A - L U||_F / ||A||_F``.
+        ``||P A - L U||_F / ||A||_F`` (QR: ``||A - Q R||``, Cholesky:
+        ``||A - L L^T||``, same normalization).
     meta:
         Implementation-specific extras (e.g. active rank count).
     """
@@ -228,6 +231,23 @@ def verify_cholesky_factor(a: np.ndarray, lower: np.ndarray) -> float:
             f"||A - L L^T||/||A|| = {residual:.2e} > {RESIDUAL_TOL:.0e}",
         )
     return residual
+
+
+def gather_blocks(
+    n: int, results: list[dict], key: str = "aloc"
+) -> np.ndarray:
+    """The N x N matrix whose ``(rows, cols)`` blocks the ranks returned
+    under ``key``.  Ranks that returned no such block — disabled by the
+    grid optimizer, or a COnfQR bank layer — are skipped."""
+    combined = np.zeros((n, n))
+    seen = False
+    for res in results:
+        if res.get("active") and key in res:
+            seen = True
+            combined[np.ix_(res["rows"], res["cols"])] = res[key]
+    if not seen:
+        raise RuntimeError(f"no rank returned a {key!r} block")
+    return combined
 
 
 def validate_input_matrix(a: np.ndarray) -> np.ndarray:

@@ -32,24 +32,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.api import register_algorithm
-from repro.algorithms.conflux import (
-    _assemble,
-    _ConfluxRank,
-    _merge_op,
-    _TAG_A10_SCATTER,
-    _TAG_A01_SCATTER,
-    _TAG_A10_PANEL,
-    _TAG_A01_PANEL,
-)
+from repro.algorithms.conflux import _assemble, _ConfluxRank
 from repro.algorithms.schedule25d import StepContext
-from repro.kernels.linalg import (
-    permutation_from_pivots,
-    trsm_lower_unit,
-    trsm_upper,
-)
-from repro.kernels.lu_seq import lu_partial_pivot, split_lu
-from repro.kernels.tournament import PivotCandidates, local_candidates
 
+# tags 1-4 are COnfLUX's scatters and panel fetches
 _TAG_SWAP = 5
 
 
@@ -60,7 +46,9 @@ class _CandmcRank(_ConfluxRank):
     ``orig`` array maps each position to the original matrix row living
     there.  After step t's swaps, positions [0, (t+1) v) hold the chosen
     pivot rows in elimination order, so the active set is simply the
-    positions >= (t+1) v — no masking bookkeeping.
+    positions >= (t+1) v — no masking bookkeeping.  COnfLUX's steps run
+    unchanged over positions; only the way back to original rows
+    (:meth:`row_labels`) and the swaps differ.
     """
 
     chunking = "replicate"  # full-width panels to every layer
@@ -70,68 +58,30 @@ class _CandmcRank(_ConfluxRank):
         self.orig = np.arange(self.n)  # position -> original row
         self.posof = np.arange(self.n)  # original row -> position
 
+    def row_labels(self, ids: np.ndarray) -> np.ndarray:
+        return self.orig[ids]
+
     # -- reduce + tournament + bcast, all over *positions* -------------
     def panel_op(self, ctx: StepContext):
-        comm, gd, sched = self.comm, self.grid, self.sched
-        t, q, lt, w = ctx.t, ctx.q, ctx.lt, ctx.w
-        g = self.g
-        start = t * self.v
-        active_pos = np.arange(start, self.n)
+        active_pos = np.arange(ctx.k0, self.n)
+        mine = active_pos[(active_pos % self.g) == self.pi]
+        return (*self.factor_panel(ctx, mine), mine)
 
-        on_panel_col = self.pj == q
-        mine = active_pos[(active_pos % g) == self.pi]
-        mine_local = self.row_g2l[mine]
-
-        panel_true = None
-        if on_panel_col:
-            contrib = self.aloc[
-                np.ix_(mine_local, self.col_g2l[ctx.panel_cols])
-            ]
-            panel_true = sched.reduce_to_layer(
-                "reduce_column", contrib, lt
-            )
-
-        if panel_true is not None:
-            with comm.phase("tournament"):
-                cand = local_candidates(panel_true, mine, w)
-                payload = (cand.values, cand.row_ids)
-                win = gd.col_comm.reduce(payload, root=0, op=_merge_op(w))
-                win = gd.col_comm.bcast(win, root=0)
-            winner = PivotCandidates(values=win[0], row_ids=win[1])
-            lu00, piv = lu_partial_pivot(winner.values[:, :w])
-            order = permutation_from_pivots(piv, winner.count)
-            pivot_pos = winner.row_ids[order][:w]
-            payload = (pivot_pos, lu00)
-        else:
-            payload = None
-
-        pivot_pos, a00 = sched.bcast_from(
-            "bcast_a00", payload, (0, q, lt)
-        )
-        if self.grid_rank == 0:
-            self.a00_blocks.append(
-                (t, self.orig[pivot_pos].copy(), a00.copy())
-            )
-        return pivot_pos, a00, panel_true, mine
-
-    # -- swaps + panel exchange + full-width fetch + chunked update ----
+    # -- swaps, then COnfLUX's steps 4-11 over the swapped positions ---
     def trailing_op(self, ctx: StepContext, panel) -> None:
-        sched = self.sched
-        g, v, n = self.g, self.v, self.n
-        t, q, lt, w = ctx.t, ctx.q, ctx.lt, ctx.w
+        n, start, w = self.n, ctx.k0, ctx.w
         pivot_pos, a00, panel_true, mine = panel
-        start = t * v
 
         # -- physical row swaps: pivots into positions start..start+w ---
         pivot_orig = self.orig[pivot_pos].copy()
-        trail_local = sched.trailing_local_cols(t)
+        trail_local = self.sched.trailing_local_cols(ctx.t)
         swap_list: list[tuple[int, int]] = []
         for j in range(w):
             x = start + j
             y = int(self.posof[pivot_orig[j]])
             if x == y:
                 continue
-            self._swap_positions(t, x, y, trail_local)
+            self._swap_positions(ctx.t, x, y, trail_local)
             swap_list.append((x, y))
             ox_, oy_ = self.orig[x], self.orig[y]
             self.orig[x], self.orig[y] = oy_, ox_
@@ -149,91 +99,19 @@ class _CandmcRank(_ConfluxRank):
         post_of_pre = np.empty(n, dtype=int)
         post_of_pre[content_from] = np.arange(n)
 
-        # -- A10: panel rows now at positions >= start + w ---------------
+        # Panel rows are now at positions >= start + w, the pivot rows
+        # at start..start+w; the true values still sit where step 1
+        # reduced them, on the grid row of each row's pre-swap position.
         nonpivot_pos = np.arange(start + w, n)
-        value_rows_post = (
-            post_of_pre[mine] if panel_true is not None else None
-        )
-        recv_plan_a10 = sched.scatter_rows(
-            phase="scatter_a10",
-            tag=sched.tag(_TAG_A10_SCATTER, t),
+        self.eliminate(
+            ctx,
+            a00,
+            panel_true,
+            value_rows=post_of_pre[mine],
             row_pool=nonpivot_pos,
-            holders=sched.rank_at[content_from[nonpivot_pos] % g, q, lt],
-            values=panel_true,
-            value_rows=value_rows_post,
+            holder_rows=content_from[nonpivot_pos],
+            pivot_rows=np.arange(start, start + w),
         )
-        a10_rows = sched.assign_1d(nonpivot_pos, self.grid_rank)
-        _, u00 = split_lu(a00)
-        if len(a10_rows):
-            c_rows = sched.assemble_rows(recv_plan_a10, a10_rows, w)
-            a10_vals = trsm_upper(u00, c_rows, side="right")
-            self.l_pieces.append(
-                (t, self.orig[a10_rows].copy(), a10_vals)
-            )
-        else:
-            a10_vals = np.zeros((0, w))
-
-        # -- reduce + scatter A01 (pivot rows now at start..start+w) ----
-        trail_cols = self.my_cols[trail_local]
-        pivot_positions_now = np.arange(start, start + w)
-        my_pivot_pos = pivot_positions_now[
-            (pivot_positions_now % g) == self.pi
-        ]
-        pivot_true = None
-        if len(my_pivot_pos) and len(trail_local):
-            contrib = self.aloc[
-                np.ix_(self.row_g2l[my_pivot_pos], trail_local)
-            ]
-            pivot_true = sched.reduce_to_layer(
-                "reduce_pivot_rows", contrib, lt
-            )
-
-        all_trailing = np.arange((t + 1) * v, n)
-        a01_cols = sched.assign_1d(all_trailing, self.grid_rank)
-        assembled_a01 = sched.scatter_pivot_cols(
-            t,
-            phase="scatter_a01",
-            tag=sched.tag(_TAG_A01_SCATTER, t),
-            pivot_ids=pivot_positions_now,
-            pivot_true=pivot_true,
-            my_pivot_rows=my_pivot_pos,
-            my_trail_cols=trail_cols,
-            my_assigned_cols=a01_cols,
-        )
-        if len(a01_cols):
-            a01_vals = trsm_lower_unit(a00, assembled_a01)
-            self.u_pieces.append((t, a01_cols.copy(), a01_vals))
-        else:
-            a01_vals = np.zeros((w, 0))
-
-        # -- full-width panel fetch + chunked Schur update ---------------
-        chunk = sched.sender_chunks(w)[self.layer]
-        a10_piece, piece_rows = sched.fetch_rows_piece(
-            phase="panel_a10",
-            tag=sched.tag(_TAG_A10_PANEL, t),
-            pool=nonpivot_pos,
-            vals_1d=a10_vals,
-            my_1d_rows=a10_rows,
-            chunk=chunk,
-            need=lambda rows, i, j: rows % g == i,
-        )
-        a01_piece, piece_cols = sched.fetch_cols_piece(
-            phase="panel_a01",
-            tag=sched.tag(_TAG_A01_PANEL, t),
-            pool=all_trailing,
-            vals_1d=a01_vals,
-            my_1d_cols=a01_cols,
-            chunk=chunk,
-        )
-        applied = sched.my_chunk(w)
-        if a10_piece.size and a01_piece.size and len(applied):
-            rel = np.searchsorted(chunk, applied)
-            rloc = self.row_g2l[piece_rows]
-            cloc = self.col_g2l[piece_cols]
-            self.aloc[np.ix_(rloc, cloc)] -= (
-                a10_piece[:, rel] @ a01_piece[rel, :]
-            )
-        self.pivoted[: start + w] = True  # positions, for bookkeeping
 
     # ------------------------------------------------------------------
     def _swap_positions(

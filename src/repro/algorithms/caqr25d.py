@@ -10,8 +10,8 @@ the simulated MPI substrate over :class:`~repro.smpi.grid.ProcessGrid3D`:
   root;
 * columns are block-cyclic over the G*c (column, layer) slots, so all
   c layers hold disjoint column panes and every rank works every step
-  (the layers act as extra column resources; a COnfQR-style use of
-  replication to *reduce* panel traffic is recorded future work);
+  (the layers act as extra column resources; spending the replication
+  to *reduce* panel traffic is :mod:`repro.algorithms.confqr`);
 * each panel is factored by a binary-tree TSQR across the G grid rows
   of its owning pane (:mod:`repro.kernels.tsqr`), and the implicit
   tree Q^T is applied to the trailing matrix by replaying the same
@@ -31,8 +31,8 @@ Per step t (panel width w, active rows n_t, trailing columns w_t):
 
 Steps 1-3 are the :meth:`panel_op` hook and step 4 the
 :meth:`trailing_op` hook of the shared :class:`Rank25D` template; the
-block-cyclic pane layout and the two-hop pane broadcast come from
-:class:`Schedule25D`.
+block-cyclic pane layout, the TSQR tree (merge and replay, shared with
+COnfQR) and the two-hop pane broadcast come from :class:`Schedule25D`.
 
 Q is returned *explicitly* in the :class:`FactorResult` (``lower`` = Q,
 ``upper`` = R, identity ``perm``): like LAPACK's orgqr, the global Q is
@@ -46,65 +46,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.api import register_algorithm
+from repro.algorithms.base import gather_blocks
 from repro.algorithms.schedule25d import Rank25D, StepContext
-from repro.kernels.tsqr import (
-    MergeNode,
-    TsqrFactors,
-    apply_qt,
-    householder_qr,
-    merge_plan,
-)
+from repro.kernels.tsqr import MergeNode, TsqrFactors, apply_qt, merge_plan
 from repro.layouts.block_cyclic import BlockCyclic1D
-
-_TAG_TREE_R = 1
-_TAG_TOP = 2
-_TAG_TOP_BACK = 3
-
-
-def tsqr_leaf_and_merge(
-    rank: Rank25D,
-    ctx: StepContext,
-    rt: int,
-    plan,
-    act_loc: np.ndarray,
-    on_pane: bool,
-):
-    """Steps 1-2 of a TSQR panel, shared with COnfQR.
-
-    Local Householder QR of this rank's active panel rows, then the R
-    factors merged up the binary tree ``plan`` along ``col_comm`` (root
-    = grid row ``rt``) under phase ``tsqr_tree``.  Returns ``(leaf,
-    my_nodes, r_mine)``: the leaf reflectors ``(V, tau)`` or ``None``,
-    the merge reflectors this rank computed keyed by plan order, and
-    the R it still holds — the panel's final R on the root, ``None``
-    on a rank that sent its R up.  Ranks off the pane do nothing.
-    """
-    leaf, r_mine = None, None
-    my_nodes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    if not on_pane:
-        return leaf, my_nodes, r_mine
-    g, col_comm = rank.g, rank.grid.col_comm
-    if len(act_loc):
-        panel_lcols = rank.col_g2l[np.arange(ctx.k0, ctx.k1)]
-        lv, ltau, r_mine = householder_qr(
-            rank.aloc[np.ix_(act_loc, panel_lcols)]
-        )
-        leaf = (lv, ltau)
-    tag = rank.sched.tag(_TAG_TREE_R, ctx.t)
-    with rank.comm.phase("tsqr_tree"):
-        for order, step in enumerate(plan):
-            a_row = (rt + step.a) % g
-            b_row = (rt + step.b) % g
-            if rank.pi == b_row:
-                col_comm.send(r_mine, a_row, tag)
-                r_mine = None
-            elif rank.pi == a_row:
-                theirs = col_comm.recv(b_row, tag)
-                nv, ntau, r_mine = householder_qr(
-                    np.vstack([r_mine, theirs])
-                )
-                my_nodes[order] = (nv, ntau)
-    return leaf, my_nodes, r_mine
 
 
 class _CaqrRank(Rank25D):
@@ -112,8 +57,7 @@ class _CaqrRank(Rank25D):
 
     def setup(self, a: np.ndarray) -> None:
         sched = self.sched
-        sched.init_block_cyclic_layout()
-        self.rows_by_grid_row = sched.rows_by_grid_row
+        sched.init_block_cyclic_layout(panes_on_layers=True)
         self.my_rows = sched.my_rows
         self.my_cols = sched.my_cols
         self.col_g2l = sched.col_g2l
@@ -134,30 +78,20 @@ class _CaqrRank(Rank25D):
     # -- steps 1-3: leaf QR, tree merge, pane broadcast ----------------
     def panel_op(self, ctx: StepContext):
         sched, g = self.sched, self.g
-        t, k0, k1, w = ctx.t, ctx.k0, ctx.k1, ctx.w
-        rt = int(sched.rowmap.owner(k0))
-        slot_t = int(sched.colmap.owner(k0))
+        t, w = ctx.t, ctx.w
+        rt, slot_t, counts, act_loc = sched.tsqr_geometry(ctx.k0)
         qj, ql = slot_t % g, slot_t // g
         on_panel = self.pj == qj and self.layer == ql
-
-        # Active (>= k0) rows, per grid row, in ascending global order.
-        counts = [
-            len(rows) - int(np.searchsorted(rows, k0))
-            for rows in self.rows_by_grid_row
-        ]
-        tree_counts = [counts[(rt + p) % g] for p in range(g)]
-        plan = merge_plan(tree_counts, w)
-        my_pos = (self.pi - rt) % g
-        start = int(np.searchsorted(self.my_rows, k0))
-        act_loc = np.arange(start, len(self.my_rows))
+        plan = merge_plan([counts[(rt + p) % g] for p in range(g)], w)
 
         # 1-2. leaf QR, then R merges up the tree (panel pane only)
-        leaf, my_nodes, r_mine = tsqr_leaf_and_merge(
-            self, ctx, rt, plan, act_loc, on_panel
-        )
+        panel = None
+        if on_panel:
+            panel_lcols = self.col_g2l[ctx.panel_cols]
+            panel = self.aloc[np.ix_(act_loc, panel_lcols)]
+        leaf, my_nodes, r_mine = sched.tsqr_merge(t, rt, plan, panel)
         if on_panel and self.pi == rt:
             # Final R of the panel: the diagonal block rows.
-            panel_lcols = self.col_g2l[np.arange(k0, k1)]
             self.aloc[np.ix_(act_loc[:w], panel_lcols)] = r_mine
 
         # 3. fan the pane's reflectors out to the sibling panes
@@ -166,6 +100,7 @@ class _CaqrRank(Rank25D):
         leaf, my_nodes = pkg if pkg is not None else (None, {})
         if on_panel:
             if leaf is not None:
+                my_pos = (self.pi - rt) % g
                 self.q_log.append(("leaf", t, my_pos, leaf[0], leaf[1]))
             for order, (nv, ntau) in my_nodes.items():
                 self.q_log.append(("node", t, order, nv, ntau))
@@ -181,65 +116,19 @@ class _CaqrRank(Rank25D):
 
     # -- step 4: apply the implicit tree Q^T to the trailing columns --
     def trailing_op(self, ctx: StepContext, panel) -> None:
-        comm, gd, sched = self.comm, self.grid, self.sched
-        g = self.g
-        t, k1 = ctx.t, ctx.k1
         leaf, my_nodes, plan, rt, act_loc = panel
-
-        tcols = np.where(self.my_cols >= k1)[0]
-        if len(act_loc) == 0:
+        tcols = np.where(self.my_cols >= ctx.k1)[0]
+        if len(act_loc) == 0 or len(tcols) == 0:
             return
-        with comm.phase("tree_apply"):
-            if leaf is not None and len(tcols):
-                block = self.aloc[np.ix_(act_loc, tcols)]
-                self.aloc[np.ix_(act_loc, tcols)] = apply_qt(
-                    leaf[0], leaf[1], block
-                )
-            if len(tcols) == 0:
-                return
-            for order, step in enumerate(plan):
-                a_row = (rt + step.a) % g
-                b_row = (rt + step.b) % g
-                if self.pi == b_row:
-                    top = act_loc[: step.r_b]
-                    gd.col_comm.send(
-                        self.aloc[np.ix_(top, tcols)],
-                        a_row,
-                        sched.tag(_TAG_TOP, t),
-                    )
-                    updated = gd.col_comm.recv(
-                        a_row, sched.tag(_TAG_TOP_BACK, t)
-                    )
-                    self.aloc[np.ix_(top, tcols)] = updated
-                elif self.pi == a_row:
-                    nv, ntau = my_nodes[order]
-                    top = act_loc[: step.r_a]
-                    theirs = gd.col_comm.recv(
-                        b_row, sched.tag(_TAG_TOP, t)
-                    )
-                    stacked = np.vstack(
-                        [self.aloc[np.ix_(top, tcols)], theirs]
-                    )
-                    out = apply_qt(nv, ntau, stacked)
-                    self.aloc[np.ix_(top, tcols)] = out[: step.r_a]
-                    gd.col_comm.send(
-                        out[step.r_a :],
-                        b_row,
-                        sched.tag(_TAG_TOP_BACK, t),
-                    )
-
-
-def _assemble_r(n: int, results: list[dict]) -> np.ndarray:
-    combined = np.zeros((n, n))
-    seen = False
-    for res in results:
-        if not res.get("active"):
-            continue
-        seen = True
-        combined[np.ix_(res["rows"], res["cols"])] = res["aloc"]
-    if not seen:
-        raise RuntimeError("no active ranks returned results")
-    return np.triu(combined)
+        with self.comm.phase("tree_apply"):
+            # leaf Q^T locally, then the merge schedule on the top rows
+            block = self.aloc[np.ix_(act_loc, tcols)]
+            if leaf is not None:
+                block = apply_qt(leaf[0], leaf[1], block)
+            self.sched.tsqr_replay(
+                ctx.t, rt, plan, my_nodes, block, apply_qt
+            )
+        self.aloc[np.ix_(act_loc, tcols)] = block
 
 
 def _assemble_q(
@@ -301,7 +190,7 @@ def _assemble(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Explicit Q and R in the LU container: ``lower`` is Q, ``upper``
     is R, ``perm`` the identity (QR needs no pivoting)."""
-    upper = _assemble_r(n, results)
+    upper = np.triu(gather_blocks(n, results))
     return _assemble_q(n, grid[0], v, results), upper, np.arange(n)
 
 

@@ -72,19 +72,10 @@ class _CholeskyRank(Rank25D):
         t, q, lt, k0, k1 = ctx.t, ctx.q, ctx.lt, ctx.k0, ctx.k1
         active_rows = np.arange(k0, self.n)
 
-        on_panel_col = self.pj == q
         mine = active_rows[(active_rows % g) == self.pi]
-        mine_local = self.row_g2l[mine]
 
         # 1. reduce the panel to layer lt
-        panel_true = None
-        if on_panel_col:
-            contrib = self.aloc[
-                np.ix_(mine_local, self.col_g2l[ctx.panel_cols])
-            ]
-            panel_true = sched.reduce_to_layer(
-                "reduce_column", contrib, lt
-            )
+        panel_true = sched.reduce_panel(ctx, self.aloc, mine)
 
         # 2. gather the diagonal block on (0, q, lt) and factor it
         root = gd.rank_of(0, q, lt)

@@ -34,10 +34,14 @@ Pivot rows are never swapped — only their indices travel (row masking),
 so the O(N^3 / (P sqrt(M))) swap traffic a 2.5D layout would pay
 (Section 7.3, "Row Swapping vs Row Masking") never materializes.
 
-Steps 1-3 are the :meth:`panel_op` hook and steps 4-11 the
+Steps 1-3 (:meth:`_ConfluxRank.factor_panel`) are the :meth:`panel_op`
+hook and steps 4-11 (:meth:`_ConfluxRank.eliminate`) the
 :meth:`trailing_op` hook of the shared :class:`Rank25D` template; all
 grid choreography (scatters, fetches, reductions, tags) lives in
-:mod:`repro.algorithms.schedule25d`.
+:mod:`repro.algorithms.schedule25d`.  Both steps are written over
+"whichever row ids the member eliminates in", with ``row_labels`` the
+one seam back to original rows — which is all the CANDMC-like baseline
+(:mod:`repro.algorithms.candmc25d`) overrides.
 """
 
 from __future__ import annotations
@@ -102,31 +106,53 @@ class _ConfluxRank(Rank25D):
             "a00_blocks": self.a00_blocks,
         }
 
-    # -- steps 1-3: reduce the panel, run the tournament, factor A00 ---
+    def row_labels(self, ids: np.ndarray) -> np.ndarray:
+        """Original matrix rows behind the row ids this member
+        eliminates in: masking never moves a row, so the ids themselves."""
+        return ids
+
     def panel_op(self, ctx: StepContext):
+        active_rows = np.where(~self.pivoted)[0]
+        my_active_rows = active_rows[self.row_g2l[active_rows] >= 0]
+        return (
+            *self.factor_panel(ctx, my_active_rows),
+            my_active_rows,
+            active_rows,
+        )
+
+    def trailing_op(self, ctx: StepContext, panel) -> None:
+        pivot_ids, a00, panel_true, my_active_rows, active_rows = panel
+        # a membership mask, not an index write: a pivot id corrupted
+        # in flight must stay a wire-level fault, not an IndexError here
+        nonpivot_rows = active_rows[~np.isin(active_rows, pivot_ids)]
+        self.eliminate(
+            ctx,
+            a00,
+            panel_true,
+            value_rows=my_active_rows,
+            row_pool=nonpivot_rows,
+            holder_rows=nonpivot_rows,
+            pivot_rows=pivot_ids,
+        )
+        self.pivoted[pivot_ids] = True
+
+    # -- steps 1-3: reduce the panel, run the tournament, factor A00 ---
+    def factor_panel(self, ctx: StepContext, my_rows: np.ndarray):
+        """Steps 1-3 over ``my_rows``, this rank's share of whichever
+        row ids the member eliminates in (original rows when masking,
+        positions when swapping).  Returns ``(pivot_ids, a00,
+        panel_true)``; ``panel_true`` holds the true panel values of
+        ``my_rows`` on the panel ranks of layer ``lt``, None elsewhere."""
         comm, gd, sched = self.comm, self.grid, self.sched
         t, q, lt, w = ctx.t, ctx.q, ctx.lt, ctx.w
-        active_rows = np.where(~self.pivoted)[0]
-
-        on_panel_col = self.pj == q
-        my_active_local = self.row_g2l[active_rows]
-        my_active_rows = active_rows[my_active_local >= 0]
-        my_active_local = my_active_local[my_active_local >= 0]
 
         # -- step 1: reduce next block column to layer lt ---------------
-        panel_true = None
-        if on_panel_col:
-            contrib = self.aloc[
-                np.ix_(my_active_local, self.col_g2l[ctx.panel_cols])
-            ]
-            panel_true = sched.reduce_to_layer(
-                "reduce_column", contrib, lt
-            )
+        panel_true = sched.reduce_panel(ctx, self.aloc, my_rows)
 
         # -- step 2: tournament pivoting over the G panel ranks ---------
         if panel_true is not None:
             with comm.phase("tournament"):
-                cand = local_candidates(panel_true, my_active_rows, w)
+                cand = local_candidates(panel_true, my_rows, w)
                 payload = (cand.values, cand.row_ids)
                 win = gd.col_comm.reduce(payload, root=0, op=_merge_op(w))
                 win = gd.col_comm.bcast(win, root=0)
@@ -143,50 +169,60 @@ class _ConfluxRank(Rank25D):
             "bcast_a00", payload, (0, q, lt)
         )
         if self.grid_rank == 0:
-            self.a00_blocks.append((t, pivot_ids.copy(), a00.copy()))
-        return (
-            pivot_ids,
-            a00,
-            panel_true,
-            my_active_rows,
-            active_rows,
-        )
+            self.a00_blocks.append(
+                (t, self.row_labels(pivot_ids).copy(), a00.copy())
+            )
+        return pivot_ids, a00, panel_true
 
     # -- steps 4-11: scatter, trsm, panel fetches, Schur update --------
-    def trailing_op(self, ctx: StepContext, panel) -> None:
+    def eliminate(
+        self,
+        ctx: StepContext,
+        a00: np.ndarray,
+        panel_true: np.ndarray | None,
+        value_rows: np.ndarray,
+        row_pool: np.ndarray,
+        holder_rows: np.ndarray,
+        pivot_rows: np.ndarray,
+    ) -> None:
+        """Steps 4-11 in the member's row-id space.
+
+        ``row_pool`` are the panel's non-pivot rows and ``pivot_rows``
+        the step's pivots in elimination order, both as they are
+        addressed *now*; ``holder_rows[k]`` is the id under which
+        ``row_pool[k]`` was reduced in step 1 (its grid row holds the
+        true values) and ``value_rows`` the current ids of
+        ``panel_true``'s rows.
+        """
         sched = self.sched
         g, v, n = self.g, self.v, self.n
         t, q, lt, w = ctx.t, ctx.q, ctx.lt, ctx.w
-        pivot_ids, a00, panel_true, my_active_rows, active_rows = panel
-        # a membership mask, not an index write: a pivot id corrupted
-        # in flight must stay a wire-level fault, not an IndexError here
-        nonpivot_rows = active_rows[~np.isin(active_rows, pivot_ids)]
 
         # -- step 4: scatter A10 (non-pivot panel rows) to 1D layout ----
-        a10_rows = sched.assign_1d(nonpivot_rows, self.grid_rank)
+        a10_rows = sched.assign_1d(row_pool, self.grid_rank)
         recv_plan_a10 = sched.scatter_rows(
             phase="scatter_a10",
             tag=sched.tag(_TAG_A10_SCATTER, t),
-            row_pool=nonpivot_rows,
-            holders=sched.rank_at[nonpivot_rows % g, q, lt],
+            row_pool=row_pool,
+            holders=sched.rank_at[holder_rows % g, q, lt],
             values=panel_true,
-            value_rows=my_active_rows
-            if panel_true is not None
-            else None,
+            value_rows=value_rows,
         )
         # -- step 7: local trsm A10 <- C U00^{-1} ------------------------
         _, u00 = split_lu(a00)
         if len(a10_rows):
             c_rows = sched.assemble_rows(recv_plan_a10, a10_rows, w)
             a10_vals = trsm_upper(u00, c_rows, side="right")
-            self.l_pieces.append((t, a10_rows.copy(), a10_vals))
+            self.l_pieces.append(
+                (t, self.row_labels(a10_rows).copy(), a10_vals)
+            )
         else:
             a10_vals = np.zeros((0, w))
 
         # -- step 5: reduce the pivot rows' trailing values -------------
         trail_local = sched.trailing_local_cols(t)
         trail_cols = self.my_cols[trail_local]
-        my_pivot_rows = pivot_ids[(pivot_ids % g) == self.pi]
+        my_pivot_rows = pivot_rows[(pivot_rows % g) == self.pi]
         pivot_true = None
         if len(my_pivot_rows) and len(trail_local):
             contrib = self.aloc[
@@ -203,7 +239,7 @@ class _ConfluxRank(Rank25D):
             t,
             phase="scatter_a01",
             tag=sched.tag(_TAG_A01_SCATTER, t),
-            pivot_ids=pivot_ids,
+            pivot_ids=pivot_rows,
             pivot_true=pivot_true,
             my_pivot_rows=my_pivot_rows,
             my_trail_cols=trail_cols,
@@ -221,7 +257,7 @@ class _ConfluxRank(Rank25D):
         a10_piece, piece_rows = sched.fetch_rows_piece(
             phase="panel_a10",
             tag=sched.tag(_TAG_A10_PANEL, t),
-            pool=nonpivot_rows,
+            pool=row_pool,
             vals_1d=a10_vals,
             my_1d_rows=a10_rows,
             chunk=chunk,
@@ -247,8 +283,6 @@ class _ConfluxRank(Rank25D):
             self.aloc[np.ix_(rloc, cloc)] -= (
                 a10_piece[:, rel] @ a01_piece[rel, :]
             )
-
-        self.pivoted[pivot_ids] = True
 
 
 def _assemble(

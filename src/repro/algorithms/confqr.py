@@ -12,7 +12,7 @@ spends the same memory the COnfLUX way instead:
 * the factorization runs on the largest 2D grid whose blocks fill the
   per-rank budget M = cN²/P — the G x G *compute layer* (layer 0),
   rows and columns block-cyclic with block v
-  (:meth:`Schedule25D.init_compute_layer_layout`);
+  (:meth:`Schedule25D.init_block_cyclic_layout` without panes);
 * each panel is factored by a binary-tree TSQR across the G grid rows
   of its pane column, then *Householder-reconstructed* into compact-WY
   form (Ballard et al.; :func:`repro.kernels.tsqr.reconstruct_wy_top`):
@@ -31,8 +31,8 @@ spends the same memory the COnfLUX way instead:
   after the last step the sweep runs backward over the steps, fiber-
   gathering the banked chunks, row-broadcasting V, and applying
   ``Q_t X = X - V (T (V^T X))`` to a distributed identity — retiring
-  the host-side orgqr-style replay CAQR uses (ROADMAP item 5(d): a
-  host-side replay is wrong for a real-MPI run).
+  the host-side orgqr-style replay CAQR uses, so the assembly's
+  traffic is measured like the factorization's.
 
 Per step t (active rows n_t, panel width w, trailing columns w_t, all
 phases on layer 0 unless noted; L_t = non-empty TSQR leaves):
@@ -61,7 +61,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.api import register_algorithm
-from repro.algorithms.caqr25d import tsqr_leaf_and_merge
+from repro.algorithms.base import gather_blocks
 from repro.algorithms.schedule25d import Rank25D, StepContext
 from repro.kernels.tsqr import (
     apply_q,
@@ -70,9 +70,7 @@ from repro.kernels.tsqr import (
     wy_below_rows,
 )
 
-# tag 1 is the R merge of tsqr_leaf_and_merge
-_TAG_QTOP = 2
-_TAG_QTOP_BACK = 3
+# tags 1-3 are Schedule25D's TSQR tree plans
 _TAG_BANK = 4
 _TAG_QGATHER = 5
 
@@ -82,8 +80,7 @@ class _ConfqrRank(Rank25D):
 
     def setup(self, a: np.ndarray) -> None:
         sched = self.sched
-        sched.init_compute_layer_layout()
-        self.rows_by_grid_row = sched.rows_by_grid_row
+        sched.init_block_cyclic_layout(panes_on_layers=False)
         self.my_rows = sched.my_rows
         self.my_cols = sched.my_cols
         self.col_g2l = sched.col_g2l
@@ -97,39 +94,27 @@ class _ConfqrRank(Rank25D):
         self.bank: dict[int, np.ndarray] = {}
         self.t_log: dict[int, np.ndarray] = {}
 
-    # -- step geometry -------------------------------------------------
-    def _step_geometry(self, t: int, k0: int):
-        sched = self.sched
-        rt = int(sched.rowmap.owner(k0))
-        qj = int(sched.colmap.owner(k0))
-        counts = [
-            len(rows) - int(np.searchsorted(rows, k0))
-            for rows in self.rows_by_grid_row
-        ]
-        start = int(np.searchsorted(self.my_rows, k0))
-        act_loc = np.arange(start, len(self.my_rows))
-        return rt, qj, counts, act_loc
-
     # -- steps 1-6: tree TSQR, WY reconstruction, chunked fan-out ------
     def panel_op(self, ctx: StepContext):
         comm, gd, sched = self.comm, self.grid, self.sched
         g = self.g
-        t, k0, k1, w = ctx.t, ctx.k0, ctx.k1, ctx.w
-        rt, qj, counts, act_loc = self._step_geometry(t, k0)
-        on_pane = self.layer == 0 and self.pj == qj
+        t, w = ctx.t, ctx.w
+        rt, qj, counts, act_loc = sched.tsqr_geometry(ctx.k0)
 
         if self.layer != 0:
             # Bank layers only receive their 1/c reflector chunk.
             self._bank_recv(t, qj, counts)
             return None
 
-        tree_counts = [counts[(rt + p) % g] for p in range(g)]
-        plan = merge_plan(tree_counts, w)
+        on_pane = self.pj == qj
+        plan = merge_plan([counts[(rt + p) % g] for p in range(g)], w)
 
         # 1. leaf QR + R merges up the binary tree (pane column only).
-        leaf, my_nodes, r_mine = tsqr_leaf_and_merge(
-            self, ctx, rt, plan, act_loc, on_pane
-        )
+        panel = None
+        if on_pane:
+            panel_lcols = self.col_g2l[ctx.panel_cols]
+            panel = self.aloc[np.ix_(act_loc, panel_lcols)]
+        leaf, my_nodes, r_mine = sched.tsqr_merge(t, rt, plan, panel)
 
         # 2. replay the tree on the w-column identity: Q1 rows land on
         #    their owners (reverse schedule order, then the local leaf).
@@ -138,31 +123,9 @@ class _ConfqrRank(Rank25D):
             if self.pi == rt and len(act_loc):
                 eloc[:w] = np.eye(w)
             with comm.phase("recon_tree"):
-                for order, step in reversed(list(enumerate(plan))):
-                    a_row = (rt + step.a) % g
-                    b_row = (rt + step.b) % g
-                    if self.pi == b_row:
-                        gd.col_comm.send(
-                            eloc[: step.r_b].copy(),
-                            a_row,
-                            sched.tag(_TAG_QTOP, t),
-                        )
-                        eloc[: step.r_b] = gd.col_comm.recv(
-                            a_row, sched.tag(_TAG_QTOP_BACK, t)
-                        )
-                    elif self.pi == a_row:
-                        nv, ntau = my_nodes.pop(order)
-                        theirs = gd.col_comm.recv(
-                            b_row, sched.tag(_TAG_QTOP, t)
-                        )
-                        stacked = np.vstack([eloc[: step.r_a], theirs])
-                        out = apply_q(nv, ntau, stacked)
-                        eloc[: step.r_a] = out[: step.r_a]
-                        gd.col_comm.send(
-                            out[step.r_a :],
-                            b_row,
-                            sched.tag(_TAG_QTOP_BACK, t),
-                        )
+                sched.tsqr_replay(
+                    t, rt, plan, my_nodes, eloc, apply_q, reverse=True
+                )
             if leaf is not None:
                 eloc = apply_q(leaf[0], leaf[1], eloc)
 
@@ -171,7 +134,7 @@ class _ConfqrRank(Rank25D):
         #    pane rank back-solves its V rows.
         vloc = np.zeros((len(act_loc), w))
         tmat = None
-        if self.layer == 0 and self.pj == qj:
+        if on_pane:
             pkg = None
             if self.pi == rt:
                 l1, u, tmat, signs = reconstruct_wy_top(eloc[:w])
@@ -183,7 +146,6 @@ class _ConfqrRank(Rank25D):
                 vloc[:w] = l1
                 vloc[w:] = wy_below_rows(eloc[w:], u)
                 # Sign-fixed final R of the panel: R' = S R.
-                panel_lcols = self.col_g2l[np.arange(k0, k1)]
                 self.aloc[np.ix_(act_loc[:w], panel_lcols)] = (
                     signs[:, None] * r_mine
                 )
@@ -256,7 +218,7 @@ class _ConfqrRank(Rank25D):
         return 4.0 * rows * ctx.w * cols / (self.g * self.g)
 
     # -- step 8: distributed explicit-Q assembly (reverse sweep) -------
-    def assemble_q(self) -> None:
+    def epilogue(self) -> None:
         comm, gd, sched = self.comm, self.grid, self.sched
         if self.layer == 0:
             self.qloc = (
@@ -265,7 +227,7 @@ class _ConfqrRank(Rank25D):
         for t in range(sched.steps - 1, -1, -1):
             ctx = sched.step_context(t)
             k0, w = ctx.k0, ctx.w
-            rt, qj, counts, act_loc = self._step_geometry(t, k0)
+            _, qj, counts, act_loc = sched.tsqr_geometry(k0)
             chunks = sched.sender_chunks(w)
 
             if self.layer != 0:
@@ -309,39 +271,14 @@ class _ConfqrRank(Rank25D):
 
     def finalize(self) -> dict:
         if self.layer != 0:
-            return {"active": True, "layer": self.layer}
+            return {"active": True}  # a bank layer returns no block
         return {
             "active": True,
-            "layer": 0,
             "aloc": self.aloc,
             "qloc": self.qloc,
             "rows": self.my_rows,
             "cols": self.my_cols,
         }
-
-    def run(self) -> dict:
-        if not self.active:
-            return {"active": False}
-        for t in range(self.sched.steps):
-            ctx = self.sched.step_context(t)
-            panel = self.panel_op(ctx)
-            self.trailing_op(ctx, panel)
-            self.comm.compute(self.step_flops(ctx))
-        self.assemble_q()
-        return self.finalize()
-
-
-def _gather(n: int, results: list[dict], key: str) -> np.ndarray:
-    combined = np.zeros((n, n))
-    seen = False
-    for res in results:
-        if not res.get("active") or res.get("layer") != 0:
-            continue
-        seen = True
-        combined[np.ix_(res["rows"], res["cols"])] = res[key]
-    if not seen:
-        raise RuntimeError("no compute-layer ranks returned results")
-    return combined
 
 
 def _assemble(
@@ -350,8 +287,8 @@ def _assemble(
     """Same result contract as ``caqr25d`` (``lower`` is Q, ``upper``
     is R, identity ``perm``), but Q arrives assembled by the rank
     program: the host only gathers the compute layer's blocks."""
-    upper = np.triu(_gather(n, results, "aloc"))
-    return _gather(n, results, "qloc"), upper, np.arange(n)
+    upper = np.triu(gather_blocks(n, results))
+    return gather_blocks(n, results, "qloc"), upper, np.arange(n)
 
 
 register_algorithm(

@@ -32,6 +32,7 @@ import math
 import numpy as np
 
 from repro.algorithms.api import register_algorithm
+from repro.algorithms.base import gather_blocks
 from repro.kernels.tsqr import thin_q
 from repro.layouts.block_cyclic import BlockCyclic1D
 from repro.smpi import ProcessGrid2D
@@ -163,12 +164,11 @@ def _assemble_qr2d(
     """Same result contract as ``caqr25d``: ``lower`` is the explicit
     Q, ``upper`` is R, ``perm`` the identity."""
     pcols = grid[1]
-    combined = np.zeros((n, n))
+    combined = gather_blocks(n, results)
     taus_by_col: dict[int, np.ndarray] = {}
     for res in results:
         if not res.get("active"):
             continue
-        combined[np.ix_(res["rows"], res["cols"])] = res["aloc"]
         pj, t = res["my_taus"]
         if len(t) > taus_by_col.get(pj, np.empty(0)).size:
             taus_by_col[pj] = t

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.api import register_algorithm
+from repro.algorithms.base import gather_blocks
 from repro.kernels.linalg import permutation_from_pivots, trsm_lower_unit
 from repro.kernels.lu_seq import split_lu
 from repro.layouts.block_cyclic import BlockCyclic1D
@@ -208,16 +209,8 @@ def _swap_row_segment(
 def _assemble_2d(
     n: int, grid: tuple[int, int], nb: int, results: list[dict]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    combined = np.zeros((n, n))
-    piv = None
-    for r in results:
-        if not r.get("active"):
-            continue
-        combined[np.ix_(r["rows"], r["cols"])] = r["aloc"]
-        piv = r["piv"]
-    if piv is None:
-        raise RuntimeError("no active ranks returned results")
-    lower, upper = split_lu(combined)
+    lower, upper = split_lu(gather_blocks(n, results))
+    piv = next(r["piv"] for r in reversed(results) if r.get("active"))
     return lower, upper, permutation_from_pivots(piv, n)
 
 

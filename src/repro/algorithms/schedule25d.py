@@ -22,14 +22,16 @@ trees) as :class:`Rank25D` panel/trailing hooks.
   (``chunking="split"``), or CANDMC-style full-width replication
   (``chunking="replicate"``);
 * the **data layouts** — cyclic rows with v-wide column tiles (the
-  COnfLUX/Cholesky layout) or block-cyclic rows/panes (the CAQR
-  layout);
+  COnfLUX/Cholesky layout) or block-cyclic rows and columns (the QR
+  layout: CAQR's panes on every layer, COnfQR's compute layer);
 * the **deterministic 1D assignments** every rank computes identically
   (no index metadata ever travels — senders and receivers derive the
   same packing, matching the paper's data-bytes accounting);
 * the communication plans: fiber reductions to the coordinating layer,
-  2.5D -> 1D scatters of panel rows / pivot-row column slices, and the
-  1D -> 2.5D panel fetches feeding the layer-chunked updates.
+  2.5D -> 1D scatters of panel rows / pivot-row column slices, the
+  1D -> 2.5D panel fetches feeding the layer-chunked updates, and the
+  TSQR tree — R factors merged up a binary tree over the grid rows,
+  then the same tree replayed forwards for Q^T or backwards for Q.
 
 The port of the rank programs onto this module is wire-identical to
 the pre-port implementations — ``tests/algorithms/
@@ -43,12 +45,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kernels.tsqr import householder_qr
 from repro.layouts.block_cyclic import BlockCyclic1D
 from repro.smpi import ProcessGrid3D
 
 #: Tag stride between consecutive steps: each step may use tag bases
 #: 0..TAG_STRIDE-1 within its namespace.
 TAG_STRIDE = 8
+
+# Tag bases of the TSQR tree plans; a QR member's own tags start at 4.
+_TAG_TREE_R = 1
+_TAG_TREE_TOP = 2
+_TAG_TREE_TOP_BACK = 3
 
 
 @dataclass(frozen=True)
@@ -75,8 +83,7 @@ class Schedule25D:
     Parameters
     ----------
     comm:
-        This rank's communicator (simulated or real-MPI; only the
-        duck-typed ``Comm`` surface is used).
+        This rank's :class:`~repro.smpi.runtime.Comm`.
     n, g, c, v:
         Problem size, grid rows/cols, replication depth, panel width.
     chunking:
@@ -191,45 +198,34 @@ class Schedule25D:
         self.col_g2l = np.full(n, -1)
         self.col_g2l[self.my_cols] = np.arange(len(self.my_cols))
 
-    def init_block_cyclic_layout(self) -> None:
-        """CAQR layout: rows block-cyclic over the G grid rows (each
-        diagonal block owns its TSQR root) and columns block-cyclic over
-        the G*c (column, layer) slots so every layer holds a disjoint
-        pane and works every step."""
-        n, g, c, v = self.n, self.g, self.c, self.v
-        self.rowmap = BlockCyclic1D(n, g, v)
-        self.colmap = BlockCyclic1D(n, g * c, v)
-        self.slot = self.layer * g + self.pj
-        self.rows_by_grid_row = [
-            self.rowmap.global_indices(i) for i in range(g)
-        ]
-        self.my_rows = self.rows_by_grid_row[self.pi]
-        self.my_cols = self.colmap.global_indices(self.slot)
-        self.col_g2l = np.full(n, -1)
-        self.col_g2l[self.my_cols] = np.arange(len(self.my_cols))
+    def init_block_cyclic_layout(self, panes_on_layers: bool) -> None:
+        """QR layout: rows block-cyclic over the G grid rows with block
+        v (each diagonal block owns its TSQR root), columns block-cyclic
+        over the column slots.
 
-    def init_compute_layer_layout(self) -> None:
-        """COnfQR layout: rows AND columns block-cyclic over the G-square
-        *compute layer* (layer 0), block v.
-
-        This is the 2.5D memory-for-communication trade in its QR form:
-        instead of giving every layer its own column pane (the CAQR
-        layout, which forces full-width reflector fan-out to all G*c
-        slots), the factorization runs on the largest 2D grid whose
-        blocks fill the per-rank memory budget M = c N^2 / P, and the
-        remaining layers act as a *reflector bank* — each holding the
-        1/c ``sender_chunks`` slice of every step's panel for the
-        distributed explicit-Q assembly sweep.  Coordinate maps are
-        shared by all layers; only layer 0 materializes matrix data.
+        With ``panes_on_layers`` (CAQR) the slots are the G*c (column,
+        layer) pairs, so every layer holds a disjoint pane and works
+        every step — which forces full-width reflector fan-out to all
+        G*c slots.  Without (COnfQR) they are the G columns of the
+        *compute layer* (layer 0): the 2.5D memory-for-communication
+        trade in its QR form.  The factorization runs on the largest 2D
+        grid whose blocks fill the per-rank memory budget M = c N^2 / P,
+        and the remaining layers act as a *reflector bank* — each
+        holding the 1/c ``sender_chunks`` slice of every step's panel
+        for the distributed explicit-Q assembly sweep.  Coordinate maps
+        are shared by all layers; only layer 0 materializes matrix data.
         """
         n, g, v = self.n, self.g, self.v
+        slots, slot = g, self.pj
+        if panes_on_layers:
+            slots, slot = g * self.c, self.layer * g + self.pj
         self.rowmap = BlockCyclic1D(n, g, v)
-        self.colmap = BlockCyclic1D(n, g, v)
+        self.colmap = BlockCyclic1D(n, slots, v)
         self.rows_by_grid_row = [
             self.rowmap.global_indices(i) for i in range(g)
         ]
         self.my_rows = self.rows_by_grid_row[self.pi]
-        self.my_cols = self.colmap.global_indices(self.pj)
+        self.my_cols = self.colmap.global_indices(slot)
         self.col_g2l = np.full(n, -1)
         self.col_g2l[self.my_cols] = np.arange(len(self.my_cols))
 
@@ -257,6 +253,21 @@ class Schedule25D:
         with self.comm.phase(phase):
             reduced = self.grid.fiber_comm.reduce(contrib, root=lt)
         return reduced if self.layer == lt else None
+
+    def reduce_panel(
+        self, ctx: StepContext, aloc: np.ndarray, my_rows: np.ndarray
+    ):
+        """Step 1 of every cyclic-layout member: fiber-reduce the true
+        values of this rank's panel rows ``my_rows`` (global ids, any
+        subset of the rows it owns) to the coordinating layer.  Returns
+        them on layer ``ctx.lt`` of the panel's grid column, None on
+        every other rank."""
+        if self.pj != ctx.q:
+            return None
+        contrib = aloc[
+            np.ix_(self.row_g2l[my_rows], self.col_g2l[ctx.panel_cols])
+        ]
+        return self.reduce_to_layer("reduce_column", contrib, ctx.lt)
 
     def bcast_from(self, phase: str, payload, root_coords):
         """Broadcast from grid coordinates to all active ranks."""
@@ -526,6 +537,97 @@ class Schedule25D:
             )
         return out, my_need
 
+    # ------------------------------------------------------------------
+    # TSQR tree plans (block-cyclic layout)
+    # ------------------------------------------------------------------
+    def tsqr_geometry(self, k0: int):
+        """Where the panel starting at column ``k0`` lives: ``(rt, slot,
+        counts, act_loc)`` — the grid row owning the diagonal block (the
+        tree root), the column slot owning the panel, every grid row's
+        number of active (>= k0) rows, and this rank's active local row
+        indices in ascending global order."""
+        counts = [
+            len(rows) - int(np.searchsorted(rows, k0))
+            for rows in self.rows_by_grid_row
+        ]
+        start = int(np.searchsorted(self.my_rows, k0))
+        return (
+            int(self.rowmap.owner(k0)),
+            int(self.colmap.owner(k0)),
+            counts,
+            np.arange(start, len(self.my_rows)),
+        )
+
+    def tsqr_merge(self, t: int, rt: int, plan, panel: np.ndarray | None):
+        """Steps 1-2 of a TSQR panel, under phase ``tsqr_tree``.
+
+        Local Householder QR of ``panel`` — this rank's active panel
+        rows, ``None`` on a rank off the panel's pane, which does
+        nothing — then the R factors merged up the binary tree ``plan``
+        along ``col_comm`` (root = grid row ``rt``).  Returns ``(leaf,
+        nodes, r_mine)``: the leaf reflectors ``(V, tau)`` or ``None``,
+        the merge reflectors this rank computed keyed by plan order, and
+        the R it still holds — the panel's final R on the root, ``None``
+        on a rank that sent its R up.
+        """
+        leaf, r_mine = None, None
+        nodes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        if panel is None:
+            return leaf, nodes, r_mine
+        g, col_comm = self.g, self.grid.col_comm
+        if len(panel):
+            lv, ltau, r_mine = householder_qr(panel)
+            leaf = (lv, ltau)
+        tag = self.tag(_TAG_TREE_R, t)
+        with self.comm.phase("tsqr_tree"):
+            for order, step in enumerate(plan):
+                a_row = (rt + step.a) % g
+                b_row = (rt + step.b) % g
+                if self.pi == b_row:
+                    col_comm.send(r_mine, a_row, tag)
+                    r_mine = None
+                elif self.pi == a_row:
+                    theirs = col_comm.recv(b_row, tag)
+                    nv, ntau, r_mine = householder_qr(
+                        np.vstack([r_mine, theirs])
+                    )
+                    nodes[order] = (nv, ntau)
+        return leaf, nodes, r_mine
+
+    def tsqr_replay(
+        self, t: int, rt: int, plan, nodes, block: np.ndarray, apply,
+        reverse: bool = False,
+    ) -> None:
+        """Replay the merge tree of :meth:`tsqr_merge` on ``block``, in
+        place: pairwise exchanges of top rows along ``col_comm``, never
+        a panel gather.
+
+        ``block``'s rows are this rank's active rows; ``nodes`` holds
+        the merge reflectors of the plan steps this rank merged.
+        Forwards with ``apply = apply_qt`` it applies the tree's Q^T
+        (after the caller's leaf Q^T), with ``reverse`` and ``apply =
+        apply_q`` its Q (before the caller's leaf Q) — the one tree of
+        Demmel et al. (arXiv:0808.2664).  The caller names the phase.
+        """
+        g, col_comm = self.g, self.grid.col_comm
+        tag_top = self.tag(_TAG_TREE_TOP, t)
+        tag_back = self.tag(_TAG_TREE_TOP_BACK, t)
+        steps = list(enumerate(plan))
+        for order, step in reversed(steps) if reverse else steps:
+            a_row = (rt + step.a) % g
+            b_row = (rt + step.b) % g
+            if self.pi == b_row:
+                col_comm.send(block[: step.r_b], a_row, tag_top)
+                block[: step.r_b] = col_comm.recv(a_row, tag_back)
+            elif self.pi == a_row:
+                nv, ntau = nodes[order]
+                theirs = col_comm.recv(b_row, tag_top)
+                out = apply(
+                    nv, ntau, np.vstack([block[: step.r_a], theirs])
+                )
+                block[: step.r_a] = out[: step.r_a]
+                col_comm.send(out[step.r_a :], b_row, tag_back)
+
 
 def _group_by(keys: np.ndarray):
     """Stable grouping of positions by non-negative integer key:
@@ -599,6 +701,10 @@ class Rank25D:
         trailing = max(self.n - ctx.k1, 0)
         return 2.0 * trailing * trailing * ctx.w / self.p_active
 
+    def epilogue(self) -> None:
+        """Distributed work after the last step (COnfQR's explicit-Q
+        sweep); most members have none."""
+
     def finalize(self) -> dict:
         """Per-rank result payload for host-side assembly."""
         return {"active": True}
@@ -612,6 +718,7 @@ class Rank25D:
             panel = self.panel_op(ctx)
             self.trailing_op(ctx, panel)
             self.comm.compute(self.step_flops(ctx))
+        self.epilogue()
         return self.finalize()
 
     @classmethod

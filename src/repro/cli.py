@@ -9,7 +9,8 @@ bounds   print the I/O lower bound of a kernel (lu / mmm / cholesky)
 plan     Processor Grid Optimization + model predictions for a machine
 models   evaluate the Table 2 models at one (N, P)
 sweep    run the paper's experiment grids through the parallel sweep
-         engine (list / run / resume / show-cache / clear-cache)
+         engine (--list / --run / --resume / --show-cache /
+         --clear-cache)
 serve    run the factorization service's TCP front-end (newline-
          delimited JSON requests against the algorithm registry)
 loadgen  generate a synthetic workload (Zipf sizes, open/closed loop)
@@ -230,34 +231,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.harness.specs import SPECS, named_spec
     from repro.harness.sweep import run_sweep
 
-    if args.action is not None:
-        # Positional verb form: ``sweep run NAME`` (also list / resume /
-        # show-cache / clear-cache), equivalent to the --flag spelling.
-        verb = args.action.replace("_", "-")
-        needs_name = verb in ("run", "resume")
-        if needs_name and not args.name:
-            print(f"sweep {verb} needs a sweep name (see 'sweep list')",
-                  file=sys.stderr)
-            return 2
-        if not needs_name and args.name:
-            print(f"sweep {verb} takes no sweep name", file=sys.stderr)
-            return 2
-        if verb == "run":
-            args.run = args.name
-        elif verb == "resume":
-            args.resume = args.name
-        elif verb == "list":
-            args.list = True
-        elif verb == "show-cache":
-            args.show_cache = True
-        elif verb == "clear-cache":
-            args.clear_cache = True
-        else:
-            print(f"unknown sweep action {args.action!r}; expected "
-                  f"run, resume, list, show-cache or clear-cache",
-                  file=sys.stderr)
-            return 2
-
     cache_dir = args.cache_dir or default_cache_dir()
     cache = None if args.no_cache else SweepCache(cache_dir)
 
@@ -286,9 +259,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     name = args.run or args.resume
     if not name:
-        print("nothing to do: pass 'run NAME', 'resume NAME', 'list', "
-              "'show-cache' or 'clear-cache' (or the --flag forms)",
-              file=sys.stderr)
+        print("nothing to do: pass --run NAME, --resume NAME, --list, "
+              "--show-cache or --clear-cache", file=sys.stderr)
         return 2
 
     try:
@@ -517,13 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run experiment grids through the parallel sweep engine",
     )
-    s.add_argument("action", nargs="?", default=None,
-                   metavar="ACTION",
-                   help="run | resume | list | show-cache | "
-                        "clear-cache (positional form of the flags "
-                        "below)")
-    s.add_argument("name", nargs="?", default=None, metavar="NAME",
-                   help="sweep name for 'run' / 'resume'")
     action = s.add_mutually_exclusive_group()
     action.add_argument("--list", action="store_true",
                         help="list the named sweeps and their sizes")

@@ -1,10 +1,9 @@
 """Deterministic fault injection for the simulated runtime.
 
-ROADMAP item 1 (real-MPI execution) will expose the stack to slow
-links, lost messages, and dying ranks.  This module lets the simulated
-runtime *manufacture* those failures deterministically, so every
-recovery path — detection, retry, degradation — is pinned by tests
-instead of discovered in production.
+A distributed run meets slow links, lost messages and dying ranks.
+This module lets the simulated runtime *manufacture* those failures
+deterministically, so every recovery path — detection, retry,
+degradation — is pinned by tests instead of discovered in production.
 
 A :class:`FaultPlan` is a seed plus an ordered tuple of
 :class:`FaultRule` s.  Each rule matches messages at the send seam of

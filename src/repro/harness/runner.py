@@ -121,11 +121,20 @@ def run_experiment(
     alongside the byte ledger.
     """
     get_model(impl)  # a member without a model fails here, not after the run
+    block_param = get_algorithm(impl).block_param
+    blocks = {"v": v, "nb": nb}
+    other = "nb" if block_param == "v" else "v"
+    if blocks[other] is not None:
+        # Dropping it would run the default block: one problem under
+        # two cache keys, and a row whose block is not what was asked.
+        raise ValueError(
+            f"{impl} takes its block as {block_param}=, not {other}="
+        )
     if a is None:
         a = np.random.default_rng(seed).standard_normal((n, n))
-    block_param = get_algorithm(impl).block_param
-    block = v if block_param == "v" else nb
-    result = factor(impl, a, p, machine=machine, **{block_param: block})
+    result = factor(
+        impl, a, p, machine=machine, **{block_param: blocks[block_param]}
+    )
     if result.residual > 1e-10:
         raise RuntimeError(
             f"{impl} produced residual {result.residual:.2e} at "

@@ -547,7 +547,7 @@ def qr_strong_scaling_spec(
         fig6a_measured_spec(n=n, p_values=p_values, impls=impls, seed=seed),
         "qr-strong",
         "QR strong scaling: per-rank volume vs P at fixed N "
-        "(2D Householder vs 2.5D CAQR)",
+        "(2D Householder vs 2.5D CAQR vs COnfQR)",
     )
 
 
@@ -563,7 +563,7 @@ def qr_weak_scaling_spec(
         ),
         "qr-weak",
         f"QR weak scaling: N = N0 P^(1/3) (N0 = {n0}), 2D "
-        "Householder vs 2.5D CAQR",
+        "Householder vs 2.5D CAQR vs COnfQR",
     )
 
 

@@ -1,16 +1,11 @@
 """Data distributions for distributed matrices.
 
-Implements the index arithmetic behind the paper's decompositions:
-
-* 1D and 2D **block-cyclic** maps (ScaLAPACK's layout; the 2D baselines
-  use it directly, and cyclic = block-cyclic with block 1 is what the
-  COnfLUX implementation uses so row masking never unbalances work);
-* :class:`~repro.layouts.distribution.DistMatrix`, a per-rank local
-  store with gather/scatter helpers used by the tests to check that a
-  distributed factorization reassembles into the right global factors.
+Implements the index arithmetic behind the paper's decompositions: the
+1D **block-cyclic** map (ScaLAPACK's layout).  The 2D baselines and the
+QR members use one map per axis; cyclic = block-cyclic with block 1 is
+what COnfLUX uses for its rows, so row masking never unbalances work.
 """
 
-from repro.layouts.block_cyclic import BlockCyclic1D, BlockCyclic2D
-from repro.layouts.distribution import DistMatrix
+from repro.layouts.block_cyclic import BlockCyclic1D
 
-__all__ = ["BlockCyclic1D", "BlockCyclic2D", "DistMatrix"]
+__all__ = ["BlockCyclic1D"]

@@ -51,66 +51,9 @@ class BlockCyclic1D:
     def local_count(self, rank: int) -> int:
         return len(self.global_indices(rank))
 
-    def max_local_count(self) -> int:
-        return max(self.local_count(r) for r in range(self.p))
-
     def _check_range(self, g: np.ndarray) -> None:
         if g.size and (np.any(g < 0) or np.any(g >= self.n)):
             raise ValueError(
                 f"global index out of range [0, {self.n}): "
                 f"{np.asarray(g).ravel()[:5]}"
             )
-
-
-class BlockCyclic2D:
-    """2D block-cyclic map over a (prows x pcols) grid.
-
-    Rows are mapped by one 1D map, columns by another; rank (pi, pj)
-    owns the cross product of their index sets — the layout of ScaLAPACK
-    matrices and of Figure 5's per-layer grids.
-    """
-
-    def __init__(
-        self,
-        nrows: int,
-        ncols: int,
-        prows: int,
-        pcols: int,
-        row_block: int = 1,
-        col_block: int | None = None,
-    ) -> None:
-        if col_block is None:
-            col_block = row_block
-        self.rows = BlockCyclic1D(nrows, prows, row_block)
-        self.cols = BlockCyclic1D(ncols, pcols, col_block)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows.n, self.cols.n)
-
-    @property
-    def grid(self) -> tuple[int, int]:
-        return (self.rows.p, self.cols.p)
-
-    def owner(self, i: int, j: int) -> tuple[int, int]:
-        return (int(self.rows.owner(i)), int(self.cols.owner(j)))
-
-    def local_shape(self, pi: int, pj: int) -> tuple[int, int]:
-        return (self.rows.local_count(pi), self.cols.local_count(pj))
-
-    def local_submatrix(
-        self, a: np.ndarray, pi: int, pj: int
-    ) -> np.ndarray:
-        """Extract rank (pi, pj)'s local block from a global matrix."""
-        if a.shape != self.shape:
-            raise ValueError(
-                f"matrix shape {a.shape} != layout shape {self.shape}"
-            )
-        return a[np.ix_(self.rows.global_indices(pi),
-                        self.cols.global_indices(pj))]
-
-    def scatter_local(
-        self, a_global: np.ndarray | None, locals_out: np.ndarray,
-        pi: int, pj: int,
-    ) -> None:  # pragma: no cover - thin convenience
-        locals_out[...] = self.local_submatrix(a_global, pi, pj)

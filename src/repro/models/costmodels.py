@@ -127,42 +127,58 @@ def conflux_step_breakdown(
     }
 
 
-def conflux_total_bytes(
-    n: int,
-    p: int,
-    m: float | None = None,
-    c: int | None = None,
-    v: int | None = None,
-    grid_rows: int | None = None,
-    element_size: int = ELEMENT_SIZE,
-) -> float:
-    """Exact COnfLUX volume: sum of per-step phase terms over all N/v
-    steps.
+def _summed_over_steps(
+    step_breakdown, default_block: int, block_at_least_c: bool = False
+):
+    """The total-bytes form of ``step_breakdown(n, p, grid_rows, layers,
+    v, t)``.  ``default_block`` and ``block_at_least_c`` (the Section 7.2
+    floor v >= c, which also lifts the default) mirror the member's
+    ``register_algorithm`` entry."""
 
-    Provide either the memory ``m`` (c is derived as P M / N^2) or the
-    replication depth ``c`` directly.  ``grid_rows`` defaults to
-    floor(sqrt(P / c)); ``v`` defaults to max(c, 2) (the paper: v = a c
-    for a small constant a).
-    """
-    if c is None:
-        if m is None:
-            raise ValueError("need either m or c")
-        c = derive_c_from_memory(n, p, m)
-    if c < 1:
-        raise ValueError(f"c must be >= 1, got {c}")
-    if grid_rows is None:
-        grid_rows = max(1, int(math.isqrt(p // c)))
-    if v is None:
-        v = max(c, 2)
-    if v < c:
-        raise ValueError(f"block size v={v} must be >= c={c} (Section 7.2)")
-    total = 0.0
-    steps = math.ceil(n / v)
-    for t in range(steps):
-        total += sum(
-            conflux_step_breakdown(n, p, grid_rows, c, v, t).values()
-        )
-    return total * element_size
+    def total_bytes(
+        n: int,
+        p: int,
+        m: float | None = None,
+        c: int | None = None,
+        v: int | None = None,
+        grid_rows: int | None = None,
+        element_size: int = ELEMENT_SIZE,
+    ) -> float:
+        """Exact volume in bytes: the per-step phase terms summed over
+        all ceil(N/v) steps.
+
+        Provide either the memory ``m`` (c is derived as P M / N^2) or
+        the replication depth ``c`` directly.  ``grid_rows`` defaults to
+        floor(sqrt(P / c)) and ``v`` to the member's default block.
+        """
+        if c is None:
+            if m is None:
+                raise ValueError("need either m or c")
+            c = derive_c_from_memory(n, p, m)
+        if c < 1:
+            raise ValueError(f"c must be >= 1, got {c}")
+        if grid_rows is None:
+            grid_rows = max(1, int(math.isqrt(p // c)))
+        floor = c if block_at_least_c else 1
+        if v is None:
+            v = max(default_block, floor)
+        if v < floor:
+            raise ValueError(
+                f"block size v={v} must be >= c={c} (Section 7.2)"
+            )
+        total = 0.0
+        for t in range(math.ceil(n / v)):
+            total += sum(step_breakdown(n, p, grid_rows, c, v, t).values())
+        return total * element_size
+
+    return total_bytes
+
+
+#: Exact COnfLUX volume.  ``v`` defaults to max(c, 2) (the paper: v = a c
+#: for a small constant a).
+conflux_total_bytes = _summed_over_steps(
+    conflux_step_breakdown, default_block=2, block_at_least_c=True
+)
 
 
 def conflux_leading_total_bytes(
@@ -208,32 +224,11 @@ def candmc_sim_step_breakdown(
     return base
 
 
-def candmc_sim_total_bytes(
-    n: int,
-    p: int,
-    m: float | None = None,
-    c: int | None = None,
-    v: int | None = None,
-    grid_rows: int | None = None,
-    element_size: int = ELEMENT_SIZE,
-) -> float:
-    """Exact volume of the candmc25d simulation (see DESIGN.md for the
-    substitution rationale)."""
-    if c is None:
-        if m is None:
-            raise ValueError("need either m or c")
-        c = derive_c_from_memory(n, p, m)
-    if grid_rows is None:
-        grid_rows = max(1, int(math.isqrt(p // c)))
-    if v is None:
-        v = max(c, 2)
-    total = 0.0
-    steps = math.ceil(n / v)
-    for t in range(steps):
-        total += sum(
-            candmc_sim_step_breakdown(n, p, grid_rows, c, v, t).values()
-        )
-    return total * element_size
+#: Exact volume of the candmc25d simulation (see DESIGN.md for the
+#: substitution rationale).
+candmc_sim_total_bytes = _summed_over_steps(
+    candmc_sim_step_breakdown, default_block=2, block_at_least_c=True
+)
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +236,11 @@ def candmc_sim_total_bytes(
 # ---------------------------------------------------------------------------
 
 def caqr25d_step_breakdown(
-    n: int,
-    grid_rows: int,
-    layers: int,
-    v: int,
-    t: int,
+    n: int, p: int, grid_rows: int, layers: int, v: int, t: int
 ) -> dict[str, float]:
     """Element counts moved in step ``t`` of the 2.5D CAQR, by phase
     (names match the simulator ledger; see ``algorithms/caqr25d.py``).
+    ``p`` is unused: every 2.5D member shares one step signature.
 
     With L_t non-empty TSQR leaves (L_t = min(G, remaining row
     blocks)), active rows n_t and trailing columns w_t:
@@ -277,38 +269,13 @@ def caqr25d_step_breakdown(
     }
 
 
-def caqr25d_total_bytes(
-    n: int,
-    p: int,
-    m: float | None = None,
-    c: int | None = None,
-    v: int | None = None,
-    grid_rows: int | None = None,
-    element_size: int = ELEMENT_SIZE,
-) -> float:
-    """Per-step CAQR model summed over all ceil(N/v) steps.
-
-    Leading order: N^2 (G c + 2 G) / 2 elements — the panel reflector
-    fan-out to the G c column panes plus the tree replay on the
-    trailing matrix.  (A COnfQR-style schedule would cut the panel term
-    by the replication factor; recorded as ROADMAP future work.)
-    """
-    if c is None:
-        if m is None:
-            raise ValueError("need either m or c")
-        c = derive_c_from_memory(n, p, m)
-    if c < 1:
-        raise ValueError(f"c must be >= 1, got {c}")
-    if grid_rows is None:
-        grid_rows = max(1, int(math.isqrt(p // c)))
-    if v is None:
-        v = max(2, min(8, n))
-    total = 0.0
-    for t in range(math.ceil(n / v)):
-        total += sum(
-            caqr25d_step_breakdown(n, grid_rows, c, v, t).values()
-        )
-    return total * element_size
+#: Per-step CAQR model summed over all steps.  Leading order:
+#: N^2 (G c + 2 G) / 2 elements — the panel reflector fan-out to the G c
+#: column panes plus the tree replay on the trailing matrix.  (COnfQR
+#: cuts the panel term by the replication factor; see below.)
+caqr25d_total_bytes = _summed_over_steps(
+    caqr25d_step_breakdown, default_block=8
+)
 
 
 def qr2d_step_breakdown(
@@ -365,14 +332,10 @@ def qr2d_total_bytes(
 
 
 def confqr_step_breakdown(
-    n: int,
-    grid_rows: int,
-    layers: int,
-    v: int,
-    t: int,
+    n: int, p: int, grid_rows: int, layers: int, v: int, t: int
 ) -> dict[str, float]:
     """Element counts moved in step ``t`` of COnfQR, by ledger phase
-    (see ``algorithms/confqr.py``).
+    (see ``algorithms/confqr.py``; ``p`` unused, as in CAQR's).
 
     The factorization runs on the G x G compute layer (rows/columns
     block-cyclic, block v); layers 1..c-1 bank 1/c reflector chunks.
@@ -430,40 +393,15 @@ def confqr_step_breakdown(
     }
 
 
-def confqr_total_bytes(
-    n: int,
-    p: int,
-    m: float | None = None,
-    c: int | None = None,
-    v: int | None = None,
-    grid_rows: int | None = None,
-    element_size: int = ELEMENT_SIZE,
-) -> float:
-    """Exact COnfQR volume: per-step phase sums over all ceil(N/v)
-    steps, explicit-Q assembly included.
-
-    Leading order: ~ 4 G N^2 elements with G = sqrt(P/c) — every term
-    scales with G, so the volume *keeps falling* as the replication
-    depth c grows, where CAQR's N^2 (G c + 2 G)/2 (its panel fan-out
-    pays G c) flattens at c = 2.  The factorization-only part (the
-    phases a host-assembled-Q run would measure) is ~ 1.5 G N^2.
-    """
-    if c is None:
-        if m is None:
-            raise ValueError("need either m or c")
-        c = derive_c_from_memory(n, p, m)
-    if c < 1:
-        raise ValueError(f"c must be >= 1, got {c}")
-    if grid_rows is None:
-        grid_rows = max(1, int(math.isqrt(p // c)))
-    if v is None:
-        v = max(2, min(8, n))
-    total = 0.0
-    for t in range(math.ceil(n / v)):
-        total += sum(
-            confqr_step_breakdown(n, grid_rows, c, v, t).values()
-        )
-    return total * element_size
+#: Exact COnfQR volume, explicit-Q assembly included.  Leading order:
+#: ~ 4 G N^2 elements with G = sqrt(P/c) — every term scales with G, so
+#: the volume *keeps falling* as the replication depth c grows, where
+#: CAQR's N^2 (G c + 2 G)/2 (its panel fan-out pays G c) flattens at
+#: c = 2.  The factorization-only part (the phases a host-assembled-Q
+#: run would measure) is ~ 1.5 G N^2.
+confqr_total_bytes = _summed_over_steps(
+    confqr_step_breakdown, default_block=8
+)
 
 
 #: QR implementations with volume models (the LU set is MODEL_NAMES).

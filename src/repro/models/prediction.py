@@ -132,7 +132,7 @@ def qr_reduction_vs_2d(
     At the c = 2 optimum the leading terms are 2 sqrt(2 P) vs the
     square 2D grid's 3 sqrt(P) — a modest ~1.06x asymptotically, plus
     whatever the 2D baseline loses to skewed grids; the structural
-    (c-scaling) win is the COnfQR follow-on recorded in the ROADMAP.
+    (c-scaling) win is COnfQR's (``confqr_total_bytes``).
     """
     volumes = sweep_qr_models(n, p, m)
     return volumes["qr2d"] / volumes["caqr25d"]

@@ -1,5 +1,5 @@
 """Factorization-as-a-service: an async serving layer over the
-algorithm registry (ROADMAP item 3).
+algorithm registry.
 
 Public surface::
 

@@ -216,20 +216,3 @@ def reduce_scatter(
     for src in sorted(received):
         acc = received[src] if acc is None else op(acc, received[src])
     return acc
-
-
-def butterfly_exchange(
-    comm, data: Any, round_index: int, tag_base: int = -200
-) -> Any:
-    """One round of a butterfly (hypercube) exchange.
-
-    Rank r swaps payloads with partner ``r XOR 2**round_index``.  Used by
-    the tournament-pivoting "playoff" rounds (paper §7.3).  Ranks without
-    a partner (non-power-of-two tail) receive their own data back.
-    """
-    partner = comm.rank ^ (1 << round_index)
-    if partner >= comm.size:
-        return data
-    return comm.sendrecv(
-        data, partner, partner, tag_base - round_index, tag_base - round_index
-    )

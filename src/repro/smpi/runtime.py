@@ -711,7 +711,6 @@ def run_spmd(
     fn: Callable[..., Any],
     *args: Any,
     timeout: float = _DEFAULT_TIMEOUT,
-    return_report: bool = True,
     machine: Any = None,
     faults: Any = None,
 ) -> tuple[list[Any], VolumeReport]:

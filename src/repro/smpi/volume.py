@@ -139,11 +139,6 @@ class VolumeLedger:
     def pop_phase(self, rank: int) -> None:
         self._phase_paths[rank].pop()
 
-    def set_phase(self, rank: int, phase: str | None) -> None:
-        """Replace the rank's whole scope stack (legacy single-level
-        API); prefer :meth:`push_phase`/:meth:`pop_phase`."""
-        self._phase_paths[rank][:] = [] if phase is None else [phase]
-
     def current_phase(self, rank: int) -> str | None:
         """Attribution label for the rank's current scope.
 

@@ -132,13 +132,6 @@ class TestFactorArgValidation:
         with pytest.raises(ValueError, match="without faults"):
             factor("conflux", matrix(), grid=GRID, v=4, fault_seed=3)
 
-    def test_timeout_spellings_are_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            factor(
-                "conflux", matrix(), grid=GRID, v=4,
-                timeout_s=1.0, timeout=1.0,
-            )
-
     def test_plan_dict_and_seed_override(self):
         res = factor(
             "conflux", matrix(), grid=GRID, v=4,

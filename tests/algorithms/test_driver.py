@@ -114,12 +114,13 @@ def test_wrong_grid_arity_rejected(name):
 def test_unknown_keyword_rejected(name):
     info = get_algorithm(name)
     other = "nb" if info.block_param == "v" else "v"
-    for bad in ("m_max", other):
+    # timeout_s= has one spelling: "timeout" is as unknown as a typo
+    for bad in ("m_max", other, "timeout"):
         with pytest.raises(TypeError) as exc:
             factor(name, _input(name), 4, **{bad: 4})
         assert str(exc.value) == (
             f"{name}: unexpected keyword argument(s) {bad}; accepted: "
-            f"{info.block_param}, timeout"
+            f"{info.block_param}, timeout_s"
         )
 
 

@@ -75,6 +75,27 @@ class TestRunExperiment:
         with pytest.raises(KeyError):
             model_for("magma", 128, 4, {})
 
+    @pytest.mark.parametrize(
+        "impl, stray, message",
+        [
+            ("conflux", {"nb": 16}, "conflux takes its block as v=, not nb="),
+            ("scalapack2d", {"v": 4}, "scalapack2d takes its block as nb=, "
+             "not v="),
+        ],
+    )
+    def test_block_of_the_wrong_family_is_refused_before_the_run(
+        self, monkeypatch, impl, stray, message
+    ):
+        """Swallowing it would run the default block under the cache
+        key of a different request."""
+
+        def never(*args, **kwargs):
+            raise AssertionError("factor() entered with a stray block")
+
+        monkeypatch.setattr(runner, "factor", never)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(impl, 32, 4, **stray)
+
     def test_member_without_model_fails_before_the_run(self, monkeypatch):
         """cholesky25d is a registered algorithm with no cost model:
         the lookup comes first, so nothing is factored for a record

@@ -2,11 +2,11 @@
 
 ``tests/data/spec_point_keys.json`` holds, for every named sweep, the
 ordered ``cache_key()`` of each point ``named_spec(name).points()``
-enumerates, plus ``runner.model_for`` at every pinned-ledger
-configuration that has a model.  A change that moves either has
-invalidated every sweep cache in the field (or changed what a
-``measured`` row's ``modeled_bytes`` means); regenerate only when that
-is the point of the change::
+enumerates, plus ``runner.model_for`` at the pinned-ledger
+configurations that had a model when the file was generated.  A change
+that moves either has invalidated every sweep cache in the field (or
+changed what a ``measured`` row's ``modeled_bytes`` means); regenerate
+only when that is the point of the change::
 
     python -m tests.harness.test_spec_pins
 """

@@ -1,11 +1,11 @@
-"""Tests for block-cyclic index maps and DistMatrix."""
+"""Tests for the block-cyclic index map."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.layouts import BlockCyclic1D, BlockCyclic2D, DistMatrix
+from repro.layouts import BlockCyclic1D
 
 
 class TestBlockCyclic1D:
@@ -95,81 +95,3 @@ class TestBlockCyclic1D:
         assert g in m.global_indices(r)
         li = m.local_index(g)
         assert m.global_indices(r)[li] == g
-
-
-class TestBlockCyclic2D:
-    def test_local_shapes_tile_the_matrix(self):
-        lay = BlockCyclic2D(10, 13, 2, 3, row_block=2, col_block=1)
-        total = sum(
-            lay.local_shape(i, j)[0] * lay.local_shape(i, j)[1]
-            for i in range(2)
-            for j in range(3)
-        )
-        assert total == 10 * 13
-
-    def test_owner(self):
-        lay = BlockCyclic2D(4, 4, 2, 2)
-        assert lay.owner(0, 0) == (0, 0)
-        assert lay.owner(1, 2) == (1, 0)
-        assert lay.owner(3, 3) == (1, 1)
-
-    def test_local_submatrix_values(self):
-        a = np.arange(36.0).reshape(6, 6)
-        lay = BlockCyclic2D(6, 6, 2, 2)
-        loc = lay.local_submatrix(a, 0, 1)
-        # rows 0,2,4; cols 1,3,5
-        np.testing.assert_array_equal(loc, a[np.ix_([0, 2, 4], [1, 3, 5])])
-
-    def test_shape_mismatch_rejected(self):
-        lay = BlockCyclic2D(4, 4, 2, 2)
-        with pytest.raises(ValueError):
-            lay.local_submatrix(np.zeros((5, 4)), 0, 0)
-
-
-class TestDistMatrix:
-    def test_scatter_assemble_roundtrip(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((9, 7))
-        lay = BlockCyclic2D(9, 7, 3, 2, row_block=2, col_block=3)
-        pieces = {
-            (i, j): DistMatrix.from_global(lay, i, j, a).local
-            for i in range(3)
-            for j in range(2)
-        }
-        back = DistMatrix.assemble(lay, pieces)
-        np.testing.assert_array_equal(back, a)
-
-    def test_default_local_is_zeros(self):
-        lay = BlockCyclic2D(4, 4, 2, 2)
-        d = DistMatrix(lay, 0, 0)
-        np.testing.assert_array_equal(d.local, np.zeros((2, 2)))
-
-    def test_wrong_local_shape_rejected(self):
-        lay = BlockCyclic2D(4, 4, 2, 2)
-        with pytest.raises(ValueError):
-            DistMatrix(lay, 0, 0, np.zeros((3, 3)))
-
-    def test_global_rows_cols(self):
-        lay = BlockCyclic2D(6, 6, 2, 3)
-        d = DistMatrix(lay, 1, 2)
-        np.testing.assert_array_equal(d.global_rows, [1, 3, 5])
-        np.testing.assert_array_equal(d.global_cols, [2, 5])
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        nrows=st.integers(min_value=1, max_value=20),
-        ncols=st.integers(min_value=1, max_value=20),
-        prows=st.integers(min_value=1, max_value=4),
-        pcols=st.integers(min_value=1, max_value=4),
-        block=st.integers(min_value=1, max_value=4),
-        seed=st.integers(min_value=0, max_value=1_000),
-    )
-    def test_roundtrip_property(self, nrows, ncols, prows, pcols, block, seed):
-        a = np.random.default_rng(seed).standard_normal((nrows, ncols))
-        lay = BlockCyclic2D(nrows, ncols, prows, pcols, row_block=block)
-        pieces = {
-            (i, j): DistMatrix.from_global(lay, i, j, a).local
-            for i in range(prows)
-            for j in range(pcols)
-        }
-        np.testing.assert_array_equal(DistMatrix.assemble(lay, pieces), a)

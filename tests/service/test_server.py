@@ -249,6 +249,29 @@ class TestFailureModes:
 
         run(go())
 
+    def test_block_of_the_wrong_family_is_an_error_not_retried(self):
+        """The real job runner: ``nb=`` on a ``v=`` member used to run
+        the default block under a second cache key."""
+        request = FactorRequest(impl="conflux", n=32, p=4, nb=16)
+        assert request.cache_key() != FactorRequest(
+            impl="conflux", n=32, p=4
+        ).cache_key()
+
+        async def go():
+            config = ServiceConfig(
+                workers=1, max_retries=2, retry_backoff_s=0.001
+            )
+            async with FactorService(config) as service:
+                response = await service.submit(request)
+                assert response.status == STATUS_ERROR
+                assert (
+                    "conflux takes its block as v=, not nb="
+                    in response.error
+                )
+                assert service.metrics_snapshot()["worker_retries"] == 0
+
+        run(go())
+
     def test_slow_job_times_out_without_killing_the_worker(self):
         async def go():
             config = ServiceConfig(workers=1, request_timeout_s=0.02)

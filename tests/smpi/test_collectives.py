@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.smpi import run_spmd
-from repro.smpi.collectives import butterfly_exchange, maxloc
+from repro.smpi.collectives import maxloc
 
 
 def _payload(rank: int, n: int = 4) -> np.ndarray:
@@ -238,32 +238,6 @@ class TestAlltoallReduceScatter:
 
         _, report = run_spmd(size, fn)
         assert report.total_bytes == size * (size - 1) * 64
-
-
-class TestButterfly:
-    @pytest.mark.parametrize("size", [2, 4, 8])
-    def test_full_butterfly_computes_global_max(self, size):
-        rounds = size.bit_length() - 1
-
-        def fn(comm):
-            best = comm.rank * 37 % 11
-            for k in range(rounds):
-                other = butterfly_exchange(comm, best, k)
-                best = max(best, other)
-            return best
-
-        results, _ = run_spmd(size, fn)
-        expected = max(r * 37 % 11 for r in range(size))
-        assert all(r == expected for r in results)
-
-    def test_partnerless_rank_keeps_data(self):
-        def fn(comm):
-            return butterfly_exchange(comm, comm.rank, round_index=1)
-
-        # size 3: rank 2's partner would be 0^2=... rank 0 <-> 2, rank 1
-        # partner 3 doesn't exist
-        results, _ = run_spmd(3, fn)
-        assert results[1] == 1
 
 
 class TestCollectivesOnSubcommunicators:

@@ -492,7 +492,7 @@ class TestPhaseMessageCounts:
         from repro.smpi.volume import VolumeLedger
 
         ledger = VolumeLedger(2)
-        ledger.set_phase(0, "x")
+        ledger.push_phase(0, "x")
         ledger.record_send(0, 10)
         ledger.reset()
         assert ledger.snapshot().phase_messages == {}

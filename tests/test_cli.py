@@ -222,7 +222,15 @@ class TestSweepCommand:
     def test_no_action_is_an_error(self, capsys):
         rc = main(["sweep"])
         assert rc == 2
-        assert "nothing to do" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "nothing to do" in err
+        assert "--run NAME" in err
+
+    def test_positional_spelling_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "run", "table2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_no_cache_flag_recomputes(self, capsys, tmp_path):
         args = ["sweep", "--run", "lower-bound-gap", "--max-points",
