@@ -2,11 +2,11 @@
 
 The service layer turns the solver stack into a system that serves
 load; this benchmark freezes its behaviour under a fixed synthetic
-workload — one closed-loop run per dispatch policy — into a machine-
-readable artifact, following the ``BENCH_timing.json`` pattern.  CI
-regenerates and schema-validates it on every run, so queueing
-behaviour (admission counts, cache effectiveness, tail latency) is
-tracked commit to commit.
+workload — one closed-loop run — into a machine-readable artifact,
+following the ``BENCH_timing.json`` pattern.  CI regenerates and
+schema-validates it on every run, so queueing behaviour (admission
+counts, cache effectiveness, tail latency) is tracked commit to
+commit.
 
 Each run's ``counts`` block is a pure function of the workload seed
 (caching + in-flight coalescing make the number of jobs computed equal
@@ -27,10 +27,9 @@ import json
 import sys
 import tempfile
 
-SCHEMA_VERSION = 1
-
-#: Dispatch policies each benchmark run exercises.
-POLICIES = ("fifo", "least-loaded")
+#: 2: the ``policy`` / ``policies`` keys left with the dispatch policies
+#: (the service has one FIFO queue); ``runs`` holds the one run.
+SCHEMA_VERSION = 2
 
 #: Artifact schema, hand-rolled (no jsonschema dependency in the
 #: container): field name -> required type(s), per run block.
@@ -62,55 +61,48 @@ def _default_spec(requests: int = 60):
     )
 
 
-def service_runs(
-    policies=POLICIES, requests: int = 60, workers: int = 2
-) -> list[dict]:
-    """One closed-loop workload per policy, each on a fresh scratch
-    cache so hit counts are reproducible run to run."""
+def service_runs(requests: int = 60, workers: int = 2) -> list[dict]:
+    """The closed-loop workload, on a fresh scratch cache so hit
+    counts are reproducible run to run."""
     from repro.harness.cache import SweepCache
     from repro.service import ServiceConfig, run_workload
 
-    spec = _default_spec(requests)
-    runs = []
-    for policy in policies:
-        config = ServiceConfig(
-            workers=workers, queue_depth=16, policy=policy,
-            executor="thread",
+    config = ServiceConfig(
+        workers=workers, queue_depth=16, executor="thread"
+    )
+    with tempfile.TemporaryDirectory(
+        prefix="repro-bench-service-"
+    ) as tmp:
+        report = run_workload(
+            config, _default_spec(requests), cache=SweepCache(tmp)
         )
-        with tempfile.TemporaryDirectory(
-            prefix="repro-bench-service-"
-        ) as tmp:
-            report = run_workload(config, spec, cache=SweepCache(tmp))
-        metrics = report.metrics
-        runs.append(
-            {
-                "policy": policy,
-                "counts": dict(metrics["counts"]),
-                "observed": {
-                    "latency_ms": dict(metrics["latency_ms"]),
-                    "throughput_rps": metrics["throughput_rps"],
-                    "wall_s": metrics["wall_s"],
-                    "cache_hit_rate": metrics["cache_hit_rate"],
-                    "max_queue_depth": metrics["max_queue_depth"],
-                    "worker_executions": metrics["worker_executions"],
-                },
-            }
-        )
-    return runs
+    metrics = report.metrics
+    return [
+        {
+            "counts": dict(metrics["counts"]),
+            "observed": {
+                "latency_ms": dict(metrics["latency_ms"]),
+                "throughput_rps": metrics["throughput_rps"],
+                "wall_s": metrics["wall_s"],
+                "cache_hit_rate": metrics["cache_hit_rate"],
+                "max_queue_depth": metrics["max_queue_depth"],
+                "worker_executions": metrics["worker_executions"],
+            },
+        }
+    ]
 
 
 def build_artifact(
     runs: list[dict], requests: int = 60, workers: int = 2
 ) -> dict:
-    """The BENCH_service.json document for a set of policy runs."""
+    """The BENCH_service.json document for the run."""
     spec = _default_spec(requests)
     return {
         "schema_version": SCHEMA_VERSION,
         "workload": spec.to_dict(),
         "service": {"workers": workers, "queue_depth": 16,
                     "executor": "thread"},
-        "policies": sorted(r["policy"] for r in runs),
-        "runs": sorted(runs, key=lambda r: r["policy"]),
+        "runs": runs,
     }
 
 
@@ -137,19 +129,13 @@ def validate_artifact(doc: dict) -> list[str]:
     for key in ("workload", "service"):
         if not isinstance(doc.get(key), dict):
             errors.append(f"missing or non-dict field {key!r}")
-    for key in ("policies", "runs"):
-        if not isinstance(doc.get(key), list):
-            errors.append(f"missing or non-list field {key!r}")
+    if not isinstance(doc.get("runs"), list):
+        errors.append("missing or non-list field 'runs'")
     if errors:
         return errors
     if not doc["runs"]:
         errors.append("no runs")
     for i, run in enumerate(doc["runs"]):
-        policy = run.get("policy")
-        if policy not in doc["policies"]:
-            errors.append(
-                f"runs[{i}].policy {policy!r} not in the policies list"
-            )
         counts = run.get("counts")
         if not isinstance(counts, dict):
             errors.append(f"runs[{i}].counts missing or non-dict")
@@ -218,7 +204,6 @@ def test_service_trajectory_artifact(benchmark, show):
 
     rows = [
         {
-            "policy": run["policy"],
             "completed": run["counts"]["completed"],
             "computed": run["counts"]["computed"],
             "cached": run["counts"]["served_without_compute"],
@@ -231,7 +216,6 @@ def test_service_trajectory_artifact(benchmark, show):
     show(format_table(
         rows,
         [
-            ("policy", "policy"),
             ("completed", "completed"),
             ("computed", "computed"),
             ("cached", "cache/coalesce"),
@@ -239,10 +223,10 @@ def test_service_trajectory_artifact(benchmark, show):
             ("p99_ms", "p99 [ms]"),
             ("rps", "req/s"),
         ],
-        title="Serving trajectory (closed loop, per dispatch policy)",
+        title="Serving trajectory (closed loop)",
     ))
-    # every policy serves the full workload, and caching means far
-    # fewer computations than requests
+    # the run serves the full workload, and caching means far fewer
+    # computations than requests
     for run in doc["runs"]:
         counts = run["counts"]
         assert counts["completed"] == counts["requests"]
@@ -260,8 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--out", metavar="PATH",
-                      help="run the policy workloads and write the "
-                           "artifact")
+                      help="run the workload and write the artifact")
     mode.add_argument("--validate", metavar="PATH",
                       help="schema-check an existing artifact")
     parser.add_argument("--requests", type=int, default=60)
@@ -276,10 +259,7 @@ def main(argv: list[str] | None = None) -> int:
             for err in errors:
                 print(f"INVALID: {err}", file=sys.stderr)
             return 1
-        print(
-            f"{args.validate}: valid ({len(doc['runs'])} runs, "
-            f"policies {', '.join(doc['policies'])})"
-        )
+        print(f"{args.validate}: valid")
         return 0
 
     runs = service_runs(requests=args.requests, workers=args.workers)
@@ -294,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {len(doc['runs'])} serving runs to {args.out}")
+    print(f"wrote the serving run to {args.out}")
     return 0
 
 

@@ -307,7 +307,6 @@ def _service_config_from_args(args: argparse.Namespace):
         workers=args.workers,
         queue_depth=args.queue_depth,
         request_timeout_s=args.timeout,
-        policy=args.policy,
         executor=args.executor,
     )
 
@@ -345,7 +344,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             server = await serve_tcp(service, args.host, args.port)
             addr = server.sockets[0].getsockname()
             print(f"serving factorizations on {addr[0]}:{addr[1]} "
-                  f"(policy={config.policy}, workers={config.workers}, "
+                  f"(workers={config.workers}, "
                   f"queue_depth={config.queue_depth})")
             print("protocol: one JSON request per line, e.g. "
                   '{"impl": "conflux", "n": 64, "p": 4, "seed": 0} — '
@@ -409,12 +408,6 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
                              "rejection (default 16)")
     parser.add_argument("--timeout", type=float, default=60.0,
                         help="per-request timeout in seconds")
-    # No choices= here: ServiceConfig checks the name against
-    # DISPATCH_POLICIES, and importing the service to build a parser
-    # would triple the start-up of every other verb.
-    parser.add_argument("--policy", default="fifo", metavar="NAME",
-                        help="dispatch policy registered in "
-                             "repro.service.dispatch (default fifo)")
     parser.add_argument("--executor", default="thread",
                         choices=["thread", "process"],
                         help="worker executor (default thread)")

@@ -2,8 +2,9 @@
 
 A distributed run meets slow links, lost messages and dying ranks.
 This module lets the simulated runtime *manufacture* those failures
-deterministically, so every recovery path — detection, retry,
-degradation — is pinned by tests instead of discovered in production.
+deterministically, so every outcome — a typed error, a tolerated
+fault, a run that completes wrong — is pinned by tests instead of
+discovered in production.
 
 A :class:`FaultPlan` is a seed plus an ordered tuple of
 :class:`FaultRule` s.  Each rule matches messages at the send seam of

@@ -28,8 +28,12 @@ import threading
 import time
 import traceback
 from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from concurrent.futures import (
+    BrokenExecutor,
+    ProcessPoolExecutor,
+    as_completed,
+)
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.harness.cache import SweepCache, canonical_json, point_key
@@ -190,11 +194,7 @@ STATUS_ERROR = "error"
 
 @dataclass(frozen=True)
 class PointResult:
-    """Outcome of one point: payload or captured failure, provenance.
-
-    ``attempts`` counts executions of the point this run (> 1 when a
-    transient failure was retried; see ``run_sweep(retries=...)``).
-    """
+    """Outcome of one point: payload or captured failure, provenance."""
 
     point: SweepPoint
     status: str
@@ -202,7 +202,6 @@ class PointResult:
     error: str | None = None
     from_cache: bool = False
     elapsed_s: float = 0.0
-    attempts: int = 1
 
     @property
     def ok(self) -> bool:
@@ -276,6 +275,20 @@ class SweepResult:
 # --------------------------------------------------------------------------
 
 
+def _failure(
+    point: SweepPoint, exc: BaseException, elapsed_s: float = 0.0
+) -> PointResult:
+    """The ``TypeName: message`` error result of one point."""
+    return PointResult(
+        point=point,
+        status=STATUS_ERROR,
+        error="".join(
+            traceback.format_exception_only(type(exc), exc)
+        ).strip(),
+        elapsed_s=elapsed_s,
+    )
+
+
 def _execute_point(point: SweepPoint) -> PointResult:
     """Run one point, capturing failure (runs in workers)."""
     fn = get_task(point.task)
@@ -283,79 +296,13 @@ def _execute_point(point: SweepPoint) -> PointResult:
     try:
         payload = fn(**dict(point.params))
     except Exception as exc:
-        return PointResult(
-            point=point,
-            status=STATUS_ERROR,
-            error="".join(
-                traceback.format_exception_only(type(exc), exc)
-            ).strip(),
-            elapsed_s=time.perf_counter() - start,
-        )
+        return _failure(point, exc, time.perf_counter() - start)
     return PointResult(
         point=point,
         status=STATUS_OK,
         result=payload,
         elapsed_s=time.perf_counter() - start,
     )
-
-
-def _execute_point_with_retry(point: SweepPoint, retries: int) -> PointResult:
-    """Run one point, re-executing up to ``retries`` extra times when
-    the failure is transient (lost-message deadlocks, rank failures —
-    the classification shared with the service's retry policy).  Runs
-    in workers, so it must stay module-level picklable."""
-    from repro.service.resilience import is_transient_error_string
-
-    attempt = 0
-    while True:
-        res = _execute_point(point)
-        if (
-            res.status == STATUS_ERROR
-            and attempt < retries
-            and is_transient_error_string(res.error)
-        ):
-            attempt += 1
-            continue
-        if attempt:
-            import dataclasses
-
-            res = dataclasses.replace(res, attempts=attempt + 1)
-        return res
-
-
-def _execute_point_bounded(
-    point: SweepPoint, timeout_s: float | None, retries: int
-) -> PointResult:
-    """Inline-path execution with an optional wall-clock bound.
-
-    The point runs on a daemon thread; on timeout the result is a
-    synthetic ``TimeoutError`` failure and the thread is abandoned (it
-    cannot be preempted mid-factorization; it lingers until the run
-    finishes or spends its own ``run_spmd`` wall budget)."""
-    if timeout_s is None:
-        return _execute_point_with_retry(point, retries)
-    box: dict[str, PointResult] = {}
-
-    def runner() -> None:
-        box["res"] = _execute_point_with_retry(point, retries)
-
-    thread = threading.Thread(
-        target=runner, daemon=True, name=f"sweep-{point.task}"
-    )
-    thread.start()
-    thread.join(timeout_s)
-    res = box.get("res")
-    if res is None:
-        return PointResult(
-            point=point,
-            status=STATUS_ERROR,
-            error=(
-                f"TimeoutError: point exceeded {timeout_s:g}s wall "
-                f"clock (abandoned)"
-            ),
-            elapsed_s=timeout_s,
-        )
-    return res
 
 
 def _live_helper_threads() -> list[threading.Thread]:
@@ -430,8 +377,6 @@ def run_sweep(
     max_points: int | None = None,
     force: bool = False,
     progress: Callable[[PointResult], None] | None = None,
-    point_timeout_s: float | None = None,
-    retries: int = 0,
 ) -> SweepResult:
     """Execute a spec's grid, returning per-point results in order.
 
@@ -445,25 +390,12 @@ def run_sweep(
     (results are still written).  ``max_points`` truncates the grid
     after enumeration — the CI smoke path.
 
-    ``point_timeout_s`` bounds each point's wall clock so one hung
-    point cannot stall the grid: expired points are recorded as
-    ``TimeoutError`` failures and their execution abandoned (inline: a
-    daemon thread; pool: points are handed to the pool only when a
-    worker is free, so a point's window covers execution, never time
-    spent queued behind a hung peer — each abandoned point writes off
-    one worker, and if every worker is wedged the remaining points
-    fail as not-started).  ``retries`` re-executes a
-    point up to that many extra times when it fails *transiently*
-    (deadlocks, rank failures); deterministic failures are never
-    retried, and timed-out points are not either — the cache-resume
-    path above is the retry story across sweep invocations.
+    A point is executed once: a run is a function of its parameters,
+    so its only wall budget is ``run_spmd(timeout=)``'s (where a
+    deadlock is reported at once, with its census) and executing it
+    again would repeat the outcome.  A point that failed for a reason
+    outside its parameters is picked up by the resume path above.
     """
-    if point_timeout_s is not None and point_timeout_s <= 0:
-        raise ValueError(
-            f"point_timeout_s must be > 0, got {point_timeout_s}"
-        )
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
     start = time.perf_counter()
     points = spec.points()
     if max_points is not None:
@@ -489,25 +421,18 @@ def run_sweep(
                     res.elapsed_s,
                 )
             except Exception as exc:
-                res = PointResult(
-                    point=res.point,
-                    status=STATUS_ERROR,
-                    result=res.result,
+                res = replace(
+                    res, status=STATUS_ERROR,
                     error=f"cache.put failed: {exc}",
-                    elapsed_s=res.elapsed_s,
                 )
         slots[idx] = res
         if progress is not None:
             try:
                 progress(res)
             except Exception as exc:
-                slots[idx] = PointResult(
-                    point=res.point,
-                    status=STATUS_ERROR,
-                    result=res.result,
+                slots[idx] = replace(
+                    res, status=STATUS_ERROR,
                     error=f"progress callback failed: {exc}",
-                    from_cache=res.from_cache,
-                    elapsed_s=res.elapsed_s,
                 )
 
     pending: list[tuple[int, SweepPoint]] = []
@@ -536,98 +461,30 @@ def run_sweep(
             initializer=_worker_init,
             initargs=(_task_snapshot(),),
         )
-        abandoned = False
         try:
-            # Hand a point to the pool only when a worker is free: its
-            # deadline is stamped at submission, so keeping at most one
-            # in-flight point per live worker means the window measures
-            # execution, not time spent queued behind a hung peer.
-            queue = list(pending)
-            capacity = min(workers, len(pending))
-            futures: dict[Any, tuple[int, SweepPoint]] = {}
-            deadlines: dict[Any, float | None] = {}
-            not_done: set[Any] = set()
-
-            def _fill_free_slots() -> None:
-                while queue and len(not_done) < capacity:
-                    idx, point = queue.pop(0)
-                    fut = pool.submit(
-                        _execute_point_with_retry, point, retries
-                    )
-                    futures[fut] = (idx, point)
-                    deadlines[fut] = (
-                        time.monotonic() + point_timeout_s
-                        if point_timeout_s else None
-                    )
-                    not_done.add(fut)
-
-            _fill_free_slots()
-            while not_done:
-                wait_s = None
-                if point_timeout_s is not None:
-                    wait_s = max(
-                        0.0,
-                        min(deadlines[f] for f in not_done)
-                        - time.monotonic(),
-                    )
-                done, not_done = wait(
-                    not_done, timeout=wait_s,
-                    return_when=FIRST_COMPLETED,
-                )
-                for fut in done:
-                    idx, _ = futures[fut]
-                    finish(idx, fut.result())
-                if point_timeout_s is not None:
-                    now = time.monotonic()
-                    for fut in [
-                        f for f in not_done if deadlines[f] <= now
-                    ]:
-                        not_done.discard(fut)
-                        idx, point = futures[fut]
-                        # The worker is wedged on this point: write it
-                        # off as lost capacity for the rest of the
-                        # sweep.  (If it finishes late the pool reuses
-                        # it; we just never over-subscribe.)
-                        abandoned = True
-                        capacity -= 1
-                        finish(
-                            idx,
-                            PointResult(
-                                point=point,
-                                status=STATUS_ERROR,
-                                error=(
-                                    f"TimeoutError: point exceeded "
-                                    f"{point_timeout_s:g}s wall clock "
-                                    f"(worker abandoned)"
-                                ),
-                                elapsed_s=point_timeout_s,
-                            ),
-                        )
-                _fill_free_slots()
-            for idx, point in queue:
-                # Only reachable when capacity hit zero: every pool
-                # worker is wedged on a timed-out point.
-                finish(
-                    idx,
-                    PointResult(
-                        point=point,
-                        status=STATUS_ERROR,
-                        error=(
-                            "TimeoutError: point never started — all "
-                            "pool workers are hung on timed-out points"
-                        ),
-                    ),
-                )
+            # A worker that dies under a point (OOM kill, segfault)
+            # breaks the pool: that point's future raises, and so does
+            # every future — or submit — the pool never got to run.
+            # Each is its own point's error; what finished stays
+            # finished and cached.
+            futures: dict[Any, int] = {}
+            for idx, point in pending:
+                try:
+                    futures[pool.submit(_execute_point, point)] = idx
+                except BrokenExecutor as exc:
+                    finish(idx, _failure(point, exc))
+            for fut in as_completed(futures):
+                idx = futures[fut]
+                try:
+                    res = fut.result()
+                except Exception as exc:
+                    res = _failure(points[idx], exc)
+                finish(idx, res)
         finally:
-            # A hung worker cannot be joined without stalling the
-            # sweep; leave it to die with the pool's processes.
-            pool.shutdown(wait=not abandoned, cancel_futures=True)
+            pool.shutdown(wait=True, cancel_futures=True)
     else:
         for idx, point in pending:
-            finish(
-                idx,
-                _execute_point_bounded(point, point_timeout_s, retries),
-            )
+            finish(idx, _execute_point(point))
 
     return SweepResult(
         spec_name=spec.name,

@@ -8,12 +8,11 @@ Public surface::
         WorkloadSpec, run_workload, serve_tcp,
     )
 
-See DESIGN.md's service-layer section for the queue model, dispatch
-policies, cache-key reuse and overload semantics.
+See DESIGN.md's service-layer section for the queue model, cache-key
+reuse and overload semantics.
 """
 
 from repro.service.config import ServiceConfig
-from repro.service.dispatch import DISPATCH_POLICIES, make_policy
 from repro.service.jobs import (
     SERVICE_TASK,
     STATUS_ERROR,
@@ -24,11 +23,6 @@ from repro.service.jobs import (
     ServiceResponse,
 )
 from repro.service.metrics import ServiceMetrics, percentile
-from repro.service.resilience import (
-    CircuitBreaker,
-    RetryPolicy,
-    is_transient,
-)
 from repro.service.server import FactorService, serve_tcp
 from repro.service.workload import (
     LoadReport,
@@ -40,13 +34,10 @@ from repro.service.workload import (
 )
 
 __all__ = [
-    "CircuitBreaker",
-    "DISPATCH_POLICIES",
     "FactorRequest",
     "FactorService",
     "LoadReport",
     "RequestSampler",
-    "RetryPolicy",
     "SERVICE_TASK",
     "STATUS_ERROR",
     "STATUS_OK",
@@ -56,8 +47,6 @@ __all__ = [
     "ServiceMetrics",
     "ServiceResponse",
     "WorkloadSpec",
-    "is_transient",
-    "make_policy",
     "percentile",
     "run_workload",
     "run_workload_async",

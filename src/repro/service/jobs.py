@@ -12,7 +12,7 @@ hit for the service and vice versa.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.harness.sweep import SweepPoint
 
@@ -26,11 +26,14 @@ STATUS_REJECTED = "rejected"
 STATUS_ERROR = "error"
 STATUS_TIMEOUT = "timeout"
 
-#: Fields a request document may carry (the TCP front-end validates
-#: incoming JSON against this set).
-REQUEST_FIELDS = (
-    "impl", "n", "p", "seed", "v", "nb", "machine", "deadline_s",
-)
+#: Fields a request document may carry and the JSON type each takes
+#: (:meth:`FactorRequest.from_dict` checks incoming documents against
+#: this table; ``bool`` is never an ``int`` here).
+REQUEST_FIELDS = {
+    "impl": (str,), "n": (int,), "p": (int,), "seed": (int,),
+    "v": (int,), "nb": (int,), "machine": (str,),
+    "deadline_s": (int, float),
+}
 
 
 @dataclass(frozen=True)
@@ -88,15 +91,16 @@ class FactorRequest:
 
     def shape_key(self) -> tuple:
         """Everything but the seed: requests sharing a shape key solve
-        same-shape problems (the service-time EMA and the circuit
-        breaker are keyed on it)."""
+        same-shape problems (the service-time EMA behind
+        ``retry_after_s`` is keyed on it)."""
         return (self.impl, self.n, self.p, self.v, self.nb, self.machine)
 
     @classmethod
     def from_dict(cls, doc: dict) -> FactorRequest:
         """Build a request from a JSON document, rejecting unknown
-        fields (a typo'd field silently ignored would compute the
-        wrong problem)."""
+        fields and values of the wrong type (a typo'd field silently
+        ignored, or ``32.7`` truncated to 32, would compute the wrong
+        problem).  ``null`` is legal exactly where it is the default."""
         if not isinstance(doc, dict):
             raise ValueError(f"request must be a JSON object, got {doc!r}")
         unknown = set(doc) - set(REQUEST_FIELDS)
@@ -105,6 +109,16 @@ class FactorRequest:
                 f"unknown request fields {sorted(unknown)}; "
                 f"accepted: {list(REQUEST_FIELDS)}"
             )
+        for name, value in doc.items():
+            if value is None and getattr(cls, name) is None:
+                continue
+            wanted = REQUEST_FIELDS[name]
+            if isinstance(value, bool) or not isinstance(value, wanted):
+                raise ValueError(
+                    f"request field {name!r} must be "
+                    f"{' or '.join(t.__name__ for t in wanted)}, "
+                    f"got {value!r}"
+                )
         return cls(**doc)
 
 
@@ -138,7 +152,6 @@ class ServiceResponse:
     coalesced: bool = False
     latency_s: float = 0.0
     retry_after_s: float | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:

@@ -1,4 +1,4 @@
-"""The asyncio factorization service: admission, dispatch, caching.
+"""The asyncio factorization service: admission, one queue, caching.
 
 One :class:`FactorService` fronts the :mod:`repro.algorithms` registry
 with a bounded job queue.  A submitted request flows::
@@ -7,16 +7,17 @@ with a bounded job queue.  A submitted request flows::
        │
        ├─ identical request in flight? ── join its future (coalesce)
        │
-       ├─ policy.depth() >= queue_depth? ── reject + retry_after_s
+       ├─ queue.qsize() >= queue_depth? ── reject + retry_after_s
        │
-       └─ admit ▶ dispatch policy ▶ worker loop ▶ executor ▶ respond
-                                        │
-                                        └─ cache.put (guarded: a cache
-                                           write failure never kills a
-                                           response)
+       └─ admit ▶ FIFO queue ▶ idle worker ▶ executor ▶ respond
+                                   │
+                                   ├─ ok: cache.put (guarded: a cache
+                                   │  write failure never kills a
+                                   │  response)
+                                   └─ raised: ``error``, reported once
 
-Workers are asyncio tasks that pull jobs from the dispatch policy and
-run them on a concurrent executor (threads by default, a
+Workers are asyncio tasks that pull jobs from the one shared queue and
+run each once on a concurrent executor (threads by default, a
 fork-safe process pool on request) — the event loop stays free for
 admission and the TCP front-end while factorizations run.
 
@@ -37,7 +38,6 @@ from typing import Callable
 
 from repro.harness.cache import SweepCache
 from repro.service.config import ServiceConfig
-from repro.service.dispatch import SHUTDOWN, make_policy
 from repro.service.jobs import (
     SERVICE_TASK,
     STATUS_ERROR,
@@ -49,9 +49,12 @@ from repro.service.jobs import (
     ServiceResponse,
 )
 from repro.service.metrics import ServiceMetrics
-from repro.service.resilience import CircuitBreaker, is_transient
 from repro.service.worker import run_factor_job
 
+#: Longest request line the TCP front-end reads (asyncio's default).
+MAX_LINE_BYTES = 2**16
+#: Sentinel a worker pulls from the queue when the service is stopping.
+_SHUTDOWN = None
 #: Fallback estimate of one job's service time before any completes.
 _INITIAL_SERVICE_ESTIMATE_S = 0.05
 #: EMA smoothing for the per-job service-time estimate.
@@ -85,8 +88,6 @@ class FactorService:
         #: this.
         self.worker_executions = 0
         self.cache_write_failures = 0
-        self.worker_retries = 0
-        self.breaker_rejections = 0
         self._ema_service_s = _INITIAL_SERVICE_ESTIMATE_S
         #: shape_key -> per-job service-time EMA; the global EMA above
         #: is only the cold-start fallback, so ``retry_after_s`` hints
@@ -94,18 +95,11 @@ class FactorService:
         #: ``_EMA_SHAPE_CAP`` entries (dict insertion order tracks
         #: recency: updates reinsert their key).
         self._ema_by_shape: dict[tuple, float] = {}
-        self._retry_policy = self.config.retry_policy()
-        self._breaker = (
-            CircuitBreaker(
-                self.config.breaker_threshold,
-                self.config.breaker_cooldown_s,
-            )
-            if self.config.breaker_threshold
-            else None
-        )
         self._inflight: dict[str, asyncio.Future] = {}
         self._workers: list[asyncio.Task] = []
-        self._policy = None
+        #: admitted jobs not yet pulled by a worker, in arrival order;
+        #: ``qsize()`` is the depth admission control bounds.
+        self._queue: asyncio.Queue = asyncio.Queue()
         self._executor = None
         self._started = False
 
@@ -117,9 +111,8 @@ class FactorService:
         if self._started:
             raise RuntimeError("service already started")
         loop = asyncio.get_running_loop()
-        self._policy = make_policy(
-            self.config.policy, self.config.workers
-        )
+        # A queue binds to the loop it first waits on: one per start.
+        self._queue = asyncio.Queue()
         if self.config.executor == "process":
             # _pool_context falls back to spawn/forkserver when helper
             # threads are alive — which they are, under asyncio.
@@ -135,15 +128,16 @@ class FactorService:
                 thread_name_prefix="repro-service",
             )
         self._workers = [
-            loop.create_task(self._worker_loop(i))
-            for i in range(self.config.workers)
+            loop.create_task(self._worker_loop())
+            for _ in range(self.config.workers)
         ]
         self._started = True
 
     async def stop(self) -> None:
         if not self._started:
             return
-        await self._policy.shutdown()
+        for _ in self._workers:
+            self._queue.put_nowait(_SHUTDOWN)
         await asyncio.gather(*self._workers)
         self._executor.shutdown(wait=True)
         self._started = False
@@ -166,7 +160,7 @@ class FactorService:
             raise RuntimeError("service not started (use 'async with')")
         t0 = time.perf_counter()
         key = request.cache_key()
-        self.metrics.sample_queue_depth(self._policy.depth())
+        self.metrics.sample_queue_depth(self._queue.qsize())
 
         # 1. content-addressed cache: repeat matrices are O(1) hits
         #    that never touch the queue or a worker.
@@ -190,29 +184,8 @@ class FactorService:
                 request, pending, t0, coalesced=True
             )
 
-        # 3. circuit breaker: a shape that keeps failing sheds load to
-        #    explicit rejections instead of burning workers on it.
-        if self._breaker is not None:
-            allowed, cooldown = self._breaker.allow(request.shape_key())
-            if not allowed:
-                self.breaker_rejections += 1
-                response = ServiceResponse(
-                    request=request,
-                    status=STATUS_REJECTED,
-                    error=(
-                        f"circuit open for shape "
-                        f"{request.shape_key()!r} "
-                        f"({self.config.breaker_threshold} consecutive "
-                        f"failures)"
-                    ),
-                    latency_s=time.perf_counter() - t0,
-                    retry_after_s=max(0.01, cooldown),
-                )
-                self.metrics.record(response)
-                return response
-
-        # 4. admission control: bounded queue, explicit rejection.
-        depth = self._policy.depth()
+        # 3. admission control: bounded queue, explicit rejection.
+        depth = self._queue.qsize()
         if depth >= self.config.queue_depth:
             response = ServiceResponse(
                 request=request,
@@ -229,13 +202,13 @@ class FactorService:
             self.metrics.record(response)
             return response
 
-        # 5. admit and dispatch.
+        # 4. admit: idle workers pull in arrival order.
         future = asyncio.get_running_loop().create_future()
         self._inflight[key] = future
         job = Job(
             request=request, key=key, future=future, submitted_at=t0
         )
-        await self._policy.put(job)
+        self._queue.put_nowait(job)
         return await self._await_outcome(
             request, future, t0, coalesced=False
         )
@@ -300,7 +273,7 @@ class FactorService:
         suggest; the global EMA is only the cold-start fallback.
         """
         if depth is None:
-            depth = self._policy.depth() if self._policy else 0
+            depth = self._queue.qsize()
         estimate = self._ema_service_s
         if shape is not None:
             estimate = self._ema_by_shape.get(shape, estimate)
@@ -311,69 +284,37 @@ class FactorService:
     # worker side
     # ------------------------------------------------------------------
 
-    async def _worker_loop(self, worker_id: int) -> None:
+    async def _worker_loop(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            job = await self._policy.get(worker_id)
-            if job is SHUTDOWN:
+            job = await self._queue.get()
+            if job is _SHUTDOWN:
                 return
             self.worker_executions += 1
-            self._policy.task_started(worker_id)
-            params = job.request.params()
             shape = job.request.shape_key()
             start = time.perf_counter()
-            attempt = 0
             try:
-                while True:
-                    try:
-                        row = await loop.run_in_executor(
-                            self._executor, self._job_runner, params
-                        )
-                    except Exception as exc:
-                        if (
-                            attempt < self._retry_policy.max_retries
-                            and is_transient(exc)
-                        ):
-                            attempt += 1
-                            self.worker_retries += 1
-                            await asyncio.sleep(
-                                self._retry_policy.delay_s(
-                                    attempt, key=repr(shape)
-                                )
-                            )
-                            continue
-                        message = f"{type(exc).__name__}: {exc}"
-                        if attempt:
-                            message += (
-                                f" (after {attempt} retr"
-                                f"{'y' if attempt == 1 else 'ies'})"
-                            )
-                        if self._breaker is not None:
-                            self._breaker.record_failure(shape)
-                        self._resolve(job, STATUS_ERROR, message)
-                        break
-                    else:
-                        elapsed = time.perf_counter() - start
-                        self._ema_service_s = (
-                            (1 - _EMA_ALPHA) * self._ema_service_s
-                            + _EMA_ALPHA * elapsed
-                        )
-                        prior = self._ema_by_shape.pop(shape, elapsed)
-                        self._ema_by_shape[shape] = (
-                            (1 - _EMA_ALPHA) * prior
-                            + _EMA_ALPHA * elapsed
-                        )
-                        while len(self._ema_by_shape) > _EMA_SHAPE_CAP:
-                            self._ema_by_shape.pop(
-                                next(iter(self._ema_by_shape))
-                            )
-                        if self._breaker is not None:
-                            self._breaker.record_success(shape)
-                        self._cache_put(job, row, elapsed)
-                        self._resolve(job, STATUS_OK, row)
-                        break
-            finally:
-                self._policy.task_done(worker_id)
+                row = await loop.run_in_executor(
+                    self._executor, self._job_runner, job.request.params()
+                )
+            except Exception as exc:
+                self._resolve(
+                    job, STATUS_ERROR, f"{type(exc).__name__}: {exc}"
+                )
+                continue
+            elapsed = time.perf_counter() - start
+            self._ema_service_s = (
+                (1 - _EMA_ALPHA) * self._ema_service_s
+                + _EMA_ALPHA * elapsed
+            )
+            prior = self._ema_by_shape.pop(shape, elapsed)
+            self._ema_by_shape[shape] = (
+                (1 - _EMA_ALPHA) * prior + _EMA_ALPHA * elapsed
+            )
+            while len(self._ema_by_shape) > _EMA_SHAPE_CAP:
+                self._ema_by_shape.pop(next(iter(self._ema_by_shape)))
+            self._cache_put(job, row, elapsed)
+            self._resolve(job, STATUS_OK, row)
 
     def _cache_put(self, job: Job, row: dict, elapsed_s: float) -> None:
         # Guarded exactly like the sweep engine's finish(): a cache
@@ -401,13 +342,7 @@ class FactorService:
         doc = self.metrics.snapshot(wall_s)
         doc["worker_executions"] = self.worker_executions
         doc["cache_write_failures"] = self.cache_write_failures
-        doc["worker_retries"] = self.worker_retries
-        doc["breaker_rejections"] = self.breaker_rejections
-        doc["breaker_open_shapes"] = (
-            [repr(k) for k in self._breaker.open_keys()]
-            if self._breaker is not None else []
-        )
-        doc["queue_depth"] = self._policy.depth() if self._policy else 0
+        doc["queue_depth"] = self._queue.qsize()
         return doc
 
 
@@ -424,9 +359,24 @@ async def handle_connection(
     """One client connection: a JSON request object per line, a JSON
     response per line.  ``{"op": "metrics"}`` returns the live metrics
     snapshot instead of factoring."""
+    async def reply(payload: dict) -> None:
+        writer.write(json.dumps(payload, sort_keys=True).encode() + b"\n")
+        await writer.drain()
+
     try:
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                # Past the stream limit the reader has thrown away what
+                # it had buffered, complete lines behind the long one
+                # included: the stream cannot be resynchronised, so
+                # answer once and close.
+                await reply({
+                    "status": "bad-request",
+                    "error": f"request line exceeds {MAX_LINE_BYTES} bytes",
+                })
+                return
             if not line:
                 return
             line = line.strip()
@@ -441,10 +391,7 @@ async def handle_connection(
                     payload = (await service.submit(request)).to_dict()
             except (json.JSONDecodeError, TypeError, ValueError) as exc:
                 payload = {"status": "bad-request", "error": str(exc)}
-            writer.write(
-                json.dumps(payload, sort_keys=True).encode() + b"\n"
-            )
-            await writer.drain()
+            await reply(payload)
     finally:
         writer.close()
         try:
@@ -462,4 +409,6 @@ async def serve_tcp(
     async def handler(reader, writer):
         await handle_connection(service, reader, writer)
 
-    return await asyncio.start_server(handler, host, port)
+    return await asyncio.start_server(
+        handler, host, port, limit=MAX_LINE_BYTES
+    )

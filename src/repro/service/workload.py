@@ -153,8 +153,8 @@ class LoadReport:
         lines = [
             (
                 f"{self.spec.mode}-loop: {counts['requests']} requests, "
-                f"{self.spec.clients} clients, policy "
-                f"{self.config.policy}, {self.config.workers} workers"
+                f"{self.spec.clients} clients, "
+                f"{self.config.workers} workers"
             ),
             (
                 f"  completed {counts['completed']} "

@@ -73,6 +73,27 @@ class TestReplayDeterminism:
         np.testing.assert_array_equal(res[1].lower, res[2].lower)
 
 
+    # a flipped exponent bit overflows in a rank thread, on purpose
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_chaos_grid_reproduces_the_committed_artifact(self):
+        """A failure is as reproducible as a success: one execution of
+        the 36-point chaos grid equals the reviewed ``BENCH_chaos.json``
+        (what ``bench_chaos.py --check-determinism`` runs in CI)."""
+        import json
+        import sys
+        from pathlib import Path
+
+        bench_dir = str(Path(__file__).resolve().parents[2] / "benchmarks")
+        if bench_dir not in sys.path:
+            sys.path.insert(0, bench_dir)
+        import bench_chaos
+
+        reference = json.loads(bench_chaos.REFERENCE.read_text())
+        fresh = bench_chaos.build_artifact(bench_chaos.chaos_runs())
+        assert bench_chaos.validate_artifact(fresh) == []
+        assert bench_chaos.diff_artifacts(fresh, reference) == []
+
+
 class TestDelayOnlySemantics:
     def test_bit_identical_to_clean_with_larger_wait(self):
         a = matrix()

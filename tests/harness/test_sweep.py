@@ -321,6 +321,42 @@ class TestFinishRobustness:
         # the other points are untouched
         assert [r.status for r in res.results] == ["ok", "error", "ok"]
 
+    def test_dead_pool_worker_is_its_points_error(self, tmp_path):
+        # os._exit is what the OOM killer or a segfault looks like
+        # from outside: the pool breaks, the dying point's future (and
+        # whatever the broken pool never ran) raises.  That used to
+        # unwind run_sweep and return nothing.
+        import os
+
+        if _pool_context().get_start_method() != "fork":
+            pytest.skip("a closure task reaches pool workers by fork only")
+
+        @task("_dies", schema_version=1)
+        def dies(x: int) -> dict:
+            if x == 2:
+                os._exit(3)
+            return {"x": x}
+
+        cache = SweepCache(tmp_path)
+        spec = SweepSpec(
+            name="s", task="_dies", axes={"x": [1, 2, 3, 4]},
+        )
+        try:
+            res = run_sweep(spec, workers=2, cache=cache)  # no raise
+        finally:
+            unregister_task("_dies")
+        assert [r.point.params["x"] for r in res.results] == [1, 2, 3, 4]
+        assert res.results[1].status == "error"
+        for failure in res.failures():
+            assert "BrokenProcessPool: " in failure.error
+        # which other points the broken pool took down is timing; what
+        # finished is kept and cached
+        assert res.n_ok + res.n_failed == 4
+        assert cache.stats()["entries"] == res.n_ok
+        assert res.rows(strict=False) == [
+            {"x": r.point.params["x"]} for r in res.results if r.ok
+        ]
+
 
 class TestFailureAndResume:
     def test_failure_is_captured_not_raised(self, scratch_task):
@@ -385,6 +421,38 @@ class TestParallelExecution:
         resumed = run_sweep(spec, workers=3, cache=cache)
         assert resumed.n_cached == 2
         assert resumed.n_computed == 0 and resumed.n_failed == 2
+
+
+class TestLayering:
+    def test_a_sweep_loads_no_service_module_and_no_asyncio(self):
+        # The harness sits below the service: a sweep (and every pool
+        # worker's first point) used to import all of repro.service and
+        # asyncio to learn that retries=0 means no retry.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro.harness
+
+        src = str(Path(repro.harness.__file__).resolve().parents[2])
+        code = (
+            "import sys\n"
+            "from repro.harness.specs import fig7_spec\n"
+            "from repro.harness.sweep import run_sweep\n"
+            "res = run_sweep("
+            "fig7_spec(n_values=(4096,), p_values=(64,)))\n"
+            "assert res.n_ok == res.n_points > 0, res.summary()\n"
+            "print(sorted(m for m in sys.modules if m == 'asyncio' "
+            "or m.startswith(('asyncio.', 'repro.service'))))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSpecsMatchRunner:

@@ -33,16 +33,18 @@ class TestLoadgen:
         assert doc["metrics"]["counts"]["completed"] == 12
         assert doc["metrics"]["counts"]["computed"] <= 2  # tiny catalog
 
-    def test_policy_and_seed_flags_flow_through(self, capsys, tmp_path):
+    def test_seed_flag_flows_through(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         rc = main([
-            "loadgen", "--requests", "10", "--policy", "least-loaded",
+            "loadgen", "--requests", "10",
             "--seed", "5", "--sizes", "24", "--seed-pool", "2",
             "--json", str(path),
         ])
         assert rc == 0
         doc = json.loads(path.read_text())
-        assert doc["service"]["policy"] == "least-loaded"
+        assert sorted(doc["service"]) == [
+            "executor", "queue_depth", "request_timeout_s", "workers",
+        ]
         assert doc["workload"]["seed"] == 5
 
     def test_cache_dir_makes_a_second_run_all_hits(self, capsys, tmp_path):
@@ -62,8 +64,9 @@ class TestLoadgen:
         with pytest.raises(SystemExit):
             main(["loadgen", "--mode", "burst"])
 
-    def test_unknown_policy_names_the_registered_ones(self, capsys):
-        assert main(["loadgen", "--policy", "batch"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown policy 'batch'" in err
-        assert "fifo" in err and "least-loaded" in err
+    def test_policy_flag_is_an_argparse_error(self, capsys):
+        # one FIFO queue: there is nothing left to choose
+        with pytest.raises(SystemExit) as excinfo:
+            main(["loadgen", "--policy", "fifo"])
+        assert excinfo.value.code == 2
+        assert "--policy" in capsys.readouterr().err

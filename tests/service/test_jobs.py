@@ -66,3 +66,28 @@ class TestFromDict:
     def test_non_object_rejected(self):
         with pytest.raises(ValueError, match="JSON object"):
             FactorRequest.from_dict([1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"n": 32.7}, "n"),      # was served as n = 32
+            ({"n": True}, "n"),      # was served as n = 1
+            ({"n": "32"}, "n"),
+            ({"n": None}, "n"),      # null only where it is the default
+            ({"seed": 1.0}, "seed"),
+            ({"impl": 7}, "impl"),
+            ({"machine": ["summit"]}, "machine"),
+            ({"deadline_s": "1"}, "deadline_s"),
+            ({"deadline_s": True}, "deadline_s"),
+        ],
+    )
+    def test_value_of_the_wrong_type_names_its_field(self, doc, field):
+        with pytest.raises(ValueError, match=f"request field '{field}'"):
+            FactorRequest.from_dict(doc)
+
+    def test_null_is_the_default_of_an_optional_field(self):
+        doc = {"n": 48, "v": None, "nb": None, "machine": None,
+               "deadline_s": None}
+        assert FactorRequest.from_dict(doc) == FactorRequest(n=48)
+        # an integer deadline is a real number too
+        assert FactorRequest.from_dict({"deadline_s": 2}).deadline_s == 2

@@ -2,7 +2,10 @@
 
 These are the ISSUE's required behaviours: a repeat matrix never
 reaches a worker, overload produces explicit bounded-queue rejections,
-and a fixed workload seed reproduces the same outcome counts.
+a failed job is reported once, callers can bound their own wait with
+``deadline_s``, the overload hint ``retry_after_s`` tracks a per-shape
+service-time EMA, and a fixed workload seed reproduces the same
+outcome counts.
 """
 
 import asyncio
@@ -72,6 +75,46 @@ class TestLifecycle:
             await service.start()
             await service.stop()
             await service.stop()
+
+        run(go())
+
+
+class TestFifo:
+    """The one queue: arrival order in, one sentinel per worker out."""
+
+    def test_strict_arrival_order(self):
+        ran = []
+
+        def recording(params):
+            ran.append(params["seed"])
+            return {"params": dict(params)}
+
+        async def go():
+            async with FactorService(
+                ServiceConfig(workers=1), job_runner=recording
+            ) as service:
+                responses = await asyncio.gather(
+                    *(
+                        service.submit(FactorRequest(n=32, seed=s))
+                        for s in range(5)
+                    )
+                )
+                assert all(r.status == STATUS_OK for r in responses)
+
+        run(go())
+        assert ran == [0, 1, 2, 3, 4]
+
+    def test_shutdown_delivers_one_sentinel_per_worker(self):
+        async def go():
+            service = FactorService(
+                ServiceConfig(workers=3), job_runner=fake_runner
+            )
+            await service.start()
+            workers = list(service._workers)
+            assert len(workers) == 3
+            await asyncio.wait_for(service.stop(), 5.0)
+            assert all(task.done() for task in workers)
+            assert service.metrics_snapshot()["queue_depth"] == 0
 
         run(go())
 
@@ -251,24 +294,22 @@ class TestFailureModes:
 
     def test_block_of_the_wrong_family_is_an_error_not_retried(self):
         """The real job runner: ``nb=`` on a ``v=`` member used to run
-        the default block under a second cache key."""
+        the default block under a second cache key.  Executed once."""
         request = FactorRequest(impl="conflux", n=32, p=4, nb=16)
         assert request.cache_key() != FactorRequest(
             impl="conflux", n=32, p=4
         ).cache_key()
 
         async def go():
-            config = ServiceConfig(
-                workers=1, max_retries=2, retry_backoff_s=0.001
-            )
-            async with FactorService(config) as service:
+            async with FactorService(ServiceConfig(workers=1)) as service:
                 response = await service.submit(request)
                 assert response.status == STATUS_ERROR
+                assert response.error.startswith("ValueError: ")
                 assert (
                     "conflux takes its block as v=, not nb="
                     in response.error
                 )
-                assert service.metrics_snapshot()["worker_retries"] == 0
+                assert service.worker_executions == 1
 
         run(go())
 
@@ -281,6 +322,65 @@ class TestFailureModes:
                 response = await service.submit(FactorRequest(n=32))
                 assert response.status == STATUS_TIMEOUT
                 assert "keeps running" in response.error
+
+        run(go())
+
+
+class TestDeadlines:
+    def test_deadline_s_validation(self):
+        with pytest.raises(ValueError):
+            FactorRequest(n=32, deadline_s=0)
+        with pytest.raises(ValueError):
+            FactorRequest(n=32, deadline_s=-1.0)
+
+    def test_deadline_is_not_part_of_the_cache_key(self):
+        a = FactorRequest(n=32, deadline_s=1.0)
+        b = FactorRequest(n=32, deadline_s=9.0)
+        assert a.params() == b.params()
+        assert a.cache_key() == b.cache_key()
+        assert "deadline_s" not in a.params()
+
+    def test_from_dict_accepts_deadline(self):
+        request = FactorRequest.from_dict({"n": 32, "deadline_s": 0.5})
+        assert request.deadline_s == 0.5
+
+    def test_tight_deadline_times_out_before_request_timeout(self):
+        async def go():
+            config = ServiceConfig(workers=1, request_timeout_s=60.0)
+            async with FactorService(
+                config, job_runner=slow_runner(0.2)
+            ) as service:
+                start = time.monotonic()
+                response = await service.submit(
+                    FactorRequest(n=32, deadline_s=0.02)
+                )
+                elapsed = time.monotonic() - start
+            assert response.status == STATUS_TIMEOUT
+            assert elapsed < 1.0
+
+        run(go())
+
+
+class TestPerShapeRetryAfter:
+    def test_hint_tracks_the_shape_ema(self):
+        def slow(params):
+            time.sleep(0.05 if params["n"] == 64 else 0.001)
+            return {"params": dict(params)}
+
+        async def go():
+            config = ServiceConfig(workers=1)
+            async with FactorService(
+                config, job_runner=slow
+            ) as service:
+                await service.submit(FactorRequest(n=64))
+                await service.submit(FactorRequest(n=16))
+                slow_shape = FactorRequest(n=64).shape_key()
+                fast_shape = FactorRequest(n=16).shape_key()
+                assert service.retry_after_s(
+                    1, shape=slow_shape
+                ) > service.retry_after_s(1, shape=fast_shape)
+                # unknown shapes fall back to the global EMA
+                assert service.retry_after_s(1) > 0
 
         run(go())
 
@@ -354,9 +454,66 @@ class TestTcpFrontend:
                         bad = json.loads(await reader.readline())
                         assert bad["status"] == "bad-request"
                         assert "unknown request fields" in bad["error"]
+
+                        # 5. ... and so is a value of the wrong type
+                        #    (n = 32.7 used to be served as n = 32)
+                        writer.write(b'{"n": 32.7}\n')
+                        await writer.drain()
+                        bad = json.loads(await reader.readline())
+                        assert bad["status"] == "bad-request"
+                        assert "request field 'n'" in bad["error"]
                     finally:
                         writer.close()
                         await writer.wait_closed()
+                finally:
+                    server.close()
+                    await server.wait_closed()
+
+        run(go())
+
+
+    def test_over_long_request_line_is_a_bad_request_then_close(self):
+        # Past the 64 KiB stream limit readline() raises; that used to
+        # kill the handler task (traceback in the server log, bare EOF
+        # for the client).
+        async def go():
+            async with FactorService(
+                ServiceConfig(workers=1), job_runner=fake_runner
+            ) as service:
+                server = await serve_tcp(service, "127.0.0.1", 0)
+                port = server.sockets[0].getsockname()[1]
+                try:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", port
+                    )
+                    try:
+                        # already waiting when the reply lands, so a
+                        # reset that follows the close cannot beat it
+                        reply = asyncio.ensure_future(reader.readline())
+                        writer.write(
+                            json.dumps({"impl": "x" * 100_000}).encode()
+                            + b"\n"
+                        )
+                        bad = json.loads(
+                            await asyncio.wait_for(reply, 5.0)
+                        )
+                        assert bad["status"] == "bad-request"
+                        assert "65536 bytes" in bad["error"]
+                        # ... then the server hangs up
+                        try:
+                            rest = await asyncio.wait_for(
+                                reader.read(), 5.0
+                            )
+                        except ConnectionError:
+                            rest = b""
+                        assert rest == b""
+                        assert service.worker_executions == 0
+                    finally:
+                        writer.close()
+                        try:
+                            await writer.wait_closed()
+                        except ConnectionError:
+                            pass
                 finally:
                     server.close()
                     await server.wait_closed()
