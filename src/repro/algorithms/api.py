@@ -224,7 +224,7 @@ def verify_assembled(
         ("residual", "||A - QR||/||A||", residual),
         ("orthogonality", "||Q^T Q - I||", orthogonality),
     ):
-        if value > RESIDUAL_TOL:
+        if not value <= RESIDUAL_TOL:  # NaN must fail
             raise FactorVerificationError(
                 invariant,
                 f"{info.name} {what} = {value:.2e} > {RESIDUAL_TOL:.0e}",

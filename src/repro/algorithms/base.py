@@ -9,6 +9,9 @@ import numpy as np
 from repro.kernels.linalg import lu_residual
 from repro.smpi.volume import VolumeReport
 
+# Every acceptance test in this module is written ``not value <= tol``:
+# a NaN compares false both ways and must fail, not pass.
+
 #: Structural tolerance for triangularity checks — assembled factors are
 #: built by masking, so violations indicate assembly bugs, not roundoff.
 _STRUCTURE_ATOL = 1e-12
@@ -141,7 +144,9 @@ def check_factors(
         )
     strict_upper = np.abs(np.triu(lower, 1)).max(initial=0.0)
     diag_err = np.abs(np.diag(lower) - 1.0).max(initial=0.0)
-    if strict_upper > _STRUCTURE_ATOL or diag_err > _STRUCTURE_ATOL:
+    if not (
+        strict_upper <= _STRUCTURE_ATOL and diag_err <= _STRUCTURE_ATOL
+    ):
         failed.append(
             (
                 "lower_triangular",
@@ -151,7 +156,7 @@ def check_factors(
             )
         )
     strict_lower = np.abs(np.tril(upper, -1)).max(initial=0.0)
-    if strict_lower > _STRUCTURE_ATOL:
+    if not strict_lower <= _STRUCTURE_ATOL:
         failed.append(
             (
                 "upper_triangular",
@@ -162,7 +167,7 @@ def check_factors(
         residual = lu_residual(a, lower, upper, None)
     else:
         residual = lu_residual(a, lower, upper, perm)
-    if residual_tol is not None and residual > residual_tol:
+    if residual_tol is not None and not residual <= residual_tol:
         failed.append(
             (
                 "residual",
@@ -205,7 +210,7 @@ def verify_qr_factors(
             "shape", f"factor shapes {q.shape}/{r.shape} != ({n},{n})"
         )
     strict_lower = np.abs(np.tril(r, -1)).max(initial=0.0)
-    if strict_lower > _STRUCTURE_ATOL:
+    if not strict_lower <= _STRUCTURE_ATOL:
         raise FactorVerificationError(
             "upper_triangular",
             f"R has below-diagonal mass {strict_lower:.2e}",
@@ -225,7 +230,7 @@ def verify_cholesky_factor(a: np.ndarray, lower: np.ndarray) -> float:
     residual = float(
         np.linalg.norm(a - lower @ lower.T) / np.linalg.norm(a)
     )
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:
         raise FactorVerificationError(
             "residual",
             f"||A - L L^T||/||A|| = {residual:.2e} > {RESIDUAL_TOL:.0e}",
@@ -254,4 +259,11 @@ def validate_input_matrix(a: np.ndarray) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0].tolist()
+        raise ValueError(
+            f"matrix entry ({row}, {col}) is {arr[row, col]}: every "
+            "entry must be finite"
+        )
     return arr

@@ -115,20 +115,20 @@ class _CandmcRank(_ConfluxRank):
 
     # ------------------------------------------------------------------
     def _swap_positions(
-        self, t: int, x: int, y: int, trail_local: np.ndarray
+        self, t: int, x: int, y: int, trail_local: slice
     ) -> None:
         """Exchange the trailing-column data of positions x and y across
         this rank's layer partials (every layer and grid column swaps its
         own piece — the replication-scaled cost of physical pivoting)."""
         g = self.g
         ox, oy = x % g, y % g
-        if len(trail_local) == 0:
+        if trail_local.start == trail_local.stop:
             return
         if ox == oy:
             if self.pi == ox:
                 lx, ly = self.row_g2l[x], self.row_g2l[y]
-                self.aloc[np.ix_([lx, ly], trail_local)] = self.aloc[
-                    np.ix_([ly, lx], trail_local)
+                self.aloc[[lx, ly], trail_local] = self.aloc[
+                    [ly, lx], trail_local
                 ]
             return
         if self.pi not in (ox, oy):

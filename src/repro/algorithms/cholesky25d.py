@@ -52,8 +52,6 @@ class _CholeskyRank(Rank25D):
         sched.init_cyclic_layout()
         self.my_rows = sched.my_rows
         self.my_cols = sched.my_cols
-        self.row_g2l = sched.row_g2l
-        self.col_g2l = sched.col_g2l
         self.aloc = sched.local_block(a)
         self.l_pieces: list[tuple[int, np.ndarray, np.ndarray]] = []
         self.l00_blocks: list[tuple[int, np.ndarray]] = []
@@ -151,7 +149,7 @@ class _CholeskyRank(Rank25D):
 
         # 6. panel fetches for the symmetric rank-v update
         chunk = sched.my_chunk(w)
-        rows_piece, need_rows = sched.fetch_rows_piece(
+        rows_piece, _ = sched.fetch_rows_piece(
             phase="panel_rows",
             tag=sched.tag(_TAG_ROWS, t),
             pool=below_rows,
@@ -161,7 +159,7 @@ class _CholeskyRank(Rank25D):
             need=lambda rows, i, j: rows % g == i,
         )
         v = self.v
-        cols_piece, need_cols = sched.fetch_rows_piece(
+        cols_piece, _ = sched.fetch_rows_piece(
             phase="panel_cols",
             tag=sched.tag(_TAG_COLS, t),
             pool=below_rows,
@@ -173,9 +171,11 @@ class _CholeskyRank(Rank25D):
 
         # 7. local symmetric update of this layer's partials
         if rows_piece.size and cols_piece.size and len(chunk):
-            rloc = self.row_g2l[need_rows]
-            cloc = self.col_g2l[need_cols]
-            self.aloc[np.ix_(rloc, cloc)] -= rows_piece @ cols_piece.T
+            # rows and columns >= k1 are both suffixes of what I hold
+            r0 = np.searchsorted(self.my_rows, k1)
+            self.aloc[r0:, sched.trailing_local_cols(t)] -= (
+                rows_piece @ cols_piece.T
+            )
 
 
 def _assemble(
@@ -201,7 +201,7 @@ def _assemble(
         for t, rows, vals in r["l_pieces"]:
             k0 = t * v
             w = vals.shape[1]
-            lower[np.ix_(rows, np.arange(k0, k0 + w))] = vals
+            lower[rows, k0 : k0 + w] = vals
     return lower, lower.T.copy(), np.arange(n)
 
 

@@ -91,7 +91,6 @@ class _ConfluxRank(Rank25D):
         self.my_rows = sched.my_rows
         self.my_cols = sched.my_cols
         self.row_g2l = sched.row_g2l
-        self.col_g2l = sched.col_g2l
         self.aloc = sched.local_block(a)
         self.pivoted = np.zeros(self.n, dtype=bool)
         self.l_pieces: list[tuple[int, np.ndarray, np.ndarray]] = []
@@ -224,10 +223,8 @@ class _ConfluxRank(Rank25D):
         trail_cols = self.my_cols[trail_local]
         my_pivot_rows = pivot_rows[(pivot_rows % g) == self.pi]
         pivot_true = None
-        if len(my_pivot_rows) and len(trail_local):
-            contrib = self.aloc[
-                np.ix_(self.row_g2l[my_pivot_rows], trail_local)
-            ]
+        if len(my_pivot_rows) and len(trail_cols):
+            contrib = self.aloc[self.row_g2l[my_pivot_rows], trail_local]
             pivot_true = sched.reduce_to_layer(
                 "reduce_pivot_rows", contrib, lt
             )
@@ -263,7 +260,7 @@ class _ConfluxRank(Rank25D):
             chunk=chunk,
             need=lambda rows, i, j: rows % g == i,
         )
-        a01_piece, piece_cols = sched.fetch_cols_piece(
+        a01_piece, _ = sched.fetch_cols_piece(
             phase="panel_a01",
             tag=sched.tag(_TAG_A01_PANEL, t),
             pool=all_trailing,
@@ -278,9 +275,8 @@ class _ConfluxRank(Rank25D):
         applied = sched.my_chunk(w)
         if a10_piece.size and a01_piece.size and len(applied):
             rel = np.searchsorted(chunk, applied)
-            rloc = self.row_g2l[piece_rows]
-            cloc = self.col_g2l[piece_cols]
-            self.aloc[np.ix_(rloc, cloc)] -= (
+            # the fetched columns are this rank's trailing tiles: a range
+            self.aloc[self.row_g2l[piece_rows], trail_local] -= (
                 a10_piece[:, rel] @ a01_piece[rel, :]
             )
 
@@ -311,8 +307,8 @@ def _assemble(
         k0 = t * v
         l00, u00 = split_lu(a00)
         block_pos = pos[ids]  # == k0 .. k0+w-1 in order
-        lower[np.ix_(block_pos, np.arange(k0, k0 + w))] = l00
-        upper[np.ix_(block_pos, np.arange(k0, k0 + w))] = u00
+        lower[block_pos, k0 : k0 + w] = l00
+        upper[block_pos, k0 : k0 + w] = u00
 
     for r in results:
         if not r.get("active"):
@@ -320,11 +316,11 @@ def _assemble(
         for t, row_ids, vals in r["l_pieces"]:
             k0 = t * v
             w = vals.shape[1]
-            lower[np.ix_(pos[row_ids], np.arange(k0, k0 + w))] = vals
+            lower[pos[row_ids], k0 : k0 + w] = vals
         for t, col_ids, vals in r["u_pieces"]:
             k0 = t * v
             w = vals.shape[0]
-            upper[np.ix_(np.arange(k0, k0 + w), col_ids)] = vals
+            upper[k0 : k0 + w, col_ids] = vals
     return lower, upper, perm
 
 

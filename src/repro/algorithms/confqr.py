@@ -87,7 +87,7 @@ class _ConfqrRank(Rank25D):
         # Only the compute layer materializes matrix data; the bank
         # layers hold reflector chunks keyed by step.
         self.aloc = (
-            a[np.ix_(self.my_rows, self.my_cols)].copy()
+            a[np.ix_(self.my_rows, self.my_cols)]
             if self.layer == 0
             else None
         )

@@ -237,12 +237,14 @@ class Schedule25D:
         other layers start as zero partial-sum accumulators.
         """
         if replicated or self.layer == 0:
-            return a[np.ix_(self.my_rows, self.my_cols)].copy()
+            return a[np.ix_(self.my_rows, self.my_cols)]
         return np.zeros((len(self.my_rows), len(self.my_cols)))
 
-    def trailing_local_cols(self, t: int) -> np.ndarray:
-        """Local column indices belonging to tiles > t (cyclic layout)."""
-        return np.where(self.my_cols >= (t + 1) * self.v)[0]
+    def trailing_local_cols(self, t: int) -> slice:
+        """Local columns belonging to tiles > t (cyclic layout): tiles
+        sit in ``my_cols`` in ascending order, so always a suffix."""
+        start = np.searchsorted(self.my_cols, (t + 1) * self.v)
+        return slice(int(start), len(self.my_cols))
 
     # ------------------------------------------------------------------
     # reduction / broadcast plans
@@ -264,9 +266,8 @@ class Schedule25D:
         every other rank."""
         if self.pj != ctx.q:
             return None
-        contrib = aloc[
-            np.ix_(self.row_g2l[my_rows], self.col_g2l[ctx.panel_cols])
-        ]
+        lo = self.col_g2l[ctx.k0]  # the panel is one tile: a column range
+        contrib = aloc[self.row_g2l[my_rows], lo : lo + ctx.w]
         return self.reduce_to_layer("reduce_column", contrib, ctx.lt)
 
     def bcast_from(self, phase: str, payload, root_coords):

@@ -135,7 +135,7 @@ def run_experiment(
     result = factor(
         impl, a, p, machine=machine, **{block_param: blocks[block_param]}
     )
-    if result.residual > 1e-10:
+    if not result.residual <= 1e-10:  # NaN must fail
         raise RuntimeError(
             f"{impl} produced residual {result.residual:.2e} at "
             f"N={n}, P={p} — refusing to report volume for a broken run"

@@ -318,7 +318,7 @@ def chaos_task(
         canonical_json(faults_report["events"]).encode(),
         digest_size=16,
     ).hexdigest()
-    if res.residual > residual_tol:
+    if not res.residual <= residual_tol:  # NaN is corruption too
         row["outcome"] = CHAOS_SILENT
         row["detail"] = (
             f"residual {res.residual:.2e} > {residual_tol:.1e} "

@@ -5,9 +5,9 @@ and blocked Gaussian elimination, triangular solves, the tournament-
 pivoting (TSLU) selection kernels of paper Section 7.3, and verification
 helpers (residuals, growth factors).
 
-Everything here is vectorized numpy — loops only over block columns,
-never over scalar elements — per the hpc-parallel guide's "vectorize the
-inner loops, mind views vs copies" idioms.
+Everything here is vectorized numpy or one library call (GEPP is LAPACK
+``dgetrf``, the triangular solves scipy's checked ``solve_triangular``)
+— loops only over block columns, never over scalar elements.
 """
 
 from repro.kernels.lu_seq import (

@@ -33,12 +33,10 @@ def permutation_from_pivots(piv: np.ndarray, n: int | None = None) -> np.ndarray
     """
     if n is None:
         n = len(piv)
-    perm = np.arange(n)
-    for k, p in enumerate(piv):
-        p = int(p)
-        if p != k:
-            perm[[k, p]] = perm[[p, k]]
-    return perm
+    perm = list(range(n))
+    for k, p in enumerate(np.asarray(piv).tolist()):
+        perm[k], perm[p] = perm[p], perm[k]
+    return np.array(perm, dtype=np.intp)
 
 
 def lu_residual(

@@ -1,15 +1,19 @@
 """Sequential LU factorizations (rank-local kernels).
 
 The distributed algorithms never factor more than a panel or a v x v
-block locally, so these routines favour clarity + vectorized updates
-over cache blocking heroics; the blocked variant exists to demonstrate
-the classic right-looking structure the 2D baselines mirror across the
-process grid.
+block locally, and like the paper's implementation they leave that to
+the vendor library: :func:`lu_partial_pivot` is one LAPACK ``getrf``
+call.  The blocked variant spells out the classic right-looking
+structure the 2D baselines mirror across the process grid, and
+:func:`lu_nopivot` the paper's Figure 1 loop nest.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf
+
+from repro.kernels.linalg import trsm_lower_unit
 
 
 def lu_nopivot(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -37,29 +41,26 @@ def lu_nopivot(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
 def lu_partial_pivot(
     a: np.ndarray, overwrite: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unblocked GEPP on an (m, n) matrix (rectangular panels allowed —
-    tall panels are exactly what TSLU factors).
+    """GEPP of an (m, n) matrix by LAPACK ``dgetrf`` (rectangular panels
+    allowed — tall panels are exactly what TSLU factors).
 
-    Returns ``(lu, piv)`` where ``piv[k]`` is the row swapped into
-    position k at step k (LAPACK getrf convention, 0-based, length
-    min(m, n)).
+    Returns ``(lu, piv)``: ``piv[k]`` is the row swapped into position k
+    at step k (getrf convention, 0-based index dtype, length min(m, n);
+    the first row of maximal magnitude wins a tie), and ``lu`` the
+    combined factors as a C-contiguous float64 array — it travels as a
+    message payload, and the fault injector addresses payload bytes in
+    memory order.  A zero column leaves its multipliers zero and the
+    elimination continues.  ``overwrite=True`` only *permits* reusing
+    ``a``'s buffer: ``dgetrf`` works on a Fortran-ordered copy of a
+    C-ordered input either way.
     """
-    lu = _as_matrix(a, overwrite)
-    m, n = lu.shape
-    steps = min(m, n)
-    piv = np.arange(steps)
-    for k in range(steps):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        piv[k] = p
-        if p != k:
-            lu[[k, p], :] = lu[[p, k], :]
-        pivot = lu[k, k]
-        if pivot == 0.0:
-            continue  # singular column: L entries stay zero
-        if k + 1 < m:
-            lu[k + 1 :, k] /= pivot
-            lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, piv
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {arr.shape}")
+    if arr.size == 0:  # LAPACK rejects m == 0
+        return arr.copy(), np.arange(0)
+    lu, piv, _ = dgetrf(arr, overwrite_a=overwrite)
+    return np.ascontiguousarray(lu), piv.astype(np.intp)
 
 
 def lu_blocked_partial_pivot(
@@ -79,8 +80,7 @@ def lu_blocked_partial_pivot(
     piv = np.arange(n)
     for k0 in range(0, n, block):
         k1 = min(k0 + block, n)
-        panel_lu, panel_piv = lu_partial_pivot(lu[k0:, k0:k1].copy())
-        lu[k0:, k0:k1] = panel_lu
+        lu[k0:, k0:k1], panel_piv = lu_partial_pivot(lu[k0:, k0:k1])
         # Convert panel-local pivots to global rows and swap the rest of
         # the matrix (left of the panel and right of it).
         for i, p in enumerate(panel_piv):
@@ -90,9 +90,10 @@ def lu_blocked_partial_pivot(
                 lu[[gi, gp], :k0] = lu[[gp, gi], :k0]
                 lu[[gi, gp], k1:] = lu[[gp, gi], k1:]
         if k1 < n:
-            l00 = np.tril(lu[k0:k1, k0:k1], -1) + np.eye(k1 - k0)
             # U block row: solve L00 * U01 = A01.
-            lu[k0:k1, k1:] = np.linalg.solve(l00, lu[k0:k1, k1:])
+            lu[k0:k1, k1:] = trsm_lower_unit(
+                lu[k0:k1, k0:k1], lu[k0:k1, k1:]
+            )
             # Trailing GEMM.
             lu[k1:, k1:] -= lu[k1:, k0:k1] @ lu[k0:k1, k1:]
     return lu, piv
@@ -122,11 +123,4 @@ def _as_square(a: np.ndarray, overwrite: bool) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    return arr if overwrite else arr.copy()
-
-
-def _as_matrix(a: np.ndarray, overwrite: bool) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {arr.shape}")
     return arr if overwrite else arr.copy()

@@ -94,6 +94,28 @@ class TestReplayDeterminism:
         assert bench_chaos.diff_artifacts(fresh, reference) == []
 
 
+def test_nan_residual_is_silent_corruption(monkeypatch):
+    """A flipped bit can leave a NaN that no check on the path sees;
+    ``nan > tol`` is false, which used to classify such a run as
+    ``recovered``."""
+    import dataclasses
+
+    import repro.algorithms
+    from repro.harness.specs import CHAOS_SILENT, chaos_task
+
+    real = repro.algorithms.factor
+
+    def nan_residual(*args, **kwargs):
+        return dataclasses.replace(
+            real(*args, **kwargs), residual=float("nan")
+        )
+
+    monkeypatch.setattr(repro.algorithms, "factor", nan_residual)
+    row = chaos_task("conflux", 32, 4, "delay")
+    assert row["outcome"] == CHAOS_SILENT
+    assert row["detail"].startswith("residual nan")
+
+
 class TestDelayOnlySemantics:
     def test_bit_identical_to_clean_with_larger_wait(self):
         a = matrix()

@@ -124,6 +124,25 @@ def test_unknown_keyword_rejected(name):
         )
 
 
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_non_finite_input_is_refused_before_any_rank_starts(
+    monkeypatch, name, bad
+):
+    """Five of the eight members used to return normally with
+    ``residual = nan`` (every tolerance was ``value > tol``); the other
+    three only failed because ``solve_triangular`` happens to check."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("rank threads started on a non-finite input")
+
+    monkeypatch.setattr(api, "run_spmd", never)
+    a = _input(name)
+    a[5, 1] = a[2, 3] = bad  # row-major first: (2, 3)
+    with pytest.raises(ValueError, match=r"matrix entry \(2, 3\) is "):
+        factor(name, a, 4)
+
+
 def test_needs_nranks_or_grid():
     with pytest.raises(ValueError, match="needs nranks= or grid="):
         factor("conflux", _input("conflux"))
@@ -200,6 +219,31 @@ class TestCholeskyVerification:
         with pytest.raises(FactorVerificationError) as exc:
             factor("cholesky25d", _input("cholesky25d"), 4)
         assert exc.value.invariant == "residual"
+
+
+@pytest.mark.parametrize("name", ["confqr", "cholesky25d"])
+def test_nan_factors_fail_the_numerical_acceptance(name):
+    """``nan > tol`` is false; the bound has to be written so a NaN
+    residual or orthogonality defect fails it."""
+    info = get_algorithm(name)
+    a = _input(name)
+    if info.kind == "qr":
+        lower, upper = np.linalg.qr(a)
+    else:
+        lower = np.linalg.cholesky(a)
+        upper = lower.T
+    verify_assembled(info, a, lower, upper, np.arange(16))
+    lower = lower.copy()
+    lower[7, 2] = np.nan
+    with pytest.raises(FactorVerificationError) as exc:
+        verify_assembled(info, a, lower, upper, np.arange(16))
+    assert exc.value.invariant == "residual"
+    if info.kind == "qr":  # NaN below R's diagonal is structural
+        upper = upper.copy()
+        upper[9, 1] = np.nan
+        with pytest.raises(FactorVerificationError) as exc:
+            verify_assembled(info, a, np.linalg.qr(a)[0], upper, np.arange(16))
+        assert exc.value.invariant == "upper_triangular"
 
 
 def test_qr_verification_names_the_invariant():

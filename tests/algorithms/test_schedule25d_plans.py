@@ -22,6 +22,7 @@ import pytest
 
 from repro.algorithms.schedule25d import Schedule25D
 from repro.smpi import run_spmd
+from tests.algorithms.ledger_pins import PINNED_POINTS
 
 
 # ----------------------------------------------------------------------
@@ -453,3 +454,67 @@ def test_a_piece_of_the_wrong_shape_raises(plan):
     assert keys_kept, "a plan that raised mid-receive left state behind"
     for error, keys_kept in results[1:]:
         assert error is None and keys_kept
+
+
+# ----------------------------------------------------------------------
+# the cyclic layout's ranges: what the slice accesses rest on
+# ----------------------------------------------------------------------
+def _drive_ranges(comm, n, g, c, v):
+    """On every step: the trailing columns are the suffix
+    ``trailing_local_cols`` names, the panel one run of local columns,
+    the rows below the panel a suffix of ``my_rows`` — and the Schur
+    update through them leaves ``aloc`` bit-equal to the ``np.ix_``
+    form, on a row pool with holes."""
+    sched = Schedule25D(comm, n, g, c, v)
+    if not sched.active:
+        return 0
+    sched.init_cyclic_layout()
+    rng = np.random.default_rng(11)  # the same pool on every rank
+    aloc = np.random.default_rng(sched.grid_rank).standard_normal(
+        (len(sched.my_rows), len(sched.my_cols))
+    )
+    for t in range(sched.steps):
+        ctx = sched.step_context(t)
+        trail = sched.trailing_local_cols(t)
+        local = np.arange(trail.start, trail.stop)
+        assert trail.stop == len(sched.my_cols)
+        assert np.array_equal(
+            local, np.where(sched.my_cols >= (t + 1) * v)[0]
+        )
+        all_trailing = np.arange((t + 1) * v, n)
+        mine = all_trailing[(all_trailing // v) % g == sched.pj]
+        assert np.array_equal(sched.col_g2l[mine], local)
+        if sched.pj == ctx.q:
+            lo = sched.col_g2l[ctx.k0]
+            assert np.array_equal(
+                sched.col_g2l[ctx.panel_cols], np.arange(lo, lo + ctx.w)
+            )
+        below = np.arange(ctx.k1, n)
+        r0 = np.searchsorted(sched.my_rows, ctx.k1)
+        assert np.array_equal(
+            sched.row_g2l[below[below % g == sched.pi]],
+            np.arange(r0, len(sched.my_rows)),
+        )
+
+        pool = np.flatnonzero(rng.random(n) < 0.6)  # holes: row masking
+        rloc = sched.row_g2l[pool[pool % g == sched.pi]]
+        update = rng.standard_normal((len(rloc), len(local)))
+        want = aloc.copy()
+        want[np.ix_(rloc, sched.col_g2l[mine])] -= update
+        gathered = aloc[rloc, trail]
+        assert gathered.flags["C_CONTIGUOUS"]  # it travels as a payload
+        assert np.array_equal(gathered, aloc[np.ix_(rloc, local)])
+        aloc[rloc, trail] -= update
+        assert np.array_equal(aloc, want)
+    return sched.steps
+
+
+def _cyclic_geometries():
+    pinned = {(n, g, c, v) for _, n, g, c, v in PINNED_POINTS}
+    return sorted(pinned | {(n, g, c, v) for n, g, c, v, _, _ in GRID})
+
+
+@pytest.mark.parametrize("n,g,c,v", _cyclic_geometries())
+def test_cyclic_layout_index_sets_are_ranges(n, g, c, v):
+    results, _ = run_spmd(g * g * c, _drive_ranges, n, g, c, v)
+    assert results == [(n + v - 1) // v] * (g * g * c)

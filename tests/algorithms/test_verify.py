@@ -65,6 +65,33 @@ class TestCheckFactors:
         assert chk.failed[0][0] == "residual"
         assert "FAILED" in chk.describe()
 
+    @pytest.mark.parametrize(
+        "factor, where, invariant",
+        [
+            ("lower", (0, 5), "lower_triangular"),
+            ("lower", (3, 3), "lower_triangular"),
+            ("upper", (5, 0), "upper_triangular"),
+            ("lower", (5, 0), "residual"),
+            ("upper", (0, 5), "residual"),
+        ],
+        ids=["above-L", "diag-L", "below-U", "inside-L", "inside-U"],
+    )
+    def test_nan_fails_the_check_it_sits_in(self, factor, where, invariant):
+        """A NaN compares false against every tolerance, both ways."""
+        a, lower, upper, perm = _good_factors()
+        factors = {"lower": lower.copy(), "upper": upper.copy()}
+        factors[factor][where] = np.nan
+        chk = check_factors(
+            a, factors["lower"], factors["upper"], perm, residual_tol=1e-10
+        )
+        assert chk.failed[0][0] == invariant
+        assert chk.failed[-1][0] == "residual" and np.isnan(chk.residual)
+        with pytest.raises(FactorVerificationError, match=invariant):
+            verify_factors(
+                a, factors["lower"], factors["upper"], perm,
+                residual_tol=1e-10,
+            )
+
     def test_shape_mismatch_raises_immediately(self):
         a, lower, upper, perm = _good_factors()
         with pytest.raises(FactorVerificationError) as ei:

@@ -1,5 +1,7 @@
 """Tests for the experiment harness (runner, named specs, reporting)."""
 
+import dataclasses
+
 import pytest
 
 from repro.algorithms.api import resolve_params
@@ -95,6 +97,20 @@ class TestRunExperiment:
         monkeypatch.setattr(runner, "factor", never)
         with pytest.raises(ValueError, match=message):
             run_experiment(impl, 32, 4, **stray)
+
+    def test_nan_residual_is_a_broken_run(self, monkeypatch):
+        """``nan > 1e-10`` is false: written that way the refusal let a
+        NaN residual through and the sweep cached the row as good."""
+        real = runner.factor
+
+        def nan_residual(*args, **kwargs):
+            return dataclasses.replace(
+                real(*args, **kwargs), residual=float("nan")
+            )
+
+        monkeypatch.setattr(runner, "factor", nan_residual)
+        with pytest.raises(RuntimeError, match="residual nan"):
+            run_experiment("conflux", 32, 4)
 
     def test_member_without_model_fails_before_the_run(self, monkeypatch):
         """cholesky25d is a registered algorithm with no cost model:
