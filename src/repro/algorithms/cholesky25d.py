@@ -156,7 +156,8 @@ class _CholeskyRank(Rank25D):
             vals_1d=l21,
             my_1d_rows=my_l21_rows,
             chunk=chunk,
-            need=lambda rows, i, j: rows % g == i,
+            need=lambda rows: rows % g,
+            by="row",
         )
         v = self.v
         cols_piece, _ = sched.fetch_rows_piece(
@@ -166,7 +167,8 @@ class _CholeskyRank(Rank25D):
             vals_1d=l21,
             my_1d_rows=my_l21_rows,
             chunk=chunk,
-            need=lambda rows, i, j: (rows // v) % g == j,
+            need=lambda rows: (rows // v) % g,
+            by="col",
         )
 
         # 7. local symmetric update of this layer's partials

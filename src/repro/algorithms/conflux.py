@@ -121,9 +121,11 @@ class _ConfluxRank(Rank25D):
 
     def trailing_op(self, ctx: StepContext, panel) -> None:
         pivot_ids, a00, panel_true, my_active_rows, active_rows = panel
-        # a membership mask, not an index write: a pivot id corrupted
+        # a membership mask over in-range ids only: a pivot id corrupted
         # in flight must stay a wire-level fault, not an IndexError here
-        nonpivot_rows = active_rows[~np.isin(active_rows, pivot_ids)]
+        is_pivot = np.zeros(self.n, dtype=bool)
+        is_pivot[pivot_ids[(pivot_ids >= 0) & (pivot_ids < self.n)]] = True
+        nonpivot_rows = active_rows[~is_pivot[active_rows]]
         self.eliminate(
             ctx,
             a00,
@@ -258,7 +260,8 @@ class _ConfluxRank(Rank25D):
             vals_1d=a10_vals,
             my_1d_rows=a10_rows,
             chunk=chunk,
-            need=lambda rows, i, j: rows % g == i,
+            need=lambda rows: rows % g,
+            by="row",
         )
         a01_piece, _ = sched.fetch_cols_piece(
             phase="panel_a01",

@@ -154,8 +154,7 @@ class Schedule25D:
         extra element, so late layers of a narrow panel get ``lo == hi``."""
         if self.chunking == "replicate":
             return [(0, width)] * self.c
-        size, extra = divmod(width, self.c)
-        edges = [k * size + min(k, extra) for k in range(self.c + 1)]
+        edges = _split_edges(width, self.c)
         return list(zip(edges, edges[1:]))
 
     def sender_chunks(self, width: int) -> list[np.ndarray]:
@@ -166,7 +165,8 @@ class Schedule25D:
         """The slice of the panel THIS rank's layer applies in the
         update (always the 1/c split, regardless of what was shipped —
         the replicate strategy over-fetches)."""
-        return np.array_split(np.arange(width), self.c)[self.layer]
+        edges = _split_edges(width, self.c)
+        return np.arange(edges[self.layer], edges[self.layer + 1])
 
     # ------------------------------------------------------------------
     # deterministic 1D assignments (every rank computes them identically)
@@ -320,21 +320,24 @@ class Schedule25D:
             order, groups = _group_by(mine % self.p_active)
             mine = mine[order]
             ids, packed = row_pool[mine], values[at[mine]]
+            pieces = []
+            for dest, lo, hi in groups:
+                if dest == me:
+                    received[me] = (ids[lo:hi], packed[lo:hi])
+                else:
+                    pieces.append((packed[lo:hi], dest))
             with self.comm.phase(phase):
-                for dest, lo, hi in groups:
-                    if dest == me:
-                        received[me] = (ids[lo:hi], packed[lo:hi])
-                    else:
-                        gd.grid_comm.send(packed[lo:hi], dest, tag)
+                gd.grid_comm.send_each(pieces, tag)
 
         # receiver side: my assigned rows, grouped by source holder in
-        # pool order (the exact order the sender packed them in).
+        # pool order (the exact order the sender packed them in); my own
+        # rows were self-delivered above.
         my_rows = self.assign_1d(row_pool, me)
         order, groups = _group_by(self.assign_1d(holders, me))
-        for src, lo, hi in groups:
-            if src != me:  # else already self-delivered
-                vals = gd.grid_comm.recv(src, tag)
-                received[src] = (my_rows[order[lo:hi]], vals)
+        groups = [(src, lo, hi) for src, lo, hi in groups if src != me]
+        incoming = gd.grid_comm.recv_each([src for src, _, _ in groups], tag)
+        for (src, lo, hi), vals in zip(groups, incoming):
+            received[src] = (my_rows[order[lo:hi]], vals)
         return received
 
     def assemble_rows(
@@ -398,12 +401,14 @@ class Schedule25D:
             packed = pivot_true[
                 :, np.searchsorted(my_trail_cols, all_trailing[mine[order]])
             ]
+            pieces = []
+            for dest, lo, hi in groups:
+                if dest == me:
+                    self_piece = packed[:, lo:hi]
+                else:
+                    pieces.append((packed[:, lo:hi], dest))
             with self.comm.phase(phase):
-                for dest, lo, hi in groups:
-                    if dest == me:
-                        self_piece = packed[:, lo:hi]
-                    else:
-                        gd.grid_comm.send(packed[:, lo:hi], dest, tag)
+                gd.grid_comm.send_each(pieces, tag)
 
         # receiver side: one piece per (grid column owning some of my
         # assigned cols) x (grid row holding at least one pivot row).
@@ -415,22 +420,26 @@ class Schedule25D:
             for i in np.unique(row_grid).tolist()
         ]
         my_tiles = (my_assigned_cols // v) % g
+        plan = []
         for pj in range(g):
             col_pos = np.flatnonzero(my_tiles == pj)
-            if col_pos.size == 0:
-                continue
-            for i, row_pos in row_groups:
-                src = gd.rank_of(i, pj, lt)
-                vals = (
-                    self_piece if src == me else gd.grid_comm.recv(src, tag)
+            if col_pos.size:
+                plan += [
+                    (gd.rank_of(i, pj, lt), row_pos, col_pos)
+                    for i, row_pos in row_groups
+                ]
+        incoming = gd.grid_comm.recv_each(
+            [src for src, _, _ in plan if src != me], tag
+        )
+        for src, row_pos, col_pos in plan:
+            vals = self_piece if src == me else next(incoming)
+            if np.shape(vals) != (len(row_pos), len(col_pos)):
+                raise RuntimeError(
+                    f"pivot column piece {np.shape(vals)} from rank "
+                    f"{src} does not match the plan's "
+                    f"{(len(row_pos), len(col_pos))}"
                 )
-                if np.shape(vals) != (len(row_pos), len(col_pos)):
-                    raise RuntimeError(
-                        f"pivot column piece {np.shape(vals)} from rank "
-                        f"{src} does not match the plan's "
-                        f"{(len(row_pos), len(col_pos))}"
-                    )
-                out[row_pos, col_pos] = vals
+            out[row_pos, col_pos] = vals
         return out
 
     # ------------------------------------------------------------------
@@ -445,14 +454,16 @@ class Schedule25D:
         my_1d_rows: np.ndarray,
         chunk: np.ndarray,
         need,
+        by: str,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Redistribute a row panel from the 1D layout to the 2.5D
-        layout: destination (i, j, l) receives (the rows where the
-        boolean mask ``need(rows, i, j)`` holds) x chunk_l, grid rows
-        outermost in the send order.  Values-only messages; ids derived
-        from the shared assignment."""
+        layout: ``need(rows)`` names, per row, the grid row (``by ==
+        "row"``) or grid column (``by == "col"``) whose ranks need it,
+        and destination (i, j, l) receives its rows x chunk_l, grid
+        rows outermost in the send order.  Values-only messages; ids
+        derived from the shared assignment."""
         return self._fetch_piece(
-            0, phase, tag, pool, vals_1d, my_1d_rows, chunk, need
+            0, phase, tag, pool, vals_1d, my_1d_rows, chunk, need, by
         )
 
     def fetch_cols_piece(
@@ -470,72 +481,82 @@ class Schedule25D:
         g, v = self.g, self.v
         return self._fetch_piece(
             1, phase, tag, pool, vals_1d, my_1d_cols, chunk,
-            lambda cols, i, j: (cols // v) % g == j,
+            lambda cols: (cols // v) % g, "col",
         )
 
     def _fetch_piece(
-        self, axis, phase, tag, pool, vals_1d, my_ids, chunk, need
+        self, axis, phase, tag, pool, vals_1d, my_ids, chunk, need, by
     ) -> tuple[np.ndarray, np.ndarray]:
         """Both fetches: ids run along ``axis`` of ``vals_1d`` and of the
         returned piece, the layer chunks along the other axis.  The send
         order is part of the wire: the grid coordinate matching ``axis``
-        is outermost, the layer innermost."""
-        gd, me = self.grid, self.grid_rank
+        is outermost, the layer innermost.  ``need`` is evaluated once
+        per side, and the sender gathers once per needing coordinate."""
+        if by not in ("row", "col"):
+            raise ValueError(f"unknown fetch coordinate {by!r}")
+        gd, me, g = self.grid, self.grid_rank, self.g
         kind = ("row", "column")[axis]
-        dests = [(a, b) for a in range(self.g) for b in range(self.g)]
-        if axis:
-            dests = [(i, j) for j, i in dests]
         self_piece = None
-        with self.comm.phase(phase):
-            if len(my_ids):
-                rank_at = self.rank_at.tolist()
-                bounds = self.chunk_bounds(vals_1d.shape[1 - axis])
-                layers = [
-                    (lyr, lo, hi)
-                    for lyr, (lo, hi) in enumerate(bounds)
-                    if lo < hi
+        if len(my_ids):
+            # per needing coordinate, its layer slices of one gather
+            order, groups = _group_by(need(my_ids))
+            bounds = [
+                (lyr, lo, hi)
+                for lyr, (lo, hi) in enumerate(
+                    self.chunk_bounds(vals_1d.shape[1 - axis])
+                )
+                if lo < hi
+            ]
+            slices = {}
+            for k, lo, hi in groups:
+                block = vals_1d.take(order[lo:hi], axis=axis)
+                slices[k] = [
+                    (lyr, block[a:b] if axis else block[:, a:b])
+                    for lyr, a, b in bounds
                 ]
-                for i, j in dests:
-                    mine = need(my_ids, i, j).nonzero()[0]
-                    if mine.size == 0:
-                        continue
-                    block = vals_1d.take(mine, axis=axis)
-                    for lyr, lo, hi in layers:
-                        vals = block[lo:hi] if axis else block[:, lo:hi]
+            rank_at = self.rank_at.tolist()
+            pieces = []
+            for a in range(g):
+                for b in range(g):
+                    i, j = (b, a) if axis else (a, b)
+                    for lyr, vals in slices.get(j if by == "col" else i, ()):
                         dest = rank_at[i][j][lyr]
                         if dest == me:
                             self_piece = vals
                         else:
-                            gd.grid_comm.send(vals, dest, tag)
-        need_pos = np.flatnonzero(need(pool, self.pi, self.pj))
+                            pieces.append((vals, dest))
+            with self.comm.phase(phase):
+                gd.grid_comm.send_each(pieces, tag)
+        mine = self.pj if by == "col" else self.pi
+        need_pos = np.flatnonzero(need(pool) == mine)
         my_need = pool[need_pos]
         if len(my_need) == 0 or len(chunk) == 0:
             empty = (len(chunk), 0) if axis else (0, len(chunk))
             return np.zeros(empty), my_need
-        out = np.zeros(
-            (len(chunk), len(my_need)) if axis else (len(my_need), len(chunk))
-        )
         # my ids grouped by their 1D owner, in the owner's packing order
-        # (assign_1d order filtered to this rank's needs).
+        # (assign_1d order filtered to this rank's needs); every piece
+        # is checked as it arrives, then all are written at once.
         order, groups = _group_by(need_pos % self.p_active)
-        got = 0
+        incoming = gd.grid_comm.recv_each(
+            [src for src, _, _ in groups if src != me], tag
+        )
+        got, width = [], len(chunk)
         for src, lo, hi in groups:
-            vals = self_piece if src == me else gd.grid_comm.recv(src, tag)
-            shape = (len(chunk), hi - lo) if axis else (hi - lo, len(chunk))
+            vals = self_piece if src == me else next(incoming)
+            shape = (width, hi - lo) if axis else (hi - lo, width)
             if np.shape(vals) != shape:
                 raise RuntimeError(
                     f"{kind} panel piece {np.shape(vals)} from rank {src} "
                     f"does not match the plan's {shape}"
                 )
-            if axis:
-                out[:, order[lo:hi]] = vals
-            else:
-                out[order[lo:hi]] = vals
-            got += hi - lo
-        if got != len(my_need):
-            raise RuntimeError(
-                f"{kind} panel fetch incomplete: {got}/{len(my_need)}"
-            )
+            got.append(vals)
+        out = np.empty(
+            (len(chunk), len(my_need)) if axis else (len(my_need), len(chunk))
+        )
+        if axis:
+            out[:, order] = np.concatenate(got, axis=1)
+        else:
+            out[order] = np.concatenate(got)
         return out, my_need
 
     # ------------------------------------------------------------------
@@ -628,6 +649,13 @@ class Schedule25D:
                 )
                 block[: step.r_a] = out[: step.r_a]
                 col_comm.send(out[step.r_a :], b_row, tag_back)
+
+
+def _split_edges(width: int, c: int) -> list[int]:
+    """Edges of the 1/c split of ``width``: part k is ``[edges[k],
+    edges[k + 1])`` and the first ``width % c`` parts are one longer."""
+    size, extra = divmod(width, c)
+    return [k * size + min(k, extra) for k in range(c + 1)]
 
 
 def _group_by(keys: np.ndarray):

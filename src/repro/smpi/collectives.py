@@ -124,13 +124,19 @@ def allreduce(
 
 
 def gather(comm, data: Any, root: int = 0) -> list[Any] | None:
-    """Direct gather: each non-root rank sends once to the root."""
+    """Direct gather: each non-root rank sends once to the root.
+
+    The root receives from each source by name, in rank order: a
+    non-root rank never blocks here, so its next gather's contribution
+    may already wait behind this one, and only the per-channel FIFO
+    keeps the two rounds apart.
+    """
     if comm.rank == root:
         out: list[Any] = [None] * comm.size
         out[root] = data
-        for _ in range(comm.size - 1):
-            payload, src, _ = comm.recv_status(tag=_TAG_GATHER)
-            out[src] = payload
+        for src in range(comm.size):
+            if src != root:
+                out[src] = comm.recv(src, _TAG_GATHER)
         return out
     comm.send(data, root, _TAG_GATHER)
     return None

@@ -14,6 +14,18 @@ mpi4py's split between generic-object and buffer traffic:
 destination's mailbox and returns); ``recv`` blocks until a matching
 message arrives.
 
+``send_each`` / ``recv_each`` are their plural forms, for a plan that
+moves many small pieces under one tag.  They are message-for-message
+equal to the singular ones: ``send_each(((d, dest), ...), tag)`` makes
+exactly the messages the same ``send`` calls in that order would —
+same payload copies, mailbox order, arrival stamps, ledger totals,
+trace events and fault decisions — through the one implementation
+both share; a traced or faulted run passes every piece through
+``send``, and a clean run only books the ledger once per call.
+``recv_each(sources, tag)`` is a lazy iterator of one ``recv`` per
+source, so a caller that checks each piece raises before the next
+receive is taken, exactly as a loop of ``recv`` calls would.
+
 Each rank has a thread of its own, so rank programs are ordinary
 blocking code, but only the rank holding the run's baton executes (see
 :class:`_Scheduler`): it keeps the baton until it blocks or returns,
@@ -34,7 +46,7 @@ import copy
 import pickle
 import threading
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Any
 
 import numpy as np
@@ -106,10 +118,10 @@ def _copy_payload(obj: Any) -> Any:
     This is what makes the shared-address-space simulator behave like a
     distributed-memory machine.
     """
-    if obj is None or isinstance(obj, (int, float, complex, str, bytes, bool)):
-        return obj
     if isinstance(obj, np.ndarray):
         return np.array(obj, copy=True)
+    if obj is None or isinstance(obj, (int, float, complex, str, bytes, bool)):
+        return obj
     if isinstance(obj, np.generic):
         return obj
     if isinstance(obj, tuple):
@@ -445,50 +457,82 @@ class Comm:
     def send(self, data: Any, dest: int, tag: int = 0) -> None:
         """Buffered asynchronous send of a generic payload.
 
-        When the run carries a fault injector this is the injection
-        seam: the injector may retime, drop, duplicate, hold back or
-        corrupt the outgoing message (or crash this rank).  The ledger
-        and timing trace record what is *actually delivered*, so byte
-        accounting and predicted time follow the faulty execution.
+        This is the per-message seam.  When the run carries a fault
+        injector, the injector may retime, drop, duplicate, hold back
+        or corrupt the outgoing message (or crash this rank).  The
+        ledger and timing trace record what is *actually delivered*,
+        so byte accounting and predicted time follow the faulty
+        execution.
         """
-        if not 0 <= dest < self.size:
+        self._post(((data, dest),), tag)
+
+    def send_each(
+        self, pieces: Sequence[tuple[Any, int]], tag: int = 0
+    ) -> None:
+        """Send each ``(payload, dest)`` of ``pieces``, in order, as its
+        own message under ``tag`` — message for message what the same
+        :meth:`send` calls would make.
+
+        Every ``dest`` is range-checked before the first message
+        leaves, so a bad one raises with nothing delivered or
+        recorded.  On a clean run the ledger books the call's messages
+        at once; on a traced or faulted run every piece goes through
+        :meth:`send`, the per-message seam.
+        """
+        sched = self._sched
+        if sched.trace is None and sched.faults is None:
+            self._post(pieces, tag)
+            return
+        for _, dest in pieces:
+            self._check_dest(dest)
+        for data, dest in pieces:
+            self.send(data, dest, tag)
+
+    def _check_dest(self, dest: int) -> None:
+        if not 0 <= dest < len(self._group):
             raise ValueError(
                 f"dest {dest} out of range for communicator of size "
-                f"{self.size}"
+                f"{len(self._group)}"
             )
-        dst_world = self._group[dest]
-        nbytes = payload_nbytes(data)
-        payload = _copy_payload(data)
-        phase = self._sched.ledger.current_phase(self._world_rank)
-        injector = self._sched.faults
+
+    def _post(self, pieces: Sequence[tuple[Any, int]], tag: int) -> None:
+        """The one send implementation behind :meth:`send` and
+        :meth:`send_each`: size and copy every payload, then file the
+        messages in order."""
+        group = self._group
+        context, source = self._context_id, self._rank
+        out, total = [], 0
+        for data, dest in pieces:
+            self._check_dest(dest)
+            nbytes = payload_nbytes(data)
+            total += nbytes
+            out.append((
+                group[dest],
+                _Message(context, source, tag, _copy_payload(data), nbytes),
+            ))
+        if not out:
+            return
+        sched, me = self._sched, self._world_rank
+        injector, trace, ledger = sched.faults, sched.trace, sched.ledger
+        phase = ledger.current_phase(me)
         if injector is None:
-            deliveries = (
-                (payload, nbytes, self._context_id, self._rank, tag, 0.0),
-            )
-        else:
-            deliveries = tuple(
-                (d.payload, d.nbytes, d.context, d.source, d.tag,
-                 d.delay_s)
-                for d in injector.process_send(
-                    self._world_rank, dst_world, self._context_id,
-                    self._rank, tag, phase, payload, nbytes,
-                )
-            )
-        trace = self._sched.trace
-        for d_payload, d_nbytes, d_context, d_source, d_tag, d_delay in (
-            deliveries
-        ):
-            msg = _Message(d_context, d_source, d_tag, d_payload, d_nbytes)
-            self._sched.ledger.record_send(self._world_rank, d_nbytes)
-            if trace is not None:
-                msg.send_id = trace.record_send(
-                    self._world_rank,
-                    dst_world,
-                    d_nbytes,
-                    phase,
-                    delay_s=d_delay,
-                )
-            self._sched.deliver(dst_world, msg)
+            ledger.record_sends(me, total, len(out))
+            for dst, msg in out:
+                if trace is not None:
+                    msg.send_id = trace.record_send(me, dst, msg.nbytes, phase)
+                sched.deliver(dst, msg)
+            return
+        for dst, msg in out:
+            for d in injector.process_send(
+                me, dst, context, source, tag, phase, msg.data, msg.nbytes
+            ):
+                sent = _Message(d.context, d.source, d.tag, d.payload, d.nbytes)
+                ledger.record_send(me, d.nbytes)
+                if trace is not None:
+                    sent.send_id = trace.record_send(
+                        me, dst, d.nbytes, phase, delay_s=d.delay_s
+                    )
+                sched.deliver(dst, sent)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Blocking receive; returns the payload."""
@@ -499,23 +543,33 @@ class Comm:
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG
     ) -> tuple[Any, int, int]:
         """Blocking receive; returns ``(payload, source, tag)``."""
-        if source != ANY_SOURCE and not 0 <= source < self.size:
+        msg = self._take(source, tag)
+        return msg.data, msg.source, msg.tag
+
+    def recv_each(
+        self, sources: Iterable[int], tag: int = ANY_TAG
+    ) -> Iterator[Any]:
+        """Lazily receive one payload from each of ``sources``, in
+        order: each receive is taken (and may block) only when the
+        caller asks for the next piece, so a caller that rejects a
+        piece leaves every later message in the mailbox."""
+        for source in sources:
+            yield self._take(source, tag).data
+
+    def _take(self, source: int, tag: int) -> _Message:
+        """The one blocking receive behind every public form."""
+        if source != ANY_SOURCE and not 0 <= source < len(self._group):
             raise ValueError(
                 f"source {source} out of range for communicator of size "
-                f"{self.size}"
+                f"{len(self._group)}"
             )
-        msg = self._sched.take(
-            self._world_rank, self._context_id, source, tag
-        )
-        self._sched.ledger.record_recv(self._world_rank, msg.nbytes)
-        trace = self._sched.trace
+        sched, me = self._sched, self._world_rank
+        msg = sched.take(me, self._context_id, source, tag)
+        sched.ledger.record_recv(me, msg.nbytes)
+        trace = sched.trace
         if trace is not None and msg.send_id is not None:
-            trace.record_recv(
-                self._world_rank,
-                msg.send_id,
-                self._sched.ledger.current_phase(self._world_rank),
-            )
-        return msg.data, msg.source, msg.tag
+            trace.record_recv(me, msg.send_id, sched.ledger.current_phase(me))
+        return msg
 
     def Send(self, buf: np.ndarray, dest: int, tag: int = 0) -> None:
         """Buffer-protocol send (numpy array)."""

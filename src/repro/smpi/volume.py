@@ -153,15 +153,20 @@ class VolumeLedger:
         return paths[-1] if paths else None
 
     def record_send(self, rank: int, nbytes: int) -> None:
+        self.record_sends(rank, nbytes, 1)
+
+    def record_sends(self, rank: int, nbytes: int, count: int) -> None:
+        """Record ``count`` messages of ``nbytes`` bytes in total, all
+        sent by ``rank`` in its current phase scope."""
         if nbytes < 0:
             raise ValueError(f"negative message size: {nbytes}")
         self._sent[rank] += nbytes
-        self._msgs[rank] += 1
+        self._msgs[rank] += count
         phase = self.current_phase(rank)
         if phase is not None:
             totals = self._phases[rank].setdefault(phase, [0, 0])
             totals[0] += nbytes
-            totals[1] += 1
+            totals[1] += count
 
     def record_recv(self, rank: int, nbytes: int) -> None:
         self._recv[rank] += nbytes

@@ -82,11 +82,19 @@ def collect_ledger(impl: str, n: int, g: int, c: int, v: int) -> dict:
 
     census = _TagCensus()
     orig_send = runtime.Comm.send
+    orig_send_each = runtime.Comm.send_each
     orig_sendrecv = runtime.Comm.sendrecv
 
     def send(self, data, dest, tag=0):
         census.record(tag)
         return orig_send(self, data, dest, tag)
+
+    # every piece is one message; the run is untraced and unfaulted, so
+    # a plural send never passes back through ``send``
+    def send_each(self, pieces, tag=0):
+        for _ in pieces:
+            census.record(tag)
+        return orig_send_each(self, pieces, tag)
 
     def sendrecv(self, senddata, dest, source=None, sendtag=0,
                  recvtag=None):
@@ -95,6 +103,7 @@ def collect_ledger(impl: str, n: int, g: int, c: int, v: int) -> dict:
                              sendtag=sendtag, recvtag=recvtag)
 
     runtime.Comm.send = send
+    runtime.Comm.send_each = send_each
     runtime.Comm.sendrecv = sendrecv
     try:
         res = factor(
@@ -102,6 +111,7 @@ def collect_ledger(impl: str, n: int, g: int, c: int, v: int) -> dict:
         )
     finally:
         runtime.Comm.send = orig_send
+        runtime.Comm.send_each = orig_send_each
         runtime.Comm.sendrecv = orig_sendrecv
     vol = res.volume
     return {

@@ -7,7 +7,11 @@ per-element-loop formulation they replaced, kept here as the
 reference: on every grid point both must leave every rank with the
 same arrays *and* the same send/receive sequence — the simulated clock
 and the fault stream hash on per-rank message order, so order is part
-of the contract, not an implementation detail.
+of the contract, not an implementation detail.  The oracle keeps the
+mask form ``need(ids, i, j)`` of a fetch, the plans take the coordinate
+map ``need(ids)`` plus ``by``; the tap compares the plans' plural
+``send_each`` / ``recv_each`` traffic with the oracle's singular calls
+piece by piece.
 
 The committed ledger/clock pins stop at g = 2, v = 4, ``n % v == 0``;
 the grid here adds g in {1, 3, 4}, c in {1, 3, 4}, ragged and
@@ -224,7 +228,8 @@ class _LoopPlans:
 # the driver: a COnfLUX-shaped step loop over synthetic values
 # ----------------------------------------------------------------------
 class _Tap:
-    """Records what crosses ``grid_comm`` point to point."""
+    """Records what crosses ``grid_comm`` point to point, piece by
+    piece, whether it goes singly or through the plural forms."""
 
     def __init__(self, comm) -> None:
         self._comm = comm
@@ -235,9 +240,23 @@ class _Tap:
         self.sends.append((dest, tag, data.shape))
         self._comm.send(data, dest, tag)
 
+    def send_each(self, pieces, tag=0):
+        self.sends += [(dest, tag, data.shape) for data, dest in pieces]
+        self._comm.send_each(pieces, tag)
+
     def recv(self, source, tag):
         self.recvs.append((source, tag))
-        return self._comm.recv(source, tag)
+        return self.cut(self._comm.recv(source, tag))
+
+    def recv_each(self, sources, tag):
+        sources = list(sources)
+        for source, vals in zip(sources, self._comm.recv_each(sources, tag)):
+            self.recvs.append((source, tag))
+            yield self.cut(vals)
+
+    def cut(self, vals):
+        """What the plan is handed for a received piece ``vals``."""
+        return vals
 
     def __getattr__(self, name):
         return getattr(self._comm, name)
@@ -259,6 +278,13 @@ def _drive(comm, n, g, c, v, chunking, reference):
     tap = _Tap(sched.grid.grid_comm)
     sched.grid.grid_comm = tap
     plans = _LoopPlans(sched) if reference else sched
+
+    def need(coord, by):
+        """The plans' (coordinate map, by) or the oracle's mask form."""
+        if not reference:
+            return coord, by
+        return (lambda ids, i, j: coord(ids) == (j if by == "col" else i),)
+
     keys = set(vars(sched))
     me, pi, pj = sched.grid_rank, sched.pi, sched.pj
     rng = np.random.default_rng(7)  # the same pivot choice on every rank
@@ -300,14 +326,14 @@ def _drive(comm, n, g, c, v, chunking, reference):
         shipped = ctx.panel_cols[chunk]
         by_row = plans.fetch_rows_piece(
             "fetch_rows", sched.tag(3, t), pool, c_rows, rows_1d, chunk,
-            lambda rows, i, j: rows % g == i,
+            *need(lambda rows: rows % g, "row"),
         )
         by_col = plans.fetch_cols_piece(
             "fetch_cols", sched.tag(4, t), all_trailing, a01, cols_1d, chunk
         )
         by_tile = plans.fetch_rows_piece(
             "fetch_tiles", sched.tag(5, t), pool, c_rows, rows_1d, chunk,
-            lambda rows, i, j: (rows // v) % g == j,
+            *need(lambda rows: (rows // v) % g, "col"),
         )
         for piece, ids in (by_row, by_tile):
             if piece.size:
@@ -380,6 +406,9 @@ def test_chunk_bounds_are_the_array_split():
             assert _same(sched.sender_chunks(width), split)
             sched.chunking = "replicate"
             assert sched.chunk_bounds(width) == [(0, width)] * c
+            for layer in range(c):  # the applied slice never replicates
+                sched.layer = layer
+                assert _same(sched.my_chunk(width), split[layer])
 
 
 # ----------------------------------------------------------------------
@@ -393,8 +422,7 @@ class _ShortTap(_Tap):
         super().__init__(comm)
         self.axis = axis
 
-    def recv(self, source, tag):
-        vals = super().recv(source, tag)
+    def cut(self, vals):
         return vals[:1] if self.axis == 0 else vals[:, :1]
 
 
@@ -416,7 +444,7 @@ def _drive_short_piece(comm, plan):
         if plan == "rows":
             sched.fetch_rows_piece(
                 "p", 1, pool, _val(mine, cols), mine, chunk,
-                lambda rows, i, j: rows % g == i,
+                lambda rows: rows % g, "row",
             )
         elif plan == "cols":
             sched.fetch_cols_piece(

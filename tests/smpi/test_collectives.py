@@ -240,6 +240,57 @@ class TestAlltoallReduceScatter:
         assert report.total_bytes == size * (size - 1) * 64
 
 
+ROUNDS = ("first", "second", "third")
+
+
+class TestBackToBackRounds:
+    """Consecutive calls of one collective on one communicator never
+    mix rounds, whichever rank runs ahead."""
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("root", [0, "last"])
+    def test_gather(self, size, root):
+        root = size - 1 if root == "last" else 0
+
+        def fn(comm):
+            return [comm.gather((rnd, comm.rank), root=root) for rnd in ROUNDS]
+
+        results, report = run_spmd(size, fn)
+        assert results[root] == [
+            [(rnd, r) for r in range(size)] for rnd in ROUNDS
+        ]
+        assert report.total_messages == len(ROUNDS) * (size - 1)
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
+    def test_alltoall(self, size):
+        def fn(comm):
+            return [
+                comm.alltoall([(rnd, comm.rank, d) for d in range(size)])
+                for rnd in ROUNDS
+            ]
+
+        results, _ = run_spmd(size, fn)
+        for dest, got in enumerate(results):
+            assert got == [
+                [(rnd, s, dest) for s in range(size)] for rnd in ROUNDS
+            ]
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
+    def test_reduce_scatter(self, size):
+        def fn(comm):
+            return [
+                comm.reduce_scatter(
+                    [[(rnd, comm.rank)] for _ in range(size)],
+                    op=lambda a, b: a + b,
+                )
+                for rnd in ROUNDS
+            ]
+
+        results, _ = run_spmd(size, fn)
+        for got in results:
+            assert got == [[(rnd, s) for s in range(size)] for rnd in ROUNDS]
+
+
 class TestCollectivesOnSubcommunicators:
     def test_row_bcast_does_not_leak_across_rows(self):
         def fn(comm):
