@@ -67,9 +67,7 @@ def service_runs(requests: int = 60, workers: int = 2) -> list[dict]:
     from repro.harness.cache import SweepCache
     from repro.service import ServiceConfig, run_workload
 
-    config = ServiceConfig(
-        workers=workers, queue_depth=16, executor="thread"
-    )
+    config = ServiceConfig(workers=workers, queue_depth=16)
     with tempfile.TemporaryDirectory(
         prefix="repro-bench-service-"
     ) as tmp:
@@ -100,8 +98,7 @@ def build_artifact(
     return {
         "schema_version": SCHEMA_VERSION,
         "workload": spec.to_dict(),
-        "service": {"workers": workers, "queue_depth": 16,
-                    "executor": "thread"},
+        "service": {"workers": workers, "queue_depth": 16},
         "runs": runs,
     }
 

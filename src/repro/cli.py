@@ -148,6 +148,11 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         program_lower_bound,
     )
 
+    for flag, value in (("--n", args.n), ("--m", args.m), ("--p", args.p)):
+        if not value >= 1:
+            print(f"error: {flag} must be >= 1, got {value:g}",
+                  file=sys.stderr)
+            raise SystemExit(2)
     programs = {
         "lu": lu_program,
         "mmm": mmm_program,
@@ -307,7 +312,6 @@ def _service_config_from_args(args: argparse.Namespace):
         workers=args.workers,
         queue_depth=args.queue_depth,
         request_timeout_s=args.timeout,
-        executor=args.executor,
     )
 
 
@@ -402,15 +406,12 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 def _add_service_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=2,
-                        help="worker count (default 2)")
+                        help="worker threads (default 2)")
     parser.add_argument("--queue-depth", type=int, default=16,
                         help="admission bound: queued jobs before "
                              "rejection (default 16)")
     parser.add_argument("--timeout", type=float, default=60.0,
                         help="per-request timeout in seconds")
-    parser.add_argument("--executor", default="thread",
-                        choices=["thread", "process"],
-                        help="worker executor (default thread)")
     parser.add_argument("--cache-dir", default=None,
                         help="persistent result cache directory "
                              "(shared with the sweep engine)")

@@ -7,11 +7,11 @@ problem sizes:
 * :mod:`repro.pebbling.cdag` — the graph container (versioned vertices,
   inputs/outputs).
 * :mod:`repro.pebbling.builders` — cDAGs for LU (paper Figures 1 and 4),
-  MMM, and the Section 4 example programs.
-* :mod:`repro.pebbling.game` — the sequential red-blue pebble game of
-  Hong & Kung (Section 2.3.1): move validation and I/O counting.
-* :mod:`repro.pebbling.parallel_game` — the hued parallel extension
-  (Section 5): per-processor red pebbles, load-from-any-pebble rule.
+  MMM, and the Section 4.1 shared-input example.
+* :mod:`repro.pebbling.game` — the red-blue pebble game: Hong & Kung's
+  sequential game (Section 2.3.1) is its one-hue case of the hued
+  parallel game (Section 5); move validation and per-processor I/O
+  counting.
 * :mod:`repro.pebbling.schedules` — greedy valid schedulers whose Q
   sandwiches the lower bounds from above in the test suite.
 * :mod:`repro.pebbling.xpartition` — minimum dominator sets via min
@@ -23,7 +23,6 @@ from repro.pebbling.builders import (
     lu_cdag,
     mmm_cdag,
     shared_input_cdag,
-    modified_mmm_cdag,
     chain_cdag,
 )
 from repro.pebbling.game import (
@@ -31,7 +30,6 @@ from repro.pebbling.game import (
     PebbleGame,
     PebblingError,
 )
-from repro.pebbling.parallel_game import ParallelPebbleGame
 from repro.pebbling.schedules import (
     greedy_schedule,
     schedule_cost,
@@ -47,7 +45,6 @@ from repro.pebbling.xpartition import (
 __all__ = [
     "CDag",
     "Move",
-    "ParallelPebbleGame",
     "PebbleGame",
     "PebblingError",
     "chain_cdag",
@@ -57,7 +54,6 @@ __all__ = [
     "min_set",
     "minimum_dominator_size",
     "mmm_cdag",
-    "modified_mmm_cdag",
     "schedule_cost",
     "shared_input_cdag",
     "tiled_lu_schedule",

@@ -71,6 +71,9 @@ def mmm_cdag(n: int) -> CDag:
 
     Vertex ``("C", i, j, k)`` is the partial sum after adding the k-th
     term; predecessors are A[i,k], B[k,j] and the previous partial sum.
+    It is also the cDAG of Section 4.2's modified MMM: there the A
+    entries are recomputable, which only the theory layer
+    (:func:`repro.theory.modified_mmm_program`) can express.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -118,40 +121,6 @@ def shared_input_cdag(n: int) -> CDag:
                 )
                 g.add_vertex(
                     ("E", i, j, k), preds=[("C", i, k, 0), ("B", k, j, 0)]
-                )
-    return g
-
-
-def modified_mmm_cdag(n: int) -> CDag:
-    """Section 4.2 example: A is *computed* (twiddle factors), not input.
-
-    A[i,j] vertices have no predecessors-with-inputs — they are computed
-    from nothing (modeled as zero-predecessor non-input... in pebble-game
-    terms they are graph inputs that may also be recomputed; we model
-    them as compute-from-empty vertices by giving them a single shared
-    token predecessor would be wrong, so they are plain inputs here and
-    the *recomputation* aspect lives in the theory layer).
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    g = CDag()
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            g.add_vertex(("A", i, k, 0))
-    for k in range(1, n + 1):
-        for j in range(1, n + 1):
-            g.add_vertex(("B", k, j, 0))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            g.add_vertex(("C", i, j, 0))
-            for k in range(1, n + 1):
-                g.add_vertex(
-                    ("C", i, j, k),
-                    preds=[
-                        ("C", i, j, k - 1),
-                        ("A", i, k, 0),
-                        ("B", k, j, 0),
-                    ],
                 )
     return g
 

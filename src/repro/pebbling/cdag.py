@@ -11,8 +11,6 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable
 from typing import Any
 
-import networkx as nx
-
 Vertex = Hashable
 
 
@@ -110,31 +108,6 @@ class CDag:
         if len(order) != len(self._preds):
             raise ValueError("cDAG contains a cycle")
         return order
-
-    def ancestors_within(
-        self, targets: set[Vertex], allowed: set[Vertex] | None = None
-    ) -> set[Vertex]:
-        """All vertices reaching ``targets`` (optionally restricted)."""
-        seen: set[Vertex] = set()
-        stack = list(targets)
-        while stack:
-            v = stack.pop()
-            for p in self._preds[v]:
-                if p in seen:
-                    continue
-                if allowed is not None and p not in allowed:
-                    continue
-                seen.add(p)
-                stack.append(p)
-        return seen
-
-    def to_networkx(self) -> "nx.DiGraph":
-        g = nx.DiGraph()
-        g.add_nodes_from(self._preds)
-        for v, preds in self._preds.items():
-            for p in preds:
-                g.add_edge(p, v)
-        return g
 
     def validate_versioning(self) -> None:
         """Check the DAAP disjoint-access sanity property for builders

@@ -156,17 +156,3 @@ def empirical_intensity(
     validate_x_partition(cdag, parts, x, require_cover=False)
     vmax = max(len(p) for p in parts)
     return vmax / (x - m)
-
-
-def lower_bound_from_partition(
-    cdag: CDag, parts: Sequence[set[Vertex]], x: int, m: int
-) -> float:
-    """Lemma 1: Q >= |V| / rho using the partition's empirical rho.
-
-    Note this is only a *valid* lower bound when ``parts`` witnesses the
-    largest possible subcomputation |V_max| among all X-partitions; in
-    tests we use it the other way around — as a consistency check that
-    greedy schedules cost at least this much.
-    """
-    rho = empirical_intensity(cdag, parts, x, m)
-    return len(cdag.computed_vertices) / rho

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-EXECUTORS = ("thread", "process")
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -20,7 +18,9 @@ class ServiceConfig:
     ----------
     workers:
         Worker coroutines pulling from the one FIFO queue; also the
-        executor's pool size.
+        size of the thread pool they run jobs on (cheap startup, fine
+        for the simulated runtime, which releases the GIL in numpy
+        kernels).
     queue_depth:
         Admission bound: jobs admitted but not yet running.  A submit
         arriving when the queue already holds this many jobs is
@@ -30,17 +30,11 @@ class ServiceConfig:
         Per-request deadline.  The waiter gets a ``timeout`` response;
         the underlying job still completes and populates the cache (it
         cannot be interrupted mid-factorization).
-    executor:
-        ``thread`` (default: cheap startup, fine for the simulated
-        runtime which releases the GIL in numpy kernels) or
-        ``process`` (one interpreter per worker, start method chosen
-        by the fork-safe :func:`repro.harness.sweep._pool_context`).
     """
 
     workers: int = 2
     queue_depth: int = 16
     request_timeout_s: float = 60.0
-    executor: str = "thread"
 
     def __post_init__(self) -> None:
         self.validate()
@@ -57,16 +51,10 @@ class ServiceConfig:
                 f"request_timeout_s must be > 0, got "
                 f"{self.request_timeout_s}"
             )
-        if self.executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; available: "
-                f"{EXECUTORS}"
-            )
 
     def to_dict(self) -> dict:
         return {
             "workers": self.workers,
             "queue_depth": self.queue_depth,
             "request_timeout_s": self.request_timeout_s,
-            "executor": self.executor,
         }

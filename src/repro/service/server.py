@@ -17,8 +17,7 @@ with a bounded job queue.  A submitted request flows::
                                    └─ raised: ``error``, reported once
 
 Workers are asyncio tasks that pull jobs from the one shared queue and
-run each once on a concurrent executor (threads by default, a
-fork-safe process pool on request) — the event loop stays free for
+run each once on a thread pool — the event loop stays free for
 admission and the TCP front-end while factorizations run.
 
 The result cache is the harness's content-addressed
@@ -33,7 +32,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 from repro.harness.cache import SweepCache
@@ -113,20 +112,10 @@ class FactorService:
         loop = asyncio.get_running_loop()
         # A queue binds to the loop it first waits on: one per start.
         self._queue = asyncio.Queue()
-        if self.config.executor == "process":
-            # _pool_context falls back to spawn/forkserver when helper
-            # threads are alive — which they are, under asyncio.
-            from repro.harness.sweep import _pool_context
-
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.config.workers,
-                mp_context=_pool_context(),
-            )
-        else:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.config.workers,
-                thread_name_prefix="repro-service",
-            )
+        self._executor = ThreadPoolExecutor(
+            max_workers=self.config.workers,
+            thread_name_prefix="repro-service",
+        )
         self._workers = [
             loop.create_task(self._worker_loop())
             for _ in range(self.config.workers)

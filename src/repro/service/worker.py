@@ -1,10 +1,9 @@
 """Executor-side job runner.
 
-A top-level function (picklable by import path) so the same code runs
-under the thread executor and under a spawn/forkserver process pool.
-A job is executed by the registered ``measured`` sweep task — the
-service computes *exactly* what a sweep point computes, which is what
-makes the cache entries interchangeable.
+The function each worker thread runs for one job.  A job is executed
+by the registered ``measured`` sweep task — the service computes
+*exactly* what a sweep point computes, which is what makes the cache
+entries interchangeable.
 """
 
 from __future__ import annotations

@@ -1,14 +1,10 @@
 """Run-to-block SPMD runtime.
 
 Every rank of a simulated job runs the same Python function,
-communicating exclusively through :class:`Comm`.  The design mirrors
-mpi4py's split between generic-object and buffer traffic:
-
-* ``send``/``recv`` move arbitrary Python payloads (numpy arrays are the
-  common case and are copied on send, so rank-local mutation semantics
-  match a distributed-memory machine);
-* ``Send``/``Recv`` are the buffer-protocol variants — ``Recv`` fills a
-  caller-provided numpy buffer in place, like the upper-case mpi4py calls.
+communicating exclusively through :class:`Comm`.  ``send``/``recv``
+move arbitrary Python payloads (numpy arrays are the common case and
+are copied on send, so rank-local mutation semantics match a
+distributed-memory machine).
 
 ``send`` is buffered-asynchronous (it deposits the message into the
 destination's mailbox and returns); ``recv`` blocks until a matching
@@ -570,28 +566,6 @@ class Comm:
         if trace is not None and msg.send_id is not None:
             trace.record_recv(me, msg.send_id, sched.ledger.current_phase(me))
         return msg
-
-    def Send(self, buf: np.ndarray, dest: int, tag: int = 0) -> None:
-        """Buffer-protocol send (numpy array)."""
-        if not isinstance(buf, np.ndarray):
-            raise TypeError("Send expects a numpy array; use send() instead")
-        self.send(buf, dest, tag)
-
-    def Recv(
-        self, buf: np.ndarray, source: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> tuple[int, int]:
-        """Receive into a caller-provided buffer; returns (source, tag)."""
-        data, src, rtag = self.recv_status(source, tag)
-        if not isinstance(data, np.ndarray):
-            raise TypeError(
-                f"Recv matched a non-buffer message of type {type(data)}"
-            )
-        if data.shape != buf.shape:
-            raise ValueError(
-                f"Recv buffer shape {buf.shape} != message shape {data.shape}"
-            )
-        np.copyto(buf, data)
-        return src, rtag
 
     def sendrecv(
         self,

@@ -9,7 +9,6 @@ paper's "more precise" claim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 def _check(n: int, m: float) -> None:
@@ -122,31 +121,3 @@ def conflux_io_cost(n: int, m: float, p: int) -> float:
 def conflux_gap_over_lower_bound(n: int, m: float, p: int) -> float:
     """COnfLUX leading cost / lower-bound leading term = 1.5 exactly."""
     return conflux_io_cost(n, m, p) / lu_parallel_lower_bound_leading(n, m, p)
-
-
-@dataclass(frozen=True)
-class BoundSummary:
-    """Human-readable record for reports and EXPERIMENTS.md tables."""
-
-    kernel: str
-    n: int
-    m: float
-    p: int
-    q_lower: float
-
-    @property
-    def q_lower_gb(self) -> float:
-        return self.q_lower * 8.0 / 1e9
-
-    def describe(self) -> str:
-        return (
-            f"{self.kernel}: N={self.n} M={self.m:g} P={self.p} -> "
-            f"Q >= {self.q_lower:,.0f} elements "
-            f"({self.q_lower_gb:.4f} GB at 8 B/element)"
-        )
-
-
-def summarize_lu(n: int, m: float, p: int) -> BoundSummary:
-    return BoundSummary(
-        kernel="LU", n=n, m=m, p=p, q_lower=lu_parallel_lower_bound(n, m, p)
-    )

@@ -20,7 +20,7 @@ The model captured here is the part the lower-bound machinery consumes:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 
@@ -109,12 +109,6 @@ class Statement:
         """Variable sets of the *input* accesses (the dominator side)."""
         return tuple(acc.variables for acc in self.inputs)
 
-    def input_access(self, array: str) -> Access:
-        for acc in self.inputs:
-            if acc.array == array:
-                return acc
-        raise KeyError(f"statement {self.name} has no input array {array!r}")
-
 
 @dataclass(frozen=True)
 class Program:
@@ -140,44 +134,6 @@ class Program:
             if s.name == name:
                 return s
         raise KeyError(f"program {self.name} has no statement {name!r}")
-
-    def total_vertices(self, n: int) -> float:
-        return sum(s.vertex_count(n) for s in self.statements)
-
-    @staticmethod
-    def detect_overlaps(
-        statements: Sequence[Statement],
-    ) -> tuple[
-        tuple[tuple[str, tuple[str, ...]], ...],
-        tuple[tuple[str, str, str], ...],
-    ]:
-        """Auto-derive shared-input and producer-consumer relations.
-
-        Input overlap is declared per array when the array is read by
-        more than one statement.  Output overlap matches a statement's
-        output array read downstream (program order) by another
-        statement.
-        """
-        readers: dict[str, list[str]] = {}
-        for s in statements:
-            for acc in s.inputs:
-                readers.setdefault(acc.array, [])
-                if s.name not in readers[acc.array]:
-                    readers[acc.array].append(s.name)
-        shared = tuple(
-            (array, tuple(names))
-            for array, names in readers.items()
-            if len(names) > 1
-        )
-        pc: list[tuple[str, str, str]] = []
-        for i, producer in enumerate(statements):
-            out = producer.output.array
-            for consumer in statements[i:]:
-                if consumer.name == producer.name:
-                    continue
-                if any(acc.array == out for acc in consumer.inputs):
-                    pc.append((producer.name, consumer.name, out))
-        return shared, tuple(pc)
 
 
 # ---------------------------------------------------------------------------

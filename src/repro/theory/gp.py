@@ -168,19 +168,3 @@ def maximize_subcomputation(
     return GPSolution(
         psi=psi, sizes=sizes, access_sizes=access_sizes, x_budget=x_budget
     )
-
-
-def psi_exponent(
-    loop_vars: tuple[str, ...],
-    access_sets: tuple[tuple[str, ...], ...],
-    x_lo: float = 1e6,
-    x_hi: float = 4e6,
-) -> float:
-    """Estimate p such that psi(X) ~ a * X^p at large X.
-
-    For DAAP statements psi is exactly (or asymptotically) a power law;
-    the exponent drives the closed-form X0 = p M / (p - 1) (for p > 1).
-    """
-    lo = maximize_subcomputation(loop_vars, access_sets, x_lo)
-    hi = maximize_subcomputation(loop_vars, access_sets, x_hi)
-    return math.log(hi.psi / lo.psi) / math.log(x_hi / x_lo)

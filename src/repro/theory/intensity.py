@@ -64,10 +64,6 @@ class StatementBound:
             return 0.0
         return self.vertex_count(n) / self.rho
 
-    def q_lower_parallel(self, n: int, p: int) -> float:
-        """Lemma 9: Q >= |V_S| / (P * rho)."""
-        return self.q_lower(n) / p
-
 
 def psi_of_x(
     statement: Statement,

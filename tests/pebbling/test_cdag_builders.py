@@ -7,10 +7,10 @@ from repro.pebbling import (
     chain_cdag,
     lu_cdag,
     mmm_cdag,
-    modified_mmm_cdag,
     shared_input_cdag,
 )
 from repro.pebbling.builders import lu_vertex_counts
+from repro.theory import modified_mmm_program
 
 
 class TestCDag:
@@ -58,18 +58,6 @@ class TestCDag:
         g = mmm_cdag(2)
         # each of 8 fma vertices has 3 predecessors
         assert g.edge_count() == 8 * 3
-
-    def test_to_networkx_roundtrip(self):
-        g = lu_cdag(3)
-        nxg = g.to_networkx()
-        assert nxg.number_of_nodes() == len(g)
-        assert nxg.number_of_edges() == g.edge_count()
-
-    def test_ancestors_within(self):
-        g = chain_cdag(5)
-        last = ("x", 0, 0, 4)
-        anc = g.ancestors_within({last})
-        assert len(anc) == 4  # versions 0..3
 
 
 class TestLUCDag:
@@ -180,9 +168,13 @@ class TestSection4CDags:
         assert g.in_degree(("D", 1, 2, 1)) == 2
 
     def test_modified_mmm_counts(self):
+        """Section 4.2's modified MMM has MMM's graph (only the theory
+        layer can say A is recomputable): n^3 computed vertices, as its
+        DAAP statement T declares."""
         n = 3
-        g = modified_mmm_cdag(n)
-        assert len(g.computed_vertices) == n**3
+        g = mmm_cdag(n)
+        t = modified_mmm_program().statement("T")
+        assert len(g.computed_vertices) == t.vertex_count(n) == n**3
 
 
 class TestChain:

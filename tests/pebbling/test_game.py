@@ -1,4 +1,5 @@
-"""Rule-enforcement tests for the sequential red-blue pebble game."""
+"""Rule-enforcement tests for the sequential red-blue pebble game: the
+one-hue case of :class:`PebbleGame`."""
 
 import pytest
 
@@ -23,7 +24,7 @@ class TestGameRules:
     def test_initial_state(self, tiny):
         game = PebbleGame(tiny, m=3)
         assert game.blue == {"a", "b"}
-        assert game.red == set()
+        assert game.red[0] == set()
         assert game.q == 0
 
     def test_full_tiny_pebbling(self, tiny):
@@ -41,7 +42,7 @@ class TestGameRules:
 
     def test_load_requires_blue(self, tiny):
         game = PebbleGame(tiny, m=3)
-        with pytest.raises(PebblingError, match="no blue"):
+        with pytest.raises(PebblingError, match="no pebble"):
             game.apply(Move.load("c"))
 
     def test_load_twice_rejected(self, tiny):
@@ -77,7 +78,7 @@ class TestGameRules:
         game.apply(Move.load("a"))
         game.apply(Move.discard_red("a"))
         game.apply(Move.load("b"))
-        assert game.red == {"b"}
+        assert game.red[0] == {"b"}
 
     def test_discard_red_requires_red(self, tiny):
         game = PebbleGame(tiny, m=2)

@@ -12,8 +12,30 @@ from repro.pebbling import (
     lu_cdag,
     mmm_cdag,
     schedule_cost,
+    tiled_lu_schedule,
 )
 from repro.theory.bounds import lu_io_lower_bound, mmm_io_lower_bound
+
+
+class TestScheduleCostPins:
+    """Exact Q of both schedulers replayed through the one-hue
+    :class:`PebbleGame`: a change to either scheduler or to the game's
+    rules moves these numbers."""
+
+    @pytest.mark.parametrize(
+        "n,m,greedy,tiled",
+        [(4, 5, 42, 70), (6, 10, 99, 231), (8, 13, 243, 300),
+         (10, 28, 369, 436)],
+    )
+    def test_lu(self, n, m, greedy, tiled):
+        g = lu_cdag(n)
+        assert schedule_cost(g, m, greedy_schedule(g, m)) == greedy
+        assert schedule_cost(g, m, tiled_lu_schedule(n, m)) == tiled
+
+    @pytest.mark.parametrize("n,m,greedy", [(4, 5, 144), (6, 10, 318)])
+    def test_mmm(self, n, m, greedy):
+        g = mmm_cdag(n)
+        assert schedule_cost(g, m, greedy_schedule(g, m)) == greedy
 
 
 class TestGreedyValidity:

@@ -12,7 +12,6 @@ from repro.pebbling import (
     mmm_cdag,
     validate_x_partition,
 )
-from repro.pebbling.xpartition import lower_bound_from_partition
 
 
 class TestMinimumDominator:
@@ -183,15 +182,6 @@ class TestEmpiricalIntensity:
         g = chain_cdag(3)
         with pytest.raises(ValueError, match="exceed"):
             empirical_intensity(g, [{("x", 0, 0, 1)}], x=2, m=2)
-
-    def test_lower_bound_from_partition_consistent(self):
-        g = chain_cdag(9)
-        parts = [
-            {("x", 0, 0, v) for v in range(1, 5)},
-            {("x", 0, 0, v) for v in range(5, 9)},
-        ]
-        q = lower_bound_from_partition(g, parts, x=4, m=2)
-        assert q == pytest.approx(len(g.computed_vertices) / 2.0)
 
 
 class TestLemma6Structure:

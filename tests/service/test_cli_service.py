@@ -43,7 +43,7 @@ class TestLoadgen:
         assert rc == 0
         doc = json.loads(path.read_text())
         assert sorted(doc["service"]) == [
-            "executor", "queue_depth", "request_timeout_s", "workers",
+            "queue_depth", "request_timeout_s", "workers",
         ]
         assert doc["workload"]["seed"] == 5
 

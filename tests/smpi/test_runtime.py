@@ -161,32 +161,6 @@ class TestPointToPoint:
         results, _ = run_spmd(4, fn)
         assert results == [1, 0, 3, 2]
 
-    def test_buffer_send_recv_in_place(self):
-        def fn(comm):
-            if comm.rank == 0:
-                comm.Send(np.full(6, 3.5), dest=1)
-                return None
-            buf = np.empty(6)
-            src, tag = comm.Recv(buf, source=0)
-            return (buf.copy(), src, tag)
-
-        results, _ = run_spmd(2, fn)
-        arr, src, tag = results[1]
-        np.testing.assert_array_equal(arr, np.full(6, 3.5))
-        assert src == 0 and tag == 0
-
-    def test_recv_shape_mismatch_raises(self):
-        def fn(comm):
-            if comm.rank == 0:
-                comm.Send(np.zeros(3), dest=1)
-                return None
-            buf = np.empty(5)
-            comm.Recv(buf, source=0)
-
-        with pytest.raises(RankFailure) as exc_info:
-            run_spmd(2, fn)
-        assert isinstance(exc_info.value.failures[0][1], ValueError)
-
     def test_send_out_of_range_dest(self):
         def fn(comm):
             comm.send(1, dest=99)

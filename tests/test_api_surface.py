@@ -1,5 +1,6 @@
 """Public-API snapshot: ``repro.algorithms.__all__``,
-``repro.models.__all__`` and both registries' declared capabilities
+``repro.models.__all__``, ``repro.theory.__all__``,
+``repro.pebbling.__all__`` and both registries' declared capabilities
 must match the checked-in snapshot.
 
 Changing the public surface is allowed — but it has to be deliberate:
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import repro.algorithms as alg
 import repro.models as models
+import repro.pebbling as pebbling
+import repro.theory as theory
 from repro.algorithms.api import KINDS, GRID_FAMILIES, REGISTRY
 from repro.models.api import MODEL_KINDS, MODEL_REGISTRY
 from repro.models.machines import MACHINES
@@ -41,6 +44,8 @@ def _current_surface() -> dict:
             for name, info in sorted(MODEL_REGISTRY.items())
         },
         "machines": sorted(MACHINES),
+        "theory_all": list(theory.__all__),
+        "pebbling_all": list(pebbling.__all__),
     }
 
 
@@ -67,6 +72,12 @@ def test_public_surface_matches_snapshot():
         "machine presets changed; if intentional, regenerate "
         "tests/data/api_surface.json"
     )
+    for key, package in (("theory_all", "theory"),
+                         ("pebbling_all", "pebbling")):
+        assert current[key] == snap[key], (
+            f"repro.{package}.__all__ changed; if intentional, "
+            "regenerate tests/data/api_surface.json"
+        )
 
 
 def test_all_is_sorted_and_importable():

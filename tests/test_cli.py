@@ -113,6 +113,18 @@ class TestBoundsCommand:
         assert rc == 0
         assert "S3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--n", "0"), ("--m", "0.5"), ("--p", "0"), ("--p", "-2")],
+    )
+    def test_value_below_one_rejected(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be >= 1, got {value}\n"
+
 
 class TestPlanCommand:
     def test_piz_daint_plan(self, capsys):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.theory.bounds import (
-    BoundSummary,
     cholesky_io_lower_bound,
     conflux_gap_over_lower_bound,
     conflux_io_cost,
@@ -18,7 +17,6 @@ from repro.theory.bounds import (
     lu_s2_lower_bound,
     mmm_io_lower_bound,
     mmm_parallel_lower_bound,
-    summarize_lu,
 )
 
 
@@ -105,23 +103,6 @@ class TestConfluxGap:
         n, m, p = 4096, 1_048_576.0, 64
         assert conflux_io_cost(n, m, p) == pytest.approx(
             n**3 / (p * math.sqrt(m))
-        )
-
-
-class TestBoundSummary:
-    def test_gb_conversion_uses_8_byte_elements(self):
-        s = BoundSummary(kernel="LU", n=10, m=4.0, p=1, q_lower=1e9)
-        assert s.q_lower_gb == pytest.approx(8.0)
-
-    def test_describe_contains_key_numbers(self):
-        s = summarize_lu(1024, 4096.0, 16)
-        text = s.describe()
-        assert "N=1024" in text and "P=16" in text
-
-    def test_summarize_lu_consistent(self):
-        s = summarize_lu(256, 512.0, 4)
-        assert s.q_lower == pytest.approx(
-            lu_parallel_lower_bound(256, 512.0, 4)
         )
 
 

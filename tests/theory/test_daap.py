@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.pebbling import lu_cdag
 from repro.theory.daap import (
     Access,
-    Program,
     Statement,
     cholesky_program,
     lu_program,
@@ -50,12 +50,6 @@ class TestStatement:
         s = mmm_program().statements[0]
         assert s.access_variable_sets == (("i", "j"), ("i", "k"), ("k", "j"))
 
-    def test_input_access_lookup(self):
-        s = mmm_program().statements[0]
-        assert s.input_access("B").index == ("k", "j")
-        with pytest.raises(KeyError):
-            s.input_access("Z")
-
 
 class TestLUProgram:
     def test_statement_names(self):
@@ -95,12 +89,12 @@ class TestLUProgram:
         assert ("S1", "S2", "A") in lu.producer_consumer
 
     def test_total_vertices(self):
+        """With the literal loop-nest counts, the statements' |V_S| add
+        up to the computed vertices of the explicit LU cDAG."""
         lu = lu_program(literal_counts=True)
-        n = 6
-        expected = sum((n - k) for k in range(1, n + 1)) + sum(
-            (n - k) ** 2 for k in range(1, n + 1)
-        )
-        assert lu.total_vertices(n) == expected
+        for n in (1, 2, 6):
+            total = sum(s.vertex_count(n) for s in lu.statements)
+            assert total == len(lu_cdag(n).computed_vertices)
 
 
 class TestCannedPrograms:
@@ -130,21 +124,3 @@ class TestCannedPrograms:
     def test_statement_lookup_missing(self):
         with pytest.raises(KeyError):
             mmm_program().statement("nope")
-
-
-class TestDetectOverlaps:
-    def test_shared_input_detection(self):
-        pair = matmul_like_pair_program()
-        shared, pc = Program.detect_overlaps(pair.statements)
-        assert ("B", ("S", "T")) in shared
-        assert pc == ()
-
-    def test_producer_consumer_detection(self):
-        mod = modified_mmm_program()
-        shared, pc = Program.detect_overlaps(mod.statements)
-        assert ("S", "T", "A") in pc
-
-    def test_lu_self_dependency_detected(self):
-        lu = lu_program()
-        _, pc = Program.detect_overlaps(lu.statements)
-        assert ("S1", "S2", "A") in pc

@@ -32,13 +32,6 @@ class TestMMMIntensity:
             2.0 * n**3 / math.sqrt(M), rel=1e-3
         )
 
-    def test_q_lower_parallel_divides_by_p(self):
-        sb = statement_bound(mmm_program().statements[0], M)
-        n, p = 256, 16
-        assert sb.q_lower_parallel(n, p) == pytest.approx(
-            sb.q_lower(n) / p, rel=1e-12
-        )
-
     def test_lemma6_not_applied(self):
         sb = statement_bound(mmm_program().statements[0], M)
         assert not sb.lemma6_applied
