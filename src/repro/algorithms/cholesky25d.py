@@ -33,10 +33,11 @@ without halving the layout, a known open trade-off).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cholesky as dense_cholesky, solve_triangular
+from scipy.linalg import cholesky as dense_cholesky
 
 from repro.algorithms.api import register_algorithm
 from repro.algorithms.schedule25d import Rank25D, StepContext
+from repro.kernels.linalg import trsm_upper
 
 _TAG_DIAG = 1
 _TAG_L21 = 2
@@ -139,7 +140,7 @@ class _CholeskyRank(Rank25D):
 
         # 5. local trsm: L21 = C L00^{-T}
         if len(my_l21_rows):
-            l21 = solve_triangular(l00, c_rows.T, lower=True).T
+            l21 = trsm_upper(l00.T, c_rows)
             self.l_pieces.append((t, my_l21_rows.copy(), l21))
         else:
             l21 = np.zeros((0, w))

@@ -210,10 +210,10 @@ class _ConfluxRank(Rank25D):
             value_rows=value_rows,
         )
         # -- step 7: local trsm A10 <- C U00^{-1} ------------------------
-        _, u00 = split_lu(a00)
+        # (the right-side solve reads only A00's upper triangle: U00)
         if len(a10_rows):
             c_rows = sched.assemble_rows(recv_plan_a10, a10_rows, w)
-            a10_vals = trsm_upper(u00, c_rows, side="right")
+            a10_vals = trsm_upper(a00, c_rows, side="right")
             self.l_pieces.append(
                 (t, self.row_labels(a10_rows).copy(), a10_vals)
             )

@@ -412,34 +412,39 @@ class Schedule25D:
 
         # receiver side: one piece per (grid column owning some of my
         # assigned cols) x (grid row holding at least one pivot row).
+        # The pieces tile ``out`` with its rows grouped by grid row and
+        # its columns by grid column, so they are stacked in that order
+        # and written with one indexed assignment.
         if len(my_assigned_cols) == 0:
             return out
-        row_grid = pivot_ids % g
-        row_groups = [
-            (i, np.flatnonzero(row_grid == i)[:, None])
-            for i in np.unique(row_grid).tolist()
+        row_order, row_groups = _group_by(pivot_ids % g)
+        col_order, col_groups = _group_by((my_assigned_cols // v) % g)
+        rank_at = self.rank_at[:, :, lt].tolist()
+        plan = [
+            (rank_at[i][pj], (rhi - rlo, chi - clo))
+            for pj, clo, chi in col_groups
+            for i, rlo, rhi in row_groups
         ]
-        my_tiles = (my_assigned_cols // v) % g
-        plan = []
-        for pj in range(g):
-            col_pos = np.flatnonzero(my_tiles == pj)
-            if col_pos.size:
-                plan += [
-                    (gd.rank_of(i, pj, lt), row_pos, col_pos)
-                    for i, row_pos in row_groups
-                ]
         incoming = gd.grid_comm.recv_each(
-            [src for src, _, _ in plan if src != me], tag
+            [src for src, _ in plan if src != me], tag
         )
-        for src, row_pos, col_pos in plan:
+        got = []
+        for src, shape in plan:
             vals = self_piece if src == me else next(incoming)
-            if np.shape(vals) != (len(row_pos), len(col_pos)):
+            if getattr(vals, "shape", None) != shape:
                 raise RuntimeError(
                     f"pivot column piece {np.shape(vals)} from rank "
-                    f"{src} does not match the plan's "
-                    f"{(len(row_pos), len(col_pos))}"
+                    f"{src} does not match the plan's {shape}"
                 )
-            out[row_pos, col_pos] = vals
+            got.append(vals)
+        if got:
+            k = len(row_groups)
+            columns = [
+                np.concatenate(got[j : j + k]) for j in range(0, len(got), k)
+            ]
+            out[row_order[:, None], col_order] = np.concatenate(
+                columns, axis=1
+            )
         return out
 
     # ------------------------------------------------------------------
@@ -544,7 +549,7 @@ class Schedule25D:
         for src, lo, hi in groups:
             vals = self_piece if src == me else next(incoming)
             shape = (width, hi - lo) if axis else (hi - lo, width)
-            if np.shape(vals) != shape:
+            if getattr(vals, "shape", None) != shape:
                 raise RuntimeError(
                     f"{kind} panel piece {np.shape(vals)} from rank {src} "
                     f"does not match the plan's {shape}"
@@ -662,13 +667,13 @@ def _group_by(keys: np.ndarray):
     """Stable grouping of positions by non-negative integer key:
     ``order[lo:hi]`` are the positions holding ``key``, in their
     original order, for each ``(key, lo, hi)`` in ascending key order."""
-    order = np.argsort(keys, kind="stable")
-    counts = np.bincount(keys)
-    present = np.flatnonzero(counts)
-    ends = np.cumsum(counts)[present]
-    return order, list(
-        zip(present.tolist(), (ends - counts[present]).tolist(), ends.tolist())
-    )
+    order = keys.argsort(kind="stable")
+    groups, lo = [], 0
+    for key, count in enumerate(np.bincount(keys).tolist()):
+        if count:
+            groups.append((key, lo, lo + count))
+            lo += count
+    return order, groups
 
 
 class Rank25D:

@@ -6,8 +6,9 @@ pivoting (TSLU) selection kernels of paper Section 7.3, and verification
 helpers (residuals, growth factors).
 
 Everything here is vectorized numpy or one library call (GEPP is LAPACK
-``dgetrf``, the triangular solves scipy's checked ``solve_triangular``)
-— loops only over block columns, never over scalar elements.
+``dgetrf``, each triangular solve the LAPACK ``dtrtrs`` call scipy's
+checked triangular solve makes, behind the same finite and pivot checks) —
+loops only over block columns, never over scalar elements.
 """
 
 from repro.kernels.lu_seq import (

@@ -22,6 +22,14 @@ both share; a traced or faulted run passes every piece through
 source, so a caller that checks each piece raises before the next
 receive is taken, exactly as a loop of ``recv`` calls would.
 
+Whatever the form and whatever the run (clean, traced or faulted),
+every message is filed by one routine, :meth:`_Scheduler.deliver`,
+which takes a whole batch — all of a clean ``_post``'s messages at
+once — and taken by one, :meth:`_Scheduler.take`, for which an exact
+``(context, source, tag)`` is one lookup and only a wildcard scans.
+Every payload is still copied, and every byte still booked through the
+ledger's methods.
+
 Each rank has a thread of its own, so rank programs are ordinary
 blocking code, but only the rank holding the run's baton executes (see
 :class:`_Scheduler`): it keeps the baton until it blocks or returns,
@@ -81,9 +89,10 @@ def payload_nbytes(obj: Any) -> int:
 
     numpy arrays count their buffer size (8 B per float64 element — the
     same accounting as the paper's Table 2 models, which are "scaled by
-    the element size (8 bytes)").  Scalars count their natural width;
-    containers count the sum of their elements.  Anything exotic falls
-    back to its pickle length.
+    the element size (8 bytes)").  Scalars count their natural width,
+    byte buffers (``bytes``, ``bytearray``, ``memoryview``) their byte
+    length; containers count the sum of their elements.  Anything
+    exotic falls back to its pickle length.
     """
     if obj is None:
         return 0
@@ -97,8 +106,8 @@ def payload_nbytes(obj: Any) -> int:
         return 8 if not isinstance(obj, complex) else 16
     if isinstance(obj, str):
         return len(obj.encode("utf-8"))
-    if isinstance(obj, bytes):
-        return len(obj)
+    if isinstance(obj, (bytes, bytearray, memoryview)):
+        return memoryview(obj).nbytes
     if isinstance(obj, (tuple, list)):
         return sum(payload_nbytes(x) for x in obj)
     if isinstance(obj, dict):
@@ -112,12 +121,18 @@ def _copy_payload(obj: Any) -> Any:
     """Copy a payload so sender-side mutation cannot leak to the receiver.
 
     This is what makes the shared-address-space simulator behave like a
-    distributed-memory machine.
+    distributed-memory machine.  A mutable byte buffer arrives as a
+    ``bytearray`` of its own, a ``memoryview`` as the ``bytes`` it views
+    (a view of the sender's memory cannot travel).
     """
     if isinstance(obj, np.ndarray):
         return np.array(obj, copy=True)
     if obj is None or isinstance(obj, (int, float, complex, str, bytes, bool)):
         return obj
+    if isinstance(obj, bytearray):
+        return bytearray(obj)
+    if isinstance(obj, memoryview):
+        return obj.tobytes()
     if isinstance(obj, np.generic):
         return obj
     if isinstance(obj, tuple):
@@ -130,28 +145,20 @@ def _copy_payload(obj: Any) -> Any:
 
 
 class _Message:
-    __slots__ = (
-        "context", "source", "tag", "data", "nbytes", "send_id", "arrival",
-    )
+    __slots__ = ("key", "data", "nbytes", "send_id", "arrival")
 
     def __init__(
-        self,
-        context: int,
-        source: int,
-        tag: int,
-        data: Any,
-        nbytes: int,
-        send_id: tuple[int, int] | None = None,
+        self, key: tuple[int, int, int], data: Any, nbytes: int
     ) -> None:
-        self.context = context
-        self.source = source
-        self.tag = tag
+        #: (context, source, tag): the channel the message is filed
+        #: under and matched by
+        self.key = key
         self.data = data
         self.nbytes = nbytes
         # (sender world rank, sender-local sequence number) when an
         # event trace is recording; lets the receive side log exactly
         # which send it matched (robust under ANY_SOURCE).
-        self.send_id = send_id
+        self.send_id = None
         # Run-wide delivery stamp: a wildcard receive takes the
         # earliest arrival among the channels it matches.
         self.arrival = 0
@@ -302,31 +309,39 @@ class _Scheduler:
     # ------------------------------------------------------------------
     # the three blocking points' state
     # ------------------------------------------------------------------
-    def deliver(self, dest: int, msg: _Message) -> None:
-        """File ``msg`` in world rank ``dest``'s mailbox."""
-        self._arrivals += 1
-        msg.arrival = self._arrivals
-        key = (msg.context, msg.source, msg.tag)
-        box = self.mail[dest]
-        queue = box.get(key)
-        if queue is None:
-            queue = box[key] = deque()
-        queue.append(msg)
-        wanted = self.receiving.get(dest)
-        if wanted is not None and _matches(wanted, key):
-            del self.receiving[dest]
-            self.runnable.append(dest)
+    def deliver(self, batch: Iterable[tuple[int, _Message]]) -> None:
+        """The one filing routine: file each ``(dest, msg)`` of
+        ``batch``, in order, in world rank ``dest``'s mailbox, and
+        queue a destination blocked on a receive it matches."""
+        mail, receiving = self.mail, self.receiving
+        arrivals = self._arrivals
+        for dest, msg in batch:
+            arrivals += 1
+            msg.arrival = arrivals
+            key = msg.key
+            box = mail[dest]
+            queue = box.get(key)
+            if queue is None:
+                queue = box[key] = deque()
+            queue.append(msg)
+            if dest in receiving and _matches(receiving[dest], key):
+                del receiving[dest]
+                self.runnable.append(dest)
+        self._arrivals = arrivals
 
     def take(
         self, rank: int, context: int, source: int, tag: int
     ) -> _Message:
-        """Matched receive for world rank ``rank``: FIFO per channel;
-        a wildcard takes the earliest arrival among its channels."""
+        """The one taking routine: the matched receive for world rank
+        ``rank``, FIFO per channel.  An exact ``(context, source,
+        tag)`` is one lookup; a wildcard takes the earliest arrival
+        among its channels."""
         wanted = (context, source, tag)
+        wild = source == ANY_SOURCE or tag == ANY_TAG
         box = self.mail[rank]
         while True:
             key = wanted
-            if source == ANY_SOURCE or tag == ANY_TAG:
+            if wild:
                 key = min(
                     (k for k in box if _matches(wanted, k)),
                     key=lambda k: box[k][0].arrival,
@@ -494,18 +509,24 @@ class Comm:
     def _post(self, pieces: Sequence[tuple[Any, int]], tag: int) -> None:
         """The one send implementation behind :meth:`send` and
         :meth:`send_each`: size and copy every payload, then file the
-        messages in order."""
-        group = self._group
+        messages in order through :meth:`_Scheduler.deliver` — a clean
+        or traced call's whole batch at once, a faulted call's message
+        by message, as the injector decides each one."""
+        group, size = self._group, len(self._group)
         context, source = self._context_id, self._rank
+        key = (context, source, tag)
         out, total = [], 0
         for data, dest in pieces:
-            self._check_dest(dest)
-            nbytes = payload_nbytes(data)
+            if not 0 <= dest < size:
+                self._check_dest(dest)
+            if isinstance(data, np.ndarray):
+                nbytes = data.nbytes
+                data = np.array(data, copy=True)
+            else:
+                nbytes = payload_nbytes(data)
+                data = _copy_payload(data)
             total += nbytes
-            out.append((
-                group[dest],
-                _Message(context, source, tag, _copy_payload(data), nbytes),
-            ))
+            out.append((group[dest], _Message(key, data, nbytes)))
         if not out:
             return
         sched, me = self._sched, self._world_rank
@@ -513,22 +534,26 @@ class Comm:
         phase = ledger.current_phase(me)
         if injector is None:
             ledger.record_sends(me, total, len(out))
-            for dst, msg in out:
-                if trace is not None:
+            if trace is not None:
+                for dst, msg in out:
                     msg.send_id = trace.record_send(me, dst, msg.nbytes, phase)
-                sched.deliver(dst, msg)
+            sched.deliver(out)
             return
         for dst, msg in out:
+            sent = []
             for d in injector.process_send(
                 me, dst, context, source, tag, phase, msg.data, msg.nbytes
             ):
-                sent = _Message(d.context, d.source, d.tag, d.payload, d.nbytes)
+                faulted = _Message(
+                    (d.context, d.source, d.tag), d.payload, d.nbytes
+                )
                 ledger.record_send(me, d.nbytes)
                 if trace is not None:
-                    sent.send_id = trace.record_send(
+                    faulted.send_id = trace.record_send(
                         me, dst, d.nbytes, phase, delay_s=d.delay_s
                     )
-                sched.deliver(dst, sent)
+                sent.append((dst, faulted))
+            sched.deliver(sent)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Blocking receive; returns the payload."""
@@ -540,7 +565,8 @@ class Comm:
     ) -> tuple[Any, int, int]:
         """Blocking receive; returns ``(payload, source, tag)``."""
         msg = self._take(source, tag)
-        return msg.data, msg.source, msg.tag
+        _, msg_source, msg_tag = msg.key
+        return msg.data, msg_source, msg_tag
 
     def recv_each(
         self, sources: Iterable[int], tag: int = ANY_TAG

@@ -364,6 +364,39 @@ class TestPayloadNbytes:
     def test_sizes(self, obj, expected):
         assert payload_nbytes(obj) == expected
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            bytes(100),
+            bytearray(100),
+            memoryview(bytes(100)),
+            memoryview(np.zeros((5, 5), dtype=np.int32)),  # 4 B items
+            memoryview(bytearray(200))[::2],  # a strided view
+        ],
+    )
+    def test_byte_buffers_count_their_byte_length(self, obj):
+        assert payload_nbytes(obj) == 100
+
+    def test_byte_buffers_travel_as_private_copies(self):
+        """A bytearray is copied at send, a memoryview arrives as the
+        bytes it viewed then; the ledger books their byte lengths."""
+
+        def fn(comm):
+            if comm.rank == 0:
+                buf = bytearray(b"abcd")
+                comm.send(buf, dest=1, tag=1)
+                comm.send(memoryview(buf)[1:3], dest=1, tag=2)
+                buf[:] = b"wxyz"  # after both sends: the receiver keeps abcd
+                return None
+            return comm.recv(source=0, tag=1), comm.recv(source=0, tag=2)
+
+        results, report = run_spmd(2, fn)
+        assert results[1] == (bytearray(b"abcd"), b"bc")
+        assert type(results[1][0]) is bytearray
+        assert type(results[1][1]) is bytes
+        assert report.sent_bytes == (4 + 2, 0)
+        assert report.recv_bytes == (0, 4 + 2)
+
     def test_negative_size_rejected_by_ledger(self):
         from repro.smpi.volume import VolumeLedger
 
