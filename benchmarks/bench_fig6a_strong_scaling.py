@@ -77,10 +77,10 @@ def test_fig6a_conflux_scaling_exponent(benchmark, show):
     from repro.models.prediction import sweep_models
 
     def series():
-        # Leading factors only — the paper's figure convention; the
-        # exact model's A00-broadcast term (P v N total) overtakes the
-        # leading term beyond P ~ (N/a)^(6/5), which EXPERIMENTS.md
-        # records as a reproduction finding.
+        # Leading factors only — the paper's figure convention.  A
+        # reproduction finding the figure hides: the exact model's
+        # A00-broadcast term (P v N total) overtakes the leading term
+        # beyond P ~ (N/a)^(6/5).
         rows = []
         for p in (256, 1024, 4096, 16384, 65536):
             for impl, vol in sweep_models(

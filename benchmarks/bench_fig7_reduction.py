@@ -86,7 +86,7 @@ def test_fig7_candmc_crossover(benchmark, show):
     """CANDMC's model undercuts the 2D model only at very large P
     (paper: ~450k ranks for N = 16,384 with their model constants; ours
     crosses earlier because the published CANDMC model omits lower-order
-    terms — EXPERIMENTS.md discusses the gap).  The qualitative claim —
+    terms, which ours keeps).  The qualitative claim —
     the crossover sits far beyond every measured configuration — holds.
     """
     n = 16384

@@ -8,7 +8,8 @@ Two checks:
 * model: in the c << P^(1/3) regime the exact COnfLUX model converges
   to 1.5x the bound — exactly the paper's "only a factor of 1/3 over"
   claim (at maximum replication the reduce terms double the leading
-  cost; EXPERIMENTS.md discusses this reproduction finding).
+  cost — a reproduction finding; ROADMAP item 3's gap table has the
+  measured and modeled gaps per grid).
 """
 
 import pytest

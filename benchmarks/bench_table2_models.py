@@ -3,8 +3,8 @@
 Regenerates the paper's modeled values at its exact (N, P) points and
 checks the regression: the 2D models must match to three digits, the
 COnfLUX model within 2%.  (CANDMC's published model has unquoted
-lower-order terms; ours reproduces its leading 5 N^3/(P sqrt(M)) — the
-discrepancy is recorded in EXPERIMENTS.md.)
+lower-order terms; ours reproduces its leading 5 N^3/(P sqrt(M)), so
+its CANDMC cells are not checked against the paper's.)
 """
 
 import pytest

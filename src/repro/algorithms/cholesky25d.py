@@ -21,7 +21,7 @@ movement core on the same [G, G, c] decomposition:
 Phases 1-3 are the :meth:`panel_op` hook and 4-7 the
 :meth:`trailing_op` hook of the shared :class:`Rank25D` template; the
 scatter and both panel fetches are the same :class:`Schedule25D` plans
-COnfLUX uses (the column-tile fetch is just a different row selector).
+COnfLUX uses (the column-tile fetch is the row fetch with ``by="col"``).
 
 The theory side (repro.theory.bounds.cholesky_io_lower_bound) gives
 Q >= N^3/(3 sqrt(M)); like LU, the 2.5D schedule's leading term is
@@ -78,38 +78,27 @@ class _CholeskyRank(Rank25D):
 
         # 2. gather the diagonal block on (0, q, lt) and factor it
         root = gd.rank_of(0, q, lt)
+        tag = sched.tag(_TAG_DIAG, t)
         l00 = None
         if panel_true is not None:
             diag_mask = (mine >= k0) & (mine < k1)
             with comm.phase("gather_diag"):
                 if self.pi == 0:
-                    diag_vals = panel_true[diag_mask]
-                    rows = {int(r): diag_vals[i]
-                            for i, r in enumerate(mine[diag_mask])}
-                    for src_i in range(g):
-                        if src_i == 0:
-                            continue
-                        src_rows = [
-                            r for r in range(k0, k1) if r % g == src_i
-                        ]
-                        if not src_rows:
-                            continue
-                        vals = gd.grid_comm.recv(
-                            gd.rank_of(src_i, q, lt),
-                            sched.tag(_TAG_DIAG, t),
+                    # grid row i holds diagonal rows k0 + (i - k0) % g,
+                    # every g-th one: a strided slice of the block
+                    diag = np.empty((ctx.w, ctx.w))
+                    for i in range(g):
+                        first = (i - k0) % g
+                        if first >= ctx.w:
+                            continue  # no diagonal row on grid row i
+                        diag[first::g] = (
+                            panel_true[diag_mask] if i == 0
+                            else gd.grid_comm.recv(gd.rank_of(i, q, lt), tag)
                         )
-                        for i, r in enumerate(src_rows):
-                            rows[r] = vals[i]
-                    diag = np.vstack([rows[r] for r in range(k0, k1)])
                     # dpotrf on the v x v diagonal block
                     l00 = dense_cholesky(diag, lower=True)
-                else:
-                    if diag_mask.any():
-                        gd.grid_comm.send(
-                            panel_true[diag_mask],
-                            root,
-                            sched.tag(_TAG_DIAG, t),
-                        )
+                elif diag_mask.any():
+                    gd.grid_comm.send(panel_true[diag_mask], root, tag)
 
         # 3. broadcast L00 to everyone
         with comm.phase("bcast_l00"):
@@ -128,15 +117,15 @@ class _CholeskyRank(Rank25D):
 
         # 4. scatter the below-diagonal panel rows to the 1D layout
         my_l21_rows = sched.assign_1d(below_rows, self.grid_rank)
-        received = sched.scatter_rows(
+        c_rows = sched.scatter_rows(
             phase="scatter_l21",
             tag=sched.tag(_TAG_L21, t),
             row_pool=below_rows,
             holders=sched.rank_at[below_rows % g, q, lt],
             values=panel_true,
-            value_rows=mine if panel_true is not None else None,
+            value_rows=mine,
+            w=w,
         )
-        c_rows = sched.assemble_rows(received, my_l21_rows, w)
 
         # 5. local trsm: L21 = C L00^{-T}
         if len(my_l21_rows):
@@ -149,31 +138,27 @@ class _CholeskyRank(Rank25D):
             return
 
         # 6. panel fetches for the symmetric rank-v update
-        chunk = sched.my_chunk(w)
         rows_piece, _ = sched.fetch_rows_piece(
             phase="panel_rows",
             tag=sched.tag(_TAG_ROWS, t),
             pool=below_rows,
             vals_1d=l21,
             my_1d_rows=my_l21_rows,
-            chunk=chunk,
-            need=lambda rows: rows % g,
+            width=w,
             by="row",
         )
-        v = self.v
         cols_piece, _ = sched.fetch_rows_piece(
             phase="panel_cols",
             tag=sched.tag(_TAG_COLS, t),
             pool=below_rows,
             vals_1d=l21,
             my_1d_rows=my_l21_rows,
-            chunk=chunk,
-            need=lambda rows: (rows // v) % g,
+            width=w,
             by="col",
         )
 
         # 7. local symmetric update of this layer's partials
-        if rows_piece.size and cols_piece.size and len(chunk):
+        if rows_piece.size and cols_piece.size:
             # rows and columns >= k1 are both suffixes of what I hold
             r0 = np.searchsorted(self.my_rows, k1)
             self.aloc[r0:, sched.trailing_local_cols(t)] -= (

@@ -201,18 +201,18 @@ class _ConfluxRank(Rank25D):
 
         # -- step 4: scatter A10 (non-pivot panel rows) to 1D layout ----
         a10_rows = sched.assign_1d(row_pool, self.grid_rank)
-        recv_plan_a10 = sched.scatter_rows(
+        c_rows = sched.scatter_rows(
             phase="scatter_a10",
             tag=sched.tag(_TAG_A10_SCATTER, t),
             row_pool=row_pool,
             holders=sched.rank_at[holder_rows % g, q, lt],
             values=panel_true,
             value_rows=value_rows,
+            w=w,
         )
         # -- step 7: local trsm A10 <- C U00^{-1} ------------------------
         # (the right-side solve reads only A00's upper triangle: U00)
         if len(a10_rows):
-            c_rows = sched.assemble_rows(recv_plan_a10, a10_rows, w)
             a10_vals = trsm_upper(a00, c_rows, side="right")
             self.l_pieces.append(
                 (t, self.row_labels(a10_rows).copy(), a10_vals)
@@ -252,15 +252,13 @@ class _ConfluxRank(Rank25D):
             a01_vals = np.zeros((w, 0))
 
         # -- steps 8 + 10: fetch 2.5D panel pieces ----------------------
-        chunk = sched.sender_chunks(w)[self.layer]
         a10_piece, piece_rows = sched.fetch_rows_piece(
             phase="panel_a10",
             tag=sched.tag(_TAG_A10_PANEL, t),
             pool=row_pool,
             vals_1d=a10_vals,
             my_1d_rows=a10_rows,
-            chunk=chunk,
-            need=lambda rows: rows % g,
+            width=w,
             by="row",
         )
         a01_piece, _ = sched.fetch_cols_piece(
@@ -269,15 +267,16 @@ class _ConfluxRank(Rank25D):
             pool=all_trailing,
             vals_1d=a01_vals,
             my_1d_cols=a01_cols,
-            chunk=chunk,
+            width=w,
         )
 
         # -- step 11: local Schur update on this layer's partials -------
         # The layer applies only its 1/c slice even when the shipped
         # pieces are wider (the CANDMC-like variant over-fetches).
-        applied = sched.my_chunk(w)
-        if a10_piece.size and a01_piece.size and len(applied):
-            rel = np.searchsorted(chunk, applied)
+        lo, hi = sched.my_chunk(w)
+        if a10_piece.size and a01_piece.size and lo < hi:
+            shipped_lo = sched.chunk_bounds(w)[self.layer][0]
+            rel = slice(lo - shipped_lo, hi - shipped_lo)
             # the fetched columns are this rank's trailing tiles: a range
             self.aloc[self.row_g2l[piece_rows], trail_local] -= (
                 a10_piece[:, rel] @ a01_piece[rel, :]

@@ -26,7 +26,7 @@ spends the same memory the COnfLUX way instead:
   total volume ~ 1.5·G·N² keeps *falling* as c grows (G = sqrt(P/c));
 * layers 1..c-1 are the *reflector bank*: via the same
   ``chunking="split"`` policy COnfLUX uses for L21, each layer receives
-  exactly its 1/c ``sender_chunks`` slice of every step's V
+  exactly its 1/c ``chunk_bounds`` range of every step's V
   (``bank_scatter``), which funds the distributed explicit-Q assembly:
   after the last step the sweep runs backward over the steps, fiber-
   gathering the banked chunks, row-broadcasting V, and applying
@@ -164,19 +164,18 @@ class _ConfqrRank(Rank25D):
 
         # 6. bank the split chunks: layer l keeps 1/c of V (layer 0's
         #    own chunk stays in place without a message).
-        chunks = sched.sender_chunks(w)
+        bounds = sched.chunk_bounds(w)
         if self.pj == qj:
-            self.bank[t] = vloc[:, chunks[0]].copy()
+            lo, hi = bounds[0]
+            self.bank[t] = vloc[:, lo:hi].copy()
             if len(act_loc):
                 with comm.phase("bank_scatter"):
                     for lyr in range(1, self.c):
-                        if len(chunks[lyr]) == 0:
-                            continue
-                        gd.fiber_comm.send(
-                            vloc[:, chunks[lyr]],
-                            lyr,
-                            sched.tag(_TAG_BANK, t),
-                        )
+                        lo, hi = bounds[lyr]
+                        if lo < hi:
+                            gd.fiber_comm.send(
+                                vloc[:, lo:hi], lyr, sched.tag(_TAG_BANK, t)
+                            )
         return vloc, tmat, act_loc
 
     def _bank_recv(self, t: int, qj: int, counts: list[int]) -> None:
@@ -184,10 +183,9 @@ class _ConfqrRank(Rank25D):
         sched, gd = self.sched, self.grid
         if self.pj != qj:
             return
-        w = sched.step_context(t).w
-        chunk = sched.sender_chunks(w)[self.layer]
-        if counts[self.pi] == 0 or len(chunk) == 0:
-            self.bank[t] = np.zeros((counts[self.pi], len(chunk)))
+        lo, hi = sched.my_chunk(sched.step_context(t).w)
+        if counts[self.pi] == 0 or lo == hi:
+            self.bank[t] = np.zeros((counts[self.pi], hi - lo))
             return
         with self.comm.phase("bank_scatter"):
             self.bank[t] = gd.fiber_comm.recv(0, sched.tag(_TAG_BANK, t))
@@ -228,15 +226,12 @@ class _ConfqrRank(Rank25D):
             ctx = sched.step_context(t)
             k0, w = ctx.k0, ctx.w
             _, qj, counts, act_loc = sched.tsqr_geometry(k0)
-            chunks = sched.sender_chunks(w)
+            bounds = sched.chunk_bounds(w)
 
             if self.layer != 0:
                 # Bank side: return this layer's V chunk to the pane.
-                if (
-                    self.pj == qj
-                    and counts[self.pi]
-                    and len(chunks[self.layer])
-                ):
+                lo, hi = bounds[self.layer]
+                if self.pj == qj and counts[self.pi] and lo < hi:
                     with comm.phase("q_fiber_gather"):
                         gd.fiber_comm.send(
                             self.bank.pop(t),
@@ -248,15 +243,16 @@ class _ConfqrRank(Rank25D):
             # Pane reassembles full V from its own chunk + the bank.
             vloc = np.zeros((len(act_loc), w))
             if self.pj == qj:
-                vloc[:, chunks[0]] = self.bank.pop(t)
+                lo, hi = bounds[0]
+                vloc[:, lo:hi] = self.bank.pop(t)
                 if len(act_loc):
                     with comm.phase("q_fiber_gather"):
                         for lyr in range(1, self.c):
-                            if len(chunks[lyr]) == 0:
-                                continue
-                            vloc[:, chunks[lyr]] = gd.fiber_comm.recv(
-                                lyr, sched.tag(_TAG_QGATHER, t)
-                            )
+                            lo, hi = bounds[lyr]
+                            if lo < hi:
+                                vloc[:, lo:hi] = gd.fiber_comm.recv(
+                                    lyr, sched.tag(_TAG_QGATHER, t)
+                                )
             with comm.phase("q_panel_bcast"):
                 vloc = gd.row_comm.bcast(vloc, root=qj)
 

@@ -157,16 +157,12 @@ class Schedule25D:
         edges = _split_edges(width, self.c)
         return list(zip(edges, edges[1:]))
 
-    def sender_chunks(self, width: int) -> list[np.ndarray]:
-        """:meth:`chunk_bounds` as per-layer index arrays."""
-        return [np.arange(lo, hi) for lo, hi in self.chunk_bounds(width)]
-
-    def my_chunk(self, width: int) -> np.ndarray:
-        """The slice of the panel THIS rank's layer applies in the
-        update (always the 1/c split, regardless of what was shipped —
-        the replicate strategy over-fetches)."""
+    def my_chunk(self, width: int) -> tuple[int, int]:
+        """The ``(lo, hi)`` range of the panel THIS rank's layer applies
+        in the update (always the 1/c split, regardless of what was
+        shipped — the replicate strategy over-fetches)."""
         edges = _split_edges(width, self.c)
-        return np.arange(edges[self.layer], edges[self.layer + 1])
+        return edges[self.layer], edges[self.layer + 1]
 
     # ------------------------------------------------------------------
     # deterministic 1D assignments (every rank computes them identically)
@@ -211,7 +207,7 @@ class Schedule25D:
         trade in its QR form.  The factorization runs on the largest 2D
         grid whose blocks fill the per-rank memory budget M = c N^2 / P,
         and the remaining layers act as a *reflector bank* — each
-        holding the 1/c ``sender_chunks`` slice of every step's panel
+        holding the 1/c ``chunk_bounds`` range of every step's panel
         for the distributed explicit-Q assembly sweep.  Coordinate maps
         are shared by all layers; only layer 0 materializes matrix data.
         """
@@ -285,6 +281,47 @@ class Schedule25D:
             return self.grid.fiber_comm.bcast(payload, root=ql)
 
     # ------------------------------------------------------------------
+    # the one exchange under every redistribution plan
+    # ------------------------------------------------------------------
+    def _exchange(self, phase, tag, outgoing, expected, what) -> list:
+        """Send ``outgoing``'s ``(payload, dest)`` pairs, then receive
+        one piece per ``(source, shape)`` of ``expected``, in order.
+
+        Every payload not addressed to this rank leaves in one
+        ``send_each`` under ``phase`` (``outgoing is None``: this rank
+        sends nothing and enters no phase); the one addressed to itself
+        is handed over in its ``expected`` position without a message.
+        The receives run outside the phase through one lazy
+        ``recv_each``, and each piece's shape is checked as it arrives,
+        so a piece that disagrees with the plan raises instead of
+        broadcasting, with every later message left in the mailbox.
+        """
+        me, comm = self.grid_rank, self.grid.grid_comm
+        mine = None
+        if outgoing is not None:
+            sends = []
+            for payload, dest in outgoing:
+                if dest == me:
+                    mine = payload
+                else:
+                    sends.append((payload, dest))
+            with self.comm.phase(phase):
+                comm.send_each(sends, tag)
+        incoming = comm.recv_each(
+            [src for src, _ in expected if src != me], tag
+        )
+        got = []
+        for src, shape in expected:
+            vals = mine if src == me else next(incoming)
+            if getattr(vals, "shape", None) != shape:
+                raise RuntimeError(
+                    f"{what} piece {np.shape(vals)} from rank {src} "
+                    f"does not match the plan's {shape}"
+                )
+            got.append(vals)
+        return got
+
+    # ------------------------------------------------------------------
     # 2.5D -> 1D scatters
     # ------------------------------------------------------------------
     def scatter_rows(
@@ -295,74 +332,40 @@ class Schedule25D:
         holders: np.ndarray,
         values: np.ndarray | None,
         value_rows: np.ndarray | None,
-    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        w: int,
+    ) -> np.ndarray:
         """Holders of true panel rows send each 1D-assigned rank its
-        rows.  Returns {source_grid_rank: (row_ids, values)} for this
-        rank's incoming pieces (self-deliveries included).
+        rows; returns this rank's ``assign_1d(row_pool)`` x ``w`` block.
 
         ``holders[k]`` is the grid rank holding the true values of
-        ``row_pool[k]``.  Wire messages carry *values only*: both sides
-        derive the row ids from the shared deterministic assignment
-        (pool position -> 1D owner) and the ``holders`` map, so no index
-        metadata inflates the measured volume — matching the paper's
-        data-bytes accounting.
+        ``row_pool[k]``, and ``values`` the true values of
+        ``value_rows`` on a holder (None elsewhere).  Wire messages
+        carry *values only*: both sides derive the row ids from the
+        shared deterministic assignment (pool position -> 1D owner) and
+        the ``holders`` map, so no index metadata inflates the measured
+        volume — matching the paper's data-bytes accounting.
         """
-        gd, me = self.grid, self.grid_rank
-        received: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-        # sender side: I hold true values for value_rows (panel ranks on
-        # layer lt only); one message per destination, rows in pool order.
+        me = self.grid_rank
+        # packing: one message per destination, rows in pool order
+        outgoing = None
         if values is not None and value_rows is not None:
             index_of = np.full(self.n, -1)
             index_of[value_rows] = np.arange(len(value_rows))
             at = index_of[row_pool]  # row of ``values`` per pool row
             mine = np.flatnonzero((holders == me) & (at >= 0))
             order, groups = _group_by(mine % self.p_active)
-            mine = mine[order]
-            ids, packed = row_pool[mine], values[at[mine]]
-            pieces = []
-            for dest, lo, hi in groups:
-                if dest == me:
-                    received[me] = (ids[lo:hi], packed[lo:hi])
-                else:
-                    pieces.append((packed[lo:hi], dest))
-            with self.comm.phase(phase):
-                gd.grid_comm.send_each(pieces, tag)
-
-        # receiver side: my assigned rows, grouped by source holder in
-        # pool order (the exact order the sender packed them in); my own
-        # rows were self-delivered above.
-        my_rows = self.assign_1d(row_pool, me)
+            packed = values[at[mine[order]]]
+            outgoing = [(packed[lo:hi], dest) for dest, lo, hi in groups]
+        # placement: my assigned rows grouped by source holder in pool
+        # order, the exact order each holder packed them in
         order, groups = _group_by(self.assign_1d(holders, me))
-        groups = [(src, lo, hi) for src, lo, hi in groups if src != me]
-        incoming = gd.grid_comm.recv_each([src for src, _, _ in groups], tag)
-        for (src, lo, hi), vals in zip(groups, incoming):
-            received[src] = (my_rows[order[lo:hi]], vals)
-        return received
-
-    def assemble_rows(
-        self,
-        received: dict[int, tuple[np.ndarray, np.ndarray]],
-        wanted_rows: np.ndarray,
-        w: int,
-    ) -> np.ndarray:
-        out = np.zeros((len(wanted_rows), w))
-        pos = np.full(self.n, -1)
-        pos[wanted_rows] = np.arange(len(wanted_rows))
-        filled = 0
-        for ids, vals in received.values():
-            where = pos[ids]
-            if np.shape(vals) != (len(ids), w) or (where < 0).any():
-                raise RuntimeError(
-                    f"row scatter piece {np.shape(vals)} does not match "
-                    f"the plan's {len(ids)} wanted rows x {w}"
-                )
-            out[where] = vals
-            filled += len(ids)
-        if filled != len(wanted_rows):
-            raise RuntimeError(
-                f"row scatter incomplete: {filled}/{len(wanted_rows)} rows"
-            )
+        got = self._exchange(
+            phase, tag, outgoing,
+            [(src, (hi - lo, w)) for src, lo, hi in groups], "row scatter",
+        )
+        out = np.zeros((len(order), w))
+        if got:
+            out[order] = np.concatenate(got)
         return out
 
     def scatter_pivot_cols(
@@ -385,15 +388,11 @@ class Schedule25D:
         pool order restricted to (destination 1D share) x (sender's grid
         column tiles).
         """
-        gd, me = self.grid, self.grid_rank
         g, v = self.g, self.v
-        lt = t % self.c
-        out = np.zeros((len(pivot_ids), len(my_assigned_cols)))
-
-        # sender side: on layer lt with pivot rows and trailing cols.
+        # packing: on layer lt with pivot rows and trailing cols.
         # pivot_true's rows are my_pivot_rows in pivot order, so one
         # column gather grouped by destination packs every message.
-        self_piece = None
+        outgoing = None
         if pivot_true is not None and len(my_pivot_rows):
             all_trailing = np.arange((t + 1) * v, self.n)
             mine = np.flatnonzero((all_trailing // v) % g == self.pj)
@@ -401,42 +400,25 @@ class Schedule25D:
             packed = pivot_true[
                 :, np.searchsorted(my_trail_cols, all_trailing[mine[order]])
             ]
-            pieces = []
-            for dest, lo, hi in groups:
-                if dest == me:
-                    self_piece = packed[:, lo:hi]
-                else:
-                    pieces.append((packed[:, lo:hi], dest))
-            with self.comm.phase(phase):
-                gd.grid_comm.send_each(pieces, tag)
-
-        # receiver side: one piece per (grid column owning some of my
+            outgoing = [(packed[:, lo:hi], dest) for dest, lo, hi in groups]
+        # placement: one piece per (grid column owning some of my
         # assigned cols) x (grid row holding at least one pivot row).
         # The pieces tile ``out`` with its rows grouped by grid row and
         # its columns by grid column, so they are stacked in that order
         # and written with one indexed assignment.
-        if len(my_assigned_cols) == 0:
-            return out
         row_order, row_groups = _group_by(pivot_ids % g)
         col_order, col_groups = _group_by((my_assigned_cols // v) % g)
-        rank_at = self.rank_at[:, :, lt].tolist()
-        plan = [
-            (rank_at[i][pj], (rhi - rlo, chi - clo))
-            for pj, clo, chi in col_groups
-            for i, rlo, rhi in row_groups
-        ]
-        incoming = gd.grid_comm.recv_each(
-            [src for src, _ in plan if src != me], tag
+        rank_at = self.rank_at[:, :, t % self.c].tolist()
+        got = self._exchange(
+            phase, tag, outgoing,
+            [
+                (rank_at[i][pj], (rhi - rlo, chi - clo))
+                for pj, clo, chi in col_groups
+                for i, rlo, rhi in row_groups
+            ],
+            "pivot column",
         )
-        got = []
-        for src, shape in plan:
-            vals = self_piece if src == me else next(incoming)
-            if getattr(vals, "shape", None) != shape:
-                raise RuntimeError(
-                    f"pivot column piece {np.shape(vals)} from rank "
-                    f"{src} does not match the plan's {shape}"
-                )
-            got.append(vals)
+        out = np.zeros((len(pivot_ids), len(my_assigned_cols)))
         if got:
             k = len(row_groups)
             columns = [
@@ -457,18 +439,18 @@ class Schedule25D:
         pool: np.ndarray,
         vals_1d: np.ndarray,
         my_1d_rows: np.ndarray,
-        chunk: np.ndarray,
-        need,
+        width: int,
         by: str,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Redistribute a row panel from the 1D layout to the 2.5D
-        layout: ``need(rows)`` names, per row, the grid row (``by ==
-        "row"``) or grid column (``by == "col"``) whose ranks need it,
-        and destination (i, j, l) receives its rows x chunk_l, grid
-        rows outermost in the send order.  Values-only messages; ids
-        derived from the shared assignment."""
+        """Redistribute a ``width``-wide row panel from the 1D layout to
+        the 2.5D layout: row r is needed on grid row ``r % G`` (``by ==
+        "row"``) or on grid column ``(r // v) % G``, the cyclic layout's
+        tile of column r (``by == "col"``), and destination (i, j, l)
+        receives its rows x its layer's chunk, grid rows outermost in
+        the send order.  Values-only messages; ids derived from the
+        shared assignment."""
         return self._fetch_piece(
-            0, phase, tag, pool, vals_1d, my_1d_rows, chunk, need, by
+            0, phase, tag, pool, vals_1d, my_1d_rows, width, by
         )
 
     def fetch_cols_piece(
@@ -478,91 +460,72 @@ class Schedule25D:
         pool: np.ndarray,
         vals_1d: np.ndarray,
         my_1d_cols: np.ndarray,
-        chunk: np.ndarray,
+        width: int,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Column analogue of :meth:`fetch_rows_piece`: every rank needs
-        chunk_l x (trailing cols in its tiles), grid columns outermost
-        in the send order.  Values-only messages."""
-        g, v = self.g, self.v
+        its layer's chunk x (trailing cols in its tiles), grid columns
+        outermost in the send order.  Values-only messages."""
         return self._fetch_piece(
-            1, phase, tag, pool, vals_1d, my_1d_cols, chunk,
-            lambda cols: (cols // v) % g, "col",
+            1, phase, tag, pool, vals_1d, my_1d_cols, width, "col"
         )
 
     def _fetch_piece(
-        self, axis, phase, tag, pool, vals_1d, my_ids, chunk, need, by
+        self, axis, phase, tag, pool, vals_1d, my_ids, width, by
     ) -> tuple[np.ndarray, np.ndarray]:
         """Both fetches: ids run along ``axis`` of ``vals_1d`` and of the
         returned piece, the layer chunks along the other axis.  The send
         order is part of the wire: the grid coordinate matching ``axis``
-        is outermost, the layer innermost.  ``need`` is evaluated once
-        per side, and the sender gathers once per needing coordinate."""
+        is outermost, the layer innermost.  The sender gathers once per
+        needing coordinate."""
         if by not in ("row", "col"):
             raise ValueError(f"unknown fetch coordinate {by!r}")
-        gd, me, g = self.grid, self.grid_rank, self.g
-        kind = ("row", "column")[axis]
-        self_piece = None
+        g, v = self.g, self.v
+
+        def need(ids):  # the grid row / column whose ranks need each id
+            return ids % g if by == "row" else (ids // v) % g
+
+        bounds = self.chunk_bounds(width)
+        # packing: per needing coordinate, its layer slices of one gather
+        outgoing = None
         if len(my_ids):
-            # per needing coordinate, its layer slices of one gather
             order, groups = _group_by(need(my_ids))
-            bounds = [
-                (lyr, lo, hi)
-                for lyr, (lo, hi) in enumerate(
-                    self.chunk_bounds(vals_1d.shape[1 - axis])
-                )
-                if lo < hi
-            ]
             slices = {}
             for k, lo, hi in groups:
                 block = vals_1d.take(order[lo:hi], axis=axis)
                 slices[k] = [
                     (lyr, block[a:b] if axis else block[:, a:b])
-                    for lyr, a, b in bounds
+                    for lyr, (a, b) in enumerate(bounds)
+                    if a < b
                 ]
             rank_at = self.rank_at.tolist()
-            pieces = []
+            outgoing = []
             for a in range(g):
                 for b in range(g):
                     i, j = (b, a) if axis else (a, b)
                     for lyr, vals in slices.get(j if by == "col" else i, ()):
-                        dest = rank_at[i][j][lyr]
-                        if dest == me:
-                            self_piece = vals
-                        else:
-                            pieces.append((vals, dest))
-            with self.comm.phase(phase):
-                gd.grid_comm.send_each(pieces, tag)
-        mine = self.pj if by == "col" else self.pi
-        need_pos = np.flatnonzero(need(pool) == mine)
-        my_need = pool[need_pos]
-        if len(my_need) == 0 or len(chunk) == 0:
-            empty = (len(chunk), 0) if axis else (0, len(chunk))
-            return np.zeros(empty), my_need
-        # my ids grouped by their 1D owner, in the owner's packing order
-        # (assign_1d order filtered to this rank's needs); every piece
-        # is checked as it arrives, then all are written at once.
+                        outgoing.append((vals, rank_at[i][j][lyr]))
+        # placement: my ids grouped by their 1D owner, in the owner's
+        # packing order (assign_1d order filtered to this rank's needs)
+        need_pos = np.flatnonzero(
+            need(pool) == (self.pj if by == "col" else self.pi)
+        )
+        lo, hi = bounds[self.layer]
+        cw = hi - lo
         order, groups = _group_by(need_pos % self.p_active)
-        incoming = gd.grid_comm.recv_each(
-            [src for src, _, _ in groups if src != me], tag
+        got = self._exchange(
+            phase, tag, outgoing,
+            [
+                (src, (cw, b - a) if axis else (b - a, cw))
+                for src, a, b in (groups if cw else ())
+            ],
+            ("row", "column")[axis] + " panel",
         )
-        got, width = [], len(chunk)
-        for src, lo, hi in groups:
-            vals = self_piece if src == me else next(incoming)
-            shape = (width, hi - lo) if axis else (hi - lo, width)
-            if getattr(vals, "shape", None) != shape:
-                raise RuntimeError(
-                    f"{kind} panel piece {np.shape(vals)} from rank {src} "
-                    f"does not match the plan's {shape}"
-                )
-            got.append(vals)
-        out = np.empty(
-            (len(chunk), len(my_need)) if axis else (len(my_need), len(chunk))
-        )
-        if axis:
-            out[:, order] = np.concatenate(got, axis=1)
-        else:
-            out[order] = np.concatenate(got)
-        return out, my_need
+        my_need = pool[need_pos]
+        if not got:
+            return np.zeros((cw, 0) if axis else (0, cw)), my_need
+        # the pieces stack my ids in owner order: undo it in one take
+        out = np.concatenate(got, axis=axis)
+        return out.take(np.argsort(order), axis=axis), my_need
 
     # ------------------------------------------------------------------
     # TSQR tree plans (block-cyclic layout)

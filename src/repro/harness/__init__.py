@@ -1,8 +1,9 @@
 """Experiment harness shared by the benchmark suite and the examples.
 
 * :mod:`repro.harness.runner` — run one implementation at one (N, P)
-  with consistent grid/blocking choices, returning measured + modeled
-  volume and the "prediction %" the paper reports in Table 2.
+  with consistent grid/blocking choices, returning the ``measured`` row:
+  measured + modeled volume and the "prediction %" the paper reports in
+  Table 2.
 * :mod:`repro.harness.sweep` — the parallel sweep engine: declarative
   ``SweepSpec`` grids fanned over a worker pool with per-point failure
   capture and deterministic ordering.
@@ -17,7 +18,7 @@
 
 from repro.harness.cache import SweepCache, default_cache_dir
 from repro.harness.reporting import format_series, format_table
-from repro.harness.runner import ExperimentRecord, run_experiment
+from repro.harness.runner import run_experiment
 from repro.harness.specs import SPECS, named_spec
 from repro.harness.sweep import (
     PointResult,
@@ -31,7 +32,6 @@ from repro.harness.sweep import (
 
 __all__ = [
     "SPECS",
-    "ExperimentRecord",
     "PointResult",
     "SweepCache",
     "SweepError",

@@ -74,10 +74,9 @@ def measured_task(
     """
     from repro.harness.runner import run_experiment
 
-    rec = run_experiment(
+    return run_experiment(
         impl, n, p, seed=seed, v=v, nb=nb, machine=machine
     )
-    return rec.to_row()
 
 
 @task("model")
@@ -122,18 +121,18 @@ def _bound_gap_row(
     summed over the active ranks of the grid the run chose."""
     from repro.harness.runner import run_experiment
 
-    rec = run_experiment(impl, n, p, seed=seed)
-    g, _, c = rec.grid
+    row = run_experiment(impl, n, p, seed=seed)
+    g, _, c = row["grid"]
     active = g * g * c
     m = algorithmic_memory(n, active, c)
     bound_total = bound_per_rank(n, m, active) * active
     return {
         "n": n,
         "p": p,
-        "grid": list(rec.grid),
-        "measured_elements": rec.measured_bytes / 8,
+        "grid": row["grid"],
+        "measured_elements": row["measured_bytes"] / 8,
         "bound_elements": bound_total,
-        "gap": (rec.measured_bytes / 8) / bound_total,
+        "gap": (row["measured_bytes"] / 8) / bound_total,
     }
 
 

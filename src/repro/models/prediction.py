@@ -213,7 +213,7 @@ def summit_prediction(n: int = 16384) -> dict:
     Reported with both model flavours: the paper's figures use leading
     factors only (ratio ~2.0); the exact per-step model gives ~1.8
     because COnfLUX's reduce terms are not negligible at maximum
-    replication (EXPERIMENTS.md discusses this nuance).
+    replication — a reproduction finding the leading factors hide.
     """
     p = SUMMIT.total_ranks
     exact = reduction_vs_second_best(n, p)
@@ -237,9 +237,9 @@ def model_gap_at_scale(
     Tends to 1.5 — the paper's "only a factor of 1/3 over" — in the
     regime c << P^(1/3), where the panel-exchange term dominates.  At
     maximum replication c = P^(1/3) the reduce terms equal the panel
-    term and the gap approaches 3 (a reproduction finding recorded in
-    EXPERIMENTS.md; the paper's O(N^2/P) notation treats c as a
-    constant).
+    term and the gap approaches 3 (a reproduction finding: ROADMAP
+    item 3's gap table has it per grid; the paper's O(N^2/P) notation
+    treats c as a constant).
     """
     from repro.theory.bounds import lu_parallel_lower_bound_leading
 

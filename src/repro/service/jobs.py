@@ -129,7 +129,6 @@ class Job:
     request: FactorRequest
     key: str
     future: asyncio.Future
-    submitted_at: float
 
 
 @dataclass(frozen=True)

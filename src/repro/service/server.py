@@ -194,9 +194,7 @@ class FactorService:
         # 4. admit: idle workers pull in arrival order.
         future = asyncio.get_running_loop().create_future()
         self._inflight[key] = future
-        job = Job(
-            request=request, key=key, future=future, submitted_at=t0
-        )
+        job = Job(request=request, key=key, future=future)
         self._queue.put_nowait(job)
         return await self._await_outcome(
             request, future, t0, coalesced=False

@@ -25,8 +25,6 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from typing import Any
 
-import numpy as np
-
 # Tag space reserved for collectives so user point-to-point traffic
 # (tags >= 0) can never match an in-flight collective fragment.
 _TAG_BCAST = -101
@@ -39,9 +37,7 @@ _TAG_REDSCAT = -107
 
 
 def _default_op(a: Any, b: Any) -> Any:
-    """Elementwise addition for arrays, ``+`` for scalars."""
-    if isinstance(a, np.ndarray):
-        return a + b
+    """``+``: elementwise for arrays, plain for scalars."""
     return a + b
 
 

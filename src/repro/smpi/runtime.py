@@ -706,7 +706,7 @@ class Comm:
 
     # ------------------------------------------------------------------
     # data collectives — implemented in collectives.py, re-exported as
-    # methods for mpi4py-flavoured call sites.
+    # methods so rank programs call them on the communicator.
     # ------------------------------------------------------------------
     def bcast(self, data: Any, root: int = 0) -> Any:
         from repro.smpi import collectives

@@ -32,6 +32,27 @@ class TestCholesky25D:
                      grid=(g, g, c), v=v)
         assert res.residual < 1e-12
 
+    @pytest.mark.parametrize(
+        "g,c,v,n", [(3, 1, 2, 18), (4, 1, 3, 26), (3, 2, 2, 17)]
+    )
+    def test_diagonal_gather_when_a_grid_row_holds_no_diagonal_row(
+        self, g, c, v, n
+    ):
+        """At v < G some grid rows hold no row of a step's diagonal
+        block: only the grid rows other than the root's row 0 that hold
+        one send, one message each, 8 bytes per entry."""
+        res = factor("cholesky25d", _spd(n, seed=g * v + c), g * g * c,
+                     grid=(g, g, c), v=v)
+        assert res.residual < 1e-12
+        nbytes = messages = 0
+        for k0 in range(0, n, v):
+            k1 = min(k0 + v, n)
+            off_root = [r for r in range(k0, k1) if r % g != 0]
+            nbytes += 8 * (k1 - k0) * len(off_root)
+            messages += len({r % g for r in off_root})
+        assert res.volume.phase_bytes["gather_diag"] == nbytes
+        assert res.volume.phase_messages["gather_diag"] == messages
+
     def test_factor_is_lower_triangular(self):
         res = factor("cholesky25d", _spd(16, seed=3), 4, grid=(2, 2, 1), v=4)
         assert np.allclose(np.triu(res.lower, 1), 0.0)

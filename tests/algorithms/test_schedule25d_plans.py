@@ -1,17 +1,19 @@
-"""Schedule25D's five redistribution plans against an element-wise oracle.
+"""Schedule25D's four redistribution plans against an element-wise oracle.
 
-The plans (``scatter_rows``, ``assemble_rows``, ``scatter_pivot_cols``,
-``fetch_rows_piece``, ``fetch_cols_piece``) derive their packing as
-index arrays.  ``_LoopPlans`` below is the per-destination-mask,
-per-element-loop formulation they replaced, kept here as the
-reference: on every grid point both must leave every rank with the
-same arrays *and* the same send/receive sequence — the simulated clock
-and the fault stream hash on per-rank message order, so order is part
-of the contract, not an implementation detail.  The oracle keeps the
-mask form ``need(ids, i, j)`` of a fetch, the plans take the coordinate
-map ``need(ids)`` plus ``by``; the tap compares the plans' plural
-``send_each`` / ``recv_each`` traffic with the oracle's singular calls
-piece by piece.
+The plans (``scatter_rows``, ``scatter_pivot_cols``, ``fetch_rows_piece``,
+``fetch_cols_piece``) derive their packing and placement as index
+arithmetic over one exchange.  ``_LoopPlans`` below is the
+per-destination-mask, per-element-loop formulation they replaced, kept
+here as the reference: on every grid point both must leave every rank
+with the same arrays *and* the same send/receive sequence — the
+simulated clock and the fault stream hash on per-rank message order, so
+order is part of the contract, not an implementation detail.  The
+oracle keeps the two-call scatter (``scatter_rows`` then
+``assemble_rows``), index-array layer chunks and the mask form
+``need(ids, i, j)`` of a fetch; the plans return the assembled block,
+take ``(lo, hi)`` chunk ranges and name a fetch's coordinate by ``by``
+alone.  The tap compares the plans' plural ``send_each`` /
+``recv_each`` traffic with the oracle's singular calls piece by piece.
 
 The committed ledger/clock pins stop at g = 2, v = 4, ``n % v == 0``;
 the grid here adds g in {1, 3, 4}, c in {1, 3, 4}, ragged and
@@ -32,6 +34,19 @@ from tests.algorithms.ledger_pins import PINNED_POINTS
 # ----------------------------------------------------------------------
 # the oracle: the element-wise loops, verbatim in behaviour
 # ----------------------------------------------------------------------
+def _index_chunks(s: Schedule25D, width: int) -> list[np.ndarray]:
+    """The oracle's layer chunks: per-layer index arrays."""
+    return [np.arange(lo, hi) for lo, hi in s.chunk_bounds(width)]
+
+
+def _need_mask(s: Schedule25D, by: str):
+    """The oracle's mask form of a fetch coordinate: which of ``ids``
+    grid cell (i, j) needs."""
+    if by == "row":
+        return lambda ids, i, j: ids % s.g == i
+    return lambda ids, i, j: (ids // s.v) % s.g == j
+
+
 class _LoopPlans:
     """Reference plans: one mask per destination, one element per
     assignment.  Same wire as :class:`Schedule25D`, by construction of
@@ -134,14 +149,15 @@ class _LoopPlans:
         return out
 
     def fetch_rows_piece(
-        self, phase, tag, pool, vals_1d, my_1d_rows, chunk, need
+        self, phase, tag, pool, vals_1d, my_1d_rows, width, by
     ):
         s = self.s
         comm, gd, me = s.comm, s.grid, s.grid_rank
+        sender_chunks = _index_chunks(s, width)
+        chunk, need = sender_chunks[s.layer], _need_mask(s, by)
         self_piece = None
         with comm.phase(phase):
             if len(my_1d_rows):
-                sender_chunks = s.sender_chunks(vals_1d.shape[1])
                 for i in range(s.g):
                     for j in range(s.g):
                         dest_rows = my_1d_rows[need(my_1d_rows, i, j)]
@@ -179,14 +195,15 @@ class _LoopPlans:
         assert got == len(my_need)
         return out, my_need
 
-    def fetch_cols_piece(self, phase, tag, pool, vals_1d, my_1d_cols, chunk):
+    def fetch_cols_piece(self, phase, tag, pool, vals_1d, my_1d_cols, width):
         s = self.s
         comm, gd, me = s.comm, s.grid, s.grid_rank
         g, v = s.g, s.v
+        sender_chunks = _index_chunks(s, width)
+        chunk = sender_chunks[s.layer]
         self_piece = None
         with comm.phase(phase):
             if len(my_1d_cols):
-                sender_chunks = s.sender_chunks(vals_1d.shape[0])
                 for j in range(g):
                     mask = ((my_1d_cols // v) % g) == j
                     if not mask.any():
@@ -268,8 +285,8 @@ def _val(rows, cols):
 
 
 def _drive(comm, n, g, c, v, chunking, reference):
-    """Run every step's five plans the way COnfLUX calls them (plus the
-    Cholesky-style tile-predicate row fetch); returns this rank's
+    """Run every step's four plans the way COnfLUX calls them (plus the
+    Cholesky-style ``by="col"`` row fetch); returns this rank's
     outputs, wire log and whether the schedule object kept its keys."""
     sched = Schedule25D(comm, n, g, c, v, chunking=chunking)
     if not sched.active:
@@ -278,12 +295,6 @@ def _drive(comm, n, g, c, v, chunking, reference):
     tap = _Tap(sched.grid.grid_comm)
     sched.grid.grid_comm = tap
     plans = _LoopPlans(sched) if reference else sched
-
-    def need(coord, by):
-        """The plans' (coordinate map, by) or the oracle's mask form."""
-        if not reference:
-            return coord, by
-        return (lambda ids, i, j: coord(ids) == (j if by == "col" else i),)
 
     keys = set(vars(sched))
     me, pi, pj = sched.grid_rank, sched.pi, sched.pj
@@ -300,14 +311,18 @@ def _drive(comm, n, g, c, v, chunking, reference):
 
         on_panel = pj == q and sched.layer == lt
         my_active = active[active % g == pi]
-        received = plans.scatter_rows(
+        scatter = (
             "scatter_rows", sched.tag(1, t), pool,
             sched.rank_at[pool % g, q, lt],
             _val(my_active, ctx.panel_cols) if on_panel else None,
             my_active if on_panel else None,
         )
         rows_1d = sched.assign_1d(pool, me)
-        c_rows = plans.assemble_rows(received, rows_1d, w)
+        if reference:
+            received = plans.scatter_rows(*scatter)
+            c_rows = plans.assemble_rows(received, rows_1d, w)
+        else:
+            c_rows = plans.scatter_rows(*scatter, w)
         assert np.array_equal(c_rows, _val(rows_1d, ctx.panel_cols))
 
         trail_cols = sched.my_cols[sched.trailing_local_cols(t)]
@@ -322,18 +337,16 @@ def _drive(comm, n, g, c, v, chunking, reference):
         )
         assert np.array_equal(a01, _val(pivot_ids, cols_1d))
 
-        chunk = sched.sender_chunks(w)[sched.layer]
-        shipped = ctx.panel_cols[chunk]
+        lo, hi = sched.chunk_bounds(w)[sched.layer]
+        shipped = ctx.panel_cols[lo:hi]
         by_row = plans.fetch_rows_piece(
-            "fetch_rows", sched.tag(3, t), pool, c_rows, rows_1d, chunk,
-            *need(lambda rows: rows % g, "row"),
+            "fetch_rows", sched.tag(3, t), pool, c_rows, rows_1d, w, "row"
         )
         by_col = plans.fetch_cols_piece(
-            "fetch_cols", sched.tag(4, t), all_trailing, a01, cols_1d, chunk
+            "fetch_cols", sched.tag(4, t), all_trailing, a01, cols_1d, w
         )
         by_tile = plans.fetch_rows_piece(
-            "fetch_tiles", sched.tag(5, t), pool, c_rows, rows_1d, chunk,
-            *need(lambda rows: (rows // v) % g, "col"),
+            "fetch_tiles", sched.tag(5, t), pool, c_rows, rows_1d, w, "col"
         )
         for piece, ids in (by_row, by_tile):
             if piece.size:
@@ -341,9 +354,9 @@ def _drive(comm, n, g, c, v, chunking, reference):
         if by_col[0].size:
             # values are (pivot row, column): chunk entries pick pivots
             assert np.array_equal(
-                by_col[0], _val(pivot_ids[chunk], by_col[1])
+                by_col[0], _val(pivot_ids[lo:hi], by_col[1])
             )
-        outs.append((received, c_rows, a01, by_row, by_col, by_tile))
+        outs.append((c_rows, a01, by_row, by_col, by_tile))
     return outs, tap.sends, tap.recvs, set(vars(sched)) == keys
 
 
@@ -403,12 +416,12 @@ def test_chunk_bounds_are_the_array_split():
                 (lo, hi) if lo < hi else None
                 for lo, hi in sched.chunk_bounds(width)
             ]
-            assert _same(sched.sender_chunks(width), split)
             sched.chunking = "replicate"
             assert sched.chunk_bounds(width) == [(0, width)] * c
             for layer in range(c):  # the applied slice never replicates
                 sched.layer = layer
-                assert _same(sched.my_chunk(width), split[layer])
+                lo, hi = sched.my_chunk(width)
+                assert _same(np.arange(lo, hi), split[layer])
 
 
 # ----------------------------------------------------------------------
@@ -437,28 +450,23 @@ def _drive_short_piece(comm, plan):
     keys = set(vars(sched))
     pool = np.arange(n)
     mine = sched.assign_1d(pool, me)
-    chunk = np.arange(v)
     cols = np.arange(v)
     error = None
     try:
         if plan == "rows":
             sched.fetch_rows_piece(
-                "p", 1, pool, _val(mine, cols), mine, chunk,
-                lambda rows: rows % g, "row",
+                "p", 1, pool, _val(mine, cols), mine, v, "row"
             )
         elif plan == "cols":
-            sched.fetch_cols_piece(
-                "p", 1, pool, _val(cols, mine), mine, chunk
-            )
+            sched.fetch_cols_piece("p", 1, pool, _val(cols, mine), mine, v)
         elif plan == "scatter_rows":
             holds = sched.pj == 1
             my_rows = pool[pool % g == sched.pi]
-            received = sched.scatter_rows(
+            sched.scatter_rows(
                 "p", 1, pool, sched.rank_at[pool % g, 1, 0],
                 _val(my_rows, cols) if holds else None,
-                my_rows if holds else None,
+                my_rows if holds else None, v,
             )
-            sched.assemble_rows(received, mine, v)
         else:
             pivot_ids = np.array([5, 2, 7, 4])
             my_pivots = pivot_ids[pivot_ids % g == sched.pi]

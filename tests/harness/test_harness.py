@@ -56,22 +56,23 @@ class TestPickParams:
 
 class TestRunExperiment:
     def test_record_fields(self):
-        rec = run_experiment("conflux", 64, 4, seed=1)
-        assert rec.impl == "conflux"
-        assert rec.measured_bytes > 0
-        assert rec.modeled_bytes > 0
-        assert rec.residual < 1e-11
-        assert 50 < rec.prediction_pct < 150
-        assert rec.per_rank_bytes == rec.measured_bytes / 4
+        row = run_experiment("conflux", 64, 4, seed=1)
+        assert row["impl"] == "conflux"
+        assert row["measured_bytes"] > 0
+        assert row["modeled_bytes"] > 0
+        assert row["residual"] < 1e-11
+        assert 50 < row["prediction_pct"] < 150
+        assert row["per_rank_bytes"] == row["measured_bytes"] / 4
+        assert row["total_bytes"] == row["measured_bytes"]
 
     @pytest.mark.parametrize(
         "impl", ["conflux", "scalapack2d", "slate2d", "candmc25d"]
     )
     def test_all_impls_run_and_predict(self, impl):
-        rec = run_experiment(impl, 96, 4, seed=2)
-        assert rec.residual < 1e-11
+        row = run_experiment(impl, 96, 4, seed=2)
+        assert row["residual"] < 1e-11
         # measured within 50% of the model even at tiny scale
-        assert 0.5 < rec.measured_bytes / rec.modeled_bytes < 1.5
+        assert 0.5 < row["measured_bytes"] / row["modeled_bytes"] < 1.5
 
     def test_model_for_unknown(self):
         with pytest.raises(KeyError):
@@ -114,8 +115,8 @@ class TestRunExperiment:
 
     def test_member_without_model_fails_before_the_run(self, monkeypatch):
         """cholesky25d is a registered algorithm with no cost model:
-        the lookup comes first, so nothing is factored for a record
-        that could never be completed."""
+        the lookup comes first, so nothing is factored for a row that
+        could never be completed."""
 
         def never(*args, **kwargs):
             raise AssertionError("factor() entered without a model")
@@ -220,9 +221,9 @@ class TestQrHarness:
 
     @pytest.mark.parametrize("impl", ["qr2d", "caqr25d"])
     def test_qr_impls_run_and_predict(self, impl):
-        rec = run_experiment(impl, 48, 4, seed=0)
-        assert rec.residual < 1e-10
-        assert 80.0 < rec.prediction_pct < 120.0
+        row = run_experiment(impl, 48, 4, seed=0)
+        assert row["residual"] < 1e-10
+        assert 80.0 < row["prediction_pct"] < 120.0
 
     def test_qr_gap_task_within_constant_of_bound(self):
         from repro.harness.specs import qr_lower_bound_gap_task
