@@ -54,12 +54,13 @@ def main() -> None:
     print(f"  memory/rank    = {mem_use:,.0f} elements "
           f"({100 * mem_use / m_max:.2f}% of available)\n")
 
-    volumes = sweep_models(n, p)
+    # every model priced at the replication depth the chosen grid runs
+    volumes = sweep_models(n, p, c=choice.layers)
     print("Predicted total communication volume (Table 2 models):")
     for impl, vol in sorted(volumes.items(), key=lambda kv: kv[1]):
         print(f"  {impl:<14} {vol / 1e9:10.2f} GB")
 
-    point = reduction_vs_second_best(n, p)
+    point = reduction_vs_second_best(n, p, c=choice.layers)
     print(f"\nBest choice: {point.best} — expected to communicate "
           f"{point.reduction:.2f}x less than {point.second_best}.")
     if machine is SUMMIT and p == machine.total_ranks:

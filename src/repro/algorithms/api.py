@@ -2,13 +2,13 @@
 driver of the family.
 
 A family member is data.  :func:`register_algorithm` records what it is
-(``kind``: ``lu`` / ``qr`` / ``chol`` / ``mmm``), which grid family it
-runs on (``25d`` = the [G, G, c] :class:`Schedule25D` family, ``2d`` =
-the block-cyclic baselines), which floating dtypes it accepts, how its
-blocking parameter is spelled (``v`` or ``nb``) — and the three things
-that actually differ between members: the rank program every rank runs,
-the assembler that turns the per-rank results into global factors, and
-the default block with its floor.  Everything else is shared::
+(``kind``: ``lu`` / ``qr`` / ``chol``), which grid family it runs on
+(``25d`` = the [G, G, c] :class:`Schedule25D` family, whose block is
+spelled ``v``; ``2d`` = the block-cyclic baselines, spelled ``nb``) —
+and the three things that actually differ between members: the rank
+program every rank runs, the assembler that turns the per-rank results
+into global factors, and the default block with its floor.  Everything
+else is shared::
 
     from repro.algorithms import factor
     res = factor("conflux", a, grid=(2, 2, 2), v=4)
@@ -16,8 +16,8 @@ the default block with its floor.  Everything else is shared::
 ``factor`` validates the input against the declared capabilities,
 resolves the grid and the block (:func:`resolve_params`), runs the rank
 program under ``run_spmd``, assembles, verifies per kind and builds the
-:class:`FactorResult`.  ``mmm25d`` computes a product, keeps its own
-signature and shares only the grid resolver.
+:class:`FactorResult`.  ``mmm25d`` computes a product, not a
+factorization, and is not registered.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.algorithms.base import (
 from repro.algorithms.gridopt import choose_grid_2d, optimize_grid_25d
 from repro.smpi import run_spmd
 
-KINDS = ("lu", "qr", "chol", "mmm")
+KINDS = ("lu", "qr", "chol")
 GRID_FAMILIES = ("25d", "2d")
 
 
@@ -52,30 +52,25 @@ class AlgorithmInfo:
     ``program`` is the SPMD rank function ``(comm, a, d0, d1, block)``
     (``Rank25D.main`` of a subclass, or a 2D rank function) and
     ``assemble(n, grid, block, results)`` turns its per-rank results
-    into ``(lower, upper, perm)``; both are ``None`` for ``mmm``.
-    ``block_at_least_layers`` is the Section 7.2 floor ``v >= c``, which
-    also lifts ``default_block``.
+    into ``(lower, upper, perm)``.  ``block_at_least_layers`` is the
+    Section 7.2 floor ``v >= c``, which also lifts ``default_block``.
     """
 
     name: str
     kind: str
     grid_family: str
     description: str
-    dtypes: tuple[str, ...] = ("float64", "float32")
-    block_param: str = "v"
-    program: Callable | None = None
-    assemble: Callable | None = None
+    program: Callable
+    assemble: Callable
     default_block: int = 1
     block_at_least_layers: bool = False
     prefer_tall_grid: bool = False
     symmetric_input: bool = False
 
-    def describe(self) -> str:
-        return (
-            f"{self.name}: kind={self.kind} grid={self.grid_family} "
-            f"dtypes={','.join(self.dtypes)} "
-            f"block={self.block_param} — {self.description}"
-        )
+    @property
+    def block_param(self) -> str:
+        """The keyword ``factor()`` takes the block size under."""
+        return "v" if self.grid_family == "25d" else "nb"
 
 
 #: name -> AlgorithmInfo, filled by the register_algorithm calls at
@@ -115,10 +110,11 @@ def list_algorithms(kind: str | None = None) -> tuple[AlgorithmInfo, ...]:
 
 def _check_dtype(info: AlgorithmInfo, a) -> None:
     dtype = np.asarray(a).dtype
+    supported = ("float64", "float32")
     if dtype.kind == "f":
-        if dtype.name not in info.dtypes:
+        if dtype.name not in supported:
             raise TypeError(
-                f"{info.name} supports dtypes {info.dtypes}, "
+                f"{info.name} supports dtypes {supported}, "
                 f"got {dtype.name}"
             )
     elif dtype.kind not in "iub":
@@ -287,11 +283,6 @@ def factor(
             faults = faults.with_seed(fault_seed)
     elif fault_seed is not None:
         raise ValueError("fault_seed= given without faults=")
-    if info.kind == "mmm":
-        raise ValueError(
-            f"{name} computes a matrix product, not a factorization; "
-            f"call repro.algorithms.{name}() directly"
-        )
     block = opts.pop(info.block_param, None)
     if opts:
         raise TypeError(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.api import register_algorithm, resolve_grid
+from repro.algorithms.gridopt import optimize_grid_25d
 from repro.smpi import ProcessGrid3D, run_spmd
 from repro.smpi.volume import VolumeReport
 
@@ -86,16 +86,6 @@ def _mmm_rank_fn(comm, a: np.ndarray, b: np.ndarray, g: int, c: int):
     return {"active": True}
 
 
-register_algorithm(
-    "mmm25d",
-    kind="mmm",
-    grid_family="25d",
-    description="communication-optimal 2.5D matrix multiplication "
-    "(product, not a factorization — own signature)",
-    block_param="none",
-)
-
-
 def mmm25d(
     a: np.ndarray,
     b: np.ndarray,
@@ -119,8 +109,18 @@ def mmm25d(
             f"{b.shape}"
         )
     n = a.shape[0]
-    nranks, grid = resolve_grid("mmm25d", n, nranks, grid)
-    g, _, c = grid
+    if grid is None:
+        choice = optimize_grid_25d(nranks, n)
+        grid = (choice.grid_rows, choice.grid_rows, choice.layers)
+    g, g_cols, c = grid
+    if g != g_cols:
+        raise ValueError(
+            f"mmm25d: grid must be square in rows/cols, got {grid}"
+        )
+    if g * g * c > nranks:
+        raise ValueError(
+            f"mmm25d: grid {grid} needs {g * g * c} ranks, have {nranks}"
+        )
     if c > g:
         raise ValueError(
             f"replication c={c} cannot exceed G={g} (each layer needs "

@@ -198,7 +198,6 @@ register_algorithm(
     grid_family="2d",
     description="ScaLAPACK-style 2D block-cyclic Householder QR "
     "(pdgeqrf's schedule)",
-    block_param="nb",
     program=_rank_fn,
     assemble=_assemble_qr2d,
     default_block=16,

@@ -221,7 +221,6 @@ register_algorithm(
     grid_family="2d",
     description="LibSci/ScaLAPACK-like 2D block-cyclic GEPP with "
     "physical row swaps",
-    block_param="nb",
     program=_rank_fn,
     assemble=_assemble_2d,
     default_block=32,

@@ -22,7 +22,6 @@ register_algorithm(
     grid_family="2d",
     description="SLATE-like 2D LU: same GEPP engine, SLATE defaults "
     "(nb=16, tall grids)",
-    block_param="nb",
     program=_rank_fn,
     assemble=_assemble_2d,
     default_block=16,

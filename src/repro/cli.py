@@ -58,22 +58,17 @@ def _cmd_factor(args: argparse.Namespace) -> int:
         return 0
     if args.list:
         print(f"{'name':<13} {'kind':<5} {'grid':<5} {'block':<6} "
-              f"{'dtypes':<17} description")
+              f"description")
         for info in list_algorithms():
             print(f"{info.name:<13} {info.kind:<5} "
                   f"{info.grid_family:<5} {info.block_param:<6} "
-                  f"{','.join(info.dtypes):<17} {info.description}")
+                  f"{info.description}")
         return 0
 
     try:
         info = get_algorithm(args.algo)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
-        raise SystemExit(2)
-    if info.kind == "mmm":
-        print(f"error: {info.name} computes a product, not a "
-              f"factorization; call repro.algorithms.mmm25d() directly",
-              file=sys.stderr)
         raise SystemExit(2)
 
     rng = np.random.default_rng(args.seed)
@@ -172,24 +167,24 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.algorithms.gridopt import optimize_grid_25d
-    from repro.models.prediction import (
-        reduction_vs_second_best,
-        sweep_models,
-    )
+    from repro.models.prediction import reduction_vs_second_best
 
     machine = _machine_or_exit(args.machine)
     p = args.p or machine.total_ranks
-    choice = optimize_grid_25d(
-        p, args.n, m_max=machine.memory_per_rank_elements
-    )
+    try:
+        choice = optimize_grid_25d(
+            p, args.n, m_max=machine.memory_per_rank_elements
+        )
+    except ValueError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        raise SystemExit(2)
     print(f"{machine.name}: N={args.n:,}, P={p:,}")
     print(f"grid [G,G,c] = [{choice.grid_rows}, {choice.grid_rows}, "
           f"{choice.layers}], {choice.disabled_ranks} ranks disabled")
-    for impl, vol in sorted(
-        sweep_models(args.n, p).items(), key=lambda kv: kv[1]
-    ):
+    # priced at the replication depth the chosen grid runs
+    point = reduction_vs_second_best(args.n, p, c=choice.layers)
+    for impl, vol in sorted(point.volumes.items(), key=lambda kv: kv[1]):
         print(f"  {impl:<14} {vol / 1e9:10.3f} GB")
-    point = reduction_vs_second_best(args.n, p)
     print(f"best: {point.best} ({point.reduction:.2f}x less than "
           f"{point.second_best})")
     return 0

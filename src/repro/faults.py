@@ -49,7 +49,7 @@ import fnmatch
 import hashlib
 import json
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -269,10 +269,10 @@ def canned_plan(
         "bitflip": 0.02,
         "crash": 1.0,
     }
-    if fault_class not in defaults:
+    if fault_class not in ACTIONS:
         raise FaultPlanError(
             f"unknown fault class {fault_class!r}; expected one of "
-            f"{', '.join(defaults)}"
+            f"{', '.join(ACTIONS)}"
         )
     prob = defaults[fault_class] if probability is None else probability
     if fault_class == "crash":

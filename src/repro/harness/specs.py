@@ -41,11 +41,15 @@ import functools
 import math
 from collections.abc import Callable, Sequence
 
+from repro.faults import ACTIONS
 from repro.harness.sweep import SweepSpec, task
-from repro.models.costmodels import MODEL_NAMES, QR_MODEL_NAMES
+from repro.models.costmodels import (
+    MODEL_NAMES,
+    QR_MODEL_NAMES,
+    algorithmic_memory,
+)
 from repro.models.prediction import (
     TABLE2_PAPER_GB,
-    algorithmic_memory,
     reduction_vs_second_best,
     sweep_models,
     weak_scaling_n,
@@ -232,14 +236,6 @@ def block_size_task(n: int, g: int, c: int, v: int, seed: int = 3) -> dict:
 CHAOS_DETECTED = "detected"
 CHAOS_RECOVERED = "recovered"
 CHAOS_SILENT = "silent-corruption"
-
-#: Fault classes the ``chaos-*`` sweeps span (mirrors
-#: ``repro.faults.ACTIONS``; a test keeps the two aligned without an
-#: import at module scope).
-CHAOS_FAULT_CLASSES = (
-    "delay", "drop", "duplicate", "reorder", "bitflip", "crash",
-)
-
 
 @task("chaos")
 def chaos_task(
@@ -653,7 +649,7 @@ def _chaos_spec(
     *,
     n: int,
     p: int = 8,
-    fault_classes: Sequence[str] = CHAOS_FAULT_CLASSES,
+    fault_classes: Sequence[str] = ACTIONS,
     fault_seeds: Sequence[int] = (0, 1, 2),
     seed: int = 0,
     timeout_s: float = 2.0,

@@ -23,7 +23,6 @@ from repro.models.api import (
     MODEL_REGISTRY,
     Prediction,
     get_model,
-    list_models,
     predict,
     register_model,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "conflux_step_breakdown",
     "get_model",
     "list_machines",
-    "list_models",
     "load_machine",
     "machine_by_name",
     "predict",

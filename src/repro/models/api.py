@@ -2,20 +2,20 @@
 
 The algorithms package dispatches *runs* through one uniform entry
 point; this module does the same for the *analytic* side.  Every cost
-model registers a :class:`ModelInfo` declaring what it predicts
-(``kind``: ``lu`` / ``qr``), which grid family its closed form assumes,
-the total-bytes callable, and the *as-run* form of the same member —
-the model on the grid and block one executed run used, which is what
-the harness pairs with a measured volume.  Callers use one signature
-for the whole family::
+model registers a :class:`ModelInfo` holding what it differs in: the
+closed form, the *as-run* form of the same member — the model on the
+grid and block one executed run used, which is what the harness pairs
+with a measured volume — the kind (``lu`` / ``qr``) whose flops it
+prices, and its block keyword.  Callers use one signature for the
+whole family::
 
     from repro.models import predict
     pred = predict("conflux", n=16384, p=1024, machine="daint-xc50")
     pred.total_gb, pred.comm_seconds, pred.predicted_seconds
 
 ``predict`` resolves the machine spec (preset name, JSON path, or
-:class:`~repro.models.machines.Machine`), derives the per-rank memory
-M from it when not given explicitly, and — when a machine is present —
+:class:`~repro.models.machines.Machine`), decides the replication depth
+c every form is evaluated at, and — when a machine is present —
 converts the volume into α-β-γ time estimates comparable with the
 discrete-event clock's :class:`~repro.smpi.timing.TimingReport`.
 """
@@ -26,6 +26,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.models.costmodels import (
+    algorithmic_memory,
     candmc_sim_total_bytes,
     candmc_total_bytes,
     caqr25d_total_bytes,
@@ -33,11 +34,8 @@ from repro.models.costmodels import (
     confqr_total_bytes,
     qr2d_total_bytes,
     scalapack2d_total_bytes,
-    slate_total_bytes,
 )
 from repro.models.machines import Machine, resolve_machine
-
-MODEL_KINDS = ("lu", "qr")
 
 #: flops of the factorization each model kind predicts (double
 #: precision; the classical leading terms).
@@ -49,30 +47,20 @@ _KIND_FLOPS = {
 
 @dataclass(frozen=True)
 class ModelInfo:
-    """Declared capabilities of one registered cost model.
+    """What one registered cost model differs in.
 
-    ``total_bytes(n, p, m, **opts)`` is the Table 2 closed form;
-    ``block_param`` names the keyword it takes a block size under
-    (``None``: the form has no blocking term).  ``as_run(n, grid,
-    block)`` is the same member evaluated on the grid and block an
-    executed run used — Table 2's "modeled" beside a "measured".
+    ``total_bytes(n, p, c, **opts)`` is the closed form evaluated at
+    replication depth c; ``block_param`` names the keyword it takes a
+    block size under (``None``: the form has no blocking term).
+    ``as_run(n, grid, block)`` is the same member evaluated on the grid
+    and block an executed run used — Table 2's "modeled" beside a
+    "measured".  ``kind`` (``lu`` / ``qr``) prices the flops.
     """
 
-    name: str
     kind: str
-    grid_family: str
-    description: str
     total_bytes: Callable[..., float]
     as_run: Callable[[int, Sequence[int], int], float]
     block_param: str | None = None
-    memory_sensitive: bool = True
-
-    def describe(self) -> str:
-        mem = "M-sensitive" if self.memory_sensitive else "M-independent"
-        return (
-            f"{self.name}: kind={self.kind} grid={self.grid_family} "
-            f"{mem} — {self.description}"
-        )
 
 
 #: name -> ModelInfo; same names as the algorithm registry where a
@@ -86,24 +74,12 @@ def register_model(
     *,
     as_run: Callable[[int, Sequence[int], int], float],
     kind: str,
-    grid_family: str,
-    description: str,
     block_param: str | None = None,
-    memory_sensitive: bool = True,
 ) -> ModelInfo:
-    """Register a cost model with its capability metadata."""
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"kind {kind!r} not in {MODEL_KINDS}")
-    info = ModelInfo(
-        name=name,
-        kind=kind,
-        grid_family=grid_family,
-        description=description,
-        total_bytes=total_bytes,
-        as_run=as_run,
-        block_param=block_param,
-        memory_sensitive=memory_sensitive,
-    )
+    """Register a cost model under ``name``."""
+    if kind not in _KIND_FLOPS:
+        raise ValueError(f"kind {kind!r} not in {tuple(_KIND_FLOPS)}")
+    info = ModelInfo(kind, total_bytes, as_run, block_param)
     MODEL_REGISTRY[name] = info
     return info
 
@@ -115,13 +91,6 @@ def get_model(name: str) -> ModelInfo:
         raise KeyError(
             f"unknown model {name!r}; available: {sorted(MODEL_REGISTRY)}"
         ) from None
-
-
-def list_models(kind: str | None = None) -> tuple[ModelInfo, ...]:
-    infos = sorted(MODEL_REGISTRY.values(), key=lambda i: i.name)
-    if kind is not None:
-        infos = [i for i in infos if i.kind == kind]
-    return tuple(infos)
 
 
 def on_25d_grid(
@@ -138,8 +107,6 @@ def on_25d_grid(
 
 
 def _lu2d_as_run(n: int, grid: Sequence[int], block: int) -> float:
-    # The 2D LU closed form knows neither the blocking nor the grid's
-    # aspect ratio — only P = Pr * Pc.
     pr, pc = grid
     return scalapack2d_total_bytes(n, pr * pc)
 
@@ -149,74 +116,27 @@ def _qr2d_as_run(n: int, grid: Sequence[int], block: int) -> float:
     return qr2d_total_bytes(n, pr * pc, nb=block, grid=(pr, pc))
 
 
-register_model(
-    "scalapack2d",
-    scalapack2d_total_bytes,
-    as_run=_lu2d_as_run,
-    kind="lu",
-    grid_family="2d",
-    description="2D block-cyclic GEPP: N^2 sqrt(P) + N^2 (Table 2)",
-    memory_sensitive=False,
-)
-register_model(
-    "slate2d",
-    slate_total_bytes,
-    as_run=_lu2d_as_run,
-    kind="lu",
-    grid_family="2d",
-    description="SLATE 2D LU — coincides with the ScaLAPACK model",
-    memory_sensitive=False,
-)
+# The two 2D LU libraries share one model: it knows neither the
+# blocking nor the grid's aspect ratio.
+register_model("scalapack2d", scalapack2d_total_bytes,
+               as_run=_lu2d_as_run, kind="lu")
+register_model("slate2d", scalapack2d_total_bytes,
+               as_run=_lu2d_as_run, kind="lu")
 # Table 2's CANDMC row is the authors' published closed form; a run of
 # the candmc25d *simulation* is paired with that schedule's exact sums.
-register_model(
-    "candmc25d",
-    candmc_total_bytes,
-    as_run=on_25d_grid(candmc_sim_total_bytes),
-    kind="lu",
-    grid_family="25d",
-    description="CANDMC 2.5D LU: authors' 5 N^3 / (P sqrt(M)) per rank",
-)
-register_model(
-    "conflux",
-    conflux_total_bytes,
-    as_run=on_25d_grid(conflux_total_bytes),
-    kind="lu",
-    grid_family="25d",
-    block_param="v",
-    description="COnfLUX exact per-step sums (Lemma 10)",
-)
-register_model(
-    "qr2d",
-    qr2d_total_bytes,
-    as_run=_qr2d_as_run,
-    kind="qr",
-    grid_family="2d",
-    block_param="nb",
-    description="2D Householder QR: ~ N^2 (Pc + 2 Pr) / 2 elements",
-    memory_sensitive=False,
-)
-register_model(
-    "caqr25d",
-    caqr25d_total_bytes,
-    as_run=on_25d_grid(caqr25d_total_bytes),
-    kind="qr",
-    grid_family="25d",
-    block_param="v",
-    description="2.5D CAQR per-step model (TSQR trees on panes)",
-)
-register_model(
-    "confqr",
-    confqr_total_bytes,
-    as_run=on_25d_grid(confqr_total_bytes),
-    kind="qr",
-    grid_family="25d",
-    block_param="v",
-    description=(
-        "COnfQR exact per-step model (compact-WY on the compute "
-        "layer, 1/c reflector banks) — volume ~ 4 G N^2, G = sqrt(P/c)"
-    ),
-)
+register_model("candmc25d", candmc_total_bytes,
+               as_run=on_25d_grid(candmc_sim_total_bytes), kind="lu")
+register_model("conflux", conflux_total_bytes,
+               as_run=on_25d_grid(conflux_total_bytes), kind="lu",
+               block_param="v")
+register_model("qr2d", qr2d_total_bytes,
+               as_run=_qr2d_as_run, kind="qr", block_param="nb")
+register_model("caqr25d", caqr25d_total_bytes,
+               as_run=on_25d_grid(caqr25d_total_bytes), kind="qr",
+               block_param="v")
+register_model("confqr", confqr_total_bytes,
+               as_run=on_25d_grid(confqr_total_bytes), kind="qr",
+               block_param="v")
 
 
 @dataclass(frozen=True)
@@ -286,12 +206,14 @@ def predict(
     the whole model family, mirroring ``factor()``.
 
     ``p`` may be omitted when ``machine`` is given — it defaults to the
-    machine's rank count.  The per-rank memory ``m`` (elements)
-    defaults to the algorithmic memory of the deepest replication the
-    setting allows: ``c`` if given, else the Figure 6 rule
-    c = P^(1/3) capped by the machine's memory when one is present.
-    Remaining keyword options (``v``, ``nb``, ``grid`` ...) pass
-    through to the model's closed form.
+    machine's rank count.  Every form is evaluated at one replication
+    depth, decided here: ``c`` if given, else the deepest one an
+    explicit per-rank memory ``m`` (elements) holds,
+    c = floor(P M / N^2), else the Figure 6 rule c = P^(1/3) capped by
+    the machine's memory when one is present.  The prediction's ``m``
+    is that depth's algorithmic memory c N^2 / P.  Remaining keyword
+    options (``v``, ``nb``, ``grid`` ...) pass through to the model's
+    closed form.
     """
     info = get_model(name)
     mach = resolve_machine(machine)
@@ -301,17 +223,14 @@ def predict(
         p = mach.total_ranks
     if n < 1 or p < 1:
         raise ValueError(f"need positive N and P, got N={n}, P={p}")
-    if m is None:
-        from repro.models.prediction import (
-            algorithmic_memory,
-            choose_c_max_replication,
-        )
+    if c is None and m is not None:
+        c = max(1, int(p * m / n**2))
+    elif c is None:
+        from repro.models.prediction import choose_c_max_replication
 
-        if c is None:
-            m_max = mach.memory_per_rank_elements if mach else None
-            c = choose_c_max_replication(p, n, m_max=m_max)
-        m = algorithmic_memory(n, p, c)
-    total = float(info.total_bytes(n, p, m, **opts))
+        m_max = mach.memory_per_rank_elements if mach else None
+        c = choose_c_max_replication(p, n, m_max=m_max)
+    total = float(info.total_bytes(n, p, c, **opts))
     comm_s = compute_s = None
     if mach is not None:
         comm_s = mach.beta * total / p
@@ -325,7 +244,7 @@ def predict(
         kind=info.kind,
         n=n,
         p=p,
-        m=float(m),
+        m=algorithmic_memory(n, p, c),
         machine=mach.name if mach else None,
         total_bytes=total,
         comm_seconds=comm_s,

@@ -3,6 +3,9 @@
 All models return **total bytes sent across all ranks** — the quantity
 Table 2 tabulates ("Total comm. volume ... measured/modeled [GB]") and
 Score-P aggregates.  Per-node values (Figure 6's y-axis) divide by P.
+Every form is evaluated at ``(N, P, c)``, the replication depth its
+caller chose; a form that needs the per-rank memory uses
+M = c N^2 / P (:func:`algorithmic_memory`).
 
 * LibSci / ScaLAPACK and SLATE (2D): ``(N^2 sqrt(P) + N^2) * 8 B`` —
   this reproduces Table 2's modeled values exactly (e.g. N = 4096,
@@ -23,13 +26,20 @@ import math
 ELEMENT_SIZE = 8  # double precision, as in the paper's models
 
 
-def _check_args(n: int, p: int, m: float) -> None:
+def _check_args(n: int, p: int, c: int) -> None:
     if n < 1:
         raise ValueError(f"N must be >= 1, got {n}")
     if p < 1:
         raise ValueError(f"P must be >= 1, got {p}")
-    if m < 1:
-        raise ValueError(f"M must be >= 1, got {m}")
+    if c < 1:
+        raise ValueError(f"c must be >= 1, got {c}")
+
+
+def algorithmic_memory(n: int, p: int, c: int) -> float:
+    """M = c N^2 / P — the memory a c-fold replicated 2.5D run uses."""
+    if c < 1:
+        raise ValueError(f"c must be >= 1, got {c}")
+    return max(c * n**2 / p, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -37,25 +47,19 @@ def _check_args(n: int, p: int, m: float) -> None:
 # ---------------------------------------------------------------------------
 
 def scalapack2d_total_bytes(
-    n: int, p: int, m: float = 1.0, element_size: int = ELEMENT_SIZE
+    n: int, p: int, c: int = 1, element_size: int = ELEMENT_SIZE
 ) -> float:
     """2D block-cyclic GEPP: N^2 sqrt(P) panel/U broadcasts + N^2 swaps.
 
-    Memory-independent: the 2D algorithm cannot exploit extra memory —
-    the root of its asymptotic deficit (Table 2's "Parallel I/O cost"
-    column: N^2/sqrt(P) + O(N^2/P) per rank).
+    Independent of the replication depth c: the 2D algorithm cannot
+    exploit extra memory — the root of its asymptotic deficit (Table
+    2's "Parallel I/O cost" column: N^2/sqrt(P) + O(N^2/P) per rank).
+    SLATE uses the same 2D decomposition and registers this model too
+    (the paper: "their communication volumes are mostly equal, with a
+    slight advantage of SLATE for non-square grids").
     """
-    _check_args(n, p, m)
+    _check_args(n, p, c)
     return (n**2 * math.sqrt(p) + n**2) * element_size
-
-
-def slate_total_bytes(
-    n: int, p: int, m: float = 1.0, element_size: int = ELEMENT_SIZE
-) -> float:
-    """SLATE uses the same 2D decomposition; its model coincides with
-    ScaLAPACK's (the paper: "their communication volumes are mostly
-    equal, with a slight advantage of SLATE for non-square grids")."""
-    return scalapack2d_total_bytes(n, p, m, element_size)
 
 
 # ---------------------------------------------------------------------------
@@ -63,11 +67,12 @@ def slate_total_bytes(
 # ---------------------------------------------------------------------------
 
 def candmc_total_bytes(
-    n: int, p: int, m: float, element_size: int = ELEMENT_SIZE
+    n: int, p: int, c: int, element_size: int = ELEMENT_SIZE
 ) -> float:
     """CANDMC 2.5D LU: 5 N^3 / (P sqrt(M)) + O(N^2 / (P sqrt(M))) per
-    rank, times P ranks."""
-    _check_args(n, p, m)
+    rank, times P ranks, with M = c N^2 / P."""
+    _check_args(n, p, c)
+    m = algorithmic_memory(n, p, c)
     per_rank = 5.0 * n**3 / (p * math.sqrt(m)) + n**2 / (p * math.sqrt(m))
     return per_rank * p * element_size
 
@@ -75,13 +80,6 @@ def candmc_total_bytes(
 # ---------------------------------------------------------------------------
 # COnfLUX exact per-step model (Lemma 10)
 # ---------------------------------------------------------------------------
-
-def derive_c_from_memory(n: int, p: int, m: float) -> int:
-    """Replication depth supported by memory M per rank: c = P M / N^2,
-    at least 1 (Section 7.2: v >= c = P M / N^2)."""
-    _check_args(n, p, m)
-    return max(1, int(p * m / n**2))
-
 
 def conflux_step_breakdown(
     n: int,
@@ -138,23 +136,16 @@ def _summed_over_steps(
     def total_bytes(
         n: int,
         p: int,
-        m: float | None = None,
-        c: int | None = None,
+        c: int,
         v: int | None = None,
         grid_rows: int | None = None,
         element_size: int = ELEMENT_SIZE,
     ) -> float:
-        """Exact volume in bytes: the per-step phase terms summed over
-        all ceil(N/v) steps.
-
-        Provide either the memory ``m`` (c is derived as P M / N^2) or
-        the replication depth ``c`` directly.  ``grid_rows`` defaults to
-        floor(sqrt(P / c)) and ``v`` to the member's default block.
+        """Exact volume in bytes at replication depth ``c``: the
+        per-step phase terms summed over all ceil(N/v) steps.
+        ``grid_rows`` defaults to floor(sqrt(P / c)) and ``v`` to the
+        member's default block.
         """
-        if c is None:
-            if m is None:
-                raise ValueError("need either m or c")
-            c = derive_c_from_memory(n, p, m)
         if c < 1:
             raise ValueError(f"c must be >= 1, got {c}")
         if grid_rows is None:
@@ -182,12 +173,11 @@ conflux_total_bytes = _summed_over_steps(
 
 
 def conflux_leading_total_bytes(
-    n: int, p: int, m: float, element_size: int = ELEMENT_SIZE
+    n: int, p: int, c: int, element_size: int = ELEMENT_SIZE
 ) -> float:
     """Leading-order closed form: N^3/(P sqrt(M)) per rank, i.e.
-    N^2 (sqrt(P/c) + c) total elements with c = P M / N^2."""
-    _check_args(n, p, m)
-    c = derive_c_from_memory(n, p, m)
+    N^2 (sqrt(P/c) + c) total elements with M = c N^2 / P."""
+    _check_args(n, p, c)
     return n**2 * (math.sqrt(p / c) + c) * element_size
 
 
@@ -308,17 +298,17 @@ def qr2d_step_breakdown(
 def qr2d_total_bytes(
     n: int,
     p: int,
-    m: float = 1.0,
+    c: int = 1,
     nb: int = 16,
     grid: tuple[int, int] | None = None,
     element_size: int = ELEMENT_SIZE,
 ) -> float:
     """2D Householder QR volume: ~ N^2 (Pc + 2 Pr) / 2 elements.
 
-    Memory-independent like the 2D LU baselines — the structural reason
+    Independent of c like the 2D LU baselines — the structural reason
     the 2D decomposition cannot exploit replication.
     """
-    _check_args(n, p, m)
+    _check_args(n, p, c)
     if grid is None:
         root = math.isqrt(p)
         while p % root:

@@ -37,11 +37,11 @@ TOPOLOGIES = ("crossbar", "shared-bus")
 class Machine:
     """A machine spec: capacity (ranks, memory) plus α-β-γ timing.
 
-    ``memory_per_rank_elements`` is the fast-memory size M used in the
-    models (total usable DRAM per rank / 8 bytes); real runs dedicate
-    only part of DRAM to the factorization, so analyses usually pass an
-    explicit algorithmic M = c N^2 / P instead and use the preset as an
-    upper bound.
+    ``memory_per_rank_elements`` is the fast-memory size M (total
+    usable DRAM per rank / 8 bytes); real runs dedicate only part of
+    DRAM to the factorization, so analyses usually pass the replication
+    depth c instead and use the preset only to cap it (the grid
+    optimizer's ``m_max``, ``predict``'s default c).
 
     The timing fields default to a generic interconnect (1 µs latency,
     10 GB/s links, 1 Tflop/s nodes) so pre-existing memory-only presets
@@ -78,14 +78,6 @@ class Machine:
     def bandwidth_bytes(self) -> float:
         """Link bandwidth in B/s (``inf`` for a zero-β ideal machine)."""
         return 1.0 / self.beta if self.beta > 0 else math.inf
-
-    def max_replication(self, n: int) -> int:
-        """Largest replication depth c = P M / N^2 memory permits."""
-        if n < 1:
-            raise ValueError(f"N must be >= 1, got {n}")
-        return max(
-            1, int(self.total_ranks * self.memory_per_rank_elements / n**2)
-        )
 
     def transfer_seconds(self, nbytes: float) -> float:
         """Contention-free cost of one message: α + β·bytes."""

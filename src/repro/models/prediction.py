@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.models.api import MODEL_REGISTRY, ModelInfo, get_model
+from repro.models.api import get_model, predict
 from repro.models.costmodels import (
     ELEMENT_SIZE,
     MODEL_NAMES,
-    QR_MODEL_NAMES,
+    algorithmic_memory,
     conflux_leading_total_bytes,
     conflux_total_bytes,
 )
@@ -39,103 +39,40 @@ def choose_c_max_replication(
     return c
 
 
-def algorithmic_memory(n: int, p: int, c: int) -> float:
-    """M = c N^2 / P — the memory a c-fold replicated 2.5D run uses."""
-    if c < 1:
-        raise ValueError(f"c must be >= 1, got {c}")
-    return max(c * n**2 / p, 1.0)
-
-
-def _block_opts(info: ModelInfo, **blocks: int | None) -> dict:
-    """Of the offered block sizes, the one ``info``'s closed form takes
-    (under its registered keyword), if it takes any."""
-    return {k: b for k, b in blocks.items() if k == info.block_param}
-
-
 def sweep_models(
     n: int,
     p: int,
-    m: float | None = None,
+    c: int | None = None,
     v: int | None = None,
     names: tuple[str, ...] = MODEL_NAMES,
     leading_only: bool = False,
 ) -> dict[str, float]:
-    """Total modeled bytes for each implementation at one (N, P).
+    """Total modeled bytes for each implementation at one (N, P, c):
+    :func:`~repro.models.api.predict` over ``names``.
 
-    ``m`` defaults to the max-replication memory of the Figure 6 note.
+    ``c`` defaults to the max replication of the Figure 6 note.
     ``leading_only`` reproduces the paper's figure convention ("only the
     leading factors of the models are shown"): N^2 sqrt(P) for the 2D
     pair, 5N^3/(P sqrt(M)) for CANDMC, N^2 (sqrt(P/c) + c) for COnfLUX.
     """
-    if m is None:
+    if c is None:
         c = choose_c_max_replication(p, n)
-        m = algorithmic_memory(n, p, c)
     if leading_only:
         two_d = n**2 * math.sqrt(p) * ELEMENT_SIZE
+        m = algorithmic_memory(n, p, c)
         candmc = 5.0 * n**3 / math.sqrt(m) * ELEMENT_SIZE
         table = {
             "scalapack2d": two_d,
             "slate2d": two_d,
             "candmc25d": candmc,
-            "conflux": conflux_leading_total_bytes(n, p, m),
+            "conflux": conflux_leading_total_bytes(n, p, c),
         }
         return {name: table[name] for name in names}
     out: dict[str, float] = {}
     for name in names:
-        model = get_model(name)
-        out[name] = model.total_bytes(n, p, m, **_block_opts(model, v=v))
+        block = {"v": v} if get_model(name).block_param == "v" else {}
+        out[name] = predict(name, n, p, c=c, **block).total_bytes
     return out
-
-
-def sweep_qr_models(
-    n: int,
-    p: int,
-    m: float | None = None,
-    v: int | None = None,
-    nb: int = 16,
-    names: tuple[str, ...] = QR_MODEL_NAMES,
-) -> dict[str, float]:
-    """Total modeled bytes for each QR implementation at one (N, P).
-
-    ``qr2d`` is memory-independent like the 2D LU baselines;
-    ``caqr25d`` and ``confqr`` derive their [G, G, c] grids from
-    ``m``.  The memory default caps replication at c = 2: the
-    pane-partitioned CAQR's leading term
-    N^2 (sqrt(P c) + 2 sqrt(P / c)) / 2 is minimized at exactly
-    c = 2, and deeper replication *adds* panel fan-out — while
-    COnfQR's compact-WY schedule (every term ~ G = sqrt(P/c)) keeps
-    winning from deeper replication, so the shared c = 2 default is
-    a conservative comparison point for it.
-    """
-    if m is None:
-        c = min(2, choose_c_max_replication(p, n))
-        m = algorithmic_memory(n, p, c)
-    table: dict[str, float] = {}
-    for name in names:
-        model = MODEL_REGISTRY.get(name)
-        if model is None or model.kind != "qr":
-            raise KeyError(
-                f"unknown QR model {name!r}; choose from {QR_MODEL_NAMES}"
-            )
-        table[name] = model.total_bytes(
-            n, p, m, **_block_opts(model, v=v, nb=nb)
-        )
-    return table
-
-
-def qr_reduction_vs_2d(
-    n: int, p: int, m: float | None = None
-) -> float:
-    """Modeled communication reduction of 2.5D CAQR over the 2D
-    Householder baseline: qr2d volume / caqr25d volume.
-
-    At the c = 2 optimum the leading terms are 2 sqrt(2 P) vs the
-    square 2D grid's 3 sqrt(P) — a modest ~1.06x asymptotically, plus
-    whatever the 2D baseline loses to skewed grids; the structural
-    (c-scaling) win is COnfQR's (``confqr_total_bytes``).
-    """
-    volumes = sweep_qr_models(n, p, m)
-    return volumes["qr2d"] / volumes["caqr25d"]
 
 
 @dataclass(frozen=True)
@@ -153,7 +90,7 @@ class ReductionPoint:
 def reduction_vs_second_best(
     n: int,
     p: int,
-    m: float | None = None,
+    c: int | None = None,
     v: int | None = None,
     names: tuple[str, ...] = MODEL_NAMES,
     leading_only: bool = False,
@@ -164,7 +101,7 @@ def reduction_vs_second_best(
     S = SLATE); when COnfLUX is best the ratio reads "COnfLUX
     communicates `reduction`x less".
     """
-    volumes = sweep_models(n, p, m, v, names, leading_only=leading_only)
+    volumes = sweep_models(n, p, c, v, names, leading_only=leading_only)
     ranked = sorted(volumes, key=volumes.get)
     best, second = ranked[0], ranked[1]
     return ReductionPoint(
@@ -264,12 +201,12 @@ def crossover_p_candmc_vs_2d(
 
     The paper observes this crossover near P ~ 450,000 for N = 16,384 —
     the "asymptotic optimality is not enough" argument.  ``m_of_p`` maps
-    P to the memory per rank (elements).
+    P to the memory per rank (elements); ``predict`` turns it into the
+    replication depth both models are evaluated at.
     """
-    candmc = get_model("candmc25d")
-    two_d = get_model("scalapack2d")
     for p in sorted(p_grid):
         m = m_of_p(p)
-        if candmc.total_bytes(n, p, m) < two_d.total_bytes(n, p, m):
+        candmc = predict("candmc25d", n, p, m=m).total_bytes
+        if candmc < predict("scalapack2d", n, p, m=m).total_bytes:
             return p
     return None

@@ -161,7 +161,6 @@ class TestRegistry:
             "slate2d",
             "candmc25d",
             "cholesky25d",
-            "mmm25d",
             "caqr25d",
             "confqr",
             "qr2d",

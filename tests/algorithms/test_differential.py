@@ -19,9 +19,8 @@ import pytest
 from repro.algorithms import REGISTRY, factor
 from repro.algorithms.base import check_factors
 
-#: Every registered *factorization* (mmm25d is a product, not a
-#: factorization — it returns no FactorResult to differentiate).
-ALGOS = tuple(sorted(set(REGISTRY) - {"mmm25d"}))
+#: Every registered factorization.
+ALGOS = tuple(sorted(REGISTRY))
 LU_ALGOS = ("conflux", "scalapack2d", "slate2d", "candmc25d")
 QR_ALGOS = ("caqr25d", "confqr", "qr2d")
 

@@ -17,7 +17,7 @@ from repro.algorithms import (
 from repro.algorithms import api
 from repro.algorithms.api import resolve_params, verify_assembled
 
-NAMES = [i.name for i in list_algorithms() if i.kind != "mmm"]
+NAMES = [i.name for i in list_algorithms()]
 NAMES_25D = [n for n in NAMES if get_algorithm(n).grid_family == "25d"]
 
 
@@ -143,12 +143,23 @@ def test_non_finite_input_is_refused_before_any_rank_starts(
         factor(name, a, 4)
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_half_precision_and_complex_input_refused(name):
+    a = _input(name)
+    with pytest.raises(TypeError, match="supports dtypes"):
+        factor(name, a.astype(np.float16), 4)
+    with pytest.raises(TypeError, match="expects a real numeric matrix"):
+        factor(name, a.astype(np.complex128), 4)
+
+
 def test_needs_nranks_or_grid():
     with pytest.raises(ValueError, match="needs nranks= or grid="):
         factor("conflux", _input("conflux"))
 
 
 def test_mmm_shares_the_grid_resolver():
+    """mmm25d is not registered; it resolves its grid by the
+    resolver's rules and words a bad grid as the resolver does."""
     a = np.eye(8)
     with pytest.raises(ValueError) as exc:
         mmm25d(a, a, 4, grid=(2, 1, 1))

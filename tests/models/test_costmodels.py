@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.models import get_model
+from repro.models import MODEL_REGISTRY, get_model, predict
 from repro.models.costmodels import (
     MODEL_NAMES,
     candmc_sim_total_bytes,
@@ -14,9 +14,7 @@ from repro.models.costmodels import (
     conflux_leading_total_bytes,
     conflux_step_breakdown,
     conflux_total_bytes,
-    derive_c_from_memory,
     scalapack2d_total_bytes,
-    slate_total_bytes,
 )
 
 
@@ -28,12 +26,15 @@ class TestScalapack2DModel:
         )
 
     def test_memory_independent(self):
-        assert scalapack2d_total_bytes(512, 16, 1e3) == (
-            scalapack2d_total_bytes(512, 16, 1e9)
+        assert scalapack2d_total_bytes(512, 16, 1) == (
+            scalapack2d_total_bytes(512, 16, 16)
         )
 
     def test_slate_coincides(self):
-        assert slate_total_bytes(777, 9) == scalapack2d_total_bytes(777, 9)
+        assert get_model("slate2d").total_bytes is scalapack2d_total_bytes
+        assert predict("slate2d", 777, 9).total_bytes == (
+            predict("scalapack2d", 777, 9).total_bytes
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -44,13 +45,14 @@ class TestScalapack2DModel:
 
 class TestCandmcModel:
     def test_five_x_leading(self):
-        n, p, m = 8192, 256, 1e6
+        n, p, c = 8192, 256, 4
+        m = c * n * n / p
         expected = (5 * n**3 / (p * math.sqrt(m)) + n**2 / (p * math.sqrt(m))) * p * 8
-        assert candmc_total_bytes(n, p, m) == pytest.approx(expected)
+        assert candmc_total_bytes(n, p, c) == pytest.approx(expected)
 
     def test_more_memory_less_traffic(self):
-        assert candmc_total_bytes(4096, 64, 4e6) < candmc_total_bytes(
-            4096, 64, 1e6
+        assert candmc_total_bytes(4096, 64, 4) < candmc_total_bytes(
+            4096, 64, 1
         )
 
 
@@ -80,13 +82,19 @@ class TestConfluxModel:
         assert total == pytest.approx(manual)
 
     def test_c_derived_from_memory(self):
+        """A caller's explicit M is turned into c once, in predict."""
         n, p = 4096, 64
         m = 4 * n * n / p
-        assert derive_c_from_memory(n, p, m) == 4
+        assert predict("conflux", n, p, m=m).total_bytes == (
+            conflux_total_bytes(n, p, c=4)
+        )
 
     def test_needs_m_or_c(self):
-        with pytest.raises(ValueError, match="either m or c"):
+        """The form takes the replication depth c, never a memory."""
+        with pytest.raises(TypeError):
             conflux_total_bytes(128, 16)
+        with pytest.raises(TypeError):
+            conflux_total_bytes(128, 16, m=2 * 128 * 128 / 16)
 
     def test_v_below_c_rejected(self):
         with pytest.raises(ValueError, match="must be >= c"):
@@ -95,8 +103,7 @@ class TestConfluxModel:
     def test_leading_form(self):
         n, p = 16384, 1024
         c = 16
-        m = c * n * n / p
-        lead = conflux_leading_total_bytes(n, p, m)
+        lead = conflux_leading_total_bytes(n, p, c)
         assert lead == pytest.approx(
             n**2 * (math.sqrt(p / c) + c) * 8
         )
@@ -161,7 +168,7 @@ class TestCandmcSimModel:
 class TestRegistry:
     def test_all_names_resolve(self):
         for name in MODEL_NAMES:
-            assert get_model(name).name == name
+            assert get_model(name) is MODEL_REGISTRY[name]
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):

@@ -5,13 +5,17 @@ import pytest
 from repro.models import (
     MODEL_NAMES,
     get_model,
-    list_models,
     predict,
 )
-from repro.models.api import MODEL_KINDS, MODEL_REGISTRY, register_model
-from repro.models.costmodels import QR_MODEL_NAMES
-from repro.models.prediction import (
+from repro.models.api import MODEL_REGISTRY, register_model
+from repro.models.costmodels import (
+    QR_MODEL_NAMES,
     algorithmic_memory,
+    caqr25d_total_bytes,
+    conflux_total_bytes,
+    confqr_total_bytes,
+)
+from repro.models.prediction import (
     choose_c_max_replication,
     sweep_models,
 )
@@ -20,48 +24,80 @@ from repro.models.prediction import (
 class TestRegistry:
     def test_every_lu_and_qr_model_registered(self):
         for name in MODEL_NAMES + QR_MODEL_NAMES:
-            assert get_model(name).name == name
+            assert get_model(name) is MODEL_REGISTRY[name]
 
     def test_unknown_model(self):
         with pytest.raises(KeyError, match="unknown model"):
             get_model("mkl")
 
-    def test_list_models_filters_by_kind(self):
-        qr = [i.name for i in list_models(kind="qr")]
-        assert sorted(qr) == sorted(QR_MODEL_NAMES)
-        lu = [i.name for i in list_models(kind="lu")]
-        assert sorted(lu) == sorted(MODEL_NAMES)
-
     def test_entries_well_formed(self):
         for name, info in MODEL_REGISTRY.items():
-            assert info.name == name
-            assert info.kind in MODEL_KINDS
-            assert info.grid_family in ("25d", "2d")
+            assert info.kind == ("qr" if name in QR_MODEL_NAMES else "lu")
             assert callable(info.total_bytes)
             assert callable(info.as_run)
             assert info.block_param in (None, "v", "nb")
-            assert info.description
-            assert name in info.describe()
 
     def test_register_rejects_bad_kind(self):
         with pytest.raises(ValueError, match="kind"):
             register_model(
                 "bogus",
-                lambda n, p, m: 0.0,
+                lambda n, p, c: 0.0,
                 as_run=lambda n, grid, block: 0.0,
                 kind="fft",
-                grid_family="2d",
-                description="x",
             )
         assert "bogus" not in MODEL_REGISTRY
+
+
+def _grids(g_max: int):
+    return [(g, c) for g in range(2, g_max + 1) for c in range(1, 9)]
+
+
+def _layer_lost_through_memory(n: int, g: int, c: int) -> bool:
+    """Whether c -> M = c N^2 / P -> floor(P M / N^2) drops a layer."""
+    p = g * g * c
+    return max(1, int(p * algorithmic_memory(n, p, c) / n**2)) != c
+
+
+class TestReplicationDepth:
+    """Every form is evaluated at the c its caller chose — no round
+    trip through a float memory that can floor one layer away."""
+
+    def test_predict_at_c_is_the_form_at_c(self):
+        assert predict("conflux", 1024, 98, c=2).total_bytes == 78_045_184
+        assert conflux_total_bytes(1024, 98, c=2) == 78_045_184
+
+    @pytest.mark.parametrize(
+        "name,form",
+        [("conflux", conflux_total_bytes), ("caqr25d", caqr25d_total_bytes)],
+    )
+    def test_step_sums_on_every_grid(self, name, form):
+        n = 1024
+        grids = _grids(32)
+        assert sum(_layer_lost_through_memory(n, g, c) for g, c in grids)
+        for g, c in grids:
+            p = g * g * c
+            assert predict(name, n, p, c=c).total_bytes == form(n, p, c=c)
+
+    def test_confqr_where_memory_drops_a_layer(self):
+        # ~80 ms a grid: only the grids the memory round trip breaks
+        n = 1024
+        grids = [
+            (g, c) for g, c in _grids(16)
+            if _layer_lost_through_memory(n, g, c)
+        ]
+        assert grids
+        for g, c in grids:
+            p = g * g * c
+            assert predict("confqr", n, p, c=c).total_bytes == (
+                confqr_total_bytes(n, p, c=c)
+            )
 
 
 class TestPredict:
     def test_matches_sweep_models_at_same_memory(self):
         n, p = 4096, 256
         c = choose_c_max_replication(p, n)
-        m = algorithmic_memory(n, p, c)
-        expected = sweep_models(n, p, m)
+        expected = sweep_models(n, p, c)
         for name in MODEL_NAMES:
             assert predict(name, n, p).total_bytes == pytest.approx(
                 expected[name]
@@ -119,6 +155,12 @@ class TestPredict:
         shallow = predict("conflux", 4096, 256, c=1)
         assert deep.m > shallow.m
         assert deep.total_bytes != shallow.total_bytes
+        assert deep.m == algorithmic_memory(4096, 256, 4)
+
+    def test_explicit_c_wins_over_memory(self):
+        at_c = predict("conflux", 4096, 256, c=2)
+        both = predict("conflux", 4096, 256, c=2, m=1.0)
+        assert both.total_bytes == at_c.total_bytes
 
     def test_opts_forward_to_model(self):
         base = predict("conflux", 256, 16, c=2)

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.models import predict
+from repro.models.costmodels import algorithmic_memory
 from repro.models.machines import LAPTOP_SIM, PIZ_DAINT, SUMMIT, Machine
 from repro.models.prediction import (
-    algorithmic_memory,
     choose_c_max_replication,
     crossover_p_candmc_vs_2d,
     reduction_vs_second_best,
@@ -19,16 +20,19 @@ class TestMachines:
         assert PIZ_DAINT.memory_per_rank_elements == 64 * 2**30 // 8
 
     def test_max_replication(self):
+        """The machine's memory caps predict's default depth at
+        c = P M / N^2 (M = 1 Mi elements: c = 1 at N = 8192, where
+        the cube-root rule alone would give 4)."""
         m = Machine("toy", total_ranks=64, memory_per_rank_bytes=8 * 2**20)
-        # M = 1 Mi elements; c = P*M/N^2
-        assert m.max_replication(4096) == 4
+        capped = predict("candmc25d", 8192, machine=m)
+        assert capped.m == algorithmic_memory(8192, 64, 1)
+        assert predict("candmc25d", 4096, machine=m).m == (
+            algorithmic_memory(4096, 64, 4)
+        )
 
     def test_max_replication_floor_one(self):
-        assert LAPTOP_SIM.max_replication(10**6) == 1
-
-    def test_bad_n(self):
-        with pytest.raises(ValueError):
-            SUMMIT.max_replication(0)
+        pred = predict("candmc25d", 10**6, machine=LAPTOP_SIM)
+        assert pred.m == algorithmic_memory(10**6, 64, 1)
 
 
 class TestChooseC:
@@ -165,37 +169,27 @@ class TestAlgorithmicMemory:
             algorithmic_memory(4096, 64, 0)
 
 
+def _qr_bytes(name: str, n: int, p: int, c: int) -> float:
+    return predict(name, n, p, c=c).total_bytes
+
+
 class TestQrModels:
-    def test_sweep_qr_models_keys_and_positivity(self):
-        from repro.models.prediction import sweep_qr_models
-
-        volumes = sweep_qr_models(4096, 64)
-        assert set(volumes) == {"qr2d", "caqr25d", "confqr"}
-        assert all(v > 0 for v in volumes.values())
-
     def test_confqr_wins_at_deep_replication(self):
         """Past CAQR's c = 2 sweet spot the compact-WY schedule keeps
         converting memory into volume (every term ~ G = sqrt(P/c))
         while CAQR's panel fan-out grows again."""
-        from repro.models.prediction import sweep_qr_models
-
-        m = algorithmic_memory(4096, 64, 8)
-        deep = sweep_qr_models(4096, 64, m=m)
-        assert deep["confqr"] < deep["caqr25d"]
-        assert deep["confqr"] < deep["qr2d"]
+        confqr = _qr_bytes("confqr", 4096, 64, 8)
+        assert confqr < _qr_bytes("caqr25d", 4096, 64, 8)
+        assert confqr < _qr_bytes("qr2d", 4096, 64, 8)
 
     def test_caqr_beats_2d_baseline_across_scales(self):
-        from repro.models.prediction import qr_reduction_vs_2d
-
+        """At CAQR's c = 2 optimum its leading terms are 2 sqrt(2 P)
+        against the square 2D grid's 3 sqrt(P)."""
         for n, p in [(4096, 16), (4096, 64), (16384, 1024)]:
-            assert qr_reduction_vs_2d(n, p) > 1.0
+            assert _qr_bytes("caqr25d", n, p, 2) < _qr_bytes("qr2d", n, p, 2)
 
     def test_qr2d_is_memory_independent(self):
-        from repro.models.prediction import sweep_qr_models
-
-        lo = sweep_qr_models(4096, 64, m=1.0)["qr2d"]
-        hi = sweep_qr_models(4096, 64, m=1e9)["qr2d"]
-        assert lo == hi
+        assert _qr_bytes("qr2d", 4096, 64, 1) == _qr_bytes("qr2d", 4096, 64, 16)
 
     def test_caqr_leading_order(self):
         """Sum of per-step terms converges to
@@ -215,9 +209,3 @@ class TestQrModels:
         total = qr2d_total_bytes(n, pr * pc, nb=nb, grid=(pr, pc))
         leading = n**2 * ((pc - 1) + 2 * (pr - 1)) / 2.0 * 8
         assert total / leading == pytest.approx(1.0, rel=0.05)
-
-    def test_unknown_qr_model_rejected(self):
-        from repro.models.prediction import sweep_qr_models
-
-        with pytest.raises(KeyError, match="unknown QR model"):
-            sweep_qr_models(1024, 16, names=("conflux",))

@@ -78,17 +78,21 @@ class TestFactorCommand:
         out = capsys.readouterr().out
         assert rc == 0
         for name in ("conflux", "scalapack2d", "slate2d", "candmc25d",
-                     "cholesky25d", "caqr25d", "qr2d", "mmm25d"):
+                     "cholesky25d", "caqr25d", "qr2d", "confqr"):
             assert name in out
+        assert "mmm25d" not in out
         assert "chol" in out
         assert "25d" in out and "2d" in out
-        assert "float64" in out
 
     def test_mmm_rejected_with_pointer(self, capsys):
-        with pytest.raises(SystemExit):
+        """mmm25d computes a product and is not registered: the error
+        points at the algorithms that are."""
+        with pytest.raises(SystemExit) as exc:
             main(["factor", "--algo", "mmm25d", "--n", "16",
                   "--p", "4"])
-        assert "mmm25d()" in capsys.readouterr().err
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown algorithm 'mmm25d'" in err and "conflux" in err
 
 
 class TestBoundsCommand:
@@ -164,6 +168,25 @@ class TestPlanCommand:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "unknown machine 'laptop'" in err and "laptop-sim" in err
+
+    def test_prices_the_grid_it_chose(self, capsys):
+        """At N = 32768 the laptop's memory allows c = 1 only; there
+        the 2D model is 77.309 GB and COnfLUX's 77.365 GB."""
+        rc = main(["plan", "--machine", "laptop-sim", "--n", "32768"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "grid [G,G,c] = [8, 8, 1]" in out
+        assert "conflux            77.365 GB" in out
+        assert "best: scalapack2d" in out
+
+    def test_no_feasible_grid_is_an_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--machine", "laptop-sim", "--n", "65536"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: no feasible [G, G, c] grid for P=64, N=65536"
+        )
 
 
 class TestModelsCommand:
