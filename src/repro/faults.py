@@ -19,7 +19,8 @@ delay       deliver normally, but charge ``delay_s`` extra seconds to
 drop        the message never arrives (neither the byte ledger nor the
             clock records it — accounting follows *delivered* traffic,
             so the closed-system sent == recv invariant still holds)
-duplicate   a second, byte-identical copy is delivered after the first
+duplicate   a second, byte-identical copy, with a payload buffer of its
+            own, is delivered after the first
 reorder     the message is held back and released behind the sender's
             *next* message on the same (src, dst) channel
 bitflip     one deterministically-chosen bit of one numpy payload
@@ -41,6 +42,16 @@ kept per ``(rule, src, dst)`` channel.  Replaying the same plan over
 the same schedule therefore fires the same faults on the same
 messages, byte for byte, and the fault log (canonically sorted on
 snapshot) compares equal across runs.
+
+That per-channel state is compiled once, on a channel's first message:
+the rules whose ``rank`` / ``peer`` can match it, their ``after`` /
+``max_fires`` counters, and for each a blake2b state already fed the
+``"{seed}:{rule}:{src}:{dst}:"`` prefix of the hash key, which a draw
+copies and finishes with ``"{tag}:{seq}:{salt}"`` — the same digest as
+hashing the whole key, so the same faults fire.  For a message no
+rule fires on, with nothing held on its channel, ``process_send``
+returns ``None`` ("delivered as sent"): the message costs the channel
+lookup, the remaining filters and its draws, and builds nothing.
 """
 
 from __future__ import annotations
@@ -55,7 +66,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.smpi.runtime import SmpiError
+from repro.smpi.runtime import SmpiError, _copy_payload
 
 #: Recognised ``FaultRule.action`` values.
 ACTIONS = ("delay", "drop", "duplicate", "reorder", "bitflip", "crash")
@@ -305,6 +316,49 @@ class Delivery:
     duplicate: bool = False
 
 
+class _ChannelRule:
+    """One rule as one ``(src, dst)`` channel sees it: the rule, its
+    per-channel counters, and its hash state for that channel."""
+
+    __slots__ = ("idx", "rule", "filtered", "seen", "fires", "_prefix")
+
+    def __init__(
+        self, idx: int, rule: FaultRule, seed: int, src: int, dst: int
+    ) -> None:
+        self.idx = idx
+        self.rule = rule
+        #: whether tag / step / phase still have to be checked per message
+        self.filtered = (
+            rule.tag is not None or rule.step is not None
+            or rule.phase is not None
+        )
+        self.seen = 0
+        self.fires = 0
+        self._prefix = hashlib.blake2b(
+            f"{seed}:{idx}:{src}:{dst}:".encode("ascii"), digest_size=8
+        )
+
+    def unit(self, tag: int, seq: int, salt: bytes = b"") -> float:
+        """A uniform [0, 1) draw that depends only on the plan seed and
+        the message's deterministic coordinates."""
+        h = self._prefix.copy()
+        h.update(b"%d:%d:%s" % (tag, seq, salt))
+        return int.from_bytes(h.digest(), "big") / 2.0**64
+
+
+class _Channel:
+    """The injector's state for one ``(src, dst)`` world-rank channel."""
+
+    __slots__ = ("seq", "rules", "held")
+
+    def __init__(self, rules: list[_ChannelRule]) -> None:
+        #: messages sent on the channel so far
+        self.seq = 0
+        self.rules = rules
+        #: deliveries held back by reorder rules
+        self.held: list[Delivery] = []
+
+
 class FaultInjector:
     """Per-run instantiation of a :class:`FaultPlan`.
 
@@ -318,32 +372,20 @@ class FaultInjector:
         self.plan = plan
         self.nranks = nranks
         self._lock = threading.Lock()
-        #: (src, dst) -> messages sent on that world-rank channel
-        self._channel_seq: dict[tuple[int, int], int] = {}
-        #: (rule idx, src, dst) -> matches seen / fires so far
-        self._matches: dict[tuple[int, int, int], int] = {}
-        self._fires: dict[tuple[int, int, int], int] = {}
-        #: (src, dst) -> deliveries held back by reorder rules
-        self._held: dict[tuple[int, int], list[Delivery]] = {}
+        #: (src, dst) -> that channel's compiled share of the plan
+        self._channels: dict[tuple[int, int], _Channel] = {}
         self._events: list[dict] = []
         self._lost = 0
 
-    # ------------------------------------------------------------------
-    # deterministic decision stream
-    # ------------------------------------------------------------------
-    def _unit(
-        self, rule_idx: int, src: int, dst: int, tag: int, seq: int,
-        salt: str = "",
-    ) -> float:
-        """A uniform [0, 1) draw that depends only on the plan seed and
-        the message's deterministic coordinates."""
-        key = (
-            f"{self.plan.seed}:{rule_idx}:{src}:{dst}:{tag}:{seq}:{salt}"
-        )
-        digest = hashlib.blake2b(
-            key.encode("ascii"), digest_size=8
-        ).digest()
-        return int.from_bytes(digest, "big") / 2.0**64
+    def _channel(self, src: int, dst: int) -> _Channel:
+        """Compile the plan for channel ``(src, dst)`` on first use."""
+        chan = _Channel([
+            _ChannelRule(idx, rule, self.plan.seed, src, dst)
+            for idx, rule in enumerate(self.plan.rules)
+            if rule.rank in (None, src) and rule.peer in (None, dst)
+        ])
+        self._channels[src, dst] = chan
+        return chan
 
     def _log(
         self, rule_idx: int, action: str, src: int, dst: int, tag: int,
@@ -375,8 +417,10 @@ class FaultInjector:
         phase: str | None,
         payload: Any,
         nbytes: int,
-    ) -> list[Delivery]:
-        """Apply the plan to one send; returns the deliveries to make.
+    ) -> list[Delivery] | None:
+        """Apply the plan to one send; returns the deliveries to make,
+        or ``None`` when no rule fired and nothing was held on the
+        channel — the message is then delivered as sent.
 
         ``src`` / ``dst`` are world ranks (the channel identity);
         ``source`` is the sender's group rank inside ``context`` (what
@@ -384,36 +428,36 @@ class FaultInjector:
         when a crash rule fires.
         """
         with self._lock:
-            chan = (src, dst)
-            seq = self._channel_seq.get(chan, 0)
-            self._channel_seq[chan] = seq + 1
+            chan = self._channels.get((src, dst))
+            if chan is None:
+                chan = self._channel(src, dst)
+            seq = chan.seq
+            chan.seq = seq + 1
 
-            deliveries = [
-                Delivery(payload, nbytes, context, source, tag)
-            ]
+            # [payload, delay_s, duplicate] per instance, once a rule fires
+            copies: list[list] | None = None
             held_back = False
-            for idx, rule in enumerate(self.plan.rules):
-                if not rule.matches(src, dst, tag, phase):
+            for cr in chan.rules:
+                rule = cr.rule
+                if cr.filtered and not rule.matches(src, dst, tag, phase):
                     continue
-                mkey = (idx, src, dst)
-                seen = self._matches.get(mkey, 0)
-                self._matches[mkey] = seen + 1
+                seen = cr.seen
+                cr.seen = seen + 1
                 if seen < rule.after:
                     continue
-                if (
-                    rule.max_fires is not None
-                    and self._fires.get(mkey, 0) >= rule.max_fires
-                ):
+                if rule.max_fires is not None and cr.fires >= rule.max_fires:
                     continue
                 if (
                     rule.probability < 1.0
-                    and self._unit(idx, src, dst, tag, seq)
-                    >= rule.probability
+                    and cr.unit(tag, seq) >= rule.probability
                 ):
                     continue
-                self._fires[mkey] = self._fires.get(mkey, 0) + 1
+                cr.fires += 1
+                if copies is None:
+                    copies = [[payload, 0.0, False]]
 
-                if rule.action == "crash":
+                idx, action = cr.idx, rule.action
+                if action == "crash":
                     self._log(
                         idx, "crash", src, dst, tag, seq, phase,
                         f"rank {src} crashed before message {seq} "
@@ -424,49 +468,56 @@ class FaultInjector:
                         f"(seed {self.plan.seed}) before sending "
                         f"message {seq} to rank {dst}"
                     )
-                if rule.action == "drop":
-                    deliveries = []
+                if action == "drop":
+                    copies = []
                     self._log(idx, "drop", src, dst, tag, seq, phase)
-                elif rule.action == "delay":
-                    deliveries = [
-                        replace(d, delay_s=d.delay_s + rule.delay_s)
-                        for d in deliveries
-                    ]
+                elif action == "delay":
+                    for c in copies:
+                        c[1] += rule.delay_s
                     self._log(
                         idx, "delay", src, dst, tag, seq, phase,
                         f"+{rule.delay_s:g}s",
                     )
-                elif rule.action == "duplicate":
-                    deliveries = deliveries + [
-                        replace(d, duplicate=True) for d in deliveries
+                elif action == "duplicate":
+                    # a copy of its own: what one receiver writes into
+                    # its payload must not show in the other's
+                    copies += [
+                        [_copy_payload(p), delay_s, True]
+                        for p, delay_s, _ in copies
                     ]
                     self._log(
                         idx, "duplicate", src, dst, tag, seq, phase
                     )
-                elif rule.action == "bitflip":
-                    deliveries = [
-                        self._flip_bit(d, idx, src, dst, tag, seq)
-                        for d in deliveries
-                    ]
-                elif rule.action == "reorder":
+                elif action == "bitflip":
+                    for c in copies:
+                        self._flip_bit(c[0], cr, src, dst, tag, seq)
+                elif action == "reorder":
                     held_back = True
                     self._log(idx, "reorder", src, dst, tag, seq, phase)
 
+            if copies is None:
+                if not chan.held:
+                    return None
+                copies = [[payload, 0.0, False]]
+            deliveries = [
+                Delivery(p, nbytes, context, source, tag, delay_s, dup)
+                for p, delay_s, dup in copies
+            ]
             if held_back and deliveries:
-                self._held.setdefault(chan, []).extend(deliveries)
+                chan.held.extend(deliveries)
                 return []
             # Flush anything a reorder rule held on this channel: it is
             # delivered *behind* the current message, i.e. out of order.
-            held = self._held.pop(chan, None)
-            if held:
-                deliveries = deliveries + held
+            if chan.held:
+                deliveries += chan.held
+                chan.held = []
             return deliveries
 
     def _flip_bit(
-        self, d: Delivery, rule_idx: int, src: int, dst: int, tag: int,
-        seq: int,
-    ) -> Delivery:
-        """Invert one deterministic bit of one ndarray in the payload."""
+        self, payload: Any, cr: _ChannelRule, src: int, dst: int,
+        tag: int, seq: int,
+    ) -> None:
+        """Invert one deterministic bit of one ndarray in ``payload``."""
         arrays: list[np.ndarray] = []
 
         def collect(obj: Any) -> None:
@@ -479,21 +530,16 @@ class FaultInjector:
                 for value in obj.values():
                     collect(value)
 
-        collect(d.payload)
+        collect(payload)
         if not arrays:
             self._log(
-                rule_idx, "bitflip", src, dst, tag, seq, None,
+                cr.idx, "bitflip", src, dst, tag, seq, None,
                 "no ndarray in payload; flip skipped",
             )
-            return d
-        a = arrays[
-            int(self._unit(rule_idx, src, dst, tag, seq, "arr")
-                * len(arrays))
-        ]
+            return
+        a = arrays[int(cr.unit(tag, seq, b"arr") * len(arrays))]
         nbits = a.nbytes * 8
-        bit = int(
-            self._unit(rule_idx, src, dst, tag, seq, "bit") * nbits
-        )
+        bit = int(cr.unit(tag, seq, b"bit") * nbits)
         # Flip through a memory-sharing view: reshape(-1) silently
         # *copies* F-contiguous arrays, which would corrupt a temporary
         # and leave the delivered payload pristine while the log claims
@@ -510,10 +556,9 @@ class FaultInjector:
                 bytes(raw), dtype=a.dtype
             )[0]
         self._log(
-            rule_idx, "bitflip", src, dst, tag, seq, None,
+            cr.idx, "bitflip", src, dst, tag, seq, None,
             f"bit {bit} of {a.nbytes}-byte buffer",
         )
-        return d
 
     # ------------------------------------------------------------------
     # reporting
@@ -522,14 +567,15 @@ class FaultInjector:
         """Account messages still held by reorder rules at run end
         (the receivers are gone; they count as lost)."""
         with self._lock:
-            for (src, dst), held in sorted(self._held.items()):
-                for d in held:
+            for src, dst in sorted(self._channels):
+                chan = self._channels[src, dst]
+                for d in chan.held:
                     self._log(
                         -1, "reorder-lost", src, dst, d.tag, -1, None,
                         "held message never released",
                     )
                     self._lost += 1
-            self._held.clear()
+                chan.held = []
 
     def snapshot(self) -> list[dict]:
         """Canonically-sorted fault log; identical across replays of

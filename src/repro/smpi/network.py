@@ -56,8 +56,9 @@ class LinkGraph:
         self.alpha = alpha
         self.beta = beta
         self.topology = topology
-        self._tx = [Link(f"tx{r}") for r in range(nranks)]
-        self._rx = [Link(f"rx{r}") for r in range(nranks)]
+        #: per rank: its transmit and its receive NIC link
+        self.tx = [Link(f"tx{r}") for r in range(nranks)]
+        self.rx = [Link(f"rx{r}") for r in range(nranks)]
         self._bus = Link("bus") if topology == "shared-bus" else None
 
     def path(self, src: int, dst: int) -> tuple[Link, ...]:
@@ -65,8 +66,8 @@ class LinkGraph:
         if src == dst:
             return ()
         if self._bus is not None:
-            return (self._tx[src], self._bus, self._rx[dst])
-        return (self._tx[src], self._rx[dst])
+            return (self.tx[src], self._bus, self.rx[dst])
+        return (self.tx[src], self.rx[dst])
 
     def transfer(
         self, src: int, dst: int, nbytes: int, ready: float
@@ -95,7 +96,7 @@ class LinkGraph:
         """Busy fraction of each link over ``[0, horizon]``."""
         if horizon <= 0:
             return {}
-        links = list(self._tx) + list(self._rx)
+        links = list(self.tx) + list(self.rx)
         if self._bus is not None:
             links.append(self._bus)
         return {

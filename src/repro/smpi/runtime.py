@@ -16,16 +16,18 @@ equal to the singular ones: ``send_each(((d, dest), ...), tag)`` makes
 exactly the messages the same ``send`` calls in that order would —
 same payload copies, mailbox order, arrival stamps, ledger totals,
 trace events and fault decisions — through the one implementation
-both share; a traced or faulted run passes every piece through
-``send``, and a clean run only books the ledger once per call.
+both share.  Only a traced run passes every piece through ``send``;
+an untraced call, clean or faulted, is one batch, which the injector
+of a faulted run still decides message by message, in order, and the
+ledger books once.
 ``recv_each(sources, tag)`` is a lazy iterator of one ``recv`` per
 source, so a caller that checks each piece raises before the next
 receive is taken, exactly as a loop of ``recv`` calls would.
 
 Whatever the form and whatever the run (clean, traced or faulted),
 every message is filed by one routine, :meth:`_Scheduler.deliver`,
-which takes a whole batch — all of a clean ``_post``'s messages at
-once — and taken by one, :meth:`_Scheduler.take`, for which an exact
+which takes a whole batch — all of a ``_post``'s messages at once —
+and taken by one, :meth:`_Scheduler.take`, for which an exact
 ``(context, source, tag)`` is one lookup and only a wildcard scans.
 Every payload is still copied, and every byte still booked through the
 ledger's methods.
@@ -486,12 +488,12 @@ class Comm:
 
         Every ``dest`` is range-checked before the first message
         leaves, so a bad one raises with nothing delivered or
-        recorded.  On a clean run the ledger books the call's messages
-        at once; on a traced or faulted run every piece goes through
-        :meth:`send`, the per-message seam.
+        recorded.  An untraced call — clean or faulted — is one
+        :meth:`_post` of the whole batch (the injector still decides
+        message by message, in order); on a traced run every piece goes
+        through :meth:`send`, the per-message seam.
         """
-        sched = self._sched
-        if sched.trace is None and sched.faults is None:
+        if self._sched.trace is None:
             self._post(pieces, tag)
             return
         for _, dest in pieces:
@@ -509,9 +511,15 @@ class Comm:
     def _post(self, pieces: Sequence[tuple[Any, int]], tag: int) -> None:
         """The one send implementation behind :meth:`send` and
         :meth:`send_each`: size and copy every payload, then file the
-        messages in order through :meth:`_Scheduler.deliver` — a clean
-        or traced call's whole batch at once, a faulted call's message
-        by message, as the injector decides each one."""
+        messages in order through :meth:`_Scheduler.deliver`, the
+        call's whole batch at once.
+
+        On a faulted run the injector decides each message in order,
+        and there is one :class:`_Message` per delivered instance: the
+        piece's own when no rule fired (the injector returns ``None``),
+        one per :class:`~repro.faults.Delivery` otherwise.  What a
+        crash cuts short is still filed and booked: every message
+        decided before it."""
         group, size = self._group, len(self._group)
         context, source = self._context_id, self._rank
         key = (context, source, tag)
@@ -539,21 +547,35 @@ class Comm:
                     msg.send_id = trace.record_send(me, dst, msg.nbytes, phase)
             sched.deliver(out)
             return
-        for dst, msg in out:
-            sent = []
-            for d in injector.process_send(
-                me, dst, context, source, tag, phase, msg.data, msg.nbytes
-            ):
-                faulted = _Message(
-                    (d.context, d.source, d.tag), d.payload, d.nbytes
+        sent, total = [], 0
+        try:
+            for dst, msg in out:
+                made = injector.process_send(
+                    me, dst, context, source, tag, phase, msg.data,
+                    msg.nbytes,
                 )
-                ledger.record_send(me, d.nbytes)
-                if trace is not None:
-                    faulted.send_id = trace.record_send(
-                        me, dst, d.nbytes, phase, delay_s=d.delay_s
+                if made is None:
+                    total += msg.nbytes
+                    if trace is not None:
+                        msg.send_id = trace.record_send(
+                            me, dst, msg.nbytes, phase
+                        )
+                    sent.append((dst, msg))
+                    continue
+                for d in made:
+                    faulted = _Message(
+                        (d.context, d.source, d.tag), d.payload, d.nbytes
                     )
-                sent.append((dst, faulted))
-            sched.deliver(sent)
+                    total += d.nbytes
+                    if trace is not None:
+                        faulted.send_id = trace.record_send(
+                            me, dst, d.nbytes, phase, delay_s=d.delay_s
+                        )
+                    sent.append((dst, faulted))
+        finally:
+            if sent:
+                ledger.record_sends(me, total, len(sent))
+                sched.deliver(sent)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Blocking receive; returns the payload."""

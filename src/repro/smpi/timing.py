@@ -188,13 +188,21 @@ def simulate(trace: EventTrace, machine: "Machine") -> TimingReport:
 
     Deterministic: the only state is the trace (whose lanes are in
     program order) and the machine; the event loop breaks clock ties by
-    rank id.
+    rank id.  The rank just replayed keeps the floor while its
+    ``(clock, rank)`` is still the heap minimum — the entry the loop
+    would pop next anyway — so a run of one rank's events costs no heap
+    operation, and a crossbar transfer is priced inline with
+    :meth:`LinkGraph.transfer`'s operations in its order: the events
+    and every float are those of one pop and one push per event.
     """
     nranks = trace.nranks
-    net = LinkGraph(
-        nranks, machine.alpha, machine.beta, topology=machine.topology
-    )
+    alpha, beta = machine.alpha, machine.beta
+    charge_alpha = alpha > 0
+    net = LinkGraph(nranks, alpha, beta, topology=machine.topology)
+    crossbar = machine.topology == "crossbar"
+    tx, rx = net.tx, net.rx
     gamma = machine.gamma_flops
+    free_compute = math.isinf(gamma)
 
     clocks = [0.0] * nranks
     cursors = [0] * nranks
@@ -211,79 +219,117 @@ def simulate(trace: EventTrace, machine: "Machine") -> TimingReport:
     #: sync key -> list of (rank, clock-at-entry, phase)
     sync_slots: dict[tuple, list[tuple[int, float, str | None]]] = {}
 
-    def charge(phase: str | None, seconds: float) -> None:
-        if phase is not None and seconds > 0:
-            phase_s[phase] = phase_s.get(phase, 0.0) + seconds
-
     heap: list[tuple[float, int]] = [(0.0, r) for r in range(nranks)]
     heapq.heapify(heap)
+    heappop, heappush, heapreplace = (
+        heapq.heappop, heapq.heappush, heapq.heapreplace
+    )
 
     while heap:
-        clock, rank = heapq.heappop(heap)
-        if finished[rank]:
+        clock, rank = heappop(heap)
+        if finished[rank]:  # a stale entry
             continue
         lane = trace.events[rank]
-        if cursors[rank] >= len(lane):
-            finished[rank] = True
-            clocks[rank] = clock
-            continue
-        ev = lane[cursors[rank]]
-        cursors[rank] += 1
-        kind = ev[0]
+        end_of_lane = len(lane)
+        i = cursors[rank]
+        while True:
+            if i == end_of_lane:
+                finished[rank] = True
+                clocks[rank] = clock
+                break
+            ev = lane[i]
+            i += 1
+            kind = ev[0]
 
-        if kind == _SEND:
-            _, dst, nbytes, seq, phase, delay_s = ev
-            arrival = net.transfer(rank, dst, nbytes, ready=clock)
-            if delay_s:
-                arrival += delay_s
-            send_id = (rank, seq)
-            waiter = waiting_recv.pop(send_id, None)
-            if waiter is None:
-                arrivals[send_id] = arrival
-            else:
-                w_rank, w_clock, w_phase = waiter
-                waited = max(0.0, arrival - w_clock)
-                wait_s[w_rank] += waited
-                charge(w_phase, waited)
-                heapq.heappush(heap, (max(w_clock, arrival), w_rank))
-            overhead_s[rank] += machine.alpha
-            charge(phase, machine.alpha)
-            clock += machine.alpha
-            heapq.heappush(heap, (clock, rank))
+            if kind == _SEND:
+                _, dst, nbytes, seq, phase, delay_s = ev
+                if dst == rank:
+                    arrival = clock
+                elif crossbar:
+                    out_link, in_link = tx[rank], rx[dst]
+                    start = clock
+                    if out_link.next_free > start:
+                        start = out_link.next_free
+                    if in_link.next_free > start:
+                        start = in_link.next_free
+                    arrival = start + alpha + beta * nbytes
+                    out_link.next_free = arrival
+                    out_link.busy_seconds += arrival - start
+                    in_link.next_free = arrival
+                    in_link.busy_seconds += arrival - start
+                else:
+                    arrival = net.transfer(rank, dst, nbytes, ready=clock)
+                if delay_s:
+                    arrival += delay_s
+                send_id = (rank, seq)
+                waiter = waiting_recv.pop(send_id, None)
+                if waiter is None:
+                    arrivals[send_id] = arrival
+                else:
+                    w_rank, w_clock, w_phase = waiter
+                    waited = max(0.0, arrival - w_clock)
+                    wait_s[w_rank] += waited
+                    if w_phase is not None and waited > 0:
+                        phase_s[w_phase] = phase_s.get(w_phase, 0.0) + waited
+                    heappush(heap, (max(w_clock, arrival), w_rank))
+                overhead_s[rank] += alpha
+                if phase is not None and charge_alpha:
+                    phase_s[phase] = phase_s.get(phase, 0.0) + alpha
+                clock += alpha
 
-        elif kind == _RECV:
-            _, send_id, phase = ev
-            if send_id in arrivals:
-                arrival = arrivals.pop(send_id)
-                waited = max(0.0, arrival - clock)
-                wait_s[rank] += waited
-                charge(phase, waited)
-                heapq.heappush(heap, (max(clock, arrival), rank))
-            else:
-                # Matching send not replayed yet: block; the send's
-                # replay (above) re-queues us at the arrival time.
-                waiting_recv[send_id] = (rank, clock, phase)
+            elif kind == _RECV:
+                _, send_id, phase = ev
+                arrival = arrivals.pop(send_id, None)
+                if arrival is None:
+                    # Matching send not replayed yet: block; the send's
+                    # replay (above) re-queues us at the arrival time.
+                    waiting_recv[send_id] = (rank, clock, phase)
+                    break
+                # a wait of max(0, arrival - clock); one of 0 adds 0.0
+                if arrival > clock:
+                    waited = arrival - clock
+                    wait_s[rank] += waited
+                    if phase is not None:
+                        phase_s[phase] = phase_s.get(phase, 0.0) + waited
+                    clock = arrival
 
-        elif kind == _COMPUTE:
-            _, flops, phase = ev
-            seconds = 0.0 if math.isinf(gamma) else flops / gamma
-            compute_s[rank] += seconds
-            charge(phase, seconds)
-            heapq.heappush(heap, (clock + seconds, rank))
+            elif kind == _COMPUTE:
+                _, flops, phase = ev
+                seconds = 0.0 if free_compute else flops / gamma
+                compute_s[rank] += seconds
+                if phase is not None and seconds > 0:
+                    phase_s[phase] = phase_s.get(phase, 0.0) + seconds
+                clock += seconds
 
-        else:  # _SYNC
-            _, key, expected, phase = ev
-            slot = sync_slots.setdefault(key, [])
-            slot.append((rank, clock, phase))
-            if len(slot) == expected:
-                del sync_slots[key]
-                release = max(c for _, c, _ in slot)
-                for s_rank, s_clock, s_phase in slot:
-                    waited = release - s_clock
-                    wait_s[s_rank] += waited
-                    charge(s_phase, waited)
-                    heapq.heappush(heap, (release, s_rank))
-            # else: block until the last participant arrives.
+            else:  # _SYNC
+                _, key, expected, phase = ev
+                slot = sync_slots.setdefault(key, [])
+                slot.append((rank, clock, phase))
+                if len(slot) == expected:
+                    del sync_slots[key]
+                    release = max(c for _, c, _ in slot)
+                    for s_rank, s_clock, s_phase in slot:
+                        waited = release - s_clock
+                        wait_s[s_rank] += waited
+                        if s_phase is not None and waited > 0:
+                            phase_s[s_phase] = (
+                                phase_s.get(s_phase, 0.0) + waited
+                            )
+                        heappush(heap, (release, s_rank))
+                # else: block until the last participant arrives.
+                break
+
+            now = (clock, rank)
+            if heap and heap[0] < now:
+                # hand over: push this rank, pop the minimum, in one step
+                cursors[rank] = i
+                clock, rank = heapreplace(heap, now)
+                while finished[rank]:  # a stale entry
+                    clock, rank = heappop(heap)
+                lane = trace.events[rank]
+                end_of_lane = len(lane)
+                i = cursors[rank]
+        cursors[rank] = i
 
     stuck = [r for r in range(nranks) if not finished[r]]
     if stuck:

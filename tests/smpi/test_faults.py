@@ -161,6 +161,36 @@ class TestInjectorActions:
         np.testing.assert_array_equal(first.payload, second.payload)
         assert first.nbytes == second.nbytes
 
+    def test_duplicate_owns_its_payload(self):
+        # Regression: the copy shared the original's buffer, so what a
+        # receiver wrote into one showed in the other.
+        plan = FaultPlan(rules=(FaultRule(action="duplicate"),))
+        first, second = _send(FaultInjector(plan, 2))
+        assert not np.shares_memory(first.payload, second.payload)
+        first.payload[0] = 99.0
+        np.testing.assert_array_equal(second.payload, np.arange(4.0))
+
+    def test_bitflip_after_duplicate_flips_each_copy_once(self):
+        # Regression: over one shared buffer the two logged flips of the
+        # same bit cancelled, and both payloads read back unchanged.
+        plan = FaultPlan(
+            rules=(
+                FaultRule(action="duplicate"),
+                FaultRule(action="bitflip"),
+            )
+        )
+        injector = FaultInjector(plan, 2)
+        deliveries = _send(injector, seq_payload=np.zeros(8))
+        assert len(deliveries) == 2
+        for d in deliveries:
+            assert np.unpackbits(d.payload.view(np.uint8)).sum() == 1
+        np.testing.assert_array_equal(
+            deliveries[0].payload, deliveries[1].payload
+        )
+        assert injector.report()["by_action"] == {
+            "duplicate": 1, "bitflip": 2,
+        }
+
     def test_reorder_holds_until_the_next_same_channel_send(self):
         plan = FaultPlan(
             rules=(FaultRule(action="reorder", max_fires=1),)
@@ -247,11 +277,12 @@ class TestInjectorActions:
             rules=(FaultRule(action="drop", after=1, max_fires=1),)
         )
         injector = FaultInjector(plan, 3)
-        assert len(_send(injector, dst=1)) == 1   # skipped by `after`
+        # None: no rule fired, the message is delivered as sent
+        assert _send(injector, dst=1) is None     # skipped by `after`
         assert _send(injector, dst=1) == []       # fires
-        assert len(_send(injector, dst=1)) == 1   # capped
+        assert _send(injector, dst=1) is None     # capped
         # a different channel has its own counters
-        assert len(_send(injector, dst=2)) == 1
+        assert _send(injector, dst=2) is None
         assert _send(injector, dst=2) == []
 
     def test_rules_apply_in_order(self):
@@ -377,6 +408,20 @@ class TestRuntimeIntegration:
         assert report.sent_bytes[0] == 64  # both copies on the wire
         assert report.recv_bytes[1] == 64
 
+    def test_a_receiver_writing_into_one_copy_leaves_the_other(self):
+        plan = FaultPlan(rules=(FaultRule(action="duplicate", tag=3),))
+
+        def fn(comm):
+            if comm.rank == 0:
+                comm.send_each(((np.arange(4.0), 1),), tag=3)
+                return None
+            first = comm.recv(source=0, tag=3)
+            first[:] = -1.0
+            return comm.recv(source=0, tag=3)
+
+        results, _ = run_spmd(2, fn, faults=plan, timeout=5.0)
+        np.testing.assert_array_equal(results[1], np.arange(4.0))
+
     def test_crash_aggregates_by_rank_order(self):
         # the RankFailure list is sorted by rank no matter which
         # rank died first
@@ -435,11 +480,10 @@ class TestRuntimeIntegration:
             injector = FaultInjector(plan, 2)
             n = 0
             for i in range(12):
-                n += len(
-                    injector.process_send(
-                        1, 0, 0, 1, i, None, float(i), 8
-                    )
+                made = injector.process_send(
+                    1, 0, 0, 1, i, None, float(i), 8
                 )
+                n += 1 if made is None else len(made)  # None: as sent
             return n
 
         expected = arrival_sequence()
