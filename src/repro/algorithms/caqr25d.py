@@ -83,16 +83,19 @@ class _CaqrRank(Rank25D):
         qj, ql = slot_t % g, slot_t // g
         on_panel = self.pj == qj and self.layer == ql
         plan = merge_plan([counts[(rt + p) % g] for p in range(g)], w)
+        a0 = act_loc.start
 
-        # 1-2. leaf QR, then R merges up the tree (panel pane only)
+        # 1-2. leaf QR, then R merges up the tree (panel pane only); the
+        #      panel is one tile, so a column range of the block
         panel = None
         if on_panel:
-            panel_lcols = self.col_g2l[ctx.panel_cols]
-            panel = self.aloc[np.ix_(act_loc, panel_lcols)]
+            lo = self.col_g2l[ctx.k0]
+            panel_lcols = slice(lo, lo + w)
+            panel = self.aloc[a0:, panel_lcols]
         leaf, my_nodes, r_mine = sched.tsqr_merge(t, rt, plan, panel)
         if on_panel and self.pi == rt:
             # Final R of the panel: the diagonal block rows.
-            self.aloc[np.ix_(act_loc[:w], panel_lcols)] = r_mine
+            self.aloc[a0 : a0 + w, panel_lcols] = r_mine
 
         # 3. fan the pane's reflectors out to the sibling panes
         pkg = (leaf, my_nodes) if on_panel else None
@@ -117,18 +120,19 @@ class _CaqrRank(Rank25D):
     # -- step 4: apply the implicit tree Q^T to the trailing columns --
     def trailing_op(self, ctx: StepContext, panel) -> None:
         leaf, my_nodes, plan, rt, act_loc = panel
-        tcols = np.where(self.my_cols >= ctx.k1)[0]
-        if len(act_loc) == 0 or len(tcols) == 0:
+        tcols = self.sched.trailing_local_cols(ctx.t)
+        if len(act_loc) == 0 or tcols.start == tcols.stop:
             return
+        a0 = act_loc.start
         with self.comm.phase("tree_apply"):
             # leaf Q^T locally, then the merge schedule on the top rows
-            block = self.aloc[np.ix_(act_loc, tcols)]
+            block = self.aloc[a0:, tcols]
             if leaf is not None:
                 block = apply_qt(leaf[0], leaf[1], block)
             self.sched.tsqr_replay(
                 ctx.t, rt, plan, my_nodes, block, apply_qt
             )
-        self.aloc[np.ix_(act_loc, tcols)] = block
+        self.aloc[a0:, tcols] = block
 
 
 def _assemble_q(

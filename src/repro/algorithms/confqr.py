@@ -108,12 +108,15 @@ class _ConfqrRank(Rank25D):
 
         on_pane = self.pj == qj
         plan = merge_plan([counts[(rt + p) % g] for p in range(g)], w)
+        a0 = act_loc.start
 
-        # 1. leaf QR + R merges up the binary tree (pane column only).
+        # 1. leaf QR + R merges up the binary tree (pane column only);
+        #    the panel is one tile, so a column range of the block.
         panel = None
         if on_pane:
-            panel_lcols = self.col_g2l[ctx.panel_cols]
-            panel = self.aloc[np.ix_(act_loc, panel_lcols)]
+            lo = self.col_g2l[ctx.k0]
+            panel_lcols = slice(lo, lo + w)
+            panel = self.aloc[a0:, panel_lcols]
         leaf, my_nodes, r_mine = sched.tsqr_merge(t, rt, plan, panel)
 
         # 2. replay the tree on the w-column identity: Q1 rows land on
@@ -146,9 +149,7 @@ class _ConfqrRank(Rank25D):
                 vloc[:w] = l1
                 vloc[w:] = wy_below_rows(eloc[w:], u)
                 # Sign-fixed final R of the panel: R' = S R.
-                self.aloc[np.ix_(act_loc[:w], panel_lcols)] = (
-                    signs[:, None] * r_mine
-                )
+                self.aloc[a0 : a0 + w, panel_lcols] = signs[:, None] * r_mine
             else:
                 vloc = wy_below_rows(eloc, u)
 
@@ -196,15 +197,13 @@ class _ConfqrRank(Rank25D):
             return
         comm, gd = self.comm, self.grid
         vloc, tmat, act_loc = panel
-        tcols = np.where(self.my_cols >= ctx.k1)[0]
-        if len(tcols) == 0:
+        tcols = self.sched.trailing_local_cols(ctx.t)
+        if tcols.start == tcols.stop:
             return
         with comm.phase("wy_apply"):
-            block = self.aloc[np.ix_(act_loc, tcols)]
+            block = self.aloc[act_loc.start :, tcols]
             y = gd.col_comm.allreduce(vloc.T @ block)
-            self.aloc[np.ix_(act_loc, tcols)] = block - vloc @ (
-                tmat.T @ y
-            )
+            block -= vloc @ (tmat.T @ y)
 
     def step_flops(self, ctx: StepContext) -> float:
         if self.layer != 0:
@@ -259,9 +258,9 @@ class _ConfqrRank(Rank25D):
             # Q_t X = X - V (T (V^T X)) on all N columns.
             tmat = self.t_log[t]
             with comm.phase("q_apply"):
-                block = self.qloc[act_loc, :]
+                block = self.qloc[act_loc.start :]
                 y = gd.col_comm.allreduce(vloc.T @ block)
-                self.qloc[act_loc, :] = block - vloc @ (tmat @ y)
+                block -= vloc @ (tmat @ y)
             rows = max(self.n - k0, 0)
             comm.compute(4.0 * rows * w * self.n / (self.g * self.g))
 

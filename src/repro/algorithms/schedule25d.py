@@ -535,17 +535,19 @@ class Schedule25D:
         counts, act_loc)`` — the grid row owning the diagonal block (the
         tree root), the column slot owning the panel, every grid row's
         number of active (>= k0) rows, and this rank's active local row
-        indices in ascending global order."""
+        indices in ascending global order — a ``range``, always a suffix
+        of the local rows, so its rows are the slice ``[act_loc.start:]``
+        of the local block."""
         counts = [
             len(rows) - int(np.searchsorted(rows, k0))
             for rows in self.rows_by_grid_row
         ]
         start = int(np.searchsorted(self.my_rows, k0))
         return (
-            int(self.rowmap.owner(k0)),
-            int(self.colmap.owner(k0)),
+            self.rowmap.owner(k0),
+            self.colmap.owner(k0),
             counts,
-            np.arange(start, len(self.my_rows)),
+            range(start, len(self.my_rows)),
         )
 
     def tsqr_merge(self, t: int, rt: int, plan, panel: np.ndarray | None):

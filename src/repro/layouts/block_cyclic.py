@@ -28,6 +28,9 @@ class BlockCyclic1D:
 
     def owner(self, g) -> np.ndarray | int:
         """Rank owning global index ``g`` (scalar or array)."""
+        if isinstance(g, int):
+            self._check_int(g)
+            return (g // self.block) % self.p
         g = np.asarray(g)
         self._check_range(g)
         res = (g // self.block) % self.p
@@ -35,6 +38,9 @@ class BlockCyclic1D:
 
     def local_index(self, g) -> np.ndarray | int:
         """Position of ``g`` within its owner's local array."""
+        if isinstance(g, int):
+            self._check_int(g)
+            return (g // self.block // self.p) * self.block + g % self.block
         g = np.asarray(g)
         self._check_range(g)
         blk = g // self.block
@@ -50,6 +56,11 @@ class BlockCyclic1D:
 
     def local_count(self, rank: int) -> int:
         return len(self.global_indices(rank))
+
+    def _check_int(self, g: int) -> None:
+        """:meth:`_check_range` of a Python int, without an array."""
+        if not 0 <= g < self.n:
+            self._check_range(np.asarray(g))
 
     def _check_range(self, g: np.ndarray) -> None:
         if g.size and (np.any(g < 0) or np.any(g >= self.n)):

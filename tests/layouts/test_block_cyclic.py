@@ -1,5 +1,7 @@
 """Tests for the block-cyclic index map."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,3 +97,41 @@ class TestBlockCyclic1D:
         assert g in m.global_indices(r)
         li = m.local_index(g)
         assert m.global_indices(r)[li] == g
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=200),
+        p=st.integers(min_value=1, max_value=16),
+        block=st.integers(min_value=1, max_value=8),
+        g=st.integers(min_value=0, max_value=199),
+    )
+    def test_int_index_matches_array_path(self, n, p, block, g):
+        """A Python int takes integer arithmetic, not an array; it must
+        answer as the array path does, as an ``int``, and so must a
+        NumPy scalar."""
+        g = g % n
+        m = BlockCyclic1D(n, p, block)
+        as_array = np.array([g])
+        for method in (m.owner, m.local_index):
+            expect = int(method(as_array)[0])
+            for index in (g, np.int64(g)):
+                got = method(index)
+                assert type(got) is int
+                assert got == expect
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=200),
+        p=st.integers(min_value=1, max_value=16),
+        block=st.integers(min_value=1, max_value=8),
+    )
+    def test_out_of_range_int_message(self, n, p, block):
+        """-1 and n are rejected with the array path's message, whether
+        given as a Python int or a NumPy scalar."""
+        m = BlockCyclic1D(n, p, block)
+        for bad in (-1, n):
+            text = re.escape(f"global index out of range [0, {n}): [{bad}]")
+            for method in (m.owner, m.local_index):
+                for index in (bad, np.int64(bad)):
+                    with pytest.raises(ValueError, match=text):
+                        method(index)
