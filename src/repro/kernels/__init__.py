@@ -7,8 +7,9 @@ helpers (residuals, growth factors).
 
 Everything here is vectorized numpy or one library call (GEPP is LAPACK
 ``dgetrf``, each triangular solve the LAPACK ``dtrtrs`` call scipy's
-checked triangular solve makes, behind the same finite and pivot checks) —
-loops only over block columns, never over scalar elements.
+checked triangular solve makes, behind the same finite and pivot checks;
+a Householder QR is ``dgeqrf`` and applying its Q ``dormqr``) — loops
+only over block columns, never over scalar elements.
 """
 
 from repro.kernels.lu_seq import (

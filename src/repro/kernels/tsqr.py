@@ -22,17 +22,19 @@ The merge schedule (:func:`merge_plan`) is shared with the distributed
 survivor's physical rows — so the distributed exchange never has to
 split a logical R across two ranks.
 
-These kernels are pure functions over numpy arrays, vectorized over
-rows; only the reflector loop runs in Python (panels are at most a few
-dozen columns wide).
+These kernels are pure functions over numpy arrays.  A Householder
+QR is one LAPACK ``geqrf`` call and applying its Q or Q^T one
+``ormqr``, unpacked to and from the conventions below (explicit unit
+diagonal, exact zeros above it, ``tau == 0`` for a column that is
+already reduced); only the tree walk runs in Python.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 
 # ---------------------------------------------------------------------------
@@ -55,39 +57,28 @@ def householder_qr(
       Q = H_0 H_1 ... H_{k-1} (diagonal of R may carry either sign,
       as in LAPACK).
     """
-    work = np.array(a, dtype=np.float64, copy=True)
+    # A Fortran-ordered copy is factored in place by geqrf.
+    work = np.array(a, dtype=np.float64, order="F")
     if work.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {work.shape}")
     m, n = work.shape
     k = min(m, n)
-    v = np.zeros((m, k))
-    tau = np.zeros(k)
-    for j in range(k):
-        alpha = work[j, j]
-        sigma = float(np.dot(work[j + 1 :, j], work[j + 1 :, j]))
-        if sigma == 0.0:
-            # Column already reduced: H_j = I (tau 0, beta = alpha).
-            v[j, j] = 1.0
-            continue
-        beta = -math.copysign(math.hypot(alpha, math.sqrt(sigma)), alpha)
-        tau[j] = (beta - alpha) / beta
-        w = work[j:, j] / (alpha - beta)
-        w[0] = 1.0
-        v[j:, j] = w
-        if j + 1 < n:
-            work[j:, j + 1 :] -= tau[j] * np.outer(w, w @ work[j:, j + 1 :])
-        work[j, j] = beta
-        work[j + 1 :, j] = 0.0
-    return v, tau, np.triu(work[:k, :])
+    if k == 0:
+        return np.zeros((m, 0)), np.zeros(0), np.zeros((0, n))
+    # An already-reduced column comes back with tau 0 (H_j = I).
+    qr, tau, _, _ = lapack.dgeqrf(work, overwrite_a=True)
+    v = np.tril(qr[:, :k], -1)
+    np.fill_diagonal(v, 1.0)
+    return v, tau, np.triu(qr[:k, :])
 
 
 def _conforming(rows: int, b: np.ndarray, what: str) -> np.ndarray:
     """Validate that ``b`` conforms to an m-row reflector set.
 
-    The reflector loops would otherwise fail late with an opaque numpy
-    broadcasting message — or, for an all-``tau == 0`` (degenerate)
-    panel, skip every reflector and silently return a nonconforming
-    ``b`` unchanged.
+    The apply would otherwise fail late with an opaque LAPACK wrapper
+    message — or, for an empty or all-``tau == 0`` (degenerate) panel,
+    skip every reflector and silently return a nonconforming ``b``
+    unchanged.
     """
     out = np.array(b, dtype=np.float64, copy=True)
     if out.ndim != 2:
@@ -102,26 +93,29 @@ def _conforming(rows: int, b: np.ndarray, what: str) -> np.ndarray:
     return out
 
 
+def _ormqr(trans: str, v: np.ndarray, tau: np.ndarray, c: np.ndarray):
+    """One ``ormqr`` on the C-ordered copy ``c``, in place: its memory
+    is the Fortran-ordered c^T, so Q^T c = (c^T Q)^T is ``trans="N"``
+    from the right and Q c is ``"T"`` — and the result keeps c's
+    layout.  The workspace is the minimum, one column of c, so ormqr
+    runs unblocked: a TSQR panel is one tile wide, narrower than its
+    block size."""
+    if len(tau) == 0 or c.size == 0:
+        return c
+    ct, _, _ = lapack.dormqr(
+        "R", trans, v, tau, c.T, max(1, c.shape[1]), overwrite_c=True
+    )
+    return ct.T
+
+
 def apply_qt(v: np.ndarray, tau: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Apply Q^T (Q from ``householder_qr``) to conforming ``b``."""
-    out = _conforming(v.shape[0], b, "apply_qt")
-    for j in range(len(tau)):
-        if tau[j] == 0.0:
-            continue
-        w = v[:, j]
-        out -= tau[j] * np.outer(w, w @ out)
-    return out
+    return _ormqr("N", v, tau, _conforming(v.shape[0], b, "apply_qt"))
 
 
 def apply_q(v: np.ndarray, tau: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Apply Q (Q from ``householder_qr``) to conforming ``b``."""
-    out = _conforming(v.shape[0], b, "apply_q")
-    for j in range(len(tau) - 1, -1, -1):
-        if tau[j] == 0.0:
-            continue
-        w = v[:, j]
-        out -= tau[j] * np.outer(w, w @ out)
-    return out
+    return _ormqr("T", v, tau, _conforming(v.shape[0], b, "apply_q"))
 
 
 def thin_q(v: np.ndarray, tau: np.ndarray) -> np.ndarray:
