@@ -97,9 +97,11 @@ def _ormqr(trans: str, v: np.ndarray, tau: np.ndarray, c: np.ndarray):
     """One ``ormqr`` on the C-ordered copy ``c``, in place: its memory
     is the Fortran-ordered c^T, so Q^T c = (c^T Q)^T is ``trans="N"``
     from the right and Q c is ``"T"`` — and the result keeps c's
-    layout.  The workspace is the minimum, one column of c, so ormqr
-    runs unblocked: a TSQR panel is one tile wide, narrower than its
-    block size."""
+    layout.  The workspace is the minimum, one column of c, which is
+    valid for every caller; ormqr then applies the reflectors one at a
+    time (level 2), as the per-column loops it replaced did.  Most
+    callers apply one TSQR tile's reflectors; :func:`thin_q` applies
+    up to m of them."""
     if len(tau) == 0 or c.size == 0:
         return c
     ct, _, _ = lapack.dormqr(

@@ -27,20 +27,18 @@ class BlockCyclic1D:
         self.block = block
 
     def owner(self, g) -> np.ndarray | int:
-        """Rank owning global index ``g`` (scalar or array)."""
+        """Rank owning global index ``g`` (scalar or array).  A Python
+        int is answered by integer arithmetic, without an array."""
         if isinstance(g, int):
             self._check_int(g)
-            return (g // self.block) % self.p
-        g = np.asarray(g)
-        self._check_range(g)
+        else:
+            g = np.asarray(g)
+            self._check_range(g)
         res = (g // self.block) % self.p
-        return int(res) if res.ndim == 0 else res
+        return res if isinstance(res, int) or res.ndim else int(res)
 
     def local_index(self, g) -> np.ndarray | int:
         """Position of ``g`` within its owner's local array."""
-        if isinstance(g, int):
-            self._check_int(g)
-            return (g // self.block // self.p) * self.block + g % self.block
         g = np.asarray(g)
         self._check_range(g)
         blk = g // self.block

@@ -106,9 +106,9 @@ class TestBlockCyclic1D:
         g=st.integers(min_value=0, max_value=199),
     )
     def test_int_index_matches_array_path(self, n, p, block, g):
-        """A Python int takes integer arithmetic, not an array; it must
-        answer as the array path does, as an ``int``, and so must a
-        NumPy scalar."""
+        """``owner`` of a Python int takes integer arithmetic, not an
+        array; it must answer as the array path does, as an ``int``, and
+        so must ``local_index`` and a NumPy scalar."""
         g = g % n
         m = BlockCyclic1D(n, p, block)
         as_array = np.array([g])
