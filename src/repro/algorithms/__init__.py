@@ -71,7 +71,7 @@ from repro.algorithms import (  # noqa: F401 (each module registers itself)
     scalapack2d,
     slate2d,
 )
-from repro.algorithms.mmm25d import mmm25d, mmm25d_model_bytes
+from repro.algorithms.mmm25d import mmm25d
 from repro.algorithms.gridopt import (
     GridChoice,
     optimize_grid_25d,
@@ -93,7 +93,6 @@ __all__ = [
     "get_algorithm",
     "list_algorithms",
     "mmm25d",
-    "mmm25d_model_bytes",
     "optimize_grid_25d",
     "register_algorithm",
     "verify_factors",

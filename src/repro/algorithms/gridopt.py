@@ -53,8 +53,6 @@ def optimize_grid_25d(
     p: int,
     n: int,
     m_max: float | None = None,
-    v: int | None = None,
-    c_max: int | None = None,
     use_all_ranks: bool = False,
 ) -> GridChoice:
     """Choose (G, c) minimizing the exact COnfLUX model.
@@ -67,10 +65,9 @@ def optimize_grid_25d(
     """
     if p < 1 or n < 1:
         raise ValueError(f"need positive P and N, got P={p}, N={n}")
-    if c_max is None:
-        c_max = max(1, int(round(p ** (1.0 / 3.0))) * 2)
     best: GridChoice | None = None
-    for c in range(1, min(c_max, p) + 1):
+    # replication depths up to twice the cube root of P
+    for c in range(1, min(2 * round(p ** (1.0 / 3.0)), p) + 1):
         g_hi = math.isqrt(p // c)
         if g_hi < 1:
             continue
@@ -88,11 +85,7 @@ def optimize_grid_25d(
             # per-rank memory of the layout: N^2 / G^2 elements
             if m_max is not None and n * n / (g * g) > m_max:
                 continue
-            if v is not None and v < c:
-                continue
-            cost = conflux_total_bytes(
-                n, active, c=c, v=v, grid_rows=g
-            )
+            cost = conflux_total_bytes(n, active, c=c, grid_rows=g)
             choice = GridChoice(
                 grid_rows=g,
                 layers=c,

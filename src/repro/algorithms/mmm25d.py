@@ -136,18 +136,3 @@ def mmm25d(
             (lo_r, hi_r), (lo_c, hi_c) = r["rows"], r["cols"]
             out[lo_r:hi_r, lo_c:hi_c] = r["c_block"]
     return out, report, grid
-
-
-def mmm25d_model_bytes(n: int, g: int, c: int) -> float:
-    """Analytic volume of the schedule above (elements * 8 B).
-
-    replicate: 2 (c-1) N^2;  summa: 2 (G-1) N^2 (every rank receives
-    its row/col blocks for each of its G/c rounds); reduce: (c-1) N^2.
-    """
-    if g < 1 or c < 1:
-        raise ValueError("grid dims must be positive")
-    block = (n / g) ** 2
-    replicate = 2 * (c - 1) * g * g * block
-    summa_recv = 2 * (g - 1) / g * g * g * c * (g / c) * block
-    reduce_c = (c - 1) * g * g * block
-    return (replicate + summa_recv + reduce_c) * 8.0

@@ -276,14 +276,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"  {res.status:<7} {res.point.label()} "
                   f"({origin}){note}")
 
-    result = run_sweep(
-        spec,
-        workers=args.workers,
-        cache=cache,
-        max_points=args.max_points,
-        force=args.force,
-        progress=progress if args.verbose else None,
-    )
+    try:
+        result = run_sweep(
+            spec,
+            workers=args.workers,
+            cache=cache,
+            max_points=args.max_points,
+            force=args.force,
+            progress=progress if args.verbose else None,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rows = result.rows(strict=False)
     if rows:
         print(format_table(

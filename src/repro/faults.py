@@ -60,7 +60,7 @@ import fnmatch
 import hashlib
 import json
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -84,6 +84,39 @@ class RankCrashed(SmpiError):
 
 class FaultPlanError(ValueError):
     """A fault plan or rule failed validation."""
+
+
+#: The JSON type of each rule and plan field; ``null`` is accepted only
+#: where the field's default is ``None``.
+RULE_FIELDS = {
+    "action": (str,), "rank": (int,), "peer": (int,), "tag": (int,),
+    "phase": (str,), "step": (int,), "probability": (int, float),
+    "delay_s": (int, float), "after": (int,), "max_fires": (int,),
+}
+PLAN_FIELDS = {"seed": (int,), "name": (str,), "rules": (list, tuple)}
+
+
+def _check_fields(kind: str, data: Any, table: dict, cls: type) -> None:
+    """Reject a ``kind`` object that is not a dict, names a field not in
+    ``table`` or gives a field a value of another type (a ``bool`` is
+    never an ``int``; ``null`` only where ``cls``'s default is ``None``)."""
+    if not isinstance(data, dict):
+        raise FaultPlanError(f"{kind} must be an object, got {data!r}")
+    unknown = set(data) - set(table)
+    if unknown:
+        raise FaultPlanError(
+            f"unknown {kind} field(s): {', '.join(sorted(unknown))}"
+        )
+    nullable = {f.name for f in fields(cls) if f.default is None}
+    for name, value in data.items():
+        if value is None and name in nullable:
+            continue
+        wanted = table[name]
+        if isinstance(value, bool) or not isinstance(value, wanted):
+            raise FaultPlanError(
+                f"{kind} field {name!r} must be "
+                f"{' or '.join(t.__name__ for t in wanted)}, got {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -183,16 +216,7 @@ class FaultRule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultRule":
-        if not isinstance(data, dict):
-            raise FaultPlanError(f"rule must be an object, got {data!r}")
-        unknown = set(data) - {
-            "action", "rank", "peer", "tag", "phase", "step",
-            "probability", "delay_s", "after", "max_fires",
-        }
-        if unknown:
-            raise FaultPlanError(
-                f"unknown rule field(s): {', '.join(sorted(unknown))}"
-            )
+        _check_fields("rule", data, RULE_FIELDS, cls)
         if "action" not in data:
             raise FaultPlanError("rule is missing the 'action' field")
         return cls(**data)
@@ -226,20 +250,13 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        if not isinstance(data, dict):
-            raise FaultPlanError(f"plan must be an object, got {data!r}")
-        unknown = set(data) - {"seed", "name", "rules"}
-        if unknown:
-            raise FaultPlanError(
-                f"unknown plan field(s): {', '.join(sorted(unknown))}"
-            )
-        rules = data.get("rules", [])
-        if not isinstance(rules, (list, tuple)):
-            raise FaultPlanError("plan 'rules' must be a list")
+        _check_fields("plan", data, PLAN_FIELDS, cls)
         return cls(
-            rules=tuple(FaultRule.from_dict(r) for r in rules),
-            seed=int(data.get("seed", 0)),
-            name=str(data.get("name", "")),
+            rules=tuple(
+                FaultRule.from_dict(r) for r in data.get("rules", ())
+            ),
+            seed=data.get("seed", 0),
+            name=data.get("name", ""),
         )
 
     @classmethod

@@ -4,8 +4,8 @@ The paper's evidence is a grid of (implementation, N, P, c, v) points
 (Table 2, Figures 6-7).  This module turns "run that grid" into data:
 
 * a :class:`SweepSpec` names a registered *task* and spans a cartesian
-  grid of parameter axes (plus fixed parameters, per-point derivation
-  for things like weak-scaling N(P), and filters);
+  grid of parameter axes (plus fixed parameters and a per-point
+  derivation for things like weak-scaling N(P));
 * :func:`run_sweep` fans the points out over a ``multiprocessing``
   worker pool, consults a content-addressed :class:`SweepCache` so
   completed points are never recomputed, captures per-point failures
@@ -66,12 +66,6 @@ def task(
         return fn
 
     return register
-
-
-def unregister_task(name: str) -> None:
-    """Remove a registered task (test helper)."""
-    _TASKS.pop(name, None)
-    _TASK_SCHEMA.pop(name, None)
 
 
 def get_task(name: str) -> Callable[..., Any]:
@@ -153,8 +147,7 @@ class SweepSpec:
     cartesian product (in axis insertion order, values in given order)
     merged over ``fixed``.  ``derive``, if given, maps the merged dict
     to the final parameter dict — use it for derived parameters such as
-    the weak-scaling N(P) or to drop helper axes.  ``filters`` then
-    prune points (all predicates must hold).
+    the weak-scaling N(P) or to drop helper axes.
     """
 
     name: str
@@ -162,7 +155,6 @@ class SweepSpec:
     axes: Mapping[str, Sequence[Any]] = field(default_factory=dict)
     fixed: Mapping[str, Any] = field(default_factory=dict)
     derive: Callable[[dict], dict] | None = None
-    filters: tuple[Callable[[dict], bool], ...] = ()
     description: str = ""
 
     def points(self) -> list[SweepPoint]:
@@ -176,8 +168,6 @@ class SweepSpec:
             params.update(zip(names, combo))
             if self.derive is not None:
                 params = self.derive(params)
-            if any(not pred(params) for pred in self.filters):
-                continue
             out.append(
                 SweepPoint(task=self.task, params=_json_clean(params))
             )
@@ -320,8 +310,9 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     # threads (an abandoned smpi rank, an asyncio executor) can
     # deadlock the child on locks held mid-operation, and Python 3.12+
     # deprecates exactly that; in that case prefer forkserver, then
-    # spawn, and rely on :func:`_worker_init` to restore non-builtin
-    # task registrations in the workers.
+    # spawn.  Those workers register only the built-in tasks (on the
+    # first lookup), so a point of a task registered in the caller
+    # alone comes back as that point's "unknown sweep task" error.
     methods = multiprocessing.get_all_start_methods()
     preferred = None
     if "fork" in methods and not _live_helper_threads():
@@ -332,41 +323,6 @@ def _pool_context() -> multiprocessing.context.BaseContext:
                 preferred = candidate
                 break
     return multiprocessing.get_context(preferred or methods[0])
-
-
-def _task_snapshot() -> list[tuple[str, str, str, int]]:
-    """Import paths of every registered task that a fresh interpreter
-    can resolve (top-level functions only; closures registered by tests
-    or notebooks cannot be shipped to a spawned worker)."""
-    out = []
-    for name, fn in _TASKS.items():
-        module = getattr(fn, "__module__", None)
-        qualname = getattr(fn, "__qualname__", None)
-        if not module or not qualname or "<locals>" in qualname:
-            continue
-        out.append((name, module, qualname, _TASK_SCHEMA.get(name, 1)))
-    return out
-
-
-def _worker_init(snapshot: list[tuple[str, str, str, int]]) -> None:
-    """Pool initializer: under spawn/forkserver the parent's registry
-    is not inherited, so re-register every importable caller-provided
-    task by import path (the built-ins register on first lookup)."""
-    import importlib
-
-    _ensure_builtin_tasks()
-    for name, module, qualname, schema in snapshot:
-        if name in _TASKS:
-            continue
-        try:
-            obj: Any = importlib.import_module(module)
-            for part in qualname.split("."):
-                obj = getattr(obj, part)
-        except Exception:
-            continue
-        if callable(obj):
-            _TASKS[name] = obj
-            _TASK_SCHEMA[name] = schema
 
 
 def run_sweep(
@@ -387,8 +343,8 @@ def run_sweep(
     are stored, so re-running a sweep whose last run partially failed
     *resumes* it: hits for the completed points, fresh execution for
     the failed/missing ones.  ``force`` bypasses cache reads
-    (results are still written).  ``max_points`` truncates the grid
-    after enumeration — the CI smoke path.
+    (results are still written).  ``max_points`` (>= 0) keeps the
+    first that many points after enumeration — the CI smoke path.
 
     A point is executed once: a run is a function of its parameters,
     so its only wall budget is ``run_spmd(timeout=)``'s (where a
@@ -396,6 +352,8 @@ def run_sweep(
     again would repeat the outcome.  A point that failed for a reason
     outside its parameters is picked up by the resume path above.
     """
+    if max_points is not None and max_points < 0:
+        raise ValueError(f"max_points must be >= 0, got {max_points}")
     start = time.perf_counter()
     points = spec.points()
     if max_points is not None:
@@ -458,8 +416,6 @@ def run_sweep(
         pool = ProcessPoolExecutor(
             max_workers=min(workers, len(pending)),
             mp_context=_pool_context(),
-            initializer=_worker_init,
-            initargs=(_task_snapshot(),),
         )
         try:
             # A worker that dies under a point (OOM kill, segfault)

@@ -17,7 +17,6 @@ from repro.kernels.lu_seq import (
     lu_partial_pivot,
     lu_blocked_partial_pivot,
     split_lu,
-    apply_row_permutation,
 )
 from repro.kernels.linalg import (
     trsm_lower_unit,
@@ -54,7 +53,6 @@ __all__ = [
     "WyFactors",
     "apply_q",
     "apply_qt",
-    "apply_row_permutation",
     "compact_wy",
     "growth_factor",
     "householder_qr",

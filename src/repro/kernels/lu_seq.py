@@ -109,16 +109,6 @@ def split_lu(lu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def apply_row_permutation(piv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Apply getrf-style successive swaps ``piv`` to the rows of ``b``."""
-    out = np.array(b, copy=True)
-    for k, p in enumerate(piv):
-        p = int(p)
-        if p != k:
-            out[[k, p]] = out[[p, k]]
-    return out
-
-
 def _as_square(a: np.ndarray, overwrite: bool) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:

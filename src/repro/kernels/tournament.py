@@ -166,14 +166,3 @@ def tournament_pivot_rows(
     # `lu` already holds the combined factors of the row-reordered block
     # (GEPP factors P*block, and `order` is exactly that P).
     return pivot_ids, lu, pivot_values
-
-
-def a00_from_ordered_rows(pivot_values: np.ndarray, v: int) -> np.ndarray:
-    """Combined LU of an already pivot-ordered v x v block (no pivoting).
-
-    Used by ranks that receive the ordered pivot rows and need the
-    factors without re-running the tournament.
-    """
-    from repro.kernels.lu_seq import lu_nopivot
-
-    return lu_nopivot(pivot_values[:, :v])

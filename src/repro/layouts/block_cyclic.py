@@ -37,23 +37,12 @@ class BlockCyclic1D:
         res = (g // self.block) % self.p
         return res if isinstance(res, int) or res.ndim else int(res)
 
-    def local_index(self, g) -> np.ndarray | int:
-        """Position of ``g`` within its owner's local array."""
-        g = np.asarray(g)
-        self._check_range(g)
-        blk = g // self.block
-        res = (blk // self.p) * self.block + g % self.block
-        return int(res) if res.ndim == 0 else res
-
     def global_indices(self, rank: int) -> np.ndarray:
         """All global indices owned by ``rank``, ascending."""
         if not 0 <= rank < self.p:
             raise ValueError(f"rank {rank} out of range for p={self.p}")
         g = np.arange(self.n)
         return g[(g // self.block) % self.p == rank]
-
-    def local_count(self, rank: int) -> int:
-        return len(self.global_indices(rank))
 
     def _check_int(self, g: int) -> None:
         """:meth:`_check_range` of a Python int, without an array."""

@@ -74,15 +74,6 @@ class Machine:
     def memory_per_rank_elements(self) -> int:
         return self.memory_per_rank_bytes // 8
 
-    @property
-    def bandwidth_bytes(self) -> float:
-        """Link bandwidth in B/s (``inf`` for a zero-β ideal machine)."""
-        return 1.0 / self.beta if self.beta > 0 else math.inf
-
-    def transfer_seconds(self, nbytes: float) -> float:
-        """Contention-free cost of one message: α + β·bytes."""
-        return self.alpha + self.beta * nbytes
-
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 

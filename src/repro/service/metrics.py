@@ -31,10 +31,10 @@ def percentile(values: Sequence[float], q: float) -> float:
     Returns 0.0 for an empty sequence — metrics of an idle service
     read as zeros rather than NaNs.
     """
-    if not values:
-        return 0.0
     if not 0 <= q <= 100:
         raise ValueError(f"percentile q must be in [0, 100], got {q}")
+    if not values:
+        return 0.0
     ordered = sorted(values)
     rank = max(1, -(-len(ordered) * q // 100))  # ceil without math
     return float(ordered[int(rank) - 1])

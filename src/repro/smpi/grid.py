@@ -49,12 +49,6 @@ class ProcessGrid2D:
     def size(self) -> int:
         return self.rows * self.cols
 
-    def coords_of(self, rank: int) -> tuple[int, int]:
-        """Grid coordinates of an active grid rank."""
-        if not 0 <= rank < self.size:
-            raise ValueError(f"rank {rank} outside grid of size {self.size}")
-        return rank // self.cols, rank % self.cols
-
     def rank_of(self, row: int, col: int) -> int:
         if not (0 <= row < self.rows and 0 <= col < self.cols):
             raise ValueError(
@@ -135,10 +129,3 @@ class ProcessGrid3D:
                 f"{self.rows}x{self.cols}x{self.layers} grid"
             )
         return (row * self.cols + col) * self.layers + layer
-
-    def coords_of(self, rank: int) -> tuple[int, int, int]:
-        if not 0 <= rank < self.size:
-            raise ValueError(f"rank {rank} outside grid of size {self.size}")
-        layer = rank % self.layers
-        plane = rank // self.layers
-        return plane // self.cols, plane % self.cols, layer

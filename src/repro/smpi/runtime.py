@@ -40,7 +40,7 @@ therefore a function of the program, not of the OS, and a lost message
 is not inferred from a timeout: the moment no rank can run while some
 are blocked, each blocked rank raises :class:`DeadlockError`.
 
-Communicator metadata operations (``split``, ``dup``, ``barrier``) are
+Communicator metadata operations (``split``, ``barrier``) are
 implemented through an in-process rendezvous board rather than messages;
 they carry no payload bytes, matching the paper's volume accounting which
 counts only data traffic.
@@ -171,7 +171,7 @@ class _Scheduler:
 
     Exactly one rank executes at a time.  The rank holding the baton
     runs until it *blocks* — a receive nothing in its mailbox matches,
-    a rendezvous (``split``/``dup``/``barrier``) not everyone has
+    a rendezvous (``split``/``barrier``) not everyone has
     reached — or returns; only there is the baton handed on, to the
     head of the FIFO ``runnable`` queue.  A send never yields: it
     files the message and, if the destination is blocked on a receive
@@ -456,10 +456,6 @@ class Comm:
         """World ranks of the group, in group order."""
         return self._group
 
-    @property
-    def ledger(self) -> VolumeLedger:
-        return self._sched.ledger
-
     def phase(self, name: str | None) -> _PhaseScope:
         """Context manager attributing sent bytes to a named phase."""
         return _PhaseScope(self, name)
@@ -720,11 +716,6 @@ class Comm:
         if self._rank == 0:
             value = self._sched.allocate_contexts(count)
         return self._sched.exchange(self, key, value)[0]
-
-    def dup(self) -> "Comm":
-        """Duplicate the communicator with a fresh context."""
-        base = self._shared_context_base(1)
-        return Comm(self._sched, base, self._group, self._world_rank)
 
     # ------------------------------------------------------------------
     # data collectives — implemented in collectives.py, re-exported as

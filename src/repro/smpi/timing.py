@@ -163,25 +163,6 @@ class TimingReport:
         """Send overhead + blocked time, summed over ranks."""
         return sum(self.overhead_seconds) + sum(self.wait_seconds)
 
-    def phase_fraction(self, phase: str) -> float:
-        total = sum(self.phase_seconds.values())
-        if total == 0:
-            return 0.0
-        return self.phase_seconds.get(phase, 0.0) / total
-
-    def describe(self) -> str:
-        lines = [
-            f"machine={self.machine} predicted={self.makespan:.6e} s "
-            f"(compute {self.total_compute_seconds:.3e} s, "
-            f"comm {self.total_comm_seconds:.3e} s across "
-            f"{self.nranks} ranks)",
-        ]
-        for phase, secs in sorted(
-            self.phase_seconds.items(), key=lambda kv: -kv[1]
-        ):
-            lines.append(f"  phase {phase:<24} {secs:.6e} s")
-        return "\n".join(lines)
-
 
 def simulate(trace: EventTrace, machine: "Machine") -> TimingReport:
     """Replay a recorded trace under ``machine``'s α-β-γ parameters.

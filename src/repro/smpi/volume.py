@@ -66,42 +66,9 @@ class VolumeReport:
         return sum(self.messages)
 
     @property
-    def max_rank_bytes(self) -> int:
-        """Largest per-rank sent volume — the critical-path proxy."""
-        return max(self.sent_bytes) if self.sent_bytes else 0
-
-    @property
     def per_rank_bytes(self) -> float:
         """Average bytes sent per rank ("communication volume per node")."""
         return self.total_bytes / self.nranks if self.nranks else 0.0
-
-    @property
-    def total_gb(self) -> float:
-        """Total volume in decimal gigabytes, as reported in Table 2."""
-        return self.total_bytes / 1e9
-
-    def per_rank_gb(self) -> float:
-        return self.per_rank_bytes / 1e9
-
-    def phase_fraction(self, phase: str) -> float:
-        """Fraction of total traffic attributed to ``phase``."""
-        total = self.total_bytes
-        if total == 0:
-            return 0.0
-        return self.phase_bytes.get(phase, 0) / total
-
-    def describe(self) -> str:
-        lines = [
-            f"ranks={self.nranks} total={self.total_bytes:,} B "
-            f"({self.total_gb:.6f} GB) messages={self.total_messages:,}",
-            f"per-rank avg={self.per_rank_bytes:,.1f} B "
-            f"max={self.max_rank_bytes:,} B",
-        ]
-        for phase, nbytes in sorted(
-            self.phase_bytes.items(), key=lambda kv: -kv[1]
-        ):
-            lines.append(f"  phase {phase:<24} {nbytes:,} B")
-        return "\n".join(lines)
 
 
 class VolumeLedger:
@@ -170,12 +137,6 @@ class VolumeLedger:
 
     def record_recv(self, rank: int, nbytes: int) -> None:
         self._recv[rank] += nbytes
-
-    def sent(self, rank: int) -> int:
-        return self._sent[rank]
-
-    def received(self, rank: int) -> int:
-        return self._recv[rank]
 
     def snapshot(self) -> VolumeReport:
         phase_bytes: dict[str, int] = {}

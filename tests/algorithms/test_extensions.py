@@ -5,8 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import factor, mmm25d, mmm25d_model_bytes
+from repro.algorithms import factor, mmm25d
 from repro.theory.bounds import mmm_parallel_lower_bound
+
+
+def mmm25d_model_bytes(n: int, g: int, c: int) -> float:
+    """Analytic volume of mmm25d's schedule on a [G, G, c] grid
+    (elements * 8 B): the oracle its measured volume must equal.
+
+    replicate: 2 (c-1) N^2;  summa: 2 (G-1) N^2 (every rank receives
+    its row/col blocks for each of its G/c rounds); reduce: (c-1) N^2.
+    """
+    block = (n / g) ** 2
+    replicate = 2 * (c - 1) * g * g * block
+    summa_recv = 2 * (g - 1) / g * g * g * c * (g / c) * block
+    reduce_c = (c - 1) * g * g * block
+    return (replicate + summa_recv + reduce_c) * 8.0
 
 
 def _spd(n: int, seed: int = 0) -> np.ndarray:

@@ -12,18 +12,23 @@ from repro.harness.specs import (
     table2_measured_spec,
 )
 from repro.harness.sweep import (
+    _TASK_SCHEMA,
+    _TASKS,
     SweepError,
     SweepPoint,
     SweepSpec,
     _pool_context,
-    _task_snapshot,
-    _worker_init,
     run_sweep,
     task,
-    unregister_task,
 )
 
 CALL_LOG: list[dict] = []
+
+
+def unregister_task(name: str) -> None:
+    """Remove a task a test registered."""
+    _TASKS.pop(name, None)
+    _TASK_SCHEMA.pop(name, None)
 
 
 @pytest.fixture
@@ -81,12 +86,11 @@ class TestSpecEnumeration:
             axes={"p": [4, 8, 16]},
             fixed={"seed": 7},
             derive=lambda d: {**d, "n": 10 * d["p"]},
-            filters=(lambda d: d["p"] != 8,),
         )
         points = spec.points()
-        assert [p.params["p"] for p in points] == [4, 16]
+        assert [p.params["p"] for p in points] == [4, 8, 16]
         assert all(p.params["seed"] == 7 for p in points)
-        assert points[0].params["n"] == 40
+        assert [p.params["n"] for p in points] == [40, 80, 160]
 
     def test_non_json_params_rejected(self):
         spec = SweepSpec(
@@ -174,6 +178,14 @@ class TestCacheSemantics:
         res = run_sweep(scratch_spec(), max_points=2)
         assert res.n_points == 2
 
+    def test_negative_max_points_rejected(self, scratch_task):
+        """-1 used to slice a point off the end and report success."""
+        CALL_LOG.clear()
+        with pytest.raises(ValueError, match="max_points must be >= 0"):
+            run_sweep(scratch_spec(), max_points=-1)
+        assert CALL_LOG == []
+        assert run_sweep(scratch_spec(), max_points=0).n_points == 0
+
 
 class TestPointLabels:
     def test_label_shows_every_param(self):
@@ -235,35 +247,9 @@ class TestPoolContext:
             release.set()
             helper.join()
 
-    def test_task_snapshot_lists_importable_tasks_only(self, scratch_task):
-        names = {entry[0] for entry in _task_snapshot()}
-        # built-ins are top-level functions and ship by import path
-        assert "measured" in names and "model" in names
-        # the scratch task is a fixture closure: unreachable from a
-        # spawned worker, so it must not be in the snapshot
-        assert scratch_task not in names
-
-    def test_worker_init_restores_tasks_from_snapshot(self):
-        from repro.harness import sweep as sweep_mod
-
-        snapshot = _task_snapshot()
-        saved_tasks = dict(sweep_mod._TASKS)
-        saved_schema = dict(sweep_mod._TASK_SCHEMA)
-        try:
-            sweep_mod._TASKS.clear()
-            sweep_mod._TASK_SCHEMA.clear()
-            _worker_init(snapshot)
-            assert "measured" in sweep_mod._TASKS
-            assert "model" in sweep_mod._TASKS
-        finally:
-            sweep_mod._TASKS.clear()
-            sweep_mod._TASKS.update(saved_tasks)
-            sweep_mod._TASK_SCHEMA.clear()
-            sweep_mod._TASK_SCHEMA.update(saved_schema)
-
     def test_pool_sweep_completes_with_live_thread(self, tmp_path):
         # End to end: a sweep over the pool must work while a helper
-        # thread is alive (spawn/forkserver path + initializer).
+        # thread is alive (spawn/forkserver path).
         import threading
 
         release = threading.Event()
@@ -276,6 +262,26 @@ class TestPoolContext:
         finally:
             release.set()
             helper.join()
+
+    def test_non_fork_pool_reports_a_parent_only_task(self, scratch_task):
+        """A forkserver or spawn worker registers only the built-in
+        tasks: each point of a task registered in this process alone
+        comes back as an error naming the task, and the sweep returns."""
+        import threading
+
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait)
+        helper.start()
+        try:
+            assert _pool_context().get_start_method() != "fork"
+            res = run_sweep(scratch_spec(xs=(1, 2)), workers=2)
+        finally:
+            release.set()
+            helper.join(timeout=5)
+        assert not helper.is_alive()
+        assert res.n_points == 2 and res.n_failed == 2
+        for failure in res.failures():
+            assert "unknown sweep task '_scratch'" in failure.error
 
 
 class TestFinishRobustness:

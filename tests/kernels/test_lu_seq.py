@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import (
-    apply_row_permutation,
     lu_blocked_partial_pivot,
     lu_nopivot,
     lu_partial_pivot,
@@ -135,13 +134,6 @@ class TestHelpers:
         np.testing.assert_array_equal(np.diag(lower), np.ones(3))
         assert upper[1, 0] == 0.0
         assert lower[0, 1] == 0.0
-
-    def test_apply_row_permutation_matches_perm_indexing(self):
-        rng = np.random.default_rng(5)
-        b = rng.standard_normal((6, 3))
-        piv = np.array([2, 4, 2, 5, 4, 5])
-        perm = permutation_from_pivots(piv)
-        np.testing.assert_array_equal(apply_row_permutation(piv, b), b[perm])
 
     def test_trsm_lower_unit(self):
         a = _diag_dominant(7, seed=2)

@@ -13,7 +13,7 @@ from repro.kernels import (
     split_lu,
     tournament_pivot_rows,
 )
-from repro.kernels.tournament import PivotCandidates, a00_from_ordered_rows
+from repro.kernels.tournament import PivotCandidates
 
 
 def _panel(rows: int, v: int, seed: int = 0) -> np.ndarray:
@@ -119,15 +119,6 @@ class TestTournament:
     def test_bad_nchunks_rejected(self):
         with pytest.raises(ValueError, match="nchunks"):
             tournament_pivot_rows(_panel(8, 2), np.arange(8), 2, nchunks=0)
-
-    def test_a00_from_ordered_rows_matches(self):
-        v = 4
-        panel = _panel(16, v, seed=11)
-        ids, a00_lu, values = tournament_pivot_rows(
-            panel, np.arange(16), v, nchunks=2
-        )
-        rebuilt = a00_from_ordered_rows(values, v)
-        np.testing.assert_allclose(rebuilt, a00_lu, atol=1e-10)
 
     def test_growth_factor_comparable_to_gepp(self):
         """Tournament pivoting should not blow up growth vs GEPP

@@ -23,14 +23,6 @@ class TestBlockCyclic1D:
             0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1,
         ]
 
-    def test_local_index_roundtrip(self):
-        m = BlockCyclic1D(n=23, p=4, block=3)
-        for rank in range(4):
-            globals_ = m.global_indices(rank)
-            locals_ = m.local_index(globals_)
-            # local indices must be 0..count-1 ascending
-            np.testing.assert_array_equal(locals_, np.arange(len(globals_)))
-
     def test_vectorized_owner(self):
         m = BlockCyclic1D(n=8, p=2, block=1)
         np.testing.assert_array_equal(
@@ -39,13 +31,13 @@ class TestBlockCyclic1D:
 
     def test_counts_sum_to_n(self):
         m = BlockCyclic1D(n=29, p=5, block=4)
-        assert sum(m.local_count(r) for r in range(5)) == 29
+        assert sum(len(m.global_indices(r)) for r in range(5)) == 29
 
     def test_balance_of_cyclic_layout(self):
         """Cyclic (block=1) never unbalances by more than one element —
         the property COnfLUX's row masking relies on."""
         m = BlockCyclic1D(n=1000, p=7, block=1)
-        counts = [m.local_count(r) for r in range(7)]
+        counts = [len(m.global_indices(r)) for r in range(7)]
         assert max(counts) - min(counts) <= 1
 
     def test_out_of_range_rejected(self):
@@ -53,7 +45,7 @@ class TestBlockCyclic1D:
         with pytest.raises(ValueError):
             m.owner(5)
         with pytest.raises(ValueError):
-            m.local_index(-1)
+            m.owner(-1)
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
@@ -95,8 +87,6 @@ class TestBlockCyclic1D:
         m = BlockCyclic1D(n, p, block)
         r = m.owner(g)
         assert g in m.global_indices(r)
-        li = m.local_index(g)
-        assert m.global_indices(r)[li] == g
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -108,16 +98,14 @@ class TestBlockCyclic1D:
     def test_int_index_matches_array_path(self, n, p, block, g):
         """``owner`` of a Python int takes integer arithmetic, not an
         array; it must answer as the array path does, as an ``int``, and
-        so must ``local_index`` and a NumPy scalar."""
+        so must a NumPy scalar."""
         g = g % n
         m = BlockCyclic1D(n, p, block)
-        as_array = np.array([g])
-        for method in (m.owner, m.local_index):
-            expect = int(method(as_array)[0])
-            for index in (g, np.int64(g)):
-                got = method(index)
-                assert type(got) is int
-                assert got == expect
+        expect = int(m.owner(np.array([g]))[0])
+        for index in (g, np.int64(g)):
+            got = m.owner(index)
+            assert type(got) is int
+            assert got == expect
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -131,7 +119,6 @@ class TestBlockCyclic1D:
         m = BlockCyclic1D(n, p, block)
         for bad in (-1, n):
             text = re.escape(f"global index out of range [0, {n}): [{bad}]")
-            for method in (m.owner, m.local_index):
-                for index in (bad, np.int64(bad)):
-                    with pytest.raises(ValueError, match=text):
-                        method(index)
+            for index in (bad, np.int64(bad)):
+                with pytest.raises(ValueError, match=text):
+                    m.owner(index)

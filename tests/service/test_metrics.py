@@ -50,6 +50,12 @@ class TestPercentile:
         with pytest.raises(ValueError, match=r"\[0, 100\]"):
             percentile([1.0], 101)
 
+    def test_out_of_range_q_rejected_on_empty_input(self):
+        """``q`` is checked before the empty-input shortcut."""
+        for q in (150, -1):
+            with pytest.raises(ValueError, match=r"\[0, 100\]"):
+                percentile([], q)
+
 
 class TestCounters:
     def test_each_status_lands_in_its_counter(self):

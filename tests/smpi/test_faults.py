@@ -87,6 +87,42 @@ class TestFaultRule:
         with pytest.raises(FaultPlanError, match="missing"):
             FaultRule.from_dict({"rank": 1})
 
+    @pytest.mark.parametrize(
+        "field,value,wanted",
+        [
+            ("rank", "1", "int"),
+            ("rank", True, "int"),
+            ("tag", 1.5, "int"),
+            ("peer", 2.0, "int"),
+            ("step", False, "int"),
+            ("after", "3", "int"),
+            ("max_fires", "2", "int"),
+            ("phase", 7, "str"),
+            ("probability", "0.5", "int or float"),
+            ("probability", True, "int or float"),
+            ("probability", None, "int or float"),
+            ("delay_s", None, "int or float"),
+            ("after", None, "int"),
+        ],
+    )
+    def test_from_dict_rejects_mistyped_fields(self, field, value, wanted):
+        """A field of the wrong JSON type is a FaultPlanError naming the
+        field — never a rule that silently never fires, a bool read as
+        rank 1 or a bare TypeError from a comparison."""
+        text = f"rule field '{field}' must be {wanted}, got {value!r}"
+        with pytest.raises(FaultPlanError) as ei:
+            FaultRule.from_dict({"action": "drop", field: value})
+        assert str(ei.value) == text
+
+    def test_from_dict_accepts_null_where_the_default_is_none(self):
+        rule = FaultRule.from_dict(
+            {"action": "drop", "rank": None, "tag": None, "phase": None,
+             "max_fires": None, "probability": 1}
+        )
+        assert rule == FaultRule(action="drop")
+        with pytest.raises(FaultPlanError, match="'action' must be str"):
+            FaultRule.from_dict({"action": None})
+
 
 class TestFaultPlan:
     def test_round_trip_json(self, tmp_path):
@@ -103,6 +139,30 @@ class TestFaultPlan:
         plan = canned_plan("drop", seed=0)
         assert plan.with_seed(9).seed == 9
         assert plan.with_seed(9).rules == plan.rules
+
+    @pytest.mark.parametrize(
+        "field,value,wanted",
+        [
+            ("seed", "3", "int"),
+            ("seed", 3.0, "int"),
+            ("seed", True, "int"),
+            ("seed", None, "int"),
+            ("name", 3, "str"),
+            ("rules", {"action": "drop"}, "list or tuple"),
+        ],
+    )
+    def test_from_dict_rejects_mistyped_fields(self, field, value, wanted):
+        """The seed is checked, not coerced with ``int()``."""
+        text = f"plan field '{field}' must be {wanted}, got {value!r}"
+        with pytest.raises(FaultPlanError) as ei:
+            FaultPlan.from_dict({field: value})
+        assert str(ei.value) == text
+
+    def test_from_dict_checks_each_rule(self):
+        with pytest.raises(FaultPlanError, match="'rank' must be int"):
+            FaultPlan.from_dict(
+                {"seed": 1, "rules": [{"action": "drop", "rank": "1"}]}
+            )
 
     def test_rejects_non_rule_entries(self):
         with pytest.raises(FaultPlanError):

@@ -56,11 +56,12 @@ class TestTagMismatchDeadlock:
         assert results[1] == 1.0
 
     def test_cross_communicator_tag_isolation_deadlocks_cleanly(self):
-        """A send on a dup'd communicator never matches the parent
-        context — the recv must time out, not mis-deliver."""
+        """A send on a same-group communicator from ``split`` never
+        matches the parent context — the recv must time out, not
+        mis-deliver."""
 
         def fn(comm):
-            sub = comm.dup()
+            sub = comm.split(0)
             if comm.rank == 0:
                 sub.send(1.0, dest=1, tag=3)
             else:

@@ -448,8 +448,11 @@ class TestSplitAndDup:
         assert results[3] == "color1"
 
     def test_dup_isolates_traffic(self):
+        """A same-group copy of a communicator (``split`` with one
+        color) has its own context: equal tags do not cross."""
+
         def fn(comm):
-            dup = comm.dup()
+            dup = comm.split(0)
             if comm.rank == 0:
                 comm.send("orig", dest=1, tag=5)
                 dup.send("dup", dest=1, tag=5)

@@ -294,12 +294,6 @@ class TestMachines:
         with pytest.raises(KeyError, match="unknown machine"):
             machine_by_name("cray-1")
 
-    def test_transfer_seconds(self):
-        assert DAINT_XC50.transfer_seconds(0) == DAINT_XC50.alpha
-        assert DAINT_XC50.transfer_seconds(10**9) == pytest.approx(
-            DAINT_XC50.alpha + DAINT_XC50.beta * 1e9
-        )
-
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(DAINT_XC50.to_dict()))

@@ -1,7 +1,8 @@
-"""Public-API snapshot: ``repro.algorithms.__all__``,
-``repro.models.__all__``, ``repro.theory.__all__``,
-``repro.pebbling.__all__`` and both registries' declared capabilities
-must match the checked-in snapshot.
+"""Public-API snapshot: the ``__all__`` of ``repro.algorithms``,
+``repro.models``, ``repro.theory``, ``repro.pebbling``, ``repro.smpi``,
+``repro.kernels``, ``repro.layouts``, ``repro.harness`` and
+``repro.service``, and both registries' declared capabilities, must
+match the checked-in snapshot.
 
 Changing the public surface is allowed — but it has to be deliberate:
 regenerate ``tests/data/api_surface.json`` in the same commit and the
@@ -12,14 +13,30 @@ import json
 from pathlib import Path
 
 import repro.algorithms as alg
+import repro.harness as harness
+import repro.kernels as kernels
+import repro.layouts as layouts
 import repro.models as models
 import repro.pebbling as pebbling
+import repro.service as service
+import repro.smpi as smpi
 import repro.theory as theory
 from repro.algorithms.api import KINDS, GRID_FAMILIES, REGISTRY
 from repro.models.api import MODEL_REGISTRY
 from repro.models.machines import MACHINES
 
 SNAPSHOT = Path(__file__).parent / "data" / "api_surface.json"
+
+#: Packages whose ``__all__`` is snapshotted under ``"<name>_all"``.
+PACKAGES = {
+    "theory": theory,
+    "pebbling": pebbling,
+    "smpi": smpi,
+    "kernels": kernels,
+    "layouts": layouts,
+    "harness": harness,
+    "service": service,
+}
 
 
 def _current_surface() -> dict:
@@ -42,8 +59,10 @@ def _current_surface() -> dict:
             for name, info in sorted(MODEL_REGISTRY.items())
         },
         "machines": sorted(MACHINES),
-        "theory_all": list(theory.__all__),
-        "pebbling_all": list(pebbling.__all__),
+        **{
+            f"{name}_all": list(package.__all__)
+            for name, package in PACKAGES.items()
+        },
     }
 
 
@@ -70,10 +89,10 @@ def test_public_surface_matches_snapshot():
         "machine presets changed; if intentional, regenerate "
         "tests/data/api_surface.json"
     )
-    for key, package in (("theory_all", "theory"),
-                         ("pebbling_all", "pebbling")):
-        assert current[key] == snap[key], (
-            f"repro.{package}.__all__ changed; if intentional, "
+    for name in PACKAGES:
+        key = f"{name}_all"
+        assert current[key] == snap.get(key), (
+            f"repro.{name}.__all__ changed; if intentional, "
             "regenerate tests/data/api_surface.json"
         )
 

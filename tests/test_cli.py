@@ -220,6 +220,14 @@ class TestSweepCommand:
         assert "1 computed" in out
         assert "gap" in out
 
+    def test_negative_max_points_exits_2(self, capsys, tmp_path):
+        rc = main(["sweep", "--run", "table2-models", "--max-points", "-1",
+                   "--cache-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "error: max_points must be >= 0, got -1" in captured.err
+        assert "computed" not in captured.out
+
     def test_run_then_resume_hits_cache(self, capsys, tmp_path):
         args = ["sweep", "--run", "table2", "--max-points", "2",
                 "--workers", "1", "--cache-dir", str(tmp_path)]
