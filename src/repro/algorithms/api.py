@@ -101,11 +101,8 @@ def get_algorithm(name: str) -> AlgorithmInfo:
         ) from None
 
 
-def list_algorithms(kind: str | None = None) -> tuple[AlgorithmInfo, ...]:
-    infos = sorted(REGISTRY.values(), key=lambda i: i.name)
-    if kind is not None:
-        infos = [i for i in infos if i.kind == kind]
-    return tuple(infos)
+def list_algorithms() -> tuple[AlgorithmInfo, ...]:
+    return tuple(sorted(REGISTRY.values(), key=lambda i: i.name))
 
 
 def _check_dtype(info: AlgorithmInfo, a) -> None:

@@ -63,14 +63,6 @@ class FactorResult:
     residual: float
     meta: dict = field(default_factory=dict)
 
-    @property
-    def total_bytes(self) -> int:
-        return self.volume.total_bytes
-
-    @property
-    def per_rank_bytes(self) -> float:
-        return self.volume.per_rank_bytes
-
     def describe(self) -> str:
         return (
             f"{self.name}: N={self.n} P={self.nranks} grid={self.grid} "
@@ -182,15 +174,15 @@ def verify_factors(
     lower: np.ndarray,
     upper: np.ndarray,
     perm: np.ndarray,
-    residual_tol: float | None = None,
 ) -> float:
     """Residual of assembled factors.
 
     Raises :class:`FactorVerificationError` naming the first violated
-    invariant (shape / permutation / triangularity / residual) instead
-    of returning a silently wrong residual.
+    invariant (shape / permutation / triangularity) instead of
+    returning a silently wrong residual; the residual itself is
+    reported, not bounded (``check_factors(residual_tol=)`` bounds it).
     """
-    check = check_factors(a, lower, upper, perm, residual_tol)
+    check = check_factors(a, lower, upper, perm)
     check.raise_if_failed()
     return check.residual
 

@@ -91,9 +91,6 @@ def mmm25d(
     b: np.ndarray,
     nranks: int,
     grid: tuple[int, int, int] | None = None,
-    timeout: float = 600.0,
-    machine=None,
-    faults=None,
 ) -> tuple[np.ndarray, VolumeReport, tuple[int, int, int]]:
     """Multiply C = A @ B on a [G, G, c] grid; returns (C, volume, grid).
 
@@ -127,8 +124,7 @@ def mmm25d(
             f"at least one SUMMA round)"
         )
     results, report = run_spmd(
-        nranks, _mmm_rank_fn, a, b, g, c,
-        timeout=timeout, machine=machine, faults=faults,
+        nranks, _mmm_rank_fn, a, b, g, c, timeout=600.0
     )
     out = np.zeros((n, n))
     for r in results:

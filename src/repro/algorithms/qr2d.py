@@ -115,8 +115,7 @@ def _rank_fn(comm, a: np.ndarray, prows: int, pcols: int, nb: int) -> dict:
                 else None
             )
             slab, step_taus = grid.row_comm.bcast(slab, root=pcol)
-        if on_pcol:
-            taus.extend(step_taus.tolist())
+        taus.extend(step_taus.tolist())
 
         if k1 >= n:
             break
@@ -154,7 +153,7 @@ def _rank_fn(comm, a: np.ndarray, prows: int, pcols: int, nb: int) -> dict:
         "aloc": aloc,
         "rows": my_rows,
         "cols": my_cols,
-        "my_taus": (pj, np.array(taus)),
+        "taus": np.array(taus),
     }
 
 
@@ -163,29 +162,10 @@ def _assemble_qr2d(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Same result contract as ``caqr25d``: ``lower`` is the explicit
     Q, ``upper`` is R, ``perm`` the identity."""
-    pcols = grid[1]
     combined = gather_blocks(n, results)
-    taus_by_col: dict[int, np.ndarray] = {}
-    for res in results:
-        if not res.get("active"):
-            continue
-        pj, t = res["my_taus"]
-        if len(t) > taus_by_col.get(pj, np.empty(0)).size:
-            taus_by_col[pj] = t
-    # Reassemble taus in global column order from the per-process-column
-    # panel logs (process column pj factored panels kb with owner pj).
-    colmap = BlockCyclic1D(n, pcols, nb)
-    consumed = dict.fromkeys(taus_by_col, 0)
-    tau_full = np.zeros(n)
-    nsteps = (n + nb - 1) // nb
-    for kb in range(nsteps):
-        k0 = kb * nb
-        k1 = min(k0 + nb, n)
-        pcol = int(colmap.owner(k0))
-        w = k1 - k0
-        offset = consumed[pcol]
-        tau_full[k0:k1] = taus_by_col[pcol][offset : offset + w]
-        consumed[pcol] = offset + w
+    # Every active rank received every step's taus in the panel
+    # broadcast, so any one of them holds all n in column order.
+    tau_full = next(res["taus"] for res in results if res["active"])
     upper = np.triu(combined)
     v = np.tril(combined, -1)
     np.fill_diagonal(v, 1.0)

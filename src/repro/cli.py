@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -38,20 +39,22 @@ def _print_machines() -> None:
               f"{m.gamma_flops:>9.2e} {m.topology}")
 
 
-def _machine_or_exit(spec: str):
-    """``--machine`` for every verb that takes one: a preset name
-    (``machine_by_name``'s spelling rules) or a Machine JSON path."""
-    from repro.models.machines import resolve_machine
-
-    try:
-        return resolve_machine(spec)
-    except (KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        raise SystemExit(2)
+def _usage_error(exc: Exception) -> NoReturn:
+    """Report bad input as ``error: ...`` and exit 2."""
+    # A KeyError's str() quotes its message; an OSError's args[0] is
+    # its errno.
+    print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}",
+          file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
-    from repro.algorithms import factor, get_algorithm, list_algorithms
+    from repro.algorithms import (
+        FactorVerificationError,
+        factor,
+        get_algorithm,
+        list_algorithms,
+    )
 
     if args.list_machines:
         _print_machines()
@@ -65,41 +68,28 @@ def _cmd_factor(args: argparse.Namespace) -> int:
                   f"{info.description}")
         return 0
 
+    blocks = {
+        key: value for key, value in (("v", args.v), ("nb", args.nb))
+        if value is not None
+    }
     try:
         info = get_algorithm(args.algo)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        raise SystemExit(2)
-
-    rng = np.random.default_rng(args.seed)
-    if info.kind == "chol":
-        b = rng.standard_normal((args.n, args.n))
-        a = b @ b.T + args.n * np.eye(args.n)
-    else:
-        a = rng.standard_normal((args.n, args.n))
-    kwargs = {}
-    if args.v is not None:
-        kwargs["v"] = args.v
-    if args.nb is not None:
-        kwargs["nb"] = args.nb
-    if args.machine is not None:
-        kwargs["machine"] = _machine_or_exit(args.machine)
-    if args.timeout is not None:
-        kwargs["timeout_s"] = args.timeout
-    if args.faults is not None:
-        try:
-            from repro.faults import resolve_faults
-
-            kwargs["faults"] = resolve_faults(args.faults)
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            raise SystemExit(2)
-        if args.fault_seed is not None:
-            kwargs["fault_seed"] = args.fault_seed
-    elif args.fault_seed is not None:
-        print("error: --fault-seed requires --faults", file=sys.stderr)
-        raise SystemExit(2)
-    res = factor(info.name, a, args.p, **kwargs)
+        rng = np.random.default_rng(args.seed)
+        if info.kind == "chol":
+            b = rng.standard_normal((args.n, args.n))
+            a = b @ b.T + args.n * np.eye(args.n)
+        else:
+            a = rng.standard_normal((args.n, args.n))
+        res = factor(
+            info.name, a, args.p, machine=args.machine, faults=args.faults,
+            fault_seed=args.fault_seed, timeout_s=args.timeout, **blocks,
+        )
+    except FactorVerificationError:
+        raise  # wrong factors are a finding, not a usage error
+    except (ValueError, TypeError, KeyError, OSError) as exc:
+        # Bad input: factor() checks its arguments, the machine spec and
+        # the fault plan before any rank starts.
+        _usage_error(exc)
     print(res.describe())
     faults_report = res.volume.faults
     if faults_report is not None:
@@ -167,17 +157,17 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.algorithms.gridopt import optimize_grid_25d
+    from repro.models.machines import resolve_machine
     from repro.models.prediction import reduction_vs_second_best
 
-    machine = _machine_or_exit(args.machine)
-    p = args.p or machine.total_ranks
     try:
+        machine = resolve_machine(args.machine)
+        p = args.p or machine.total_ranks
         choice = optimize_grid_25d(
             p, args.n, m_max=machine.memory_per_rank_elements
         )
-    except ValueError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        raise SystemExit(2)
+    except (KeyError, ValueError, OSError) as exc:
+        _usage_error(exc)
     print(f"{machine.name}: N={args.n:,}, P={p:,}")
     print(f"grid [G,G,c] = [{choice.grid_rows}, {choice.grid_rows}, "
           f"{choice.layers}], {choice.disabled_ranks} ranks disabled")

@@ -280,13 +280,7 @@ def resolve_faults(obj: Any) -> FaultPlan | None:
     )
 
 
-def canned_plan(
-    fault_class: str,
-    seed: int = 0,
-    *,
-    delay_s: float = 5e-4,
-    probability: float | None = None,
-) -> FaultPlan:
+def canned_plan(fault_class: str, seed: int = 0) -> FaultPlan:
     """A one-rule plan exercising one fault class — the vocabulary of
     the ``chaos-*`` sweeps and ``BENCH_chaos.json``."""
     defaults = {
@@ -302,7 +296,7 @@ def canned_plan(
             f"unknown fault class {fault_class!r}; expected one of "
             f"{', '.join(ACTIONS)}"
         )
-    prob = defaults[fault_class] if probability is None else probability
+    prob = defaults[fault_class]
     if fault_class == "crash":
         # Kill rank 1 on its fourth message to any single peer.
         rule = FaultRule(
@@ -313,7 +307,7 @@ def canned_plan(
         rule = FaultRule(
             action=fault_class,
             probability=prob,
-            delay_s=delay_s if fault_class == "delay" else 0.0,
+            delay_s=5e-4 if fault_class == "delay" else 0.0,
         )
     return FaultPlan(
         rules=(rule,), seed=seed, name=f"canned-{fault_class}"

@@ -40,14 +40,13 @@ def format_series(
     rows: Sequence[dict],
     x_key: str,
     y_key: str,
-    group_key: str = "impl",
     title: str | None = None,
 ) -> str:
-    """Render grouped (x, y) series, one line per group — the textual
+    """Render (x, y) series, one line per ``impl`` — the textual
     equivalent of a Figure 6 plot."""
     groups: dict[str, list[tuple]] = {}
     for row in rows:
-        groups.setdefault(str(row[group_key]), []).append(
+        groups.setdefault(str(row["impl"]), []).append(
             (row[x_key], row[y_key])
         )
     lines = []

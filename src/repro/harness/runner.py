@@ -39,7 +39,6 @@ def run_experiment(
     seed: int = 0,
     v: int | None = None,
     nb: int | None = None,
-    a: np.ndarray | None = None,
     machine=None,
 ) -> dict:
     """Factor a random N x N matrix with ``impl`` on ``p`` ranks; returns
@@ -63,8 +62,7 @@ def run_experiment(
         raise ValueError(
             f"{impl} takes its block as {block_param}=, not {other}="
         )
-    if a is None:
-        a = np.random.default_rng(seed).standard_normal((n, n))
+    a = np.random.default_rng(seed).standard_normal((n, n))
     result = factor(
         impl, a, p, machine=machine, **{block_param: blocks[block_param]}
     )

@@ -29,9 +29,11 @@ members, ``qr-strong-time`` adds the clock; ``qr-lower-bound-gap`` and
 
 ``SPECS`` maps the public sweep names (``python -m repro sweep --list``)
 to zero-argument factories producing the default instance of each
-experiment; the factories also take parameters, so benchmarks, examples
-and tests build reduced-scale variants of the same spec and run them
-with :func:`~repro.harness.sweep.run_sweep`.
+experiment.  A factory takes a parameter only where a benchmark, an
+example or another factory builds a reduced-scale or re-labelled
+variant of the same spec; a test changes a spec's ``axes`` / ``fixed``
+with :func:`dataclasses.replace`.  Every variant runs with
+:func:`~repro.harness.sweep.run_sweep`.
 """
 
 from __future__ import annotations
@@ -84,11 +86,9 @@ def measured_task(
 
 
 @task("model")
-def model_task(
-    impl: str, n: int, p: int, leading_only: bool = False
-) -> dict:
+def model_task(impl: str, n: int, p: int) -> dict:
     """One implementation's Table 2 model at (N, P)."""
-    vol = sweep_models(n, p, leading_only=leading_only)[impl]
+    vol = sweep_models(n, p)[impl]
     return {
         "impl": impl,
         "n": n,
@@ -237,6 +237,11 @@ CHAOS_DETECTED = "detected"
 CHAOS_RECOVERED = "recovered"
 CHAOS_SILENT = "silent-corruption"
 
+#: Largest true residual a ``chaos`` run may complete with and still
+#: count as ``recovered``.
+CHAOS_RESIDUAL_TOL = 1e-8
+
+
 @task("chaos")
 def chaos_task(
     impl: str,
@@ -245,9 +250,7 @@ def chaos_task(
     fault_class: str,
     fault_seed: int = 0,
     seed: int = 0,
-    v: int | None = None,
     timeout_s: float = 2.0,
-    residual_tol: float = 1e-8,
 ) -> dict:
     """One fault-injection run: factor under a canned one-rule plan
     and classify the outcome against ground truth.
@@ -259,7 +262,8 @@ def chaos_task(
       :class:`DeadlockError`, corruption caught by the assembler's
       own verification, ...);
     * ``recovered`` — the run completed and the true residual is
-      within ``residual_tol`` (delays and duplicates are absorbed);
+      within :data:`CHAOS_RESIDUAL_TOL` (delays and duplicates are
+      absorbed);
     * ``silent-corruption`` — the run completed but the factors are
       wrong (a bit flip slipped past structural checks).
 
@@ -292,9 +296,7 @@ def chaos_task(
         "fault_log_digest": None,
     }
     try:
-        res = factor(
-            impl, a, p, v=v, faults=plan, timeout_s=timeout_s
-        )
+        res = factor(impl, a, p, faults=plan, timeout_s=timeout_s)
     except (SmpiError, FactorVerificationError) as exc:
         # The injector dies with the run, so the log is unreachable
         # here; the exception's first line stands in for it.  (Only
@@ -313,10 +315,10 @@ def chaos_task(
         canonical_json(faults_report["events"]).encode(),
         digest_size=16,
     ).hexdigest()
-    if not res.residual <= residual_tol:  # NaN is corruption too
+    if not res.residual <= CHAOS_RESIDUAL_TOL:  # NaN is corruption too
         row["outcome"] = CHAOS_SILENT
         row["detail"] = (
-            f"residual {res.residual:.2e} > {residual_tol:.1e} "
+            f"residual {res.residual:.2e} > {CHAOS_RESIDUAL_TOL:.1e} "
             "but no invariant tripped"
         )
     else:
@@ -364,13 +366,12 @@ def _variant(
 def table2_measured_spec(
     points: Sequence[tuple[int, int]] = TABLE2_MEASURED_POINTS,
     impls: Sequence[str] = MODEL_NAMES,
-    seed: int = 0,
 ) -> SweepSpec:
     return SweepSpec(
         name="table2",
         task="measured",
         axes={**_np_axis(points), "impl": list(impls)},
-        fixed={"seed": seed},
+        fixed={"seed": 0},
         derive=_split_np,
         description=(
             "Table 2, measured: simulator runs vs analytic models "
@@ -379,14 +380,11 @@ def table2_measured_spec(
     )
 
 
-def table2_models_spec(
-    points: Sequence[tuple[int, int]] = TABLE2_PAPER_POINTS,
-    impls: Sequence[str] = MODEL_NAMES,
-) -> SweepSpec:
+def table2_models_spec() -> SweepSpec:
     return SweepSpec(
         name="table2-models",
         task="model",
-        axes={**_np_axis(points), "impl": list(impls)},
+        axes={**_np_axis(TABLE2_PAPER_POINTS), "impl": list(MODEL_NAMES)},
         derive=_split_np,
         description=(
             "Table 2, modeled: the paper's exact (N, P) cells through "
@@ -414,15 +412,13 @@ def fig6a_measured_spec(
 
 
 def fig6a_model_spec(
-    n: int = 16384,
     p_values: Sequence[int] = (16, 64, 256, 1024, 4096, 16384),
-    impls: Sequence[str] = MODEL_NAMES,
 ) -> SweepSpec:
     return SweepSpec(
         name="fig6a-model",
         task="model",
-        axes={"p": list(p_values), "impl": list(impls)},
-        fixed={"n": n},
+        axes={"p": list(p_values), "impl": list(MODEL_NAMES)},
+        fixed={"n": 16384},
         description=(
             "Figure 6a, model curves at the paper's N = 16,384"
         ),
@@ -438,7 +434,6 @@ def fig6b_measured_spec(
     n0: int = 64,
     p_values: Sequence[int] = (4, 8, 27, 64),
     impls: Sequence[str] = MODEL_NAMES,
-    seed: int = 0,
 ) -> SweepSpec:
     def derive(params: dict) -> dict:
         params["n"] = _weak_scaling_measured_n(params["p"], n0)
@@ -448,7 +443,7 @@ def fig6b_measured_spec(
         name="fig6b",
         task="measured",
         axes={"p": list(p_values), "impl": list(impls)},
-        fixed={"seed": seed},
+        fixed={"seed": 0},
         derive=derive,
         description=(
             "Figure 6b, measured: weak scaling N = N0 P^(1/3) "
@@ -458,37 +453,30 @@ def fig6b_measured_spec(
 
 
 def fig6b_model_spec(
-    n0: int = 3200,
     p_values: Sequence[int] = (8, 64, 512, 4096, 32768),
-    impls: Sequence[str] = MODEL_NAMES,
 ) -> SweepSpec:
     def derive(params: dict) -> dict:
-        params["n"] = weak_scaling_n(params["p"], n0)
+        params["n"] = weak_scaling_n(params["p"], 3200)
         return params
 
     return SweepSpec(
         name="fig6b-model",
         task="model",
-        axes={"p": list(p_values), "impl": list(impls)},
+        axes={"p": list(p_values), "impl": list(MODEL_NAMES)},
         derive=derive,
-        description=(
-            f"Figure 6b, model curves at the paper's N0 = {n0}"
-        ),
+        description="Figure 6b, model curves at the paper's N0 = 3200",
     )
 
 
-def fig7_spec(
-    n_values: Sequence[int] = (4096, 8192, 16384),
-    p_values: Sequence[int] = (
-        64, 256, 1024, 4096, 16384, 65536, 262144,
-    ),
-    leading_only: bool = True,
-) -> SweepSpec:
+def fig7_spec() -> SweepSpec:
     return SweepSpec(
         name="fig7",
         task="reduction",
-        axes={"n": list(n_values), "p": list(p_values)},
-        fixed={"leading_only": leading_only},
+        axes={
+            "n": [4096, 8192, 16384],
+            "p": [64, 256, 1024, 4096, 16384, 65536, 262144],
+        },
+        fixed={"leading_only": True},
         description=(
             "Figure 7: predicted reduction vs the second-best "
             "implementation over the (P, N) grid"
@@ -497,15 +485,13 @@ def fig7_spec(
 
 
 def lower_bound_gap_spec(
-    n_values: Sequence[int] = (64, 128, 256),
-    p: int = 16,
-    seed: int = 0,
+    n_values: Sequence[int] = (64, 128, 256), p: int = 16
 ) -> SweepSpec:
     return SweepSpec(
         name="lower-bound-gap",
         task="lower_bound_gap",
         axes={"n": list(n_values)},
-        fixed={"p": p, "seed": seed},
+        fixed={"p": p, "seed": 0},
         description=(
             "Section 6: measured COnfLUX volume vs the parallel I/O "
             "lower bound"
@@ -518,13 +504,12 @@ def block_size_spec(
     g: int = 2,
     c: int = 2,
     v_values: Sequence[int] = (2, 4, 8, 16, 32),
-    seed: int = 3,
 ) -> SweepSpec:
     return SweepSpec(
         name="ablation-block-size",
         task="block_size",
         axes={"v": list(v_values)},
-        fixed={"n": n, "g": g, "c": c, "seed": seed},
+        fixed={"n": n, "g": g, "c": c, "seed": 3},
         description=(
             "Ablation: COnfLUX volume vs the blocking parameter v "
             "(Section 7.2)"
@@ -533,45 +518,35 @@ def block_size_spec(
 
 
 def qr_strong_scaling_spec(
-    n: int = 96,
-    p_values: Sequence[int] = (4, 8, 16),
-    impls: Sequence[str] = QR_MODEL_NAMES,
-    seed: int = 0,
+    n: int = 96, p_values: Sequence[int] = (4, 8, 16)
 ) -> SweepSpec:
     return _variant(
-        fig6a_measured_spec(n=n, p_values=p_values, impls=impls, seed=seed),
+        fig6a_measured_spec(n=n, p_values=p_values, impls=QR_MODEL_NAMES),
         "qr-strong",
         "QR strong scaling: per-rank volume vs P at fixed N "
         "(2D Householder vs 2.5D CAQR vs COnfQR)",
     )
 
 
-def qr_weak_scaling_spec(
-    n0: int = 32,
-    p_values: Sequence[int] = (4, 8, 27),
-    impls: Sequence[str] = QR_MODEL_NAMES,
-    seed: int = 0,
-) -> SweepSpec:
+def qr_weak_scaling_spec() -> SweepSpec:
     return _variant(
         fig6b_measured_spec(
-            n0=n0, p_values=p_values, impls=impls, seed=seed
+            n0=32, p_values=(4, 8, 27), impls=QR_MODEL_NAMES
         ),
         "qr-weak",
-        f"QR weak scaling: N = N0 P^(1/3) (N0 = {n0}), 2D "
+        "QR weak scaling: N = N0 P^(1/3) (N0 = 32), 2D "
         "Householder vs 2.5D CAQR vs COnfQR",
     )
 
 
 def qr_lower_bound_gap_spec(
-    n_values: Sequence[int] = (48, 64, 96),
-    p: int = 16,
-    seed: int = 0,
+    n_values: Sequence[int] = (48, 64, 96), p: int = 16
 ) -> SweepSpec:
     return SweepSpec(
         name="qr-lower-bound-gap",
         task="qr_lower_bound_gap",
         axes={"n": list(n_values)},
-        fixed={"p": p, "seed": seed},
+        fixed={"p": p, "seed": 0},
         description=(
             "Measured 2.5D CAQR volume vs the parallel QR I/O lower "
             "bound (constant-factor gap)"
@@ -583,7 +558,6 @@ def qr_confqr_gap_spec(
     gc_points: Sequence[tuple[int, int]] = ((8, 1), (4, 4), (2, 16)),
     n: int = 48,
     v: int = 4,
-    seed: int = 0,
 ) -> SweepSpec:
     def split_gc(params: dict) -> dict:
         gc = params.pop("gc")
@@ -594,7 +568,7 @@ def qr_confqr_gap_spec(
         name="qr-confqr-gap",
         task="qr_confqr_gap",
         axes={"gc": [list(gc) for gc in gc_points]},
-        fixed={"n": n, "v": v, "seed": seed},
+        fixed={"n": n, "v": v, "seed": 0},
         derive=split_gc,
         description=(
             "COnfQR vs 2.5D CAQR over equal-P [G, G, c] grids: "
@@ -609,36 +583,23 @@ def qr_confqr_gap_spec(
 TIME_MACHINES = ("daint-xc50", "summit")
 
 
-def table2_time_spec(
-    points: Sequence[tuple[int, int]] = TABLE2_MEASURED_POINTS,
-    impls: Sequence[str] = MODEL_NAMES,
-    machines: Sequence[str] = TIME_MACHINES,
-    seed: int = 0,
-) -> SweepSpec:
+def table2_time_spec() -> SweepSpec:
     return _variant(
-        table2_measured_spec(points=points, impls=impls, seed=seed),
+        table2_measured_spec(),
         "table2-time",
         "Table 2 grid under the discrete-event clock: predicted "
         "seconds (per rank, per phase) on each machine preset",
-        machine=machines,
+        machine=TIME_MACHINES,
     )
 
 
-def qr_strong_time_spec(
-    n: int = 96,
-    p_values: Sequence[int] = (4, 8, 16),
-    impls: Sequence[str] = QR_MODEL_NAMES,
-    machines: Sequence[str] = TIME_MACHINES,
-    seed: int = 0,
-) -> SweepSpec:
+def qr_strong_time_spec() -> SweepSpec:
     return _variant(
-        qr_strong_scaling_spec(
-            n=n, p_values=p_values, impls=impls, seed=seed
-        ),
+        qr_strong_scaling_spec(),
         "qr-strong-time",
         "QR strong scaling under the discrete-event clock: "
         "predicted seconds vs P on each machine preset",
-        machine=machines,
+        machine=TIME_MACHINES,
     )
 
 
@@ -648,26 +609,16 @@ def _chaos_spec(
     label: str,
     *,
     n: int,
-    p: int = 8,
-    fault_classes: Sequence[str] = ACTIONS,
     fault_seeds: Sequence[int] = (0, 1, 2),
-    seed: int = 0,
-    timeout_s: float = 2.0,
 ) -> SweepSpec:
     return SweepSpec(
         name=name,
         task="chaos",
         axes={
-            "fault_class": list(fault_classes),
+            "fault_class": list(ACTIONS),
             "fault_seed": list(fault_seeds),
         },
-        fixed={
-            "impl": impl,
-            "n": n,
-            "p": p,
-            "seed": seed,
-            "timeout_s": timeout_s,
-        },
+        fixed={"impl": impl, "n": n, "p": 8, "seed": 0, "timeout_s": 2.0},
         description=(
             f"Chaos grid: {label} under each canned fault class x "
             "seed; outcomes classified against ground truth"

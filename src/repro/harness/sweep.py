@@ -211,10 +211,6 @@ class SweepResult:
         return len(self.results)
 
     @property
-    def n_ok(self) -> int:
-        return sum(r.ok for r in self.results)
-
-    @property
     def n_cached(self) -> int:
         return sum(r.from_cache for r in self.results)
 

@@ -16,14 +16,15 @@ from scipy.linalg.lapack import dgetrf
 from repro.kernels.linalg import trsm_lower_unit
 
 
-def lu_nopivot(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """In-place LU without pivoting (paper Figure 1's loop nest).
+def lu_nopivot(a: np.ndarray) -> np.ndarray:
+    """LU without pivoting (paper Figure 1's loop nest), on a copy of
+    ``a``.
 
     Returns the combined factors: L strictly below the diagonal (unit
     diagonal implied), U on and above.  Raises on a zero pivot — callers
     that can encounter one must pivot.
     """
-    lu = _as_square(a, overwrite)
+    lu = _as_square(a)
     n = lu.shape[0]
     for k in range(n - 1):
         pivot = lu[k, k]
@@ -38,9 +39,7 @@ def lu_nopivot(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
     return lu
 
 
-def lu_partial_pivot(
-    a: np.ndarray, overwrite: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def lu_partial_pivot(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """GEPP of an (m, n) matrix by LAPACK ``dgetrf`` (rectangular panels
     allowed — tall panels are exactly what TSLU factors).
 
@@ -50,21 +49,19 @@ def lu_partial_pivot(
     combined factors as a C-contiguous float64 array — it travels as a
     message payload, and the fault injector addresses payload bytes in
     memory order.  A zero column leaves its multipliers zero and the
-    elimination continues.  ``overwrite=True`` only *permits* reusing
-    ``a``'s buffer: ``dgetrf`` works on a Fortran-ordered copy of a
-    C-ordered input either way.
+    elimination continues.  ``a`` is never written.
     """
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {arr.shape}")
     if arr.size == 0:  # LAPACK rejects m == 0
         return arr.copy(), np.arange(0)
-    lu, piv, _ = dgetrf(arr, overwrite_a=overwrite)
+    lu, piv, _ = dgetrf(arr)
     return np.ascontiguousarray(lu), piv.astype(np.intp)
 
 
 def lu_blocked_partial_pivot(
-    a: np.ndarray, block: int = 32, overwrite: bool = False
+    a: np.ndarray, block: int = 32
 ) -> tuple[np.ndarray, np.ndarray]:
     """Right-looking blocked GEPP (the schedule the 2D baselines
     distribute).
@@ -75,7 +72,7 @@ def lu_blocked_partial_pivot(
     """
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
-    lu = _as_square(a, overwrite)
+    lu = _as_square(a)
     n = lu.shape[0]
     piv = np.arange(n)
     for k0 in range(0, n, block):
@@ -109,8 +106,8 @@ def split_lu(lu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def _as_square(a: np.ndarray, overwrite: bool) -> np.ndarray:
+def _as_square(a: np.ndarray) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    return arr if overwrite else arr.copy()
+    return arr.copy()

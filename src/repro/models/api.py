@@ -5,13 +5,12 @@ point; this module does the same for the *analytic* side.  Every cost
 model registers a :class:`ModelInfo` holding what it differs in: the
 closed form, the *as-run* form of the same member — the model on the
 grid and block one executed run used, which is what the harness pairs
-with a measured volume — the kind (``lu`` / ``qr``) whose flops it
-prices, and its block keyword.  Callers use one signature for the
-whole family::
+with a measured volume — and the kind (``lu`` / ``qr``) whose flops it
+prices.  Callers use one signature for the whole family::
 
     from repro.models import predict
     pred = predict("conflux", n=16384, p=1024, machine="daint-xc50")
-    pred.total_gb, pred.comm_seconds, pred.predicted_seconds
+    pred.total_bytes, pred.comm_seconds, pred.predicted_seconds
 
 ``predict`` resolves the machine spec (preset name, JSON path, or
 :class:`~repro.models.machines.Machine`), decides the replication depth
@@ -49,18 +48,16 @@ _KIND_FLOPS = {
 class ModelInfo:
     """What one registered cost model differs in.
 
-    ``total_bytes(n, p, c, **opts)`` is the closed form evaluated at
-    replication depth c; ``block_param`` names the keyword it takes a
-    block size under (``None``: the form has no blocking term).
-    ``as_run(n, grid, block)`` is the same member evaluated on the grid
-    and block an executed run used — Table 2's "modeled" beside a
-    "measured".  ``kind`` (``lu`` / ``qr``) prices the flops.
+    ``total_bytes(n, p, c)`` is the closed form evaluated at
+    replication depth c.  ``as_run(n, grid, block)`` is the same member
+    evaluated on the grid and block an executed run used — Table 2's
+    "modeled" beside a "measured".  ``kind`` (``lu`` / ``qr``) prices
+    the flops.
     """
 
     kind: str
-    total_bytes: Callable[..., float]
+    total_bytes: Callable[[int, int, int], float]
     as_run: Callable[[int, Sequence[int], int], float]
-    block_param: str | None = None
 
 
 #: name -> ModelInfo; same names as the algorithm registry where a
@@ -74,12 +71,11 @@ def register_model(
     *,
     as_run: Callable[[int, Sequence[int], int], float],
     kind: str,
-    block_param: str | None = None,
 ) -> ModelInfo:
     """Register a cost model under ``name``."""
     if kind not in _KIND_FLOPS:
         raise ValueError(f"kind {kind!r} not in {tuple(_KIND_FLOPS)}")
-    info = ModelInfo(kind, total_bytes, as_run, block_param)
+    info = ModelInfo(kind, total_bytes, as_run)
     MODEL_REGISTRY[name] = info
     return info
 
@@ -127,16 +123,13 @@ register_model("slate2d", scalapack2d_total_bytes,
 register_model("candmc25d", candmc_total_bytes,
                as_run=on_25d_grid(candmc_sim_total_bytes), kind="lu")
 register_model("conflux", conflux_total_bytes,
-               as_run=on_25d_grid(conflux_total_bytes), kind="lu",
-               block_param="v")
+               as_run=on_25d_grid(conflux_total_bytes), kind="lu")
 register_model("qr2d", qr2d_total_bytes,
-               as_run=_qr2d_as_run, kind="qr", block_param="nb")
+               as_run=_qr2d_as_run, kind="qr")
 register_model("caqr25d", caqr25d_total_bytes,
-               as_run=on_25d_grid(caqr25d_total_bytes), kind="qr",
-               block_param="v")
+               as_run=on_25d_grid(caqr25d_total_bytes), kind="qr")
 register_model("confqr", confqr_total_bytes,
-               as_run=on_25d_grid(confqr_total_bytes), kind="qr",
-               block_param="v")
+               as_run=on_25d_grid(confqr_total_bytes), kind="qr")
 
 
 @dataclass(frozen=True)
@@ -164,32 +157,10 @@ class Prediction:
     compute_seconds: float | None = None
 
     @property
-    def per_rank_bytes(self) -> float:
-        return self.total_bytes / self.p
-
-    @property
-    def total_gb(self) -> float:
-        return self.total_bytes / 1e9
-
-    @property
     def predicted_seconds(self) -> float | None:
         if self.comm_seconds is None or self.compute_seconds is None:
             return None
         return self.comm_seconds + self.compute_seconds
-
-    def describe(self) -> str:
-        line = (
-            f"{self.name}(N={self.n}, P={self.p}): "
-            f"{self.total_gb:.6f} GB total, "
-            f"{self.per_rank_bytes:,.1f} B/rank"
-        )
-        if self.predicted_seconds is not None:
-            line += (
-                f"; on {self.machine}: {self.predicted_seconds:.3e} s "
-                f"(comm {self.comm_seconds:.3e} s + "
-                f"compute {self.compute_seconds:.3e} s)"
-            )
-        return line
 
 
 def predict(
@@ -200,7 +171,6 @@ def predict(
     machine: "Machine | str | None" = None,
     m: float | None = None,
     c: int | None = None,
-    **opts,
 ) -> Prediction:
     """Evaluate the named cost model at (N, P); the one entry point for
     the whole model family, mirroring ``factor()``.
@@ -211,9 +181,8 @@ def predict(
     explicit per-rank memory ``m`` (elements) holds,
     c = floor(P M / N^2), else the Figure 6 rule c = P^(1/3) capped by
     the machine's memory when one is present.  The prediction's ``m``
-    is that depth's algorithmic memory c N^2 / P.  Remaining keyword
-    options (``v``, ``nb``, ``grid`` ...) pass through to the model's
-    closed form.
+    is that depth's algorithmic memory c N^2 / P.  The closed form takes
+    its default block and grid at that depth.
     """
     info = get_model(name)
     mach = resolve_machine(machine)
@@ -230,7 +199,7 @@ def predict(
 
         m_max = mach.memory_per_rank_elements if mach else None
         c = choose_c_max_replication(p, n, m_max=m_max)
-    total = float(info.total_bytes(n, p, c, **opts))
+    total = float(info.total_bytes(n, p, c))
     comm_s = compute_s = None
     if mach is not None:
         comm_s = mach.beta * total / p

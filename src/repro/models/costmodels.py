@@ -46,9 +46,7 @@ def algorithmic_memory(n: int, p: int, c: int) -> float:
 # 2D models (LibSci / ScaLAPACK and SLATE)
 # ---------------------------------------------------------------------------
 
-def scalapack2d_total_bytes(
-    n: int, p: int, c: int = 1, element_size: int = ELEMENT_SIZE
-) -> float:
+def scalapack2d_total_bytes(n: int, p: int, c: int = 1) -> float:
     """2D block-cyclic GEPP: N^2 sqrt(P) panel/U broadcasts + N^2 swaps.
 
     Independent of the replication depth c: the 2D algorithm cannot
@@ -59,22 +57,20 @@ def scalapack2d_total_bytes(
     slight advantage of SLATE for non-square grids").
     """
     _check_args(n, p, c)
-    return (n**2 * math.sqrt(p) + n**2) * element_size
+    return (n**2 * math.sqrt(p) + n**2) * ELEMENT_SIZE
 
 
 # ---------------------------------------------------------------------------
 # CANDMC model (authors' published cost [56])
 # ---------------------------------------------------------------------------
 
-def candmc_total_bytes(
-    n: int, p: int, c: int, element_size: int = ELEMENT_SIZE
-) -> float:
+def candmc_total_bytes(n: int, p: int, c: int) -> float:
     """CANDMC 2.5D LU: 5 N^3 / (P sqrt(M)) + O(N^2 / (P sqrt(M))) per
     rank, times P ranks, with M = c N^2 / P."""
     _check_args(n, p, c)
     m = algorithmic_memory(n, p, c)
     per_rank = 5.0 * n**3 / (p * math.sqrt(m)) + n**2 / (p * math.sqrt(m))
-    return per_rank * p * element_size
+    return per_rank * p * ELEMENT_SIZE
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +135,6 @@ def _summed_over_steps(
         c: int,
         v: int | None = None,
         grid_rows: int | None = None,
-        element_size: int = ELEMENT_SIZE,
     ) -> float:
         """Exact volume in bytes at replication depth ``c``: the
         per-step phase terms summed over all ceil(N/v) steps.
@@ -160,7 +155,7 @@ def _summed_over_steps(
         total = 0.0
         for t in range(math.ceil(n / v)):
             total += sum(step_breakdown(n, p, grid_rows, c, v, t).values())
-        return total * element_size
+        return total * ELEMENT_SIZE
 
     return total_bytes
 
@@ -172,13 +167,11 @@ conflux_total_bytes = _summed_over_steps(
 )
 
 
-def conflux_leading_total_bytes(
-    n: int, p: int, c: int, element_size: int = ELEMENT_SIZE
-) -> float:
+def conflux_leading_total_bytes(n: int, p: int, c: int) -> float:
     """Leading-order closed form: N^3/(P sqrt(M)) per rank, i.e.
     N^2 (sqrt(P/c) + c) total elements with M = c N^2 / P."""
     _check_args(n, p, c)
-    return n**2 * (math.sqrt(p / c) + c) * element_size
+    return n**2 * (math.sqrt(p / c) + c) * ELEMENT_SIZE
 
 
 #: The four LU implementations of Table 2, in the paper's row order.
@@ -301,7 +294,6 @@ def qr2d_total_bytes(
     c: int = 1,
     nb: int = 16,
     grid: tuple[int, int] | None = None,
-    element_size: int = ELEMENT_SIZE,
 ) -> float:
     """2D Householder QR volume: ~ N^2 (Pc + 2 Pr) / 2 elements.
 
@@ -318,7 +310,7 @@ def qr2d_total_bytes(
     total = 0.0
     for t in range(math.ceil(n / nb)):
         total += sum(qr2d_step_breakdown(n, prows, pcols, nb, t).values())
-    return total * element_size
+    return total * ELEMENT_SIZE
 
 
 def confqr_step_breakdown(

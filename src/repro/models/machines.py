@@ -57,6 +57,11 @@ class Machine:
     topology: str = "crossbar"
 
     def __post_init__(self) -> None:
+        if self.total_ranks < 1 or self.memory_per_rank_bytes < 1:
+            raise ValueError(
+                f"total_ranks and memory_per_rank_bytes must be >= 1, "
+                f"got {self.total_ranks}/{self.memory_per_rank_bytes}"
+            )
         if self.alpha < 0 or self.beta < 0:
             raise ValueError(
                 f"alpha/beta must be >= 0, got {self.alpha}/{self.beta}"
@@ -178,28 +183,43 @@ def machine_by_name(name: str) -> Machine:
     )
 
 
+#: JSON type of each machine spec field (a ``bool`` is never a number).
+MACHINE_FIELDS = {
+    "name": (str,), "total_ranks": (int,), "memory_per_rank_bytes": (int,),
+    "alpha": (int, float), "beta": (int, float),
+    "gamma_flops": (int, float), "topology": (str,),
+}
+
+
 def load_machine(path: str | os.PathLike) -> Machine:
     """Read a machine spec from a JSON file.
 
     Required keys: ``name``, ``total_ranks``, ``memory_per_rank_bytes``;
     ``alpha``/``beta``/``gamma_flops``/``topology`` are optional and
-    fall back to the :class:`Machine` defaults.  Unknown keys are
-    rejected so typos fail loudly instead of silently defaulting.
+    fall back to the :class:`Machine` defaults.  Unknown keys and
+    values of the wrong JSON type (:data:`MACHINE_FIELDS`) are rejected
+    so typos fail loudly instead of silently defaulting.
     """
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: machine spec must be a JSON object")
-    known = {f.name for f in fields(Machine)}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(MACHINE_FIELDS)
     if unknown:
         raise ValueError(
             f"{path}: unknown machine keys {sorted(unknown)}; "
-            f"allowed: {sorted(known)}"
+            f"allowed: {sorted(MACHINE_FIELDS)}"
         )
     missing = {"name", "total_ranks", "memory_per_rank_bytes"} - set(raw)
     if missing:
         raise ValueError(f"{path}: missing machine keys {sorted(missing)}")
+    for key, value in raw.items():
+        wanted = MACHINE_FIELDS[key]
+        if isinstance(value, bool) or not isinstance(value, wanted):
+            raise ValueError(
+                f"{path}: machine key {key!r} must be "
+                f"{' or '.join(t.__name__ for t in wanted)}, got {value!r}"
+            )
     return Machine(**raw)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.models.api import get_model, predict
+from repro.models.api import predict
 from repro.models.costmodels import (
     ELEMENT_SIZE,
     MODEL_NAMES,
@@ -40,15 +40,10 @@ def choose_c_max_replication(
 
 
 def sweep_models(
-    n: int,
-    p: int,
-    c: int | None = None,
-    v: int | None = None,
-    names: tuple[str, ...] = MODEL_NAMES,
-    leading_only: bool = False,
+    n: int, p: int, c: int | None = None, leading_only: bool = False
 ) -> dict[str, float]:
-    """Total modeled bytes for each implementation at one (N, P, c):
-    :func:`~repro.models.api.predict` over ``names``.
+    """Total modeled bytes for each of Table 2's implementations at one
+    (N, P, c): :func:`~repro.models.api.predict` over ``MODEL_NAMES``.
 
     ``c`` defaults to the max replication of the Figure 6 note.
     ``leading_only`` reproduces the paper's figure convention ("only the
@@ -61,18 +56,15 @@ def sweep_models(
         two_d = n**2 * math.sqrt(p) * ELEMENT_SIZE
         m = algorithmic_memory(n, p, c)
         candmc = 5.0 * n**3 / math.sqrt(m) * ELEMENT_SIZE
-        table = {
+        return {
             "scalapack2d": two_d,
             "slate2d": two_d,
             "candmc25d": candmc,
             "conflux": conflux_leading_total_bytes(n, p, c),
         }
-        return {name: table[name] for name in names}
-    out: dict[str, float] = {}
-    for name in names:
-        block = {"v": v} if get_model(name).block_param == "v" else {}
-        out[name] = predict(name, n, p, c=c, **block).total_bytes
-    return out
+    return {
+        name: predict(name, n, p, c=c).total_bytes for name in MODEL_NAMES
+    }
 
 
 @dataclass(frozen=True)
@@ -88,12 +80,7 @@ class ReductionPoint:
 
 
 def reduction_vs_second_best(
-    n: int,
-    p: int,
-    c: int | None = None,
-    v: int | None = None,
-    names: tuple[str, ...] = MODEL_NAMES,
-    leading_only: bool = False,
+    n: int, p: int, c: int | None = None, leading_only: bool = False
 ) -> ReductionPoint:
     """Communication reduction of the best vs second-best model.
 
@@ -101,7 +88,7 @@ def reduction_vs_second_best(
     S = SLATE); when COnfLUX is best the ratio reads "COnfLUX
     communicates `reduction`x less".
     """
-    volumes = sweep_models(n, p, c, v, names, leading_only=leading_only)
+    volumes = sweep_models(n, p, c, leading_only=leading_only)
     ranked = sorted(volumes, key=volumes.get)
     best, second = ranked[0], ranked[1]
     return ReductionPoint(
@@ -144,15 +131,16 @@ TABLE2_PAPER_GB = {
 }
 
 
-def summit_prediction(n: int = 16384) -> dict:
-    """The "2.1x less on a full-scale Summit run" claim (Section 9).
+def summit_prediction() -> dict:
+    """The "2.1x less on a full-scale Summit run" claim (Section 9), at
+    N = 16 384.
 
     Reported with both model flavours: the paper's figures use leading
     factors only (ratio ~2.0); the exact per-step model gives ~1.8
     because COnfLUX's reduce terms are not negligible at maximum
     replication — a reproduction finding the leading factors hide.
     """
-    p = SUMMIT.total_ranks
+    n, p = 16384, SUMMIT.total_ranks
     exact = reduction_vs_second_best(n, p)
     leading = reduction_vs_second_best(n, p, leading_only=True)
     return {

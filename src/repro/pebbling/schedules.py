@@ -18,22 +18,10 @@ from repro.pebbling.cdag import CDag, Vertex
 from repro.pebbling.game import Move, PebbleGame
 
 
-def greedy_schedule(
-    cdag: CDag, m: int, order: list[Vertex] | None = None
-) -> list[Move]:
-    """Construct a valid schedule with M red pebbles.
-
-    ``order`` optionally overrides the compute order (must be a
-    topological order of the computed vertices).
-    """
-    if order is None:
-        order = [v for v in cdag.topological_order() if cdag.in_degree(v)]
-    else:
-        computed = {v for v in cdag.vertices if cdag.in_degree(v)}
-        if set(order) != computed:
-            raise ValueError(
-                "order must cover exactly the computed vertices"
-            )
+def greedy_schedule(cdag: CDag, m: int) -> list[Move]:
+    """Construct a valid schedule with M red pebbles, computing in the
+    CDAG's topological order."""
+    order = [v for v in cdag.topological_order() if cdag.in_degree(v)]
 
     # Next-use positions: for every vertex, the (sorted) positions in
     # `order` of the computations consuming it.

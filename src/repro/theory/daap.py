@@ -140,7 +140,7 @@ class Program:
 # Canned programs from the paper
 # ---------------------------------------------------------------------------
 
-def lu_program(literal_counts: bool = False) -> Program:
+def lu_program() -> Program:
     """In-place LU factorization, Figure 1.
 
     ``S1: A[i,k] = A[i,k] / A[k,k]`` (column update) and
@@ -149,16 +149,9 @@ def lu_program(literal_counts: bool = False) -> Program:
     The paper's Section 6 derivation uses |V_S1| = N(N-1)/2 and
     |V_S2| = N^3/3 - N^2 + 2N/3 = N(N-1)(N-2)/3.  The literal loop nest
     of Figure 1 (i, j = k+1..N) yields Sum_{k<N} (N-k)^2 =
-    N(N-1)(2N-1)/6 for S2; pass ``literal_counts=True`` to get that
-    variant (the leading term of the bound is unaffected).
+    N(N-1)(2N-1)/6 for S2; the leading term of the bound is the same
+    under either count, and this program uses the paper's.
     """
-    if literal_counts:
-        def s2_count(n: int) -> float:
-            return n * (n - 1) * (2 * n - 1) / 6.0
-    else:
-        def s2_count(n: int) -> float:
-            return n * (n - 1) * (n - 2) / 3.0
-
     s1 = Statement(
         name="S1",
         loop_vars=("k", "i"),
@@ -178,7 +171,7 @@ def lu_program(literal_counts: bool = False) -> Program:
             Access("A", ("i", "k")),
             Access("A", ("k", "j")),
         ),
-        vertex_count=s2_count,
+        vertex_count=lambda n: n * (n - 1) * (n - 2) / 3.0,
     )
     return Program(
         name="lu",

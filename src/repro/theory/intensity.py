@@ -93,14 +93,13 @@ def statement_bound(
     statement: Statement,
     m: float,
     access_weights: tuple[float, ...] | None = None,
-    x_cap: float | None = None,
 ) -> StatementBound:
     """Derive the intensity bound for ``statement`` with fast memory M.
 
     ``access_weights`` feeds the Corollary 1 output-reuse rescaling into
     the dominator constraint (weight ``1/rho_producer`` on the reused
-    access).  ``x_cap`` bounds the search interval (default ``1e6 * M``),
-    beyond which the X -> infinity limit is assumed.
+    access).  The search for X stops at ``1e4 * max(M, 2)``, beyond
+    which the X -> infinity limit is assumed.
     """
     if statement.recomputation_free:
         return StatementBound(
@@ -114,7 +113,7 @@ def statement_bound(
         )
     if m < 1:
         raise ValueError(f"fast memory M must be >= 1, got {m}")
-    cap = x_cap if x_cap is not None else 1e4 * max(m, 2.0)
+    cap = 1e4 * max(m, 2.0)
     lo = m + max(1e-9 * m, 1e-6) + len(statement.inputs)
 
     # Scalar minimization of rho(X) = psi(X)/(X - M) over (M, cap].

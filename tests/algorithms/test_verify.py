@@ -87,10 +87,7 @@ class TestCheckFactors:
         assert chk.failed[0][0] == invariant
         assert chk.failed[-1][0] == "residual" and np.isnan(chk.residual)
         with pytest.raises(FactorVerificationError, match=invariant):
-            verify_factors(
-                a, factors["lower"], factors["upper"], perm,
-                residual_tol=1e-10,
-            )
+            chk.raise_if_failed()
 
     def test_shape_mismatch_raises_immediately(self):
         a, lower, upper, perm = _good_factors()
@@ -117,10 +114,13 @@ class TestVerifyFactors:
             verify_factors(a, lower, upper, bad)
 
     def test_residual_tolerance_enforced(self):
+        """``verify_factors`` reports the residual; bounding it is
+        ``check_factors(residual_tol=)``'s job."""
         a, lower, upper, perm = _good_factors(seed=4)
+        assert verify_factors(a, lower, upper * 2.0, perm) > 1e-10
+        chk = check_factors(a, lower, upper * 2.0, perm, residual_tol=1e-10)
         with pytest.raises(FactorVerificationError, match="residual"):
-            verify_factors(a, lower, upper * 2.0, perm,
-                           residual_tol=1e-10)
+            chk.raise_if_failed()
 
 
 class TestVerifyQrFactors:

@@ -144,8 +144,9 @@ class TestExperiments:
                 )
 
     def test_table2_measured_rows_small(self):
+        spec = table2_measured_spec(points=((64, 4),))
         rows = run_sweep(
-            table2_measured_spec(points=((64, 4),), seed=3)
+            dataclasses.replace(spec, fixed={**spec.fixed, "seed": 3})
         ).rows()
         assert len(rows) == 4
         for row in rows:
@@ -154,7 +155,9 @@ class TestExperiments:
 
     def test_fig7_grid_shape(self):
         rows = run_sweep(
-            fig7_spec(n_values=(4096,), p_values=(64, 1024))
+            dataclasses.replace(
+                fig7_spec(), axes={"n": [4096], "p": [64, 1024]}
+            )
         ).rows()
         assert len(rows) == 2
         assert all(r["reduction"] >= 1.0 for r in rows)
@@ -169,8 +172,9 @@ class TestExperiments:
         assert pred["reduction_leading"] == pytest.approx(2.1, abs=0.15)
 
     def test_lower_bound_gap_sane(self):
+        spec = lower_bound_gap_spec(n_values=(64,), p=4)
         rows = run_sweep(
-            lower_bound_gap_spec(n_values=(64,), p=4, seed=4)
+            dataclasses.replace(spec, fixed={**spec.fixed, "seed": 4})
         ).rows()
         assert rows[0]["gap"] > 1.0  # a real schedule can't beat the bound
 

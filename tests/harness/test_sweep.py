@@ -1,5 +1,6 @@
 """Tests for the parallel sweep engine (specs, cache, execution)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -258,7 +259,7 @@ class TestPoolContext:
         try:
             spec = named_spec("table2-models")
             res = run_sweep(spec, workers=2, max_points=2)
-            assert res.n_ok == 2 and res.n_failed == 0
+            assert res.n_points == 2 and res.n_failed == 0
         finally:
             release.set()
             helper.join()
@@ -303,7 +304,7 @@ class TestFinishRobustness:
             name="s", task="_unserialisable", axes={"x": [1, 2, 3]},
         )
         res = run_sweep(spec, cache=cache)  # must not raise
-        assert res.n_failed == 1 and res.n_ok == 2
+        assert res.n_failed == 1 and res.n_points - res.n_failed == 2
         failure = res.failures()[0]
         assert failure.point.params["x"] == 2
         assert "cache.put failed" in failure.error
@@ -357,8 +358,8 @@ class TestFinishRobustness:
             assert "BrokenProcessPool: " in failure.error
         # which other points the broken pool took down is timing; what
         # finished is kept and cached
-        assert res.n_ok + res.n_failed == 4
-        assert cache.stats()["entries"] == res.n_ok
+        assert res.n_points == 4
+        assert cache.stats()["entries"] == res.n_points - res.n_failed
         assert res.rows(strict=False) == [
             {"x": r.point.params["x"]} for r in res.results if r.ok
         ]
@@ -367,7 +368,7 @@ class TestFinishRobustness:
 class TestFailureAndResume:
     def test_failure_is_captured_not_raised(self, scratch_task):
         res = run_sweep(scratch_spec(boom_on=2))
-        assert res.n_failed == 1 and res.n_ok == 2
+        assert res.n_failed == 1 and res.n_points - res.n_failed == 2
         failure = res.failures()[0]
         assert "boom at x=2" in failure.error
         assert res.rows(strict=False) == [
@@ -406,9 +407,11 @@ class TestFailureAndResume:
 
 class TestParallelExecution:
     def test_worker_pool_matches_inline_results(self, tmp_path):
-        spec = table2_measured_spec(
-            points=((48, 4),), impls=("conflux", "scalapack2d"),
-            seed=11,
+        spec = dataclasses.replace(
+            table2_measured_spec(
+                points=((48, 4),), impls=("conflux", "scalapack2d")
+            ),
+            fixed={"seed": 11},
         )
         inline = run_sweep(spec, workers=0)
         pooled = run_sweep(spec, workers=2)
@@ -416,13 +419,15 @@ class TestParallelExecution:
 
     def test_pool_failure_capture_and_cache(self, tmp_path):
         cache = SweepCache(tmp_path)
-        spec = table2_measured_spec(
-            points=((48, 4), (64, 4)), impls=("magma", "conflux"),
-            seed=11,
+        spec = dataclasses.replace(
+            table2_measured_spec(
+                points=((48, 4), (64, 4)), impls=("magma", "conflux")
+            ),
+            fixed={"seed": 11},
         )
         res = run_sweep(spec, workers=3, cache=cache)
         # unknown implementation fails per-point, conflux points succeed
-        assert res.n_failed == 2 and res.n_ok == 2
+        assert res.n_failed == 2 and res.n_points - res.n_failed == 2
         assert all("magma" in f.error for f in res.failures())
         resumed = run_sweep(spec, workers=3, cache=cache)
         assert resumed.n_cached == 2
@@ -443,12 +448,12 @@ class TestLayering:
 
         src = str(Path(repro.harness.__file__).resolve().parents[2])
         code = (
-            "import sys\n"
+            "import dataclasses, sys\n"
             "from repro.harness.specs import fig7_spec\n"
             "from repro.harness.sweep import run_sweep\n"
-            "res = run_sweep("
-            "fig7_spec(n_values=(4096,), p_values=(64,)))\n"
-            "assert res.n_ok == res.n_points > 0, res.summary()\n"
+            "res = run_sweep(dataclasses.replace("
+            "fig7_spec(), axes={'n': [4096], 'p': [64]}))\n"
+            "assert res.n_points == 1 and not res.n_failed, res.summary()\n"
             "print(sorted(m for m in sys.modules if m == 'asyncio' "
             "or m.startswith(('asyncio.', 'repro.service'))))\n"
         )

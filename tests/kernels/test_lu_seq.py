@@ -48,11 +48,6 @@ class TestLuNoPivot:
         lu_nopivot(a)
         np.testing.assert_array_equal(a, a0)
 
-    def test_overwrite_mutates_in_place(self):
-        a = _diag_dominant(6)
-        out = lu_nopivot(a, overwrite=True)
-        assert out is a
-
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             lu_nopivot(np.zeros((3, 4)))

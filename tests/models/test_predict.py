@@ -35,7 +35,6 @@ class TestRegistry:
             assert info.kind == ("qr" if name in QR_MODEL_NAMES else "lu")
             assert callable(info.total_bytes)
             assert callable(info.as_run)
-            assert info.block_param in (None, "v", "nb")
 
     def test_register_rejects_bad_kind(self):
         with pytest.raises(ValueError, match="kind"):
@@ -103,13 +102,6 @@ class TestPredict:
                 expected[name]
             )
 
-    def test_per_rank_and_gb(self):
-        pred = predict("scalapack2d", 1024, 64)
-        assert pred.per_rank_bytes == pytest.approx(
-            pred.total_bytes / 64
-        )
-        assert pred.total_gb == pytest.approx(pred.total_bytes / 1e9)
-
     def test_needs_p_or_machine(self):
         with pytest.raises(ValueError, match="needs p= or machine="):
             predict("conflux", 1024)
@@ -123,7 +115,6 @@ class TestPredict:
         assert pred.machine is None
         assert pred.comm_seconds is None
         assert pred.predicted_seconds is None
-        assert "s" not in pred.describe().split("B/rank")[-1]
 
     def test_machine_adds_time_estimates(self):
         pred = predict("conflux", 4096, 256, machine="daint-xc50")
@@ -161,11 +152,6 @@ class TestPredict:
         at_c = predict("conflux", 4096, 256, c=2)
         both = predict("conflux", 4096, 256, c=2, m=1.0)
         assert both.total_bytes == at_c.total_bytes
-
-    def test_opts_forward_to_model(self):
-        base = predict("conflux", 256, 16, c=2)
-        tuned = predict("conflux", 256, 16, c=2, v=16)
-        assert tuned.total_bytes != base.total_bytes
 
     def test_invalid_n_rejected(self):
         with pytest.raises(ValueError):

@@ -62,17 +62,6 @@ class TestGreedyValidity:
         with pytest.raises(ValueError, match="cannot hold"):
             greedy_schedule(g, m=3)
 
-    def test_custom_order_must_cover_computed(self):
-        g = chain_cdag(3)
-        with pytest.raises(ValueError, match="cover"):
-            greedy_schedule(g, m=2, order=[("x", 0, 0, 1)])
-
-    def test_custom_topological_order_accepted(self):
-        g = chain_cdag(4)
-        order = [("x", 0, 0, v) for v in (1, 2, 3)]
-        moves = greedy_schedule(g, m=2, order=order)
-        assert schedule_cost(g, 2, moves) == 2
-
 
 class TestSandwich:
     """Q_greedy (a real schedule) must dominate the theory lower bounds."""

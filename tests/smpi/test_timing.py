@@ -16,6 +16,7 @@ import pytest
 from repro.models.machines import (
     DAINT_XC50,
     IDEAL,
+    MACHINE_FIELDS,
     Machine,
     list_machines,
     load_machine,
@@ -296,9 +297,21 @@ class TestMachines:
 
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(DAINT_XC50.to_dict()))
-        loaded = load_machine(path)
-        assert loaded == dataclasses.replace(DAINT_XC50)
+        for preset in list_machines():
+            path.write_text(json.dumps(preset.to_dict()))
+            assert load_machine(path) == dataclasses.replace(preset)
+
+    def test_json_field_table_covers_the_spec(self):
+        assert set(MACHINE_FIELDS) == {
+            f.name for f in dataclasses.fields(DAINT_XC50)
+        }
+
+    @pytest.mark.parametrize(
+        "field", ["total_ranks", "memory_per_rank_bytes"]
+    )
+    def test_non_positive_capacity_rejected(self, field):
+        with pytest.raises(ValueError, match=">= 1"):
+            dataclasses.replace(DAINT_XC50, **{field: 0})
 
     def test_json_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

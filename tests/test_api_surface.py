@@ -1,14 +1,18 @@
 """Public-API snapshot: the ``__all__`` of ``repro.algorithms``,
 ``repro.models``, ``repro.theory``, ``repro.pebbling``, ``repro.smpi``,
 ``repro.kernels``, ``repro.layouts``, ``repro.harness`` and
-``repro.service``, and both registries' declared capabilities, must
-match the checked-in snapshot.
+``repro.service``, the signature of every callable they export and of
+every ``SPECS`` factory, and both registries' declared capabilities,
+must match the checked-in snapshot.
 
 Changing the public surface is allowed — but it has to be deliberate:
-regenerate ``tests/data/api_surface.json`` in the same commit and the
-diff will show exactly what was added, removed or re-declared.
+regenerate ``tests/data/api_surface.json`` in the same commit
+(``PYTHONPATH=src python -m tests.test_api_surface``) and the diff
+will show exactly what was added, removed or re-declared, down to one
+parameter.
 """
 
+import inspect
 import json
 from pathlib import Path
 
@@ -22,6 +26,7 @@ import repro.service as service
 import repro.smpi as smpi
 import repro.theory as theory
 from repro.algorithms.api import KINDS, GRID_FAMILIES, REGISTRY
+from repro.harness.specs import SPECS
 from repro.models.api import MODEL_REGISTRY
 from repro.models.machines import MACHINES
 
@@ -39,6 +44,28 @@ PACKAGES = {
 }
 
 
+def _signatures() -> dict:
+    """``str(inspect.signature(...))`` of every callable in the
+    snapshotted ``__all__`` lists (an exception class without its own
+    ``__init__`` has none) and of every ``SPECS`` factory."""
+    out = {}
+    for name, package in {
+        "algorithms": alg, "models": models, **PACKAGES
+    }.items():
+        for symbol in package.__all__:
+            obj = getattr(package, symbol)
+            if not callable(obj):
+                continue
+            try:
+                sig = inspect.signature(obj)
+            except ValueError:
+                continue
+            out[f"repro.{name}.{symbol}"] = str(sig)
+    for name, factory in SPECS.items():
+        out[f"SPECS[{name!r}]"] = str(inspect.signature(factory))
+    return dict(sorted(out.items()))
+
+
 def _current_surface() -> dict:
     return {
         "all": list(alg.__all__),
@@ -52,10 +79,7 @@ def _current_surface() -> dict:
         },
         "models_all": list(models.__all__),
         "model_registry": {
-            name: {
-                "kind": info.kind,
-                "block_param": info.block_param,
-            }
+            name: {"kind": info.kind}
             for name, info in sorted(MODEL_REGISTRY.items())
         },
         "machines": sorted(MACHINES),
@@ -63,6 +87,7 @@ def _current_surface() -> dict:
             f"{name}_all": list(package.__all__)
             for name, package in PACKAGES.items()
         },
+        "signatures": _signatures(),
     }
 
 
@@ -95,6 +120,16 @@ def test_public_surface_matches_snapshot():
             f"repro.{name}.__all__ changed; if intentional, "
             "regenerate tests/data/api_surface.json"
         )
+    changed = {
+        name: (snap["signatures"].get(name), sig)
+        for name, sig in current["signatures"].items()
+        if snap["signatures"].get(name) != sig
+    }
+    gone = set(snap["signatures"]) - set(current["signatures"])
+    assert not changed and not gone, (
+        f"signatures changed {changed}, removed {sorted(gone)}; if "
+        "intentional, regenerate tests/data/api_surface.json"
+    )
 
 
 def test_all_is_sorted_and_importable():
@@ -125,3 +160,8 @@ def test_registry_entries_are_well_formed():
         assert callable(info.program)
         assert callable(info.assemble)
         assert info.default_block >= 1
+
+
+if __name__ == "__main__":
+    SNAPSHOT.write_text(json.dumps(_current_surface(), indent=2,
+                                   sort_keys=True))

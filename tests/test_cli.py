@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -94,6 +96,40 @@ class TestFactorCommand:
         err = capsys.readouterr().err
         assert "unknown algorithm 'mmm25d'" in err and "conflux" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--p", "0"], "need positive P and N"),
+            (["--n", "8", "--p", "8", "--v", "1"], "v=1 must be >= 2"),
+            (["--algo", "qr2d", "--v", "4"], "unexpected keyword"),
+            (["--n", "-3"], "negative dimensions"),
+            (["--fault-seed", "1"], "fault_seed= given without faults="),
+            (["--machine", "laptop"], "unknown machine 'laptop'"),
+            (["--faults", "no-such-plan.json"], "No such file"),
+        ],
+    )
+    def test_bad_input_is_an_error_not_a_traceback(
+        self, capsys, argv, message
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["factor", "--n", "16", "--p", "4", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+
+    def test_wrong_factors_are_not_a_usage_error(self, monkeypatch):
+        import repro.algorithms
+        from repro.algorithms import FactorVerificationError
+
+        def broken(*args, **kwargs):
+            raise FactorVerificationError("residual", "too large")
+
+        monkeypatch.setattr(repro.algorithms, "factor", broken)
+        with pytest.raises(FactorVerificationError, match="residual"):
+            main(["factor", "--n", "16", "--p", "4"])
+
 
 class TestBoundsCommand:
     def test_lu_bounds(self, capsys):
@@ -161,6 +197,32 @@ class TestPlanCommand:
         )
         assert main(["plan", "--machine", str(spec), "--n", "512"]) == 0
         assert "box: N=512, P=16" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"total_ranks": "64"}, "'total_ranks' must be int, got '64'"),
+            ({"alpha": "1e-6"}, "'alpha' must be int or float"),
+            ({"total_ranks": True}, "'total_ranks' must be int, got True"),
+            ({"total_ranks": 0}, "must be >= 1, got 0/"),
+            ({"memory_per_rank_bytes": -1}, "must be >= 1, got 64/-1"),
+        ],
+    )
+    def test_mistyped_machine_spec_is_an_error(
+        self, capsys, tmp_path, fields, message
+    ):
+        spec = tmp_path / "m.json"
+        spec.write_text(json.dumps({
+            "name": "m", "total_ranks": 64,
+            "memory_per_rank_bytes": 1 << 30, **fields,
+        }))
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--machine", str(spec), "--n", "64"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
 
     def test_unknown_machine_lists_presets(self, capsys):
         with pytest.raises(SystemExit) as exc:
