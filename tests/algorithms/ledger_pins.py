@@ -5,7 +5,9 @@ The 2.5D factorization family (COnfLUX, CANDMC-like LU, 2.5D Cholesky,
 layer.  The port must be *behavior preserving at the wire level*: for a
 pinned set of (n, G, c, v) points, every rank's sent/received bytes,
 message counts, per-phase attribution and per-tag message census must be
-identical to what the pre-port implementations produced.
+identical to what the pre-port implementations produced.  The 2D
+baselines (ScaLAPACK-, SLATE-like LU and 2D Householder QR) are pinned
+the same way at (P, Pr x Pc, nb) points.
 
 ``tests/data/ledger_pins.json`` holds the ledgers captured from the
 pre-port code.  ``test_ledger_regression.py`` re-runs the pinned points
@@ -52,8 +54,45 @@ PINNED_POINTS = (
 )
 
 
+#: (impl, n, p, pr, pc, nb) — the 2D baselines on a Pr x Pc grid of
+#: the first Pr * Pc of P ranks.  Every N leaves a ragged last block.
+PINNED_POINTS_2D = (
+    ("scalapack2d", 30, 6, 2, 3, 4),
+    ("scalapack2d", 23, 7, 1, 7, 5),
+    ("scalapack2d", 26, 9, 2, 3, 4),
+    ("slate2d", 26, 6, 3, 2, 4),
+    ("slate2d", 21, 4, 2, 2, 16),
+    ("qr2d", 30, 6, 2, 3, 4),
+    ("qr2d", 19, 5, 1, 5, 4),
+    ("qr2d", 22, 9, 3, 2, 3),
+)
+
+
 def point_key(impl: str, n: int, g: int, c: int, v: int) -> str:
     return f"{impl}-n{n}-g{g}-c{c}-v{v}"
+
+
+def point_key_2d(impl: str, n: int, p: int, pr: int, pc: int,
+                 nb: int) -> str:
+    return f"{impl}-n{n}-p{p}-{pr}x{pc}-nb{nb}"
+
+
+def run_point(impl: str, n: int, g: int, c: int, v: int, **kw):
+    """``factor`` at one pinned 2.5D point."""
+    from repro.algorithms import factor
+
+    return factor(
+        impl, _input_matrix(impl, n), g * g * c, grid=(g, g, c), v=v, **kw
+    )
+
+
+def run_point_2d(impl: str, n: int, p: int, pr: int, pc: int, nb: int,
+                 **kw):
+    """``factor`` at one pinned 2D point."""
+    from repro.algorithms import factor
+
+    return factor(impl, _input_matrix(impl, n), p, grid=(pr, pc), nb=nb,
+                  **kw)
 
 
 class _TagCensus:
@@ -76,8 +115,17 @@ def _input_matrix(impl: str, n: int) -> np.ndarray:
 
 
 def collect_ledger(impl: str, n: int, g: int, c: int, v: int) -> dict:
-    """Run one pinned point and return its JSON-clean wire ledger."""
-    from repro.algorithms import factor
+    """Run one pinned 2.5D point and return its JSON-clean wire ledger."""
+    return _census_ledger(run_point, (impl, n, g, c, v))
+
+
+def collect_ledger_2d(impl: str, n: int, p: int, pr: int, pc: int,
+                      nb: int) -> dict:
+    """Run one pinned 2D point and return its JSON-clean wire ledger."""
+    return _census_ledger(run_point_2d, (impl, n, p, pr, pc, nb))
+
+
+def _census_ledger(run, point: tuple) -> dict:
     from repro.smpi import runtime
 
     census = _TagCensus()
@@ -106,9 +154,7 @@ def collect_ledger(impl: str, n: int, g: int, c: int, v: int) -> dict:
     runtime.Comm.send_each = send_each
     runtime.Comm.sendrecv = sendrecv
     try:
-        res = factor(
-            impl, _input_matrix(impl, n), g * g * c, grid=(g, g, c), v=v
-        )
+        res = run(*point)
     finally:
         runtime.Comm.send = orig_send
         runtime.Comm.send_each = orig_send_each
@@ -134,6 +180,10 @@ def main() -> None:
         point_key(*point): collect_ledger(*point)
         for point in PINNED_POINTS
     }
+    pins.update(
+        (point_key_2d(*point), collect_ledger_2d(*point))
+        for point in PINNED_POINTS_2D
+    )
     PIN_PATH.parent.mkdir(parents=True, exist_ok=True)
     PIN_PATH.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(pins)} pinned ledgers to {PIN_PATH}")

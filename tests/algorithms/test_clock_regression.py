@@ -5,16 +5,20 @@ per-phase time breakdowns of the ledger-pin points under the
 ``daint-xc50`` preset.  The replay is deterministic, so these must
 reproduce to float precision; a tiny relative tolerance absorbs
 summation-order differences should the accumulation internals ever be
-refactored, while still catching any real model change.
+refactored, while still catching any real model change.  The 2D
+baselines' points are pinned alongside.
 """
 
 import pytest
 
 from tests.algorithms.clock_pins import (
     PINNED_POINTS,
+    PINNED_POINTS_2D,
     collect_clock,
+    collect_clock_2d,
     load_pins,
     point_key,
+    point_key_2d,
 )
 
 _REL = 1e-9
@@ -26,15 +30,30 @@ def pins():
 
 
 def test_pin_file_covers_every_pinned_point(pins):
-    assert sorted(pins) == sorted(point_key(*p) for p in PINNED_POINTS)
+    assert sorted(pins) == sorted(
+        [point_key(*p) for p in PINNED_POINTS]
+        + [point_key_2d(*p) for p in PINNED_POINTS_2D]
+    )
 
 
 @pytest.mark.parametrize(
     "point", PINNED_POINTS, ids=[point_key(*p) for p in PINNED_POINTS]
 )
 def test_predicted_clock_is_unchanged(point, pins):
-    expected = pins[point_key(*point)]
-    actual = collect_clock(*point)
+    _assert_same_clock(collect_clock(*point), pins[point_key(*point)])
+
+
+@pytest.mark.parametrize(
+    "point", PINNED_POINTS_2D,
+    ids=[point_key_2d(*p) for p in PINNED_POINTS_2D],
+)
+def test_2d_predicted_clock_is_unchanged(point, pins):
+    _assert_same_clock(
+        collect_clock_2d(*point), pins[point_key_2d(*point)]
+    )
+
+
+def _assert_same_clock(actual: dict, expected: dict) -> None:
     assert actual["machine"] == expected["machine"]
     assert actual["makespan"] == pytest.approx(
         expected["makespan"], rel=_REL

@@ -6,16 +6,20 @@ programs onto the shared :class:`Schedule25D` choreography must not
 change a single message: per-rank sent/received bytes, message counts,
 per-phase attribution and the per-tag send census all have to match
 exactly — volume equality alone would hide re-grouped or re-tagged
-traffic.
+traffic.  The 2D baselines' ledgers, pinned before their rank
+programs moved onto the one-layer grid, must hold the same way.
 """
 
 import pytest
 
 from tests.algorithms.ledger_pins import (
     PINNED_POINTS,
+    PINNED_POINTS_2D,
     collect_ledger,
+    collect_ledger_2d,
     load_pins,
     point_key,
+    point_key_2d,
 )
 
 
@@ -25,15 +29,30 @@ def pins():
 
 
 def test_pin_file_covers_every_pinned_point(pins):
-    assert sorted(pins) == sorted(point_key(*p) for p in PINNED_POINTS)
+    assert sorted(pins) == sorted(
+        [point_key(*p) for p in PINNED_POINTS]
+        + [point_key_2d(*p) for p in PINNED_POINTS_2D]
+    )
 
 
 @pytest.mark.parametrize(
     "point", PINNED_POINTS, ids=[point_key(*p) for p in PINNED_POINTS]
 )
 def test_wire_ledger_is_unchanged(point, pins):
-    expected = pins[point_key(*point)]
-    actual = collect_ledger(*point)
+    _assert_same_ledger(collect_ledger(*point), pins[point_key(*point)])
+
+
+@pytest.mark.parametrize(
+    "point", PINNED_POINTS_2D,
+    ids=[point_key_2d(*p) for p in PINNED_POINTS_2D],
+)
+def test_2d_wire_ledger_is_unchanged(point, pins):
+    _assert_same_ledger(
+        collect_ledger_2d(*point), pins[point_key_2d(*point)]
+    )
+
+
+def _assert_same_ledger(actual: dict, expected: dict) -> None:
     # Field-by-field for readable failures; the per-rank tuples pin the
     # exact message grouping, the tag census pins the tag namespaces.
     assert actual["sent_bytes"] == expected["sent_bytes"]
