@@ -13,9 +13,9 @@ The public entry point is the capability-aware registry in
 * :mod:`repro.algorithms.conflux` — COnfLUX (paper Algorithm 1): the
   2.5D, row-masking, tournament-pivoting near-communication-optimal LU.
 * :mod:`repro.algorithms.scalapack2d` — the LibSci/ScaLAPACK baseline:
-  2D block-cyclic right-looking GEPP with physical row swapping.
-* :mod:`repro.algorithms.slate2d` — the SLATE baseline (same 2D family,
-  SLATE's defaults: small fixed block size, no user tuning required).
+  2D block-cyclic right-looking GEPP with physical row swapping, and the
+  SLATE baseline ``slate2d`` (the same engine with SLATE's defaults:
+  small fixed block size, no user tuning required).
 * :mod:`repro.algorithms.candmc25d` — the CANDMC-like 2.5D baseline:
   tournament pivoting with physical row swapping on replicated layers
   and full-width panel replication (cost ~5 N^3 / (P sqrt(M))).
@@ -69,7 +69,6 @@ from repro.algorithms import (  # noqa: F401 (each module registers itself)
     confqr,
     qr2d,
     scalapack2d,
-    slate2d,
 )
 from repro.algorithms.mmm25d import mmm25d
 from repro.algorithms.gridopt import (

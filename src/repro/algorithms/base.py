@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.kernels.linalg import lu_residual
+from repro.layouts.block_cyclic import BlockCyclic1D
+from repro.smpi.grid import ProcessGrid3D
 from repro.smpi.volume import VolumeReport
 
 # Every acceptance test in this module is written ``not value <= tol``:
@@ -228,6 +230,31 @@ def verify_cholesky_factor(a: np.ndarray, lower: np.ndarray) -> float:
             f"||A - L L^T||/||A|| = {residual:.2e} > {RESIDUAL_TOL:.0e}",
         )
     return residual
+
+
+def block_cyclic_start(comm, a: np.ndarray, prows: int, pcols: int,
+                       nb: int) -> tuple | None:
+    """Where a 2D rank program starts, the inverse of
+    :func:`gather_blocks`: ``(grid, rowmap, colmap, rows, cols,
+    row_g2l, col_g2l, aloc)`` — this rank's place on the one-layer
+    ``prows x pcols`` grid, the row and column block-cyclic maps (block
+    ``nb``), its global row and column indices, their global-to-local
+    lookups (-1 where not owned) and a copy of its local block of
+    ``a``.  ``None`` on a rank the grid leaves inactive."""
+    n = a.shape[0]
+    grid = ProcessGrid3D(comm, prows, pcols, 1)
+    if not grid.active:
+        return None
+    rowmap = BlockCyclic1D(n, prows, nb)
+    colmap = BlockCyclic1D(n, pcols, nb)
+    rows = rowmap.global_indices(grid.row)
+    cols = colmap.global_indices(grid.col)
+    row_g2l = np.full(n, -1)
+    row_g2l[rows] = np.arange(len(rows))
+    col_g2l = np.full(n, -1)
+    col_g2l[cols] = np.arange(len(cols))
+    aloc = a[np.ix_(rows, cols)].copy()
+    return grid, rowmap, colmap, rows, cols, row_g2l, col_g2l, aloc
 
 
 def gather_blocks(

@@ -163,7 +163,7 @@ def _assemble_q(
     for t in range(steps - 1, -1, -1):
         k0 = t * v
         w = min(v, n - k0)
-        rt = int(rowmap.owner(k0))
+        rt = rowmap.owner(k0)
         block_rows = []
         tree_counts = []
         for p in range(g):

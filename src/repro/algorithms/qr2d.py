@@ -32,27 +32,17 @@ import math
 import numpy as np
 
 from repro.algorithms.api import register_algorithm
-from repro.algorithms.base import gather_blocks
+from repro.algorithms.base import block_cyclic_start, gather_blocks
 from repro.kernels.tsqr import thin_q
-from repro.layouts.block_cyclic import BlockCyclic1D
-from repro.smpi import ProcessGrid2D
 
 
 def _rank_fn(comm, a: np.ndarray, prows: int, pcols: int, nb: int) -> dict:
     n = a.shape[0]
-    grid = ProcessGrid2D(comm, prows, pcols)
-    if not grid.active:
+    start = block_cyclic_start(comm, a, prows, pcols, nb)
+    if start is None:
         return {"active": False}
+    grid, rowmap, colmap, my_rows, my_cols, row_g2l, col_g2l, aloc = start
     pi, pj = grid.row, grid.col
-    rowmap = BlockCyclic1D(n, prows, nb)
-    colmap = BlockCyclic1D(n, pcols, nb)
-    my_rows = rowmap.global_indices(pi)
-    my_cols = colmap.global_indices(pj)
-    row_g2l = np.full(n, -1)
-    row_g2l[my_rows] = np.arange(len(my_rows))
-    col_g2l = np.full(n, -1)
-    col_g2l[my_cols] = np.arange(len(my_cols))
-    aloc = a[np.ix_(my_rows, my_cols)].copy()
     taus: list[float] = []
 
     nsteps = (n + nb - 1) // nb
@@ -60,7 +50,7 @@ def _rank_fn(comm, a: np.ndarray, prows: int, pcols: int, nb: int) -> dict:
         k0 = kb * nb
         k1 = min(k0 + nb, n)
         w = k1 - k0
-        pcol = int(colmap.owner(k0))
+        pcol = colmap.owner(k0)
         on_pcol = pj == pcol
         panel_lcols = col_g2l[np.arange(k0, k1)] if on_pcol else None
         step_taus = np.zeros(w)
@@ -71,7 +61,7 @@ def _rank_fn(comm, a: np.ndarray, prows: int, pcols: int, nb: int) -> dict:
                 kj = k0 + jj
                 lcol = panel_lcols[jj]
                 below = my_rows > kj
-                own_diag = pi == int(rowmap.owner(kj))
+                own_diag = pi == rowmap.owner(kj)
                 with comm.phase("panel_fact"):
                     local = np.array([
                         float(aloc[below, lcol] @ aloc[below, lcol]),

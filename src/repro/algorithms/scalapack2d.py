@@ -1,4 +1,5 @@
-"""2D block-cyclic right-looking GEPP — the LibSci/ScaLAPACK baseline.
+"""2D block-cyclic right-looking GEPP — the LibSci/ScaLAPACK and SLATE
+baselines.
 
 The paper's measurements "reaffirm that, like ScaLAPACK, the [LibSci]
 implementation uses the suboptimal 2D processor decomposition"; its
@@ -15,6 +16,12 @@ implements that schedule faithfully:
 
 Because the 2D layout never replicates data, extra memory is wasted —
 the structural reason it loses to 2.5D at scale (Figure 6b).
+
+SLATE (Gates et al., SC'19) factors LU on the same 2D decomposition;
+the paper finds "their communication volumes are mostly equal, with a
+slight advantage of SLATE for non-square processor grids".  ``slate2d``
+registers this engine with SLATE's defaults (Table 2: block size 16,
+"user param. required: no") and its tall-grid preference.
 """
 
 from __future__ import annotations
@@ -22,29 +29,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.api import register_algorithm
-from repro.algorithms.base import gather_blocks
+from repro.algorithms.base import block_cyclic_start, gather_blocks
 from repro.kernels.linalg import permutation_from_pivots, trsm_lower_unit
 from repro.kernels.lu_seq import split_lu
-from repro.layouts.block_cyclic import BlockCyclic1D
-from repro.smpi import ProcessGrid2D
 from repro.smpi.collectives import maxloc
 
 
 def _rank_fn(comm, a: np.ndarray, prows: int, pcols: int, nb: int) -> dict:
     n = a.shape[0]
-    grid = ProcessGrid2D(comm, prows, pcols)
-    if not grid.active:
+    start = block_cyclic_start(comm, a, prows, pcols, nb)
+    if start is None:
         return {"active": False}
+    grid, rowmap, colmap, my_rows, my_cols, row_g2l, col_g2l, aloc = start
     pi, pj = grid.row, grid.col
-    rowmap = BlockCyclic1D(n, prows, nb)
-    colmap = BlockCyclic1D(n, pcols, nb)
-    my_rows = rowmap.global_indices(pi)
-    my_cols = colmap.global_indices(pj)
-    row_g2l = np.full(n, -1)
-    row_g2l[my_rows] = np.arange(len(my_rows))
-    col_g2l = np.full(n, -1)
-    col_g2l[my_cols] = np.arange(len(my_cols))
-    aloc = a[np.ix_(my_rows, my_cols)].copy()
     piv: list[int] = []
 
     nsteps = (n + nb - 1) // nb
@@ -52,8 +49,8 @@ def _rank_fn(comm, a: np.ndarray, prows: int, pcols: int, nb: int) -> dict:
         k0 = kb * nb
         k1 = min(k0 + nb, n)
         w = k1 - k0
-        pcol = int(colmap.owner(k0))
-        prow = int(rowmap.owner(k0))
+        pcol = colmap.owner(k0)
+        prow = rowmap.owner(k0)
         on_pcol = pj == pcol
         panel_lcols = col_g2l[np.arange(k0, k1)] if on_pcol else None
 
@@ -81,7 +78,7 @@ def _rank_fn(comm, a: np.ndarray, prows: int, pcols: int, nb: int) -> dict:
                     kj, p, panel_lcols, "panel_swap",
                 )
                 # broadcast the pivot row's remaining panel segment
-                owner_kj = int(rowmap.owner(kj))
+                owner_kj = rowmap.owner(kj)
                 with comm.phase("panel_fact"):
                     seg = (
                         aloc[row_g2l[kj], panel_lcols[j:]].copy()
@@ -186,7 +183,7 @@ def _swap_row_segment(
     column."""
     if x == y or len(lcols) == 0:
         return
-    ox, oy = int(rowmap.owner(x)), int(rowmap.owner(y))
+    ox, oy = rowmap.owner(x), rowmap.owner(y)
     pi = grid.row
     if ox == oy:
         if pi == ox:
@@ -224,4 +221,16 @@ register_algorithm(
     program=_rank_fn,
     assemble=_assemble_2d,
     default_block=32,
+)
+
+register_algorithm(
+    "slate2d",
+    kind="lu",
+    grid_family="2d",
+    description="SLATE-like 2D LU: same GEPP engine, SLATE defaults "
+    "(nb=16, tall grids)",
+    program=_rank_fn,
+    assemble=_assemble_2d,
+    default_block=16,
+    prefer_tall_grid=True,
 )

@@ -26,16 +26,13 @@ class BlockCyclic1D:
         self.p = p
         self.block = block
 
-    def owner(self, g) -> np.ndarray | int:
-        """Rank owning global index ``g`` (scalar or array).  A Python
-        int is answered by integer arithmetic, without an array."""
-        if isinstance(g, int):
-            self._check_int(g)
-        else:
-            g = np.asarray(g)
-            self._check_range(g)
-        res = (g // self.block) % self.p
-        return res if isinstance(res, int) or res.ndim else int(res)
+    def owner(self, g: int) -> int:
+        """Rank owning global index ``g``."""
+        if not 0 <= g < self.n:
+            raise ValueError(
+                f"global index out of range [0, {self.n}): [{g}]"
+            )
+        return (g // self.block) % self.p
 
     def global_indices(self, rank: int) -> np.ndarray:
         """All global indices owned by ``rank``, ascending."""
@@ -43,15 +40,3 @@ class BlockCyclic1D:
             raise ValueError(f"rank {rank} out of range for p={self.p}")
         g = np.arange(self.n)
         return g[(g // self.block) % self.p == rank]
-
-    def _check_int(self, g: int) -> None:
-        """:meth:`_check_range` of a Python int, without an array."""
-        if not 0 <= g < self.n:
-            self._check_range(np.asarray(g))
-
-    def _check_range(self, g: np.ndarray) -> None:
-        if g.size and (np.any(g < 0) or np.any(g >= self.n)):
-            raise ValueError(
-                f"global index out of range [0, {self.n}): "
-                f"{np.asarray(g).ravel()[:5]}"
-            )

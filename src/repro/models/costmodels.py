@@ -351,7 +351,7 @@ def confqr_step_breakdown(
     w = min(v, n_t)
     w_t = max(n - (t + 1) * v, 0)
     rowmap = BlockCyclic1D(n, g, v)
-    rt = int(rowmap.owner(k0))
+    rt = rowmap.owner(k0)
     counts = [
         int((rowmap.global_indices(i) >= k0).sum()) for i in range(g)
     ]

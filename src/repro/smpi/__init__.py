@@ -24,7 +24,7 @@ from repro.smpi.runtime import (
     ANY_TAG,
     run_spmd,
 )
-from repro.smpi.grid import ProcessGrid2D, ProcessGrid3D
+from repro.smpi.grid import ProcessGrid3D
 from repro.smpi.network import Link, LinkGraph
 from repro.smpi.timing import EventTrace, TimingReport, simulate
 
@@ -36,7 +36,6 @@ __all__ = [
     "EventTrace",
     "Link",
     "LinkGraph",
-    "ProcessGrid2D",
     "ProcessGrid3D",
     "RankFailure",
     "SmpiError",

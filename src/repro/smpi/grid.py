@@ -1,8 +1,9 @@
-"""Cartesian process grids and their sub-communicators.
+"""The Cartesian process grid and its sub-communicators.
 
-The paper's algorithms are expressed on processor grids: 2D (Pr x Pc) for
-the ScaLAPACK/SLATE baselines and 3D ([sqrt(P1), sqrt(P1), c]) for the
-2.5D algorithms (COnfLUX, CANDMC).  A grid object wraps a communicator,
+The paper's algorithms are expressed on one grid family,
+[sqrt(P1), sqrt(P1), c] for the 2.5D algorithms (COnfLUX, CANDMC); the
+2D Pr x Pc grid of the ScaLAPACK/SLATE baselines is its one-layer case,
+``ProcessGrid3D(comm, pr, pc, 1)``.  The grid wraps a communicator,
 assigns each rank a coordinate, and derives the row/column/layer/fiber
 communicators the algorithms need — each derived communicator is a true
 ``Comm`` produced by ``split``, so traffic inside it is volume-counted
@@ -14,55 +15,14 @@ from __future__ import annotations
 from repro.smpi.runtime import Comm
 
 
-class ProcessGrid2D:
-    """Row-major 2D grid: rank = i * cols + j.
-
-    Ranks beyond ``rows * cols`` (when the parent communicator is larger)
-    are *inactive*: their :attr:`active` is False and all sub-communicator
-    handles are None.  This is the mechanism behind the paper's Processor
-    Grid Optimization, which may disable a minor fraction of nodes.
-    """
-
-    def __init__(self, comm: Comm, rows: int, cols: int) -> None:
-        if rows <= 0 or cols <= 0:
-            raise ValueError(f"grid dims must be positive, got {rows}x{cols}")
-        if rows * cols > comm.size:
-            raise ValueError(
-                f"grid {rows}x{cols} needs {rows * cols} ranks, "
-                f"communicator has {comm.size}"
-            )
-        self.parent = comm
-        self.rows = rows
-        self.cols = cols
-        self.active = comm.rank < rows * cols
-        if self.active:
-            self.row = comm.rank // cols
-            self.col = comm.rank % cols
-        else:
-            self.row = self.col = -1
-        # Collective split calls: every parent rank participates.
-        self.grid_comm = comm.split(0 if self.active else None, comm.rank)
-        self.row_comm = comm.split(self.row if self.active else None, self.col)
-        self.col_comm = comm.split(self.col if self.active else None, self.row)
-
-    @property
-    def size(self) -> int:
-        return self.rows * self.cols
-
-    def rank_of(self, row: int, col: int) -> int:
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise ValueError(
-                f"coords ({row},{col}) outside {self.rows}x{self.cols} grid"
-            )
-        return row * self.cols + col
-
-
 class ProcessGrid3D:
     """Row-major 3D grid: rank = (i * cols + j) * layers + l.
 
     Matches the paper's [sqrt(P1), sqrt(P1), c] decomposition (Fig. 5):
     ``rows x cols`` is the per-layer 2D grid and ``layers`` is the
-    replication depth c in the reduction dimension.
+    replication depth c in the reduction dimension.  Ranks beyond the
+    grid's size are *inactive* — the paper's Processor Grid
+    Optimization may disable a minor fraction of nodes.
 
     Derived communicators (None on inactive ranks):
 

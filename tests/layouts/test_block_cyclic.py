@@ -23,12 +23,6 @@ class TestBlockCyclic1D:
             0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1,
         ]
 
-    def test_vectorized_owner(self):
-        m = BlockCyclic1D(n=8, p=2, block=1)
-        np.testing.assert_array_equal(
-            m.owner(np.arange(8)), np.array([0, 1] * 4)
-        )
-
     def test_counts_sum_to_n(self):
         m = BlockCyclic1D(n=29, p=5, block=4)
         assert sum(len(m.global_indices(r)) for r in range(5)) == 29
@@ -87,25 +81,6 @@ class TestBlockCyclic1D:
         m = BlockCyclic1D(n, p, block)
         r = m.owner(g)
         assert g in m.global_indices(r)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(min_value=1, max_value=200),
-        p=st.integers(min_value=1, max_value=16),
-        block=st.integers(min_value=1, max_value=8),
-        g=st.integers(min_value=0, max_value=199),
-    )
-    def test_int_index_matches_array_path(self, n, p, block, g):
-        """``owner`` of a Python int takes integer arithmetic, not an
-        array; it must answer as the array path does, as an ``int``, and
-        so must a NumPy scalar."""
-        g = g % n
-        m = BlockCyclic1D(n, p, block)
-        expect = int(m.owner(np.array([g]))[0])
-        for index in (g, np.int64(g)):
-            got = m.owner(index)
-            assert type(got) is int
-            assert got == expect
 
     @settings(max_examples=30, deadline=None)
     @given(

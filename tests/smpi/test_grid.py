@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.smpi import ProcessGrid2D, ProcessGrid3D, run_spmd
+from repro.smpi import ProcessGrid3D, run_spmd
 
 
 class TestGrid2D:
+    """The 2D baselines' Pr x Pc grid: the one-layer ProcessGrid3D."""
+
     def test_coordinates_row_major(self):
         def fn(comm):
-            g = ProcessGrid2D(comm, 2, 3)
+            g = ProcessGrid3D(comm, 2, 3, 1)
             return (g.row, g.col)
 
         results, _ = run_spmd(6, fn)
@@ -16,7 +18,7 @@ class TestGrid2D:
 
     def test_row_and_col_comm_sizes(self):
         def fn(comm):
-            g = ProcessGrid2D(comm, 2, 3)
+            g = ProcessGrid3D(comm, 2, 3, 1)
             return (g.row_comm.size, g.col_comm.size)
 
         results, _ = run_spmd(6, fn)
@@ -24,7 +26,7 @@ class TestGrid2D:
 
     def test_row_comm_rank_is_col_index(self):
         def fn(comm):
-            g = ProcessGrid2D(comm, 2, 2)
+            g = ProcessGrid3D(comm, 2, 2, 1)
             return (g.row_comm.rank, g.col_comm.rank)
 
         results, _ = run_spmd(4, fn)
@@ -32,7 +34,7 @@ class TestGrid2D:
 
     def test_inactive_ranks_get_none_comms(self):
         def fn(comm):
-            g = ProcessGrid2D(comm, 2, 2)
+            g = ProcessGrid3D(comm, 2, 2, 1)
             if not g.active:
                 return (g.grid_comm, g.row_comm, g.col_comm)
             return "active"
@@ -44,24 +46,16 @@ class TestGrid2D:
 
     def test_row_bcast_stays_in_row(self):
         def fn(comm):
-            g = ProcessGrid2D(comm, 2, 2)
+            g = ProcessGrid3D(comm, 2, 2, 1)
             data = f"row{g.row}" if g.col == 0 else None
             return g.row_comm.bcast(data, root=0)
 
         results, _ = run_spmd(4, fn)
         assert results == ["row0", "row0", "row1", "row1"]
 
-    def test_rank_of_coords_roundtrip(self):
-        def fn(comm):
-            g = ProcessGrid2D(comm, 3, 4)
-            return g.rank_of(g.row, g.col) == comm.rank
-
-        results, _ = run_spmd(12, fn)
-        assert all(results)
-
     def test_oversized_grid_rejected(self):
         def fn(comm):
-            ProcessGrid2D(comm, 4, 4)
+            ProcessGrid3D(comm, 4, 4, 1)
 
         from repro.smpi import RankFailure
 
@@ -70,7 +64,7 @@ class TestGrid2D:
 
     def test_bad_dims_rejected(self):
         def fn(comm):
-            ProcessGrid2D(comm, 0, 4)
+            ProcessGrid3D(comm, 0, 4, 1)
 
         from repro.smpi import RankFailure
 
@@ -138,12 +132,13 @@ class TestGrid3D:
         assert all(r == 201 for r in results)
 
     def test_rank_of_coords_roundtrip(self):
-        def fn(comm):
-            g = ProcessGrid3D(comm, 2, 3, 2)
-            return g.rank_of(g.row, g.col, g.layer) == comm.rank
+        for dims in ((2, 3, 2), (3, 4, 1)):
+            def fn(comm):
+                g = ProcessGrid3D(comm, *dims)
+                return g.rank_of(g.row, g.col, g.layer) == comm.rank
 
-        results, _ = run_spmd(12, fn)
-        assert all(results)
+            results, _ = run_spmd(12, fn)
+            assert all(results)
 
     def test_inactive_tail_ranks(self):
         def fn(comm):
