@@ -300,13 +300,10 @@ def qr2d_total_bytes(
     Independent of c like the 2D LU baselines — the structural reason
     the 2D decomposition cannot exploit replication.
     """
+    from repro.algorithms.gridopt import choose_grid_2d
+
     _check_args(n, p, c)
-    if grid is None:
-        root = math.isqrt(p)
-        while p % root:
-            root -= 1
-        grid = (root, p // root)
-    prows, pcols = grid
+    prows, pcols = choose_grid_2d(p) if grid is None else grid
     total = 0.0
     for t in range(math.ceil(n / nb)):
         total += sum(qr2d_step_breakdown(n, prows, pcols, nb, t).values())
