@@ -59,6 +59,7 @@ from __future__ import annotations
 import fnmatch
 import hashlib
 import json
+import math
 import threading
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -171,13 +172,15 @@ class FaultRule:
             raise FaultPlanError(
                 f"probability {self.probability} outside [0, 1]"
             )
-        if self.delay_s < 0:
-            raise FaultPlanError(f"negative delay_s: {self.delay_s}")
+        if not 0 <= self.delay_s < math.inf:
+            raise FaultPlanError(
+                f"delay_s must be finite and >= 0, got {self.delay_s}"
+            )
         if self.action == "delay" and self.delay_s == 0:
             raise FaultPlanError("delay action requires delay_s > 0")
-        if self.after < 0:
+        if not self.after >= 0:
             raise FaultPlanError(f"negative after: {self.after}")
-        if self.max_fires is not None and self.max_fires <= 0:
+        if self.max_fires is not None and not self.max_fires > 0:
             raise FaultPlanError(
                 f"max_fires must be positive, got {self.max_fires}"
             )

@@ -57,16 +57,19 @@ class Machine:
     topology: str = "crossbar"
 
     def __post_init__(self) -> None:
-        if self.total_ranks < 1 or self.memory_per_rank_bytes < 1:
+        if not (self.total_ranks >= 1 and self.memory_per_rank_bytes >= 1):
             raise ValueError(
                 f"total_ranks and memory_per_rank_bytes must be >= 1, "
                 f"got {self.total_ranks}/{self.memory_per_rank_bytes}"
             )
-        if self.alpha < 0 or self.beta < 0:
+        # NaN fails every comparison below; +inf is a valid gamma_flops
+        # (the ``ideal`` preset's free arithmetic) and nothing else.
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
             raise ValueError(
-                f"alpha/beta must be >= 0, got {self.alpha}/{self.beta}"
+                f"alpha/beta must be finite and >= 0, "
+                f"got {self.alpha}/{self.beta}"
             )
-        if self.gamma_flops <= 0:
+        if not self.gamma_flops > 0:
             raise ValueError(
                 f"gamma_flops must be > 0, got {self.gamma_flops}"
             )

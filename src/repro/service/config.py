@@ -7,6 +7,7 @@ running service's configuration cannot drift; ``validate()`` runs in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -40,15 +41,15 @@ class ServiceConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.workers < 1:
+        if not self.workers >= 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.queue_depth < 1:
+        if not self.queue_depth >= 1:
             raise ValueError(
                 f"queue_depth must be >= 1, got {self.queue_depth}"
             )
-        if self.request_timeout_s <= 0:
+        if not 0 < self.request_timeout_s < math.inf:
             raise ValueError(
-                f"request_timeout_s must be > 0, got "
+                f"request_timeout_s must be finite and > 0, got "
                 f"{self.request_timeout_s}"
             )
 

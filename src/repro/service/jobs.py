@@ -12,6 +12,7 @@ hit for the service and vice versa.
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass
 
 from repro.harness.sweep import SweepPoint
@@ -60,9 +61,11 @@ class FactorRequest:
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not (
+            0 < self.deadline_s < math.inf
+        ):
             raise ValueError(
-                f"deadline_s must be > 0, got {self.deadline_s}"
+                f"deadline_s must be finite and > 0, got {self.deadline_s}"
             )
 
     def params(self) -> dict:

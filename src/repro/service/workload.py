@@ -25,6 +25,7 @@ request streams, which is what makes the count side of
 from __future__ import annotations
 
 import asyncio
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -63,15 +64,19 @@ class WorkloadSpec:
             raise ValueError(
                 f"unknown mode {self.mode!r}; available: {MODES}"
             )
-        if self.requests < 1:
+        if not self.requests >= 1:
             raise ValueError(f"requests must be >= 1, got {self.requests}")
-        if self.clients < 1:
+        if not self.clients >= 1:
             raise ValueError(f"clients must be >= 1, got {self.clients}")
-        if self.rate_rps <= 0:
-            raise ValueError(f"rate_rps must be > 0, got {self.rate_rps}")
+        if not 0 < self.rate_rps < math.inf:
+            raise ValueError(
+                f"rate_rps must be finite and > 0, got {self.rate_rps}"
+            )
+        if not math.isfinite(self.zipf_s):
+            raise ValueError(f"zipf_s must be finite, got {self.zipf_s}")
         if not self.sizes:
             raise ValueError("sizes catalog must not be empty")
-        if self.seed_pool < 1:
+        if not self.seed_pool >= 1:
             raise ValueError(f"seed_pool must be >= 1, got {self.seed_pool}")
 
     def to_dict(self) -> dict:

@@ -60,6 +60,20 @@ class TestLoadgen:
         # warm persistent cache: nothing computes the second time
         assert doc["metrics"]["counts"]["computed"] == 0
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--timeout", "request_timeout_s must be finite"),
+            ("--rate", "rate_rps must be finite"),
+            ("--zipf-s", "zipf_s must be finite"),
+        ],
+    )
+    def test_nan_flag_exits_2(self, capsys, flag, message):
+        assert main(["loadgen", "--requests", "1", flag, "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+
     def test_unknown_mode_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             main(["loadgen", "--mode", "burst"])

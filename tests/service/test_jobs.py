@@ -85,6 +85,14 @@ class TestFromDict:
         with pytest.raises(ValueError, match=f"request field '{field}'"):
             FactorRequest.from_dict(doc)
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_deadline_rejected(self, text):
+        import json
+
+        doc = json.loads('{"n": 32, "deadline_s": %s}' % text)
+        with pytest.raises(ValueError, match="deadline_s must be finite"):
+            FactorRequest.from_dict(doc)
+
     def test_null_is_the_default_of_an_optional_field(self):
         doc = {"n": 48, "v": None, "nb": None, "machine": None,
                "deadline_s": None}

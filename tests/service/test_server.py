@@ -326,6 +326,15 @@ class TestFailureModes:
         run(go())
 
 
+class TestServiceConfig:
+    @pytest.mark.parametrize(
+        "value", [0.0, -1.0, float("nan"), float("inf")]
+    )
+    def test_timeout_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="request_timeout_s"):
+            ServiceConfig(request_timeout_s=value)
+
+
 class TestDeadlines:
     def test_deadline_s_validation(self):
         with pytest.raises(ValueError):

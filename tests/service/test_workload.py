@@ -51,6 +51,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=match):
             WorkloadSpec(**kw)
 
+    @pytest.mark.parametrize("field", ["rate_rps", "zipf_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rate_and_skew_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            WorkloadSpec(**{field: value})
+
     def test_to_dict_round_trips_the_catalog(self):
         spec = WorkloadSpec(sizes=(24, 48))
         assert spec.to_dict()["sizes"] == [24, 48]

@@ -37,6 +37,11 @@ class TestFaultRule:
             FaultRule(action="delay")
         FaultRule(action="delay", delay_s=1e-3)  # ok
 
+    @pytest.mark.parametrize("delay_s", [float("nan"), float("inf")])
+    def test_non_finite_delay_rejected(self, delay_s):
+        with pytest.raises(FaultPlanError, match="finite"):
+            FaultRule(action="delay", delay_s=delay_s)
+
     def test_probability_range(self):
         with pytest.raises(FaultPlanError):
             FaultRule(action="drop", probability=1.5)

@@ -119,6 +119,36 @@ class TestFactorCommand:
         assert captured.err.startswith("error: ")
         assert message in captured.err
 
+    @pytest.mark.parametrize(
+        "flag, doc, message",
+        [
+            ("--machine",
+             {"name": "m", "total_ranks": 64,
+              "memory_per_rank_bytes": 1 << 30, "alpha": float("nan")},
+             "alpha/beta must be finite and >= 0, got nan/"),
+            ("--faults",
+             {"rules": [{"action": "delay", "delay_s": float("nan")}]},
+             "delay_s must be finite and >= 0, got nan"),
+            ("--faults",
+             {"rules": [{"action": "delay", "delay_s": float("inf")}]},
+             "delay_s must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_non_finite_document_is_an_error(
+        self, capsys, tmp_path, flag, doc, message
+    ):
+        # json parses NaN and Infinity; the run they would configure
+        # reports a NaN (or a too-small) makespan instead of failing
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["factor", "--n", "16", "--p", "4",
+                  "--machine", "daint-xc50", flag, str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_wrong_factors_are_not_a_usage_error(self, monkeypatch):
         import repro.algorithms
         from repro.algorithms import FactorVerificationError
