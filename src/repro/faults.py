@@ -178,9 +178,9 @@ class FaultRule:
             )
         if self.action == "delay" and self.delay_s == 0:
             raise FaultPlanError("delay action requires delay_s > 0")
-        if not self.after >= 0:
+        if self.after < 0:
             raise FaultPlanError(f"negative after: {self.after}")
-        if self.max_fires is not None and not self.max_fires > 0:
+        if self.max_fires is not None and self.max_fires <= 0:
             raise FaultPlanError(
                 f"max_fires must be positive, got {self.max_fires}"
             )

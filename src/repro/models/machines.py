@@ -57,7 +57,7 @@ class Machine:
     topology: str = "crossbar"
 
     def __post_init__(self) -> None:
-        if not (self.total_ranks >= 1 and self.memory_per_rank_bytes >= 1):
+        if self.total_ranks < 1 or self.memory_per_rank_bytes < 1:
             raise ValueError(
                 f"total_ranks and memory_per_rank_bytes must be >= 1, "
                 f"got {self.total_ranks}/{self.memory_per_rank_bytes}"

@@ -41,9 +41,9 @@ class ServiceConfig:
         self.validate()
 
     def validate(self) -> None:
-        if not self.workers >= 1:
+        if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if not self.queue_depth >= 1:
+        if self.queue_depth < 1:
             raise ValueError(
                 f"queue_depth must be >= 1, got {self.queue_depth}"
             )

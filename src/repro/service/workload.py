@@ -64,9 +64,9 @@ class WorkloadSpec:
             raise ValueError(
                 f"unknown mode {self.mode!r}; available: {MODES}"
             )
-        if not self.requests >= 1:
+        if self.requests < 1:
             raise ValueError(f"requests must be >= 1, got {self.requests}")
-        if not self.clients >= 1:
+        if self.clients < 1:
             raise ValueError(f"clients must be >= 1, got {self.clients}")
         if not 0 < self.rate_rps < math.inf:
             raise ValueError(
@@ -76,7 +76,7 @@ class WorkloadSpec:
             raise ValueError(f"zipf_s must be finite, got {self.zipf_s}")
         if not self.sizes:
             raise ValueError("sizes catalog must not be empty")
-        if not self.seed_pool >= 1:
+        if self.seed_pool < 1:
             raise ValueError(f"seed_pool must be >= 1, got {self.seed_pool}")
 
     def to_dict(self) -> dict:

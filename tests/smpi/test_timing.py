@@ -349,17 +349,6 @@ class TestMachines:
         with pytest.raises(ValueError, match="must be"):
             _machine(**{field: value})
 
-    def test_infinite_gamma_is_free_arithmetic(self):
-        assert _machine(gamma=float("inf")).gamma_flops == float("inf")
-
-    def test_json_nan_rejected(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps({**DAINT_XC50.to_dict(),
-                                    "alpha": float("nan")}))
-        assert "NaN" in path.read_text()
-        with pytest.raises(ValueError, match="finite"):
-            load_machine(path)
-
     def test_bad_topology_rejected(self):
         with pytest.raises(ValueError):
             _machine(topology="torus-3d")
