@@ -1,11 +1,12 @@
 """Pinned predicted-clock capture for the discrete-event simulator.
 
 Companion to :mod:`tests.algorithms.ledger_pins`: the same (impl, n, G,
-c, v) and 2D (impl, n, P, Pr, Pc, nb) points, run under the ``daint-xc50`` machine preset, with the
-predicted per-rank seconds and per-phase time breakdown pinned in
-``tests/data/clock_pins.json``.  The replay is deterministic by
-construction, so any drift means the event loop, the link model or a
-schedule's event stream changed — all of which must be deliberate.
+c, v) and 2D (impl, n, P, Pr, Pc, nb) points, run under the
+``daint-xc50`` machine preset, with the predicted per-rank seconds and
+per-phase time breakdown pinned in ``tests/data/clock_pins.json``.  The
+replay is deterministic by construction, so any drift means the event
+loop, the link model or a schedule's event stream changed — all of
+which must be deliberate.
 
 Regenerate (only alongside an intentional timing-model change) with::
 
