@@ -252,8 +252,9 @@ def factor(
     ``faults`` (a :class:`~repro.faults.FaultPlan`, plan dict, or JSON
     path) arms deterministic fault injection; ``fault_seed`` overrides
     the plan's seed, so one plan file replays many chaos variants.
-    ``timeout_s`` is the run's wall budget: deadlocks are reported the
-    moment they occur, so it only bounds a run that keeps computing.
+    ``timeout_s`` is the run's wall budget (``> 0``; ``inf`` for
+    none): deadlocks are reported the moment they occur, so it only
+    bounds a run that keeps computing.
     The one remaining keyword is the member's blocking parameter, ``v``
     or ``nb``.
 
@@ -271,6 +272,8 @@ def factor(
 
         machine = resolve_machine(machine)
     timeout = 600.0 if timeout_s is None else float(timeout_s)
+    if not timeout > 0:
+        raise ValueError(f"timeout_s must be > 0, got {timeout_s!r}")
     if faults is not None:
         # Same eager-resolution rationale as machine specs.
         from repro.faults import resolve_faults

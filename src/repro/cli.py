@@ -183,7 +183,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _cmd_models(args: argparse.Namespace) -> int:
     from repro.models.prediction import sweep_models
 
-    volumes = sweep_models(args.n, args.p, leading_only=args.leading)
+    try:
+        volumes = sweep_models(args.n, args.p, leading_only=args.leading)
+    except ValueError as exc:
+        _usage_error(exc)
     flavor = "leading factors" if args.leading else "exact per-step"
     print(f"Table 2 models ({flavor}), N={args.n:,}, P={args.p:,}:")
     for impl, vol in sorted(volumes.items(), key=lambda kv: kv[1]):

@@ -234,6 +234,8 @@ class FaultPlan:
     name: str = ""
 
     def __post_init__(self) -> None:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise FaultPlanError(f"seed must be int, got {self.seed!r}")
         object.__setattr__(self, "rules", tuple(self.rules))
         for rule in self.rules:
             if not isinstance(rule, FaultRule):
@@ -242,7 +244,7 @@ class FaultPlan:
                 )
 
     def with_seed(self, seed: int) -> "FaultPlan":
-        return replace(self, seed=int(seed))
+        return replace(self, seed=seed)
 
     def to_dict(self) -> dict:
         return {

@@ -20,8 +20,6 @@ from repro.smpi.runtime import (
     DeadlockError,
     RankFailure,
     SmpiError,
-    ANY_SOURCE,
-    ANY_TAG,
     run_spmd,
 )
 from repro.smpi.grid import ProcessGrid3D
@@ -29,8 +27,6 @@ from repro.smpi.network import Link, LinkGraph
 from repro.smpi.timing import EventTrace, TimingReport, simulate
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
     "Comm",
     "DeadlockError",
     "EventTrace",

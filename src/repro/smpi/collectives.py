@@ -175,7 +175,8 @@ def scatter(comm, chunks: Sequence[Any] | None, root: int = 0) -> Any:
 
 
 def alltoall(comm, chunks: Sequence[Any]) -> list[Any]:
-    """Direct pairwise all-to-all."""
+    """Direct pairwise all-to-all; each rank receives from every
+    source by name, in rank order."""
     size = comm.size
     if len(chunks) != size:
         raise ValueError("alltoall requires one chunk per destination rank")
@@ -184,9 +185,9 @@ def alltoall(comm, chunks: Sequence[Any]) -> list[Any]:
     for dest in range(size):
         if dest != comm.rank:
             comm.send(chunks[dest], dest, _TAG_ALLTOALL)
-    for _ in range(size - 1):
-        payload, src, _ = comm.recv_status(tag=_TAG_ALLTOALL)
-        out[src] = payload
+    for src in range(size):
+        if src != comm.rank:
+            out[src] = comm.recv(src, _TAG_ALLTOALL)
     return out
 
 
@@ -197,8 +198,9 @@ def reduce_scatter(
 ) -> Any:
     """Direct reduce-scatter: rank j receives and folds chunk j from all.
 
-    Deterministic fold order (increasing source rank).  Returns this
-    rank's reduced chunk.
+    Each source is received by name and folded in increasing source
+    rank, so the result is deterministic.  Returns this rank's reduced
+    chunk.
     """
     if op is None:
         op = _default_op
@@ -210,11 +212,11 @@ def reduce_scatter(
     for dest in range(size):
         if dest != comm.rank:
             comm.send(chunks[dest], dest, _TAG_REDSCAT)
-    received: dict[int, Any] = {comm.rank: chunks[comm.rank]}
-    for _ in range(size - 1):
-        payload, src, _ = comm.recv_status(tag=_TAG_REDSCAT)
-        received[src] = payload
     acc = None
-    for src in sorted(received):
-        acc = received[src] if acc is None else op(acc, received[src])
+    for src in range(size):
+        part = (
+            chunks[src] if src == comm.rank
+            else comm.recv(src, _TAG_REDSCAT)
+        )
+        acc = part if acc is None else op(acc, part)
     return acc

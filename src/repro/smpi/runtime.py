@@ -7,14 +7,18 @@ are copied on send, so rank-local mutation semantics match a
 distributed-memory machine).
 
 ``send`` is buffered-asynchronous (it deposits the message into the
-destination's mailbox and returns); ``recv`` blocks until a matching
-message arrives.
+destination's mailbox and returns); ``recv`` names its source and tag
+and blocks until a message on that channel arrives.  There are no
+wildcards: every receive is one exact ``(context, source, tag)``
+lookup, and each channel is FIFO.  A run is therefore a Kahn process
+network — what each rank receives, and so what it computes and sends,
+does not depend on the order in which ranks are run.
 
 ``send_each`` / ``recv_each`` are their plural forms, for a plan that
 moves many small pieces under one tag.  They are message-for-message
 equal to the singular ones: ``send_each(((d, dest), ...), tag)`` makes
 exactly the messages the same ``send`` calls in that order would —
-same payload copies, mailbox order, arrival stamps, ledger totals,
+same payload copies, per-channel mailbox order, ledger totals,
 trace events and fault decisions — through the one implementation
 both share.  Only a traced run passes every piece through ``send``;
 an untraced call, clean or faulted, is one batch, which the injector
@@ -27,8 +31,8 @@ receive is taken, exactly as a loop of ``recv`` calls would.
 Whatever the form and whatever the run (clean, traced or faulted),
 every message is filed by one routine, :meth:`_Scheduler.deliver`,
 which takes a whole batch — all of a ``_post``'s messages at once —
-and taken by one, :meth:`_Scheduler.take`, for which an exact
-``(context, source, tag)`` is one lookup and only a wildcard scans.
+and taken by one, :meth:`_Scheduler.take`, one lookup of the exact
+``(context, source, tag)``.
 Every payload is still copied, and every byte still booked through the
 ledger's methods.
 
@@ -58,9 +62,6 @@ from typing import Any
 import numpy as np
 
 from repro.smpi.volume import VolumeLedger, VolumeReport
-
-ANY_SOURCE = -1
-ANY_TAG = -1
 
 _DEFAULT_TIMEOUT = 300.0
 
@@ -147,36 +148,33 @@ def _copy_payload(obj: Any) -> Any:
 
 
 class _Message:
-    __slots__ = ("key", "data", "nbytes", "send_id", "arrival")
+    __slots__ = ("key", "data", "nbytes", "send_id")
 
     def __init__(
         self, key: tuple[int, int, int], data: Any, nbytes: int
     ) -> None:
         #: (context, source, tag): the channel the message is filed
-        #: under and matched by
+        #: under and taken from
         self.key = key
         self.data = data
         self.nbytes = nbytes
         # (sender world rank, sender-local sequence number) when an
         # event trace is recording; lets the receive side log exactly
-        # which send it matched (robust under ANY_SOURCE).
+        # which send it took, duplicates and reordered copies included.
         self.send_id = None
-        # Run-wide delivery stamp: a wildcard receive takes the
-        # earliest arrival among the channels it matches.
-        self.arrival = 0
 
 
 class _Scheduler:
     """State shared by every rank of one SPMD run, and the baton.
 
     Exactly one rank executes at a time.  The rank holding the baton
-    runs until it *blocks* — a receive nothing in its mailbox matches,
+    runs until it *blocks* — a receive whose channel is empty,
     a rendezvous (``split``/``barrier``) not everyone has
     reached — or returns; only there is the baton handed on, to the
     head of the FIFO ``runnable`` queue.  A send never yields: it
     files the message and, if the destination is blocked on a receive
-    it matches, queues the destination.  Everything below is therefore
-    touched by one thread at a time and needs no lock.  The only
+    of its channel, queues the destination.  Everything below is
+    therefore touched by one thread at a time and needs no lock.  The only
     synchronisation is one gate per rank and one for ``run_spmd``'s
     caller: a lock its owner sleeps on until it is handed the baton.
 
@@ -198,7 +196,6 @@ class _Scheduler:
         self.mail: list[dict[tuple[int, int, int], deque[_Message]]] = [
             {} for _ in range(nranks)
         ]
-        self._arrivals = 0
         #: rendezvous key -> contributions by group rank, arrival order
         self.slots: dict[Any, dict[int, Any]] = {}
         #: world rank -> (context, source, tag) its blocked receive wants
@@ -259,9 +256,7 @@ class _Scheduler:
         for rank in sorted(self.receiving.keys() | self.meeting.keys()):
             if rank in self.receiving:
                 context, source, tag = self.receiving[rank]
-                src = "ANY" if source == ANY_SOURCE else source
-                tg = "ANY" if tag == ANY_TAG else tag
-                coords = f"(source={src}, tag={tg}, context={context})"
+                coords = f"(source={source}, tag={tag}, context={context})"
                 heads[rank] = f"recv{coords} unmatched"
                 lines.append(f"  rank {rank}: awaiting {coords}")
             else:
@@ -314,49 +309,36 @@ class _Scheduler:
     def deliver(self, batch: Iterable[tuple[int, _Message]]) -> None:
         """The one filing routine: file each ``(dest, msg)`` of
         ``batch``, in order, in world rank ``dest``'s mailbox, and
-        queue a destination blocked on a receive it matches."""
+        queue a destination blocked on a receive of its channel."""
         mail, receiving = self.mail, self.receiving
-        arrivals = self._arrivals
         for dest, msg in batch:
-            arrivals += 1
-            msg.arrival = arrivals
             key = msg.key
             box = mail[dest]
             queue = box.get(key)
             if queue is None:
                 queue = box[key] = deque()
             queue.append(msg)
-            if dest in receiving and _matches(receiving[dest], key):
+            if receiving.get(dest) == key:
                 del receiving[dest]
                 self.runnable.append(dest)
-        self._arrivals = arrivals
 
     def take(
         self, rank: int, context: int, source: int, tag: int
     ) -> _Message:
-        """The one taking routine: the matched receive for world rank
-        ``rank``, FIFO per channel.  An exact ``(context, source,
-        tag)`` is one lookup; a wildcard takes the earliest arrival
-        among its channels."""
-        wanted = (context, source, tag)
-        wild = source == ANY_SOURCE or tag == ANY_TAG
+        """The one taking routine: the oldest message on channel
+        ``(context, source, tag)`` of world rank ``rank``'s mailbox,
+        blocking until there is one."""
+        key = (context, source, tag)
         box = self.mail[rank]
-        while True:
-            key = wanted
-            if wild:
-                key = min(
-                    (k for k in box if _matches(wanted, k)),
-                    key=lambda k: box[k][0].arrival,
-                    default=None,
-                )
-            queue = box.get(key)
-            if queue is not None:
-                msg = queue.popleft()
-                if not queue:
-                    del box[key]
-                return msg
-            self.receiving[rank] = wanted
+        queue = box.get(key)
+        while queue is None:
+            self.receiving[rank] = key
             self._block(rank)
+            queue = box.get(key)
+        msg = queue.popleft()
+        if not queue:
+            del box[key]
+        return msg
 
     def exchange(self, comm: "Comm", key: Any, value: Any) -> dict[int, Any]:
         """Deposit ``value`` under ``key`` and return every member's
@@ -374,18 +356,6 @@ class _Scheduler:
                     del self.meeting[peer]
                     self.runnable.append(peer)
         return contrib
-
-
-def _matches(
-    wanted: tuple[int, int, int], key: tuple[int, int, int]
-) -> bool:
-    """Whether a receive for ``wanted`` = (context, source, tag), with
-    wildcards, accepts a message filed under ``key``."""
-    return (
-        wanted[0] == key[0]
-        and wanted[1] in (ANY_SOURCE, key[1])
-        and wanted[2] in (ANY_TAG, key[2])
-    )
 
 
 class _PhaseScope:
@@ -573,22 +543,19 @@ class Comm:
                 ledger.record_sends(me, total, len(sent))
                 sched.deliver(sent)
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
-        """Blocking receive; returns the payload."""
+    def recv(self, source: int, tag: int = 0) -> Any:
+        """Blocking receive of the next message from ``source`` under
+        ``tag``; returns the payload."""
         data, _, _ = self.recv_status(source, tag)
         return data
 
-    def recv_status(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> tuple[Any, int, int]:
+    def recv_status(self, source: int, tag: int = 0) -> tuple[Any, int, int]:
         """Blocking receive; returns ``(payload, source, tag)``."""
         msg = self._take(source, tag)
         _, msg_source, msg_tag = msg.key
         return msg.data, msg_source, msg_tag
 
-    def recv_each(
-        self, sources: Iterable[int], tag: int = ANY_TAG
-    ) -> Iterator[Any]:
+    def recv_each(self, sources: Iterable[int], tag: int) -> Iterator[Any]:
         """Lazily receive one payload from each of ``sources``, in
         order: each receive is taken (and may block) only when the
         caller asks for the next piece, so a caller that rejects a
@@ -598,7 +565,7 @@ class Comm:
 
     def _take(self, source: int, tag: int) -> _Message:
         """The one blocking receive behind every public form."""
-        if source != ANY_SOURCE and not 0 <= source < len(self._group):
+        if not 0 <= source < len(self._group):
             raise ValueError(
                 f"source {source} out of range for communicator of size "
                 f"{len(self._group)}"

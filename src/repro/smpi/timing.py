@@ -9,8 +9,8 @@ of the program and the machine, not of the order the host ran ranks in:
    own :class:`EventTrace` lane (rank-private, so no locking and no
    cross-rank ordering is recorded).  Each send gets a rank-local
    sequence number; the matching receive records the same
-   ``(sender, seq)`` id, so the pairing is exact even under
-   ``ANY_SOURCE`` matching.
+   ``(sender, seq)`` id, so the replay pairs each receive with the
+   very send it took, a duplicated or reordered copy included.
 
 2. **Replay.** After the run, :func:`simulate` replays the
    trace on a deterministic event loop: a min-heap of ``(clock, rank)``

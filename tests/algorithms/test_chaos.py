@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import factor
-from repro.faults import FaultPlan, FaultRule, canned_plan
+from repro.faults import FaultPlan, FaultPlanError, FaultRule, canned_plan
 from repro.smpi import RankFailure
 
 N = 48
@@ -181,3 +181,23 @@ class TestFactorArgValidation:
             faults=delay_plan(seed=0).to_dict(), fault_seed=7,
         )
         assert res.volume.faults["plan"]["seed"] == 7
+
+    @pytest.mark.parametrize("seed", [2.7, True])
+    def test_fault_seed_is_not_coerced(self, seed):
+        with pytest.raises(FaultPlanError, match="seed must be int"):
+            factor(
+                "conflux", matrix(), grid=GRID, v=4,
+                faults=delay_plan(seed=0), fault_seed=seed,
+            )
+
+    @pytest.mark.parametrize("timeout_s", [float("nan"), 0, -1.0])
+    def test_wall_budget_must_be_positive(self, timeout_s):
+        # run_spmd reads a budget <= 0 (or NaN) as none at all
+        with pytest.raises(ValueError, match="timeout_s must be > 0"):
+            factor("conflux", matrix(), grid=GRID, v=4, timeout_s=timeout_s)
+
+    def test_infinite_wall_budget_is_allowed(self):
+        res = factor(
+            "conflux", matrix(), grid=GRID, v=4, timeout_s=float("inf")
+        )
+        assert res.residual < 1e-10

@@ -3,8 +3,8 @@
 Covers the declarative plan layer (rules, matching, (de)serialisation),
 the injector's action semantics and hash-stream determinism, and the
 runtime integration: census-carrying deadlocks, RankFailure
-aggregation order, and recv(ANY_SOURCE) pairing determinism under
-injected reordering and duplication.
+aggregation order, and receive pairing determinism under injected
+reordering and duplication.
 """
 
 import json
@@ -24,7 +24,7 @@ from repro.faults import (
     canned_plan,
     resolve_faults,
 )
-from repro.smpi import ANY_SOURCE, DeadlockError, RankFailure, run_spmd
+from repro.smpi import DeadlockError, RankFailure, run_spmd
 
 
 class TestFaultRule:
@@ -144,6 +144,17 @@ class TestFaultPlan:
         plan = canned_plan("drop", seed=0)
         assert plan.with_seed(9).seed == 9
         assert plan.with_seed(9).rules == plan.rules
+
+    @pytest.mark.parametrize("seed", [2.7, True, "x", None, np.int64(2)])
+    def test_seed_must_be_int(self, seed):
+        # checked, not coerced: int(2.7) would run seed 2, int(True) 1
+        text = f"seed must be int, got {seed!r}"
+        with pytest.raises(FaultPlanError) as ei:
+            canned_plan("drop", seed=0).with_seed(seed)
+        assert str(ei.value) == text
+        with pytest.raises(FaultPlanError) as ei:
+            FaultPlan(seed=seed)
+        assert str(ei.value) == text
 
     @pytest.mark.parametrize(
         "field,value,wanted",
@@ -516,10 +527,10 @@ class TestRuntimeIntegration:
         assert [rank for rank, _ in ei.value.failures] == [0, 1, 2, 3]
         assert "rank 0" in str(ei.value)
 
-    def test_any_source_pairing_is_deterministic_under_chaos(self):
-        # single-sender channel: rank 1 streams to rank 0, which
-        # receives with ANY_SOURCE/ANY_TAG; duplication + reorder must
-        # replay the identical arrival sequence every time
+    def test_per_tag_pairing_is_deterministic_under_chaos(self):
+        # single-sender channel: rank 1 streams to rank 0, which takes
+        # every copy of each tag in turn; duplication + reorder must
+        # replay the identical receive sequence every time
         plan = FaultPlan(
             rules=(
                 FaultRule(action="duplicate", probability=0.4),
@@ -528,34 +539,37 @@ class TestRuntimeIntegration:
             seed=5,
         )
 
-        def fn(comm, expected):
+        def fn(comm, copies):
             if comm.rank == 1:
                 for i in range(12):
                     comm.send(float(i), dest=0, tag=i)
                 return None
-            got = []
-            for _ in range(expected):
-                payload, _, tag = comm.recv_status(
-                    source=ANY_SOURCE
-                )
-                got.append((tag, payload))
-            return got
+            return [
+                (tag, comm.recv(source=1, tag=tag))
+                for tag in range(12)
+                for _ in range(copies[tag])
+            ]
 
-        def arrival_sequence():
+        def copies_per_tag():
             injector = FaultInjector(plan, 2)
-            n = 0
+            copies = [0] * 12
             for i in range(12):
                 made = injector.process_send(
                     1, 0, 0, 1, i, None, float(i), 8
                 )
-                n += 1 if made is None else len(made)  # None: as sent
-            return n
+                if made is None:  # delivered as sent
+                    copies[i] += 1
+                for d in made or ():
+                    copies[d.tag] += 1
+            return copies
 
-        expected = arrival_sequence()
-        assert expected != 12  # the plan actually perturbs the stream
-        results1, report1 = run_spmd(2, fn, expected, faults=plan)
-        results2, report2 = run_spmd(2, fn, expected, faults=plan)
-        assert results1[0] == results2[0]
+        copies = copies_per_tag()
+        assert copies != [1] * 12  # the plan actually perturbs the stream
+        results1, report1 = run_spmd(2, fn, copies, faults=plan)
+        results2, report2 = run_spmd(2, fn, copies, faults=plan)
+        assert results1[0] == results2[0] == [
+            (tag, float(tag)) for tag in range(12) for _ in range(copies[tag])
+        ]
         assert report1.faults == report2.faults
 
     def test_delay_only_plan_increases_predicted_wait(self):

@@ -7,13 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.smpi import (
-    ANY_SOURCE,
-    ANY_TAG,
-    DeadlockError,
-    RankFailure,
-    run_spmd,
-)
+from repro.smpi import DeadlockError, RankFailure, run_spmd
 from repro.smpi.runtime import payload_nbytes
 
 
@@ -89,15 +83,11 @@ class TestPointToPoint:
                 arr = np.ones(4)
                 comm.send(arr, dest=1)
                 arr[:] = -1.0
-                comm.send(0, dest=1, tag=9)  # unblock ordering
+                comm.send(0, dest=1, tag=9)
                 return None
-            first = comm.recv(source=0, tag=ANY_TAG)
-            # first message could match tag 0 or 9; take the array one
-            if not isinstance(first, np.ndarray):
-                first = comm.recv(source=0)
-            else:
-                comm.recv(source=0, tag=9)
-            return first
+            # tag 9 leaves after the mutation: take it first
+            comm.recv(source=0, tag=9)
+            return comm.recv(source=0)
 
         results, _ = run_spmd(2, fn)
         np.testing.assert_array_equal(results[1], np.ones(4))
@@ -126,20 +116,29 @@ class TestPointToPoint:
         results, _ = run_spmd(2, fn)
         assert results[1] == [0, 1, 2, 3, 4]
 
-    def test_any_source(self):
+    def test_fan_in_receives_each_source_by_name(self):
         def fn(comm):
             if comm.rank == 0:
-                got = set()
-                for _ in range(comm.size - 1):
-                    payload, src, _ = comm.recv_status(source=ANY_SOURCE)
-                    assert payload == src * 100
-                    got.add(src)
-                return got
+                return [
+                    comm.recv(source=src)
+                    for src in reversed(range(1, comm.size))
+                ]
             comm.send(comm.rank * 100, dest=0)
             return None
 
         results, _ = run_spmd(4, fn)
-        assert results[0] == {1, 2, 3}
+        assert results[0] == [300, 200, 100]
+
+    @pytest.mark.parametrize("source", [-1, 2])
+    def test_recv_source_out_of_range(self, source):
+        def fn(comm):
+            if comm.rank == 0:
+                comm.recv(source=source)
+
+        with pytest.raises(RankFailure) as exc_info:
+            run_spmd(2, fn)
+        assert isinstance(exc_info.value.failures[0][1], ValueError)
+        assert f"source {source} out of range" in str(exc_info.value)
 
     def test_recv_status_reports_source_and_tag(self):
         def fn(comm):
@@ -147,7 +146,7 @@ class TestPointToPoint:
                 comm.send("payload", dest=0, tag=77)
                 return None
             if comm.rank == 0:
-                return comm.recv_status(source=ANY_SOURCE, tag=ANY_TAG)
+                return comm.recv_status(source=1, tag=77)
             return None
 
         results, _ = run_spmd(2, fn)
@@ -509,7 +508,8 @@ class TestPhaseMessageCounts:
 
 
 def _fanin_program(comm):
-    """Wildcard fan-in, then a split and a collective, with phases."""
+    """Fan-in taken in reverse of the send order, then a split and a
+    collective, with phases."""
     if comm.rank:
         with comm.phase("fanin"):
             for tag in (comm.rank, 100 + comm.rank):
@@ -517,8 +517,9 @@ def _fanin_program(comm):
         order = None
     else:
         order = [
-            comm.recv_status(source=ANY_SOURCE, tag=ANY_TAG)[1:]
-            for _ in range(2 * (comm.size - 1))
+            comm.recv_status(source=src, tag=tag)[1:]
+            for src in reversed(range(1, comm.size))
+            for tag in (100 + src, src)
         ]
     half = comm.split(comm.rank % 2)
     with comm.phase("reduce"):
@@ -533,7 +534,7 @@ def _failing_program(comm):
         comm.recv(source=2, tag=5)
     elif comm.rank == 1:
         comm.send(1.0, dest=0, tag=6)
-        comm.recv(source=ANY_SOURCE)
+        comm.recv(source=2)
     else:
         comm.barrier()
 
@@ -546,10 +547,9 @@ class TestDeterminism:
         runs = [repr(run_spmd(6, _fanin_program)) for _ in range(20)]
         assert len(set(runs)) == 1
         results, report = run_spmd(6, _fanin_program)
-        # run-to-block order: rank r sends both messages before r + 1
-        # gets the baton, and the wildcard takes the earliest arrival
+        # rank 0 takes the messages in the order it names them
         assert results[0][0] == [
-            (r, tag) for r in range(1, 6) for tag in (r, 100 + r)
+            (r, tag) for r in range(5, 0, -1) for tag in (100 + r, r)
         ]
         assert [total for _, total in results] == [6.0, 9.0] * 3
         assert list(report.phase_bytes) == ["reduce", "fanin"]
@@ -575,6 +575,7 @@ class TestDeterminism:
             "DeadlockError", "DeadlockError",
         ]
         assert "rank 0: 1 undelivered: (source=1, tag=6, context=0)" in text
+        assert "rank 1: awaiting (source=2, tag=0, context=0)" in text
 
     def test_two_concurrent_runs_reproduce_their_pinned_ledgers(self):
         # The service's thread-executor shape: two callers inside

@@ -1,7 +1,7 @@
 """``Comm.send_each`` / ``Comm.recv_each`` against the singular calls.
 
 The plural forms are a host-cost device only: every observable of a
-run — ledger totals and phase counts, mailbox order, arrival stamps,
+run — ledger totals and phase counts, per-channel mailbox order,
 the event trace and its replayed clock, the fault log — must be what
 the same sequence of ``send`` / ``recv`` calls produces.
 """
@@ -13,7 +13,7 @@ import pytest
 
 from repro.algorithms.base import FactorVerificationError
 from repro.faults import FaultPlan, FaultRule, canned_plan
-from repro.smpi import ANY_SOURCE, ANY_TAG, RankFailure, run_spmd
+from repro.smpi import RankFailure, run_spmd
 from repro.smpi.runtime import Comm
 from tests.algorithms.ledger_pins import PINNED_POINTS, _input_matrix
 
@@ -34,19 +34,19 @@ def _send(comm, pieces, tag, plural):
 
 
 def _mailbox(comm):
-    """This rank's undelivered messages, in arrival order."""
+    """This rank's undelivered messages by channel, in FIFO order."""
     box = comm._sched.mail[comm.world_rank]
     return sorted(
-        (m.arrival, key, m.nbytes, repr(m.data))
+        (key, position, m.nbytes, repr(m.data))
         for key, queue in box.items()
-        for m in queue
+        for position, m in enumerate(queue)
     )
 
 
 def _program(comm, plural):
     """Rank 0 sends singly, then six pieces under one phase and tag,
     then singly again; every rank snapshots its mailbox, then drains
-    it with wildcard receives (which follow the arrival stamps)."""
+    it channel by channel."""
     if comm.rank == 0:
         comm.send("before", 1, 5)
         pieces = [(np.full(k + 1, float(k)), d) for k, d in enumerate(DESTS)]
@@ -56,7 +56,8 @@ def _program(comm, plural):
     comm.barrier()
     box = _mailbox(comm)
     got = [
-        repr(comm.recv_status(ANY_SOURCE, ANY_TAG)) for _ in range(len(box))
+        repr(comm.recv_status(source, tag))
+        for (_, source, tag), _, _, _ in box
     ]
     return box, got
 
@@ -79,7 +80,7 @@ def test_send_each_is_the_singular_sends(machine):
     assert rp.messages[0] == len(DESTS) + 2
     # the mailbox really held the pieces, in send order per destination
     box1 = plural[1][0]
-    assert [nbytes for _, (_, _, tag), nbytes, _ in box1 if tag == 7] == [
+    assert [nbytes for (_, _, tag), _, nbytes, _ in box1 if tag == 7] == [
         8 * (k + 1) for k, d in enumerate(DESTS) if d == 1
     ]
 

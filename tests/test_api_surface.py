@@ -1,9 +1,10 @@
 """Public-API snapshot: the ``__all__`` of ``repro.algorithms``,
 ``repro.models``, ``repro.theory``, ``repro.pebbling``, ``repro.smpi``,
 ``repro.kernels``, ``repro.layouts``, ``repro.harness`` and
-``repro.service``, the signature of every callable they export and of
-every ``SPECS`` factory, and both registries' declared capabilities,
-must match the checked-in snapshot.
+``repro.service``, the signature of every callable they export, of
+every public :class:`~repro.smpi.Comm` method (rank programs are
+written against them) and of every ``SPECS`` factory, and both
+registries' declared capabilities, must match the checked-in snapshot.
 
 Changing the public surface is allowed — but it has to be deliberate:
 regenerate ``tests/data/api_surface.json`` in the same commit
@@ -47,7 +48,8 @@ PACKAGES = {
 def _signatures() -> dict:
     """``str(inspect.signature(...))`` of every callable in the
     snapshotted ``__all__`` lists (an exception class without its own
-    ``__init__`` has none) and of every ``SPECS`` factory."""
+    ``__init__`` has none), of every public ``Comm`` method and of
+    every ``SPECS`` factory."""
     out = {}
     for name, package in {
         "algorithms": alg, "models": models, **PACKAGES
@@ -61,6 +63,9 @@ def _signatures() -> dict:
             except ValueError:
                 continue
             out[f"repro.{name}.{symbol}"] = str(sig)
+    for name, method in vars(smpi.Comm).items():
+        if callable(method) and not name.startswith("_"):
+            out[f"repro.smpi.Comm.{name}"] = str(inspect.signature(method))
     for name, factory in SPECS.items():
         out[f"SPECS[{name!r}]"] = str(inspect.signature(factory))
     return dict(sorted(out.items()))

@@ -106,6 +106,9 @@ class TestFactorCommand:
             (["--fault-seed", "1"], "fault_seed= given without faults="),
             (["--machine", "laptop"], "unknown machine 'laptop'"),
             (["--faults", "no-such-plan.json"], "No such file"),
+            (["--timeout", "nan"], "timeout_s must be > 0, got nan"),
+            (["--timeout", "0"], "timeout_s must be > 0, got 0.0"),
+            (["--timeout", "-1"], "timeout_s must be > 0, got -1.0"),
         ],
     )
     def test_bad_input_is_an_error_not_a_traceback(
@@ -292,6 +295,15 @@ class TestModelsCommand:
         rc = main(["models", "--n", "4096", "--p", "1024", "--leading"])
         assert rc == 0
         assert "leading factors" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--n", "--p"])
+    def test_bad_input_is_an_error_not_a_traceback(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["models", flag, "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: need positive P and N")
 
 
 class TestSweepCommand:
