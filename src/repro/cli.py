@@ -135,9 +135,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
     for flag, value in (("--n", args.n), ("--m", args.m), ("--p", args.p)):
         if not value >= 1:
-            print(f"error: {flag} must be >= 1, got {value:g}",
-                  file=sys.stderr)
-            raise SystemExit(2)
+            _usage_error(ValueError(f"{flag} must be >= 1, got {value:g}"))
     programs = {
         "lu": lu_program,
         "mmm": mmm_program,
@@ -162,7 +160,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
     try:
         machine = resolve_machine(args.machine)
-        p = args.p or machine.total_ranks
+        p = machine.total_ranks if args.p is None else args.p
         choice = optimize_grid_25d(
             p, args.n, m_max=machine.memory_per_rank_elements
         )
@@ -252,15 +250,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     name = args.run or args.resume
     if not name:
-        print("nothing to do: pass --run NAME, --resume NAME, --list, "
-              "--show-cache or --clear-cache", file=sys.stderr)
-        return 2
+        _usage_error(ValueError(
+            "nothing to do: pass --run NAME, --resume NAME, --list, "
+            "--show-cache or --clear-cache"
+        ))
 
     try:
         spec = named_spec(name)
     except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+        _usage_error(exc)
 
     def progress(res) -> None:
         if args.verbose:
@@ -279,8 +277,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             progress=progress if args.verbose else None,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _usage_error(exc)
     rows = result.rows(strict=False)
     if rows:
         print(format_table(
@@ -330,8 +327,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         config = _service_config_from_args(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _usage_error(exc)
     cache = _service_cache(args)
 
     async def run() -> None:
@@ -376,8 +372,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             p=args.p,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _usage_error(exc)
 
     # Default to a fresh scratch cache so repeated loadgen runs report
     # reproducible hit counts; --cache-dir opts into a persistent

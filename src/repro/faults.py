@@ -61,12 +61,13 @@ import hashlib
 import json
 import math
 import threading
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from repro.documents import read
 from repro.smpi.runtime import SmpiError, _copy_payload
 
 #: Recognised ``FaultRule.action`` values.
@@ -85,39 +86,6 @@ class RankCrashed(SmpiError):
 
 class FaultPlanError(ValueError):
     """A fault plan or rule failed validation."""
-
-
-#: The JSON type of each rule and plan field; ``null`` is accepted only
-#: where the field's default is ``None``.
-RULE_FIELDS = {
-    "action": (str,), "rank": (int,), "peer": (int,), "tag": (int,),
-    "phase": (str,), "step": (int,), "probability": (int, float),
-    "delay_s": (int, float), "after": (int,), "max_fires": (int,),
-}
-PLAN_FIELDS = {"seed": (int,), "name": (str,), "rules": (list, tuple)}
-
-
-def _check_fields(kind: str, data: Any, table: dict, cls: type) -> None:
-    """Reject a ``kind`` object that is not a dict, names a field not in
-    ``table`` or gives a field a value of another type (a ``bool`` is
-    never an ``int``; ``null`` only where ``cls``'s default is ``None``)."""
-    if not isinstance(data, dict):
-        raise FaultPlanError(f"{kind} must be an object, got {data!r}")
-    unknown = set(data) - set(table)
-    if unknown:
-        raise FaultPlanError(
-            f"unknown {kind} field(s): {', '.join(sorted(unknown))}"
-        )
-    nullable = {f.name for f in fields(cls) if f.default is None}
-    for name, value in data.items():
-        if value is None and name in nullable:
-            continue
-        wanted = table[name]
-        if isinstance(value, bool) or not isinstance(value, wanted):
-            raise FaultPlanError(
-                f"{kind} field {name!r} must be "
-                f"{' or '.join(t.__name__ for t in wanted)}, got {value!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -219,10 +187,7 @@ class FaultRule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultRule":
-        _check_fields("rule", data, RULE_FIELDS, cls)
-        if "action" not in data:
-            raise FaultPlanError("rule is missing the 'action' field")
-        return cls(**data)
+        return read(cls, data, "rule", FaultPlanError)
 
 
 @dataclass(frozen=True)
@@ -255,14 +220,9 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        _check_fields("plan", data, PLAN_FIELDS, cls)
-        return cls(
-            rules=tuple(
-                FaultRule.from_dict(r) for r in data.get("rules", ())
-            ),
-            seed=data.get("seed", 0),
-            name=data.get("name", ""),
-        )
+        """Read a plan document; each of its ``rules`` is read as a
+        rule document (:meth:`FaultRule.from_dict`)."""
+        return read(cls, data, "plan", FaultPlanError)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "FaultPlan":

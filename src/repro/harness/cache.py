@@ -84,18 +84,27 @@ class SweepCache:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, key: str) -> dict | None:
-        """The stored entry for ``key``, or None on a miss (a corrupt
-        entry — e.g. a file truncated by an older non-atomic writer —
-        also reads as a miss and will be recomputed)."""
-        path = self._path(key)
+    @staticmethod
+    def _load(path: Path) -> dict | None:
+        """The entry stored at ``path``, or None when there is none.
+
+        A file that does not parse (e.g. one truncated by an older
+        non-atomic writer) or parses to anything but an object with a
+        ``result`` is no entry either; a point that misses this way is
+        recomputed and its entry rewritten.
+        """
         try:
             with open(path, encoding="utf-8") as fh:
-                return json.load(fh)
-        except FileNotFoundError:
+                entry = json.load(fh)
+        except (ValueError, OSError):
             return None
-        except (json.JSONDecodeError, OSError):
-            return None
+        if isinstance(entry, dict) and "result" in entry:
+            return entry
+        return None
+
+    def get(self, key: str) -> dict | None:
+        """The stored entry for ``key``, or None on a miss."""
+        return self._load(self._path(key))
 
     def put(
         self,
@@ -137,11 +146,9 @@ class SweepCache:
         if not self.root.is_dir():
             return out
         for path in sorted(self.root.glob("*/*.json")):
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    out.append(json.load(fh))
-            except (json.JSONDecodeError, OSError):
-                continue
+            entry = self._load(path)
+            if entry is not None:
+                out.append(entry)
         out.sort(key=lambda e: e.get("created", 0.0))
         return out
 

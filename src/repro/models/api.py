@@ -21,6 +21,7 @@ discrete-event clock's :class:`~repro.smpi.timing.TimingReport`.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -178,7 +179,7 @@ def predict(
     ``p`` may be omitted when ``machine`` is given — it defaults to the
     machine's rank count.  Every form is evaluated at one replication
     depth, decided here: ``c`` if given, else the deepest one an
-    explicit per-rank memory ``m`` (elements) holds,
+    explicit per-rank memory ``m`` (elements, finite and > 0) holds,
     c = floor(P M / N^2), else the Figure 6 rule c = P^(1/3) capped by
     the machine's memory when one is present.  The prediction's ``m``
     is that depth's algorithmic memory c N^2 / P.  The closed form takes
@@ -192,6 +193,8 @@ def predict(
         p = mach.total_ranks
     if n < 1 or p < 1:
         raise ValueError(f"need positive N and P, got N={n}, P={p}")
+    if m is not None and not 0 < m < math.inf:
+        raise ValueError(f"m must be finite and > 0, got {m!r}")
     if c is None and m is not None:
         c = max(1, int(p * m / n**2))
     elif c is None:

@@ -30,6 +30,8 @@ import math
 import os
 from dataclasses import dataclass, fields
 
+from repro.documents import read
+
 TOPOLOGIES = ("crossbar", "shared-bus")
 
 
@@ -186,44 +188,18 @@ def machine_by_name(name: str) -> Machine:
     )
 
 
-#: JSON type of each machine spec field (a ``bool`` is never a number).
-MACHINE_FIELDS = {
-    "name": (str,), "total_ranks": (int,), "memory_per_rank_bytes": (int,),
-    "alpha": (int, float), "beta": (int, float),
-    "gamma_flops": (int, float), "topology": (str,),
-}
-
-
 def load_machine(path: str | os.PathLike) -> Machine:
-    """Read a machine spec from a JSON file.
-
-    Required keys: ``name``, ``total_ranks``, ``memory_per_rank_bytes``;
-    ``alpha``/``beta``/``gamma_flops``/``topology`` are optional and
-    fall back to the :class:`Machine` defaults.  Unknown keys and
-    values of the wrong JSON type (:data:`MACHINE_FIELDS`) are rejected
-    so typos fail loudly instead of silently defaulting.
-    """
+    """Read a machine spec from a JSON file with
+    :func:`repro.documents.read`: :class:`Machine`'s fields without a
+    default are required, and an unknown key or a value of the wrong
+    JSON type fails loudly instead of silently defaulting.  Every error
+    names the file."""
     with open(path) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: machine spec must be a JSON object")
-    unknown = set(raw) - set(MACHINE_FIELDS)
-    if unknown:
-        raise ValueError(
-            f"{path}: unknown machine keys {sorted(unknown)}; "
-            f"allowed: {sorted(MACHINE_FIELDS)}"
-        )
-    missing = {"name", "total_ranks", "memory_per_rank_bytes"} - set(raw)
-    if missing:
-        raise ValueError(f"{path}: missing machine keys {sorted(missing)}")
-    for key, value in raw.items():
-        wanted = MACHINE_FIELDS[key]
-        if isinstance(value, bool) or not isinstance(value, wanted):
-            raise ValueError(
-                f"{path}: machine key {key!r} must be "
-                f"{' or '.join(t.__name__ for t in wanted)}, got {value!r}"
-            )
-    return Machine(**raw)
+        doc = json.load(fh)
+    try:
+        return read(Machine, doc, "machine")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def resolve_machine(

@@ -15,6 +15,7 @@ import asyncio
 import math
 from dataclasses import dataclass
 
+from repro.documents import read
 from repro.harness.sweep import SweepPoint
 
 #: The sweep task a service request resolves to.  Keeping this the
@@ -26,15 +27,6 @@ STATUS_OK = "ok"
 STATUS_REJECTED = "rejected"
 STATUS_ERROR = "error"
 STATUS_TIMEOUT = "timeout"
-
-#: Fields a request document may carry and the JSON type each takes
-#: (:meth:`FactorRequest.from_dict` checks incoming documents against
-#: this table; ``bool`` is never an ``int`` here).
-REQUEST_FIELDS = {
-    "impl": (str,), "n": (int,), "p": (int,), "seed": (int,),
-    "v": (int,), "nb": (int,), "machine": (str,),
-    "deadline_s": (int, float),
-}
 
 
 @dataclass(frozen=True)
@@ -100,29 +92,11 @@ class FactorRequest:
 
     @classmethod
     def from_dict(cls, doc: dict) -> FactorRequest:
-        """Build a request from a JSON document, rejecting unknown
-        fields and values of the wrong type (a typo'd field silently
-        ignored, or ``32.7`` truncated to 32, would compute the wrong
-        problem).  ``null`` is legal exactly where it is the default."""
-        if not isinstance(doc, dict):
-            raise ValueError(f"request must be a JSON object, got {doc!r}")
-        unknown = set(doc) - set(REQUEST_FIELDS)
-        if unknown:
-            raise ValueError(
-                f"unknown request fields {sorted(unknown)}; "
-                f"accepted: {list(REQUEST_FIELDS)}"
-            )
-        for name, value in doc.items():
-            if value is None and getattr(cls, name) is None:
-                continue
-            wanted = REQUEST_FIELDS[name]
-            if isinstance(value, bool) or not isinstance(value, wanted):
-                raise ValueError(
-                    f"request field {name!r} must be "
-                    f"{' or '.join(t.__name__ for t in wanted)}, "
-                    f"got {value!r}"
-                )
-        return cls(**doc)
+        """Read a request document with :func:`repro.documents.read`:
+        an unknown field or a value of the wrong type is a
+        ``ValueError`` (a typo'd field silently ignored, or ``32.7``
+        truncated to 32, would compute the wrong problem)."""
+        return read(cls, doc, "request")
 
 
 @dataclass

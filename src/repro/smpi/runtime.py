@@ -757,8 +757,9 @@ def run_spmd(
     ranks raise :class:`DeadlockError` with a census as soon as no rank
     can run (see :class:`_Scheduler`).
 
-    ``timeout`` is the run's wall budget in seconds (``<= 0``: none).
-    It bounds what deadlock detection cannot — a rank that computes
+    ``timeout`` is the run's wall budget in seconds: ``> 0``, or
+    ``inf`` for none (``ValueError`` otherwise, NaN included).  It
+    bounds what deadlock detection cannot — a rank that computes
     without ever blocking: when it is spent the call raises a
     :class:`RankFailure` whose :class:`DeadlockError` names the rank
     still running, and every other rank raises at its next turn.
@@ -777,6 +778,8 @@ def run_spmd(
     """
     if nranks <= 0:
         raise ValueError(f"nranks must be positive, got {nranks}")
+    if not timeout > 0:
+        raise ValueError(f"timeout must be > 0, got {timeout!r}")
     trace = None
     resolved = None
     if machine is not None:
@@ -815,8 +818,7 @@ def run_spmd(
     for t in threads:
         t.start()
     sched.hand_on()
-    budget = min(timeout, threading.TIMEOUT_MAX) if timeout > 0 else -1
-    if not sched.done.acquire(timeout=budget):
+    if not sched.done.acquire(timeout=min(timeout, threading.TIMEOUT_MAX)):
         # The one place the wall budget is enforced.  Ranks blocked now
         # or later raise at their next turn; the running one cannot be
         # interrupted, so it is reported here and its thread left behind.

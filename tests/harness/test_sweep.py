@@ -133,6 +133,14 @@ class TestCacheKeys:
         path.write_text("{truncated")
         assert cache.get(key) is None
 
+    @pytest.mark.parametrize("text", ["[]", '{"key": 1}', "3", "null"])
+    def test_document_that_is_no_entry_reads_as_miss(self, tmp_path, text):
+        cache = SweepCache(tmp_path)
+        key = point_key("t", {"a": 1})
+        cache.put(key, "t", {"a": 1}, {"ok": 1}, 0.1).write_text(text)
+        assert cache.get(key) is None
+        assert cache.entries() == []
+
     def test_stats_and_clear(self, tmp_path):
         cache = SweepCache(tmp_path)
         cache.put(point_key("t", {"a": 1}), "t", {"a": 1}, {}, 0.5)
@@ -174,6 +182,18 @@ class TestCacheSemantics:
         widened = run_sweep(scratch_spec(xs=(1, 2, 5)), cache=cache)
         assert widened.n_cached == 2 and widened.n_computed == 1
         assert [c["x"] for c in CALL_LOG] == [5]
+
+    @pytest.mark.parametrize("text", ["[]", '{"key": 1}'])
+    def test_document_that_is_no_entry_is_recomputed(
+        self, tmp_path, scratch_task, text
+    ):
+        cache = SweepCache(tmp_path)
+        point = scratch_spec().points()[0]
+        path = cache.put(point.cache_key(), "_scratch", point.params, {}, 0)
+        path.write_text(text)
+        res = run_sweep(scratch_spec(), cache=cache)
+        assert res.n_computed == 3 and res.n_failed == 0
+        assert cache.get(point.cache_key())["result"] == {"x": 1, "y": 1}
 
     def test_max_points_truncates(self, scratch_task):
         res = run_sweep(scratch_spec(), max_points=2)

@@ -156,3 +156,11 @@ class TestPredict:
     def test_invalid_n_rejected(self):
         with pytest.raises(ValueError):
             predict("conflux", 0, 16)
+
+    @pytest.mark.parametrize(
+        "m", [0.0, -5.0, float("nan"), float("inf")]
+    )
+    def test_memory_it_cannot_use_rejected(self, m):
+        # 0 and -5 once ran at c = 1 and reported m = 256
+        with pytest.raises(ValueError, match="m must be finite and > 0"):
+            predict("conflux", 64, 16, m=m)

@@ -1,5 +1,6 @@
 """The ``loadgen`` CLI verb (the ``serve`` verb is covered at the
-library level by the TCP tests in test_server.py)."""
+library level by the TCP tests in test_server.py, and here only for
+the bad input it rejects before it listens)."""
 
 import json
 
@@ -69,7 +70,9 @@ class TestLoadgen:
         ],
     )
     def test_nan_flag_exits_2(self, capsys, flag, message):
-        assert main(["loadgen", "--requests", "1", flag, "nan"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["loadgen", "--requests", "1", flag, "nan"])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert message in captured.err
@@ -84,3 +87,12 @@ class TestLoadgen:
             main(["loadgen", "--policy", "fifo"])
         assert excinfo.value.code == 2
         assert "--policy" in capsys.readouterr().err
+
+
+def test_serve_rejects_a_nan_timeout_before_it_listens(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--port", "0", "--timeout", "nan"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: request_timeout_s must be finite"
+    )

@@ -171,6 +171,25 @@ class TestCacheHit:
 
         run(go())
 
+    @pytest.mark.parametrize("text", ["[]", '{"key": 1}'])
+    def test_document_that_is_no_entry_is_computed(self, tmp_path, text):
+        async def go():
+            cache = SweepCache(tmp_path)
+            request = FactorRequest(n=32)
+            cache.put(
+                request.cache_key(), "measured", request.params(), {}, 0.01
+            ).write_text(text)
+            async with FactorService(
+                ServiceConfig(workers=1), cache=cache,
+                job_runner=fake_runner,
+            ) as service:
+                response = await service.submit(request)
+                assert response.status == STATUS_OK
+                assert not response.cache_hit
+                assert service.worker_executions == 1
+
+        run(go())
+
     def test_cache_write_failure_never_kills_the_response(self, tmp_path):
         def unserialisable(params):
             return {"payload": {1, 2, 3}}  # sets are not JSON

@@ -29,6 +29,18 @@ class TestRunSpmd:
         with pytest.raises(ValueError):
             run_spmd(0, lambda comm: None)
 
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+    def test_budget_that_is_not_positive_rejected(self, timeout):
+        # each of these once ran with no wall budget at all
+        with pytest.raises(ValueError, match="timeout must be > 0"):
+            run_spmd(1, lambda comm: None, timeout=timeout)
+
+    def test_infinite_budget_is_no_budget(self):
+        results, _ = run_spmd(
+            2, lambda comm: comm.rank, timeout=float("inf")
+        )
+        assert results == [0, 1]
+
     def test_rank_exception_propagates_as_rank_failure(self):
         def fn(comm):
             if comm.rank == 2:

@@ -274,6 +274,19 @@ class TestPlanCommand:
         assert "conflux            77.365 GB" in out
         assert "best: scalapack2d" in out
 
+    @pytest.mark.parametrize("p", ["0", "-2"])
+    def test_rank_count_below_one_is_an_error(self, capsys, p):
+        # --p 0 once planned for the preset's 64 ranks and exited 0
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--machine", "laptop-sim", "--n", "1024",
+                  "--p", p])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: need positive P and N, got P={p}"
+        )
+
     def test_no_feasible_grid_is_an_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["plan", "--machine", "laptop-sim", "--n", "65536"])
@@ -325,10 +338,11 @@ class TestSweepCommand:
         assert "gap" in out
 
     def test_negative_max_points_exits_2(self, capsys, tmp_path):
-        rc = main(["sweep", "--run", "table2-models", "--max-points", "-1",
-                   "--cache-dir", str(tmp_path)])
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--run", "table2-models", "--max-points", "-1",
+                  "--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert rc == 2
         assert "error: max_points must be >= 0, got -1" in captured.err
         assert "computed" not in captured.out
 
@@ -362,13 +376,15 @@ class TestSweepCommand:
         assert "removed 1 entries" in capsys.readouterr().out
 
     def test_unknown_sweep_name(self, capsys):
-        rc = main(["sweep", "--run", "not-a-sweep"])
-        assert rc == 2
-        assert "unknown sweep" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--run", "not-a-sweep"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: unknown sweep")
 
     def test_no_action_is_an_error(self, capsys):
-        rc = main(["sweep"])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep"])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "nothing to do" in err
         assert "--run NAME" in err

@@ -1,0 +1,109 @@
+"""Every outside document is read by one reader whose rules come from
+the dataclass it builds.
+
+The cases below are generated from ``dataclasses.fields`` of each
+document class, so a field added later is covered without editing a
+table: for every field, a ``bool`` and a value of the wrong JSON type
+are rejected with the field's name, ``null`` is accepted exactly where
+the default is ``None``, and a required field cannot be left out.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import typing
+
+import pytest
+
+from repro.faults import FaultPlan, FaultRule
+from repro.models.machines import Machine, load_machine
+from repro.service.jobs import FactorRequest
+
+
+def _read_machine(doc, tmp_path):
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(doc))
+    return load_machine(path)
+
+
+#: class -> (the smallest valid document, how a document is read)
+READERS = {
+    FaultRule: ({"action": "drop"}, lambda doc, _: FaultRule.from_dict(doc)),
+    FaultPlan: ({}, lambda doc, _: FaultPlan.from_dict(doc)),
+    Machine: (
+        {"name": "m", "total_ranks": 4, "memory_per_rank_bytes": 1024},
+        _read_machine,
+    ),
+    FactorRequest: ({}, lambda doc, _: FactorRequest.from_dict(doc)),
+}
+
+CASES = [
+    pytest.param(cls, field, id=f"{cls.__name__}.{field.name}")
+    for cls in READERS
+    for field in dataclasses.fields(cls)
+]
+
+
+def _wrong_value(cls, field):
+    """A JSON value of another type than ``field`` takes."""
+    hint = typing.get_type_hints(cls)[field.name]
+    return 7 if str in (hint, *typing.get_args(hint)) else "7"
+
+
+def _required(field) -> bool:
+    return (
+        field.default is dataclasses.MISSING
+        and field.default_factory is dataclasses.MISSING
+    )
+
+
+@pytest.mark.parametrize("cls, field", CASES)
+def test_a_bool_or_a_value_of_the_wrong_type_is_rejected(
+    cls, field, tmp_path
+):
+    base, reader = READERS[cls]
+    for value in (True, _wrong_value(cls, field), {"x": 1}):
+        with pytest.raises(ValueError, match=f"field '{field.name}'"):
+            reader({**base, field.name: value}, tmp_path)
+
+
+@pytest.mark.parametrize("cls, field", CASES)
+def test_null_is_accepted_exactly_where_the_default_is_none(
+    cls, field, tmp_path
+):
+    base, reader = READERS[cls]
+    doc = {**base, field.name: None}
+    if field.default is None:
+        assert getattr(reader(doc, tmp_path), field.name) is None
+    else:
+        with pytest.raises(ValueError, match=f"field '{field.name}'"):
+            reader(doc, tmp_path)
+
+
+@pytest.mark.parametrize("cls, field", CASES)
+def test_a_required_field_cannot_be_left_out(cls, field, tmp_path):
+    base, reader = READERS[cls]
+    doc = {k: v for k, v in base.items() if k != field.name}
+    if _required(field):
+        with pytest.raises(ValueError, match="missing") as ei:
+            reader(doc, tmp_path)
+        assert repr(field.name) in str(ei.value)
+    else:
+        assert getattr(reader(doc, tmp_path), field.name) == field.default
+
+
+def test_an_unknown_field_is_rejected(tmp_path):
+    for base, reader in READERS.values():
+        with pytest.raises(ValueError, match="unknown .* fields"):
+            reader({**base, "no_such_field": 1}, tmp_path)
+
+
+def test_machine_errors_name_the_file(tmp_path):
+    with pytest.raises(ValueError, match="machine.json: machine field"):
+        _read_machine({**READERS[Machine][0], "name": 3}, tmp_path)
+    with pytest.raises(ValueError, match="machine.json: .*must be >= 1"):
+        _read_machine(
+            {"name": "m", "total_ranks": 0, "memory_per_rank_bytes": 8},
+            tmp_path,
+        )
