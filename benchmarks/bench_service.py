@@ -94,10 +94,12 @@ def build_artifact(
     runs: list[dict], requests: int = 60, workers: int = 2
 ) -> dict:
     """The BENCH_service.json document for the run."""
+    from repro.documents import write
+
     spec = _default_spec(requests)
     return {
         "schema_version": SCHEMA_VERSION,
-        "workload": spec.to_dict(),
+        "workload": write(spec),
         "service": {"workers": workers, "queue_depth": 16},
         "runs": runs,
     }

@@ -39,6 +39,7 @@ from repro.algorithms.base import (
 )
 from repro.algorithms.gridopt import choose_grid_2d, optimize_grid_25d
 from repro.smpi import run_spmd
+from repro.smpi.runtime import DEFAULT_TIMEOUT_S
 
 KINDS = ("lu", "qr", "chol")
 GRID_FAMILIES = ("25d", "2d")
@@ -253,8 +254,9 @@ def factor(
     path) arms deterministic fault injection; ``fault_seed`` overrides
     the plan's seed, so one plan file replays many chaos variants.
     ``timeout_s`` is the run's wall budget (``> 0``; ``inf`` for
-    none): deadlocks are reported the moment they occur, so it only
-    bounds a run that keeps computing.
+    none; 600 s, the runtime's ``DEFAULT_TIMEOUT_S``, when omitted):
+    deadlocks are reported the moment they occur, so it only bounds a
+    run that keeps computing.
     The one remaining keyword is the member's blocking parameter, ``v``
     or ``nb``.
 
@@ -271,7 +273,7 @@ def factor(
         from repro.models.machines import resolve_machine
 
         machine = resolve_machine(machine)
-    timeout = 600.0 if timeout_s is None else float(timeout_s)
+    timeout = DEFAULT_TIMEOUT_S if timeout_s is None else float(timeout_s)
     if not timeout > 0:
         raise ValueError(f"timeout_s must be > 0, got {timeout_s!r}")
     if faults is not None:

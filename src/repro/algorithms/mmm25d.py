@@ -123,9 +123,7 @@ def mmm25d(
             f"replication c={c} cannot exceed G={g} (each layer needs "
             f"at least one SUMMA round)"
         )
-    results, report = run_spmd(
-        nranks, _mmm_rank_fn, a, b, g, c, timeout=600.0
-    )
+    results, report = run_spmd(nranks, _mmm_rank_fn, a, b, g, c)
     out = np.zeros((n, n))
     for r in results:
         if r.get("active") and "c_block" in r:

@@ -294,14 +294,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if result.n_failed else 0
 
 
-def _service_config_from_args(args: argparse.Namespace):
-    from repro.service import ServiceConfig
+def _from_flags(cls: type, args: argparse.Namespace, kind: str):
+    """``cls`` built from only the flags the user gave: a flag that sets
+    a field stores under the field's name and has no default of its
+    own, so every default is the dataclass's."""
+    import dataclasses
 
-    return ServiceConfig(
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        request_timeout_s=args.timeout,
-    )
+    from repro.documents import read
+
+    given = {
+        f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+        if hasattr(args, f.name)
+    }
+    return read(cls, given, kind)
 
 
 def _service_cache(args: argparse.Namespace, tmp_dir: str | None = None):
@@ -322,10 +327,10 @@ def _service_cache(args: argparse.Namespace, tmp_dir: str | None = None):
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.service import FactorService, serve_tcp
+    from repro.service import FactorService, ServiceConfig, serve_tcp
 
     try:
-        config = _service_config_from_args(args)
+        config = _from_flags(ServiceConfig, args, "service")
     except ValueError as exc:
         _usage_error(exc)
     cache = _service_cache(args)
@@ -358,19 +363,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.service import ServiceConfig, WorkloadSpec, run_workload
 
     try:
-        config = _service_config_from_args(args)
-        spec = WorkloadSpec(
-            mode=args.mode,
-            requests=args.requests,
-            clients=args.clients,
-            rate_rps=args.rate,
-            seed=args.seed,
-            zipf_s=args.zipf_s,
-            sizes=tuple(args.sizes),
-            seed_pool=args.seed_pool,
-            impl=args.algo,
-            p=args.p,
-        )
+        config = _from_flags(ServiceConfig, args, "service")
+        spec = _from_flags(WorkloadSpec, args, "workload")
     except ValueError as exc:
         _usage_error(exc)
 
@@ -392,17 +386,16 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _add_service_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=2,
-                        help="worker threads (default 2)")
-    parser.add_argument("--queue-depth", type=int, default=16,
+    parser.add_argument("--workers", type=int, help="worker threads")
+    parser.add_argument("--queue-depth", type=int,
                         help="admission bound: queued jobs before "
-                             "rejection (default 16)")
-    parser.add_argument("--timeout", type=float, default=60.0,
+                             "rejection")
+    parser.add_argument("--timeout", type=float, dest="request_timeout_s",
                         help="per-request timeout in seconds")
     parser.add_argument("--cache-dir", default=None,
                         help="persistent result cache directory "
                              "(shared with the sweep engine)")
-    parser.add_argument("--no-cache", action="store_true",
+    parser.add_argument("--no-cache", action="store_true", default=False,
                         help="serve without a result cache")
 
 
@@ -497,9 +490,12 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="verbose", help="per-point progress lines")
     s.set_defaults(fn=_cmd_sweep)
 
+    # serve and loadgen flags that set a ServiceConfig / WorkloadSpec
+    # field have no default (argument_default): see _from_flags.
     srv = sub.add_parser(
         "serve",
         help="serve factorization requests over TCP (JSON lines)",
+        argument_default=argparse.SUPPRESS,
     )
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=7077)
@@ -509,31 +505,29 @@ def build_parser() -> argparse.ArgumentParser:
     lg = sub.add_parser(
         "loadgen",
         help="run a synthetic workload against an in-process service",
+        argument_default=argparse.SUPPRESS,
     )
-    lg.add_argument("--mode", default="closed",
-                    choices=["closed", "open"],
+    lg.add_argument("--mode", choices=["closed", "open"],
                     help="closed: fixed concurrency; open: Poisson "
                          "arrivals at --rate regardless of completions")
-    lg.add_argument("--requests", type=int, default=200)
-    lg.add_argument("--clients", type=int, default=4,
-                    help="closed-loop concurrency (default 4)")
-    lg.add_argument("--rate", type=float, default=100.0,
+    lg.add_argument("--requests", type=int)
+    lg.add_argument("--clients", type=int,
+                    help="closed-loop concurrency")
+    lg.add_argument("--rate", type=float, dest="rate_rps",
                     help="open-loop arrival rate in req/s")
-    lg.add_argument("--seed", type=int, default=0,
+    lg.add_argument("--seed", type=int,
                     help="workload seed (the request stream is a pure "
                          "function of it)")
-    lg.add_argument("--zipf-s", type=float, default=1.2,
+    lg.add_argument("--zipf-s", type=float,
                     help="Zipf skew of sizes and repeat matrices")
     lg.add_argument("--sizes", type=int, nargs="+",
-                    default=[32, 48, 64, 96],
                     help="problem-size catalog, most popular first")
-    lg.add_argument("--seed-pool", type=int, default=8,
+    lg.add_argument("--seed-pool", type=int,
                     help="distinct matrices per size (smaller pool = "
                          "more cache hits)")
-    lg.add_argument("--algo", default="conflux",
+    lg.add_argument("--algo", dest="impl",
                     help="registered algorithm to request")
-    lg.add_argument("--p", type=int, default=4,
-                    help="ranks per request")
+    lg.add_argument("--p", type=int, help="ranks per request")
     lg.add_argument("--json", default=None, metavar="PATH",
                     help="also write the report document as JSON")
     _add_service_flags(lg)

@@ -1,19 +1,27 @@
-"""One reader for every outside document (fault plans, machine specs,
-service requests), taking its rules from the dataclass it builds.
+"""The format of every outside document (fault plans, machine specs,
+service requests and configurations, workload specs), taken from the
+dataclass it describes.
 
-The accepted fields are the dataclass's fields, and those without a
-default are required.  ``null`` is accepted exactly where a field's
-default is ``None``.  The annotation fixes the JSON type: ``int`` takes
-an integer, ``float`` an integer or a float, ``str`` a string and
-``tuple[...]`` an array, whose items are read by ``D.from_dict`` when
-the annotation is ``tuple[D, ...]`` for a dataclass ``D``.  A ``bool``
-is never a number.  Range and finiteness checks stay in each class's
-``__post_init__``, because in-Python construction needs them too.
+:func:`read` builds a dataclass from a JSON document.  The accepted
+fields are the dataclass's fields, and those without a default are
+required.  ``null`` is accepted exactly where a field's default is
+``None``.  The annotation fixes the JSON type: ``int`` takes an
+integer, ``float`` an integer or a float, ``str`` a string and
+``tuple[...]`` an array, read as a tuple whose items are read by
+``D.from_dict`` when the annotation is ``tuple[D, ...]`` for a
+dataclass ``D``.  A ``bool`` is never a number.  Range and finiteness
+checks stay in each class's ``__post_init__``, because in-Python
+construction needs them too.
+
+:func:`write` is its inverse, ``read(type(x), write(x), kind) == x``,
+and :func:`load` reads a document from a file.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
 import types
 import typing
 from typing import Any
@@ -61,5 +69,33 @@ def read(
             item = typing.get_args(hint)[:1]
             if item and dataclasses.is_dataclass(item[0]):
                 value = tuple(item[0].from_dict(v) for v in value)
+            elif item:
+                value = tuple(value)
         values[name] = value
     return cls(**values)
+
+
+def load(
+    cls: type, path: str | os.PathLike, kind: str,
+    error: type[Exception] = ValueError,
+) -> Any:
+    """:func:`read` the JSON file at ``path``; every error, a JSON
+    syntax error included, starts with the path."""
+    with open(path) as fh:
+        try:
+            return read(cls, json.load(fh), kind, error)
+        except ValueError as exc:
+            raise error(f"{path}: {exc}") from None
+
+
+def write(obj: Any) -> Any:
+    """The JSON document of ``obj``: a dataclass as an object of every
+    field, a tuple as an array, any other value as it is."""
+    if dataclasses.is_dataclass(obj):
+        return {
+            f.name: write(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+        }
+    if isinstance(obj, tuple):
+        return [write(v) for v in obj]
+    return obj

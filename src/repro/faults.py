@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import fnmatch
 import hashlib
-import json
 import math
 import threading
 from dataclasses import dataclass, replace
@@ -67,7 +66,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.documents import read
+from repro.documents import load, read, write
 from repro.smpi.runtime import SmpiError, _copy_payload
 
 #: Recognised ``FaultRule.action`` values.
@@ -169,22 +168,6 @@ class FaultRule:
                 return False
         return True
 
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {"action": self.action}
-        for name in (
-            "rank", "peer", "tag", "phase", "step", "max_fires"
-        ):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        if self.probability != 1.0:
-            out["probability"] = self.probability
-        if self.delay_s:
-            out["delay_s"] = self.delay_s
-        if self.after:
-            out["after"] = self.after
-        return out
-
     @classmethod
     def from_dict(cls, data: dict) -> "FaultRule":
         return read(cls, data, "rule", FaultPlanError)
@@ -211,23 +194,11 @@ class FaultPlan:
     def with_seed(self, seed: int) -> "FaultPlan":
         return replace(self, seed=seed)
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "name": self.name,
-            "rules": [rule.to_dict() for rule in self.rules],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
         """Read a plan document; each of its ``rules`` is read as a
         rule document (:meth:`FaultRule.from_dict`)."""
         return read(cls, data, "plan", FaultPlanError)
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "FaultPlan":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def resolve_faults(obj: Any) -> FaultPlan | None:
@@ -239,7 +210,7 @@ def resolve_faults(obj: Any) -> FaultPlan | None:
     if isinstance(obj, dict):
         return FaultPlan.from_dict(obj)
     if isinstance(obj, (str, Path)):
-        return FaultPlan.from_json(obj)
+        return load(FaultPlan, obj, "plan", FaultPlanError)
     raise FaultPlanError(
         f"cannot interpret {type(obj).__name__} as a fault plan"
     )
@@ -572,7 +543,7 @@ class FaultInjector:
         for ev in events:
             by_action[ev["action"]] = by_action.get(ev["action"], 0) + 1
         return {
-            "plan": self.plan.to_dict(),
+            "plan": write(self.plan),
             "n_injected": len(events),
             "by_action": by_action,
             "lost_in_reorder": self._lost,

@@ -25,12 +25,11 @@ disagree about the hardware.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 
-from repro.documents import read
+from repro.documents import load
 
 TOPOLOGIES = ("crossbar", "shared-bus")
 
@@ -84,11 +83,10 @@ class Machine:
     def memory_per_rank_elements(self) -> int:
         return self.memory_per_rank_bytes // 8
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-
-#: Piz Daint XC50 partition: 5,704 nodes, 64 GiB DDR3 each (Section 8).
+#: Piz Daint XC50 partition: 5,704 nodes, 64 GiB DDR3 each (Section 8),
+#: Aries NICs at ~10.2 GB/s injection, ~1.5 µs put latency, P100-era
+#: sustained DGEMM rate.
 PIZ_DAINT = Machine(
     name="Piz Daint",
     total_ranks=5704,
@@ -98,18 +96,9 @@ PIZ_DAINT = Machine(
     gamma_flops=1.2e12,
 )
 
-#: The timing-model face of the same hardware: Aries NICs at ~10.2 GB/s
-#: injection, ~1.5 µs put latency, P100-era sustained DGEMM rate.  Kept
-#: as its own named preset so ``--machine daint-xc50`` reads like the
-#: paper's platform section.
-DAINT_XC50 = Machine(
-    name="daint-xc50",
-    total_ranks=5704,
-    memory_per_rank_bytes=64 * 2**30,
-    alpha=1.5e-6,
-    beta=1.0 / 10.2e9,
-    gamma_flops=1.2e12,
-)
+#: The same hardware as its own named preset, so ``--machine
+#: daint-xc50`` reads like the paper's platform section.
+DAINT_XC50 = replace(PIZ_DAINT, name="daint-xc50")
 
 #: Summit: 4,608 nodes with 512 GiB each.  One rank per node reproduces
 #: the paper's "2.1x less on a full-scale Summit run" prediction
@@ -190,16 +179,11 @@ def machine_by_name(name: str) -> Machine:
 
 def load_machine(path: str | os.PathLike) -> Machine:
     """Read a machine spec from a JSON file with
-    :func:`repro.documents.read`: :class:`Machine`'s fields without a
+    :func:`repro.documents.load`: :class:`Machine`'s fields without a
     default are required, and an unknown key or a value of the wrong
     JSON type fails loudly instead of silently defaulting.  Every error
     names the file."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    try:
-        return read(Machine, doc, "machine")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return load(Machine, path, "machine")
 
 
 def resolve_machine(

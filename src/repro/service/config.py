@@ -52,10 +52,3 @@ class ServiceConfig:
                 f"request_timeout_s must be finite and > 0, got "
                 f"{self.request_timeout_s}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "workers": self.workers,
-            "queue_depth": self.queue_depth,
-            "request_timeout_s": self.request_timeout_s,
-        }

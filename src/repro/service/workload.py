@@ -30,6 +30,7 @@ import random
 import time
 from dataclasses import dataclass
 
+from repro.documents import write
 from repro.harness.cache import SweepCache
 from repro.service.config import ServiceConfig
 from repro.service.jobs import FactorRequest, ServiceResponse
@@ -78,20 +79,6 @@ class WorkloadSpec:
             raise ValueError("sizes catalog must not be empty")
         if self.seed_pool < 1:
             raise ValueError(f"seed_pool must be >= 1, got {self.seed_pool}")
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "requests": self.requests,
-            "clients": self.clients,
-            "rate_rps": self.rate_rps,
-            "seed": self.seed,
-            "zipf_s": self.zipf_s,
-            "sizes": list(self.sizes),
-            "seed_pool": self.seed_pool,
-            "impl": self.impl,
-            "p": self.p,
-        }
 
 
 def zipf_weights(k: int, s: float) -> list[float]:
@@ -147,8 +134,8 @@ class LoadReport:
 
     def to_dict(self) -> dict:
         return {
-            "workload": self.spec.to_dict(),
-            "service": self.config.to_dict(),
+            "workload": write(self.spec),
+            "service": write(self.config),
             "metrics": self.metrics,
         }
 

@@ -63,7 +63,8 @@ import numpy as np
 
 from repro.smpi.volume import VolumeLedger, VolumeReport
 
-_DEFAULT_TIMEOUT = 300.0
+#: The wall budget of a run, in seconds, when its caller names none.
+DEFAULT_TIMEOUT_S = 600.0
 
 
 class SmpiError(RuntimeError):
@@ -744,7 +745,7 @@ def run_spmd(
     nranks: int,
     fn: Callable[..., Any],
     *args: Any,
-    timeout: float = _DEFAULT_TIMEOUT,
+    timeout: float = DEFAULT_TIMEOUT_S,
     machine: Any = None,
     faults: Any = None,
 ) -> tuple[list[Any], VolumeReport]:

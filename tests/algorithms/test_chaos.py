@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import factor
+from repro.documents import write
 from repro.faults import FaultPlan, FaultPlanError, FaultRule, canned_plan
 from repro.smpi import RankFailure
 
@@ -178,7 +179,7 @@ class TestFactorArgValidation:
     def test_plan_dict_and_seed_override(self):
         res = factor(
             "conflux", matrix(), grid=GRID, v=4,
-            faults=delay_plan(seed=0).to_dict(), fault_seed=7,
+            faults=write(delay_plan(seed=0)), fault_seed=7,
         )
         assert res.volume.faults["plan"]["seed"] == 7
 

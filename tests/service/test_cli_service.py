@@ -7,6 +7,8 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.documents import write
+from repro.service import ServiceConfig, WorkloadSpec
 
 
 class TestLoadgen:
@@ -33,6 +35,22 @@ class TestLoadgen:
         assert doc["workload"]["requests"] == 12
         assert doc["metrics"]["counts"]["completed"] == 12
         assert doc["metrics"]["counts"]["computed"] <= 2  # tiny catalog
+
+    def test_flags_not_given_take_the_dataclass_defaults(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "report.json"
+        rc = main([
+            "loadgen", "--sizes", "24", "--seed-pool", "1",
+            "--json", str(path),
+        ])
+        assert rc == 0
+        doc = json.loads(path.read_text())
+        spec = WorkloadSpec(sizes=(24,), seed_pool=1)
+        assert doc["workload"] == write(spec)
+        assert doc["workload"]["requests"] == 100
+        assert doc["service"] == write(ServiceConfig())
+        assert doc["metrics"]["counts"]["completed"] == 100
 
     def test_seed_flag_flows_through(self, capsys, tmp_path):
         path = tmp_path / "report.json"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.documents import write
 from repro.harness.cache import SweepCache
 from repro.service import (
     STATUS_OK,
@@ -59,7 +60,7 @@ class TestSpecValidation:
 
     def test_to_dict_round_trips_the_catalog(self):
         spec = WorkloadSpec(sizes=(24, 48))
-        assert spec.to_dict()["sizes"] == [24, 48]
+        assert write(spec)["sizes"] == [24, 48]
 
 
 class TestSamplerDeterminism:

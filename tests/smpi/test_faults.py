@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.documents import write
 from repro.faults import (
     ACTIONS,
     STEP_TAG_STRIDE,
@@ -84,7 +85,7 @@ class TestFaultRule:
             action="delay", rank=1, phase="panel*", probability=0.5,
             delay_s=1e-3, after=2, max_fires=4,
         )
-        assert FaultRule.from_dict(rule.to_dict()) == rule
+        assert FaultRule.from_dict(write(rule)) == rule
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(FaultPlanError, match="unknown rule field"):
@@ -137,8 +138,8 @@ class TestFaultPlan:
             name="demo",
         )
         path = tmp_path / "plan.json"
-        path.write_text(json.dumps(plan.to_dict()))
-        assert FaultPlan.from_json(path) == plan
+        path.write_text(json.dumps(write(plan)))
+        assert resolve_faults(path) == plan
 
     def test_with_seed(self):
         plan = canned_plan("drop", seed=0)
@@ -188,9 +189,9 @@ class TestFaultPlan:
         assert resolve_faults(None) is None
         plan = canned_plan("delay", seed=1)
         assert resolve_faults(plan) is plan
-        assert resolve_faults(plan.to_dict()) == plan
+        assert resolve_faults(write(plan)) == plan
         path = tmp_path / "p.json"
-        path.write_text(json.dumps(plan.to_dict()))
+        path.write_text(json.dumps(write(plan)))
         assert resolve_faults(str(path)) == plan
         with pytest.raises(FaultPlanError):
             resolve_faults(3.14)
@@ -425,7 +426,7 @@ class TestRuntimeIntegration:
         _, report = run_spmd(2, fn, faults=plan)
         assert report.faults is not None
         assert report.faults["n_injected"] == 1
-        assert report.faults["plan"] == plan.to_dict()
+        assert report.faults["plan"] == write(plan)
 
     def test_clean_run_has_no_fault_report(self):
         def fn(comm):

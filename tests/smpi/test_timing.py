@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.documents import write
 from repro.models.machines import (
     DAINT_XC50,
     IDEAL,
@@ -297,7 +298,7 @@ class TestMachines:
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "m.json"
         for preset in list_machines():
-            path.write_text(json.dumps(preset.to_dict()))
+            path.write_text(json.dumps(write(preset)))
             assert load_machine(path) == dataclasses.replace(preset)
 
     @pytest.mark.parametrize(
@@ -309,7 +310,7 @@ class TestMachines:
 
     def test_json_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        spec = DAINT_XC50.to_dict()
+        spec = write(DAINT_XC50)
         spec["latency"] = 1.0
         path.write_text(json.dumps(spec))
         with pytest.raises(ValueError, match="unknown"):
@@ -320,7 +321,7 @@ class TestMachines:
         assert resolve_machine(DAINT_XC50) is DAINT_XC50
         assert resolve_machine("summit").name == "Summit"
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(DAINT_XC50.to_dict()))
+        path.write_text(json.dumps(write(DAINT_XC50)))
         assert resolve_machine(str(path)) == DAINT_XC50
 
     def test_negative_alpha_rejected(self):

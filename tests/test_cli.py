@@ -152,6 +152,17 @@ class TestFactorCommand:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("flag", ["--machine", "--faults"])
+    def test_truncated_document_names_its_file(self, capsys, tmp_path, flag):
+        path = tmp_path / "doc.json"
+        path.write_text('{"name": ')
+        with pytest.raises(SystemExit) as exc:
+            main(["factor", "--n", "16", "--p", "4", flag, str(path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: Expecting value"
+        )
+
     def test_wrong_factors_are_not_a_usage_error(self, monkeypatch):
         import repro.algorithms
         from repro.algorithms import FactorVerificationError

@@ -1,11 +1,12 @@
-"""Every outside document is read by one reader whose rules come from
-the dataclass it builds.
+"""Every outside document is read by one reader and written by one
+writer whose rules come from the dataclass.
 
 The cases below are generated from ``dataclasses.fields`` of each
 document class, so a field added later is covered without editing a
 table: for every field, a ``bool`` and a value of the wrong JSON type
 are rejected with the field's name, ``null`` is accepted exactly where
 the default is ``None``, and a required field cannot be left out.
+Every written document reads back as the object it was written from.
 """
 
 from __future__ import annotations
@@ -16,9 +17,14 @@ import typing
 
 import pytest
 
-from repro.faults import FaultPlan, FaultRule
-from repro.models.machines import Machine, load_machine
+from repro.documents import read, write
+from repro.faults import (
+    ACTIONS, FaultPlan, FaultRule, canned_plan, resolve_faults,
+)
+from repro.models.machines import MACHINES, Machine, load_machine
+from repro.service.config import ServiceConfig
 from repro.service.jobs import FactorRequest
+from repro.service.workload import WorkloadSpec
 
 
 def _read_machine(doc, tmp_path):
@@ -36,6 +42,9 @@ READERS = {
         _read_machine,
     ),
     FactorRequest: ({}, lambda doc, _: FactorRequest.from_dict(doc)),
+    # the CLI reads its serve / loadgen flags as these documents
+    ServiceConfig: ({}, lambda doc, _: read(ServiceConfig, doc, "service")),
+    WorkloadSpec: ({}, lambda doc, _: read(WorkloadSpec, doc, "workload")),
 }
 
 CASES = [
@@ -107,3 +116,53 @@ def test_machine_errors_name_the_file(tmp_path):
             {"name": "m", "total_ranks": 0, "memory_per_rank_bytes": 8},
             tmp_path,
         )
+
+
+#: a rule with every field off its default
+FULL_RULE = FaultRule(
+    action="delay", rank=1, peer=2, tag=3, phase="step/*", step=4,
+    probability=0.5, delay_s=1e-3, after=2, max_fires=5,
+)
+
+
+#: class -> objects whose documents must read back as themselves
+WRITTEN = {
+    FaultRule: [FaultRule(action="drop"), FULL_RULE],
+    FaultPlan: [
+        FaultPlan(),
+        FaultPlan(rules=(FULL_RULE,) * 2, seed=9, name="two"),
+        *(canned_plan(action, seed=3) for action in ACTIONS),
+    ],
+    Machine: list(MACHINES.values()),
+    ServiceConfig: [
+        ServiceConfig(),
+        ServiceConfig(workers=3, queue_depth=1, request_timeout_s=0.5),
+    ],
+    WorkloadSpec: [
+        WorkloadSpec(),
+        WorkloadSpec(mode="open", requests=7, rate_rps=5, sizes=(24,)),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        pytest.param(obj, id=f"{cls.__name__}-{i}")
+        for cls, objs in WRITTEN.items()
+        for i, obj in enumerate(objs)
+    ],
+)
+def test_a_written_document_reads_back_as_its_object(obj):
+    doc = json.loads(json.dumps(write(obj)))
+    assert sorted(doc) == sorted(f.name for f in dataclasses.fields(obj))
+    assert read(type(obj), doc, "document") == obj
+
+
+@pytest.mark.parametrize("loader", [load_machine, resolve_faults])
+def test_a_truncated_file_is_an_error_naming_it(tmp_path, loader):
+    path = tmp_path / "doc.json"
+    path.write_text('{"seed": ')
+    with pytest.raises(ValueError) as ei:
+        loader(path)
+    assert str(ei.value).startswith(f"{path}: Expecting value")
