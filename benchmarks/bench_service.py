@@ -48,31 +48,26 @@ _LATENCY_FIELDS = ("p50", "p95", "p99", "mean", "max")
 def _default_spec(requests: int = 60):
     from repro.service import WorkloadSpec
 
-    return WorkloadSpec(
-        mode="closed",
-        requests=requests,
-        clients=4,
-        seed=0,
-        zipf_s=1.2,
-        sizes=(24, 32, 48),
-        seed_pool=6,
-        impl="conflux",
-        p=4,
-    )
+    return WorkloadSpec(requests=requests, sizes=(24, 32, 48), seed_pool=6)
+
+
+def _config(workers: int = 2):
+    from repro.service import ServiceConfig
+
+    return ServiceConfig(workers=workers)
 
 
 def service_runs(requests: int = 60, workers: int = 2) -> list[dict]:
     """The closed-loop workload, on a fresh scratch cache so hit
     counts are reproducible run to run."""
     from repro.harness.cache import SweepCache
-    from repro.service import ServiceConfig, run_workload
+    from repro.service import run_workload
 
-    config = ServiceConfig(workers=workers, queue_depth=16)
     with tempfile.TemporaryDirectory(
         prefix="repro-bench-service-"
     ) as tmp:
         report = run_workload(
-            config, _default_spec(requests), cache=SweepCache(tmp)
+            _config(workers), _default_spec(requests), cache=SweepCache(tmp)
         )
     metrics = report.metrics
     return [
@@ -96,11 +91,10 @@ def build_artifact(
     """The BENCH_service.json document for the run."""
     from repro.documents import write
 
-    spec = _default_spec(requests)
     return {
         "schema_version": SCHEMA_VERSION,
-        "workload": write(spec),
-        "service": {"workers": workers, "queue_depth": 16},
+        "workload": write(_default_spec(requests)),
+        "service": write(_config(workers)),
         "runs": runs,
     }
 

@@ -9,9 +9,9 @@ required.  ``null`` is accepted exactly where a field's default is
 integer, ``float`` an integer or a float, ``str`` a string and
 ``tuple[...]`` an array, read as a tuple whose items are read by
 ``D.from_dict`` when the annotation is ``tuple[D, ...]`` for a
-dataclass ``D``.  A ``bool`` is never a number.  Range and finiteness
-checks stay in each class's ``__post_init__``, because in-Python
-construction needs them too.
+dataclass ``D`` and checked like a field otherwise.  A ``bool`` is
+never a number.  Range and finiteness checks stay in each class's
+``__post_init__``, because in-Python construction needs them too.
 
 :func:`write` is its inverse, ``read(type(x), write(x), kind) == x``,
 and :func:`load` reads a document from a file.
@@ -59,20 +59,28 @@ def read(
         if typing.get_origin(hint) in (typing.Union, types.UnionType):
             (hint,) = set(typing.get_args(hint)) - {type(None)}
         if value is not None or fields[name].default is not None:
-            wanted = _JSON_TYPES[typing.get_origin(hint) or hint]
-            if isinstance(value, bool) or not isinstance(value, wanted):
-                raise error(
-                    f"{kind} field {name!r} must be "
-                    f"{' or '.join(t.__name__ for t in wanted)}, "
-                    f"got {value!r}"
-                )
+            what = f"{kind} field {name!r}"
+            _check(value, typing.get_origin(hint) or hint, what, error)
             item = typing.get_args(hint)[:1]
             if item and dataclasses.is_dataclass(item[0]):
                 value = tuple(item[0].from_dict(v) for v in value)
             elif item:
+                for v in value:
+                    _check(v, item[0], f"{what} items", error)
                 value = tuple(value)
         values[name] = value
     return cls(**values)
+
+
+def _check(
+    value: Any, typ: type, what: str, error: type[Exception]
+) -> None:
+    wanted = _JSON_TYPES[typ]
+    if isinstance(value, bool) or not isinstance(value, wanted):
+        raise error(
+            f"{what} must be {' or '.join(t.__name__ for t in wanted)}, "
+            f"got {value!r}"
+        )
 
 
 def load(

@@ -261,11 +261,11 @@ def chaos_task(
 
     * ``detected`` — the run raised (rank crash surfaced as
       :class:`RankFailure`, a dropped message surfaced as
-      :class:`DeadlockError`, corruption caught by the assembler's
-      own verification, ...);
+      :class:`DeadlockError`, a duplicate nobody received as
+      :class:`UndeliveredMessages`, corruption caught by the
+      assembler's own verification, ...);
     * ``recovered`` — the run completed and the true residual is
-      within :data:`CHAOS_RESIDUAL_TOL` (delays and duplicates are
-      absorbed);
+      within :data:`CHAOS_RESIDUAL_TOL` (delays are absorbed);
     * ``silent-corruption`` — the run completed but the factors are
       wrong (a bit flip slipped past structural checks).
 

@@ -18,10 +18,9 @@ class ServiceConfig:
     Attributes
     ----------
     workers:
-        Worker coroutines pulling from the one FIFO queue; also the
-        size of the thread pool they run jobs on (cheap startup, fine
-        for the simulated runtime, which releases the GIL in numpy
-        kernels).
+        Threads of the pool that runs admitted jobs in arrival order
+        (cheap startup, fine for the simulated runtime, which releases
+        the GIL in numpy kernels).
     queue_depth:
         Admission bound: jobs admitted but not yet running.  A submit
         arriving when the queue already holds this many jobs is

@@ -11,7 +11,6 @@ hit for the service and vice versa.
 
 from __future__ import annotations
 
-import asyncio
 import math
 from dataclasses import dataclass
 
@@ -84,12 +83,6 @@ class FactorRequest:
     def cache_key(self) -> str:
         return self.point().cache_key()
 
-    def shape_key(self) -> tuple:
-        """Everything but the seed: requests sharing a shape key solve
-        same-shape problems (the service-time EMA behind
-        ``retry_after_s`` is keyed on it)."""
-        return (self.impl, self.n, self.p, self.v, self.nb, self.machine)
-
     @classmethod
     def from_dict(cls, doc: dict) -> FactorRequest:
         """Read a request document with :func:`repro.documents.read`:
@@ -97,15 +90,6 @@ class FactorRequest:
         ``ValueError`` (a typo'd field silently ignored, or ``32.7``
         truncated to 32, would compute the wrong problem)."""
         return read(cls, doc, "request")
-
-
-@dataclass
-class Job:
-    """Internal envelope of one admitted request inside the service."""
-
-    request: FactorRequest
-    key: str
-    future: asyncio.Future
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,10 @@ class ServiceMetrics:
         self.coalesced_hits = 0
         self.computed = 0
         self.latencies_s: list[float] = []
-        self.queue_depth_samples: list[int] = []
+        #: queue depth seen by each request, kept as running totals.
+        self.depth_samples = 0
+        self.depth_sum = 0
+        self.depth_max = 0
 
     def record(self, response: ServiceResponse) -> None:
         self.requests += 1
@@ -76,7 +79,9 @@ class ServiceMetrics:
             raise ValueError(f"unknown response status {response.status!r}")
 
     def sample_queue_depth(self, depth: int) -> None:
-        self.queue_depth_samples.append(int(depth))
+        self.depth_samples += 1
+        self.depth_sum += depth
+        self.depth_max = max(self.depth_max, depth)
 
     def snapshot(self, wall_s: float | None = None) -> dict:
         """Reduce to the shared metrics document.
@@ -86,7 +91,6 @@ class ServiceMetrics:
         wall-clock behaviour.
         """
         served_without_compute = self.cache_hits + self.coalesced_hits
-        depth_samples = self.queue_depth_samples
         latencies_ms = [s * 1e3 for s in self.latencies_s]
         return {
             "counts": {
@@ -118,9 +122,9 @@ class ServiceMetrics:
                 self.completed / wall_s if wall_s else 0.0
             ),
             "wall_s": wall_s if wall_s is not None else 0.0,
-            "max_queue_depth": max(depth_samples, default=0),
+            "max_queue_depth": self.depth_max,
             "mean_queue_depth": (
-                sum(depth_samples) / len(depth_samples)
-                if depth_samples else 0.0
+                self.depth_sum / self.depth_samples
+                if self.depth_samples else 0.0
             ),
         }

@@ -7,17 +7,17 @@ with a bounded job queue.  A submitted request flows::
        │
        ├─ identical request in flight? ── join its future (coalesce)
        │
-       ├─ queue.qsize() >= queue_depth? ── reject + retry_after_s
+       ├─ depth >= queue_depth? ── reject + retry_after_s
        │
-       └─ admit ▶ FIFO queue ▶ idle worker ▶ executor ▶ respond
-                                   │
-                                   ├─ ok: cache.put (guarded: a cache
-                                   │  write failure never kills a
-                                   │  response)
-                                   └─ raised: ``error``, reported once
+       └─ admit ▶ executor: FIFO, ``workers`` threads ▶ respond
+                        │
+                        ├─ ok: cache.put (guarded: a cache write
+                        │  failure never kills a response)
+                        └─ raised: ``error``, reported once
 
-Workers are asyncio tasks that pull jobs from the one shared queue and
-run each once on a thread pool — the event loop stays free for
+The thread pool's own FIFO is the one queue: it runs ``workers`` jobs
+at a time in arrival order, so the depth admission control bounds is
+the admitted jobs beyond those, and the event loop stays free for
 admission and the TCP front-end while factorizations run.
 
 The result cache is the harness's content-addressed
@@ -44,7 +44,6 @@ from repro.service.jobs import (
     STATUS_REJECTED,
     STATUS_TIMEOUT,
     FactorRequest,
-    Job,
     ServiceResponse,
 )
 from repro.service.metrics import ServiceMetrics
@@ -52,21 +51,14 @@ from repro.service.worker import run_factor_job
 
 #: Longest request line the TCP front-end reads (asyncio's default).
 MAX_LINE_BYTES = 2**16
-#: Sentinel a worker pulls from the queue when the service is stopping.
-_SHUTDOWN = None
 #: Fallback estimate of one job's service time before any completes.
 _INITIAL_SERVICE_ESTIMATE_S = 0.05
 #: EMA smoothing for the per-job service-time estimate.
 _EMA_ALPHA = 0.2
-#: Bound on the per-shape EMA table: a long-running service seeing a
-#: stream of distinct shapes evicts the least-recently-updated entry
-#: (which then falls back to the global EMA) instead of growing
-#: without limit.
-_EMA_SHAPE_CAP = 512
 
 
 class FactorService:
-    """Asyncio job queue in front of ``factor()``.
+    """Asyncio admission in front of ``factor()`` on a thread pool.
 
     ``job_runner`` defaults to the real executor function; tests
     inject a stub to control service times without monkeypatching.
@@ -82,54 +74,38 @@ class FactorService:
         self.cache = cache
         self.metrics = ServiceMetrics()
         self._job_runner = job_runner or run_factor_job
-        #: jobs that reached a worker — the cache-hit contract ("a
+        #: jobs handed to the executor — the cache-hit contract ("a
         #: repeat matrix never reaches a worker") is asserted against
         #: this.
         self.worker_executions = 0
         self.cache_write_failures = 0
+        #: one service-time EMA for every job: a rejected request
+        #: waits for the whole backlog ahead of it, whatever its size.
         self._ema_service_s = _INITIAL_SERVICE_ESTIMATE_S
-        #: shape_key -> per-job service-time EMA; the global EMA above
-        #: is only the cold-start fallback, so ``retry_after_s`` hints
-        #: stay honest under mixed problem sizes.  LRU-bounded at
-        #: ``_EMA_SHAPE_CAP`` entries (dict insertion order tracks
-        #: recency: updates reinsert their key).
-        self._ema_by_shape: dict[tuple, float] = {}
-        self._inflight: dict[str, asyncio.Future] = {}
-        self._workers: list[asyncio.Task] = []
-        #: admitted jobs not yet pulled by a worker, in arrival order;
-        #: ``qsize()`` is the depth admission control bounds.
-        self._queue: asyncio.Queue = asyncio.Queue()
-        self._executor = None
-        self._started = False
+        #: cache key -> the task of every admitted, unfinished job.
+        self._inflight: dict[str, asyncio.Task] = {}
+        self._executor: ThreadPoolExecutor | None = None
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        if self._started:
+        if self._executor is not None:
             raise RuntimeError("service already started")
-        loop = asyncio.get_running_loop()
-        # A queue binds to the loop it first waits on: one per start.
-        self._queue = asyncio.Queue()
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.workers,
             thread_name_prefix="repro-service",
         )
-        self._workers = [
-            loop.create_task(self._worker_loop())
-            for _ in range(self.config.workers)
-        ]
-        self._started = True
 
     async def stop(self) -> None:
-        if not self._started:
+        """Let every admitted job complete, then release the threads."""
+        if self._executor is None:
             return
-        for _ in self._workers:
-            self._queue.put_nowait(_SHUTDOWN)
-        await asyncio.gather(*self._workers)
+        while self._inflight:
+            await asyncio.gather(*self._inflight.values())
         self._executor.shutdown(wait=True)
-        self._started = False
+        self._executor = None
 
     async def __aenter__(self) -> FactorService:
         await self.start()
@@ -142,14 +118,19 @@ class FactorService:
     # submission path
     # ------------------------------------------------------------------
 
+    def _depth(self) -> int:
+        """Admitted jobs waiting behind the ``workers`` that run."""
+        return max(0, len(self._inflight) - self.config.workers)
+
     async def submit(self, request: FactorRequest) -> ServiceResponse:
         """Serve one request; never raises — failures come back as
         ``error`` / ``rejected`` / ``timeout`` responses."""
-        if not self._started:
+        if self._executor is None:
             raise RuntimeError("service not started (use 'async with')")
         t0 = time.perf_counter()
         key = request.cache_key()
-        self.metrics.sample_queue_depth(self._queue.qsize())
+        depth = self._depth()
+        self.metrics.sample_queue_depth(depth)
 
         # 1. content-addressed cache: repeat matrices are O(1) hits
         #    that never touch the queue or a worker.
@@ -174,7 +155,6 @@ class FactorService:
             )
 
         # 3. admission control: bounded queue, explicit rejection.
-        depth = self._queue.qsize()
         if depth >= self.config.queue_depth:
             response = ServiceResponse(
                 request=request,
@@ -184,20 +164,18 @@ class FactorService:
                     f"{self.config.queue_depth})"
                 ),
                 latency_s=time.perf_counter() - t0,
-                retry_after_s=self.retry_after_s(
-                    depth, shape=request.shape_key()
-                ),
+                retry_after_s=self.retry_after_s(depth),
             )
             self.metrics.record(response)
             return response
 
-        # 4. admit: idle workers pull in arrival order.
-        future = asyncio.get_running_loop().create_future()
-        self._inflight[key] = future
-        job = Job(request=request, key=key, future=future)
-        self._queue.put_nowait(job)
+        # 4. admit: the executor runs jobs in arrival order.
+        task = asyncio.get_running_loop().create_task(
+            self._run(request, key)
+        )
+        self._inflight[key] = task
         return await self._await_outcome(
-            request, future, t0, coalesced=False
+            request, task, t0, coalesced=False
         )
 
     async def _await_outcome(
@@ -207,9 +185,9 @@ class FactorService:
         t0: float,
         coalesced: bool,
     ) -> ServiceResponse:
-        # Outcomes travel as (status, payload) tuples — set_result
-        # only — so abandoned waiters never leave an "exception was
-        # never retrieved" warning behind.
+        # Outcomes travel as (status, payload) tuples — a job's task
+        # returns, never raises — so abandoned waiters never leave an
+        # "exception was never retrieved" warning behind.
         wait_s = self.config.request_timeout_s
         if request.deadline_s is not None:
             wait_s = min(wait_s, request.deadline_s)
@@ -250,76 +228,51 @@ class FactorService:
         self.metrics.record(response)
         return response
 
-    def retry_after_s(
-        self, depth: int | None = None, shape: tuple | None = None
-    ) -> float:
-        """Backoff hint: expected time to drain the current queue.
+    def retry_after_s(self, depth: int) -> float:
+        """Backoff hint: expected time to drain ``depth`` queued jobs.
 
-        Keyed per ``shape_key`` when one is given — a rejected 24x24
-        request is not told to wait as long as a 512x512 backlog would
-        suggest; the global EMA is only the cold-start fallback.
+        Priced at the one service-time EMA, not at the rejected
+        request's own size: in a FIFO it waits for the jobs ahead of
+        it, so a small request behind big ones must not retry early.
         """
-        if depth is None:
-            depth = self._queue.qsize()
-        estimate = self._ema_service_s
-        if shape is not None:
-            estimate = self._ema_by_shape.get(shape, estimate)
-        per_worker = max(1, self.config.workers)
-        return max(0.01, (depth + 1) * estimate / per_worker)
+        return max(
+            0.01, (depth + 1) * self._ema_service_s / self.config.workers
+        )
 
     # ------------------------------------------------------------------
-    # worker side
+    # executor side
     # ------------------------------------------------------------------
 
-    async def _worker_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            job = await self._queue.get()
-            if job is _SHUTDOWN:
-                return
-            self.worker_executions += 1
-            shape = job.request.shape_key()
-            start = time.perf_counter()
-            try:
-                row = await loop.run_in_executor(
-                    self._executor, self._job_runner, job.request.params()
-                )
-            except Exception as exc:
-                self._resolve(
-                    job, STATUS_ERROR, f"{type(exc).__name__}: {exc}"
-                )
-                continue
-            elapsed = time.perf_counter() - start
-            self._ema_service_s = (
-                (1 - _EMA_ALPHA) * self._ema_service_s
-                + _EMA_ALPHA * elapsed
+    async def _run(self, request: FactorRequest, key: str) -> tuple:
+        """One admitted job: its ``(status, payload)`` outcome."""
+        self.worker_executions += 1
+        params = request.params()
+        try:
+            row, elapsed = await asyncio.get_running_loop().run_in_executor(
+                self._executor, self._timed_job, params
             )
-            prior = self._ema_by_shape.pop(shape, elapsed)
-            self._ema_by_shape[shape] = (
-                (1 - _EMA_ALPHA) * prior + _EMA_ALPHA * elapsed
-            )
-            while len(self._ema_by_shape) > _EMA_SHAPE_CAP:
-                self._ema_by_shape.pop(next(iter(self._ema_by_shape)))
-            self._cache_put(job, row, elapsed)
-            self._resolve(job, STATUS_OK, row)
-
-    def _cache_put(self, job: Job, row: dict, elapsed_s: float) -> None:
+        except Exception as exc:
+            return STATUS_ERROR, f"{type(exc).__name__}: {exc}"
+        finally:
+            self._inflight.pop(key, None)
+        self._ema_service_s = (
+            (1 - _EMA_ALPHA) * self._ema_service_s + _EMA_ALPHA * elapsed
+        )
         # Guarded exactly like the sweep engine's finish(): a cache
         # write failure (unserialisable payload, disk full) costs the
         # entry, never the response.
-        if self.cache is None:
-            return
-        try:
-            self.cache.put(
-                job.key, SERVICE_TASK, job.request.params(), row, elapsed_s
-            )
-        except Exception:
-            self.cache_write_failures += 1
+        if self.cache is not None:
+            try:
+                self.cache.put(key, SERVICE_TASK, params, row, elapsed)
+            except Exception:
+                self.cache_write_failures += 1
+        return STATUS_OK, row
 
-    def _resolve(self, job: Job, status: str, payload) -> None:
-        self._inflight.pop(job.key, None)
-        if not job.future.done():
-            job.future.set_result((status, payload))
+    def _timed_job(self, params: dict) -> tuple[dict, float]:
+        # Timed on its own thread: the estimate is of service time,
+        # not of the wait in the executor's queue.
+        start = time.perf_counter()
+        return self._job_runner(params), time.perf_counter() - start
 
     # ------------------------------------------------------------------
     # observability
@@ -329,7 +282,7 @@ class FactorService:
         doc = self.metrics.snapshot(wall_s)
         doc["worker_executions"] = self.worker_executions
         doc["cache_write_failures"] = self.cache_write_failures
-        doc["queue_depth"] = self._queue.qsize()
+        doc["queue_depth"] = self._depth()
         return doc
 
 

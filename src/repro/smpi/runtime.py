@@ -76,6 +76,11 @@ class DeadlockError(SmpiError):
     the run outlived its wall budget."""
 
 
+class UndeliveredMessages(SmpiError):
+    """Every rank returned, but a mailbox still holds a message that
+    no receive will ever take; the text carries the census."""
+
+
 class RankFailure(SmpiError):
     """One or more ranks raised; carries the first underlying error."""
 
@@ -756,7 +761,8 @@ def run_spmd(
     every failure, sorted by rank, is raised after all ranks have
     stopped.  A lost message needs no timeout to surface: the blocked
     ranks raise :class:`DeadlockError` with a census as soon as no rank
-    can run (see :class:`_Scheduler`).
+    can run (see :class:`_Scheduler`).  A run that ends with a message
+    nobody received raises :class:`UndeliveredMessages`.
 
     ``timeout`` is the run's wall budget in seconds: ``> 0``, or
     ``inf`` for none (``ValueError`` otherwise, NaN included).  It
@@ -839,6 +845,11 @@ def run_spmd(
     if failures:
         failures.sort(key=lambda f: f[0])
         raise RankFailure(failures)
+    if any(sched.mail):
+        raise UndeliveredMessages(
+            "run ended with undelivered messages\n"
+            + "\n".join(sched._mailbox_census())
+        )
     report = sched.ledger.snapshot()
     if trace is not None or injector is not None:
         import dataclasses

@@ -28,6 +28,7 @@ import pytest
 
 from repro.algorithms.schedule25d import Schedule25D
 from repro.smpi import run_spmd
+from repro.smpi.runtime import UndeliveredMessages
 from tests.algorithms.ledger_pins import PINNED_POINTS
 
 
@@ -439,7 +440,7 @@ class _ShortTap(_Tap):
         return vals[:1] if self.axis == 0 else vals[:, :1]
 
 
-def _drive_short_piece(comm, plan):
+def _drive_short_piece(comm, plan, seen):
     n, g, c, v = 32, 2, 1, 4
     sched = Schedule25D(comm, n, g, c, v)
     sched.init_cyclic_layout()
@@ -477,14 +478,22 @@ def _drive_short_piece(comm, plan):
             )
     except RuntimeError as exc:
         error = str(exc)
-    return error, set(vars(sched)) == keys
+    seen[comm.rank] = error, set(vars(sched)) == keys
 
 
 @pytest.mark.parametrize(
     "plan", ["rows", "cols", "scatter_rows", "scatter_pivot_cols"]
 )
 def test_a_piece_of_the_wrong_shape_raises(plan):
-    results, _ = run_spmd(4, _drive_short_piece, plan)
+    seen: dict = {}
+    if plan in ("cols", "scatter_pivot_cols"):
+        # Rank 0 stops receiving at the bad piece, so the pieces its
+        # peers sent after it are never taken, and the run says so.
+        with pytest.raises(UndeliveredMessages, match="rank 0: "):
+            run_spmd(4, _drive_short_piece, plan, seen)
+    else:
+        run_spmd(4, _drive_short_piece, plan, seen)
+    results = [seen[rank] for rank in range(4)]
     error, keys_kept = results[0]
     assert error is not None and "does not match the plan" in error
     assert keys_kept, "a plan that raised mid-receive left state behind"

@@ -1,4 +1,4 @@
-"""Request identity: params, cache keys, shape keys."""
+"""Request identity: params, cache keys, request documents."""
 
 import pytest
 
@@ -38,19 +38,6 @@ class TestCacheKeyReuse:
         a = FactorRequest(n=64, seed=0).cache_key()
         b = FactorRequest(n=64, seed=1).cache_key()
         assert a != b
-
-
-class TestShapeKey:
-    def test_shape_key_ignores_seed(self):
-        a = FactorRequest(n=64, p=4, seed=0)
-        b = FactorRequest(n=64, p=4, seed=9)
-        assert a.shape_key() == b.shape_key()
-
-    def test_shape_key_varies_with_problem(self):
-        assert (
-            FactorRequest(n=64).shape_key()
-            != FactorRequest(n=96).shape_key()
-        )
 
 
 class TestFromDict:

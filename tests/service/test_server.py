@@ -1,11 +1,12 @@
-"""FactorService end-to-end: caching, coalescing, overload, TCP.
+"""FactorService end-to-end: one queue, caching, coalescing, TCP.
 
-These are the ISSUE's required behaviours: a repeat matrix never
-reaches a worker, overload produces explicit bounded-queue rejections,
-a failed job is reported once, callers can bound their own wait with
-``deadline_s``, the overload hint ``retry_after_s`` tracks a per-shape
-service-time EMA, and a fixed workload seed reproduces the same
-outcome counts.
+A repeat matrix never reaches a worker; admitted jobs run on the
+executor in arrival order and ``stop()`` lets every one of them
+complete; overload produces explicit bounded-queue rejections whose
+``retry_after_s`` prices the backlog ahead of the request, not the
+request itself; a failed job is reported once; callers can bound their
+own wait with ``deadline_s``; and a fixed workload seed reproduces the
+same outcome counts.
 """
 
 import asyncio
@@ -80,7 +81,7 @@ class TestLifecycle:
 
 
 class TestFifo:
-    """The one queue: arrival order in, one sentinel per worker out."""
+    """The one queue: arrival order in, every admitted job out."""
 
     def test_strict_arrival_order(self):
         ran = []
@@ -104,16 +105,32 @@ class TestFifo:
         run(go())
         assert ran == [0, 1, 2, 3, 4]
 
-    def test_shutdown_delivers_one_sentinel_per_worker(self):
+    def test_stop_completes_every_admitted_job(self):
+        ran = []
+
+        def recording(params):
+            time.sleep(0.02)
+            ran.append(params["seed"])
+            return {"params": dict(params)}
+
         async def go():
             service = FactorService(
-                ServiceConfig(workers=3), job_runner=fake_runner
+                ServiceConfig(workers=2), job_runner=recording
             )
             await service.start()
-            workers = list(service._workers)
-            assert len(workers) == 3
+            submits = [
+                asyncio.ensure_future(
+                    service.submit(FactorRequest(n=32, seed=s))
+                )
+                for s in range(5)
+            ]
+            await asyncio.sleep(0)  # every submit is admitted
+            assert service.metrics_snapshot()["queue_depth"] == 3
             await asyncio.wait_for(service.stop(), 5.0)
-            assert all(task.done() for task in workers)
+            # stop() returned only after every admitted job ran
+            assert sorted(ran) == [0, 1, 2, 3, 4]
+            responses = await asyncio.gather(*submits)
+            assert all(r.status == STATUS_OK for r in responses)
             assert service.metrics_snapshot()["queue_depth"] == 0
 
         run(go())
@@ -389,26 +406,42 @@ class TestDeadlines:
         run(go())
 
 
-class TestPerShapeRetryAfter:
-    def test_hint_tracks_the_shape_ema(self):
-        def slow(params):
-            time.sleep(0.05 if params["n"] == 64 else 0.001)
+class TestRetryAfter:
+    def test_hint_prices_the_queue_not_the_request(self):
+        slow_s = 0.05
+
+        def runner(params):
+            time.sleep(slow_s if params["n"] == 64 else 0.0)
             return {"params": dict(params)}
 
         async def go():
-            config = ServiceConfig(workers=1)
-            async with FactorService(
-                config, job_runner=slow
-            ) as service:
-                await service.submit(FactorRequest(n=64))
-                await service.submit(FactorRequest(n=16))
-                slow_shape = FactorRequest(n=64).shape_key()
-                fast_shape = FactorRequest(n=16).shape_key()
-                assert service.retry_after_s(
-                    1, shape=slow_shape
-                ) > service.retry_after_s(1, shape=fast_shape)
-                # unknown shapes fall back to the global EMA
-                assert service.retry_after_s(1) > 0
+            config = ServiceConfig(workers=1, queue_depth=2)
+            async with FactorService(config, job_runner=runner) as service:
+                # A fast job has run, so its own cost is known ...
+                await service.submit(FactorRequest(n=16, seed=0))
+                # ... then ten slow jobs, which leave the estimate
+                # within 0.8**10 < 0.15 of a slow job's cost, wherever
+                # it started ...
+                for seed in range(10):
+                    await service.submit(FactorRequest(n=64, seed=seed))
+                # ... and a slow backlog fills the queue.
+                backlog = [
+                    asyncio.ensure_future(
+                        service.submit(FactorRequest(n=64, seed=s))
+                    )
+                    for s in range(20, 23)
+                ]
+                await asyncio.sleep(0)
+                depth = service.metrics_snapshot()["queue_depth"]
+                assert depth == config.queue_depth
+                fast = await service.submit(FactorRequest(n=16, seed=1))
+                assert fast.status == STATUS_REJECTED
+                # the fast request waits for the slow jobs ahead of it
+                assert fast.retry_after_s >= 0.85 * (depth + 1) * slow_s
+                assert all(
+                    r.status == STATUS_OK
+                    for r in await asyncio.gather(*backlog)
+                )
 
         run(go())
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.smpi import DeadlockError, RankFailure, run_spmd
+from repro.smpi.runtime import UndeliveredMessages
 
 
 class TestTagMismatchDeadlock:
@@ -133,15 +134,18 @@ class TestLedgerSymmetry:
         _, report = run_spmd(8, fn)
         assert sum(report.sent_bytes) == sum(report.recv_bytes)
 
-    def test_undelivered_mail_counts_sent_never_received(self):
-        """Accounting is send-side (Score-P's metric): a message nobody
-        receives counts as sent, never as received — so sent >= recv
-        always, with equality exactly when every message is drained."""
+    def test_undelivered_mail_fails_the_run(self):
+        """Every receive names its channel, so a message still in a
+        mailbox once every rank has returned is one no receive will
+        ever take: the run raises with the census instead of handing
+        back a ledger whose sent exceeds its received."""
 
         def fn(comm):
             if comm.rank == 0:
                 comm.send(np.zeros(8), dest=1, tag=0)
 
-        _, report = run_spmd(2, fn)
-        assert sum(report.sent_bytes) == 64
-        assert sum(report.recv_bytes) == 0
+        with pytest.raises(
+            UndeliveredMessages,
+            match=r"rank 1: 1 undelivered: \(source=0, tag=0, context=0\)",
+        ):
+            run_spmd(2, fn)

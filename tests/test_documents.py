@@ -5,7 +5,9 @@ The cases below are generated from ``dataclasses.fields`` of each
 document class, so a field added later is covered without editing a
 table: for every field, a ``bool`` and a value of the wrong JSON type
 are rejected with the field's name, ``null`` is accepted exactly where
-the default is ``None``, and a required field cannot be left out.
+the default is ``None``, and a required field cannot be left out;
+the items of a ``tuple[T, ...]`` field of plain values are checked
+the same way.
 Every written document reads back as the object it was written from.
 """
 
@@ -75,6 +77,28 @@ def test_a_bool_or_a_value_of_the_wrong_type_is_rejected(
     for value in (True, _wrong_value(cls, field), {"x": 1}):
         with pytest.raises(ValueError, match=f"field '{field.name}'"):
             reader({**base, field.name: value}, tmp_path)
+
+
+def _plain_item(cls, field):
+    """``T`` of a ``tuple[T, ...]`` field whose items are plain JSON
+    values rather than documents of their own, else ``None``."""
+    hint = typing.get_type_hints(cls)[field.name]
+    if typing.get_origin(hint) is not tuple:
+        return None
+    item = typing.get_args(hint)[0]
+    return None if dataclasses.is_dataclass(item) else item
+
+
+ITEM_CASES = [case for case in CASES if _plain_item(*case.values)]
+
+
+@pytest.mark.parametrize("cls, field", ITEM_CASES)
+def test_an_item_of_the_wrong_type_is_rejected(cls, field, tmp_path):
+    base, reader = READERS[cls]
+    wrong = 7 if _plain_item(cls, field) is str else "7"
+    for item in (True, wrong, None, [1]):
+        with pytest.raises(ValueError, match=f"field '{field.name}' items"):
+            reader({**base, field.name: [item]}, tmp_path)
 
 
 @pytest.mark.parametrize("cls, field", CASES)
