@@ -290,7 +290,8 @@ class Schedule25D:
         Every payload not addressed to this rank leaves in one
         ``send_each`` under ``phase`` (``outgoing is None``: this rank
         sends nothing and enters no phase); the one addressed to itself
-        is handed over in its ``expected`` position without a message.
+        is handed over in its ``expected`` position without a message,
+        and its bytes are booked as the phase's self bytes.
         The receives run outside the phase through one lazy
         ``recv_each``, and each piece's shape is checked as it arrives,
         so a piece that disagrees with the plan raises instead of
@@ -307,6 +308,8 @@ class Schedule25D:
                     sends.append((payload, dest))
             with self.comm.phase(phase):
                 comm.send_each(sends, tag)
+                if mine is not None:
+                    comm.record_self(mine.nbytes)
         incoming = comm.recv_each(
             [src for src, _ in expected if src != me], tag
         )

@@ -473,6 +473,11 @@ class Comm:
         for data, dest in pieces:
             self.send(data, dest, tag)
 
+    def record_self(self, nbytes: int) -> None:
+        """Book ``nbytes`` this rank hands itself in its current phase,
+        where a plan keeps a piece instead of sending it."""
+        self._sched.ledger.record_self(self._world_rank, nbytes)
+
     def _check_dest(self, dest: int) -> None:
         if not 0 <= dest < len(self._group):
             raise ValueError(

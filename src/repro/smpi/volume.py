@@ -36,6 +36,9 @@ class VolumeReport:
         Nested phase scopes attribute *exclusively*: bytes sent inside
         ``with comm.phase("outer"): with comm.phase("inner")`` count
         under ``"outer/inner"`` only, never double under ``"outer"``.
+    phase_self_bytes:
+        Mapping ``phase name -> bytes`` ranks handed themselves without
+        a message; beside ``total_bytes``, never inside it.
     timing:
         Predicted-time report when the run was given a machine spec
         (``run_spmd(..., machine=...)``); ``None`` for volume-only runs.
@@ -53,6 +56,7 @@ class VolumeReport:
     messages: tuple[int, ...]
     phase_bytes: dict[str, int] = field(default_factory=dict)
     phase_messages: dict[str, int] = field(default_factory=dict)
+    phase_self_bytes: dict[str, int] = field(default_factory=dict)
     timing: "TimingReport | None" = None
     faults: dict | None = None
 
@@ -138,6 +142,14 @@ class VolumeLedger:
     def record_recv(self, rank: int, nbytes: int) -> None:
         self._recv[rank] += nbytes
 
+    def record_self(self, rank: int, nbytes: int) -> None:
+        """Book ``nbytes`` that ``rank`` handed itself in its current
+        phase scope: no message, so no wire counter moves."""
+        phase = self.current_phase(rank)
+        if phase is not None:
+            lane = self._self[rank]
+            lane[phase] = lane.get(phase, 0) + nbytes
+
     def snapshot(self) -> VolumeReport:
         phase_bytes: dict[str, int] = {}
         phase_msgs: dict[str, int] = {}
@@ -145,6 +157,10 @@ class VolumeLedger:
             for phase, (nbytes, msgs) in lane.items():
                 phase_bytes[phase] = phase_bytes.get(phase, 0) + nbytes
                 phase_msgs[phase] = phase_msgs.get(phase, 0) + msgs
+        phase_self: dict[str, int] = {}
+        for lane in self._self:
+            for phase, nbytes in lane.items():
+                phase_self[phase] = phase_self.get(phase, 0) + nbytes
         return VolumeReport(
             nranks=self.nranks,
             sent_bytes=tuple(self._sent),
@@ -152,6 +168,7 @@ class VolumeLedger:
             messages=tuple(self._msgs),
             phase_bytes=phase_bytes,
             phase_messages=phase_msgs,
+            phase_self_bytes=phase_self,
         )
 
     def reset(self) -> None:
@@ -163,3 +180,4 @@ class VolumeLedger:
         self._phases: list[dict[str, list[int]]] = [
             {} for _ in range(self.nranks)
         ]
+        self._self: list[dict[str, int]] = [{} for _ in range(self.nranks)]

@@ -518,6 +518,21 @@ class TestPhaseMessageCounts:
         ledger.reset()
         assert ledger.snapshot().phase_messages == {}
 
+    def test_self_bytes_sit_beside_the_wire(self):
+        def fn(comm):
+            with comm.phase("a"):
+                comm.record_self(24)
+                if comm.rank == 0:
+                    comm.send(np.zeros(2), dest=1)
+            comm.record_self(8)  # outside every phase: not attributed
+            if comm.rank == 1:
+                comm.recv(source=0)
+
+        _, report = run_spmd(2, fn)
+        assert report.phase_self_bytes == {"a": 48}
+        assert report.total_bytes == 16
+        assert report.phase_bytes == {"a": 16}
+
 
 def _fanin_program(comm):
     """Fan-in taken in reverse of the send order, then a split and a
