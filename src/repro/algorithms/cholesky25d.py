@@ -116,11 +116,13 @@ class _CholeskyRank(Rank25D):
         below_rows = np.arange(k1, self.n)
 
         # 4. scatter the below-diagonal panel rows to the 1D layout
-        my_l21_rows = sched.assign_1d(below_rows, self.grid_rank)
+        l21_owners = sched.owners(below_rows, "both")
+        my_l21_rows = sched.my_share(below_rows, l21_owners)
         c_rows = sched.scatter_rows(
             phase="scatter_l21",
             tag=sched.tag(_TAG_L21, t),
             row_pool=below_rows,
+            owners=l21_owners,
             holders=sched.rank_at[below_rows % g, q, lt],
             values=panel_true,
             value_rows=mine,
@@ -142,8 +144,8 @@ class _CholeskyRank(Rank25D):
             phase="panel_rows",
             tag=sched.tag(_TAG_ROWS, t),
             pool=below_rows,
+            owners=l21_owners,
             vals_1d=l21,
-            my_1d_rows=my_l21_rows,
             width=w,
             by="row",
         )
@@ -151,8 +153,8 @@ class _CholeskyRank(Rank25D):
             phase="panel_cols",
             tag=sched.tag(_TAG_COLS, t),
             pool=below_rows,
+            owners=l21_owners,
             vals_1d=l21,
-            my_1d_rows=my_l21_rows,
             width=w,
             by="col",
         )

@@ -21,13 +21,17 @@ Per step t (tile q = t mod G, layer l = t mod c, width w):
 2.  tournament         — TSLU over the G panel ranks (tree merge +
                          broadcast of candidate sets)
 3.  bcast_a00          — broadcast pivot ids + factored A00 to all P
-4.  scatter_a10        — panel rows not chosen as pivots -> 1D layout
+4.  scatter_a10        — non-pivot panel rows -> 1D, row r on grid row
+                         r mod G
 5.  reduce_pivot_rows  — fiber-reduce the v pivot rows' trailing values
-6.  scatter_a01        — reduced pivot rows -> 1D layout over columns
+6.  scatter_a01        — reduced pivot rows -> 1D over columns, column k
+                         on grid column (k div v) mod G
 7.  trsm A10           — local:  A10 <- C U00^{-1}
 8.  panel_a10          — each (i, j, l) fetches its rows x chunk_l piece
+                         from the owners on grid row i
 9.  trsm A01           — local:  A01 <- L00^{-1} C
 10. panel_a01          — each (i, j, l) fetches chunk_l x its-cols piece
+                         from the owners on grid column j
 11. schur update       — local:  A_l -= A10[:, chunk_l] A01[chunk_l, :]
 
 Pivot rows are never swapped — only their indices travel (row masking),
@@ -200,11 +204,13 @@ class _ConfluxRank(Rank25D):
         t, q, lt, w = ctx.t, ctx.q, ctx.lt, ctx.w
 
         # -- step 4: scatter A10 (non-pivot panel rows) to 1D layout ----
-        a10_rows = sched.assign_1d(row_pool, self.grid_rank)
+        a10_owners = sched.owners(row_pool, "row")
+        a10_rows = sched.my_share(row_pool, a10_owners)
         c_rows = sched.scatter_rows(
             phase="scatter_a10",
             tag=sched.tag(_TAG_A10_SCATTER, t),
             row_pool=row_pool,
+            owners=a10_owners,
             holders=sched.rank_at[holder_rows % g, q, lt],
             values=panel_true,
             value_rows=value_rows,
@@ -233,7 +239,8 @@ class _ConfluxRank(Rank25D):
 
         # -- step 6: scatter A01 to a 1D layout over trailing columns ---
         all_trailing = np.arange((t + 1) * v, n)
-        a01_cols = sched.assign_1d(all_trailing, self.grid_rank)
+        a01_owners = sched.owners(all_trailing, "col")
+        a01_cols = sched.my_share(all_trailing, a01_owners)
         assembled_a01 = sched.scatter_pivot_cols(
             t,
             phase="scatter_a01",
@@ -242,7 +249,7 @@ class _ConfluxRank(Rank25D):
             pivot_true=pivot_true,
             my_pivot_rows=my_pivot_rows,
             my_trail_cols=trail_cols,
-            my_assigned_cols=a01_cols,
+            owners=a01_owners,
         )
         # -- step 9: local trsm A01 <- L00^{-1} C ------------------------
         if len(a01_cols):
@@ -256,8 +263,8 @@ class _ConfluxRank(Rank25D):
             phase="panel_a10",
             tag=sched.tag(_TAG_A10_PANEL, t),
             pool=row_pool,
+            owners=a10_owners,
             vals_1d=a10_vals,
-            my_1d_rows=a10_rows,
             width=w,
             by="row",
         )
@@ -265,8 +272,8 @@ class _ConfluxRank(Rank25D):
             phase="panel_a01",
             tag=sched.tag(_TAG_A01_PANEL, t),
             pool=all_trailing,
+            owners=a01_owners,
             vals_1d=a01_vals,
-            my_1d_cols=a01_cols,
             width=w,
         )
 

@@ -24,19 +24,18 @@ trees) as :class:`Rank25D` panel/trailing hooks.
 * the **data layouts** — cyclic rows with v-wide column tiles (the
   COnfLUX/Cholesky layout) or block-cyclic rows and columns (the QR
   layout: CAQR's panes on every layer, COnfQR's compute layer);
-* the **deterministic 1D assignments** every rank computes identically
-  (no index metadata ever travels — senders and receivers derive the
-  same packing, matching the paper's data-bytes accounting);
+* the **1D owner map**, each id owned by a rank that fetches it back,
+  derived identically everywhere from the ids alone (no index metadata
+  ever travels, matching the paper's data-bytes accounting);
 * the communication plans: fiber reductions to the coordinating layer,
   2.5D -> 1D scatters of panel rows / pivot-row column slices, the
   1D -> 2.5D panel fetches feeding the layer-chunked updates, and the
   TSQR tree — R factors merged up a binary tree over the grid rows,
   then the same tree replayed forwards for Q^T or backwards for Q.
 
-The port of the rank programs onto this module is wire-identical to
-the pre-port implementations — ``tests/algorithms/
-test_ledger_regression.py`` pins per-rank bytes, message counts,
-phases and tags.
+``tests/algorithms/test_ledger_regression.py`` pins the wire of every
+member at fixed points: per-rank bytes, message counts, phases and
+tags.
 """
 
 from __future__ import annotations
@@ -165,14 +164,30 @@ class Schedule25D:
         return edges[self.layer], edges[self.layer + 1]
 
     # ------------------------------------------------------------------
-    # deterministic 1D assignments (every rank computes them identically)
+    # 1D owners: an owner's own layer chunk never becomes a message
     # ------------------------------------------------------------------
-    def assign_1d(self, items: np.ndarray, d: int) -> np.ndarray:
-        """Items assigned to active-grid rank ``d``: cyclic striding."""
-        return items[d :: self.p_active]
+    def owners(self, ids: np.ndarray, by: str) -> np.ndarray:
+        """Active-grid rank owning each of ``ids`` in the 1D layout: one
+        of the ranks needing the id in the 2.5D layout, on grid row
+        ``r % G`` (``by == "row"``), grid column ``(r // v) % G``
+        (``"col"``) or both (``"both"``: rows fetched both ways).  Ids
+        are dealt cyclically over those ranks, in rank order, by their
+        position among the ids the same ranks need."""
+        g, c, v = self.g, self.c, self.v
+        if by == "row":  # r is the (r // G)-th id of grid row r % G
+            return (ids % g) * (g * c) + (ids // g) % (g * c)
+        rounds, o = ids // (v * g), ids % v  # whole tile rounds before r
+        if by == "col":
+            k = (rounds * v + o) % (g * c)
+            return self.rank_at[k // c, (ids // v) % g, k % c]
+        if by == "both":  # a tile holds ceil((v - o % G) / G) of them
+            k = rounds * ((v - o % g + g - 1) // g) + o // g
+            return self.rank_at[ids % g, (ids // v) % g, k % c]
+        raise ValueError(f"unknown owner coordinate {by!r}")
 
-    def owner_1d(self, position: int) -> int:
-        return position % self.p_active
+    def my_share(self, ids: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        """The ``ids`` this rank owns, in their order."""
+        return ids[owners == self.grid_rank]
 
     # ------------------------------------------------------------------
     # data layouts
@@ -291,11 +306,11 @@ class Schedule25D:
         ``send_each`` under ``phase`` (``outgoing is None``: this rank
         sends nothing and enters no phase); the one addressed to itself
         is handed over in its ``expected`` position without a message,
-        and its bytes are booked as the phase's self bytes.
-        The receives run outside the phase through one lazy
-        ``recv_each``, and each piece's shape is checked as it arrives,
-        so a piece that disagrees with the plan raises instead of
-        broadcasting, with every later message left in the mailbox.
+        booked as the phase's self bytes.  The receives run outside the
+        phase through one lazy ``recv_each``, and each piece's shape is
+        checked as it arrives, so a piece that disagrees with the plan
+        raises instead of broadcasting, with every later message left in
+        the mailbox.
         """
         me, comm = self.grid_rank, self.grid.grid_comm
         mine = None
@@ -332,21 +347,22 @@ class Schedule25D:
         phase: str,
         tag: int,
         row_pool: np.ndarray,
+        owners: np.ndarray,
         holders: np.ndarray,
         values: np.ndarray | None,
         value_rows: np.ndarray | None,
         w: int,
     ) -> np.ndarray:
-        """Holders of true panel rows send each 1D-assigned rank its
-        rows; returns this rank's ``assign_1d(row_pool)`` x ``w`` block.
+        """Holders of true panel rows send each 1D owner its rows;
+        returns this rank's ``my_share(row_pool, owners)`` x ``w`` block.
 
-        ``holders[k]`` is the grid rank holding the true values of
-        ``row_pool[k]``, and ``values`` the true values of
-        ``value_rows`` on a holder (None elsewhere).  Wire messages
-        carry *values only*: both sides derive the row ids from the
-        shared deterministic assignment (pool position -> 1D owner) and
-        the ``holders`` map, so no index metadata inflates the measured
-        volume — matching the paper's data-bytes accounting.
+        ``owners[k]`` and ``holders[k]`` are the grid ranks owning and
+        holding the true values of ``row_pool[k]``, and ``values`` the
+        true values of ``value_rows`` on a holder (None elsewhere).
+        Wire messages carry *values only*: both sides derive the row
+        ids from the shared ``owners`` and ``holders`` maps, so no index
+        metadata inflates the measured volume — matching the paper's
+        data-bytes accounting.
         """
         me = self.grid_rank
         # packing: one message per destination, rows in pool order
@@ -356,12 +372,12 @@ class Schedule25D:
             index_of[value_rows] = np.arange(len(value_rows))
             at = index_of[row_pool]  # row of ``values`` per pool row
             mine = np.flatnonzero((holders == me) & (at >= 0))
-            order, groups = _group_by(mine % self.p_active)
+            order, groups = _group_by(owners[mine])
             packed = values[at[mine[order]]]
             outgoing = [(packed[lo:hi], dest) for dest, lo, hi in groups]
         # placement: my assigned rows grouped by source holder in pool
         # order, the exact order each holder packed them in
-        order, groups = _group_by(self.assign_1d(holders, me))
+        order, groups = _group_by(holders[owners == me])
         got = self._exchange(
             phase, tag, outgoing,
             [(src, (hi - lo, w)) for src, lo, hi in groups], "row scatter",
@@ -380,11 +396,13 @@ class Schedule25D:
         pivot_true: np.ndarray | None,
         my_pivot_rows: np.ndarray,
         my_trail_cols: np.ndarray,
-        my_assigned_cols: np.ndarray,
+        owners: np.ndarray,
     ) -> np.ndarray:
         """Reduced pivot-row holders send column slices to the 1D-over-
-        columns layout; returns the assembled (w x assigned) block in
-        pivot order.
+        columns layout, where ``owners[k]`` — ``owners(cols, "col")``,
+        on the grid column of its tile — owns trailing column ``(t + 1)
+        v + k``; returns the assembled (w x my share) block in pivot
+        order.
 
         Canonical packing (derived, never transmitted): rows in pivot
         order restricted to the sender's grid row; columns in trailing-
@@ -399,37 +417,26 @@ class Schedule25D:
         if pivot_true is not None and len(my_pivot_rows):
             all_trailing = np.arange((t + 1) * v, self.n)
             mine = np.flatnonzero((all_trailing // v) % g == self.pj)
-            order, groups = _group_by(mine % self.p_active)
+            order, groups = _group_by(owners[mine])
             packed = pivot_true[
                 :, np.searchsorted(my_trail_cols, all_trailing[mine[order]])
             ]
             outgoing = [(packed[:, lo:hi], dest) for dest, lo, hi in groups]
-        # placement: one piece per (grid column owning some of my
-        # assigned cols) x (grid row holding at least one pivot row).
-        # The pieces tile ``out`` with its rows grouped by grid row and
-        # its columns by grid column, so they are stacked in that order
-        # and written with one indexed assignment.
+        # placement: my columns all sit in my grid column's tiles, so one
+        # piece comes from my grid column's rank in each grid row holding
+        # a pivot row; stacked in grid-row order they are ``out``'s rows
+        width = int(np.count_nonzero(owners == self.grid_rank))
         row_order, row_groups = _group_by(pivot_ids % g)
-        col_order, col_groups = _group_by((my_assigned_cols // v) % g)
-        rank_at = self.rank_at[:, :, t % self.c].tolist()
+        rank_at = self.rank_at[:, self.pj, t % self.c].tolist()
         got = self._exchange(
             phase, tag, outgoing,
-            [
-                (rank_at[i][pj], (rhi - rlo, chi - clo))
-                for pj, clo, chi in col_groups
-                for i, rlo, rhi in row_groups
-            ],
+            [(rank_at[i], (hi - lo, width)) for i, lo, hi in row_groups]
+            if width else [],
             "pivot column",
         )
-        out = np.zeros((len(pivot_ids), len(my_assigned_cols)))
+        out = np.zeros((len(pivot_ids), width))
         if got:
-            k = len(row_groups)
-            columns = [
-                np.concatenate(got[j : j + k]) for j in range(0, len(got), k)
-            ]
-            out[row_order[:, None], col_order] = np.concatenate(
-                columns, axis=1
-            )
+            out[row_order] = np.concatenate(got)
         return out
 
     # ------------------------------------------------------------------
@@ -440,8 +447,8 @@ class Schedule25D:
         phase: str,
         tag: int,
         pool: np.ndarray,
+        owners: np.ndarray,
         vals_1d: np.ndarray,
-        my_1d_rows: np.ndarray,
         width: int,
         by: str,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -450,10 +457,10 @@ class Schedule25D:
         "row"``) or on grid column ``(r // v) % G``, the cyclic layout's
         tile of column r (``by == "col"``), and destination (i, j, l)
         receives its rows x its layer's chunk, grid rows outermost in
-        the send order.  Values-only messages; ids derived from the
-        shared assignment."""
+        the send order.  ``vals_1d`` holds ``my_share(pool, owners)``'s
+        rows.  Values-only messages; ids derived from ``owners``."""
         return self._fetch_piece(
-            0, phase, tag, pool, vals_1d, my_1d_rows, width, by
+            0, phase, tag, pool, owners, vals_1d, width, by
         )
 
     def fetch_cols_piece(
@@ -461,19 +468,19 @@ class Schedule25D:
         phase: str,
         tag: int,
         pool: np.ndarray,
+        owners: np.ndarray,
         vals_1d: np.ndarray,
-        my_1d_cols: np.ndarray,
         width: int,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Column analogue of :meth:`fetch_rows_piece`: every rank needs
         its layer's chunk x (trailing cols in its tiles), grid columns
         outermost in the send order.  Values-only messages."""
         return self._fetch_piece(
-            1, phase, tag, pool, vals_1d, my_1d_cols, width, "col"
+            1, phase, tag, pool, owners, vals_1d, width, "col"
         )
 
     def _fetch_piece(
-        self, axis, phase, tag, pool, vals_1d, my_ids, width, by
+        self, axis, phase, tag, pool, owners, vals_1d, width, by
     ) -> tuple[np.ndarray, np.ndarray]:
         """Both fetches: ids run along ``axis`` of ``vals_1d`` and of the
         returned piece, the layer chunks along the other axis.  The send
@@ -490,6 +497,7 @@ class Schedule25D:
         bounds = self.chunk_bounds(width)
         # packing: per needing coordinate, its layer slices of one gather
         outgoing = None
+        my_ids = self.my_share(pool, owners)
         if len(my_ids):
             order, groups = _group_by(need(my_ids))
             slices = {}
@@ -508,13 +516,13 @@ class Schedule25D:
                     for lyr, vals in slices.get(j if by == "col" else i, ()):
                         outgoing.append((vals, rank_at[i][j][lyr]))
         # placement: my ids grouped by their 1D owner, in the owner's
-        # packing order (assign_1d order filtered to this rank's needs)
+        # packing order (pool order filtered to this rank's needs)
         need_pos = np.flatnonzero(
             need(pool) == (self.pj if by == "col" else self.pi)
         )
         lo, hi = bounds[self.layer]
         cw = hi - lo
-        order, groups = _group_by(need_pos % self.p_active)
+        order, groups = _group_by(owners[need_pos])
         got = self._exchange(
             phase, tag, outgoing,
             [

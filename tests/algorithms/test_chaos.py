@@ -24,6 +24,19 @@ def matrix(n=N, seed=0):
     return np.random.default_rng(seed).standard_normal((n, n))
 
 
+def _bench_chaos():
+    """``benchmarks/bench_chaos.py``, which is not a package module."""
+    import sys
+    from pathlib import Path
+
+    bench_dir = str(Path(__file__).resolve().parents[2] / "benchmarks")
+    if bench_dir not in sys.path:
+        sys.path.insert(0, bench_dir)
+    import bench_chaos
+
+    return bench_chaos
+
+
 def delay_plan(seed=0):
     return FaultPlan(
         rules=(
@@ -81,18 +94,35 @@ class TestReplayDeterminism:
         the 36-point chaos grid equals the reviewed ``BENCH_chaos.json``
         (what ``bench_chaos.py --check-determinism`` runs in CI)."""
         import json
-        import sys
-        from pathlib import Path
 
-        bench_dir = str(Path(__file__).resolve().parents[2] / "benchmarks")
-        if bench_dir not in sys.path:
-            sys.path.insert(0, bench_dir)
-        import bench_chaos
-
+        bench_chaos = _bench_chaos()
         reference = json.loads(bench_chaos.REFERENCE.read_text())
         fresh = bench_chaos.build_artifact(bench_chaos.chaos_runs())
         assert bench_chaos.validate_artifact(fresh) == []
         assert bench_chaos.diff_artifacts(fresh, reference) == []
+
+    def test_a_rewrite_keeps_the_residuals_the_check_accepts(self):
+        """``--write-reference`` keeps a committed residual the new one
+        matches to rounding level, so only moved rows enter the diff."""
+        bench_chaos = _bench_chaos()
+
+        def doc(*residuals):
+            points = [
+                {"fault_class": "delay", "fault_seed": seed,
+                 "residual": residual}
+                for seed, residual in enumerate(residuals)
+            ]
+            return {"runs": [{"sweep": "chaos-lu", "points": points,
+                              "observed": {"wall_s": 1.0}}]}
+
+        committed = doc(6.08e-16, 6.08e-16, None, 1e-3)
+        fresh = doc(6.93e-16, 2e-10, 5e-16, 1e-3 * (1 + 1e-9))
+        settled = bench_chaos.settle_residuals(fresh, committed)
+        assert [p["residual"] for p in settled["runs"][0]["points"]] == [
+            6.08e-16, 2e-10, 5e-16, 1e-3,
+        ]
+        assert "observed" not in settled["runs"][0]
+        assert fresh["runs"][0]["points"][0]["residual"] == 6.93e-16
 
 
 def test_nan_residual_is_silent_corruption(monkeypatch):

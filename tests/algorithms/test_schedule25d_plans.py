@@ -1,10 +1,13 @@
-"""Schedule25D's four redistribution plans against an element-wise oracle.
+"""Schedule25D's owner map and four redistribution plans against an
+element-wise oracle.
 
 The plans (``scatter_rows``, ``scatter_pivot_cols``, ``fetch_rows_piece``,
 ``fetch_cols_piece``) derive their packing and placement as index
-arithmetic over one exchange.  ``_LoopPlans`` below is the
-per-destination-mask, per-element-loop formulation they replaced, kept
-here as the reference: on every grid point both must leave every rank
+arithmetic over one exchange, and ``owners`` deals every id with integer
+arithmetic.  ``_LoopPlans`` below is the per-destination-mask,
+per-element-loop formulation they replaced, with the owner rule stated
+id by id (``_oracle_owners``), kept here as the reference: on every grid
+point both must leave every rank
 with the same arrays *and* the same send/receive sequence — the
 simulated clock and the fault stream hash on per-rank message order, so
 order is part of the contract, not an implementation detail.  The
@@ -23,6 +26,8 @@ full-width replication and row pools with holes (row masking).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -38,6 +43,37 @@ from tests.algorithms.ledger_pins import PINNED_POINTS
 def _index_chunks(s: Schedule25D, width: int) -> list[np.ndarray]:
     """The oracle's layer chunks: per-layer index arrays."""
     return [np.arange(lo, hi) for lo, hi in s.chunk_bounds(width)]
+
+
+def _needs(r: int, i: int, j: int, g: int, v: int, by: str) -> bool:
+    """Whether grid cell (i, j) needs id ``r`` in every coordinate ``by``
+    names: rows on grid row ``r % g``, tiles on grid column
+    ``(r // v) % g``."""
+    row, col = r % g == i, (r // v) % g == j
+    return {"row": row, "col": col, "both": row and col}[by]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_owner_table(n: int, g: int, c: int, v: int, by: str):
+    """The owner rule, id by id: id r goes to one of the ranks that need
+    it, listed in row-major grid rank order ``(i * g + j) * c + l``, dealt
+    cyclically by its position among the ids those same ranks need."""
+    ranks = [(i, j) for i in range(g) for j in range(g) for _ in range(c)]
+    dealt: dict[tuple[int, ...], int] = {}
+    table = []
+    for r in range(n):
+        needers = tuple(
+            rank for rank, (i, j) in enumerate(ranks)
+            if _needs(r, i, j, g, v, by)
+        )
+        position = dealt.get(needers, 0)
+        dealt[needers] = position + 1
+        table.append(needers[position % len(needers)])
+    return np.array(table)
+
+
+def _oracle_owners(s: Schedule25D, ids: np.ndarray, by: str) -> np.ndarray:
+    return _oracle_owner_table(s.n, s.g, s.c, s.v, by)[ids]
 
 
 def _need_mask(s: Schedule25D, by: str):
@@ -56,12 +92,16 @@ class _LoopPlans:
     def __init__(self, sched: Schedule25D) -> None:
         self.s = sched
 
-    def scatter_rows(self, phase, tag, row_pool, holders, values, value_rows):
+    def owners(self, ids, by):
+        return _oracle_owners(self.s, ids, by)
+
+    def scatter_rows(
+        self, phase, tag, row_pool, owners, holders, values, value_rows
+    ):
         s = self.s
         comm, gd, me = s.comm, s.grid, s.grid_rank
         holder = {int(r): int(h) for r, h in zip(row_pool, holders)}
         received = {}
-        owners = np.arange(len(row_pool)) % s.p_active
         if values is not None and value_rows is not None:
             lookup = {int(r): i for i, r in enumerate(value_rows)}
             by_dest: dict[int, list[int]] = {}
@@ -98,14 +138,14 @@ class _LoopPlans:
 
     def scatter_pivot_cols(
         self, t, phase, tag, pivot_ids, pivot_true,
-        my_pivot_rows, my_trail_cols, my_assigned_cols,
+        my_pivot_rows, my_trail_cols, owners,
     ):
         s = self.s
         comm, gd, me = s.comm, s.grid, s.grid_rank
         g, v = s.g, s.v
         lt = t % s.c
         all_trailing = np.arange((t + 1) * v, s.n)
-        owners = np.arange(len(all_trailing)) % s.p_active
+        my_assigned_cols = all_trailing[owners == me]
         tile_col = (all_trailing // v) % g
         out = np.zeros((len(pivot_ids), len(my_assigned_cols)))
         self_piece = None
@@ -150,10 +190,11 @@ class _LoopPlans:
         return out
 
     def fetch_rows_piece(
-        self, phase, tag, pool, vals_1d, my_1d_rows, width, by
+        self, phase, tag, pool, owners, vals_1d, width, by
     ):
         s = self.s
         comm, gd, me = s.comm, s.grid, s.grid_rank
+        my_1d_rows = pool[owners == me]
         sender_chunks = _index_chunks(s, width)
         chunk, need = sender_chunks[s.layer], _need_mask(s, by)
         self_piece = None
@@ -182,7 +223,7 @@ class _LoopPlans:
         pos = {int(r): i for i, r in enumerate(my_need)}
         got = 0
         for src in range(s.p_active):
-            src_rows = s.assign_1d(pool, src)
+            src_rows = pool[owners == src]
             src_rows = src_rows[need(src_rows, s.pi, s.pj)]
             if len(src_rows) == 0:
                 continue
@@ -196,9 +237,10 @@ class _LoopPlans:
         assert got == len(my_need)
         return out, my_need
 
-    def fetch_cols_piece(self, phase, tag, pool, vals_1d, my_1d_cols, width):
+    def fetch_cols_piece(self, phase, tag, pool, owners, vals_1d, width):
         s = self.s
         comm, gd, me = s.comm, s.grid, s.grid_rank
+        my_1d_cols = pool[owners == me]
         g, v = s.g, s.v
         sender_chunks = _index_chunks(s, width)
         chunk = sender_chunks[s.layer]
@@ -227,7 +269,7 @@ class _LoopPlans:
         pos = {int(cc): i for i, cc in enumerate(my_need)}
         got = 0
         for src in range(s.p_active):
-            src_cols = s.assign_1d(pool, src)
+            src_cols = pool[owners == src]
             src_cols = src_cols[((src_cols // v) % g) == s.pj]
             if len(src_cols) == 0:
                 continue
@@ -286,9 +328,9 @@ def _val(rows, cols):
 
 
 def _drive(comm, n, g, c, v, chunking, reference):
-    """Run every step's four plans the way COnfLUX calls them (plus the
-    Cholesky-style ``by="col"`` row fetch); returns this rank's
-    outputs, wire log and whether the schedule object kept its keys."""
+    """Run every step's plans the way COnfLUX and the 2.5D Cholesky call
+    them; returns this rank's outputs, wire log and whether the schedule
+    object kept its keys."""
     sched = Schedule25D(comm, n, g, c, v, chunking=chunking)
     if not sched.active:
         return None
@@ -302,6 +344,24 @@ def _drive(comm, n, g, c, v, chunking, reference):
     rng = np.random.default_rng(7)  # the same pivot choice on every rank
     pivoted = np.zeros(n, dtype=bool)
     outs = []
+
+    def scatter(t, base, pool, owners, holds, my_active):
+        ctx = sched.step_context(t)
+        args = (
+            "scatter_rows", sched.tag(base, t), pool, owners,
+            sched.rank_at[pool % g, ctx.q, ctx.lt],
+            _val(my_active, ctx.panel_cols) if holds else None,
+            my_active if holds else None,
+        )
+        rows = pool[owners == me]
+        if reference:
+            received = plans.scatter_rows(*args)
+            c_rows = plans.assemble_rows(received, rows, ctx.w)
+        else:
+            c_rows = plans.scatter_rows(*args, ctx.w)
+        assert np.array_equal(c_rows, _val(rows, ctx.panel_cols))
+        return c_rows
+
     for t in range(sched.steps):
         ctx = sched.step_context(t)
         q, lt, w = ctx.q, ctx.lt, ctx.w
@@ -312,44 +372,42 @@ def _drive(comm, n, g, c, v, chunking, reference):
 
         on_panel = pj == q and sched.layer == lt
         my_active = active[active % g == pi]
-        scatter = (
-            "scatter_rows", sched.tag(1, t), pool,
-            sched.rank_at[pool % g, q, lt],
-            _val(my_active, ctx.panel_cols) if on_panel else None,
-            my_active if on_panel else None,
-        )
-        rows_1d = sched.assign_1d(pool, me)
-        if reference:
-            received = plans.scatter_rows(*scatter)
-            c_rows = plans.assemble_rows(received, rows_1d, w)
-        else:
-            c_rows = plans.scatter_rows(*scatter, w)
-        assert np.array_equal(c_rows, _val(rows_1d, ctx.panel_cols))
+        row_owners = plans.owners(pool, "row")
+        c_rows = scatter(t, 1, pool, row_owners, on_panel, my_active)
 
         trail_cols = sched.my_cols[sched.trailing_local_cols(t)]
         my_pivots = pivot_ids[pivot_ids % g == pi]
         holds = sched.layer == lt and len(my_pivots) and len(trail_cols)
         all_trailing = np.arange((t + 1) * v, n)
-        cols_1d = sched.assign_1d(all_trailing, me)
+        col_owners = plans.owners(all_trailing, "col")
         a01 = plans.scatter_pivot_cols(
             t, "scatter_cols", sched.tag(2, t), pivot_ids,
             _val(my_pivots, trail_cols) if holds else None,
-            my_pivots, trail_cols, cols_1d,
+            my_pivots, trail_cols, col_owners,
         )
+        cols_1d = all_trailing[col_owners == me]
         assert np.array_equal(a01, _val(pivot_ids, cols_1d))
 
         lo, hi = sched.chunk_bounds(w)[sched.layer]
         shipped = ctx.panel_cols[lo:hi]
         by_row = plans.fetch_rows_piece(
-            "fetch_rows", sched.tag(3, t), pool, c_rows, rows_1d, w, "row"
+            "fetch_rows", sched.tag(3, t), pool, row_owners, c_rows, w, "row"
         )
         by_col = plans.fetch_cols_piece(
-            "fetch_cols", sched.tag(4, t), all_trailing, a01, cols_1d, w
+            "fetch_cols", sched.tag(4, t), all_trailing, col_owners, a01, w
         )
-        by_tile = plans.fetch_rows_piece(
-            "fetch_tiles", sched.tag(5, t), pool, c_rows, rows_1d, w, "col"
+        # the Cholesky panel: rows owned where both fetches need them
+        below = np.arange(ctx.k1, n)
+        both = plans.owners(below, "both")
+        l21 = scatter(t, 5, below, both, on_panel, sched.my_rows)
+        chol_rows, chol_tiles = (
+            plans.fetch_rows_piece(
+                phase, sched.tag(base, t), below, both, l21, w, by
+            )
+            for phase, base, by in (("chol_rows", 6, "row"),
+                                    ("chol_tiles", 7, "col"))
         )
-        for piece, ids in (by_row, by_tile):
+        for piece, ids in (by_row, chol_rows, chol_tiles):
             if piece.size:
                 assert np.array_equal(piece, _val(ids, shipped))
         if by_col[0].size:
@@ -357,7 +415,7 @@ def _drive(comm, n, g, c, v, chunking, reference):
             assert np.array_equal(
                 by_col[0], _val(pivot_ids[lo:hi], by_col[1])
             )
-        outs.append((c_rows, a01, by_row, by_col, by_tile))
+        outs.append((c_rows, a01, by_row, by_col, l21, chol_rows, chol_tiles))
     return outs, tap.sends, tap.recvs, set(vars(sched)) == keys
 
 
@@ -441,7 +499,7 @@ class _ShortTap(_Tap):
 
 
 def _drive_short_piece(comm, plan, seen):
-    n, g, c, v = 32, 2, 1, 4
+    n, g, c, v = 32, 2, 2, 4
     sched = Schedule25D(comm, n, g, c, v)
     sched.init_cyclic_layout()
     me = sched.grid_rank
@@ -450,21 +508,25 @@ def _drive_short_piece(comm, plan, seen):
         sched.grid.grid_comm = _ShortTap(sched.grid.grid_comm, axis)
     keys = set(vars(sched))
     pool = np.arange(n)
-    mine = sched.assign_1d(pool, me)
     cols = np.arange(v)
     error = None
     try:
         if plan == "rows":
+            owners = sched.owners(pool, "row")
+            mine = sched.my_share(pool, owners)
             sched.fetch_rows_piece(
-                "p", 1, pool, _val(mine, cols), mine, v, "row"
+                "p", 1, pool, owners, _val(mine, cols), v, "row"
             )
         elif plan == "cols":
-            sched.fetch_cols_piece("p", 1, pool, _val(cols, mine), mine, v)
+            owners = sched.owners(pool, "col")
+            mine = sched.my_share(pool, owners)
+            sched.fetch_cols_piece("p", 1, pool, owners, _val(cols, mine), v)
         elif plan == "scatter_rows":
-            holds = sched.pj == 1
+            holds = sched.pj == 1 and sched.layer == 0
             my_rows = pool[pool % g == sched.pi]
             sched.scatter_rows(
-                "p", 1, pool, sched.rank_at[pool % g, 1, 0],
+                "p", 1, pool, sched.owners(pool, "row"),
+                sched.rank_at[pool % g, 1, 0],
                 _val(my_rows, cols) if holds else None,
                 my_rows if holds else None, v,
             )
@@ -473,8 +535,9 @@ def _drive_short_piece(comm, plan, seen):
             my_pivots = pivot_ids[pivot_ids % g == sched.pi]
             trail = sched.my_cols[sched.trailing_local_cols(0)]
             sched.scatter_pivot_cols(
-                0, "p", 1, pivot_ids, _val(my_pivots, trail),
-                my_pivots, trail, sched.assign_1d(np.arange(v, n), me),
+                0, "p", 1, pivot_ids,
+                _val(my_pivots, trail) if sched.layer == 0 else None,
+                my_pivots, trail, sched.owners(np.arange(v, n), "col"),
             )
     except RuntimeError as exc:
         error = str(exc)
@@ -486,14 +549,15 @@ def _drive_short_piece(comm, plan, seen):
 )
 def test_a_piece_of_the_wrong_shape_raises(plan):
     seen: dict = {}
-    if plan in ("cols", "scatter_pivot_cols"):
-        # Rank 0 stops receiving at the bad piece, so the pieces its
-        # peers sent after it are never taken, and the run says so.
+    if plan in ("rows", "cols"):
+        # Rank 0 stops receiving at the bad piece, the first of three a
+        # fetch brings it, so the two its peers sent after it are never
+        # taken, and the run says so.  Each scatter brings rank 0 one.
         with pytest.raises(UndeliveredMessages, match="rank 0: "):
-            run_spmd(4, _drive_short_piece, plan, seen)
+            run_spmd(8, _drive_short_piece, plan, seen)
     else:
-        run_spmd(4, _drive_short_piece, plan, seen)
-    results = [seen[rank] for rank in range(4)]
+        run_spmd(8, _drive_short_piece, plan, seen)
+    results = [seen[rank] for rank in range(8)]
     error, keys_kept = results[0]
     assert error is not None and "does not match the plan" in error
     assert keys_kept, "a plan that raised mid-receive left state behind"
@@ -563,3 +627,24 @@ def _cyclic_geometries():
 def test_cyclic_layout_index_sets_are_ranges(n, g, c, v):
     results, _ = run_spmd(g * g * c, _drive_ranges, n, g, c, v)
     assert results == [(n + v - 1) // v] * (g * g * c)
+
+
+@pytest.mark.parametrize("n,g,c,v", _cyclic_geometries())
+def test_every_owner_needs_its_ids(n, g, c, v):
+    """``owners`` is the oracle's rule, and it puts each id on a rank
+    that fetches it back: on grid row ``r % G`` (``"row"``), on grid
+    column ``(r // v) % G`` (``"col"``), or on both (``"both"``)."""
+    sched = Schedule25D.__new__(Schedule25D)
+    sched.n, sched.g, sched.c, sched.v = n, g, c, v
+    sched.rank_at = np.arange(g * g * c).reshape(g, g, c)
+    ids = np.arange(n)
+    for by in ("row", "col", "both"):
+        owners = sched.owners(ids, by)
+        assert np.array_equal(owners, _oracle_owners(sched, ids, by)), by
+        i, j, _ = np.unravel_index(owners, (g, g, c))
+        if by != "col":
+            assert np.array_equal(i, ids % g), by
+        if by != "row":
+            assert np.array_equal(j, (ids // v) % g), by
+    with pytest.raises(ValueError, match="owner coordinate"):
+        sched.owners(ids, "layer")
