@@ -145,6 +145,7 @@ class _CholeskyRank(Rank25D):
             tag=sched.tag(_TAG_ROWS, t),
             pool=below_rows,
             owners=l21_owners,
+            my_ids=my_l21_rows,
             vals_1d=l21,
             width=w,
             by="row",
@@ -154,6 +155,7 @@ class _CholeskyRank(Rank25D):
             tag=sched.tag(_TAG_COLS, t),
             pool=below_rows,
             owners=l21_owners,
+            my_ids=my_l21_rows,
             vals_1d=l21,
             width=w,
             by="col",

@@ -21,17 +21,13 @@ Per step t (tile q = t mod G, layer l = t mod c, width w):
 2.  tournament         — TSLU over the G panel ranks (tree merge +
                          broadcast of candidate sets)
 3.  bcast_a00          — broadcast pivot ids + factored A00 to all P
-4.  scatter_a10        — non-pivot panel rows -> 1D, row r on grid row
-                         r mod G
+4.  scatter_a10        — non-pivot panel rows -> 1D on grid row r mod G
 5.  reduce_pivot_rows  — fiber-reduce the v pivot rows' trailing values
-6.  scatter_a01        — reduced pivot rows -> 1D over columns, column k
-                         on grid column (k div v) mod G
+6.  scatter_a01        — pivot rows -> 1D, col k on grid col (k div v) mod G
 7.  trsm A10           — local:  A10 <- C U00^{-1}
-8.  panel_a10          — each (i, j, l) fetches its rows x chunk_l piece
-                         from the owners on grid row i
+8.  panel_a10          — (i, j, l) fetches rows x chunk_l from grid row i
 9.  trsm A01           — local:  A01 <- L00^{-1} C
-10. panel_a01          — each (i, j, l) fetches chunk_l x its-cols piece
-                         from the owners on grid column j
+10. panel_a01          — (i, j, l) fetches chunk_l x cols from grid col j
 11. schur update       — local:  A_l -= A10[:, chunk_l] A01[chunk_l, :]
 
 Pivot rows are never swapped — only their indices travel (row masking),
@@ -239,9 +235,7 @@ class _ConfluxRank(Rank25D):
 
         # -- step 6: scatter A01 to a 1D layout over trailing columns ---
         all_trailing = np.arange((t + 1) * v, n)
-        a01_owners = sched.owners(all_trailing, "col")
-        a01_cols = sched.my_share(all_trailing, a01_owners)
-        assembled_a01 = sched.scatter_pivot_cols(
+        a01_owners, assembled_a01 = sched.scatter_pivot_cols(
             t,
             phase="scatter_a01",
             tag=sched.tag(_TAG_A01_SCATTER, t),
@@ -249,8 +243,8 @@ class _ConfluxRank(Rank25D):
             pivot_true=pivot_true,
             my_pivot_rows=my_pivot_rows,
             my_trail_cols=trail_cols,
-            owners=a01_owners,
         )
+        a01_cols = sched.my_share(all_trailing, a01_owners)
         # -- step 9: local trsm A01 <- L00^{-1} C ------------------------
         if len(a01_cols):
             a01_vals = trsm_lower_unit(a00, assembled_a01)
@@ -264,6 +258,7 @@ class _ConfluxRank(Rank25D):
             tag=sched.tag(_TAG_A10_PANEL, t),
             pool=row_pool,
             owners=a10_owners,
+            my_ids=a10_rows,
             vals_1d=a10_vals,
             width=w,
             by="row",
@@ -273,6 +268,7 @@ class _ConfluxRank(Rank25D):
             tag=sched.tag(_TAG_A01_PANEL, t),
             pool=all_trailing,
             owners=a01_owners,
+            my_ids=a01_cols,
             vals_1d=a01_vals,
             width=w,
         )

@@ -396,13 +396,11 @@ class Schedule25D:
         pivot_true: np.ndarray | None,
         my_pivot_rows: np.ndarray,
         my_trail_cols: np.ndarray,
-        owners: np.ndarray,
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Reduced pivot-row holders send column slices to the 1D-over-
-        columns layout, where ``owners[k]`` — ``owners(cols, "col")``,
-        on the grid column of its tile — owns trailing column ``(t + 1)
-        v + k``; returns the assembled (w x my share) block in pivot
-        order.
+        columns layout ``owners(cols, "col")`` of the trailing columns
+        ``cols``; returns those owners, for the fetch to reuse, and the
+        assembled (w x my share) block in pivot order.
 
         Canonical packing (derived, never transmitted): rows in pivot
         order restricted to the sender's grid row; columns in trailing-
@@ -410,12 +408,13 @@ class Schedule25D:
         column tiles).
         """
         g, v = self.g, self.v
+        all_trailing = np.arange((t + 1) * v, self.n)
+        owners = self.owners(all_trailing, "col")
         # packing: on layer lt with pivot rows and trailing cols.
         # pivot_true's rows are my_pivot_rows in pivot order, so one
         # column gather grouped by destination packs every message.
         outgoing = None
         if pivot_true is not None and len(my_pivot_rows):
-            all_trailing = np.arange((t + 1) * v, self.n)
             mine = np.flatnonzero((all_trailing // v) % g == self.pj)
             order, groups = _group_by(owners[mine])
             packed = pivot_true[
@@ -437,7 +436,7 @@ class Schedule25D:
         out = np.zeros((len(pivot_ids), width))
         if got:
             out[row_order] = np.concatenate(got)
-        return out
+        return owners, out
 
     # ------------------------------------------------------------------
     # 1D -> 2.5D panel fetches
@@ -448,6 +447,7 @@ class Schedule25D:
         tag: int,
         pool: np.ndarray,
         owners: np.ndarray,
+        my_ids: np.ndarray,
         vals_1d: np.ndarray,
         width: int,
         by: str,
@@ -457,10 +457,11 @@ class Schedule25D:
         "row"``) or on grid column ``(r // v) % G``, the cyclic layout's
         tile of column r (``by == "col"``), and destination (i, j, l)
         receives its rows x its layer's chunk, grid rows outermost in
-        the send order.  ``vals_1d`` holds ``my_share(pool, owners)``'s
-        rows.  Values-only messages; ids derived from ``owners``."""
+        the send order.  ``vals_1d`` holds the rows of ``my_ids``, this
+        rank's ``my_share(pool, owners)``.  Values-only messages; ids
+        derived from ``owners``."""
         return self._fetch_piece(
-            0, phase, tag, pool, owners, vals_1d, width, by
+            0, phase, tag, pool, owners, my_ids, vals_1d, width, by
         )
 
     def fetch_cols_piece(
@@ -469,6 +470,7 @@ class Schedule25D:
         tag: int,
         pool: np.ndarray,
         owners: np.ndarray,
+        my_ids: np.ndarray,
         vals_1d: np.ndarray,
         width: int,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -476,11 +478,11 @@ class Schedule25D:
         its layer's chunk x (trailing cols in its tiles), grid columns
         outermost in the send order.  Values-only messages."""
         return self._fetch_piece(
-            1, phase, tag, pool, owners, vals_1d, width, "col"
+            1, phase, tag, pool, owners, my_ids, vals_1d, width, "col"
         )
 
     def _fetch_piece(
-        self, axis, phase, tag, pool, owners, vals_1d, width, by
+        self, axis, phase, tag, pool, owners, my_ids, vals_1d, width, by
     ) -> tuple[np.ndarray, np.ndarray]:
         """Both fetches: ids run along ``axis`` of ``vals_1d`` and of the
         returned piece, the layer chunks along the other axis.  The send
@@ -497,7 +499,6 @@ class Schedule25D:
         bounds = self.chunk_bounds(width)
         # packing: per needing coordinate, its layer slices of one gather
         outgoing = None
-        my_ids = self.my_share(pool, owners)
         if len(my_ids):
             order, groups = _group_by(need(my_ids))
             slices = {}

@@ -138,13 +138,14 @@ class _LoopPlans:
 
     def scatter_pivot_cols(
         self, t, phase, tag, pivot_ids, pivot_true,
-        my_pivot_rows, my_trail_cols, owners,
+        my_pivot_rows, my_trail_cols,
     ):
         s = self.s
         comm, gd, me = s.comm, s.grid, s.grid_rank
         g, v = s.g, s.v
         lt = t % s.c
         all_trailing = np.arange((t + 1) * v, s.n)
+        owners = _oracle_owners(s, all_trailing, "col")
         my_assigned_cols = all_trailing[owners == me]
         tile_col = (all_trailing // v) % g
         out = np.zeros((len(pivot_ids), len(my_assigned_cols)))
@@ -164,7 +165,7 @@ class _LoopPlans:
                     else:
                         gd.grid_comm.send(vals, dest, tag)
         if len(my_assigned_cols) == 0:
-            return out
+            return owners, out
         col_pos = {int(cc): i for i, cc in enumerate(my_assigned_cols)}
         pivot_order_pos = {int(r): i for i, r in enumerate(pivot_ids)}
         rows_by_gridrow: dict[int, list[int]] = {}
@@ -187,14 +188,13 @@ class _LoopPlans:
                         out[pivot_order_pos[r], col_pos[int(cc)]] = vals[
                             ri, ci
                         ]
-        return out
+        return owners, out
 
     def fetch_rows_piece(
-        self, phase, tag, pool, owners, vals_1d, width, by
+        self, phase, tag, pool, owners, my_1d_rows, vals_1d, width, by
     ):
         s = self.s
         comm, gd, me = s.comm, s.grid, s.grid_rank
-        my_1d_rows = pool[owners == me]
         sender_chunks = _index_chunks(s, width)
         chunk, need = sender_chunks[s.layer], _need_mask(s, by)
         self_piece = None
@@ -237,10 +237,11 @@ class _LoopPlans:
         assert got == len(my_need)
         return out, my_need
 
-    def fetch_cols_piece(self, phase, tag, pool, owners, vals_1d, width):
+    def fetch_cols_piece(
+        self, phase, tag, pool, owners, my_1d_cols, vals_1d, width
+    ):
         s = self.s
         comm, gd, me = s.comm, s.grid, s.grid_rank
-        my_1d_cols = pool[owners == me]
         g, v = s.g, s.v
         sender_chunks = _index_chunks(s, width)
         chunk = sender_chunks[s.layer]
@@ -379,11 +380,13 @@ def _drive(comm, n, g, c, v, chunking, reference):
         my_pivots = pivot_ids[pivot_ids % g == pi]
         holds = sched.layer == lt and len(my_pivots) and len(trail_cols)
         all_trailing = np.arange((t + 1) * v, n)
-        col_owners = plans.owners(all_trailing, "col")
-        a01 = plans.scatter_pivot_cols(
+        col_owners, a01 = plans.scatter_pivot_cols(
             t, "scatter_cols", sched.tag(2, t), pivot_ids,
             _val(my_pivots, trail_cols) if holds else None,
-            my_pivots, trail_cols, col_owners,
+            my_pivots, trail_cols,
+        )
+        assert np.array_equal(
+            col_owners, _oracle_owners(sched, all_trailing, "col")
         )
         cols_1d = all_trailing[col_owners == me]
         assert np.array_equal(a01, _val(pivot_ids, cols_1d))
@@ -391,10 +394,12 @@ def _drive(comm, n, g, c, v, chunking, reference):
         lo, hi = sched.chunk_bounds(w)[sched.layer]
         shipped = ctx.panel_cols[lo:hi]
         by_row = plans.fetch_rows_piece(
-            "fetch_rows", sched.tag(3, t), pool, row_owners, c_rows, w, "row"
+            "fetch_rows", sched.tag(3, t), pool, row_owners,
+            pool[row_owners == me], c_rows, w, "row",
         )
         by_col = plans.fetch_cols_piece(
-            "fetch_cols", sched.tag(4, t), all_trailing, col_owners, a01, w
+            "fetch_cols", sched.tag(4, t), all_trailing, col_owners,
+            cols_1d, a01, w,
         )
         # the Cholesky panel: rows owned where both fetches need them
         below = np.arange(ctx.k1, n)
@@ -402,7 +407,8 @@ def _drive(comm, n, g, c, v, chunking, reference):
         l21 = scatter(t, 5, below, both, on_panel, sched.my_rows)
         chol_rows, chol_tiles = (
             plans.fetch_rows_piece(
-                phase, sched.tag(base, t), below, both, l21, w, by
+                phase, sched.tag(base, t), below, both,
+                below[both == me], l21, w, by,
             )
             for phase, base, by in (("chol_rows", 6, "row"),
                                     ("chol_tiles", 7, "col"))
@@ -515,12 +521,14 @@ def _drive_short_piece(comm, plan, seen):
             owners = sched.owners(pool, "row")
             mine = sched.my_share(pool, owners)
             sched.fetch_rows_piece(
-                "p", 1, pool, owners, _val(mine, cols), v, "row"
+                "p", 1, pool, owners, mine, _val(mine, cols), v, "row"
             )
         elif plan == "cols":
             owners = sched.owners(pool, "col")
             mine = sched.my_share(pool, owners)
-            sched.fetch_cols_piece("p", 1, pool, owners, _val(cols, mine), v)
+            sched.fetch_cols_piece(
+                "p", 1, pool, owners, mine, _val(cols, mine), v
+            )
         elif plan == "scatter_rows":
             holds = sched.pj == 1 and sched.layer == 0
             my_rows = pool[pool % g == sched.pi]
@@ -537,7 +545,7 @@ def _drive_short_piece(comm, plan, seen):
             sched.scatter_pivot_cols(
                 0, "p", 1, pivot_ids,
                 _val(my_pivots, trail) if sched.layer == 0 else None,
-                my_pivots, trail, sched.owners(np.arange(v, n), "col"),
+                my_pivots, trail,
             )
     except RuntimeError as exc:
         error = str(exc)
