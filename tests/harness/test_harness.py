@@ -64,6 +64,12 @@ class TestRunExperiment:
         assert 50 < row["prediction_pct"] < 150
         assert row["per_rank_bytes"] == row["measured_bytes"] / 4
         assert row["total_bytes"] == row["measured_bytes"]
+        # The prediction counts the pieces kept on their own rank too.
+        assert row["self_bytes"] > 0
+        assert row["prediction_pct"] == pytest.approx(
+            100 * (row["measured_bytes"] + row["self_bytes"])
+            / row["modeled_bytes"]
+        )
 
     @pytest.mark.parametrize(
         "impl", ["conflux", "scalapack2d", "slate2d", "candmc25d"]
