@@ -88,36 +88,38 @@ def conflux_step_breakdown(
     """Element counts moved in step ``t`` of Algorithm 1, by phase.
 
     ``grid_rows`` is G = sqrt(P1) and ``layers`` is c; active rows at the
-    start of the step are n_t = N - t v and the trailing width after the
-    panel is w_t = max(N - (t+1) v, 0).
+    start of the step are n_t = N - t v, the panel width is w = min(v,
+    n_t) (narrower on a ragged last panel) and the trailing width after
+    the panel is w_t = max(N - (t+1) v, 0).
 
     Phases (names match the simulator's ledger phases):
 
     ==================  ==================================================
-    reduce_column       (c-1) * n_t * v        — step 1
-    tournament          2 (G-1) (v^2 + v)      — step 2 (tree reduce+bcast)
-    bcast_a00           (P-1) (v^2 + v)        — step 3
-    reduce_pivot_rows   (c-1) * v * w_t        — step 5
-    scatter_a10         (n_t - v) * v          — step 4 (1D distribution)
-    scatter_a01         v * w_t                — step 6
-    panel_a10           G * (n_t - v) * v      — step 8 (2.5D pieces)
-    panel_a01           G * v * w_t            — step 10
+    reduce_column       (c-1) * n_t * w        — step 1
+    tournament          2 (G-1) (w^2 + w)      — step 2 (tree reduce+bcast)
+    bcast_a00           (P-1) (w^2 + w)        — step 3
+    reduce_pivot_rows   (c-1) * w * w_t        — step 5
+    scatter_a10         (n_t - w) * w          — step 4 (1D distribution)
+    scatter_a01         w * w_t                — step 6
+    panel_a10           G * (n_t - w) * w      — step 8 (2.5D pieces)
+    panel_a01           G * w * w_t            — step 10
     ==================  ==================================================
     """
     g, c = grid_rows, layers
     n_t = n - t * v
-    w_t = max(n - (t + 1) * v, 0)
     if n_t <= 0:
         return {}
+    w = min(v, n_t)
+    w_t = max(n - (t + 1) * v, 0)
     return {
-        "reduce_column": (c - 1) * n_t * v,
-        "tournament": 2.0 * (g - 1) * (v * v + v),
-        "bcast_a00": (p - 1) * (v * v + v),
-        "reduce_pivot_rows": (c - 1) * v * w_t,
-        "scatter_a10": max(n_t - v, 0) * v,
-        "scatter_a01": v * w_t,
-        "panel_a10": g * max(n_t - v, 0) * v,
-        "panel_a01": g * v * w_t,
+        "reduce_column": (c - 1) * n_t * w,
+        "tournament": 2.0 * (g - 1) * (w * w + w),
+        "bcast_a00": (p - 1) * (w * w + w),
+        "reduce_pivot_rows": (c - 1) * w * w_t,
+        "scatter_a10": (n_t - w) * w,
+        "scatter_a01": w * w_t,
+        "panel_a10": g * (n_t - w) * w,
+        "panel_a01": g * w * w_t,
     }
 
 
