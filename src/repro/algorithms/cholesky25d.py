@@ -10,7 +10,8 @@ movement core on the same [G, G, c] decomposition:
 2.  gather_diag     — collect the v x v diagonal block on one rank,
                       factor it (dpotrf)
 3.  bcast_l00       — broadcast L00 to all ranks
-4.  scatter_l21     — panel rows below the diagonal -> 1D layout
+4.  scatter_l21     — panel rows below the diagonal -> 1D layout, row
+                      r on rank (r mod G, (r div v) mod G, l_t)
 5.  trsm            — local: L21 <- C L00^{-T}
 6.  panel_rows /    — each (i, j, l) fetches L21[rows of grid row i,
     panel_cols        chunk_l] and L21[rows matching its columns,
@@ -116,7 +117,7 @@ class _CholeskyRank(Rank25D):
         below_rows = np.arange(k1, self.n)
 
         # 4. scatter the below-diagonal panel rows to the 1D layout
-        l21_owners = sched.owners(below_rows, "both")
+        l21_owners = sched.owners(below_rows, "both", lt)
         my_l21_rows = sched.my_share(below_rows, l21_owners)
         c_rows = sched.scatter_rows(
             phase="scatter_l21",

@@ -21,9 +21,9 @@ Per step t (tile q = t mod G, layer l = t mod c, width w):
 2.  tournament         — TSLU over the G panel ranks (tree merge +
                          broadcast of candidate sets)
 3.  bcast_a00          — broadcast pivot ids + factored A00 to all P
-4.  scatter_a10        — non-pivot panel rows -> 1D on grid row r mod G
+4.  scatter_a10        — non-pivot panel rows -> 1D on (r mod G, ., l)
 5.  reduce_pivot_rows  — fiber-reduce the v pivot rows' trailing values
-6.  scatter_a01        — pivot rows -> 1D, col k on grid col (k div v) mod G
+6.  scatter_a01        — pivot rows -> 1D, col k on (., (k div v) mod G, l)
 7.  trsm A10           — local:  A10 <- C U00^{-1}
 8.  panel_a10          — (i, j, l) fetches rows x chunk_l from grid row i
 9.  trsm A01           — local:  A01 <- L00^{-1} C
@@ -200,7 +200,7 @@ class _ConfluxRank(Rank25D):
         t, q, lt, w = ctx.t, ctx.q, ctx.lt, ctx.w
 
         # -- step 4: scatter A10 (non-pivot panel rows) to 1D layout ----
-        a10_owners = sched.owners(row_pool, "row")
+        a10_owners = sched.owners(row_pool, "row", lt)
         a10_rows = sched.my_share(row_pool, a10_owners)
         c_rows = sched.scatter_rows(
             phase="scatter_a10",

@@ -24,9 +24,10 @@ trees) as :class:`Rank25D` panel/trailing hooks.
 * the **data layouts** — cyclic rows with v-wide column tiles (the
   COnfLUX/Cholesky layout) or block-cyclic rows and columns (the QR
   layout: CAQR's panes on every layer, COnfQR's compute layer);
-* the **1D owner map**, each id owned by a rank that fetches it back,
-  derived identically everywhere from the ids alone (no index metadata
-  ever travels, matching the paper's data-bytes accounting);
+* the **1D owner map**, each id owned by a rank on the step's
+  coordinating layer that fetches it back, derived identically
+  everywhere from the ids alone (no index metadata ever travels,
+  matching the paper's data-bytes accounting);
 * the communication plans: fiber reductions to the coordinating layer,
   2.5D -> 1D scatters of panel rows / pivot-row column slices, the
   1D -> 2.5D panel fetches feeding the layer-chunked updates, and the
@@ -166,23 +167,21 @@ class Schedule25D:
     # ------------------------------------------------------------------
     # 1D owners: an owner's own layer chunk never becomes a message
     # ------------------------------------------------------------------
-    def owners(self, ids: np.ndarray, by: str) -> np.ndarray:
+    def owners(self, ids: np.ndarray, by: str, lt: int) -> np.ndarray:
         """Active-grid rank owning each of ``ids`` in the 1D layout: one
-        of the ranks needing the id in the 2.5D layout, on grid row
-        ``r % G`` (``by == "row"``), grid column ``(r // v) % G``
-        (``"col"``) or both (``"both"``: rows fetched both ways).  Ids
-        are dealt cyclically over those ranks, in rank order, by their
-        position among the ids the same ranks need."""
-        g, c, v = self.g, self.c, self.v
+        of the ranks of the step's coordinating layer ``lt`` needing it
+        in the 2.5D layout, on grid row ``r % G`` (``by == "row"``),
+        grid column ``(r // v) % G`` (``"col"``) or both (``"both"``:
+        rows fetched both ways).  Ids are dealt cyclically over those
+        ranks, in rank order, by their position among the ids they need."""
+        g, v = self.g, self.v
         if by == "row":  # r is the (r // G)-th id of grid row r % G
-            return (ids % g) * (g * c) + (ids // g) % (g * c)
-        rounds, o = ids // (v * g), ids % v  # whole tile rounds before r
-        if by == "col":
-            k = (rounds * v + o) % (g * c)
-            return self.rank_at[k // c, (ids // v) % g, k % c]
-        if by == "both":  # a tile holds ceil((v - o % G) / G) of them
-            k = rounds * ((v - o % g + g - 1) // g) + o // g
-            return self.rank_at[ids % g, (ids // v) % g, k % c]
+            return self.rank_at[ids % g, (ids // g) % g, lt]
+        if by == "col":  # whole tile rounds before r, then its tile offset
+            k = (ids // (v * g)) * v + ids % v
+            return self.rank_at[k % g, (ids // v) % g, lt]
+        if by == "both":
+            return self.rank_at[ids % g, (ids // v) % g, lt]
         raise ValueError(f"unknown owner coordinate {by!r}")
 
     def my_share(self, ids: np.ndarray, owners: np.ndarray) -> np.ndarray:
@@ -398,18 +397,18 @@ class Schedule25D:
         my_trail_cols: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Reduced pivot-row holders send column slices to the 1D-over-
-        columns layout ``owners(cols, "col")`` of the trailing columns
-        ``cols``; returns those owners, for the fetch to reuse, and the
-        assembled (w x my share) block in pivot order.
+        columns layout ``owners(cols, "col", t mod c)`` of the trailing
+        columns ``cols``; returns those owners, for the fetch to reuse,
+        and the assembled (w x my share) block in pivot order.
 
         Canonical packing (derived, never transmitted): rows in pivot
         order restricted to the sender's grid row; columns in trailing-
         pool order restricted to (destination 1D share) x (sender's grid
         column tiles).
         """
-        g, v = self.g, self.v
+        g, v, lt = self.g, self.v, t % self.c
         all_trailing = np.arange((t + 1) * v, self.n)
-        owners = self.owners(all_trailing, "col")
+        owners = self.owners(all_trailing, "col", lt)
         # packing: on layer lt with pivot rows and trailing cols.
         # pivot_true's rows are my_pivot_rows in pivot order, so one
         # column gather grouped by destination packs every message.
@@ -426,7 +425,7 @@ class Schedule25D:
         # a pivot row; stacked in grid-row order they are ``out``'s rows
         width = int(np.count_nonzero(owners == self.grid_rank))
         row_order, row_groups = _group_by(pivot_ids % g)
-        rank_at = self.rank_at[:, self.pj, t % self.c].tolist()
+        rank_at = self.rank_at[:, self.pj, lt].tolist()
         got = self._exchange(
             phase, tag, outgoing,
             [(rank_at[i], (hi - lo, width)) for i, lo, hi in row_groups]

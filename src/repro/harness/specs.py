@@ -62,7 +62,7 @@ from repro.models.prediction import (
 # --------------------------------------------------------------------------
 
 
-@task("measured", schema_version=2)
+@task("measured", schema_version=3)
 def measured_task(
     impl: str,
     n: int,
@@ -140,7 +140,7 @@ def _bound_gap_row(
     }
 
 
-@task("lower_bound_gap", schema_version=2)
+@task("lower_bound_gap", schema_version=3)
 def lower_bound_gap_task(n: int, p: int, seed: int = 0) -> dict:
     """Section 6: measured COnfLUX volume over the parallel bound."""
     from repro.theory.bounds import lu_parallel_lower_bound_leading
@@ -213,7 +213,7 @@ def qr_confqr_gap_task(
     }
 
 
-@task("block_size", schema_version=2)
+@task("block_size", schema_version=3)
 def block_size_task(n: int, g: int, c: int, v: int, seed: int = 3) -> dict:
     """Blocking-parameter ablation: one COnfLUX run at block size v."""
     import numpy as np
@@ -242,7 +242,7 @@ CHAOS_SILENT = "silent-corruption"
 CHAOS_RESIDUAL_TOL = 1e-8
 
 
-@task("chaos", schema_version=2)
+@task("chaos", schema_version=3)
 def chaos_task(
     impl: str,
     n: int,

@@ -18,8 +18,8 @@ take ``(lo, hi)`` chunk ranges and name a fetch's coordinate by ``by``
 alone.  The tap compares the plans' plural ``send_each`` /
 ``recv_each`` traffic with the oracle's singular calls piece by piece.
 
-The committed ledger/clock pins stop at g = 2, v = 4, ``n % v == 0``;
-the grid here adds g in {1, 3, 4}, c in {1, 3, 4}, ragged and
+The committed ledger/clock pins reach g = 4, c = 3 and ragged last
+panels; the grid here adds c = 4,
 narrower-than-c last panels (empty layer chunks), inactive ranks,
 full-width replication and row pools with holes (row masking).
 """
@@ -54,17 +54,21 @@ def _needs(r: int, i: int, j: int, g: int, v: int, by: str) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _oracle_owner_table(n: int, g: int, c: int, v: int, by: str):
-    """The owner rule, id by id: id r goes to one of the ranks that need
-    it, listed in row-major grid rank order ``(i * g + j) * c + l``, dealt
-    cyclically by its position among the ids those same ranks need."""
-    ranks = [(i, j) for i in range(g) for j in range(g) for _ in range(c)]
+def _oracle_owner_table(n: int, g: int, c: int, v: int, by: str, lt: int):
+    """The owner rule, id by id: id r goes to one of the ranks on the
+    step's coordinating layer ``lt`` that need it, listed in row-major
+    grid rank order ``(i * g + j) * c + l``, dealt cyclically by its
+    position among the ids those same ranks need."""
+    ranks = [
+        (i, j, layer)
+        for i in range(g) for j in range(g) for layer in range(c)
+    ]
     dealt: dict[tuple[int, ...], int] = {}
     table = []
     for r in range(n):
         needers = tuple(
-            rank for rank, (i, j) in enumerate(ranks)
-            if _needs(r, i, j, g, v, by)
+            rank for rank, (i, j, layer) in enumerate(ranks)
+            if layer == lt and _needs(r, i, j, g, v, by)
         )
         position = dealt.get(needers, 0)
         dealt[needers] = position + 1
@@ -72,8 +76,10 @@ def _oracle_owner_table(n: int, g: int, c: int, v: int, by: str):
     return np.array(table)
 
 
-def _oracle_owners(s: Schedule25D, ids: np.ndarray, by: str) -> np.ndarray:
-    return _oracle_owner_table(s.n, s.g, s.c, s.v, by)[ids]
+def _oracle_owners(
+    s: Schedule25D, ids: np.ndarray, by: str, lt: int
+) -> np.ndarray:
+    return _oracle_owner_table(s.n, s.g, s.c, s.v, by, lt)[ids]
 
 
 def _need_mask(s: Schedule25D, by: str):
@@ -92,8 +98,8 @@ class _LoopPlans:
     def __init__(self, sched: Schedule25D) -> None:
         self.s = sched
 
-    def owners(self, ids, by):
-        return _oracle_owners(self.s, ids, by)
+    def owners(self, ids, by, lt):
+        return _oracle_owners(self.s, ids, by, lt)
 
     def scatter_rows(
         self, phase, tag, row_pool, owners, holders, values, value_rows
@@ -145,7 +151,7 @@ class _LoopPlans:
         g, v = s.g, s.v
         lt = t % s.c
         all_trailing = np.arange((t + 1) * v, s.n)
-        owners = _oracle_owners(s, all_trailing, "col")
+        owners = _oracle_owners(s, all_trailing, "col", lt)
         my_assigned_cols = all_trailing[owners == me]
         tile_col = (all_trailing // v) % g
         out = np.zeros((len(pivot_ids), len(my_assigned_cols)))
@@ -373,7 +379,7 @@ def _drive(comm, n, g, c, v, chunking, reference):
 
         on_panel = pj == q and sched.layer == lt
         my_active = active[active % g == pi]
-        row_owners = plans.owners(pool, "row")
+        row_owners = plans.owners(pool, "row", lt)
         c_rows = scatter(t, 1, pool, row_owners, on_panel, my_active)
 
         trail_cols = sched.my_cols[sched.trailing_local_cols(t)]
@@ -386,7 +392,7 @@ def _drive(comm, n, g, c, v, chunking, reference):
             my_pivots, trail_cols,
         )
         assert np.array_equal(
-            col_owners, _oracle_owners(sched, all_trailing, "col")
+            col_owners, _oracle_owners(sched, all_trailing, "col", lt)
         )
         cols_1d = all_trailing[col_owners == me]
         assert np.array_equal(a01, _val(pivot_ids, cols_1d))
@@ -403,7 +409,7 @@ def _drive(comm, n, g, c, v, chunking, reference):
         )
         # the Cholesky panel: rows owned where both fetches need them
         below = np.arange(ctx.k1, n)
-        both = plans.owners(below, "both")
+        both = plans.owners(below, "both", lt)
         l21 = scatter(t, 5, below, both, on_panel, sched.my_rows)
         chol_rows, chol_tiles = (
             plans.fetch_rows_piece(
@@ -517,14 +523,15 @@ def _drive_short_piece(comm, plan, seen):
     cols = np.arange(v)
     error = None
     try:
+        # owned on layer 1, the fetches bring rank 0 two pieces each
         if plan == "rows":
-            owners = sched.owners(pool, "row")
+            owners = sched.owners(pool, "row", 1)
             mine = sched.my_share(pool, owners)
             sched.fetch_rows_piece(
                 "p", 1, pool, owners, mine, _val(mine, cols), v, "row"
             )
         elif plan == "cols":
-            owners = sched.owners(pool, "col")
+            owners = sched.owners(pool, "col", 1)
             mine = sched.my_share(pool, owners)
             sched.fetch_cols_piece(
                 "p", 1, pool, owners, mine, _val(cols, mine), v
@@ -533,7 +540,7 @@ def _drive_short_piece(comm, plan, seen):
             holds = sched.pj == 1 and sched.layer == 0
             my_rows = pool[pool % g == sched.pi]
             sched.scatter_rows(
-                "p", 1, pool, sched.owners(pool, "row"),
+                "p", 1, pool, sched.owners(pool, "row", 0),
                 sched.rank_at[pool % g, 1, 0],
                 _val(my_rows, cols) if holds else None,
                 my_rows if holds else None, v,
@@ -558,9 +565,9 @@ def _drive_short_piece(comm, plan, seen):
 def test_a_piece_of_the_wrong_shape_raises(plan):
     seen: dict = {}
     if plan in ("rows", "cols"):
-        # Rank 0 stops receiving at the bad piece, the first of three a
-        # fetch brings it, so the two its peers sent after it are never
-        # taken, and the run says so.  Each scatter brings rank 0 one.
+        # Rank 0 stops receiving at the bad piece, the first of the two
+        # a fetch brings it, so the other is never taken, and the run
+        # says so.  Each scatter brings rank 0 one.
         with pytest.raises(UndeliveredMessages, match="rank 0: "):
             run_spmd(8, _drive_short_piece, plan, seen)
     else:
@@ -640,19 +647,24 @@ def test_cyclic_layout_index_sets_are_ranges(n, g, c, v):
 @pytest.mark.parametrize("n,g,c,v", _cyclic_geometries())
 def test_every_owner_needs_its_ids(n, g, c, v):
     """``owners`` is the oracle's rule, and it puts each id on a rank
-    that fetches it back: on grid row ``r % G`` (``"row"``), on grid
-    column ``(r // v) % G`` (``"col"``), or on both (``"both"``)."""
+    that fetches it back, on the step's coordinating layer ``lt``: on
+    grid row ``r % G`` (``"row"``), on grid column ``(r // v) % G``
+    (``"col"``), or on both (``"both"``)."""
     sched = Schedule25D.__new__(Schedule25D)
     sched.n, sched.g, sched.c, sched.v = n, g, c, v
     sched.rank_at = np.arange(g * g * c).reshape(g, g, c)
     ids = np.arange(n)
-    for by in ("row", "col", "both"):
-        owners = sched.owners(ids, by)
-        assert np.array_equal(owners, _oracle_owners(sched, ids, by)), by
-        i, j, _ = np.unravel_index(owners, (g, g, c))
-        if by != "col":
-            assert np.array_equal(i, ids % g), by
-        if by != "row":
-            assert np.array_equal(j, (ids // v) % g), by
+    for lt in range(c):
+        for by in ("row", "col", "both"):
+            owners = sched.owners(ids, by, lt)
+            assert np.array_equal(
+                owners, _oracle_owners(sched, ids, by, lt)
+            ), (by, lt)
+            i, j, layer = np.unravel_index(owners, (g, g, c))
+            assert np.all(layer == lt), (by, lt)
+            if by != "col":
+                assert np.array_equal(i, ids % g), (by, lt)
+            if by != "row":
+                assert np.array_equal(j, (ids // v) % g), (by, lt)
     with pytest.raises(ValueError, match="owner coordinate"):
-        sched.owners(ids, "layer")
+        sched.owners(ids, "layer", 0)
