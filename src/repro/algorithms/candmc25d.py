@@ -61,20 +61,16 @@ class _CandmcRank(_ConfluxRank):
     def row_labels(self, ids: np.ndarray) -> np.ndarray:
         return self.orig[ids]
 
-    # -- reduce + tournament + bcast, all over *positions* -------------
-    def panel_op(self, ctx: StepContext):
-        active_pos = np.arange(ctx.k0, self.n)
-        mine = active_pos[(active_pos % self.g) == self.pi]
-        return (*self.factor_panel(ctx, mine), mine)
-
-    # -- swaps, then COnfLUX's steps 4-11 over the swapped positions ---
-    def trailing_op(self, ctx: StepContext, panel) -> None:
+    # -- COnfLUX's steps over *positions*, row swaps after step 3 ------
+    def step(self, ctx: StepContext) -> None:
         n, start, w = self.n, ctx.k0, ctx.w
-        pivot_pos, a00, panel_true, mine = panel
+        active_pos = np.arange(start, n)
+        mine = active_pos[(active_pos % self.g) == self.pi]
+        pivot_pos, a00, panel_true = self.factor_panel(ctx, mine)
 
         # -- physical row swaps: pivots into positions start..start+w ---
         pivot_orig = self.orig[pivot_pos].copy()
-        trail_local = self.sched.trailing_local_cols(ctx.t)
+        trail_local = self.trailing_local_cols(ctx.t)
         swap_list: list[tuple[int, int]] = []
         for j in range(w):
             x = start + j
@@ -139,7 +135,7 @@ class _CandmcRank(_ConfluxRank):
         with self.comm.phase("row_swap"):
             mine = self.aloc[lrow, trail_local].copy()
             theirs = self.grid.grid_comm.sendrecv(
-                mine, partner, sendtag=self.sched.tag(_TAG_SWAP, t)
+                mine, partner, sendtag=self.tag(_TAG_SWAP, t)
             )
         self.aloc[lrow, trail_local] = theirs
 

@@ -29,10 +29,10 @@ Per step t (panel width w, active rows n_t, trailing columns w_t):
 4.  tree_apply   — leaf Q^T applied locally, then the merge schedule
                    replayed on the trailing columns: 2 (L_t - 1) w w_t
 
-Steps 1-3 are the :meth:`panel_op` hook and step 4 the
-:meth:`trailing_op` hook of the shared :class:`Rank25D` template; the
-block-cyclic pane layout, the TSQR tree (merge and replay, shared with
-COnfQR) and the two-hop pane broadcast come from :class:`Schedule25D`.
+Steps 1-4 are the :meth:`step` hook of the shared :class:`Rank25D`
+template; the block-cyclic pane layout, the TSQR tree (merge and
+replay, shared with COnfQR) and the two-hop pane broadcast come from
+:class:`Schedule25D`.
 
 Q is returned *explicitly* in the :class:`FactorResult` (``lower`` = Q,
 ``upper`` = R, identity ``perm``): like LAPACK's orgqr, the global Q is
@@ -56,12 +56,8 @@ class _CaqrRank(Rank25D):
     """Per-rank 2.5D CAQR program on the shared schedule."""
 
     def setup(self, a: np.ndarray) -> None:
-        sched = self.sched
-        sched.init_block_cyclic_layout(panes_on_layers=True)
-        self.my_rows = sched.my_rows
-        self.my_cols = sched.my_cols
-        self.col_g2l = sched.col_g2l
-        self.aloc = sched.local_block(a, replicated=True)
+        self.init_block_cyclic_layout(panes_on_layers=True)
+        self.aloc = self.local_block(a, replicated=True)
         # (t, tree_pos, v, tau) leaf and (t, order, v, tau) node records
         # for host-side Q assembly.
         self.q_log: list[tuple] = []
@@ -75,11 +71,10 @@ class _CaqrRank(Rank25D):
             "q_log": self.q_log,
         }
 
-    # -- steps 1-3: leaf QR, tree merge, pane broadcast ----------------
-    def panel_op(self, ctx: StepContext):
-        sched, g = self.sched, self.g
+    def step(self, ctx: StepContext) -> None:
+        g = self.g
         t, w = ctx.t, ctx.w
-        rt, slot_t, counts, act_loc = sched.tsqr_geometry(ctx.k0)
+        rt, slot_t, counts, act_loc = self.tsqr_geometry(ctx.k0)
         qj, ql = slot_t % g, slot_t // g
         on_panel = self.pj == qj and self.layer == ql
         plan = merge_plan([counts[(rt + p) % g] for p in range(g)], w)
@@ -92,14 +87,14 @@ class _CaqrRank(Rank25D):
             lo = self.col_g2l[ctx.k0]
             panel_lcols = slice(lo, lo + w)
             panel = self.aloc[a0:, panel_lcols]
-        leaf, my_nodes, r_mine = sched.tsqr_merge(t, rt, plan, panel)
+        leaf, my_nodes, r_mine = self.tsqr_merge(t, rt, plan, panel)
         if on_panel and self.pi == rt:
             # Final R of the panel: the diagonal block rows.
             self.aloc[a0 : a0 + w, panel_lcols] = r_mine
 
         # 3. fan the pane's reflectors out to the sibling panes
         pkg = (leaf, my_nodes) if on_panel else None
-        pkg = sched.pane_bcast("panel_bcast", pkg, qj, ql)
+        pkg = self.pane_bcast("panel_bcast", pkg, qj, ql)
         leaf, my_nodes = pkg if pkg is not None else (None, {})
         if on_panel:
             if leaf is not None:
@@ -107,7 +102,18 @@ class _CaqrRank(Rank25D):
                 self.q_log.append(("leaf", t, my_pos, leaf[0], leaf[1]))
             for order, (nv, ntau) in my_nodes.items():
                 self.q_log.append(("node", t, order, nv, ntau))
-        return leaf, my_nodes, plan, rt, act_loc
+
+        # 4. leaf Q^T locally, then the merge schedule replayed on the
+        #    top rows of the trailing columns
+        tcols = self.trailing_local_cols(t)
+        if len(act_loc) == 0 or tcols.start == tcols.stop:
+            return
+        with self.comm.phase("tree_apply"):
+            block = self.aloc[a0:, tcols]
+            if leaf is not None:
+                block = apply_qt(leaf[0], leaf[1], block)
+            self.tsqr_replay(t, rt, plan, my_nodes, block, apply_qt)
+        self.aloc[a0:, tcols] = block
 
     def step_flops(self, ctx: StepContext) -> float:
         # Q^T application is two-sided (form Y = V^T B, then B -= V T Y),
@@ -116,23 +122,6 @@ class _CaqrRank(Rank25D):
         rows = max(self.n - ctx.k0, 0)
         cols = max(self.n - ctx.k1, 0)
         return 4.0 * rows * ctx.w * cols / self.p_active
-
-    # -- step 4: apply the implicit tree Q^T to the trailing columns --
-    def trailing_op(self, ctx: StepContext, panel) -> None:
-        leaf, my_nodes, plan, rt, act_loc = panel
-        tcols = self.sched.trailing_local_cols(ctx.t)
-        if len(act_loc) == 0 or tcols.start == tcols.stop:
-            return
-        a0 = act_loc.start
-        with self.comm.phase("tree_apply"):
-            # leaf Q^T locally, then the merge schedule on the top rows
-            block = self.aloc[a0:, tcols]
-            if leaf is not None:
-                block = apply_qt(leaf[0], leaf[1], block)
-            self.sched.tsqr_replay(
-                ctx.t, rt, plan, my_nodes, block, apply_qt
-            )
-        self.aloc[a0:, tcols] = block
 
 
 def _assemble_q(

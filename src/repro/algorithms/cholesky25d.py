@@ -19,10 +19,10 @@ movement core on the same [G, G, c] decomposition:
                       panel twice)
 7.  syrk update     — local: A_l -= L21_rows[:, chunk] L21_cols[:, chunk]^T
 
-Phases 1-3 are the :meth:`panel_op` hook and 4-7 the
-:meth:`trailing_op` hook of the shared :class:`Rank25D` template; the
-scatter and both panel fetches are the same :class:`Schedule25D` plans
-COnfLUX uses (the column-tile fetch is the row fetch with ``by="col"``).
+Phases 1-7 are the :meth:`step` hook of the shared :class:`Rank25D`
+template; the scatter and both panel fetches are the same
+:class:`Schedule25D` plans COnfLUX uses (the column-tile fetch is the
+row fetch with ``by="col"``).
 
 The theory side (repro.theory.bounds.cholesky_io_lower_bound) gives
 Q >= N^3/(3 sqrt(M)); like LU, the 2.5D schedule's leading term is
@@ -50,11 +50,8 @@ class _CholeskyRank(Rank25D):
     """Per-rank 2.5D Cholesky program on the shared schedule."""
 
     def setup(self, a: np.ndarray) -> None:
-        sched = self.sched
-        sched.init_cyclic_layout()
-        self.my_rows = sched.my_rows
-        self.my_cols = sched.my_cols
-        self.aloc = sched.local_block(a)
+        self.init_cyclic_layout()
+        self.aloc = self.local_block(a)
         self.l_pieces: list[tuple[int, np.ndarray, np.ndarray]] = []
         self.l00_blocks: list[tuple[int, np.ndarray]] = []
 
@@ -65,21 +62,19 @@ class _CholeskyRank(Rank25D):
             "l00_blocks": self.l00_blocks,
         }
 
-    # -- phases 1-3: reduce the panel, dpotrf the diagonal, bcast L00 --
-    def panel_op(self, ctx: StepContext):
-        comm, gd, sched = self.comm, self.grid, self.sched
+    def step(self, ctx: StepContext) -> None:
+        comm, gd = self.comm, self.grid
         g = self.g
-        t, q, lt, k0, k1 = ctx.t, ctx.q, ctx.lt, ctx.k0, ctx.k1
+        t, q, lt, k0, k1, w = ctx.t, ctx.q, ctx.lt, ctx.k0, ctx.k1, ctx.w
         active_rows = np.arange(k0, self.n)
-
         mine = active_rows[(active_rows % g) == self.pi]
 
         # 1. reduce the panel to layer lt
-        panel_true = sched.reduce_panel(ctx, self.aloc, mine)
+        panel_true = self.reduce_panel(ctx, self.aloc, mine)
 
         # 2. gather the diagonal block on (0, q, lt) and factor it
         root = gd.rank_of(0, q, lt)
-        tag = sched.tag(_TAG_DIAG, t)
+        tag = self.tag(_TAG_DIAG, t)
         l00 = None
         if panel_true is not None:
             diag_mask = (mine >= k0) & (mine < k1)
@@ -87,10 +82,10 @@ class _CholeskyRank(Rank25D):
                 if self.pi == 0:
                     # grid row i holds diagonal rows k0 + (i - k0) % g,
                     # every g-th one: a strided slice of the block
-                    diag = np.empty((ctx.w, ctx.w))
+                    diag = np.empty((w, w))
                     for i in range(g):
                         first = (i - k0) % g
-                        if first >= ctx.w:
+                        if first >= w:
                             continue  # no diagonal row on grid row i
                         diag[first::g] = (
                             panel_true[diag_mask] if i == 0
@@ -106,25 +101,18 @@ class _CholeskyRank(Rank25D):
             l00 = gd.grid_comm.bcast(l00, root=root)
         if self.grid_rank == 0:
             self.l00_blocks.append((t, l00.copy()))
-        return l00, panel_true, mine
 
-    # -- phases 4-7: scatter L21, trsm, panel fetches, syrk update -----
-    def trailing_op(self, ctx: StepContext, panel) -> None:
-        sched = self.sched
-        g = self.g
-        t, q, lt, k1, w = ctx.t, ctx.q, ctx.lt, ctx.k1, ctx.w
-        l00, panel_true, mine = panel
         below_rows = np.arange(k1, self.n)
 
         # 4. scatter the below-diagonal panel rows to the 1D layout
-        l21_owners = sched.owners(below_rows, "both", lt)
-        my_l21_rows = sched.my_share(below_rows, l21_owners)
-        c_rows = sched.scatter_rows(
+        l21_owners = self.owners(below_rows, "both", lt)
+        my_l21_rows = self.my_share(below_rows, l21_owners)
+        c_rows = self.scatter_rows(
             phase="scatter_l21",
-            tag=sched.tag(_TAG_L21, t),
+            tag=self.tag(_TAG_L21, t),
             row_pool=below_rows,
             owners=l21_owners,
-            holders=sched.rank_at[below_rows % g, q, lt],
+            holders=self.rank_at[below_rows % g, q, lt],
             values=panel_true,
             value_rows=mine,
             w=w,
@@ -141,9 +129,9 @@ class _CholeskyRank(Rank25D):
             return
 
         # 6. panel fetches for the symmetric rank-v update
-        rows_piece, _ = sched.fetch_rows_piece(
+        rows_piece, _ = self.fetch_rows_piece(
             phase="panel_rows",
-            tag=sched.tag(_TAG_ROWS, t),
+            tag=self.tag(_TAG_ROWS, t),
             pool=below_rows,
             owners=l21_owners,
             my_ids=my_l21_rows,
@@ -151,9 +139,9 @@ class _CholeskyRank(Rank25D):
             width=w,
             by="row",
         )
-        cols_piece, _ = sched.fetch_rows_piece(
+        cols_piece, _ = self.fetch_rows_piece(
             phase="panel_cols",
-            tag=sched.tag(_TAG_COLS, t),
+            tag=self.tag(_TAG_COLS, t),
             pool=below_rows,
             owners=l21_owners,
             my_ids=my_l21_rows,
@@ -166,7 +154,7 @@ class _CholeskyRank(Rank25D):
         if rows_piece.size and cols_piece.size:
             # rows and columns >= k1 are both suffixes of what I hold
             r0 = np.searchsorted(self.my_rows, k1)
-            self.aloc[r0:, sched.trailing_local_cols(t)] -= (
+            self.aloc[r0:, self.trailing_local_cols(t)] -= (
                 rows_piece @ cols_piece.T
             )
 

@@ -34,14 +34,14 @@ Pivot rows are never swapped — only their indices travel (row masking),
 so the O(N^3 / (P sqrt(M))) swap traffic a 2.5D layout would pay
 (Section 7.3, "Row Swapping vs Row Masking") never materializes.
 
-Steps 1-3 (:meth:`_ConfluxRank.factor_panel`) are the :meth:`panel_op`
-hook and steps 4-11 (:meth:`_ConfluxRank.eliminate`) the
-:meth:`trailing_op` hook of the shared :class:`Rank25D` template; all
-grid choreography (scatters, fetches, reductions, tags) lives in
-:mod:`repro.algorithms.schedule25d`.  Both steps are written over
-"whichever row ids the member eliminates in", with ``row_labels`` the
-one seam back to original rows — which is all the CANDMC-like baseline
-(:mod:`repro.algorithms.candmc25d`) overrides.
+Steps 1-3 (:meth:`_ConfluxRank.factor_panel`) and 4-11
+(:meth:`_ConfluxRank.eliminate`) make up the :meth:`step` hook of the
+shared :class:`Rank25D` template; all grid choreography (scatters,
+fetches, reductions, tags) lives in :mod:`repro.algorithms.schedule25d`.
+Both are written over "whichever row ids the member eliminates in",
+with ``row_labels`` the one seam back to original rows — which, with
+the row swaps, is all the CANDMC-like baseline
+(:mod:`repro.algorithms.candmc25d`) changes.
 """
 
 from __future__ import annotations
@@ -86,12 +86,8 @@ class _ConfluxRank(Rank25D):
     """Per-rank COnfLUX program on the shared 2.5D schedule."""
 
     def setup(self, a: np.ndarray) -> None:
-        sched = self.sched
-        sched.init_cyclic_layout()
-        self.my_rows = sched.my_rows
-        self.my_cols = sched.my_cols
-        self.row_g2l = sched.row_g2l
-        self.aloc = sched.local_block(a)
+        self.init_cyclic_layout()
+        self.aloc = self.local_block(a)
         self.pivoted = np.zeros(self.n, dtype=bool)
         self.l_pieces: list[tuple[int, np.ndarray, np.ndarray]] = []
         self.u_pieces: list[tuple[int, np.ndarray, np.ndarray]] = []
@@ -110,22 +106,12 @@ class _ConfluxRank(Rank25D):
         eliminates in: masking never moves a row, so the ids themselves."""
         return ids
 
-    def panel_op(self, ctx: StepContext):
+    def step(self, ctx: StepContext) -> None:
         active_rows = np.where(~self.pivoted)[0]
         my_active_rows = active_rows[self.row_g2l[active_rows] >= 0]
-        return (
-            *self.factor_panel(ctx, my_active_rows),
-            my_active_rows,
-            active_rows,
-        )
-
-    def trailing_op(self, ctx: StepContext, panel) -> None:
-        pivot_ids, a00, panel_true, my_active_rows, active_rows = panel
-        # a membership mask over in-range ids only: a pivot id corrupted
-        # in flight must stay a wire-level fault, not an IndexError here
-        is_pivot = np.zeros(self.n, dtype=bool)
-        is_pivot[pivot_ids[(pivot_ids >= 0) & (pivot_ids < self.n)]] = True
-        nonpivot_rows = active_rows[~is_pivot[active_rows]]
+        pivot_ids, a00, panel_true = self.factor_panel(ctx, my_active_rows)
+        self.pivoted[pivot_ids] = True
+        nonpivot_rows = active_rows[~self.pivoted[active_rows]]
         self.eliminate(
             ctx,
             a00,
@@ -135,7 +121,6 @@ class _ConfluxRank(Rank25D):
             holder_rows=nonpivot_rows,
             pivot_rows=pivot_ids,
         )
-        self.pivoted[pivot_ids] = True
 
     # -- steps 1-3: reduce the panel, run the tournament, factor A00 ---
     def factor_panel(self, ctx: StepContext, my_rows: np.ndarray):
@@ -143,12 +128,14 @@ class _ConfluxRank(Rank25D):
         row ids the member eliminates in (original rows when masking,
         positions when swapping).  Returns ``(pivot_ids, a00,
         panel_true)``; ``panel_true`` holds the true panel values of
-        ``my_rows`` on the panel ranks of layer ``lt``, None elsewhere."""
-        comm, gd, sched = self.comm, self.grid, self.sched
+        ``my_rows`` on the panel ranks of layer ``lt``, None elsewhere.
+        Raises ``ValueError`` on a pivot id outside [0, N), so an id
+        corrupted in flight fails where it arrives."""
+        comm, gd = self.comm, self.grid
         t, q, lt, w = ctx.t, ctx.q, ctx.lt, ctx.w
 
         # -- step 1: reduce next block column to layer lt ---------------
-        panel_true = sched.reduce_panel(ctx, self.aloc, my_rows)
+        panel_true = self.reduce_panel(ctx, self.aloc, my_rows)
 
         # -- step 2: tournament pivoting over the G panel ranks ---------
         if panel_true is not None:
@@ -166,9 +153,12 @@ class _ConfluxRank(Rank25D):
             payload = None
 
         # -- step 3: broadcast A00 + pivot ids to all active ranks ------
-        pivot_ids, a00 = sched.bcast_from(
-            "bcast_a00", payload, (0, q, lt)
-        )
+        pivot_ids, a00 = self.bcast_from("bcast_a00", payload, (0, q, lt))
+        if ((pivot_ids < 0) | (pivot_ids >= self.n)).any():
+            raise ValueError(
+                f"step {t}: bcast_a00 delivered pivot ids outside "
+                f"[0, {self.n}): {pivot_ids.tolist()}"
+            )
         if self.grid_rank == 0:
             self.a00_blocks.append(
                 (t, self.row_labels(pivot_ids).copy(), a00.copy())
@@ -195,19 +185,18 @@ class _ConfluxRank(Rank25D):
         true values) and ``value_rows`` the current ids of
         ``panel_true``'s rows.
         """
-        sched = self.sched
         g, v, n = self.g, self.v, self.n
         t, q, lt, w = ctx.t, ctx.q, ctx.lt, ctx.w
 
         # -- step 4: scatter A10 (non-pivot panel rows) to 1D layout ----
-        a10_owners = sched.owners(row_pool, "row", lt)
-        a10_rows = sched.my_share(row_pool, a10_owners)
-        c_rows = sched.scatter_rows(
+        a10_owners = self.owners(row_pool, "row", lt)
+        a10_rows = self.my_share(row_pool, a10_owners)
+        c_rows = self.scatter_rows(
             phase="scatter_a10",
-            tag=sched.tag(_TAG_A10_SCATTER, t),
+            tag=self.tag(_TAG_A10_SCATTER, t),
             row_pool=row_pool,
             owners=a10_owners,
-            holders=sched.rank_at[holder_rows % g, q, lt],
+            holders=self.rank_at[holder_rows % g, q, lt],
             values=panel_true,
             value_rows=value_rows,
             w=w,
@@ -223,28 +212,28 @@ class _ConfluxRank(Rank25D):
             a10_vals = np.zeros((0, w))
 
         # -- step 5: reduce the pivot rows' trailing values -------------
-        trail_local = sched.trailing_local_cols(t)
+        trail_local = self.trailing_local_cols(t)
         trail_cols = self.my_cols[trail_local]
         my_pivot_rows = pivot_rows[(pivot_rows % g) == self.pi]
         pivot_true = None
         if len(my_pivot_rows) and len(trail_cols):
             contrib = self.aloc[self.row_g2l[my_pivot_rows], trail_local]
-            pivot_true = sched.reduce_to_layer(
+            pivot_true = self.reduce_to_layer(
                 "reduce_pivot_rows", contrib, lt
             )
 
         # -- step 6: scatter A01 to a 1D layout over trailing columns ---
         all_trailing = np.arange((t + 1) * v, n)
-        a01_owners, assembled_a01 = sched.scatter_pivot_cols(
+        a01_owners, assembled_a01 = self.scatter_pivot_cols(
             t,
             phase="scatter_a01",
-            tag=sched.tag(_TAG_A01_SCATTER, t),
+            tag=self.tag(_TAG_A01_SCATTER, t),
             pivot_ids=pivot_rows,
             pivot_true=pivot_true,
             my_pivot_rows=my_pivot_rows,
             my_trail_cols=trail_cols,
         )
-        a01_cols = sched.my_share(all_trailing, a01_owners)
+        a01_cols = self.my_share(all_trailing, a01_owners)
         # -- step 9: local trsm A01 <- L00^{-1} C ------------------------
         if len(a01_cols):
             a01_vals = trsm_lower_unit(a00, assembled_a01)
@@ -253,9 +242,9 @@ class _ConfluxRank(Rank25D):
             a01_vals = np.zeros((w, 0))
 
         # -- steps 8 + 10: fetch 2.5D panel pieces ----------------------
-        a10_piece, piece_rows = sched.fetch_rows_piece(
+        a10_piece, piece_rows = self.fetch_rows_piece(
             phase="panel_a10",
-            tag=sched.tag(_TAG_A10_PANEL, t),
+            tag=self.tag(_TAG_A10_PANEL, t),
             pool=row_pool,
             owners=a10_owners,
             my_ids=a10_rows,
@@ -263,9 +252,9 @@ class _ConfluxRank(Rank25D):
             width=w,
             by="row",
         )
-        a01_piece, _ = sched.fetch_cols_piece(
+        a01_piece, _ = self.fetch_cols_piece(
             phase="panel_a01",
-            tag=sched.tag(_TAG_A01_PANEL, t),
+            tag=self.tag(_TAG_A01_PANEL, t),
             pool=all_trailing,
             owners=a01_owners,
             my_ids=a01_cols,
@@ -276,9 +265,9 @@ class _ConfluxRank(Rank25D):
         # -- step 11: local Schur update on this layer's partials -------
         # The layer applies only its 1/c slice even when the shipped
         # pieces are wider (the CANDMC-like variant over-fetches).
-        lo, hi = sched.my_chunk(w)
+        lo, hi = self.my_chunk(w)
         if a10_piece.size and a01_piece.size and lo < hi:
-            shipped_lo = sched.chunk_bounds(w)[self.layer][0]
+            shipped_lo = self.chunk_bounds(w)[self.layer][0]
             rel = slice(lo - shipped_lo, hi - shipped_lo)
             # the fetched columns are this rank's trailing tiles: a range
             self.aloc[self.row_g2l[piece_rows], trail_local] -= (

@@ -79,11 +79,7 @@ class _ConfqrRank(Rank25D):
     """Per-rank COnfQR program on the shared 2.5D schedule."""
 
     def setup(self, a: np.ndarray) -> None:
-        sched = self.sched
-        sched.init_block_cyclic_layout(panes_on_layers=False)
-        self.my_rows = sched.my_rows
-        self.my_cols = sched.my_cols
-        self.col_g2l = sched.col_g2l
+        self.init_block_cyclic_layout(panes_on_layers=False)
         # Only the compute layer materializes matrix data; the bank
         # layers hold reflector chunks keyed by step.
         self.aloc = (
@@ -94,17 +90,17 @@ class _ConfqrRank(Rank25D):
         self.bank: dict[int, np.ndarray] = {}
         self.t_log: dict[int, np.ndarray] = {}
 
-    # -- steps 1-6: tree TSQR, WY reconstruction, chunked fan-out ------
-    def panel_op(self, ctx: StepContext):
-        comm, gd, sched = self.comm, self.grid, self.sched
+    # -- steps 1-7: tree TSQR, WY reconstruction, fan-out, WY update --
+    def step(self, ctx: StepContext) -> None:
+        comm, gd = self.comm, self.grid
         g = self.g
         t, w = ctx.t, ctx.w
-        rt, qj, counts, act_loc = sched.tsqr_geometry(ctx.k0)
+        rt, qj, counts, act_loc = self.tsqr_geometry(ctx.k0)
 
         if self.layer != 0:
             # Bank layers only receive their 1/c reflector chunk.
-            self._bank_recv(t, qj, counts)
-            return None
+            self._bank_recv(ctx, qj, counts)
+            return
 
         on_pane = self.pj == qj
         plan = merge_plan([counts[(rt + p) % g] for p in range(g)], w)
@@ -117,7 +113,7 @@ class _ConfqrRank(Rank25D):
             lo = self.col_g2l[ctx.k0]
             panel_lcols = slice(lo, lo + w)
             panel = self.aloc[a0:, panel_lcols]
-        leaf, my_nodes, r_mine = sched.tsqr_merge(t, rt, plan, panel)
+        leaf, my_nodes, r_mine = self.tsqr_merge(t, rt, plan, panel)
 
         # 2. replay the tree on the w-column identity: Q1 rows land on
         #    their owners (reverse schedule order, then the local leaf).
@@ -126,7 +122,7 @@ class _ConfqrRank(Rank25D):
             if self.pi == rt and len(act_loc):
                 eloc[:w] = np.eye(w)
             with comm.phase("recon_tree"):
-                sched.tsqr_replay(
+                self.tsqr_replay(
                     t, rt, plan, my_nodes, eloc, apply_q, reverse=True
                 )
             if leaf is not None:
@@ -165,7 +161,7 @@ class _ConfqrRank(Rank25D):
 
         # 6. bank the split chunks: layer l keeps 1/c of V (layer 0's
         #    own chunk stays in place without a message).
-        bounds = sched.chunk_bounds(w)
+        bounds = self.chunk_bounds(w)
         if self.pj == qj:
             lo, hi = bounds[0]
             self.bank[t] = vloc[:, lo:hi].copy()
@@ -175,35 +171,30 @@ class _ConfqrRank(Rank25D):
                         lo, hi = bounds[lyr]
                         if lo < hi:
                             gd.fiber_comm.send(
-                                vloc[:, lo:hi], lyr, sched.tag(_TAG_BANK, t)
+                                vloc[:, lo:hi], lyr, self.tag(_TAG_BANK, t)
                             )
-        return vloc, tmat, act_loc
 
-    def _bank_recv(self, t: int, qj: int, counts: list[int]) -> None:
-        """Bank-layer side of step 6: receive this layer's V chunk."""
-        sched, gd = self.sched, self.grid
-        if self.pj != qj:
-            return
-        lo, hi = sched.my_chunk(sched.step_context(t).w)
-        if counts[self.pi] == 0 or lo == hi:
-            self.bank[t] = np.zeros((counts[self.pi], hi - lo))
-            return
-        with self.comm.phase("bank_scatter"):
-            self.bank[t] = gd.fiber_comm.recv(0, sched.tag(_TAG_BANK, t))
-
-    # -- step 7: one compact-WY GEMM pair on the trailing matrix -------
-    def trailing_op(self, ctx: StepContext, panel) -> None:
-        if panel is None:
-            return
-        comm, gd = self.comm, self.grid
-        vloc, tmat, act_loc = panel
-        tcols = self.sched.trailing_local_cols(ctx.t)
+        # 7. Y = allreduce(V^T B) down each column, then B -= V T^T Y
+        tcols = self.trailing_local_cols(t)
         if tcols.start == tcols.stop:
             return
         with comm.phase("wy_apply"):
             block = self.aloc[act_loc.start :, tcols]
             y = gd.col_comm.allreduce(vloc.T @ block)
             block -= vloc @ (tmat.T @ y)
+
+    def _bank_recv(self, ctx: StepContext, qj: int, counts: list[int]) -> None:
+        """Bank-layer side of step 6: receive this layer's V chunk."""
+        if self.pj != qj:
+            return
+        lo, hi = self.my_chunk(ctx.w)
+        if counts[self.pi] == 0 or lo == hi:
+            self.bank[ctx.t] = np.zeros((counts[self.pi], hi - lo))
+            return
+        with self.comm.phase("bank_scatter"):
+            self.bank[ctx.t] = self.grid.fiber_comm.recv(
+                0, self.tag(_TAG_BANK, ctx.t)
+            )
 
     def step_flops(self, ctx: StepContext) -> float:
         if self.layer != 0:
@@ -216,16 +207,16 @@ class _ConfqrRank(Rank25D):
 
     # -- step 8: distributed explicit-Q assembly (reverse sweep) -------
     def epilogue(self) -> None:
-        comm, gd, sched = self.comm, self.grid, self.sched
+        comm, gd = self.comm, self.grid
         if self.layer == 0:
             self.qloc = (
                 self.my_rows[:, None] == self.my_cols[None, :]
             ).astype(np.float64)
-        for t in range(sched.steps - 1, -1, -1):
-            ctx = sched.step_context(t)
+        for t in range(self.steps - 1, -1, -1):
+            ctx = self.step_context(t)
             k0, w = ctx.k0, ctx.w
-            _, qj, counts, act_loc = sched.tsqr_geometry(k0)
-            bounds = sched.chunk_bounds(w)
+            _, qj, counts, act_loc = self.tsqr_geometry(k0)
+            bounds = self.chunk_bounds(w)
 
             if self.layer != 0:
                 # Bank side: return this layer's V chunk to the pane.
@@ -235,7 +226,7 @@ class _ConfqrRank(Rank25D):
                         gd.fiber_comm.send(
                             self.bank.pop(t),
                             0,
-                            sched.tag(_TAG_QGATHER, t),
+                            self.tag(_TAG_QGATHER, t),
                         )
                 continue
 
@@ -250,7 +241,7 @@ class _ConfqrRank(Rank25D):
                             lo, hi = bounds[lyr]
                             if lo < hi:
                                 vloc[:, lo:hi] = gd.fiber_comm.recv(
-                                    lyr, sched.tag(_TAG_QGATHER, t)
+                                    lyr, self.tag(_TAG_QGATHER, t)
                                 )
             with comm.phase("q_panel_bcast"):
                 vloc = gd.row_comm.bcast(vloc, root=qj)

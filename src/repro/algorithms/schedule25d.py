@@ -7,7 +7,8 @@ rotating panel owner, layer-chunked rank-v updates, step-scoped tag
 namespaces and a small vocabulary of reduction/scatter/fetch plans.
 This module encodes that choreography once; the per-algorithm modules
 keep only their numerical payload (tournament pivoting, dpotrf, TSQR
-trees) as :class:`Rank25D` panel/trailing hooks.
+trees) as the one :meth:`Rank25D.step` hook of a :class:`Rank25D`
+subclass, which *is* its rank's :class:`Schedule25D`.
 
 :class:`Schedule25D` owns, per rank:
 
@@ -197,7 +198,6 @@ class Schedule25D:
         n, g, v = self.n, self.g, self.v
         self.my_rows = np.arange(self.pi, n, g)
         col_blocks = np.arange(self.pj, (n + v - 1) // v, g)
-        self.my_col_blocks = col_blocks
         cols = [np.arange(b * v, min((b + 1) * v, n)) for b in col_blocks]
         self.my_cols = (
             np.concatenate(cols) if cols else np.array([], dtype=int)
@@ -652,49 +652,30 @@ def _group_by(keys: np.ndarray):
     return order, groups
 
 
-class Rank25D:
-    """Template rank program: one :class:`Schedule25D` + two hooks.
+class Rank25D(Schedule25D):
+    """Template rank program: this rank's :class:`Schedule25D` + one hook.
 
     Subclasses set :attr:`chunking`, build their local state in
-    :meth:`setup`, and implement :meth:`panel_op` (factor the step's
-    panel — reduce, pivot/factor, broadcast) and :meth:`trailing_op`
-    (apply it to the trailing matrix).  ``run`` drives the shared step
-    loop; whatever ``panel_op`` returns is handed to ``trailing_op``.
+    :meth:`setup`, and implement :meth:`step` (factor step ``ctx``'s
+    panel and apply it to the trailing matrix), calling the schedule's
+    plans on themselves.  ``run`` drives the shared step loop.
     """
 
     chunking = "split"
 
     def __init__(self, comm, a: np.ndarray, g: int, c: int, v: int):
-        self.comm = comm
-        self.n = a.shape[0]
-        self.g = g
-        self.c = c
-        self.v = v
-        self.sched = Schedule25D(
-            comm, self.n, g, c, v, chunking=self.chunking
-        )
-        self.grid = self.sched.grid
-        self.active = self.sched.active
-        if not self.active:
-            return
-        sched = self.sched
-        self.pi, self.pj, self.layer = sched.pi, sched.pj, sched.layer
-        self.p_active = sched.p_active
-        self.grid_rank = sched.grid_rank
-        self.setup(a)
+        super().__init__(comm, a.shape[0], g, c, v, chunking=self.chunking)
+        if self.active:
+            self.setup(a)
 
     # -- subclass surface ----------------------------------------------
     def setup(self, a: np.ndarray) -> None:
         """Build layout-dependent local state (called on active ranks)."""
         raise NotImplementedError
 
-    def panel_op(self, ctx: StepContext):
-        """Factor step ``ctx``'s panel; the return value feeds
-        :meth:`trailing_op`."""
-        raise NotImplementedError
-
-    def trailing_op(self, ctx: StepContext, panel) -> None:
-        """Apply the factored panel to the trailing matrix."""
+    def step(self, ctx: StepContext) -> None:
+        """Factor step ``ctx``'s panel and apply it to the trailing
+        matrix."""
         raise NotImplementedError
 
     def step_flops(self, ctx: StepContext) -> float:
@@ -723,10 +704,9 @@ class Rank25D:
     def run(self) -> dict:
         if not self.active:
             return {"active": False}
-        for t in range(self.sched.steps):
-            ctx = self.sched.step_context(t)
-            panel = self.panel_op(ctx)
-            self.trailing_op(ctx, panel)
+        for t in range(self.steps):
+            ctx = self.step_context(t)
+            self.step(ctx)
             self.comm.compute(self.step_flops(ctx))
         self.epilogue()
         return self.finalize()

@@ -80,6 +80,23 @@ def test_grid_larger_than_communicator_rejected(name):
     assert str(exc.value) == f"{name}: grid {grid} needs 8 ranks, have 4"
 
 
+@pytest.mark.parametrize("name", NAMES_25D)
+def test_idle_ranks_change_nothing(name):
+    """Ranks past the grid idle: they move no byte, and the grid's
+    ranks factor and communicate exactly as on a communicator of their
+    own size."""
+    a = _input(name)
+    exact = factor(name, a, 8, grid=(2, 2, 2))
+    spare = factor(name, a, 11, grid=(2, 2, 2))
+    assert spare.meta["active_ranks"] == 8
+    for part in ("lower", "upper", "perm"):
+        assert np.array_equal(getattr(spare, part), getattr(exact, part))
+    assert spare.volume.sent_bytes[:8] == exact.volume.sent_bytes
+    assert spare.volume.recv_bytes[:8] == exact.volume.recv_bytes
+    assert spare.volume.sent_bytes[8:] == (0, 0, 0)
+    assert spare.volume.recv_bytes[8:] == (0, 0, 0)
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_block_below_floor_rejected(name):
     info = get_algorithm(name)
